@@ -26,7 +26,6 @@ use diffcon_engine::client::Client;
 use diffcon_engine::net::{NetConfig, NetServer};
 use diffcon_engine::protocol::binary::{self, BinRequest};
 use diffcon_engine::{EngineMetrics, Server, SessionConfig};
-use diffcon_obs::{Histogram, HistogramSnapshot};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -196,7 +195,7 @@ fn best_secs(mut f: impl FnMut() -> f64) -> f64 {
 
 /// Best wall-clock seconds answering `requests` in process: one fresh
 /// server and one reused reply buffer, every request through
-/// [`Server::respond`] with its flight record committed — the reactor's
+/// [`Server::respond`] with its record committed — the reactor's
 /// per-request work without the sockets.
 fn in_process_secs<'a>(requests: impl Fn() -> Vec<BinRequest<'a>>) -> f64 {
     best_secs(|| {
@@ -207,10 +206,9 @@ fn in_process_secs<'a>(requests: impl Fn() -> Vec<BinRequest<'a>>) -> f64 {
         let start = Instant::now();
         for frame in &frames {
             reply.clear();
-            let answer = server.respond(frame, Instant::now(), &mut reply);
-            if let Some(record) = answer.flight {
-                record.commit(0, reply.len() as u64 + 1);
-            }
+            let mut answer = server.respond(frame, Instant::now(), &mut reply);
+            answer.record.bytes_out = reply.len() as u64 + 1;
+            server.commit(&answer.record);
             answered += usize::from(!reply.is_empty());
         }
         let elapsed = start.elapsed().as_secs_f64();
@@ -336,29 +334,15 @@ fn loopback_floor() -> (f64, f64) {
     percentiles(samples)
 }
 
-/// The four pipeline stage histograms of the process-wide registry, labeled
-/// as in the `diffcond_stage_latency_us` exposition.  The bench server runs
-/// in-process, so these capture exactly the serving work driven below.
-fn stage_histograms() -> [(&'static str, &'static Histogram); 4] {
-    let metrics = EngineMetrics::global();
-    [
-        ("frame", &metrics.frame_ns),
-        ("queue", &metrics.queue_ns),
-        ("plan", &metrics.plan_ns),
-        ("reply", &metrics.reply_ns),
-    ]
-}
-
 fn emit_json_report() {
     let script = build_script(REPEATS);
     let queries_per_pass = (REPEATS * STREAM) as f64;
     let (addr, handle) = spawn_server();
     // Baseline the server-side stage histograms so the report windows only
-    // the traffic this bench drives (the registry is process-global).
-    let stage_base: Vec<(&str, HistogramSnapshot)> = stage_histograms()
-        .iter()
-        .map(|(stage, histogram)| (*stage, histogram.snapshot()))
-        .collect();
+    // the traffic this bench drives (the registry is process-global; the
+    // bench server runs in-process, so they capture exactly the serving
+    // work driven below).
+    let stage_base = EngineMetrics::global().stages();
 
     let (burst, frames) = build_binary_burst(REPEATS);
     let mut table = Table::new(
@@ -445,14 +429,14 @@ fn emit_json_report() {
         "N1: server-side stage latency (histogram-derived, whole bench window)",
         ["stage", "samples", "p50_us", "p99_us"],
     );
-    let mut stage_samples: Vec<(&str, u64)> = Vec::new();
-    for ((stage, histogram), (_, base)) in stage_histograms().iter().zip(&stage_base) {
-        let window = histogram.snapshot().minus(base);
+    let mut stage_samples: Vec<u64> = Vec::new();
+    for ((stage, now), (_, base)) in EngineMetrics::global().stages().iter().zip(&stage_base) {
+        let window = now.minus(base);
         let (stage_p50, stage_p99) = (window.p50() as f64 / 1e3, window.p99() as f64 / 1e3);
         report.push_metric(format!("stage_{stage}_samples"), window.count() as f64);
         report.push_metric(format!("stage_{stage}_p50_us"), stage_p50);
         report.push_metric(format!("stage_{stage}_p99_us"), stage_p99);
-        stage_samples.push((stage, window.count()));
+        stage_samples.push(window.count());
         stage_table.push_row([
             (*stage).to_string(),
             window.count().to_string(),
@@ -465,21 +449,11 @@ fn emit_json_report() {
         );
     }
     stage_table.eprint();
-    // The reply stage is timed per reply written, so its sample count must
-    // track the per-request frame count (every request in these scripts
-    // gets a non-empty reply) — not one sample per output flush, the
-    // undersampling this pins against.
-    let count_of = |name: &str| {
-        stage_samples
-            .iter()
-            .find(|(stage, _)| *stage == name)
-            .map(|(_, count)| *count as f64)
-            .expect("stage present")
-    };
-    let (frames, replies) = (count_of("frame"), count_of("reply"));
+    // Every request's one record feeds every stage, so the three sample
+    // counts are the same request total.
     assert!(
-        replies >= frames * 0.95,
-        "reply stage undersampled: {replies} reply samples for {frames} framed requests"
+        stage_samples.windows(2).all(|pair| pair[0] == pair[1]),
+        "stage sample counts disagree: {stage_samples:?}"
     );
 
     handle.shutdown();

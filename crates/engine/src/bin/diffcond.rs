@@ -52,7 +52,8 @@
 //! Every request is answered in order, as soon as it is read: stdin and
 //! each network connection go through the same
 //! `diffcon_engine::Server::respond`, which writes each reply into a reused
-//! buffer.
+//! buffer, and commit each request's record through the same
+//! `diffcon_engine::Server::commit`.
 
 use diffcon_engine::protocol::binary::BinRequest;
 use diffcon_engine::{Server, SessionConfig};
@@ -117,7 +118,7 @@ Network serving:
                 latency, cache counters, per-session and per-connection
                 cost attribution, allocation accounting, and sampled
                 profile stacks
-    /healthz    liveness probe (200 `ok queue_depth=N`)
+    /healthz    liveness probe (200 `ok`)
     /buildinfo  name, version, and build flavor
     /profile    profile the process for ?seconds=S (default 2, max 30) at
                 ?hz=N and return flamegraph-collapsed stacks
@@ -346,7 +347,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 /// Stdin serving loop: one request per line, each answered and written out
-/// before the next is read.
+/// before the next is read, then committed with its exact byte counts.
 fn serve_stdin(config: SessionConfig, slow_query_us: Option<u64>) {
     let mut server = Server::new(config);
     server.set_slow_query_us(slow_query_us);
@@ -362,14 +363,15 @@ fn serve_stdin(config: SessionConfig, slow_query_us: Option<u64>) {
         }
         let request = line.strip_suffix(b"\n").unwrap_or(&line);
         reply.clear();
-        let answer = server.respond(&BinRequest::Line(request), Instant::now(), &mut reply);
-        if let Some(record) = answer.flight {
-            record.commit_unsent();
+        let mut answer = server.respond(&BinRequest::Line(request), Instant::now(), &mut reply);
+        answer.record.bytes_in = line.len() as u64;
+        let mut written = true;
+        if !reply.is_empty() {
+            answer.record.bytes_out = reply.len() as u64 + 1;
+            written = writeln!(out, "{reply}").and_then(|_| out.flush()).is_ok();
         }
-        if !reply.is_empty() && writeln!(out, "{reply}").and_then(|_| out.flush()).is_err() {
-            break;
-        }
-        if answer.quit {
+        server.commit(&answer.record);
+        if !written || answer.quit {
             break;
         }
     }
@@ -487,13 +489,12 @@ fn render_top(addr: &str, series: &[diffcon_obs::Series]) -> String {
     };
     let mut out = format!("diffcond top — {addr}\n");
     out.push_str(&format!(
-        "requests={} replies={} parse_errors={} connections={} flight_records={} queue_depth={}\n",
+        "requests={} replies={} parse_errors={} connections={} flight_records={}\n",
         total("diffcond_requests_total"),
         total("diffcond_replies_total"),
         total("diffcond_parse_errors_total"),
         total("diffcond_connections_total"),
         total("diffcond_flight_records_total"),
-        total("diffcond_queue_depth"),
     ));
     out.push_str(&format!(
         "bytes read={} written={}\n",
@@ -501,7 +502,7 @@ fn render_top(addr: &str, series: &[diffcon_obs::Series]) -> String {
         find("diffcond_bytes_total", &[("direction", "written")]).unwrap_or(0.0),
     ));
     out.push_str("stage latency us (p50/p99):");
-    for stage in ["frame", "queue", "plan", "reply"] {
+    for stage in ["frame", "plan", "reply"] {
         let quantile = |q: &str| {
             find(
                 "diffcond_stage_latency_us",
@@ -548,13 +549,12 @@ fn render_top(addr: &str, series: &[diffcon_obs::Series]) -> String {
         .map(|s| (label_of(s, "conn"), label_of(s, "slot"), s.value))
         .collect();
     sessions.sort_by(|a, b| b.2.total_cmp(&a.2));
-    out.push_str("sessions (conn:slot queries decide_us queue_us cache_hits):\n");
+    out.push_str("sessions (conn:slot queries decide_us cache_hits):\n");
     for (conn, slot, queries) in sessions.iter().take(10) {
         let labels = [("conn", conn.as_str()), ("slot", slot.as_str())];
         out.push_str(&format!(
-            "  {conn}:{slot}  {queries}  {}  {}  {}\n",
+            "  {conn}:{slot}  {queries}  {}  {}\n",
             find("diffcond_session_decide_us_total", &labels).unwrap_or(0.0),
-            find("diffcond_session_queue_us_total", &labels).unwrap_or(0.0),
             find("diffcond_session_cache_hits_total", &labels).unwrap_or(0.0),
         ));
     }

@@ -49,14 +49,17 @@
 //!   binary) for programs, tests, and load generators.
 //! * **Observability** ([`metrics::EngineMetrics`]) — a process-wide
 //!   lock-free registry of counters and stage-latency histograms with a
-//!   Prometheus text exposition, plus a request-scoped flight recorder
-//!   ([`metrics::FlightRecord`]): every completed query writes its trace
-//!   id, connection/slot, verb, route, cache outcome, byte counts, and
-//!   per-stage latency into a fixed-capacity overwrite-oldest ring, dumped
-//!   live by the `debug recent` / `debug trace` verbs; per-session and
-//!   per-connection cost attribution ([`metrics::SessionCosts`],
-//!   [`metrics::ConnCosts`]) feeds `session list`, `stats`, and labeled
-//!   exposition series; `stats recent` reports windowed live rates.
+//!   Prometheus text exposition, built on one record per request
+//!   ([`metrics::FlightRecord`]): every request — any verb, an error, a
+//!   silent line, a framing refusal — leaves its trace id, connection/slot,
+//!   verb, route, cache outcome, byte counts, and `frame`/`plan`/`reply`
+//!   latency, and one commit ([`protocol::Server::commit`]) writes it into
+//!   a fixed-capacity overwrite-oldest ring (dumped live by the `debug
+//!   recent` / `debug trace` verbs) and derives the stage histograms, the
+//!   request, reply, and byte counts, and the per-connection series from
+//!   it.  Each session keeps one ledger ([`metrics::SessionCosts`]) that
+//!   its planner, `stats`, `session list`, and the labeled session series
+//!   all read; `stats recent` reports windowed live rates.
 //! * **An adaptive planner** ([`planner::Planner`]) that routes each query
 //!   to the cheapest sound procedure — trivial goals inline, the polynomial
 //!   FD fast path when the instance lies in the single-member fragment, the
@@ -136,8 +139,8 @@ pub use cache::{version_salt, CacheStats, LruCache, ShardOccupancy, ShardedCache
 pub use client::{Client, ClientError};
 pub use intern::{ConstraintId, ConstraintInterner};
 pub use metrics::{
-    http_routes, next_connection_id, CacheFamily, ConnCosts, EngineMetrics, FlightRecord,
-    RecentStats, SessionCosts,
+    http_routes, next_connection_id, CacheFamily, EngineMetrics, FlightRecord, RecentStats,
+    SessionCosts,
 };
 pub use net::{NetConfig, NetServer, ShutdownHandle};
 pub use planner::{BoundStats, Planner, PlannerConfig, PlannerStats};
@@ -145,4 +148,4 @@ pub use protocol::{Answer, Reply, Request, Server};
 pub use server_state::SessionRegistry;
 pub use session::CoreApplied;
 pub use session::{AdoptOutcome, BoundOutcome, QueryOutcome, Session, SessionConfig, SessionStats};
-pub use snapshot::{AnalyzeOutcome, ExplainOutcome, Snapshot, SnapshotStats};
+pub use snapshot::{AnalyzeOutcome, ExplainOutcome, Snapshot};

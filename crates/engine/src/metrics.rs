@@ -8,22 +8,26 @@
 //! owns a [`crate::protocol::Server`], each session its own caches and
 //! [`crate::planner::Planner`] — but a scrape wants the process view: total
 //! requests, the latency distribution across *all* connections, cache
-//! traffic across *all* sessions.  Per-session accounting already exists
-//! (the `stats` verb reports it); this module is the aggregate layer.  Every
-//! recording site therefore writes twice — its local accounting and the
-//! global registry — and both writes are relaxed atomics, so the double
-//! bookkeeping costs a few nanoseconds against query latencies measured in
-//! microseconds.
+//! traffic across *all* sessions.  This module is that aggregate layer, and
+//! every write into it is a relaxed atomic.
 //!
-//! # What is recorded where
+//! # One record per request
 //!
-//! | source                  | metrics                                          |
-//! |-------------------------|--------------------------------------------------|
-//! | [`crate::protocol`]     | requests, parse errors, replies, queue and plan stage latency, slow queries |
-//! | [`crate::net`]          | connections, bytes, frames, framing errors, frame-read and reply-write latency |
-//! | [`crate::planner`]      | per-route decision counts and latency (implication routes and the bound ladder), trivial short-circuits |
-//! | [`crate::cache`]        | per-family hit/miss/eviction/collision counters   |
-//! | [`crate::session`]      | snapshot epoch publications                       |
+//! Every request — any verb, an error, a silent line, a framing refusal —
+//! ends in exactly one [`FlightRecord`], and committing it is the only
+//! per-request write: the transport fills in the record's frame, reply,
+//! and byte fields and passes it to [`crate::protocol::Server::commit`],
+//! whose one call into this module writes the flight ring and derives
+//! every per-request series from the record — one sample in each of the
+//! `frame`, `plan`, and `reply` stage histograms (whose count is the
+//! request total), the reply and byte counts, the connection's series, and
+//! for an answered query the query and decision time charged to its
+//! session.  Those fields are private to this module, so no other code can
+//! write them.  Route decisions, cache hits, and trivial goals are counted
+//! once, by the planner, in the session's [`SessionCosts`] ledger; rare
+//! events keep their own counters where they happen (parse and framing
+//! errors, slow queries, analyses, epoch publications, connections, the
+//! reactor series, per-family cache traffic, per-route decision latency).
 //!
 //! The exposition ([`EngineMetrics::exposition`]) renders counters and
 //! gauges directly and histograms as summary families (`quantile` labels
@@ -36,14 +40,13 @@
 //! paid".  Three request-scoped structures live alongside the aggregate
 //! counters:
 //!
-//! * [`FlightRecord`] — one fixed-width record per completed request (trace
-//!   id, connection id, session slot, verb, route, cache outcome, bytes
-//!   in/out, per-stage nanoseconds, epoch), packed into [`FlightWords`] and
-//!   written into the always-on [`FlightRecorder`] ring at
-//!   [`EngineMetrics::flight`].  Dumped live by the `debug recent` /
-//!   `debug trace` protocol verbs and by the slow-query stderr line.
-//! * [`SessionCosts`] / [`ConnCosts`] — per-session and per-connection cost
-//!   attribution (decision time, route counts, cache hits, bytes),
+//! * [`FlightRecord`] — the fixed-width record of one request (trace id,
+//!   connection id, session slot, verb, route, cache outcome, bytes in/out,
+//!   per-stage nanoseconds, epoch), packed into [`FlightWords`] and kept in
+//!   the always-on [`FlightRecorder`] ring.  Dumped live by the `debug
+//!   recent` / `debug trace` protocol verbs and by the slow-query stderr
+//!   line.
+//! * [`SessionCosts`] and the per-connection series — cost attribution
 //!   registered under `(connection, slot)` / `connection` keys and rendered
 //!   as labeled `diffcond_session_*` / `diffcond_connection_*` series.
 //! * [`RecentStats`] — windowed live stats: a small ring of periodic
@@ -52,6 +55,7 @@
 //!   without restarting counters.
 
 use crate::cache::CacheStats;
+use crate::protocol::VERBS;
 use diffcon::procedure::{self, ProcedureKind};
 use diffcon_bounds::DeriveRoute;
 use diffcon_obs::profile::{self, CountingAllocator};
@@ -152,9 +156,9 @@ impl CacheCounters {
 /// [`procedure::ALL_PROCEDURES`].
 const ROUTE_LABELS: [&str; 4] = ["fd", "lattice", "semantic", "sat"];
 
-/// Labels for the request stage histograms, aligned with
-/// [`EngineMetrics::stage_histograms`].
-const STAGE_LABELS: [&str; 4] = ["frame", "queue", "plan", "reply"];
+/// Labels for the request stage histograms, in [`EngineMetrics::stages`]
+/// order.
+const STAGE_LABELS: [&str; 3] = ["frame", "plan", "reply"];
 
 fn proc_index(kind: ProcedureKind) -> usize {
     procedure::ALL_PROCEDURES
@@ -172,15 +176,10 @@ pub fn next_connection_id() -> u64 {
     CONNECTION_IDS.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Verb names a flight record can carry, indexed by the code stored in the
-/// packed word; index 0 is the unknown/unset sentinel.
-const FLIGHT_VERBS: [&str; 9] = [
-    "?", "implies", "batch", "bound", "witness", "derive", "explain", "mine", "analyze",
-];
-
 /// Route names a flight record can carry (the implication ladder, the bound
-/// ladder, and the verb-level routes), indexed like [`FLIGHT_VERBS`].
-const FLIGHT_ROUTES: [&str; 14] = [
+/// ladder, and the verb-level routes), indexed by the code stored in the
+/// packed word; index 0 is the no-route sentinel.
+const FLIGHT_ROUTES: [&str; 15] = [
     "?",
     "trivial",
     "fd",
@@ -195,66 +194,81 @@ const FLIGHT_ROUTES: [&str; 14] = [
     "derive",
     "mine",
     "analyze",
+    "bound",
 ];
 
-fn flight_code(table: &[&'static str], name: &str) -> u64 {
+fn route_code(route: Option<&str>) -> u64 {
     // Pointer identity first: the serving stack tags records with the same
-    // `&'static str` literals this table holds, so the scan is usually a
+    // `&'static str` literals the table holds, so the scan is usually a
     // fat-pointer compare per entry, not a content compare.
-    table
-        .iter()
-        .position(|&n| std::ptr::eq(n, name) || n == name)
-        .unwrap_or(0) as u64
+    route.map_or(0, |name| {
+        FLIGHT_ROUTES
+            .iter()
+            .position(|&n| std::ptr::eq(n, name) || n == name)
+            .unwrap_or(0) as u64
+    })
 }
 
-fn flight_name(table: &'static [&'static str], code: u64) -> &'static str {
-    table.get(code as usize).copied().unwrap_or("?")
+fn route_of(code: u64) -> Option<&'static str> {
+    FLIGHT_ROUTES
+        .get(code as usize)
+        .copied()
+        .filter(|_| code > 0)
 }
 
-/// One completed request's full server-side story: identity (trace,
+/// One finished request's full server-side story: identity (trace,
 /// connection, session slot), shape (verb, route, cache outcome, bytes),
-/// and per-stage cost.  Packs losslessly into [`FlightWords`] for the
-/// [`FlightRecorder`] ring and renders as the `key=value` line the
-/// `debug recent` verb and the slow-query stderr dump emit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// and per-stage cost.  Every request leaves exactly one — queries,
+/// mutations, errors, silent lines, and framing refusals alike — and its
+/// commit ([`crate::protocol::Server::commit`]) derives every per-request
+/// series from it.
+/// Packs losslessly into [`FlightWords`] for the [`FlightRecorder`] ring
+/// and renders as the `key=value` line the `debug recent` verb and the
+/// slow-query stderr dump emit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Request-scoped trace id (`origin << 32 | sequence`), unique per
-    /// process and monotone per connection.
+    /// process and consecutive per connection.
     pub trace: u64,
     /// Connection id from [`next_connection_id`].
     pub conn: u64,
-    /// Session slot the request ran under.
+    /// Session slot the request left current.
     pub slot: u64,
-    /// Protocol verb (one of the known verb names).
-    pub verb: &'static str,
-    /// Decision route (one of the known route names).
-    pub route: &'static str,
+    /// The request's verb as an index into [`VERBS`]; `None` for a silent
+    /// line, an unknown verb, and a framing refusal.
+    pub verb: Option<usize>,
+    /// Where an answered query was routed (one of the known route names);
+    /// `None` for every request that is not an answered query.
+    pub route: Option<&'static str>,
     /// Whether the answer came from a cache.
     pub cached: bool,
-    /// Request bytes read off the wire (line + terminator).
+    /// Request bytes read (frame header or terminator included).
     pub bytes_in: u64,
-    /// Reply bytes written (0 for silent replies).
+    /// Reply bytes written (0 for a silent request).
     pub bytes_out: u64,
     /// Nanoseconds framing the request off the socket.
     pub frame_ns: u64,
-    /// Nanoseconds waiting between parse and evaluation (zero: requests
-    /// are answered in order, as they are parsed).
-    pub queue_ns: u64,
     /// Nanoseconds answering the request: parse, decide, and format.
     pub plan_ns: u64,
     /// Nanoseconds of planner decision time inside the evaluation.
     pub decide_ns: u64,
-    /// Nanoseconds writing the reply to the wire.
+    /// Nanoseconds writing the reply to the connection's output.
     pub reply_ns: u64,
-    /// Snapshot epoch the request evaluated against.
+    /// Snapshot epoch of the slot's session when the request finished (the
+    /// epoch that answered a query; 0 without a session).
     pub epoch: u64,
 }
 
 impl FlightRecord {
+    /// The verb's name, `?` when the record has none.
+    pub(crate) fn verb_name(&self) -> &'static str {
+        self.verb.map_or("?", |index| VERBS[index].name)
+    }
+
     /// Packs the record into the fixed-width ring representation.
     pub fn encode(&self) -> FlightWords {
-        let vrc = (flight_code(&FLIGHT_VERBS, self.verb) << 16)
-            | (flight_code(&FLIGHT_ROUTES, self.route) << 8)
+        let vrc = (self.verb.map_or(0, |index| index as u64 + 1) << 16)
+            | (route_code(self.route) << 8)
             | u64::from(self.cached);
         [
             self.trace,
@@ -264,7 +278,6 @@ impl FlightRecord {
             self.bytes_in,
             self.bytes_out,
             self.frame_ns,
-            self.queue_ns,
             self.plan_ns,
             self.decide_ns,
             self.reply_ns,
@@ -274,21 +287,23 @@ impl FlightRecord {
 
     /// Unpacks a ring record.
     pub fn decode(words: &FlightWords) -> FlightRecord {
+        let verb_code = ((words[3] >> 16) & 0xff) as usize;
         FlightRecord {
             trace: words[0],
             conn: words[1],
             slot: words[2],
-            verb: flight_name(&FLIGHT_VERBS, (words[3] >> 16) & 0xff),
-            route: flight_name(&FLIGHT_ROUTES, (words[3] >> 8) & 0xff),
+            verb: verb_code
+                .checked_sub(1)
+                .filter(|&index| index < VERBS.len()),
+            route: route_of((words[3] >> 8) & 0xff),
             cached: words[3] & 1 == 1,
             bytes_in: words[4],
             bytes_out: words[5],
             frame_ns: words[6],
-            queue_ns: words[7],
-            plan_ns: words[8],
-            decide_ns: words[9],
-            reply_ns: words[10],
-            epoch: words[11],
+            plan_ns: words[7],
+            decide_ns: words[8],
+            reply_ns: words[9],
+            epoch: words[10],
         }
     }
 
@@ -297,70 +312,59 @@ impl FlightRecord {
     pub fn render(&self) -> String {
         format!(
             "trace={} conn={} slot={} verb={} route={} cached={} in={} out={} \
-             frame_us={} queue_us={} plan_us={} decide_us={} reply_us={} epoch={}",
+             frame_us={} plan_us={} decide_us={} reply_us={} epoch={}",
             self.trace,
             self.conn,
             self.slot,
-            self.verb,
-            self.route,
+            self.verb_name(),
+            self.route.unwrap_or("?"),
             u64::from(self.cached),
             self.bytes_in,
             self.bytes_out,
             self.frame_ns / 1_000,
-            self.queue_ns / 1_000,
             self.plan_ns / 1_000,
             self.decide_ns / 1_000,
             self.reply_ns / 1_000,
             self.epoch,
         )
     }
-
-    /// Fills in the reply stage and writes the record into the global
-    /// flight-recorder ring.
-    pub fn commit(mut self, reply_ns: u64, bytes_out: u64) {
-        self.reply_ns = reply_ns;
-        self.bytes_out = bytes_out;
-        EngineMetrics::global().flight.record(&self.encode());
-    }
-
-    /// Writes the record as-is, for replies consumed without crossing a
-    /// wire (in-process drivers): the reply stage stays at its pre-filled
-    /// value since no transport write was timed.
-    pub fn commit_unsent(&self) {
-        EngineMetrics::global().flight.record(&self.encode());
-    }
 }
 
-/// Per-session cost attribution, shared between the session's planner (which
-/// records route decisions and cache hits) and the protocol server (which
-/// records queries and decision time).  Registered with
-/// [`EngineMetrics::register_session`] so `session list`, `stats`, and the
-/// Prometheus endpoint can attribute cost to a `(connection, slot)` pair.
+/// One session's ledger: every per-session fact, counted once.  The
+/// session's planner holds it and counts route decisions, cache hits, and
+/// trivial goals as they happen; the commit of an answered query's record
+/// charges the query and its decision time.  `stats`, `session list`, and the
+/// labeled `diffcond_session_*` series all read it.  Plain counters only,
+/// so the registry keeps a closed session's series for a few hundred
+/// bytes (the planner's latency histograms close with the session).
 #[derive(Debug, Default)]
 pub struct SessionCosts {
     /// Queries charged to the session.
     pub queries: Counter,
     /// Planner decision nanoseconds charged to the session.
     pub decide_ns: Counter,
-    /// Queue-wait nanoseconds charged to the session.
-    pub queue_ns: Counter,
-    /// Answer-cache hits charged to the session.
-    pub cache_hits: Counter,
-    /// Decided queries per implication route, indexed like
+    /// Goals answered inline as trivial.
+    pub trivial: Counter,
+    /// Implication queries decided per route, indexed like
     /// [`procedure::ALL_PROCEDURES`].
     pub routes: [Counter; 4],
+    /// Answer-cache hits per route the goal was planned for, indexed like
+    /// [`SessionCosts::routes`].
+    pub cache_hits: [Counter; 4],
+    /// Bound queries decided per bound route: `[propagation, relaxed]`.
+    pub bounds: [Counter; 2],
+    /// Bound queries served from the bound cache.
+    pub bound_cache_hits: Counter,
 }
 
-/// Per-connection cost attribution, accumulated by the network layer and
-/// rendered as `diffcond_connection_*` labeled series.
+/// One connection's cost series, rendered as `diffcond_connection_*`.
+/// Its fields are private to this module: only [`EngineMetrics::commit`]
+/// writes them.
 #[derive(Debug, Default)]
-pub struct ConnCosts {
-    /// Requests framed on the connection.
-    pub requests: Counter,
-    /// Request bytes read.
-    pub bytes_read: Counter,
-    /// Reply bytes written.
-    pub bytes_written: Counter,
+pub(crate) struct ConnCosts {
+    requests: Counter,
+    bytes_read: Counter,
+    bytes_written: Counter,
 }
 
 /// How many `(connection, slot)` / connection cost series the registry
@@ -384,12 +388,10 @@ const RECENT_FRAME_CAP: usize = 512;
 #[derive(Debug)]
 struct RecentFrame {
     at: Instant,
-    requests: u64,
     replies: u64,
     bytes_read: u64,
     bytes_written: u64,
     frame: HistogramSnapshot,
-    queue: HistogramSnapshot,
     plan: HistogramSnapshot,
     reply: HistogramSnapshot,
 }
@@ -408,8 +410,6 @@ pub struct RecentStats {
     pub baseline: bool,
     /// Width of the observed window.
     pub window: Duration,
-    /// Requests answered over the window.
-    pub requests: u64,
     /// Reply lines released over the window.
     pub replies: u64,
     /// Request bytes read over the window.
@@ -418,52 +418,49 @@ pub struct RecentStats {
     pub bytes_written: u64,
     /// Frame-stage latency over the window.
     pub frame: HistogramSnapshot,
-    /// Queue-wait latency over the window.
-    pub queue: HistogramSnapshot,
-    /// Evaluation latency over the window.
+    /// Evaluation latency over the window; its count is the requests
+    /// answered.
     pub plan: HistogramSnapshot,
     /// Reply-write latency over the window.
     pub reply: HistogramSnapshot,
 }
 
 /// The process-wide metrics registry.  All fields are lock-free; recording
-/// sites access them through [`EngineMetrics::global`].
+/// sites access them through [`EngineMetrics::global`].  The per-request
+/// series are private: a request's commit is their only writer, and
+/// readers get snapshots ([`EngineMetrics::stages`],
+/// [`EngineMetrics::recent`], the exposition, and the `debug` verbs' dump
+/// of the flight ring).
 #[derive(Debug, Default)]
 pub struct EngineMetrics {
-    /// Requests answered (well-formed or not).
-    pub requests: Counter,
+    /// Nanoseconds framing a request off the socket when input was already
+    /// buffered (client think-time excluded); one sample per request.
+    frame_ns: Histogram,
+    /// Nanoseconds answering a request: parse, decide, and format; one
+    /// sample per request, so its count is the request total.
+    plan_ns: Histogram,
+    /// Nanoseconds framing a reply into its connection's output buffer; one
+    /// sample per request (0 for a silent one).
+    reply_ns: Histogram,
+    /// Requests that wrote a reply (silent requests excluded).
+    replies: Counter,
+    /// Request bytes read (handshakes and refused lines included).
+    bytes_read: Counter,
+    /// Reply bytes written (handshakes included).
+    bytes_written: Counter,
+    /// The always-on flight recorder: one [`FlightRecord`] per request,
+    /// overwrite-oldest, dumpable without stopping traffic.
+    flight: FlightRecorder,
     /// Requests rejected by the protocol parser.
     pub parse_errors: Counter,
-    /// Reply lines released to clients (silent replies excluded).
-    pub replies: Counter,
-    /// Queries whose `plan` stage reached the slow-query threshold.
+    /// Requests whose `plan` stage reached the slow-query threshold.
     pub slow_queries: Counter,
     /// Slow-query stderr lines suppressed by the log rate limiter.
     pub slow_log_dropped: Counter,
-    /// Requests waiting to be answered.  Requests are answered in order as
-    /// they are parsed, so nothing queues and this stays 0; `/healthz`
-    /// still reports it.
-    pub queue_depth: Gauge,
-    /// Nanoseconds spent framing a request off the socket when input was
-    /// already buffered (client think-time excluded).
-    pub frame_ns: Histogram,
-    /// Nanoseconds a query waited between parse and evaluation: zero, one
-    /// sample per query, since requests are answered in order.
-    pub queue_ns: Histogram,
-    /// Nanoseconds answering one query: parse, decide, and format.
-    pub plan_ns: Histogram,
-    /// Nanoseconds framing one reply into its connection's output buffer,
-    /// one sample per non-silent reply.
-    pub reply_ns: Histogram,
     /// Connections served (completed).
     pub connections: Counter,
-    /// Request bytes read off sockets (including discarded oversized lines).
-    pub bytes_read: Counter,
-    /// Reply bytes written to sockets.
-    pub bytes_written: Counter,
-    /// Well-formed request frames read.
-    pub frames: Counter,
-    /// Framing violations (oversized lines, invalid UTF-8).
+    /// Framing violations (oversized lines, invalid UTF-8, corrupt binary
+    /// headers).
     pub framing_errors: Counter,
     /// Reactor event-loop wakeups (one per `epoll_wait` return).
     pub reactor_wakeups: Counter,
@@ -496,9 +493,6 @@ pub struct EngineMetrics {
     pub bound_ns: [Histogram; 2],
     /// Per-family cache counters, indexed by [`CacheFamily::index`].
     caches: [CacheCounters; 4],
-    /// The always-on flight recorder: one [`FlightRecord`] per completed
-    /// request, overwrite-oldest, dumpable without stopping traffic.
-    pub flight: FlightRecorder,
     /// Registered per-session cost series keyed `(connection, slot)`.
     /// Strong references: the series must survive session/connection
     /// teardown so a scrape after disconnect still sees the attribution.
@@ -542,14 +536,61 @@ impl EngineMetrics {
         }
     }
 
-    /// The request stage histograms in [`STAGE_LABELS`] order.
-    fn stage_histograms(&self) -> [&Histogram; 4] {
+    /// Commits one finished request — the only per-request telemetry
+    /// write.  The record goes into the flight ring, and every per-request
+    /// series is derived from it: one sample in each stage histogram, the
+    /// reply and byte counts, the connection's `conn` series, and — for an
+    /// answered query — the query and its decision time charged to the
+    /// ledger of the `session` it ran against.
+    pub(crate) fn commit(
+        &self,
+        record: &FlightRecord,
+        conn: &ConnCosts,
+        session: Option<&SessionCosts>,
+    ) {
+        self.flight.record(&record.encode());
+        self.frame_ns.record(record.frame_ns);
+        self.plan_ns.record(record.plan_ns);
+        self.reply_ns.record(record.reply_ns);
+        if record.bytes_out > 0 {
+            self.replies.inc();
+        }
+        self.bytes_read.add(record.bytes_in);
+        self.bytes_written.add(record.bytes_out);
+        conn.requests.inc();
+        conn.bytes_read.add(record.bytes_in);
+        conn.bytes_written.add(record.bytes_out);
+        if let (Some(session), Some(_)) = (session, record.route) {
+            session.queries.inc();
+            session.decide_ns.add(record.decide_ns);
+        }
+    }
+
+    /// Snapshots of the request stage histograms, labeled as in the
+    /// `diffcond_stage_latency_us` exposition.  Every request records one
+    /// sample in each, so the three counts are the request total.
+    pub fn stages(&self) -> [(&'static str, HistogramSnapshot); 3] {
+        let [frame, plan, reply] = STAGE_LABELS;
         [
-            &self.frame_ns,
-            &self.queue_ns,
-            &self.plan_ns,
-            &self.reply_ns,
+            (frame, self.frame_ns.snapshot()),
+            (plan, self.plan_ns.snapshot()),
+            (reply, self.reply_ns.snapshot()),
         ]
+    }
+
+    /// Flight records written since startup (the ring retains the most
+    /// recent 1024 of them).
+    pub(crate) fn flight_written(&self) -> u64 {
+        self.flight.written()
+    }
+
+    /// The `n` most recent flight records, newest first.
+    pub(crate) fn flight_records(&self, n: usize) -> Vec<FlightRecord> {
+        self.flight
+            .dump(n)
+            .iter()
+            .map(|(_, words)| FlightRecord::decode(words))
+            .collect()
     }
 
     /// Registers (or refreshes) the cost series of the session living in
@@ -567,21 +608,24 @@ impl EngineMetrics {
         table.push(((conn, slot), costs));
     }
 
-    /// Registers the cost series of connection `conn`, with the same
-    /// replace/evict policy as [`EngineMetrics::register_session`].
-    pub fn register_connection(&self, conn: u64, costs: Arc<ConnCosts>) {
+    /// Registers fresh cost series for connection `conn`, with the same
+    /// replace/evict policy as [`EngineMetrics::register_session`], and
+    /// returns them for the connection's server to commit against.
+    pub(crate) fn register_connection(&self, conn: u64) -> Arc<ConnCosts> {
+        let costs = Arc::new(ConnCosts::default());
         let mut table = self
             .conn_costs
             .lock()
             .expect("connection registry poisoned");
         if let Some(entry) = table.iter_mut().find(|(key, _)| *key == conn) {
-            entry.1 = costs;
-            return;
+            entry.1 = Arc::clone(&costs);
+            return costs;
         }
         if table.len() >= COST_SERIES_CAP {
             table.remove(0);
         }
-        table.push((conn, costs));
+        table.push((conn, Arc::clone(&costs)));
+        costs
     }
 
     /// The live-connection gauge of reactor `index`, creating it on first
@@ -625,12 +669,10 @@ impl EngineMetrics {
     fn capture_frame(&self) -> RecentFrame {
         RecentFrame {
             at: Instant::now(),
-            requests: self.requests.get(),
             replies: self.replies.get(),
             bytes_read: self.bytes_read.get(),
             bytes_written: self.bytes_written.get(),
             frame: self.frame_ns.snapshot(),
-            queue: self.queue_ns.snapshot(),
             plan: self.plan_ns.snapshot(),
             reply: self.reply_ns.snapshot(),
         }
@@ -672,31 +714,19 @@ impl EngineMetrics {
         let now = self.capture_frame();
         let mut frames = self.recent_frames.lock().expect("recent ring poisoned");
         Self::prune_frames(&mut frames, now.at);
-        let stats = match frames.front() {
-            Some(base) => RecentStats {
-                baseline: true,
-                window: now.at.duration_since(base.at),
-                requests: now.requests.saturating_sub(base.requests),
-                replies: now.replies.saturating_sub(base.replies),
-                bytes_read: now.bytes_read.saturating_sub(base.bytes_read),
-                bytes_written: now.bytes_written.saturating_sub(base.bytes_written),
-                frame: now.frame.minus(&base.frame),
-                queue: now.queue.minus(&base.queue),
-                plan: now.plan.minus(&base.plan),
-                reply: now.reply.minus(&base.reply),
-            },
-            None => RecentStats {
-                baseline: false,
-                window: Duration::ZERO,
-                requests: 0,
-                replies: 0,
-                bytes_read: 0,
-                bytes_written: 0,
-                frame: now.frame.minus(&now.frame),
-                queue: now.queue.minus(&now.queue),
-                plan: now.plan.minus(&now.plan),
-                reply: now.reply.minus(&now.reply),
-            },
+        let (baseline, base) = match frames.front() {
+            Some(base) => (true, base),
+            None => (false, &now),
+        };
+        let stats = RecentStats {
+            baseline,
+            window: now.at.duration_since(base.at),
+            replies: now.replies.saturating_sub(base.replies),
+            bytes_read: now.bytes_read.saturating_sub(base.bytes_read),
+            bytes_written: now.bytes_written.saturating_sub(base.bytes_written),
+            frame: now.frame.minus(&base.frame),
+            plan: now.plan.minus(&base.plan),
+            reply: now.reply.minus(&base.reply),
         };
         let push = frames
             .back()
@@ -711,16 +741,16 @@ impl EngineMetrics {
     /// Latency summaries are in microseconds.
     pub fn exposition(&self) -> String {
         let mut exp = Exposition::new();
-        exp.counter("diffcond_requests_total", &[], self.requests.get());
+        let stages = self.stages();
+        exp.counter("diffcond_requests_total", &[], stages[1].1.count());
         exp.counter("diffcond_parse_errors_total", &[], self.parse_errors.get());
         exp.counter("diffcond_replies_total", &[], self.replies.get());
         exp.counter("diffcond_slow_queries_total", &[], self.slow_queries.get());
-        exp.gauge("diffcond_queue_depth", &[], self.queue_depth.get());
-        for (label, histogram) in STAGE_LABELS.iter().zip(self.stage_histograms()) {
+        for (label, snapshot) in &stages {
             exp.summary(
                 "diffcond_stage_latency_us",
                 &[("stage", label)],
-                &histogram.snapshot(),
+                snapshot,
                 1e3,
             );
         }
@@ -735,7 +765,6 @@ impl EngineMetrics {
             &[("direction", "written")],
             self.bytes_written.get(),
         );
-        exp.counter("diffcond_frames_total", &[], self.frames.get());
         exp.counter(
             "diffcond_framing_errors_total",
             &[],
@@ -905,11 +934,8 @@ impl EngineMetrics {
         session_counter(&mut exp, "diffcond_session_decide_us_total", |c| {
             c.decide_ns.get() / 1_000
         });
-        session_counter(&mut exp, "diffcond_session_queue_us_total", |c| {
-            c.queue_ns.get() / 1_000
-        });
         session_counter(&mut exp, "diffcond_session_cache_hits_total", |c| {
-            c.cache_hits.get()
+            c.cache_hits.iter().map(Counter::get).sum()
         });
         for ((_, costs), (conn, slot)) in sessions.iter().zip(&session_labels) {
             for (route, counter) in ROUTE_LABELS.iter().zip(costs.routes.iter()) {
@@ -960,9 +986,8 @@ const PROFILE_MAX_SECONDS: u64 = 30;
 ///
 /// * `/metrics` (and `/`) — the Prometheus exposition.
 /// * `/healthz` — readiness: answers `200 ok` once the process is serving
-///   (the listener is up by construction when this handler runs) with the
-///   current request queue depth, so orchestration and CI can gate on it
-///   instead of sleeping.
+///   (the listener is up by construction when this handler runs), so
+///   orchestration and CI can gate on it instead of sleeping.
 /// * `/buildinfo` — name, version, and debug/release flavor.
 /// * `/profile?seconds=S[&hz=H]` — one-shot profile: samples every serving
 ///   thread for `S` seconds (default 2, capped at 30) at `H` Hz (default
@@ -974,10 +999,7 @@ pub fn http_routes(path: &str) -> HttpResponse {
     };
     match route {
         "/" | "/metrics" => HttpResponse::ok(EngineMetrics::global().exposition()),
-        "/healthz" => HttpResponse::ok(format!(
-            "ok queue_depth={}\n",
-            EngineMetrics::global().queue_depth.get()
-        )),
+        "/healthz" => HttpResponse::ok("ok\n".to_string()),
         "/buildinfo" => HttpResponse::ok(format!(
             "name=diffcond version={} flavor={}\n",
             env!("CARGO_PKG_VERSION"),
@@ -1015,10 +1037,41 @@ mod tests {
     use super::*;
     use diffcon_obs::{parse_exposition, Series};
 
+    /// An answered `implies` query's record.
+    const SAMPLE: FlightRecord = FlightRecord {
+        trace: (7 << 32) | 3,
+        conn: 7,
+        slot: 2,
+        verb: Some(4),
+        route: Some("lattice"),
+        cached: true,
+        bytes_in: 19,
+        bytes_out: 40,
+        frame_ns: 1_500,
+        plan_ns: 30_000,
+        decide_ns: 28_000,
+        reply_ns: 2_000,
+        epoch: 5,
+    };
+
+    /// A record that took `plan_ns` to answer and wrote `bytes_out` reply
+    /// bytes; `route` marks an answered query.
+    fn record(plan_ns: u64, bytes_out: u64, route: Option<&'static str>) -> FlightRecord {
+        FlightRecord {
+            plan_ns,
+            bytes_out,
+            route,
+            ..SAMPLE
+        }
+    }
+
     #[test]
     fn exposition_parses_and_has_unique_series() {
         let metrics = EngineMetrics::default();
-        metrics.requests.add(3);
+        let conn = ConnCosts::default();
+        for _ in 0..3 {
+            metrics.commit(&record(1_000, 30, Some("fd")), &conn, None);
+        }
         metrics.cache(CacheFamily::Answer).absorb_delta(CacheStats {
             hits: 2,
             misses: 1,
@@ -1069,22 +1122,8 @@ mod tests {
 
     #[test]
     fn flight_record_round_trips_and_renders() {
-        let record = FlightRecord {
-            trace: (7 << 32) | 3,
-            conn: 7,
-            slot: 2,
-            verb: "implies",
-            route: "lattice",
-            cached: true,
-            bytes_in: 19,
-            bytes_out: 40,
-            frame_ns: 1_500,
-            queue_ns: 250_000,
-            plan_ns: 30_000,
-            decide_ns: 28_000,
-            reply_ns: 2_000,
-            epoch: 5,
-        };
+        let record = SAMPLE;
+        assert_eq!(VERBS[4].name, "implies");
         assert_eq!(FlightRecord::decode(&record.encode()), record);
         let line = record.render();
         for field in [
@@ -1097,7 +1136,6 @@ mod tests {
             "in=19",
             "out=40",
             "frame_us=1",
-            "queue_us=250",
             "plan_us=30",
             "decide_us=28",
             "reply_us=2",
@@ -1105,6 +1143,14 @@ mod tests {
         ] {
             assert!(line.contains(field), "missing `{field}` in `{line}`");
         }
+        // A request without a verb or a route round-trips too.
+        let bare = FlightRecord {
+            verb: None,
+            route: None,
+            ..record
+        };
+        assert_eq!(FlightRecord::decode(&bare.encode()), bare);
+        assert!(bare.render().contains(" verb=? route=? "));
     }
 
     #[test]
@@ -1112,8 +1158,39 @@ mod tests {
         let mut words = [0u64; diffcon_obs::FLIGHT_WORDS];
         words[3] = (0xff << 16) | (0xff << 8);
         let record = FlightRecord::decode(&words);
-        assert_eq!(record.verb, "?");
-        assert_eq!(record.route, "?");
+        assert_eq!(record.verb, None);
+        assert_eq!(record.route, None);
+        assert_eq!(record.verb_name(), "?");
+    }
+
+    /// The commit is the one per-request write: every stage histogram gets
+    /// one sample per record, replies count only records that wrote bytes,
+    /// and only answered queries charge the session.
+    #[test]
+    fn commit_derives_every_series_from_the_record() {
+        let metrics = EngineMetrics::default();
+        let conn = ConnCosts::default();
+        let session = SessionCosts::default();
+        metrics.commit(&record(1_000, 30, Some("fd")), &conn, Some(&session));
+        metrics.commit(&record(2_000, 0, None), &conn, Some(&session));
+        metrics.commit(&record(3_000, 12, None), &conn, None);
+        for (stage, snapshot) in metrics.stages() {
+            assert_eq!(snapshot.count(), 3, "stage {stage}");
+        }
+        assert_eq!(metrics.stages()[1].1.sum(), 6_000);
+        assert_eq!(metrics.replies.get(), 2);
+        let bytes = (metrics.bytes_read.get(), metrics.bytes_written.get());
+        assert_eq!(bytes, (57, 42));
+        let conn_bytes = (conn.bytes_read.get(), conn.bytes_written.get());
+        assert_eq!((conn.requests.get(), conn_bytes), (3, bytes));
+        assert_eq!(
+            (session.queries.get(), session.decide_ns.get()),
+            (1, 28_000)
+        );
+        assert_eq!(metrics.flight_written(), 3);
+        let newest = metrics.flight_records(1);
+        assert_eq!(newest.len(), 1);
+        assert_eq!(newest[0].plan_ns, 3_000);
     }
 
     #[test]
@@ -1142,11 +1219,12 @@ mod tests {
         costs.queries.add(11);
         costs.decide_ns.add(4_000);
         costs.routes[1].add(7);
+        costs.cache_hits[0].add(2);
+        costs.cache_hits[1].add(3);
         metrics.register_session(3, 0, costs);
-        let conn = Arc::new(ConnCosts::default());
+        let conn = metrics.register_connection(3);
         conn.requests.add(13);
         conn.bytes_written.add(99);
-        metrics.register_connection(3, conn);
         let series = parse_exposition(&metrics.exposition()).expect("exposition must parse");
         let mut keys: Vec<String> = series.iter().map(Series::key).collect();
         let total = keys.len();
@@ -1172,6 +1250,10 @@ mod tests {
             7.0
         );
         assert_eq!(
+            find("diffcond_session_cache_hits_total", ("conn", "3")).value,
+            5.0
+        );
+        assert_eq!(
             find("diffcond_connection_requests_total", ("conn", "3")).value,
             13.0
         );
@@ -1184,19 +1266,19 @@ mod tests {
     #[test]
     fn recent_window_reports_deltas_after_a_baseline() {
         let metrics = EngineMetrics::default();
+        let conn = ConnCosts::default();
         let first = metrics.recent();
         assert_eq!(first.window, Duration::ZERO);
-        assert_eq!(first.requests, 0);
-        assert_eq!(first.queue.count(), 0);
-        metrics.requests.add(10);
-        metrics.replies.add(9);
-        metrics.queue_ns.record(1_000_000);
+        assert_eq!(first.plan.count(), 0);
+        for i in 0..10 {
+            let bytes_out = if i == 0 { 0 } else { 30 };
+            metrics.commit(&record(1_000_000, bytes_out, None), &conn, None);
+        }
         std::thread::sleep(Duration::from_millis(5));
         let second = metrics.recent();
         assert!(second.window > Duration::ZERO);
-        assert_eq!(second.requests, 10);
         assert_eq!(second.replies, 9);
-        assert_eq!(second.queue.count(), 1);
-        assert!(second.queue.p50() >= 500_000);
+        assert_eq!(second.plan.count(), 10);
+        assert!(second.plan.p50() >= 500_000);
     }
 }

@@ -23,9 +23,11 @@
 //! [`PlannerConfig::bound_budget`]; past the budget the sound relaxation
 //! answers.
 //!
-//! Every decision is recorded per procedure (query count, answer-cache hits,
-//! cumulative and maximum latency), so a long-running `diffcond` process can
-//! report where its time goes and operators can tune
+//! Every decision is counted once, in the owning session's ledger
+//! ([`SessionCosts`]: decided queries and answer-cache hits per procedure,
+//! trivial goals, the bound ladder), and timed in a per-route latency
+//! histogram (cumulative time and percentiles), so a long-running
+//! `diffcond` process can report where its time goes and operators can tune
 //! [`PlannerConfig::lattice_budget`].
 //!
 //! Routing is a pure function of the query and the snapshot; the accounting
@@ -40,7 +42,6 @@ use diffcon_bounds::problem::{fits_budget, propagation_cost_bound, BoundsConfig}
 use diffcon_bounds::DeriveRoute;
 use diffcon_obs::{Histogram, HistogramSnapshot};
 use setlat::{AttrSet, Universe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,19 +81,6 @@ pub struct ProcedureStats {
     pub cache_hits: u64,
     /// Total time spent inside the procedure.
     pub total_time: Duration,
-    /// Largest single-query time.
-    pub max_time: Duration,
-}
-
-impl ProcedureStats {
-    /// Mean latency per decided query.
-    pub fn mean_time(&self) -> Duration {
-        if self.decided == 0 {
-            Duration::ZERO
-        } else {
-            self.total_time / u32::try_from(self.decided).unwrap_or(u32::MAX)
-        }
-    }
 }
 
 /// Accumulated figures for the bound-query class.
@@ -106,8 +94,6 @@ pub struct BoundStats {
     pub cache_hits: u64,
     /// Total time spent deriving bounds (cache hits excluded).
     pub total_time: Duration,
-    /// Largest single-derivation time.
-    pub max_time: Duration,
 }
 
 impl BoundStats {
@@ -154,41 +140,12 @@ fn proc_index(kind: ProcedureKind) -> usize {
         .expect("every ProcedureKind appears in ALL_PROCEDURES")
 }
 
-/// Atomic accumulator for one procedure (durations in nanoseconds).
-#[derive(Debug, Default)]
-struct ProcedureCounters {
-    decided: AtomicU64,
-    cache_hits: AtomicU64,
-    total_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-}
-
-impl ProcedureCounters {
-    fn record(&self, elapsed: Duration) {
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.decided.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+/// The slot of a bound-ladder route in `[propagation, relaxed]` arrays.
+fn bound_slot(route: DeriveRoute) -> usize {
+    match route {
+        DeriveRoute::Propagation => 0,
+        DeriveRoute::Relaxed => 1,
     }
-
-    fn snapshot(&self) -> ProcedureStats {
-        ProcedureStats {
-            decided: self.decided.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            total_time: Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed)),
-            max_time: Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Atomic accumulator for the bound-query class.
-#[derive(Debug, Default)]
-struct BoundCounters {
-    propagation: AtomicU64,
-    relaxed: AtomicU64,
-    cache_hits: AtomicU64,
-    total_nanos: AtomicU64,
-    max_nanos: AtomicU64,
 }
 
 /// The planner: stateless routing plus lock-free atomic accounting, shared
@@ -196,18 +153,14 @@ struct BoundCounters {
 #[derive(Debug, Default)]
 pub struct Planner {
     config: PlannerConfig,
-    per_procedure: [ProcedureCounters; 4],
-    trivial: AtomicU64,
-    bounds: BoundCounters,
+    /// The owning session's ledger, where every decision, cache hit, and
+    /// trivial goal is counted.
+    costs: Arc<SessionCosts>,
     /// Per-route latency distributions (nanoseconds), indexed like
-    /// `per_procedure`; counts equal `decided`.
+    /// [`procedure::ALL_PROCEDURES`].
     latency: [Histogram; 4],
     /// Bound-ladder latency distributions: `[propagation, relaxed]`.
     bound_latency: [Histogram; 2],
-    /// The owning session's cost-attribution series, bumped alongside the
-    /// local counters so `(connection, slot)` labeled metrics see every
-    /// route decision and cache hit.  `None` for standalone planners.
-    costs: Option<Arc<SessionCosts>>,
 }
 
 impl Planner {
@@ -219,14 +172,10 @@ impl Planner {
         }
     }
 
-    /// Creates a planner that attributes route decisions and cache hits to
-    /// a session's [`SessionCosts`] series as well as its own counters.
-    pub fn with_costs(config: PlannerConfig, costs: Arc<SessionCosts>) -> Self {
-        Planner {
-            config,
-            costs: Some(costs),
-            ..Planner::default()
-        }
+    /// The ledger this planner counts into (the owning session's, shared
+    /// with the metrics registry).
+    pub(crate) fn costs(&self) -> &Arc<SessionCosts> {
+        &self.costs
     }
 
     /// The active configuration.
@@ -256,26 +205,19 @@ impl Planner {
         }
     }
 
-    /// Records a query decided by `kind` — in this planner's per-session
-    /// accounting and, mirrored, in the process-wide metrics registry.
+    /// Records a query decided by `kind` — in the session's ledger and
+    /// latency histogram and in the process-wide per-route latency.
     pub fn record_decided(&self, kind: ProcedureKind, elapsed: Duration) {
-        self.per_procedure[proc_index(kind)].record(elapsed);
+        let slot = proc_index(kind);
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.latency[proc_index(kind)].record(nanos);
+        self.costs.routes[slot].inc();
+        self.latency[slot].record(nanos);
         EngineMetrics::global().route_latency(kind).record(nanos);
-        if let Some(costs) = &self.costs {
-            costs.routes[proc_index(kind)].inc();
-        }
     }
 
     /// Records a query answered from the answer cache (planned for `kind`).
     pub fn record_cache_hit(&self, kind: ProcedureKind) {
-        self.per_procedure[proc_index(kind)]
-            .cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(costs) = &self.costs {
-            costs.cache_hits.inc();
-        }
+        self.costs.cache_hits[proc_index(kind)].inc();
     }
 
     /// Picks the derivation route for a `bound` query: the full propagation
@@ -298,35 +240,24 @@ impl Planner {
         }
     }
 
-    /// Records a bound query decided over `route` (locally and in the
-    /// process-wide registry).
+    /// Records a bound query decided over `route` (in the session's ledger
+    /// and latency histogram and in the process-wide registry).
     pub fn record_bound_decided(&self, route: DeriveRoute, elapsed: Duration) {
-        let b = &self.bounds;
-        let slot = match route {
-            DeriveRoute::Propagation => {
-                b.propagation.fetch_add(1, Ordering::Relaxed);
-                0
-            }
-            DeriveRoute::Relaxed => {
-                b.relaxed.fetch_add(1, Ordering::Relaxed);
-                1
-            }
-        };
+        let slot = bound_slot(route);
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        b.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        b.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        self.costs.bounds[slot].inc();
         self.bound_latency[slot].record(nanos);
         EngineMetrics::global().bound_latency(route).record(nanos);
     }
 
     /// Records a bound query served from the bound cache.
     pub fn record_bound_cache_hit(&self) {
-        self.bounds.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.costs.bound_cache_hits.inc();
     }
 
     /// Records a goal answered inline as trivial.
     pub fn record_trivial(&self) {
-        self.trivial.fetch_add(1, Ordering::Relaxed);
+        self.costs.trivial.inc();
         EngineMetrics::global().trivial.inc();
     }
 
@@ -340,31 +271,29 @@ impl Planner {
     /// The latency distribution of bound queries derived over `route`
     /// (nanoseconds).
     pub fn bound_latency(&self, route: DeriveRoute) -> HistogramSnapshot {
-        let slot = match route {
-            DeriveRoute::Propagation => 0,
-            DeriveRoute::Relaxed => 1,
-        };
-        self.bound_latency[slot].snapshot()
+        self.bound_latency[bound_slot(route)].snapshot()
     }
 
-    /// Point-in-time snapshot of the counters (each counter is read
-    /// atomically; a snapshot taken under concurrent traffic is internally
-    /// consistent per counter, not across counters).
+    /// Point-in-time figures: counts from the ledger, total times from the
+    /// latency histograms' exact sums (each value is read atomically; a
+    /// snapshot taken under concurrent traffic is internally consistent per
+    /// value, not across values).
     pub fn stats(&self) -> PlannerStats {
+        let costs = &self.costs;
         PlannerStats {
-            per_procedure: [
-                self.per_procedure[0].snapshot(),
-                self.per_procedure[1].snapshot(),
-                self.per_procedure[2].snapshot(),
-                self.per_procedure[3].snapshot(),
-            ],
-            trivial: self.trivial.load(Ordering::Relaxed),
+            per_procedure: std::array::from_fn(|slot| ProcedureStats {
+                decided: costs.routes[slot].get(),
+                cache_hits: costs.cache_hits[slot].get(),
+                total_time: Duration::from_nanos(self.latency[slot].sum()),
+            }),
+            trivial: costs.trivial.get(),
             bounds: BoundStats {
-                propagation: self.bounds.propagation.load(Ordering::Relaxed),
-                relaxed: self.bounds.relaxed.load(Ordering::Relaxed),
-                cache_hits: self.bounds.cache_hits.load(Ordering::Relaxed),
-                total_time: Duration::from_nanos(self.bounds.total_nanos.load(Ordering::Relaxed)),
-                max_time: Duration::from_nanos(self.bounds.max_nanos.load(Ordering::Relaxed)),
+                propagation: costs.bounds[0].get(),
+                relaxed: costs.bounds[1].get(),
+                cache_hits: costs.bound_cache_hits.get(),
+                total_time: Duration::from_nanos(
+                    self.bound_latency.iter().map(Histogram::sum).sum(),
+                ),
             },
         }
     }
@@ -446,8 +375,6 @@ mod tests {
         assert_eq!(lattice.decided, 2);
         assert_eq!(lattice.cache_hits, 1);
         assert_eq!(lattice.total_time, Duration::from_micros(40));
-        assert_eq!(lattice.max_time, Duration::from_micros(30));
-        assert_eq!(lattice.mean_time(), Duration::from_micros(20));
         assert_eq!(stats.of(ProcedureKind::Sat).decided, 1);
         assert_eq!(stats.trivial, 1);
         assert_eq!(stats.total_queries(), 5);
@@ -476,22 +403,25 @@ mod tests {
         );
     }
 
+    /// The ledger is the planner's only count: what `stats` reports and
+    /// what the session's exposition series read are the same counters.
     #[test]
     fn cost_attribution_mirrors_decisions() {
-        let costs = Arc::new(SessionCosts::default());
-        let planner = Planner::with_costs(PlannerConfig::default(), Arc::clone(&costs));
+        let planner = Planner::new(PlannerConfig::default());
         planner.record_decided(ProcedureKind::Lattice, Duration::from_micros(10));
         planner.record_decided(ProcedureKind::Sat, Duration::from_micros(10));
         planner.record_cache_hit(ProcedureKind::Lattice);
+        planner.record_bound_cache_hit();
+        let costs = planner.costs();
         // `fd, lattice, semantic, sat` is the ALL_PROCEDURES order.
         assert_eq!(costs.routes[1].get(), 1);
         assert_eq!(costs.routes[3].get(), 1);
-        assert_eq!(costs.cache_hits.get(), 1);
-        // A costless planner still accounts locally without panicking.
-        let plain = Planner::new(PlannerConfig::default());
-        plain.record_decided(ProcedureKind::Lattice, Duration::from_micros(10));
-        plain.record_cache_hit(ProcedureKind::Lattice);
-        assert_eq!(plain.stats().of(ProcedureKind::Lattice).decided, 1);
+        assert_eq!(costs.cache_hits[1].get(), 1);
+        assert_eq!(costs.bound_cache_hits.get(), 1);
+        let stats = planner.stats();
+        assert_eq!(stats.of(ProcedureKind::Lattice).decided, 1);
+        assert_eq!(stats.of(ProcedureKind::Lattice).cache_hits, 1);
+        assert_eq!(stats.bounds.cache_hits, 1);
     }
 
     #[test]
@@ -542,7 +472,6 @@ mod tests {
         assert_eq!(b.cache_hits, 1);
         assert_eq!(b.total(), 3);
         assert_eq!(b.total_time, Duration::from_micros(45));
-        assert_eq!(b.max_time, Duration::from_micros(40));
         // Bound queries are a separate class from implication queries.
         assert_eq!(planner.stats().total_queries(), 0);
     }

@@ -194,10 +194,10 @@
 //! record   ::= field* (" | " field*)*            one `trace=… conn=… slot=…
 //!                                                verb=… route=… cached=…
 //!                                                in=… out=… frame_us=…
-//!                                                queue_us=… plan_us=…
-//!                                                decide_us=… reply_us=…
-//!                                                epoch=…` group per request,
-//!                                                newest first, `|`-separated
+//!                                                plan_us=… decide_us=…
+//!                                                reply_us=… epoch=…` group
+//!                                                per request, newest first,
+//!                                                `|`-separated
 //! ```
 //!
 //! `implies` responses carry `route` (`trivial`, `fd`, `lattice`, `sat` —
@@ -224,26 +224,27 @@
 //!
 //! ```text
 //! explain verdict=(yes|no) route=ROUTE cached=(0|1) epoch=N
-//!         probe_us=N plan_us=N decide_us=N total_us=N trace=N queue_us=N
+//!         probe_us=N plan_us=N decide_us=N total_us=N trace=N
 //! ```
 //!
 //! `probe_us` is the answer-cache probe, `plan_us` the route choice plus
 //! derived-data cache attachment, `decide_us` the decision procedure itself
 //! (both zero on a cache hit), and `epoch` the snapshot that answered.
-//! `trace` is the request's flight-record trace id and `queue_us` its queue
-//! wait (0, since requests are answered in order as they are parsed); both
-//! match the request's record in `debug trace <id>` exactly.
+//! `trace` is the request's flight-record trace id: `debug trace <id>`
+//! finds the request's record, whose route, cache outcome, decision time,
+//! and epoch match the reply exactly.
 //!
-//! Every completed query request also writes a fixed-width record into the
-//! process-wide flight recorder (a lock-free overwrite-oldest ring, always
-//! on): trace id, connection and slot, verb, route, cache outcome, bytes
-//! in/out, and per-stage latency.  `debug recent [n]` dumps the `n` most
-//! recent records (newest first, default 10) and `debug trace <id>` looks a
-//! single request up by trace id; `stats recent` reports windowed rates and
-//! stage-latency percentiles over roughly the last minute of traffic.
-//! Trace ids are unique across the process and monotone within a
-//! connection (connection id in the upper 32 bits, a per-connection
-//! sequence number in the lower).
+//! Every request — any verb, an error, a silent line, a framing refusal —
+//! writes one fixed-width record into the process-wide flight recorder (a
+//! lock-free overwrite-oldest ring, always on): trace id, connection and
+//! slot, verb, route (`?` unless the request was an answered query), cache
+//! outcome, bytes in/out, and per-stage latency.  `debug recent [n]` dumps
+//! the `n` most recent records (newest first, default 10) and `debug trace
+//! <id>` looks a single request up by trace id; `stats recent` reports
+//! windowed rates and stage-latency percentiles over roughly the last
+//! minute of traffic.  Trace ids are unique across the process and
+//! consecutive within a connection (connection id in the upper 32 bits, the
+//! request's 1-based position on the connection in the lower).
 //!
 //! `debug profile start` starts the process-wide continuous profiler (the
 //! cooperative sampler walking every serving thread's stage beacon at the
@@ -308,7 +309,7 @@
 //! stream, against the state its slot holds at that point: a query sees
 //! every earlier mutation and no later one.
 
-use crate::metrics::{next_connection_id, EngineMetrics, FlightRecord};
+use crate::metrics::{next_connection_id, ConnCosts, EngineMetrics, FlightRecord};
 use crate::server_state::{SessionRegistry, SlowLogLimiter};
 use crate::session::{Session, SessionConfig};
 use crate::snapshot::{AnalyzeOutcome, BoundOutcome, ExplainOutcome, QueryOutcome, Snapshot};
@@ -321,6 +322,7 @@ use diffcon_discover::{Discovery, MinerConfig};
 use diffcon_obs::profile::{self, StageTag};
 use setlat::{AttrSet, Family, Universe};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Profiling tag for answering one request (parse, decide, and format).
@@ -855,6 +857,18 @@ pub fn help_reply() -> String {
     text
 }
 
+/// The index of verb `name` in [`VERBS`].  Evaluated in `const` blocks, so
+/// a name missing from the table fails the build.  (The names are
+/// lowercase; `eq_ignore_ascii_case` is the string comparison `const`
+/// allows.)
+const fn verb_index(name: &str) -> usize {
+    let mut index = 0;
+    while !VERBS[index].name.eq_ignore_ascii_case(name) {
+        index += 1;
+    }
+    index
+}
+
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     // Error columns are reported against the line as received (leading
@@ -1154,10 +1168,10 @@ pub struct Reply {
 pub struct Answer {
     /// `true` after a `quit`: the conversation ends.
     pub quit: bool,
-    /// The query's flight record, returned by value so the transport can
-    /// commit it once the reply is written ([`FlightRecord::commit`]);
-    /// `None` for the verbs that keep no record.
-    pub flight: Option<FlightRecord>,
+    /// The request's flight record, returned by value: the transport fills
+    /// in its frame, reply, and byte fields once the reply is written and
+    /// passes it to [`Server::commit`].
+    pub record: FlightRecord,
     /// The clock reading that closed the request's `plan` stage; the
     /// transport's `reply` stage starts from it.
     pub done: Instant,
@@ -1184,12 +1198,11 @@ fn write_implies(out: &mut String, outcome: &QueryOutcome) {
 }
 
 /// Writes an `explain` outcome as its wire reply.  The trailing `trace`
-/// and `queue_us` fields match the request's flight record exactly (the
-/// same trace id; no queue wait, since requests are answered in order).
+/// names the request's flight record.
 fn write_explain(out: &mut String, outcome: &ExplainOutcome, trace: u64) {
     _ = write!(
         out,
-        "explain verdict={} route={} cached={} epoch={} probe_us={} plan_us={} decide_us={} total_us={} trace={trace} queue_us=0",
+        "explain verdict={} route={} cached={} epoch={} probe_us={} plan_us={} decide_us={} total_us={} trace={trace}",
         if outcome.outcome.implied { "yes" } else { "no" },
         outcome.outcome.route_name(),
         outcome.outcome.cached as u8,
@@ -1214,19 +1227,14 @@ fn write_stats_recent(out: &mut String) {
         return;
     }
     let window_us = recent.window.as_micros() as u64;
-    let qps = (recent.requests * 1_000_000)
-        .checked_div(window_us)
-        .unwrap_or(0);
+    let requests = recent.plan.count();
+    let qps = (requests * 1_000_000).checked_div(window_us).unwrap_or(0);
     _ = write!(
         out,
-        "stats recent window_us={window_us} queries={} replies={} qps={qps} \
-         queue_p50us={} queue_p99us={} plan_p50us={} plan_p99us={} \
-         frame_p50us={} frame_p99us={} reply_p50us={} reply_p99us={} \
-         bytes_read={} bytes_written={}",
-        recent.requests,
+        "stats recent window_us={window_us} queries={requests} replies={} qps={qps} \
+         plan_p50us={} plan_p99us={} frame_p50us={} frame_p99us={} \
+         reply_p50us={} reply_p99us={} bytes_read={} bytes_written={}",
         recent.replies,
-        recent.queue.quantile(0.50) / 1_000,
-        recent.queue.quantile(0.99) / 1_000,
         recent.plan.quantile(0.50) / 1_000,
         recent.plan.quantile(0.99) / 1_000,
         recent.frame.quantile(0.50) / 1_000,
@@ -1437,6 +1445,20 @@ enum Resolved {
 }
 
 impl Query<'_> {
+    /// The verb this query answers, as an index into [`VERBS`].
+    fn verb(&self) -> usize {
+        match self {
+            Query::Implies(_) | Query::ImpliesMasks(..) => const { verb_index("implies") },
+            Query::Witness(_) => const { verb_index("witness") },
+            Query::Derive(_) => const { verb_index("derive") },
+            Query::Explain(_) => const { verb_index("explain") },
+            Query::Bound(_) | Query::BoundMask(_) => const { verb_index("bound") },
+            Query::Batch(_) => const { verb_index("batch") },
+            Query::Mine(_) => const { verb_index("mine") },
+            Query::Analyze => const { verb_index("analyze") },
+        }
+    }
+
     /// Resolves the argument: single goals are parsed into `goal`, reusing
     /// its storage.  The error is the `err` reply's message.
     fn resolve(self, universe: &Universe, goal: &mut DiffConstraint) -> Result<Resolved, String> {
@@ -1472,91 +1494,90 @@ impl Query<'_> {
     }
 }
 
-/// The flight-record fields of one answered query that its reply does not
-/// carry: the verb, where the planner routed it, whether a cache answered,
-/// and the decision time.
-struct QueryMeta {
-    verb: &'static str,
-    route: &'static str,
+/// What a request's flight record says beyond its reply: the verb, and for
+/// an answered query where the planner routed it, whether a cache
+/// answered, and the decision time.
+#[derive(Debug, Clone, Copy, Default)]
+struct Meta {
+    verb: Option<usize>,
+    route: Option<&'static str>,
     cached: bool,
     decide_ns: u64,
 }
 
-impl QueryMeta {
-    /// A verb-level record: the route is the verb itself.
-    fn verb(verb: &'static str, decide: Duration) -> QueryMeta {
-        QueryMeta {
+impl Meta {
+    /// A request that was not an answered query.
+    fn verb(verb: Option<usize>) -> Meta {
+        Meta {
             verb,
-            route: verb,
-            cached: false,
+            ..Meta::default()
+        }
+    }
+
+    /// An answered query (its verb is filled in by the caller).
+    fn answered(route: &'static str, cached: bool, decide: Duration) -> Meta {
+        Meta {
+            verb: None,
+            route: Some(route),
+            cached,
             decide_ns: decide.as_nanos() as u64,
         }
     }
 }
 
 /// Answers one resolved query against `snapshot`, appending its reply.
+/// Verbs without a planner route of their own are routed as themselves.
 fn evaluate(
     snapshot: &Snapshot,
     goal: &DiffConstraint,
     query: &Resolved,
     trace: u64,
     out: &mut String,
-) -> QueryMeta {
+) -> Meta {
     match query {
         Resolved::Implies => {
             let outcome = snapshot.implies(goal);
             write_implies(out, &outcome);
-            QueryMeta {
-                verb: "implies",
-                route: outcome.route_name(),
-                cached: outcome.cached,
-                decide_ns: outcome.elapsed.as_nanos() as u64,
-            }
+            Meta::answered(outcome.route_name(), outcome.cached, outcome.elapsed)
         }
         Resolved::Batch(goals) => {
             let outcomes = snapshot.implies_batch(goals);
             write_batch(out, &outcomes);
-            QueryMeta::verb("batch", outcomes.iter().map(|o| o.elapsed).sum())
+            Meta::answered("batch", false, outcomes.iter().map(|o| o.elapsed).sum())
         }
         Resolved::Bound(set) => {
             let outcome = snapshot.bound(*set);
             write_bound(out, &outcome);
             match outcome {
-                Ok(b) => QueryMeta {
-                    verb: "bound",
-                    route: b.route_name(),
-                    cached: b.cached,
-                    decide_ns: b.elapsed.as_nanos() as u64,
-                },
-                Err(_) => QueryMeta::verb("bound", Duration::ZERO),
+                Ok(b) => Meta::answered(b.route_name(), b.cached, b.elapsed),
+                Err(_) => Meta::answered("bound", false, Duration::ZERO),
             }
         }
         Resolved::Witness => {
             write_witness(out, snapshot.universe(), snapshot.refutation_witness(goal));
-            QueryMeta::verb("witness", Duration::ZERO)
+            Meta::answered("witness", false, Duration::ZERO)
         }
         Resolved::Derive => {
             write_derive(out, snapshot.derive(goal));
-            QueryMeta::verb("derive", Duration::ZERO)
+            Meta::answered("derive", false, Duration::ZERO)
         }
         Resolved::Explain => {
             let outcome = snapshot.explain(goal);
             write_explain(out, &outcome, trace);
-            QueryMeta {
-                verb: "explain",
-                route: outcome.outcome.route_name(),
-                cached: outcome.outcome.cached,
-                decide_ns: outcome.decide.as_nanos() as u64,
-            }
+            Meta::answered(
+                outcome.outcome.route_name(),
+                outcome.outcome.cached,
+                outcome.decide,
+            )
         }
         Resolved::Mine(config) => {
             write_mined(out, snapshot.universe(), snapshot.mine_dataset(config));
-            QueryMeta::verb("mine", Duration::ZERO)
+            Meta::answered("mine", false, Duration::ZERO)
         }
         Resolved::Analyze => {
             let outcome = snapshot.analyze();
             write_analyze(out, snapshot.universe(), &outcome);
-            QueryMeta::verb("analyze", outcome.elapsed)
+            Meta::answered("analyze", false, outcome.elapsed)
         }
     }
 }
@@ -1568,9 +1589,10 @@ fn evaluate(
 /// verbs manage them and every other verb targets the current slot.
 /// [`Server::respond`] answers one request — a text line or a binary frame
 /// — at its position in the request stream, writing the reply into a
-/// caller-owned buffer; the stdin loop and every network connection call
-/// it.  [`Server::handle_line`] wraps it for callers that want an owned
-/// [`Reply`].
+/// caller-owned buffer and returning the request's flight record; the stdin
+/// loop and every network connection call it, then hand the record to
+/// [`Server::commit`].  [`Server::handle_line`] wraps both for callers that
+/// want an owned [`Reply`].
 #[derive(Debug)]
 pub struct Server {
     config: SessionConfig,
@@ -1593,25 +1615,29 @@ pub struct Server {
     slow_query_us: Option<u64>,
     /// Rate limiter for the slow-query stderr lines.
     slow_log: SlowLogLimiter,
+    /// This connection's cost series, registered under `origin`.
+    costs: Arc<ConnCosts>,
 }
 
 impl Server {
     /// Creates a server; sessions it opens use `config`.
     pub fn new(config: SessionConfig) -> Self {
+        let origin = next_connection_id();
         Server {
             config,
             registry: SessionRegistry::new(),
             trace: false,
-            origin: next_connection_id(),
+            origin,
             trace_seq: 0,
             goal: DiffConstraint::new(AttrSet::EMPTY, Family::empty()),
             scratch: String::new(),
             slow_query_us: None,
             slow_log: SlowLogLimiter::new(),
+            costs: EngineMetrics::global().register_connection(origin),
         }
     }
 
-    /// Sets the slow-query threshold: queries whose `plan` stage (parse,
+    /// Sets the slow-query threshold: requests whose `plan` stage (parse,
     /// decide, and format) takes at least `threshold` microseconds are
     /// logged to stderr with their request line and flight record, and
     /// counted in [`EngineMetrics::slow_queries`].  `None` disables the log.
@@ -1644,18 +1670,23 @@ impl Server {
     }
 
     /// Handles one request line and returns its reply as an owned
-    /// [`Reply`], committing the request's flight record on the spot.
+    /// [`Reply`], committing the request's record as if the line and its
+    /// reply had crossed a newline-framed wire.
     pub fn handle_line(&mut self, line: &str) -> Reply {
         let mut text = std::mem::take(&mut self.scratch);
         text.clear();
-        let answer = self.respond(
+        let mut answer = self.respond(
             &binary::BinRequest::Line(line.as_bytes()),
             Instant::now(),
             &mut text,
         );
-        if let Some(record) = answer.flight {
-            record.commit_unsent();
-        }
+        answer.record.bytes_in = line.len() as u64 + 1;
+        answer.record.bytes_out = if text.is_empty() {
+            0
+        } else {
+            text.len() as u64 + 1
+        };
+        self.commit(&answer.record);
         let reply = Reply {
             text: text.clone(),
             quit: answer.quit,
@@ -1672,8 +1703,9 @@ impl Server {
     ///
     /// `start` is the clock reading that opened the request's `plan` stage
     /// (for a transport, the one that closed its `frame` stage).  The
-    /// returned [`Answer::done`] closes it; the stage is charged to the
-    /// query's flight record, which is returned uncommitted.
+    /// returned [`Answer::done`] closes it.  Every request returns its
+    /// record; the caller fills in the frame, reply, and byte fields and
+    /// passes it to [`Server::commit`].
     pub fn respond(
         &mut self,
         request: &binary::BinRequest<'_>,
@@ -1681,52 +1713,94 @@ impl Server {
         out: &mut String,
     ) -> Answer {
         use binary::BinRequest;
-        let metrics = EngineMetrics::global();
-        metrics.requests.inc();
         let serve_stage = profile::stage(&STAGE_SERVE);
-        let before = out.len();
-        let (quit, mut flight) = match *request {
+        let trace = self.next_trace();
+        let (quit, meta) = match *request {
             BinRequest::Line(bytes) => match decode_request(bytes) {
-                Ok(line) => self.respond_line(line, out),
+                Ok(line) => self.respond_line(line, trace, out),
                 Err(message) => {
-                    metrics.framing_errors.inc();
+                    EngineMetrics::global().framing_errors.inc();
                     write_err(out, message);
-                    (false, None)
+                    (false, Meta::default())
                 }
             },
             BinRequest::Implies { lhs, rhs } => {
-                (false, self.query(Query::ImpliesMasks(lhs, rhs), out))
+                (false, self.query(Query::ImpliesMasks(lhs, rhs), trace, out))
             }
-            BinRequest::Bound { set } => (false, self.query(Query::BoundMask(set), out)),
+            BinRequest::Bound { set } => (false, self.query(Query::BoundMask(set), trace, out)),
             BinRequest::Assert { lhs, rhs } => {
                 self.assert_masks(lhs, rhs, out);
-                (false, None)
+                (false, Meta::verb(Some(const { verb_index("assert") })))
             }
         };
         drop(serve_stage);
-        let done = Instant::now();
-        if out.len() > before {
-            metrics.replies.inc();
-        }
-        if let Some(record) = &mut flight {
-            record.plan_ns = done.saturating_duration_since(start).as_nanos() as u64;
-            record.bytes_out = (out.len() - before) as u64 + 1;
-            metrics.queue_ns.record(0);
-            metrics.plan_ns.record(record.plan_ns);
-            self.log_if_slow(record, request);
-        }
-        Answer { quit, flight, done }
+        let answer = self.answer(quit, trace, meta, start);
+        self.log_if_slow(&answer.record, request);
+        answer
     }
 
-    /// Answers one decoded text line; returns the quit flag and the flight
-    /// record of a query verb.
-    fn respond_line(&mut self, line: &str, out: &mut String) -> (bool, Option<FlightRecord>) {
+    /// Answers a framing violation the transport caught before a request
+    /// could be decoded (an oversized line, a corrupt binary header) with
+    /// one `err` reply at its position in the request order, and returns
+    /// its record as [`Server::respond`] does.
+    pub(crate) fn refuse(&mut self, message: &str, start: Instant, out: &mut String) -> Answer {
+        EngineMetrics::global().framing_errors.inc();
+        write_err(out, message);
+        let trace = self.next_trace();
+        self.answer(false, trace, Meta::default(), start)
+    }
+
+    /// Commits a request's record once the caller has filled in its frame,
+    /// reply, and byte fields: the one per-request telemetry write, which
+    /// fills the flight ring and the stage, reply, and byte series and
+    /// charges this connection's series and, for an answered query, the
+    /// current session's ledger.
+    pub fn commit(&self, record: &FlightRecord) {
+        let session = self.registry.session().map(|s| &**s.costs());
+        EngineMetrics::global().commit(record, &self.costs, session);
+    }
+
+    /// Closes the request's `plan` stage and builds its record, leaving the
+    /// transport's fields zero.
+    fn answer(&self, quit: bool, trace: u64, meta: Meta, start: Instant) -> Answer {
+        let done = Instant::now();
+        let record = FlightRecord {
+            trace,
+            conn: self.origin,
+            slot: self.registry.current_id(),
+            verb: meta.verb,
+            route: meta.route,
+            cached: meta.cached,
+            bytes_in: 0,
+            bytes_out: 0,
+            frame_ns: 0,
+            plan_ns: done.saturating_duration_since(start).as_nanos() as u64,
+            decide_ns: meta.decide_ns,
+            reply_ns: 0,
+            epoch: self
+                .registry
+                .session()
+                .map_or(0, |session| session.published().epoch()),
+        };
+        Answer { quit, record, done }
+    }
+
+    /// Answers one decoded text line; returns the quit flag and what the
+    /// request's record says beyond the reply.
+    fn respond_line(&mut self, line: &str, trace: u64, out: &mut String) -> (bool, Meta) {
+        // A query's record names its verb through `Query::verb`; any other
+        // request's, a malformed one's included, names its first word if
+        // that is a verb.
+        let named = || {
+            let word = line.split_whitespace().next();
+            VERBS.iter().position(|verb| Some(verb.name) == word)
+        };
         let request = match parse_request(line) {
             Ok(request) => request,
             Err(message) => {
                 EngineMetrics::global().parse_errors.inc();
                 write_err(out, message);
-                return (false, None);
+                return (false, Meta::verb(named()));
             }
         };
         let query = match request {
@@ -1738,27 +1812,27 @@ impl Server {
             Request::Batch(texts) => Query::Batch(texts),
             Request::Mine(budgets) => Query::Mine(miner_config(budgets)),
             Request::Analyze { apply: false } => Query::Analyze,
-            other => return (self.execute(other, out), None),
+            other => return (self.execute(other, out), Meta::verb(named())),
         };
-        (false, self.query(query, out))
+        (false, self.query(query, trace, out))
     }
 
     /// Answers a read-only query against the current slot's published
-    /// snapshot and returns its flight record, still without the stage
-    /// timings [`Server::respond`] fills in.
-    fn query(&mut self, query: Query<'_>, out: &mut String) -> Option<FlightRecord> {
-        let trace = self.next_trace();
-        let slot = self.registry.current_id();
+    /// snapshot.  The query is answered — its record gets a route — unless
+    /// there is no session or its argument does not resolve.
+    fn query(&mut self, query: Query<'_>, trace: u64, out: &mut String) -> Meta {
+        let verb = Some(query.verb());
+        let unanswered = Meta::verb(verb);
         let Some(session) = self.registry.session() else {
             out.push_str(NO_SESSION);
-            return None;
+            return unanswered;
         };
         let snapshot = session.published();
         let resolved = match query.resolve(snapshot.universe(), &mut self.goal) {
             Ok(resolved) => resolved,
             Err(message) => {
                 write_err(out, message);
-                return None;
+                return unanswered;
             }
         };
         let meta = evaluate(snapshot, &self.goal, &resolved, trace, out);
@@ -1767,28 +1841,10 @@ impl Server {
         if self.trace && !matches!(resolved, Resolved::Explain | Resolved::Analyze) {
             _ = write!(out, " epoch={}", snapshot.epoch());
         }
-        let costs = snapshot.costs();
-        costs.queries.inc();
-        costs.decide_ns.add(meta.decide_ns);
-        Some(FlightRecord {
-            trace,
-            conn: self.origin,
-            slot,
-            verb: meta.verb,
-            route: meta.route,
-            cached: meta.cached,
-            bytes_in: 0,
-            bytes_out: 0,
-            frame_ns: 0,
-            queue_ns: 0,
-            plan_ns: 0,
-            decide_ns: meta.decide_ns,
-            reply_ns: 0,
-            epoch: snapshot.epoch(),
-        })
+        Meta { verb, ..meta }
     }
 
-    /// Logs a query whose `plan` stage reached the slow-query threshold.
+    /// Logs a request whose `plan` stage reached the slow-query threshold.
     fn log_if_slow(&mut self, record: &FlightRecord, request: &binary::BinRequest<'_>) {
         let Some(threshold) = self.slow_query_us else {
             return;
@@ -1822,6 +1878,9 @@ impl Server {
             }
             (BinRequest::Bound { set }, Some(u)) => {
                 format!("bound {}", u.format_set(AttrSet::from_bits(set)))
+            }
+            (BinRequest::Assert { .. }, Some(u)) => {
+                format!("assert {}", format_wire(&self.goal, u))
             }
             _ => String::new(),
         }
@@ -2066,25 +2125,23 @@ impl Server {
             Request::Stats => self.with_session(out, |session, out| write_stats(out, session)),
             Request::StatsRecent => write_stats_recent(out),
             Request::DebugRecent(n) => {
-                let flight = &EngineMetrics::global().flight;
-                let records = flight.dump(n.unwrap_or(10));
+                let metrics = EngineMetrics::global();
+                let records = metrics.flight_records(n.unwrap_or(10));
                 _ = write!(
                     out,
                     "flight n={} written={}",
                     records.len(),
-                    flight.written()
+                    metrics.flight_written()
                 );
-                for (i, (_, words)) in records.iter().enumerate() {
+                for (i, record) in records.iter().enumerate() {
                     out.push_str(if i == 0 { " " } else { " | " });
-                    out.push_str(&FlightRecord::decode(words).render());
+                    out.push_str(&record.render());
                 }
             }
             Request::DebugTrace(id) => {
-                let flight = &EngineMetrics::global().flight;
-                let found = flight
-                    .dump(flight.capacity())
+                let found = EngineMetrics::global()
+                    .flight_records(usize::MAX)
                     .into_iter()
-                    .map(|(_, words)| FlightRecord::decode(&words))
                     .find(|record| record.trace == id);
                 match found {
                     Some(record) => _ = write!(out, "flight n=1 {}", record.render()),
@@ -2140,7 +2197,7 @@ impl Server {
             EngineMetrics::global().register_session(
                 self.origin,
                 self.registry.current_id(),
-                session.costs(),
+                Arc::clone(session.costs()),
             );
         }
     }
@@ -2279,12 +2336,10 @@ fn write_stats(out: &mut String, session: &Session) {
             name = kind.name()
         );
     }
-    let costs = session.costs();
     _ = write!(
         out,
-        " queue_us={} decide_us={}",
-        costs.queue_ns.get() / 1_000,
-        costs.decide_ns.get() / 1_000
+        " decide_us={}",
+        session.costs().decide_ns.get() / 1_000
     );
 }
 
@@ -2589,7 +2644,11 @@ mod tests {
                 &mut out,
             );
             assert!(!answer.quit);
-            assert_eq!(answer.flight.is_some(), line.starts_with("implies"));
+            // Every request keeps a record; only the answered query is routed.
+            let record = answer.record;
+            assert_eq!(record.route.is_some(), line.starts_with("implies"));
+            let verb = line.split_whitespace().next().filter(|word| *word != "#");
+            assert_eq!(verb, record.verb.map(|index| VERBS[index].name));
             out.push('|');
         }
         let replies: Vec<&str> = out.split('|').collect();
@@ -2604,22 +2663,24 @@ mod tests {
             panic!("mask frame does not decode");
         };
         out.clear();
-        let answer = s.respond(&request, Instant::now(), &mut out);
+        let record = s.respond(&request, Instant::now(), &mut out).record;
         assert!(out.starts_with("yes route=fd cached=1"), "got: {out}");
-        let record = answer.flight.expect("queries keep a flight record");
         assert_eq!(
-            (record.verb, record.route, record.cached),
-            ("implies", "fd", true)
+            (record.verb_name(), record.route, record.cached),
+            ("implies", Some("fd"), true)
         );
-        assert!(record.plan_ns > 0 && record.queue_ns == 0);
-        // Bits outside the universe answer `err`, like an unknown name.
+        assert!(record.plan_ns > 0);
+        // Bits outside the universe answer `err`, like an unknown name: the
+        // record names the verb but no route.
         out.clear();
         let request = binary::BinRequest::Bound { set: 1 << 9 };
-        assert!(s
-            .respond(&request, Instant::now(), &mut out)
-            .flight
-            .is_none());
+        let record = s.respond(&request, Instant::now(), &mut out).record;
+        assert_eq!((record.verb_name(), record.route), ("bound", None));
         assert!(out.starts_with("err attribute mask 0x200"), "got: {out}");
+        // Trace ids are consecutive per connection: one per request.
+        let next = s.refuse("too long", Instant::now(), &mut out).record;
+        assert_eq!(next.trace, record.trace + 1);
+        assert_eq!((next.verb, next.route), (None, None));
     }
 
     /// Sized universes past 26 attributes are spelled one character per

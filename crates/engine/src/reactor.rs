@@ -39,6 +39,8 @@
 //! Stage timing shares one clock reading per boundary: the reading that
 //! closes a request's `reply` stage opens the next request's `frame` stage,
 //! and the reading [`Server::respond`] closes `plan` with opens `reply`.
+//! Every frame — served or refused — ends in one [`Server::commit`] of its
+//! record, with the frame, reply, and byte fields filled in here.
 //!
 //! # Backpressure
 //!
@@ -48,7 +50,7 @@
 //! sender) until the backlog drains below a low-water mark — a slow reader
 //! costs bounded memory and never stalls the reactor or its neighbours.
 
-use crate::metrics::{ConnCosts, EngineMetrics, FlightRecord};
+use crate::metrics::{EngineMetrics, FlightRecord};
 use crate::net::{ActiveGuard, NetConfig};
 use crate::protocol::{self, binary, Server};
 use diffcon_obs::profile::{self, StageTag};
@@ -269,83 +271,66 @@ struct Responder {
     /// Reply text of the request being served, reused across requests.
     reply: String,
     out: OutBuf,
-    costs: Arc<ConnCosts>,
+    /// Binary handshake bytes (each way) no record has carried yet: the
+    /// connection's first reply after the handshake bills them.
+    handshake: u64,
 }
 
 impl Responder {
     /// Serves one complete frame of `bytes_in` wire bytes whose `frame`
-    /// stage opened at `frame_start`.  Returns whether it was `quit`, and
-    /// the reading that closed its `reply` stage — the next frame's start.
+    /// stage opened at `frame_start` — a request, or (`Err`) the message of
+    /// a framing violation the server never sees (an oversized line, a
+    /// corrupt binary header), answered `err` at its position in the
+    /// request order.  Returns whether it was `quit`, and the reading that
+    /// closed its `reply` stage — the next frame's start.
     fn serve(
         &mut self,
-        frame: &binary::BinRequest<'_>,
+        frame: Result<&binary::BinRequest<'_>, &str>,
         bytes_in: u64,
         frame_start: Instant,
-        metrics: &EngineMetrics,
     ) -> (bool, Instant) {
         let framed = Instant::now();
-        let frame_ns = nanos(frame_start, framed);
-        metrics.frame_ns.record(frame_ns);
-        metrics.frames.inc();
-        metrics.bytes_read.add(bytes_in);
-        self.costs.requests.inc();
-        self.costs.bytes_read.add(bytes_in);
         self.reply.clear();
-        let answer = self.server.respond(frame, framed, &mut self.reply);
-        let flight = answer.flight.map(|mut record| {
-            record.frame_ns = frame_ns;
-            record.bytes_in = bytes_in;
-            record
-        });
-        (answer.quit, self.emit(flight, answer.done, metrics))
-    }
-
-    /// Answers a framing violation the server never sees (an oversized
-    /// line, a corrupt binary header) with one `err` reply at its position
-    /// in the request order.  Returns the reading that closed the reply.
-    fn refuse(&mut self, message: &str, metrics: &EngineMetrics) -> Instant {
-        metrics.framing_errors.inc();
-        metrics.replies.inc();
-        self.reply.clear();
-        self.reply.push_str("err ");
-        self.reply.push_str(message);
-        self.emit(None, Instant::now(), metrics)
+        let answer = match frame {
+            Ok(request) => self.server.respond(request, framed, &mut self.reply),
+            Err(message) => self.server.refuse(message, framed, &mut self.reply),
+        };
+        let mut record = answer.record;
+        record.frame_ns = nanos(frame_start, framed);
+        record.bytes_in = bytes_in;
+        (answer.quit, self.emit(record, answer.done))
     }
 
     /// Frames the reply buffer into the output backlog (a silent request
-    /// writes nothing), charges the `reply` stage from `done` — one sample
-    /// per reply — and commits the request's flight record.  Returns the
-    /// reading that closed the stage.
-    fn emit(
-        &mut self,
-        flight: Option<FlightRecord>,
-        done: Instant,
-        metrics: &EngineMetrics,
-    ) -> Instant {
-        if self.reply.is_empty() {
-            return done;
-        }
-        let write_stage = profile::stage(&STAGE_NET_WRITE);
-        let text = self.reply.as_bytes();
-        let bytes = if self.framing == Framing::Binary {
-            let header = binary::line_header(text.len());
-            self.out.append(&header);
-            self.out.append(text);
-            header.len() + text.len()
+    /// writes nothing), closes the `reply` stage opened at `done`, and
+    /// commits the request's record.  Returns the reading that closed the
+    /// stage.
+    fn emit(&mut self, mut record: FlightRecord, done: Instant) -> Instant {
+        let end = if self.reply.is_empty() {
+            done
         } else {
-            self.out.append(text);
-            self.out.append(b"\n");
-            text.len() + 1
-        } as u64;
-        drop(write_stage);
-        let end = Instant::now();
-        let reply_ns = nanos(done, end);
-        metrics.reply_ns.record(reply_ns);
-        metrics.bytes_written.add(bytes);
-        self.costs.bytes_written.add(bytes);
-        if let Some(record) = flight {
-            record.commit(reply_ns, bytes);
-        }
+            let write_stage = profile::stage(&STAGE_NET_WRITE);
+            let text = self.reply.as_bytes();
+            let framed = if self.framing == Framing::Binary {
+                let header = binary::line_header(text.len());
+                self.out.append(&header);
+                self.out.append(text);
+                header.len() + text.len()
+            } else {
+                self.out.append(text);
+                self.out.append(b"\n");
+                text.len() + 1
+            } as u64;
+            // The first reply also carries the binary handshake, so a
+            // silent request still writes 0 bytes.
+            let handshake = std::mem::take(&mut self.handshake);
+            record.bytes_in += handshake;
+            record.bytes_out = framed + handshake;
+            drop(write_stage);
+            Instant::now()
+        };
+        record.reply_ns = nanos(done, end);
+        self.server.commit(&record);
         end
     }
 }
@@ -441,7 +426,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&read_buf[..n]);
-                    self.parse(config, metrics);
+                    self.parse(config);
                     // Stream a growing reply backlog out mid-burst: the
                     // peer drains replies concurrently with the decides
                     // still ahead.  `WOULD_BLOCK` here is fine — the
@@ -465,19 +450,19 @@ impl Conn {
         }
         drop(read_stage);
         if self.peer_eof && !self.closing && !self.dead {
-            self.on_eof(config, metrics);
+            self.on_eof(config);
         }
     }
 
     /// Parses every complete frame buffered so far and compacts the buffer.
-    fn parse(&mut self, config: &NetConfig, metrics: &EngineMetrics) {
+    fn parse(&mut self, config: &NetConfig) {
         if self.io.framing == Framing::Negotiating {
-            self.negotiate(metrics);
+            self.negotiate();
         }
         match self.io.framing {
             Framing::Negotiating => return,
-            Framing::Text => self.parse_text(config, metrics),
-            Framing::Binary => self.parse_binary(config, metrics),
+            Framing::Text => self.parse_text(config),
+            Framing::Binary => self.parse_binary(config),
         }
         if self.parse_at > 0 {
             self.inbuf.drain(..self.parse_at);
@@ -488,7 +473,7 @@ impl Conn {
     /// Resolves the framing from the connection's first bytes: exactly
     /// [`binary::MAGIC`] switches to binary (answering [`binary::ACK`]);
     /// anything else — including a magic prefix that diverges — is text.
-    fn negotiate(&mut self, metrics: &EngineMetrics) {
+    fn negotiate(&mut self) {
         let Some(&first) = self.inbuf.first() else {
             return;
         };
@@ -502,13 +487,10 @@ impl Conn {
         if self.inbuf[..binary::MAGIC.len()] == binary::MAGIC {
             self.parse_at = binary::MAGIC.len();
             self.io.framing = Framing::Binary;
-            let handshake = binary::MAGIC.len() as u64;
-            metrics.bytes_read.add(handshake);
-            self.io.costs.bytes_read.add(handshake);
             self.io.out.append(&binary::ACK);
-            let ack = binary::ACK.len() as u64;
-            metrics.bytes_written.add(ack);
-            self.io.costs.bytes_written.add(ack);
+            // MAGIC and ACK are the same length: the handshake's bytes each
+            // way, carried by the next reply's record.
+            self.io.handshake = binary::ACK.len() as u64;
         } else {
             self.io.framing = Framing::Text;
         }
@@ -516,7 +498,7 @@ impl Conn {
 
     /// Serves every complete text line in the buffer (the framing semantics
     /// of [`crate::net`]'s `read_frame`, applied to a slice).
-    fn parse_text(&mut self, config: &NetConfig, metrics: &EngineMetrics) {
+    fn parse_text(&mut self, config: &NetConfig) {
         let max = config.max_request_bytes;
         let mut frame_start = Instant::now();
         while self.parse_at < self.inbuf.len() && !self.closing && !self.dead {
@@ -526,9 +508,10 @@ impl Conn {
                     Some(pos) => {
                         self.parse_at += pos + 1;
                         self.discarding = None;
-                        frame_start = self
-                            .io
-                            .refuse(&protocol::oversized_request(dropped + pos, max), metrics);
+                        let got = dropped + pos;
+                        let message = protocol::oversized_request(got, max);
+                        (_, frame_start) =
+                            self.io.serve(Err(&message), got as u64 + 1, frame_start);
                         continue;
                     }
                     None => {
@@ -548,22 +531,17 @@ impl Conn {
                 }
                 return;
             };
-            let quit = if pos > max {
-                frame_start = self
-                    .io
-                    .refuse(&protocol::oversized_request(pos, max), metrics);
-                false
+            let message;
+            let frame = if pos > max {
+                message = protocol::oversized_request(pos, max);
+                Err(message.as_str())
             } else {
-                let line = &self.inbuf[self.parse_at..self.parse_at + pos];
-                let (quit, end) = self.io.serve(
-                    &binary::BinRequest::Line(line),
-                    pos as u64 + 1,
-                    frame_start,
-                    metrics,
-                );
-                frame_start = end;
-                quit
+                Ok(&binary::BinRequest::Line(
+                    &self.inbuf[self.parse_at..self.parse_at + pos],
+                ))
             };
+            let quit;
+            (quit, frame_start) = self.io.serve(frame, pos as u64 + 1, frame_start);
             self.parse_at += pos + 1;
             // Anything pipelined after `quit` is deliberately ignored.
             self.closing |= quit;
@@ -571,21 +549,24 @@ impl Conn {
     }
 
     /// Serves every complete binary frame in the buffer.
-    fn parse_binary(&mut self, config: &NetConfig, metrics: &EngineMetrics) {
+    fn parse_binary(&mut self, config: &NetConfig) {
         let mut frame_start = Instant::now();
         while self.parse_at < self.inbuf.len() && !self.closing && !self.dead {
             match binary::decode_request(&self.inbuf[self.parse_at..], config.max_request_bytes) {
                 binary::Decoded::Incomplete => return,
                 binary::Decoded::Fatal(message) => {
                     // A corrupt length-prefixed stream cannot resync: one
-                    // err at its position in the order, then close.
-                    self.io.refuse(&message, metrics);
+                    // err at its position in the order, then close.  The
+                    // refusal carries every byte still buffered.
+                    let dropped = (self.inbuf.len() - self.parse_at) as u64;
+                    self.io.serve(Err(&message), dropped, frame_start);
+                    self.parse_at = self.inbuf.len();
                     self.closing = true;
                     return;
                 }
                 binary::Decoded::Frame(frame, used) => {
-                    let (quit, end) = self.io.serve(&frame, used as u64, frame_start, metrics);
-                    frame_start = end;
+                    let quit;
+                    (quit, frame_start) = self.io.serve(Ok(&frame), used as u64, frame_start);
                     self.parse_at += used;
                     self.closing |= quit;
                 }
@@ -597,22 +578,21 @@ impl Conn {
     /// buffered (the last request of a piped script), and close once the
     /// output drains.  A binary frame truncated by disconnect is not
     /// salvageable and just ends the connection.
-    fn on_eof(&mut self, config: &NetConfig, metrics: &EngineMetrics) {
+    fn on_eof(&mut self, config: &NetConfig) {
         if self.io.framing == Framing::Negotiating {
             // Disconnect inside the handshake: whatever arrived is a
             // malformed text fragment; serve it as such.
             self.io.framing = Framing::Text;
         }
         if self.io.framing == Framing::Text && self.discarding.is_none() {
-            self.parse_text(config, metrics);
+            self.parse_text(config);
             if !self.closing && self.parse_at < self.inbuf.len() {
                 let line = &self.inbuf[self.parse_at..];
-                let bytes_in = line.len() as u64 + 1;
+                let bytes_in = line.len() as u64;
                 self.io.serve(
-                    &binary::BinRequest::Line(line),
+                    Ok(&binary::BinRequest::Line(line)),
                     bytes_in,
                     Instant::now(),
-                    metrics,
                 );
                 self.parse_at = self.inbuf.len();
             }
@@ -648,10 +628,6 @@ fn register_conn(
     metrics.connections.inc();
     let mut server = Server::new(config.session);
     server.set_slow_query_us(config.slow_query_us);
-    // Per-connection cost attribution, keyed by the server's connection id
-    // (the same id its flight records and trace ids carry).
-    let costs = Arc::new(ConnCosts::default());
-    metrics.register_connection(server.connection_id(), Arc::clone(&costs));
     let token = match free.pop() {
         Some(token) => token,
         None => {
@@ -681,7 +657,7 @@ fn register_conn(
             server,
             reply: String::new(),
             out: OutBuf::default(),
-            costs,
+            handshake: 0,
         },
         read_armed: true,
         write_armed: false,

@@ -199,11 +199,8 @@ pub struct Session {
     dataset: Option<Arc<Dataset>>,
     /// Shared across every snapshot this session publishes.
     caches: Arc<EngineCaches>,
+    /// Shared with every snapshot; holds the session's ledger.
     planner: Arc<Planner>,
-    /// Cost-attribution ledger shared with the planner and every snapshot;
-    /// registered with the global metrics registry when the session is
-    /// bound to a `(connection, slot)` pair.
-    costs: Arc<SessionCosts>,
     /// Monotone publication counter; `snapshot.epoch()` exposes it.
     epoch: u64,
     /// The currently published snapshot (readers clone the `Arc`).
@@ -243,8 +240,7 @@ impl Session {
                 config.bound_cache_capacity,
             ),
         });
-        let costs = Arc::new(SessionCosts::default());
-        let planner = Arc::new(Planner::with_costs(config.planner, Arc::clone(&costs)));
+        let planner = Arc::new(Planner::new(config.planner));
         let current = Arc::new(Snapshot::from_parts(SnapshotParts {
             universe: universe.clone(),
             premises: Arc::from([]),
@@ -259,7 +255,6 @@ impl Session {
             epoch: 0,
             caches: Arc::clone(&caches),
             planner: Arc::clone(&planner),
-            costs: Arc::clone(&costs),
         }));
         Session {
             universe,
@@ -276,7 +271,6 @@ impl Session {
             dataset: None,
             caches,
             planner,
-            costs,
             epoch: 0,
             current,
             interner_compaction_threshold: config.interner_compaction_threshold.max(1),
@@ -334,14 +328,15 @@ impl Session {
             epoch: self.epoch,
             caches: Arc::clone(&self.caches),
             planner: Arc::clone(&self.planner),
-            costs: Arc::clone(&self.costs),
         }));
     }
 
-    /// The session's cost-attribution ledger (shared with the planner and
-    /// every published snapshot).
-    pub fn costs(&self) -> Arc<SessionCosts> {
-        Arc::clone(&self.costs)
+    /// The session's ledger: every route decision, cache hit, and charged
+    /// query, counted once (held by its planner, shared by every published
+    /// snapshot, and registered with the metrics registry when the session
+    /// is bound to a `(connection, slot)` pair).
+    pub fn costs(&self) -> &Arc<SessionCosts> {
+        self.planner.costs()
     }
 
     /// The currently published snapshot: an immutable view of the session

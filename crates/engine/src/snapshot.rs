@@ -24,9 +24,8 @@
 //! while any state difference makes the keys disjoint.
 
 use crate::batch::{self, Job, JobResult};
-use crate::cache::{version_salt, CacheStats, ShardedCache, VersionedKey};
-use crate::metrics::SessionCosts;
-use crate::planner::{Planner, PlannerStats};
+use crate::cache::{version_salt, ShardedCache, VersionedKey};
+use crate::planner::Planner;
 use diffcon::inference::{self, Derivation};
 use diffcon::procedure::ProcedureKind;
 use diffcon::{implication, DiffConstraint};
@@ -39,7 +38,6 @@ use diffcon_bounds::{Interval, SideConditions};
 static STAGE_BOUND: diffcon_obs::profile::StageTag =
     diffcon_obs::profile::StageTag::new("planner.bound");
 use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
-use diffcon_obs::Trace;
 use proplogic::implication::ImplicationConstraint;
 use relational::fd::FunctionalDependency;
 use setlat::{AttrSet, Universe};
@@ -164,33 +162,6 @@ impl EngineCaches {
     }
 }
 
-/// Aggregate statistics visible from a snapshot: the shared planner and
-/// shard counters plus the snapshot's own frozen state sizes.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotStats {
-    /// Per-procedure planner accounting (shared across snapshots).
-    pub planner: PlannerStats,
-    /// Aggregated answer-cache shard counters.
-    pub answer_cache: CacheStats,
-    /// Aggregated lattice-cache shard counters.
-    pub lattice_cache: CacheStats,
-    /// Aggregated translation-cache shard counters.
-    pub prop_cache: CacheStats,
-    /// Aggregated bound-cache shard counters.
-    pub bound_cache: CacheStats,
-    /// Shards in the answer cache.  A cache whose capacity is below the
-    /// configured shard count is clamped to one shard per entry (see
-    /// [`crate::cache::ShardedCache::new`]), so smaller caches may hold
-    /// fewer shards than reported here.
-    pub cache_shards: usize,
-    /// Premises frozen in this snapshot.
-    pub premises: usize,
-    /// Known point values frozen in this snapshot.
-    pub knowns: usize,
-    /// The publication epoch of this snapshot.
-    pub epoch: u64,
-}
-
 /// An immutable, shareable view of one session's state, answering
 /// implication and bound queries through `&self`.
 ///
@@ -211,7 +182,6 @@ pub struct Snapshot {
     epoch: u64,
     caches: Arc<EngineCaches>,
     planner: Arc<Planner>,
-    costs: Arc<SessionCosts>,
 }
 
 /// Everything a session hands over when publishing a snapshot.
@@ -230,7 +200,6 @@ pub(crate) struct SnapshotParts {
     pub(crate) epoch: u64,
     pub(crate) caches: Arc<EngineCaches>,
     pub(crate) planner: Arc<Planner>,
-    pub(crate) costs: Arc<SessionCosts>,
 }
 
 impl Snapshot {
@@ -249,7 +218,6 @@ impl Snapshot {
             epoch: parts.epoch,
             caches: parts.caches,
             planner: parts.planner,
-            costs: parts.costs,
         }
     }
 
@@ -287,13 +255,6 @@ impl Snapshot {
     /// mutations, so readers can tell snapshots apart (and order them).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The owning session's cost-attribution series (shared across every
-    /// snapshot the session publishes, so a query evaluated against an
-    /// older epoch still charges the same ledger).
-    pub fn costs(&self) -> &Arc<SessionCosts> {
-        &self.costs
     }
 
     /// Index-aligned propositional translations of the premises.
@@ -405,7 +366,7 @@ impl Snapshot {
     /// path with trace marks — same caches, same planner accounting — so an
     /// explained query observes exactly what serving it would cost.
     pub fn explain(&self, goal: &DiffConstraint) -> ExplainOutcome {
-        let mut trace = Trace::start();
+        let start = Instant::now();
         if goal.is_trivial() {
             self.planner.record_trivial();
             return ExplainOutcome {
@@ -419,12 +380,13 @@ impl Snapshot {
                 probe: Duration::ZERO,
                 plan: Duration::ZERO,
                 decide: Duration::ZERO,
-                total: trace.total(),
+                total: start.elapsed(),
             };
         }
         let key = self.answer_key(goal);
         let probed = self.probe_answer(&key, goal);
-        let probe = trace.stage("probe");
+        let probed_at = Instant::now();
+        let probe = probed_at - start;
         if let Some((implied, kind)) = probed {
             self.planner.record_cache_hit(kind);
             return ExplainOutcome {
@@ -438,13 +400,13 @@ impl Snapshot {
                 probe,
                 plan: Duration::ZERO,
                 decide: Duration::ZERO,
-                total: trace.total(),
+                total: start.elapsed(),
             };
         }
         let job = self.plan_job(goal.clone());
-        let plan = trace.stage("plan");
+        let planned_at = Instant::now();
         let result = batch::decide_one(self, &job);
-        let decide = trace.stage("decide");
+        let decided_at = Instant::now();
         self.absorb_result(key, &job.goal, &result);
         ExplainOutcome {
             outcome: QueryOutcome {
@@ -455,9 +417,9 @@ impl Snapshot {
             },
             epoch: self.epoch,
             probe,
-            plan,
-            decide,
-            total: trace.total(),
+            plan: planned_at - probed_at,
+            decide: decided_at - planned_at,
+            total: start.elapsed(),
         }
     }
 
@@ -703,22 +665,6 @@ impl Snapshot {
             elapsed,
         }
     }
-
-    /// Point-in-time statistics: the shared planner and cache counters plus
-    /// this snapshot's frozen state sizes.
-    pub fn stats(&self) -> SnapshotStats {
-        SnapshotStats {
-            planner: self.planner.stats(),
-            answer_cache: self.caches.answer.stats(),
-            lattice_cache: self.caches.lattice.stats(),
-            prop_cache: self.caches.prop.stats(),
-            bound_cache: self.caches.bound.stats(),
-            cache_shards: self.caches.answer.shard_count(),
-            premises: self.premises.len(),
-            knowns: self.knowns.len(),
-            epoch: self.epoch,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -833,22 +779,21 @@ mod tests {
                 });
             }
         });
-        let stats = snapshot.stats();
+        let stats = session.stats();
         assert_eq!(stats.premises, 3);
         assert!(stats.planner.total_queries() >= 192);
     }
 
     #[test]
-    fn snapshot_stats_expose_shards_and_state_sizes() {
+    fn session_stats_expose_shards_and_state_sizes() {
         let u = Universe::of_size(4);
         let mut session = Session::new(u.clone());
         session.assert_constraint(&DiffConstraint::parse("A -> {B}", &u).unwrap());
         session.set_known(u.parse_set("A").unwrap(), 1.0);
-        let snapshot = session.snapshot();
-        let stats = snapshot.stats();
+        let stats = session.stats();
         assert!(stats.cache_shards >= 1);
         assert_eq!(stats.premises, 1);
         assert_eq!(stats.knowns, 1);
-        assert_eq!(stats.epoch, snapshot.epoch());
+        assert_eq!(stats.epoch, session.snapshot().epoch());
     }
 }

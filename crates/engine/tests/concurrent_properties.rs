@@ -244,8 +244,8 @@ fn normalize(text: &str) -> String {
 
 /// Runs a script through [`Server::handle_line`] and, pipelined, through
 /// the connection path — every reply appended to one output stream, one
-/// line each, as a text connection frames them; asserts the normalized
-/// reply streams agree line-for-line.
+/// line each, as a text connection frames them, and every record
+/// committed; asserts the normalized reply streams agree line-for-line.
 fn assert_pipeline_matches_serial(lines: &[String]) {
     let mut serial = Server::new(tiny_config());
     let serial_replies: Vec<String> = lines
@@ -257,7 +257,7 @@ fn assert_pipeline_matches_serial(lines: &[String]) {
     let mut stream = String::new();
     for line in lines {
         let before = stream.len();
-        let answer = connection.respond(
+        let mut answer = connection.respond(
             &BinRequest::Line(line.as_bytes()),
             std::time::Instant::now(),
             &mut stream,
@@ -266,6 +266,8 @@ fn assert_pipeline_matches_serial(lines: &[String]) {
         if stream.len() > before {
             stream.push('\n');
         }
+        answer.record.bytes_out = (stream.len() - before) as u64;
+        connection.commit(&answer.record);
     }
     let streamed: Vec<String> = stream.lines().map(normalize).collect();
     assert_eq!(

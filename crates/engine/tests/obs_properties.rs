@@ -4,6 +4,8 @@
 //!   always parses under the text-format grammar, never repeats a series,
 //!   and its counters are monotone across scrapes — for *any* request
 //!   traffic, including parse errors and no-session failures;
+//! * after that traffic, `stats`, `session list`, and the session's labeled
+//!   series agree, since all three read the one session ledger;
 //! * the route `explain` reports is always the route the planner actually
 //!   charged: the matching per-procedure counter (decided, cache-hit, or
 //!   trivial) grows by exactly one.
@@ -97,6 +99,45 @@ proptest! {
             before[requests],
             after[requests]
         );
+        // `stats`, `session list`, and the session series read one ledger.
+        if server.session().is_some() {
+            let stats = server.handle_line("stats").text;
+            let list = server.handle_line("session list").text;
+            let slot = server.registry().current_id();
+            let labels = format!("conn=\"{}\",slot=\"{slot}\"", server.connection_id());
+            let exposition = EngineMetrics::global().exposition();
+            let mut lines = Vec::new();
+            let mut hits = 0u64;
+            for kind in ALL_PROCEDURES {
+                // `<route>=<decided>/<hits>c/<µs>us` for routes that served.
+                let field = stats
+                    .split_whitespace()
+                    .find_map(|t| t.strip_prefix(&format!("{}=", kind.name())))
+                    .unwrap_or("0/0c/0us");
+                let (decided, rest) = field.split_once('/').expect("decided");
+                hits += rest.split_once('c').expect("hits").0.parse::<u64>().expect("hits");
+                let route = format!("{labels},route=\"{}\"", kind.name());
+                lines.push(format!("diffcond_session_route_total{{{route}}} {decided}"));
+            }
+            lines.push(format!("diffcond_session_cache_hits_total{{{labels}}} {hits}"));
+            // `session list`: `<slot>:u<n>p<n>q<queries>`.
+            let queries = list
+                .split_once(&format!(" {slot}:u"))
+                .and_then(|(_, desc)| desc.split_whitespace().next()?.rsplit_once('q'))
+                .expect("current slot listed")
+                .1;
+            lines.push(format!("diffcond_session_queries_total{{{labels}}} {queries}"));
+            for line in lines {
+                let line = format!("\n{line}\n");
+                prop_assert!(
+                    exposition.contains(&line),
+                    "missing {}after `{}` `{}`",
+                    line,
+                    stats,
+                    list
+                );
+            }
+        }
     }
 
     /// The route `explain` reports is the route the planner charged: the
@@ -147,9 +188,8 @@ proptest! {
         };
         let route = field("route");
         let cached = field("cached") == "1";
-        // The reply's trailing trace id and queue wait must match the
-        // request's flight record exactly — the reply and the record are
-        // two views of the same request.
+        // The reply's fields must match the request's flight record exactly
+        // — the reply and the record are two views of the same request.
         let trace = field("trace");
         let dump = server.handle_line(&format!("debug trace {trace}")).text;
         prop_assert!(dump.starts_with("flight n=1 "), "got: {dump}");
@@ -163,7 +203,6 @@ proptest! {
         prop_assert_eq!(record_field("verb"), "explain");
         prop_assert_eq!(record_field("route"), route.clone());
         prop_assert_eq!(record_field("cached"), field("cached"));
-        prop_assert_eq!(record_field("queue_us"), field("queue_us"));
         prop_assert_eq!(record_field("decide_us"), field("decide_us"));
         prop_assert_eq!(record_field("epoch"), field("epoch"));
         if route == "trivial" {

@@ -10,8 +10,9 @@
 //!   sampler through the ordinary request path;
 //! * the warm cached query path performs zero heap allocations, and so does
 //!   a whole warm request through the connection path, text line or mask
-//!   frame in and reply out (the counting allocator is the engine's global
-//!   allocator, so this is measured, not asserted by inspection);
+//!   frame in, reply out, and record committed (the counting allocator is
+//!   the engine's global allocator, so this is measured, not asserted by
+//!   inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
@@ -110,11 +111,7 @@ proptest! {
 fn healthz_buildinfo_and_unknown_routes() {
     let health = metrics::http_routes("/healthz");
     assert_eq!(health.status, 200);
-    assert!(
-        health.body.starts_with("ok queue_depth="),
-        "got: {}",
-        health.body
-    );
+    assert_eq!(health.body, "ok\n");
     let build = metrics::http_routes("/buildinfo");
     assert_eq!(build.status, 200);
     assert!(
@@ -235,13 +232,12 @@ fn warm_cached_query_path_allocates_nothing() {
 }
 
 /// Answers one request the way a connection does — into a reused reply
-/// buffer, committing the flight record after the "write".
+/// buffer, committing its record after the "write".
 fn serve(server: &mut Server, reply: &mut String, request: &BinRequest<'_>) {
     reply.clear();
-    let answer = server.respond(request, Instant::now(), reply);
-    if let Some(record) = answer.flight {
-        record.commit(0, reply.len() as u64 + 1);
-    }
+    let mut answer = server.respond(request, Instant::now(), reply);
+    answer.record.bytes_out = reply.len() as u64 + 1;
+    server.commit(&answer.record);
 }
 
 #[test]
@@ -321,7 +317,7 @@ fn stats_recent_cold_start_answers_the_warming_form() {
     let cold = fresh.recent();
     assert!(!cold.baseline, "first observation must lack a baseline");
     assert_eq!(cold.window, Duration::ZERO);
-    assert_eq!((cold.requests, cold.replies), (0, 0));
+    assert_eq!((cold.plan.count(), cold.replies), (0, 0));
     let warm = fresh.recent();
     assert!(warm.baseline, "first call must seed the ring");
     // …and check both wire forms against the grammar on the global one.

@@ -266,7 +266,7 @@ fn validate_reply(universe: Option<&Universe>, line: &str) {
                 "queries missing: {line}"
             );
             if rest.first() == Some(&"recent") {
-                for key in ["window_us", "qps", "replies", "queue_p50us", "reply_p99us"] {
+                for key in ["window_us", "qps", "replies", "plan_p50us", "reply_p99us"] {
                     let v =
                         field_value(rest, key).unwrap_or_else(|| panic!("{key} missing: {line}"));
                     assert!(is_number(v), "{key} not numeric: {line}");
@@ -288,7 +288,7 @@ fn validate_reply(universe: Option<&Universe>, line: &str) {
             };
             assert_eq!(records.len(), n, "flight record count: {line}");
             for record in records {
-                for key in ["trace", "conn", "slot", "cached", "queue_us", "epoch"] {
+                for key in ["trace", "conn", "slot", "cached", "plan_us", "epoch"] {
                     let v = field_value(record, key)
                         .unwrap_or_else(|| panic!("{key} missing in record: {line}"));
                     assert!(is_number(v), "{key} not numeric: {line}");
@@ -322,7 +322,6 @@ fn validate_reply(universe: Option<&Universe>, line: &str) {
                 "decide_us",
                 "total_us",
                 "trace",
-                "queue_us",
             ] {
                 let v = field_value(rest, key).unwrap_or_else(|| panic!("{key} missing: {line}"));
                 assert!(is_number(v), "{key} not numeric: {line}");

@@ -8,14 +8,12 @@
 //! * [`Counter`] and [`Gauge`]: relaxed atomic scalars.
 //! * [`Histogram`]: a lock-free log-bucketed value histogram (16 sub-buckets
 //!   per octave, ≤ 6.25 % relative bucket error) with exact count/sum/max,
-//!   bucket-wise merge ([`Histogram::absorb`]), and immutable
-//!   [`HistogramSnapshot`]s answering p50/p90/p99/p999 quantiles.
-//! * [`Trace`]: a lightweight per-request stage timer (named marks against
-//!   one `Instant` clock) for `explain`-style latency decomposition.
+//!   and immutable [`HistogramSnapshot`]s answering p50/p90/p99/p999
+//!   quantiles.
 //! * [`FlightRecorder`]: an always-on lock-free ring buffer of fixed-width
 //!   records (one per completed request) — overwrite-oldest, written
-//!   concurrently from any number of threads, dumpable without stopping
-//!   traffic, and mergeable across recorders ([`FlightRecorder::absorb`]).
+//!   concurrently from any number of threads, and dumpable without stopping
+//!   traffic.
 //! * [`Exposition`]: a Prometheus-text-format (version 0.0.4) builder that
 //!   emits one `# TYPE` line per family and renders histograms as summary
 //!   series (`{quantile="…"}` plus `_sum`/`_count`), with a matching
@@ -49,7 +47,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A monotone event counter (relaxed atomic).
 #[derive(Debug, Default)]
@@ -90,11 +88,6 @@ impl Gauge {
     /// Sets the value.
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises the value to at least `value`.
-    pub fn raise(&self, value: u64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -141,9 +134,7 @@ fn bucket_value(index: usize) -> u64 {
 /// Buckets are log-linear — 16 equal sub-buckets per power of two — so
 /// quantile estimates carry at most a 1/16 relative bucket error across the
 /// full `u64` range while recording stays one relaxed `fetch_add` per bucket
-/// plus exact count/sum/max maintenance.  Histograms merge bucket-wise
-/// ([`Histogram::absorb`]), which is what makes per-shard or per-thread
-/// histograms aggregatable without locks.
+/// plus exact count/sum/max maintenance.
 ///
 /// The unit is the caller's: the engine records nanoseconds for latencies
 /// and raw counts for sizes, and chooses the display scale at exposition
@@ -178,7 +169,11 @@ impl Histogram {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // A new maximum is rare: skip the locked compare-exchange loop
+        // `fetch_max` costs when the value cannot raise it.
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Records a duration in nanoseconds (saturating past ~584 years).
@@ -191,20 +186,9 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Merges every observation of `other` into `self`, bucket-wise.
-    pub fn absorb(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+    /// Exact sum of the observations recorded so far.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// A point-in-time immutable copy for quantile queries.  Concurrent
@@ -327,63 +311,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// A per-request trace context: named stage marks against one monotone
-/// clock, for `explain`-style latency decomposition.
-///
-/// ```
-/// # use diffcon_obs::Trace;
-/// let mut trace = Trace::start();
-/// // … parse the request …
-/// trace.stage("parse");
-/// // … evaluate it …
-/// trace.stage("decide");
-/// assert_eq!(trace.stages().len(), 2);
-/// assert!(trace.total() >= trace.stages().iter().map(|(_, d)| *d).sum());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Trace {
-    start: Instant,
-    last: Instant,
-    stages: Vec<(&'static str, Duration)>,
-}
-
-impl Trace {
-    /// Starts the clock.
-    pub fn start() -> Trace {
-        let now = Instant::now();
-        Trace {
-            start: now,
-            last: now,
-            stages: Vec::new(),
-        }
-    }
-
-    /// Closes the current stage under `name`, recording the time elapsed
-    /// since the previous mark (or since the start), and returns it.
-    pub fn stage(&mut self, name: &'static str) -> Duration {
-        let now = Instant::now();
-        let elapsed = now.duration_since(self.last);
-        self.last = now;
-        self.stages.push((name, elapsed));
-        elapsed
-    }
-
-    /// The recorded stages, in order.
-    pub fn stages(&self) -> &[(&'static str, Duration)] {
-        &self.stages
-    }
-
-    /// Total time since the trace started.
-    pub fn total(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
 /// Words in one [`FlightRecorder`] record.  The layout of the words is the
 /// caller's contract (the engine packs its per-request stage record into
 /// them); the recorder only guarantees that a dumped record is exactly one
 /// writer's `FLIGHT_WORDS` words, never a mixture.
-pub const FLIGHT_WORDS: usize = 12;
+pub const FLIGHT_WORDS: usize = 11;
 
 /// One fixed-width flight-recorder record.
 pub type FlightWords = [u64; FLIGHT_WORDS];
@@ -444,13 +376,8 @@ impl FlightRecorder {
         }
     }
 
-    /// The number of records the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total records ever written (monotone; the ring retains the most
-    /// recent [`FlightRecorder::capacity`] of them).
+    /// recent `capacity` of them).
     pub fn written(&self) -> u64 {
         self.cursor.load(Ordering::Relaxed)
     }
@@ -519,17 +446,6 @@ impl FlightRecorder {
         out.sort_unstable_by_key(|&(index, _)| std::cmp::Reverse(index));
         out.truncate(n);
         out
-    }
-
-    /// Replays every record retained by `other` into `self`, oldest first,
-    /// so per-thread or per-worker recorders can be merged into one ring
-    /// (interleaved by merge order, each record intact).
-    pub fn absorb(&self, other: &FlightRecorder) {
-        let mut records = other.dump(other.capacity());
-        records.reverse();
-        for (_, words) in records {
-            self.record(&words);
-        }
     }
 }
 
@@ -1073,21 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_and_minus_subtracts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
+    fn minus_subtracts_a_baseline() {
+        let h = Histogram::new();
         for v in 0..100u64 {
-            a.record(v);
-            b.record(v + 1000);
+            h.record(v);
         }
-        let before = a.snapshot();
-        a.absorb(&b);
-        let after = a.snapshot();
+        let before = h.snapshot();
+        for v in 1000..1100u64 {
+            h.record(v);
+        }
+        let after = h.snapshot();
         assert_eq!(after.count(), 200);
         assert_eq!(after.max(), 1099);
+        assert_eq!(h.sum(), after.sum());
         let delta = after.minus(&before);
         assert_eq!(delta.count(), 100);
-        assert_eq!(delta.sum(), b.snapshot().sum());
+        assert_eq!(delta.sum(), (1000..1100u64).sum::<u64>());
         assert!(delta.p50() >= 1000);
     }
 
@@ -1169,18 +1086,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trace_records_ordered_stages() {
-        let mut t = Trace::start();
-        t.stage("one");
-        std::thread::sleep(Duration::from_millis(1));
-        let second = t.stage("two");
-        assert!(second >= Duration::from_millis(1));
-        let names: Vec<_> = t.stages().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["one", "two"]);
-        assert!(t.total() >= second);
-    }
-
     /// A record derived from its index, so tearing is detectable.
     fn stamped(index: u64) -> FlightWords {
         let mut words = [0u64; FLIGHT_WORDS];
@@ -1240,24 +1145,6 @@ mod tests {
         let mut indices: Vec<u64> = settled.iter().map(|(i, _)| *i).collect();
         indices.dedup();
         assert_eq!(indices.len(), 32, "indices are distinct and sorted");
-    }
-
-    #[test]
-    fn flight_recorder_absorb_merges_rings() {
-        let a = FlightRecorder::with_capacity(8);
-        let b = FlightRecorder::with_capacity(4);
-        for i in 0..3u64 {
-            a.record(&stamped(i));
-        }
-        for i in 10..13u64 {
-            b.record(&stamped(i));
-        }
-        a.absorb(&b);
-        let merged = a.dump(8);
-        assert_eq!(merged.len(), 6);
-        // Newest entries are b's records, replayed oldest-first.
-        let payloads: Vec<u64> = merged.iter().map(|(_, w)| w[0].wrapping_sub(7)).collect();
-        assert_eq!(payloads, [12, 11, 10, 2, 1, 0]);
     }
 
     #[test]
