@@ -8,7 +8,8 @@
 //!   whose answer cache has seen the stream once;
 //! * **serial vs. batch** — per-query session calls versus
 //!   `implies_batch`, which deduplicates in-batch repeats and fans cache
-//!   misses out across the rayon pool;
+//!   misses out across the rayon pool (cold, on a heavier stream: the
+//!   figure that decides whether the fan-out pays for itself);
 //! * **stream length scaling** — throughput as repetition (and therefore
 //!   cache hit ratio) grows.
 //!
@@ -26,6 +27,20 @@ use std::time::Instant;
 const UNIVERSE: usize = 12;
 const PREMISES: usize = 8;
 const POOL: usize = 64;
+
+/// A session over the heavier cold-batch workload (16 attributes, 12
+/// premises, a 128-goal pool) and a `len`-query stream over it: per-query
+/// lattice work is what the parallel fan-out amortizes, so each query is
+/// substantial.  Callers clear the caches before each pass, so every pass
+/// decides the distinct goals again.
+fn cold_workload(len: usize) -> (Session, Vec<diffcon::DiffConstraint>) {
+    let (base, stream) = workloads::engine_query_stream(7, 16, 12, 128, len);
+    let mut session = Session::new(base.universe.clone());
+    for p in &base.premises {
+        session.assert_constraint(p);
+    }
+    (session, stream)
+}
 
 fn table_engine_cache_effect(stream_lens: &[usize]) -> Table {
     let mut table = Table::new(
@@ -149,6 +164,23 @@ fn emit_json_report(cache_table: Table) {
             .filter(|g| implication::implies(&base.universe, &core.core, g))
             .count()
     });
+    // Cold fan-out: the 128-query cold stream decided one goal at a time
+    // versus through `implies_batch`, caches cleared before every pass.
+    let (cold, cold_stream) = cold_workload(128);
+    let cold_serial_us = time_us(&mut || {
+        cold.clear_caches();
+        cold_stream
+            .iter()
+            .filter(|g| cold.implies(g).implied)
+            .count()
+    });
+    let cold_batch_us = time_us(&mut || {
+        cold.clear_caches();
+        cold.implies_batch(&cold_stream)
+            .iter()
+            .filter(|o| o.implied)
+            .count()
+    });
     let mut report = JsonReport::new("engine_throughput");
     report.push_metric("stream_len", stream.len() as f64);
     report.push_metric("cold_oneshot_us", cold_us);
@@ -156,6 +188,8 @@ fn emit_json_report(cache_table: Table) {
     report.push_metric("warm_serial_mean_us", warm_mean_us);
     report.push_metric("warm_batch_us", batch_us);
     report.push_metric("warm_speedup", cold_us / warm_us.max(1e-9));
+    report.push_metric("cold_serial_us", cold_serial_us);
+    report.push_metric("cold_batch_us", cold_batch_us);
     report.push_metric("analyze_minimal_core_us", analyze_us);
     report.push_metric("analyze_premises_full", inflated.len() as f64);
     report.push_metric("analyze_premises_core", core.core.len() as f64);
@@ -230,29 +264,21 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
 fn bench_serial_vs_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("E11_serial_vs_batch");
     group.sample_size(10);
-    // A heavier universe than the cache benchmark: per-query lattice work is
-    // what the parallel fan-out amortizes, so make each query substantial.
+    // Fresh sessions per measured iteration would conflate setup with
+    // serving; instead clear caches each iteration so every pass decides the
+    // distinct goals again (cold batch vs. cold serial).
     for &len in &[128usize, 512] {
-        let (base, stream) = workloads::engine_query_stream(7, 16, 12, 128, len);
-        // Fresh sessions per measured iteration would conflate setup with
-        // serving; instead clear caches each iteration so every pass decides
-        // the distinct goals again (cold batch vs. cold serial).
-        let mut serial = Session::new(base.universe.clone());
-        let mut batched = Session::new(base.universe.clone());
-        for p in &base.premises {
-            serial.assert_constraint(p);
-            batched.assert_constraint(p);
-        }
+        let (session, stream) = cold_workload(len);
         group.bench_with_input(BenchmarkId::new("serial", len), &stream, |b, stream| {
             b.iter(|| {
-                serial.clear_caches();
-                stream.iter().filter(|g| serial.implies(g).implied).count()
+                session.clear_caches();
+                stream.iter().filter(|g| session.implies(g).implied).count()
             })
         });
         group.bench_with_input(BenchmarkId::new("batch", len), &stream, |b, stream| {
             b.iter(|| {
-                batched.clear_caches();
-                batched
+                session.clear_caches();
+                session
                     .implies_batch(stream)
                     .iter()
                     .filter(|o| o.implied)

@@ -1,5 +1,5 @@
-//! S1 — serving throughput: what the snapshot/shard architecture costs on
-//! warm repeated-premise query traffic.
+//! S1 — serving throughput: what the snapshot architecture costs on warm
+//! repeated-premise query traffic.
 //!
 //! Measured on the bench_engine_throughput workload (same generator, same
 //! sizes, so the serial figures are directly comparable with
@@ -8,9 +8,10 @@
 //! * **warm serial latency** — a single caller driving `Session::implies`
 //!   over a warmed cache, the figure that must not regress versus the
 //!   pre-snapshot engine;
-//! * **serial vs. sharded cache hit latency** — a plain `LruCache` hit
-//!   against a `ShardedCache` hit (hash + shard pick + mutex), the per-op
-//!   price of concurrency on the hot path;
+//! * **cache hit latency** — a plain `LruCache` hit against an engine-cache
+//!   hit (the same LRU behind its lock, counting into its family's
+//!   process-wide counters), the per-op price of the lock and the family
+//!   count on the hot path;
 //! * **observability tax** — the per-request cost of the whole telemetry
 //!   commit (one record through [`Server::commit`]), the continuous
 //!   profiler's per-request cost with the sampler running (A/B against the
@@ -24,8 +25,9 @@ use diffcon::procedure::ALL_PROCEDURES;
 use diffcon_bench::workloads;
 use diffcon_bench::JsonReport;
 use diffcon_engine::protocol::binary::BinRequest;
-use diffcon_engine::{EngineMetrics, LruCache, Server, Session, SessionConfig, ShardedCache};
+use diffcon_engine::{cache, CacheFamily, EngineMetrics, LruCache, Server, Session, SessionConfig};
 use diffcon_obs::{profile, HistogramSnapshot};
+use std::sync::Mutex;
 use std::time::Instant;
 
 const UNIVERSE: usize = 12;
@@ -61,20 +63,18 @@ fn best_secs(mut f: impl FnMut() -> usize) -> f64 {
     best
 }
 
-/// Per-op nanoseconds for hits against a plain LRU, an untagged sharded
-/// cache, and a family-tagged sharded cache (the last is the untagged cost
-/// plus the global-metrics publish — the per-hit price of instrumentation).
-fn cache_hit_latency() -> (f64, f64, f64) {
+/// Per-op nanoseconds for hits against a plain LRU and against an engine
+/// cache: the same LRU behind its lock, counting every hit into the answer
+/// family's process-wide counters.
+fn cache_hit_latency() -> (f64, f64) {
     const KEYS: u64 = 1024;
     const PASSES: u64 = 200;
     let mut lru: LruCache<u64, u64> = LruCache::new(KEYS as usize * 2);
-    let sharded: ShardedCache<u64, u64> = ShardedCache::new(16, KEYS as usize * 2);
-    let tagged: ShardedCache<u64, u64> =
-        ShardedCache::named(diffcon_engine::CacheFamily::Answer, 16, KEYS as usize * 2);
+    let counters = EngineMetrics::global().cache(CacheFamily::Answer);
+    let engine = Mutex::new(LruCache::with_counters(KEYS as usize * 2, counters));
     for k in 0..KEYS {
         lru.insert(k, k);
-        sharded.insert(k, k);
-        tagged.insert(k, k);
+        cache::lock(&engine).insert(k, k);
     }
     let measure = |mut hit: Box<dyn FnMut(u64) -> u64 + '_>| {
         let start = Instant::now();
@@ -88,9 +88,10 @@ fn cache_hit_latency() -> (f64, f64, f64) {
         start.elapsed().as_secs_f64() * 1e9 / (PASSES * KEYS) as f64
     };
     let lru_ns = measure(Box::new(|k| lru.get(&k).copied().unwrap_or(0)));
-    let sharded_ns = measure(Box::new(|k| sharded.get(&k).unwrap_or(0)));
-    let tagged_ns = measure(Box::new(|k| tagged.get(&k).unwrap_or(0)));
-    (lru_ns, sharded_ns, tagged_ns)
+    let engine_ns = measure(Box::new(|k| {
+        cache::lock(&engine).get(&k).copied().unwrap_or(0)
+    }));
+    (lru_ns, engine_ns)
 }
 
 /// Per-request nanoseconds of the whole telemetry commit: one warm cached
@@ -282,7 +283,7 @@ fn emit_json_report() {
     });
     let serial_qps = total_queries / serial_secs;
 
-    let (lru_ns, sharded_ns, tagged_ns) = cache_hit_latency();
+    let (lru_ns, cache_ns) = cache_hit_latency();
 
     let mut report = JsonReport::new("server_throughput");
     report.push_metric("stream_len", STREAM as f64);
@@ -291,10 +292,7 @@ fn emit_json_report() {
     report.push_metric("warm_serial_mean_us", serial_512_mean_us);
     report.push_metric("warm_serial_qps", serial_qps);
     report.push_metric("lru_hit_ns", lru_ns);
-    report.push_metric("sharded_hit_ns", sharded_ns);
-    report.push_metric("sharded_overhead_ns", sharded_ns - lru_ns);
-    report.push_metric("tagged_hit_ns", tagged_ns);
-    report.push_metric("metrics_publish_overhead_ns", tagged_ns - sharded_ns);
+    report.push_metric("cache_hit_ns", cache_ns);
     let commit_ns = telemetry_commit_ns();
     let request_ns = warm_request_ns();
     report.push_metric("telemetry_commit_ns", commit_ns);
@@ -359,8 +357,8 @@ fn emit_json_report() {
     }
     eprintln!(
         "warm serial {:.0} qps; warm request {:.0} ns; cache hit {:.0} ns \
-         plain vs {:.0} ns sharded vs {:.0} ns tagged",
-        serial_qps, request_ns, lru_ns, sharded_ns, tagged_ns
+         plain vs {:.0} ns engine",
+        serial_qps, request_ns, lru_ns, cache_ns
     );
 }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! constraint ::= set "->" family | set "→" family
 //! set        ::= ""            (the empty set)
-//!              | "{}"          (also the empty set)
+//!              | "{}" | "∅"    (also the empty set)
 //!              | NAME+         (compact notation: "ACD" = {A, C, D})
 //! family     ::= "{" "}"                       (the empty family)
 //!              | "{" set ("," set)* "}"
@@ -88,9 +88,6 @@ fn split_arrow(text: &str) -> Result<(&str, &str), ParseError> {
 
 fn parse_set(text: &str, universe: &Universe) -> Result<AttrSet, ParseError> {
     let cleaned = text.trim();
-    if cleaned.is_empty() || cleaned == "{}" || cleaned == "∅" {
-        return Ok(AttrSet::EMPTY);
-    }
     universe
         .parse_set(cleaned)
         .map_err(|e| err(format!("bad set {cleaned:?}: {e}")))

@@ -8,8 +8,8 @@
 //! with rayon.  Workers are pure: they read the shared `&Snapshot` and
 //! return per-goal [`JobResult`]s carrying any freshly computed derived data
 //! (goal lattices, propositional translations), which the snapshot then
-//! writes back into the sharded caches.  Workers never touch a cache shard
-//! themselves, so a batch's parallel section takes no locks at all.
+//! writes back into its caches.  Workers never touch a cache themselves, so
+//! a batch's parallel section takes no locks at all.
 
 use crate::snapshot::Snapshot;
 use diffcon::procedure::ProcedureKind;
@@ -75,7 +75,8 @@ pub fn decide_one(snapshot: &Snapshot, job: &Job) -> JobResult {
     let implied = match job.procedure {
         ProcedureKind::FdFragment => {
             let fds = snapshot
-                .premise_fds()
+                .fd_index
+                .as_deref()
                 .expect("planner routed to FD without a fragment index");
             let goal_fd = diffcon::fd_fragment::to_fd(&job.goal)
                 .expect("planner routed a wide goal to the FD procedure");
@@ -105,7 +106,7 @@ pub fn decide_one(snapshot: &Snapshot, job: &Job) -> JobResult {
                     p
                 }
             };
-            prop.implied_by_sat(snapshot.premise_props(), snapshot.universe())
+            prop.implied_by_sat(&snapshot.premise_props, snapshot.universe())
         }
     };
     JobResult {
@@ -220,7 +221,7 @@ mod tests {
         let u = Universe::of_size(5);
         let premises = parse(&u, &["A -> {B}", "B -> {C}"]);
         let snapshot = snapshot_of(&u, &premises);
-        assert!(snapshot.premise_fds().is_some());
+        assert!(snapshot.fd_index.is_some());
         for (text, expected) in [("A -> {C}", true), ("C -> {A}", false)] {
             let goal = DiffConstraint::parse(text, &u).unwrap();
             let r = decide_one(&snapshot, &job(goal, ProcedureKind::FdFragment));

@@ -8,12 +8,12 @@
 //!
 //! ```text
 //! Usage: diffcond [--answer-cache N] [--lattice-cache N] [--prop-cache N]
-//!                 [--bound-cache N] [--cache-shards N] [--lattice-budget N]
+//!                 [--bound-cache N] [--intern-limit N] [--lattice-budget N]
 //!                 [--bound-budget N] [--slow-query-us N]
 //!                 [--profile] [--profile-hz N] [--help]
 //!        diffcond serve [--addr HOST:PORT] [--max-conns N]
-//!                       [--max-request-bytes N] [--metrics-addr HOST:PORT]
-//!                       [same engine flags]
+//!                       [--max-request-bytes N] [--reactors N] [--binary]
+//!                       [--metrics-addr HOST:PORT] [same engine flags]
 //!        diffcond top [--metrics-addr HOST:PORT] [--interval-ms N] [--once]
 //!        diffcond check FILE...
 //! ```
@@ -76,7 +76,6 @@ Options:
   --lattice-cache N   bound on memoized goal lattices     (default 4096)
   --prop-cache N      bound on memoized translations      (default 4096)
   --bound-cache N     bound on memoized bound intervals   (default 4096)
-  --cache-shards N    shards per concurrent cache         (default 16)
   --intern-limit N    distinct constraints kept before the intern table is
                       compacted                           (default 262144)
   --lattice-budget N  max lattice-procedure cost before a query is routed
@@ -305,7 +304,7 @@ fn parse_args() -> Result<Options, String> {
                 std::process::exit(0);
             }
             "--answer-cache" | "--lattice-cache" | "--prop-cache" | "--bound-cache"
-            | "--cache-shards" | "--intern-limit" | "--lattice-budget" | "--bound-budget" => {
+            | "--intern-limit" | "--lattice-budget" | "--bound-budget" => {
                 let value = args
                     .next()
                     .ok_or_else(|| format!("{flag} expects a number"))?;
@@ -321,13 +320,6 @@ fn parse_args() -> Result<Options, String> {
                     "--lattice-cache" => config.lattice_cache_capacity = as_capacity(n)?,
                     "--prop-cache" => config.prop_cache_capacity = as_capacity(n)?,
                     "--bound-cache" => config.bound_cache_capacity = as_capacity(n)?,
-                    "--cache-shards" => {
-                        let shards = as_capacity(n)?;
-                        if shards == 0 {
-                            return Err("--cache-shards must be at least 1".into());
-                        }
-                        config.cache_shards = shards;
-                    }
                     "--intern-limit" => config.interner_compaction_threshold = as_capacity(n)?,
                     "--lattice-budget" => config.planner.lattice_budget = n,
                     _ => config.planner.bound_budget = n,

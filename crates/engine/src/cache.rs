@@ -1,35 +1,34 @@
 //! A bounded least-recently-used cache with hit/miss/eviction accounting.
 //!
-//! The engine memoizes three kinds of derived data — lattice decompositions,
-//! propositional translations, and full query answers — all behind instances
-//! of this one cache.  It is a classic slab-backed LRU: a `HashMap` from key
-//! to slot index plus an intrusive doubly-linked recency list threaded
-//! through a slot vector, so `get`, `insert` and eviction are all `O(1)`
-//! expected.
+//! The engine memoizes four kinds of derived data — full query answers,
+//! lattice decompositions, propositional translations, and bound
+//! intervals — each in one instance of this cache behind one `Mutex` (see
+//! [`lock`]), shared by every snapshot of a session.  It is a classic
+//! slab-backed LRU: a `HashMap` from key to slot index plus an intrusive
+//! doubly-linked recency list threaded through a slot vector, so `get`,
+//! `insert` and eviction are all `O(1)` expected.
 //!
 //! A capacity of `0` disables the cache entirely (every `get` misses, every
 //! `insert` is a no-op), which the engine's tests use to prove answers do not
 //! depend on caching.
 //!
-//! On top of the plain [`LruCache`] this module provides the concurrent
-//! serving primitives of the snapshot architecture:
+//! Every hit, miss, eviction and collision is counted once, where it
+//! happens: into the cache's own [`CacheStats`] and, for an engine cache
+//! ([`LruCache::with_counters`]), into its family's process-wide
+//! [`CacheCounters`].
 //!
-//! * [`ShardedCache`] — `N` shards of `Mutex<LruCache>` addressed by key
-//!   hash, so concurrent readers of a snapshot contend only when they hash
-//!   to the same shard, with [`ShardedCache::stats`] aggregating the
-//!   per-shard counters;
-//! * [`VersionedKey`] — the one digest-versioning helper every query-path
-//!   cache uses: a key salted with the session-state digests
-//!   ([`version_salt`]), whose `Hash` touches only the salt and a
-//!   precomputed payload fingerprint (two `u64`s) so hot-path lookups never
-//!   rehash a constraint structure, while `Eq` still compares the payload
-//!   structurally so fingerprint collisions cannot alias answers.
+//! [`VersionedKey`] is the one digest-versioning helper every query-path
+//! cache uses: a key salted with the session-state digests
+//! ([`version_salt`]), whose `Hash` touches only the salt and a precomputed
+//! payload fingerprint (two `u64`s) so hot-path lookups never rehash a
+//! constraint structure, while `Eq` still compares the payload structurally
+//! so fingerprint collisions cannot alias answers.
 
-use crate::metrics::{CacheCounters, CacheFamily, EngineMetrics};
+use crate::metrics::CacheCounters;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const NIL: usize = usize::MAX;
 
@@ -67,25 +66,15 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
 
-    /// Accumulates another counter set (shard aggregation).
-    pub fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.collisions += other.collisions;
-    }
-
-    /// The counter movement since `earlier` (saturating, so a snapshot pair
-    /// read under concurrent traffic can never underflow).
-    pub fn since(self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            collisions: self.collisions.saturating_sub(earlier.collisions),
-        }
-    }
+/// One countable cache event.
+#[derive(Clone, Copy)]
+enum Event {
+    Hit,
+    Miss,
+    Eviction,
+    Collision,
 }
 
 /// A bounded LRU map from `K` to `V`.
@@ -98,6 +87,9 @@ pub struct LruCache<K, V> {
     head: usize,
     tail: usize,
     stats: CacheStats,
+    /// The process-wide counters every event is also counted into (an
+    /// engine cache's family counters); `None` counts locally only.
+    counters: Option<&'static CacheCounters>,
 }
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
@@ -111,12 +103,19 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
+            counters: None,
         }
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Like [`LruCache::new`], additionally counting every hit, miss,
+    /// eviction and collision into `counters` — for the engine's session
+    /// caches, their family's counters in the process-wide registry
+    /// ([`crate::metrics::EngineMetrics::cache`]).
+    pub fn with_counters(capacity: usize, counters: &'static CacheCounters) -> Self {
+        LruCache {
+            counters: Some(counters),
+            ..LruCache::new(capacity)
+        }
     }
 
     /// Number of live entries.
@@ -134,6 +133,26 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.stats
     }
 
+    /// Counts one event into the local stats and the attached counters.
+    fn count(&mut self, event: Event) {
+        let (local, global) = match event {
+            Event::Hit => (&mut self.stats.hits, self.counters.map(|c| &c.hits)),
+            Event::Miss => (&mut self.stats.misses, self.counters.map(|c| &c.misses)),
+            Event::Eviction => (
+                &mut self.stats.evictions,
+                self.counters.map(|c| &c.evictions),
+            ),
+            Event::Collision => (
+                &mut self.stats.collisions,
+                self.counters.map(|c| &c.collisions),
+            ),
+        };
+        *local += 1;
+        if let Some(global) = global {
+            global.inc();
+        }
+    }
+
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
@@ -142,13 +161,13 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     {
         match self.map.get(key).copied() {
             Some(slot) => {
-                self.stats.hits += 1;
+                self.count(Event::Hit);
                 self.detach(slot);
                 self.attach_front(slot);
                 Some(&self.slots[slot].value)
             }
             None => {
-                self.stats.misses += 1;
+                self.count(Event::Miss);
                 None
             }
         }
@@ -167,19 +186,19 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         match self.map.get(key).copied() {
             Some(slot) => match f(&self.slots[slot].value) {
                 Some(projected) => {
-                    self.stats.hits += 1;
+                    self.count(Event::Hit);
                     self.detach(slot);
                     self.attach_front(slot);
                     Some(projected)
                 }
                 None => {
-                    self.stats.misses += 1;
-                    self.stats.collisions += 1;
+                    self.count(Event::Miss);
+                    self.count(Event::Collision);
                     None
                 }
             },
             None => {
-                self.stats.misses += 1;
+                self.count(Event::Miss);
                 None
             }
         }
@@ -212,7 +231,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             self.detach(lru);
             self.map.remove(&self.slots[lru].key);
             self.free.push(lru);
-            self.stats.evictions += 1;
+            self.count(Event::Eviction);
         }
         let slot = match self.free.pop() {
             Some(idx) => {
@@ -277,203 +296,11 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 }
 
-/// A key usable in a [`ShardedCache`]: hashable for the in-shard map, plus
-/// a cheap 64-bit hint that picks the shard without running a full hasher.
-///
-/// The hint needs only enough mixing to spread across a handful of shards
-/// (the cache finishes it with a Fibonacci multiply-shift); for
-/// [`VersionedKey`] it is the already-premixed salt/fingerprint word, so a
-/// hot-path lookup runs exactly one SipHash (the shard map's own), not two.
-pub trait ShardKey: Hash + Eq + Clone {
-    /// A well-spread 64-bit digest of the key.
-    fn shard_hint(&self) -> u64;
-}
-
-impl ShardKey for u64 {
-    fn shard_hint(&self) -> u64 {
-        *self
-    }
-}
-
-impl ShardKey for VersionedKey {
-    fn shard_hint(&self) -> u64 {
-        self.premix()
-    }
-}
-
-/// A concurrent bounded LRU: `N` shards of `Mutex<LruCache>`, addressed by
-/// the key's shard hint.  Readers of different shards never contend;
-/// recency and eviction are maintained per shard, so the bound is exactly
-/// `capacity` overall (split as evenly as the shard count allows) and the
-/// eviction order is approximately-LRU.
-///
-/// `get` returns an owned clone of the value — every engine cache stores
-/// either `Copy` data or an `Arc` — so no lock is held after the call
-/// returns.
-#[derive(Debug)]
-pub struct ShardedCache<K, V> {
-    shards: Box<[Mutex<LruCache<K, V>>]>,
-    /// When set, every operation's counter movement is mirrored into these
-    /// process-wide [`EngineMetrics`] counters (resolved once at
-    /// construction, so the per-operation publish never touches the
-    /// registry's `OnceLock`).  Untagged caches skip the bookkeeping
-    /// entirely.
-    counters: Option<&'static CacheCounters>,
-}
-
-impl<K: ShardKey, V: Clone> ShardedCache<K, V> {
-    /// Creates a cache of `shards` shards bounding exactly `capacity`
-    /// entries in total: the remainder of an uneven split goes one entry at
-    /// a time to the leading shards, so [`ShardedCache::capacity`] equals
-    /// the request.  A zero `capacity` disables the cache (as for
-    /// [`LruCache`]); `shards` is clamped to `1..=capacity` so a shard
-    /// never has capacity zero unless the whole cache is disabled.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.clamp(1, capacity.max(1));
-        let (base, extra) = (capacity / shards, capacity % shards);
-        ShardedCache {
-            shards: (0..shards)
-                .map(|i| Mutex::new(LruCache::new(base + usize::from(i < extra))))
-                .collect(),
-            counters: None,
-        }
-    }
-
-    /// Like [`ShardedCache::new`], additionally attributing every
-    /// operation's hit/miss/eviction/collision movement to `family` in the
-    /// process-wide metrics registry ([`EngineMetrics::global`]).  The
-    /// engine's session caches are all family-tagged; untagged caches
-    /// record nothing globally.
-    pub fn named(family: CacheFamily, shards: usize, capacity: usize) -> Self {
-        ShardedCache {
-            counters: Some(EngineMetrics::global().cache(family)),
-            ..ShardedCache::new(shards, capacity)
-        }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total capacity across shards (exactly the `capacity` requested at
-    /// construction).
-    pub fn capacity(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock(i).capacity())
-            .sum()
-    }
-
-    /// Live entries across shards.
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
-    }
-
-    /// Returns `true` iff no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregated usage counters across all shards.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for i in 0..self.shards.len() {
-            total.absorb(self.lock(i).stats());
-        }
-        total
-    }
-
-    /// Per-shard occupancy skew: the least and most populated shard.  A
-    /// large spread under a warm workload means the shard hash is uneven
-    /// for the key population (or the shard count outstrips the traffic),
-    /// which is the signal `--cache-shards` tuning needs.
-    pub fn occupancy(&self) -> ShardOccupancy {
-        let mut occupancy = ShardOccupancy {
-            min: usize::MAX,
-            max: 0,
-        };
-        for i in 0..self.shards.len() {
-            let len = self.lock(i).len();
-            occupancy.min = occupancy.min.min(len);
-            occupancy.max = occupancy.max.max(len);
-        }
-        occupancy
-    }
-
-    /// Looks up `key` in its shard, promoting it on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.lock(self.shard_of(key));
-        let Some(counters) = self.counters else {
-            return shard.get(key).cloned();
-        };
-        let before = shard.stats();
-        let result = shard.get(key).cloned();
-        counters.absorb_delta(shard.stats().since(before));
-        result
-    }
-
-    /// Looks up `key` and projects the stored value through `f` while the
-    /// shard lock is held.  `f` returning `None` (the engine uses it to
-    /// verify a stored payload against the query before trusting a
-    /// fingerprint-addressed entry) is a genuine miss: counted as one, not
-    /// promoted, and nothing is cloned either way.
-    pub fn get_if<R>(&self, key: &K, f: impl FnOnce(&V) -> Option<R>) -> Option<R> {
-        let mut shard = self.lock(self.shard_of(key));
-        let Some(counters) = self.counters else {
-            return shard.get_if(key, f);
-        };
-        let before = shard.stats();
-        let result = shard.get_if(key, f);
-        counters.absorb_delta(shard.stats().since(before));
-        result
-    }
-
-    /// Inserts `key → value` into its shard, evicting that shard's LRU entry
-    /// at capacity.
-    pub fn insert(&self, key: K, value: V) {
-        let mut shard = self.lock(self.shard_of(&key));
-        let Some(counters) = self.counters else {
-            shard.insert(key, value);
-            return;
-        };
-        let before = shard.stats();
-        shard.insert(key, value);
-        counters.absorb_delta(shard.stats().since(before));
-    }
-
-    /// Drops every entry in every shard (counters are kept).
-    pub fn clear(&self) {
-        for i in 0..self.shards.len() {
-            self.lock(i).clear();
-        }
-    }
-
-    fn shard_of(&self, key: &K) -> usize {
-        // Fibonacci multiply-shift finishes the key's hint: the high bits
-        // are well mixed even for sequential hints, and no hasher runs.
-        let mixed = key.shard_hint().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 32) % self.shards.len() as u64) as usize
-    }
-
-    fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, LruCache<K, V>> {
-        // Lock poisoning cannot corrupt an LRU (every method leaves it
-        // consistent or panics before mutating), so a poisoned shard is
-        // still served rather than cascading the panic across readers.
-        match self.shards[shard].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// Per-shard occupancy skew of a [`ShardedCache`]
-/// (see [`ShardedCache::occupancy`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardOccupancy {
-    /// Entries in the least populated shard.
-    pub min: usize,
-    /// Entries in the most populated shard.
-    pub max: usize,
+/// Locks one engine cache.  Poisoning cannot corrupt an LRU (every method
+/// leaves it consistent or panics before mutating), so a poisoned cache is
+/// still served rather than cascading the panic across readers.
+pub fn lock<K, V>(cache: &Mutex<LruCache<K, V>>) -> MutexGuard<'_, LruCache<K, V>> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Combines the session-state digests into the one salt that versions every
@@ -499,7 +326,7 @@ pub fn version_salt(premise_digest: u64, knowns_digest: u64) -> u64 {
 /// payload structure.  Fingerprints are not injective, so a colliding
 /// payload *can* map to the same key; the engine therefore stores the
 /// payload beside the cached value and verifies equality on every hit
-/// (see [`ShardedCache::get_if`]), which keeps collisions harmless: they
+/// (see [`LruCache::get_if`]), which keeps collisions harmless: they
 /// cost a recomputation, never a wrong answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionedKey {
@@ -523,21 +350,14 @@ impl VersionedKey {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// The single premixed word both [`Hash`] and [`ShardKey`] derive from,
-    /// so shard choice and in-shard bucketing stay consistent by
-    /// construction.  The rotation keeps (salt, fingerprint) and
-    /// (fingerprint, salt) apart.
-    fn premix(&self) -> u64 {
-        self.salt ^ self.fingerprint.rotate_left(32)
-    }
 }
 
 impl Hash for VersionedKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // One premixed word: the hasher sees 8 bytes, not 16.  `Eq` still
-        // compares both fields, so this only shapes bucket placement.
-        state.write_u64(self.premix());
+        // compares both fields, so this only shapes bucket placement; the
+        // rotation keeps (salt, fingerprint) and (fingerprint, salt) apart.
+        state.write_u64(self.salt ^ self.fingerprint.rotate_left(32));
     }
 }
 
@@ -638,65 +458,39 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_inserts_hits_and_aggregates() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(4, 64);
-        assert_eq!(c.shard_count(), 4);
-        assert_eq!(c.capacity(), 64);
+    fn locked_cache_inserts_hits_and_counts_its_lifetime() {
+        let c: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(64));
         for k in 0..32u64 {
-            c.insert(k, k * 10);
+            lock(&c).insert(k, k * 10);
         }
-        assert_eq!(c.len(), 32);
+        assert_eq!(lock(&c).len(), 32);
         for k in 0..32u64 {
-            assert_eq!(c.get(&k), Some(k * 10));
+            assert_eq!(lock(&c).get(&k), Some(&(k * 10)));
         }
-        assert_eq!(c.get(&999), None);
-        let stats = c.stats();
-        assert_eq!(stats.hits, 32);
-        assert_eq!(stats.misses, 1);
-        c.clear();
-        assert!(c.is_empty());
+        assert_eq!(lock(&c).get(&999), None);
+        let stats = lock(&c).stats();
+        assert_eq!((stats.hits, stats.misses), (32, 1));
+        lock(&c).clear();
+        assert!(lock(&c).is_empty());
         // Counters describe the lifetime, not the contents.
-        assert_eq!(c.stats().hits, 32);
+        assert_eq!(lock(&c).stats().hits, 32);
+        // A panic under the lock poisons it; the cache is still served.
+        lock(&c).insert(1, 10);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = lock(&c);
+                panic!("poisoning the cache lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && c.is_poisoned());
+        assert_eq!(lock(&c).get(&1), Some(&10));
     }
 
     #[test]
-    fn sharded_cache_bounds_each_shard() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(2, 8);
-        for k in 0..1000u64 {
-            c.insert(k, k);
-        }
-        assert!(c.len() <= 8, "len {} exceeds total capacity", c.len());
-        assert!(c.stats().evictions >= 1000 - 8);
-    }
-
-    #[test]
-    fn sharded_cache_keeps_exact_capacity_on_uneven_splits() {
-        // 100 entries over 16 shards: the remainder spreads one-per-shard,
-        // never rounding the total up.
-        let c: ShardedCache<u64, u64> = ShardedCache::new(16, 100);
-        assert_eq!(c.capacity(), 100);
-        for k in 0..10_000u64 {
-            c.insert(k, k);
-        }
-        assert!(c.len() <= 100, "len {} exceeds requested bound", c.len());
-        // Tiny capacities clamp the shard count instead of zeroing shards.
-        let tiny: ShardedCache<u64, u64> = ShardedCache::new(16, 3);
-        assert_eq!(tiny.capacity(), 3);
-        assert!(tiny.shard_count() <= 3);
-    }
-
-    #[test]
-    fn sharded_cache_zero_capacity_disables() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(4, 0);
-        c.insert(1, 1);
-        assert_eq!(c.get(&1), None);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn sharded_cache_is_consistent_under_concurrent_traffic() {
+    fn locked_cache_is_consistent_under_concurrent_traffic() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let c: ShardedCache<u64, u64> = ShardedCache::new(4, 128);
+        let c: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(128));
         let wrong = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -705,8 +499,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..2_000u64 {
                         let k = (t * 2_000 + i) % 300;
-                        c.insert(k, k * 7);
-                        if let Some(v) = c.get(&k) {
+                        lock(c).insert(k, k * 7);
+                        if let Some(&v) = lock(c).get(&k) {
                             // Values are keyed deterministically: a hit may
                             // be stale-evicted-reinserted but never wrong.
                             if v != k * 7 {
@@ -718,7 +512,9 @@ mod tests {
             }
         });
         assert_eq!(wrong.load(Ordering::Relaxed), 0);
-        assert!(c.len() <= 128);
+        assert!(lock(&c).len() <= 128);
+        let stats = lock(&c).stats();
+        assert_eq!(stats.hits + stats.misses, 4 * 2_000);
     }
 
     #[test]
@@ -750,61 +546,72 @@ mod tests {
     fn get_if_verifies_stored_payloads() {
         // The engine's collision discipline: the payload rides in the value
         // and a hit only counts when it matches the query.
-        let c: ShardedCache<VersionedKey, (&str, u32)> = ShardedCache::new(2, 8);
+        let c: Mutex<LruCache<VersionedKey, (&str, u32)>> = Mutex::new(LruCache::new(8));
         let key = VersionedKey::new(1, 42);
-        c.insert(key, ("alpha", 10));
+        lock(&c).insert(key, ("alpha", 10));
         assert_eq!(
-            c.get_if(&key, |&(p, v)| (p == "alpha").then_some(v)),
+            lock(&c).get_if(&key, |&(p, v)| (p == "alpha").then_some(v)),
             Some(10)
         );
         // A colliding payload under the same key is rejected, not aliased —
         // and the rejection counts as a miss, matching the recomputation
         // the caller then performs.
-        let before = c.stats();
-        assert_eq!(c.get_if(&key, |&(p, v)| (p == "beta").then_some(v)), None);
-        let after = c.stats();
+        let before = lock(&c).stats();
+        assert_eq!(
+            lock(&c).get_if(&key, |&(p, v)| (p == "beta").then_some(v)),
+            None
+        );
+        let after = lock(&c).stats();
         assert_eq!(after.hits, before.hits);
         assert_eq!(after.misses, before.misses + 1);
         // The rejection is also attributed as a collision…
         assert_eq!(after.collisions, before.collisions + 1);
         // …while an absent key is a plain miss.
-        assert_eq!(c.get_if(&VersionedKey::new(9, 42), |&(_, v)| Some(v)), None);
-        let absent = c.stats();
+        assert_eq!(
+            lock(&c).get_if(&VersionedKey::new(9, 42), |&(_, v)| Some(v)),
+            None
+        );
+        let absent = lock(&c).stats();
         assert_eq!(absent.misses, after.misses + 1);
         assert_eq!(absent.collisions, after.collisions);
     }
 
     #[test]
-    fn occupancy_reports_per_shard_skew() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(4, 64);
-        assert_eq!(c.occupancy(), ShardOccupancy { min: 0, max: 0 });
-        for k in 0..32u64 {
-            c.insert(k, k);
-        }
-        let occupancy = c.occupancy();
-        assert!(occupancy.min <= occupancy.max);
-        assert!(occupancy.max >= 32 / 4, "max shard below the mean");
-        assert!(occupancy.max <= 16, "one shard holds 32/64-capacity split");
-        // A single-shard cache has no skew by construction.
-        let single: ShardedCache<u64, u64> = ShardedCache::new(1, 8);
-        for k in 0..8u64 {
-            single.insert(k, k);
-        }
-        assert_eq!(single.occupancy(), ShardOccupancy { min: 8, max: 8 });
-    }
-
-    #[test]
-    fn family_tagged_caches_publish_global_deltas() {
-        use crate::metrics::EngineMetrics;
-        let global = EngineMetrics::global().cache(CacheFamily::Prop);
-        let (hits0, misses0) = (global.hits.get(), global.misses.get());
-        let c: ShardedCache<u64, u64> = ShardedCache::named(CacheFamily::Prop, 2, 8);
-        c.insert(1, 10);
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&2), None);
-        // Other tests share the global registry, so assert growth floors,
-        // not exact values.
-        assert!(global.hits.get() > hits0);
-        assert!(global.misses.get() > misses0);
+    fn attached_counters_match_the_cache_stats_exactly() {
+        // A counter set of its own, so no other test's traffic shows up.
+        let counters: &'static CacheCounters = Box::leak(Box::default());
+        let c = Mutex::new(LruCache::with_counters(2, counters));
+        let (a, b, d) = (
+            VersionedKey::new(1, 1),
+            VersionedKey::new(1, 2),
+            VersionedKey::new(1, 3),
+        );
+        lock(&c).insert(a, ("a", 1));
+        lock(&c).insert(b, ("b", 2));
+        let hit = |key, payload| lock(&c).get_if(&key, |&(p, v)| (p == payload).then_some(v));
+        assert_eq!(hit(a, "a"), Some(1));
+        assert_eq!(hit(a, "z"), None, "a rejected collision");
+        assert_eq!(hit(d, "d"), None, "a plain miss");
+        lock(&c).insert(d, ("d", 3)); // evicts b, the least recently used
+        lock(&c).insert(b, ("b", 2)); // evicts a
+        assert_eq!(hit(b, "b"), Some(2));
+        assert_eq!(hit(a, "a"), None);
+        let stats = lock(&c).stats();
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: 2,
+                misses: 3,
+                evictions: 2,
+                collisions: 1,
+            }
+        );
+        let counted = CacheStats {
+            hits: counters.hits.get(),
+            misses: counters.misses.get(),
+            evictions: counters.evictions.get(),
+            collisions: counters.collisions.get(),
+        };
+        assert_eq!(counted, stats);
     }
 }

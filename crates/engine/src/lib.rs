@@ -11,20 +11,21 @@
 //!   and an order-independent 64-bit digest that versions cached answers —
 //!   so retracting a premise invalidates stale answers instantly and
 //!   re-asserting it revalidates them.
-//! * **Snapshot isolation** ([`snapshot::Snapshot`]) — every mutation
-//!   publishes an immutable `Arc<Snapshot>` of the session state (premises,
-//!   translations, FD index, knowns, dataset handle, digests) under a
-//!   bumped epoch.  All query methods — `implies`, `implies_batch`,
+//! * **Snapshot isolation** ([`snapshot::Snapshot`]) — the session state
+//!   (premises, translations, FD index, knowns, dataset handle, digests)
+//!   lives in an immutable `Arc<Snapshot>`, its only copy; every mutation
+//!   publishes the next one, sharing every component it did not change,
+//!   under a bumped epoch.  All query methods — `implies`, `implies_batch`,
 //!   `bound`, `witness`, `derive` — decide against a snapshot through
 //!   `&self`: any number of threads query concurrently, writers never wait
 //!   for readers, and in-flight readers keep the exact state they captured.
-//! * **Memoization** ([`cache::ShardedCache`]) — sharded concurrent LRU
-//!   caches (`N` shards of `Mutex<LruCache>`), shared across all snapshots
-//!   of a session, for full query answers, goal lattice decompositions
-//!   `L(X, 𝒴)`, propositional translations, and bound intervals.  Every
-//!   key is digest-versioned through one helper
-//!   ([`cache::version_salt`] / [`cache::VersionedKey`]), so mutation
-//!   invalidates instantly and state restoration revalidates instantly.
+//! * **Memoization** ([`cache::LruCache`]) — one LRU cache behind one lock
+//!   each, shared across all snapshots of a session, for full query
+//!   answers, goal lattice decompositions `L(X, 𝒴)`, propositional
+//!   translations, and bound intervals.  Every key is digest-versioned
+//!   through one helper ([`cache::version_salt`] /
+//!   [`cache::VersionedKey`]), so mutation invalidates instantly and state
+//!   restoration revalidates instantly.
 //! * **Batch evaluation** ([`batch`], [`session::Session::implies_batch`]) —
 //!   many goals against one snapshot, fanned out across the rayon pool;
 //!   workers are pure and the parallel section takes no locks.
@@ -135,7 +136,7 @@ pub mod server_state;
 pub mod session;
 pub mod snapshot;
 
-pub use cache::{version_salt, CacheStats, LruCache, ShardOccupancy, ShardedCache, VersionedKey};
+pub use cache::{version_salt, CacheStats, LruCache, VersionedKey};
 pub use client::{Client, ClientError};
 pub use intern::{ConstraintId, ConstraintInterner};
 pub use metrics::{

@@ -54,7 +54,6 @@
 //!   `stats recent` can answer p50/p99-over-the-last-minute and rates
 //!   without restarting counters.
 
-use crate::cache::CacheStats;
 use crate::protocol::VERBS;
 use diffcon::procedure::{self, ProcedureKind};
 use diffcon_bounds::DeriveRoute;
@@ -77,8 +76,9 @@ use std::time::{Duration, Instant};
 #[global_allocator]
 static COUNTING_ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Which engine cache family a [`crate::cache::ShardedCache`] serves, for
-/// per-family attribution of the global cache counters.
+/// Which of a session's four caches an [`crate::cache::LruCache`] is: each
+/// engine cache counts its hits, misses, evictions and collisions into its
+/// family's process-wide [`CacheCounters`] as they happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheFamily {
     /// Full query answers.
@@ -132,24 +132,6 @@ pub struct CacheCounters {
     /// Present-but-rejected fingerprint collisions (each one forced a
     /// recomputation).
     pub collisions: Counter,
-}
-
-impl CacheCounters {
-    /// Accumulates the counter movement of one cache operation.
-    pub fn absorb_delta(&self, delta: CacheStats) {
-        if delta.hits > 0 {
-            self.hits.add(delta.hits);
-        }
-        if delta.misses > 0 {
-            self.misses.add(delta.misses);
-        }
-        if delta.evictions > 0 {
-            self.evictions.add(delta.evictions);
-        }
-        if delta.collisions > 0 {
-            self.collisions.add(delta.collisions);
-        }
-    }
 }
 
 /// Labels for the implication routes, indexed like
@@ -1072,12 +1054,10 @@ mod tests {
         for _ in 0..3 {
             metrics.commit(&record(1_000, 30, Some("fd")), &conn, None);
         }
-        metrics.cache(CacheFamily::Answer).absorb_delta(CacheStats {
-            hits: 2,
-            misses: 1,
-            evictions: 0,
-            collisions: 1,
-        });
+        let answer = metrics.cache(CacheFamily::Answer);
+        answer.hits.add(2);
+        answer.misses.inc();
+        answer.collisions.inc();
         metrics.route_latency(ProcedureKind::Lattice).record(25_000);
         metrics
             .bound_latency(DeriveRoute::Propagation)

@@ -62,7 +62,7 @@
 //!              | "help"                          this summary
 //!              | "quit"                          end the session
 //! constraint ::= the diffcon textual syntax, e.g. "A -> {B, CD}"
-//! SET        ::= attribute names, e.g. "AB" ("{}" for the empty set)
+//! SET        ::= attribute names, e.g. "AB" ("{}" or "∅" for the empty set)
 //! VALUE      ::= a finite decimal number
 //! ```
 //!
@@ -266,10 +266,8 @@
 //!
 //! `stats` additionally reports, per procedure that decided at least one
 //! query, decision-latency percentiles as `<route>_p50us=…`/`<route>_p99us=…`
-//! fields, cache collision counts (the fourth `/c…` component of each
-//! `…_cache=` field — verified-miss recomputations under digest collisions),
-//! and the answer cache's per-shard occupancy spread `answer_occ=min/max`
-//! for `--cache-shards` tuning.
+//! fields, and cache collision counts (the fourth `/c…` component of each
+//! `…_cache=` field — verified-miss recomputations under digest collisions).
 //!
 //! # Discovery verbs
 //!
@@ -2320,11 +2318,7 @@ fn write_stats(out: &mut String, session: &Session) {
     if dropped > 0 {
         _ = write!(out, " slow_log_dropped={dropped}");
     }
-    _ = write!(
-        out,
-        " shards={} epoch={} answer_occ={}/{}",
-        stats.cache_shards, stats.epoch, stats.answer_occupancy.min, stats.answer_occupancy.max
-    );
+    _ = write!(out, " epoch={}", stats.epoch);
     for (slot, kind) in ALL_PROCEDURES.iter().enumerate() {
         if stats.planner.of(*kind).decided == 0 {
             continue;
@@ -2422,6 +2416,9 @@ mod tests {
             .handle_line("universe Lo Hi Vol")
             .text
             .starts_with("err attribute names"));
+        // `∅` spells the empty set, so it cannot name an attribute.
+        let reply = s.handle_line("universe ∅ A").text;
+        assert_eq!(reply, "err \"∅\" names the empty set, not an attribute");
     }
 
     #[test]
@@ -2774,6 +2771,23 @@ mod tests {
         );
         let reply = s.handle_line("bound A").text;
         assert!(reply.starts_with("bound lo=0 hi=100"), "got: {reply}");
+        // …and as `∅`, its spelling in replies, so a reply's set parses back.
+        let knowns = s.handle_line("knowns").text;
+        assert_eq!(knowns, "knowns n=1 ∅=100");
+        let (set, _) = knowns["knowns n=1 ".len()..].split_once('=').unwrap();
+        let reply = s.handle_line(&format!("bound {set}")).text;
+        assert!(
+            reply.starts_with("bound lo=100 hi=100 exact=1"),
+            "got: {reply}"
+        );
+        assert_eq!(
+            s.handle_line(&format!("known {set} = 5")).text,
+            "ok known set=∅ value=5 added=0 knowns=1"
+        );
+        assert_eq!(
+            s.handle_line(&format!("forget {set}")).text,
+            "ok forget knowns=0"
+        );
     }
 
     #[test]
@@ -2998,14 +3012,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_reports_occupancy_and_route_percentiles() {
+    fn stats_reports_epoch_and_route_percentiles() {
         let mut s = server();
         s.handle_line("universe 4");
         s.handle_line("assert A -> {B}");
         s.handle_line("implies A -> {B}");
         let stats = s.handle_line("stats").text;
-        assert!(stats.contains(" answer_occ=0/1"), "got: {stats}");
-        assert!(stats.contains(" fd_p50us="), "got: {stats}");
+        assert!(stats.contains(" epoch=1 fd_p50us="), "got: {stats}");
         assert!(stats.contains(" fd_p99us="), "got: {stats}");
         // Collision counts ride the cache fields (fourth `/c` component).
         assert!(stats.contains("answer_cache=h0/m1/e0/c0"), "got: {stats}");

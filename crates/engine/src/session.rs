@@ -1,44 +1,40 @@
 //! Sessions: a universe plus an incrementally maintained premise set, with
-//! snapshot publication, shared sharded memoization, and batch evaluation
-//! layered over the one-shot procedures in `diffcon`.
+//! snapshot publication, shared memoization, and batch evaluation layered
+//! over the one-shot procedures in `diffcon`.
 //!
-//! A [`Session`] is the unit of engine *write* state.  It owns:
+//! A [`Session`] is the unit of engine *write* state.  Its state lives in
+//! the published [`Snapshot`], the only copy: the premise set with its
+//! propositional translations (for the SAT procedure), its FD translation
+//! index (for the polynomial fragment fast path), and an order-independent
+//! 64-bit **premise digest** (XOR of constraint fingerprints) that versions
+//! every cached answer; the known point values `f(X) = v` with their own
+//! digest (versioning bound intervals); the loaded dataset; and handles to
+//! the session's caches (full answers, goal lattices, propositional
+//! translations, bound intervals — one [`crate::cache::LruCache`] behind one
+//! lock each) and its [`Planner`] accounting.  The session itself keeps
+//! only what a snapshot lacks: the [`ConstraintInterner`] assigning dense
+//! ids to asserted premises, and those ids.
 //!
-//! * the premise set, with `O(|C|)` incremental [`assert`](Session::assert_constraint)
-//!   / [`retract`](Session::retract_constraint) that keep three derived
-//!   structures in sync — the propositional translations (for the SAT
-//!   procedure), the FD translation index (for the polynomial fragment fast
-//!   path), and an order-independent 64-bit **premise digest** (XOR of
-//!   constraint fingerprints) that versions every cached answer;
-//! * the known point values `f(X) = v` with their own digest (versioning
-//!   bound intervals), the loaded dataset, and a [`ConstraintInterner`]
-//!   assigning dense ids to asserted premises;
-//! * handles to the session's *shared* serving infrastructure: the sharded
-//!   concurrent caches (full answers, goal lattices, propositional
-//!   translations, bound intervals — see [`crate::cache::ShardedCache`])
-//!   and the atomic [`Planner`] accounting.
-//!
-//! Every mutation republishes an immutable [`Snapshot`] (bumping an epoch);
-//! the query methods — [`Session::implies`], [`Session::implies_batch`],
-//! [`Session::bound`] — take **`&self`** and simply delegate to the current
-//! snapshot, so a session's own read path is byte-for-byte the same code any
-//! number of concurrent snapshot readers execute.  Writers never wait for
-//! readers: an in-flight reader keeps its `Arc<Snapshot>` alive and the
-//! writer publishes past it.
+//! Every mutation publishes the next snapshot built from the current one:
+//! it replaces the one component it changed in `O(|C|)`, shares the rest,
+//! and bumps the epoch.  The query methods — [`Session::implies`],
+//! [`Session::implies_batch`], [`Session::bound`] — take **`&self`** and
+//! simply delegate to the current snapshot, so a session's own read path is
+//! byte-for-byte the same code any snapshot reader executes.  Writers never
+//! wait for readers: an in-flight reader keeps its `Arc<Snapshot>` alive and
+//! the writer publishes past it.
 
-use crate::cache::{ShardOccupancy, ShardedCache};
+use crate::cache::lock;
 use crate::intern::{ConstraintId, ConstraintInterner};
-use crate::metrics::{CacheFamily, EngineMetrics, SessionCosts};
+use crate::metrics::{EngineMetrics, SessionCosts};
 use crate::planner::{Planner, PlannerConfig, PlannerStats};
-use crate::snapshot::{EngineCaches, Snapshot, SnapshotParts};
+use crate::snapshot::{EngineCaches, Snapshot};
 use diffcon::inference::Derivation;
 use diffcon::{fd_fragment, prop_bridge, DiffConstraint};
 use diffcon_bounds::problem::{BoundsConfig, DeriveError};
 use diffcon_bounds::SideConditions;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
-use proplogic::implication::ImplicationConstraint;
-use relational::fd::FunctionalDependency;
 use setlat::{AttrSet, Universe};
 use std::sync::Arc;
 
@@ -56,11 +52,6 @@ pub struct SessionConfig {
     pub prop_cache_capacity: usize,
     /// Bound on memoized bound-query intervals.
     pub bound_cache_capacity: usize,
-    /// Number of shards each concurrent cache is split into.  Concurrent
-    /// readers contend only within a shard; one shard degenerates to a
-    /// single mutex-guarded LRU.  (Clamped per cache so a shard is never
-    /// smaller than one entry.)
-    pub cache_shards: usize,
     /// Side conditions under which `bound` queries interpret the unknown set
     /// function (the default is the support-function interpretation —
     /// nonnegative density — matching the `known <set> = <support>` verbs of
@@ -91,7 +82,6 @@ impl Default for SessionConfig {
             lattice_cache_capacity: 1 << 12,
             prop_cache_capacity: 1 << 12,
             bound_cache_capacity: 1 << 12,
-            cache_shards: 16,
             bound_side: SideConditions::support(),
             bounds: BoundsConfig::default(),
             interner_compaction_threshold: 1 << 18,
@@ -105,22 +95,14 @@ impl Default for SessionConfig {
 pub struct SessionStats {
     /// Per-procedure planner accounting.
     pub planner: PlannerStats,
-    /// Answer-cache counters (aggregated across shards).
+    /// Answer-cache counters.
     pub answer_cache: CacheStats,
-    /// Lattice-cache counters (aggregated across shards).
+    /// Lattice-cache counters.
     pub lattice_cache: CacheStats,
-    /// Translation-cache counters (aggregated across shards).
+    /// Translation-cache counters.
     pub prop_cache: CacheStats,
-    /// Bound-cache counters (aggregated across shards).
+    /// Bound-cache counters.
     pub bound_cache: CacheStats,
-    /// Shards in the answer cache.  A cache whose capacity is below the
-    /// configured shard count is clamped to one shard per entry (see
-    /// [`crate::cache::ShardedCache::new`]), so smaller caches may hold
-    /// fewer shards than reported here.
-    pub cache_shards: usize,
-    /// Per-shard occupancy skew of the answer cache (least/most populated
-    /// shard), the observable `--cache-shards` tuning signal.
-    pub answer_occupancy: ShardOccupancy,
     /// Per-procedure decision-latency percentiles `(p50, p99)` in
     /// microseconds, in [`diffcon::procedure::ALL_PROCEDURES`] order
     /// (zeros for procedures that never decided).
@@ -139,15 +121,6 @@ pub struct SessionStats {
     pub interner_compactions: u64,
     /// The current snapshot epoch (bumped by every mutation).
     pub epoch: u64,
-}
-
-/// Which state component a mutation touched (each mutator touches exactly
-/// one); [`Session::publish`] re-freezes only that component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mutation {
-    Premises,
-    Knowns,
-    Dataset,
 }
 
 /// The outcome of adopting discovered constraints as premises.
@@ -174,39 +147,25 @@ pub struct CoreApplied {
 /// A stateful query-serving session over one universe.
 #[derive(Debug)]
 pub struct Session {
-    universe: Arc<Universe>,
     interner: ConstraintInterner,
-    /// The premise set, deduplicated, in assertion order.
+    /// The premise ids, aligned with the published premise set.
     premise_ids: Vec<ConstraintId>,
-    premises: Vec<DiffConstraint>,
-    /// Index-aligned propositional translations of `premises`.
-    premise_props: Vec<ImplicationConstraint>,
-    /// Index-aligned FD translations when *every* premise is single-member.
-    fd_index: Option<Vec<FunctionalDependency>>,
-    /// XOR of the premise fingerprints; versions the answer cache.
-    premise_digest: u64,
-    /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
-    knowns: Vec<(AttrSet, f64)>,
-    /// XOR of the known-entry fingerprints; versions the bound cache
-    /// together with the premise digest.
-    knowns_digest: u64,
-    bound_side: SideConditions,
-    bounds_config: BoundsConfig,
-    /// The loaded basket dataset, if any: the discovery subsystem's handle.
-    /// Loading data touches no premise or known state, so no cache digest
-    /// involves it; `adopt` flows back through
-    /// [`Session::assert_constraint`], which versions everything as usual.
-    dataset: Option<Arc<Dataset>>,
-    /// Shared across every snapshot this session publishes.
-    caches: Arc<EngineCaches>,
-    /// Shared with every snapshot; holds the session's ledger.
-    planner: Arc<Planner>,
-    /// Monotone publication counter; `snapshot.epoch()` exposes it.
-    epoch: u64,
-    /// The currently published snapshot (readers clone the `Arc`).
+    /// The currently published snapshot (readers clone the `Arc`): the
+    /// session's state.
     current: Arc<Snapshot>,
     interner_compaction_threshold: usize,
     interner_compactions: u64,
+}
+
+/// `items` with the `removed` entries at `at` replaced by `inserted`,
+/// copied once into a fresh `Arc`.
+fn spliced<T: Clone>(items: &[T], at: usize, removed: usize, inserted: Option<T>) -> Arc<[T]> {
+    items[..at]
+        .iter()
+        .cloned()
+        .chain(inserted)
+        .chain(items[at + removed..].iter().cloned())
+        .collect()
 }
 
 impl Session {
@@ -217,32 +176,8 @@ impl Session {
 
     /// Creates an empty session with explicit cache and planner settings.
     pub fn with_config(universe: Universe, config: SessionConfig) -> Self {
-        let universe = Arc::new(universe);
-        let caches = Arc::new(EngineCaches {
-            answer: ShardedCache::named(
-                CacheFamily::Answer,
-                config.cache_shards,
-                config.answer_cache_capacity,
-            ),
-            lattice: ShardedCache::named(
-                CacheFamily::Lattice,
-                config.cache_shards,
-                config.lattice_cache_capacity,
-            ),
-            prop: ShardedCache::named(
-                CacheFamily::Prop,
-                config.cache_shards,
-                config.prop_cache_capacity,
-            ),
-            bound: ShardedCache::named(
-                CacheFamily::Bound,
-                config.cache_shards,
-                config.bound_cache_capacity,
-            ),
-        });
-        let planner = Arc::new(Planner::new(config.planner));
-        let current = Arc::new(Snapshot::from_parts(SnapshotParts {
-            universe: universe.clone(),
+        let current = Arc::new(Snapshot {
+            universe: Arc::new(universe),
             premises: Arc::from([]),
             premise_props: Arc::from([]),
             fd_index: Some(Arc::from([])),
@@ -253,82 +188,29 @@ impl Session {
             bounds_config: config.bounds,
             dataset: None,
             epoch: 0,
-            caches: Arc::clone(&caches),
-            planner: Arc::clone(&planner),
-        }));
+            caches: Arc::new(EngineCaches::new(&config)),
+            planner: Arc::new(Planner::new(config.planner)),
+        });
         Session {
-            universe,
             interner: ConstraintInterner::new(),
             premise_ids: Vec::new(),
-            premises: Vec::new(),
-            premise_props: Vec::new(),
-            fd_index: Some(Vec::new()),
-            premise_digest: 0,
-            knowns: Vec::new(),
-            knowns_digest: 0,
-            bound_side: config.bound_side,
-            bounds_config: config.bounds,
-            dataset: None,
-            caches,
-            planner,
-            epoch: 0,
             current,
             interner_compaction_threshold: config.interner_compaction_threshold.max(1),
             interner_compactions: 0,
         }
     }
 
-    /// Publishes a fresh immutable snapshot of the current state.  Called at
-    /// the end of every mutation; readers holding the previous snapshot are
+    /// Publishes the next snapshot: a copy of the current one under the
+    /// next epoch, with `change` applied.  The copy shares every component
+    /// (each is an `Arc` or `Copy`), so a mutation pays only for the
+    /// component it replaces; readers holding the previous snapshot are
     /// unaffected.
-    ///
-    /// Each mutation touches exactly one state component, so only that
-    /// component is re-frozen; the rest is shared with the previous snapshot
-    /// by `Arc` clone.  An assert therefore costs `O(|C|)` (re-freezing the
-    /// premise set and its translations — the same bound the incremental
-    /// maintenance already pays), never `O(|C| + knowns + dataset)`.
-    fn publish(&mut self, mutated: Mutation) {
-        self.epoch += 1;
+    fn publish(&mut self, change: impl FnOnce(&mut Snapshot)) {
+        let mut next = Snapshot::clone(&self.current);
+        next.epoch += 1;
+        change(&mut next);
         EngineMetrics::global().epoch_publishes.inc();
-        let prev = &self.current;
-        let (premises, premise_props, fd_index) = if mutated == Mutation::Premises {
-            (
-                self.premises.clone().into(),
-                self.premise_props.clone().into(),
-                self.fd_index.clone().map(Into::into),
-            )
-        } else {
-            (
-                prev.premises_shared(),
-                prev.premise_props_shared(),
-                prev.fd_index_shared(),
-            )
-        };
-        let knowns = if mutated == Mutation::Knowns {
-            self.knowns.clone().into()
-        } else {
-            prev.knowns_shared()
-        };
-        let dataset = if mutated == Mutation::Dataset {
-            self.dataset.clone()
-        } else {
-            prev.dataset_shared()
-        };
-        self.current = Arc::new(Snapshot::from_parts(SnapshotParts {
-            universe: self.universe.clone(),
-            premises,
-            premise_props,
-            fd_index,
-            premise_digest: self.premise_digest,
-            knowns,
-            knowns_digest: self.knowns_digest,
-            bound_side: self.bound_side,
-            bounds_config: self.bounds_config,
-            dataset,
-            epoch: self.epoch,
-            caches: Arc::clone(&self.caches),
-            planner: Arc::clone(&self.planner),
-        }));
+        self.current = Arc::new(next);
     }
 
     /// The session's ledger: every route decision, cache hit, and charged
@@ -336,7 +218,7 @@ impl Session {
     /// snapshot, and registered with the metrics registry when the session
     /// is bound to a `(connection, slot)` pair).
     pub fn costs(&self) -> &Arc<SessionCosts> {
-        self.planner.costs()
+        self.current.planner.costs()
     }
 
     /// The currently published snapshot: an immutable view of the session
@@ -354,12 +236,12 @@ impl Session {
 
     /// The session's universe.
     pub fn universe(&self) -> &Universe {
-        &self.universe
+        &self.current.universe
     }
 
     /// The current premise set, in assertion order.
     pub fn premises(&self) -> &[DiffConstraint] {
-        &self.premises
+        &self.current.premises
     }
 
     /// The premise ids aligned with [`Session::premises`].
@@ -369,17 +251,17 @@ impl Session {
 
     /// The order-independent digest of the current premise set.
     pub fn premise_digest(&self) -> u64 {
-        self.premise_digest
+        self.current.premise_digest
     }
 
     /// The known point values `f(X) = v`, sorted by set.
     pub fn knowns(&self) -> &[(AttrSet, f64)] {
-        &self.knowns
+        &self.current.knowns
     }
 
     /// The order-independent digest of the known-value map.
     pub fn knowns_digest(&self) -> u64 {
-        self.knowns_digest
+        self.current.knowns_digest
     }
 
     /// Stable fingerprint of one known entry; XORed into the knowns digest.
@@ -395,38 +277,37 @@ impl Session {
     pub fn set_known(&mut self, set: AttrSet, value: f64) -> bool {
         assert!(value.is_finite(), "known values must be finite");
         assert!(
-            set.is_subset(self.universe.full_set()),
+            set.is_subset(self.universe().full_set()),
             "known set lies outside the universe"
         );
-        let added = match self.knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
-            Ok(pos) => {
-                let old = self.knowns[pos].1;
-                self.knowns_digest ^= Session::known_fingerprint(set, old);
-                self.knowns_digest ^= Session::known_fingerprint(set, value);
-                self.knowns[pos].1 = value;
-                false
-            }
-            Err(pos) => {
-                self.knowns.insert(pos, (set, value));
-                self.knowns_digest ^= Session::known_fingerprint(set, value);
-                true
-            }
+        let knowns = self.knowns();
+        let (pos, old) = match knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
+            Ok(pos) => (pos, Some(knowns[pos].1)),
+            Err(pos) => (pos, None),
         };
-        self.publish(Mutation::Knowns);
-        added
+        let knowns = spliced(knowns, pos, usize::from(old.is_some()), Some((set, value)));
+        let digest_change = old.map_or(0, |old| Session::known_fingerprint(set, old))
+            ^ Session::known_fingerprint(set, value);
+        self.publish(|next| {
+            next.knowns = knowns;
+            next.knowns_digest ^= digest_change;
+        });
+        old.is_none()
     }
 
     /// Forgets a known point value.  Returns `false` when it was not known.
     pub fn forget_known(&mut self, set: AttrSet) -> bool {
-        match self.knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
-            Ok(pos) => {
-                let (_, value) = self.knowns.remove(pos);
-                self.knowns_digest ^= Session::known_fingerprint(set, value);
-                self.publish(Mutation::Knowns);
-                true
-            }
-            Err(_) => false,
-        }
+        let knowns = self.knowns();
+        let Ok(pos) = knowns.binary_search_by(|(x, _)| x.cmp(&set)) else {
+            return false;
+        };
+        let digest_change = Session::known_fingerprint(set, knowns[pos].1);
+        let knowns = spliced(knowns, pos, 1, None);
+        self.publish(|next| {
+            next.knowns = knowns;
+            next.knowns_digest ^= digest_change;
+        });
+        true
     }
 
     /// Derives the tightest provable interval for `f(query)` under the
@@ -444,7 +325,7 @@ impl Session {
 
     /// The session's loaded dataset, if any.
     pub fn dataset(&self) -> Option<&Dataset> {
-        self.dataset.as_deref()
+        self.current.dataset.as_deref()
     }
 
     /// Streams textual basket records (compact `"ACD"` / `"{}"` notation)
@@ -472,12 +353,13 @@ impl Session {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let dataset = Arc::make_mut(
-            self.dataset
-                .get_or_insert_with(|| Arc::new(Dataset::new((*self.universe).clone()))),
-        );
-        let result = dataset.load(records);
-        self.publish(Mutation::Dataset);
+        let mut dataset = self
+            .current
+            .dataset
+            .clone()
+            .unwrap_or_else(|| Arc::new(Dataset::new(self.universe().clone())));
+        let result = Arc::make_mut(&mut dataset).load(records);
+        self.publish(|next| next.dataset = Some(dataset));
         result
     }
 
@@ -516,17 +398,21 @@ impl Session {
             return (id, false);
         }
         self.premise_ids.push(id);
-        self.premises.push(constraint.clone());
-        self.premise_props
-            .push(prop_bridge::to_implication_constraint(constraint));
-        if let Some(index) = self.fd_index.as_mut() {
-            match fd_fragment::to_fd(constraint) {
-                Some(fd) => index.push(fd),
-                None => self.fd_index = None,
-            }
-        }
-        self.premise_digest ^= constraint.fingerprint();
-        self.publish(Mutation::Premises);
+        let prev = &self.current;
+        let end = prev.premises.len();
+        let premises = spliced(&prev.premises, end, 0, Some(constraint.clone()));
+        let props = prop_bridge::to_implication_constraint(constraint);
+        let premise_props = spliced(&prev.premise_props, end, 0, Some(props));
+        let fd_index = prev.fd_index.as_ref().and_then(|index| {
+            let fd = fd_fragment::to_fd(constraint)?;
+            Some(spliced(index, end, 0, Some(fd)))
+        });
+        self.publish(|next| {
+            next.premises = premises;
+            next.premise_props = premise_props;
+            next.fd_index = fd_index;
+            next.premise_digest ^= constraint.fingerprint();
+        });
         (id, true)
     }
 
@@ -544,18 +430,22 @@ impl Session {
             return false;
         };
         self.premise_ids.remove(pos);
-        let removed = self.premises.remove(pos);
-        self.premise_props.remove(pos);
-        self.premise_digest ^= removed.fingerprint();
-        match self.fd_index.as_mut() {
+        let prev = &self.current;
+        let fingerprint = prev.premises[pos].fingerprint();
+        let premises = spliced(&prev.premises, pos, 1, None);
+        let premise_props = spliced(&prev.premise_props, pos, 1, None);
+        let fd_index = match &prev.fd_index {
             // Still all-fragment: the index is aligned, drop the same slot.
-            Some(index) => {
-                index.remove(pos);
-            }
+            Some(index) => Some(spliced(index, pos, 1, None)),
             // The retraction may have removed the last wide premise; rebuild.
-            None => self.rebuild_fd_index(),
-        }
-        self.publish(Mutation::Premises);
+            None => premises.iter().map(fd_fragment::to_fd).collect(),
+        };
+        self.publish(|next| {
+            next.premises = premises;
+            next.premise_props = premise_props;
+            next.fd_index = fd_index;
+            next.premise_digest ^= fingerprint;
+        });
         true
     }
 
@@ -567,27 +457,20 @@ impl Session {
     /// [`diffcon_analyze::premise`] for the argument) — and the core's
     /// certificate is re-verified here before any premise is touched.
     pub fn apply_core(&mut self) -> Result<CoreApplied, &'static str> {
-        let core = diffcon_analyze::minimal_core(&self.universe, &self.premises);
-        if !diffcon_analyze::check_certificate(&self.universe, &core) {
+        let core = diffcon_analyze::minimal_core(self.universe(), self.premises());
+        if !diffcon_analyze::check_certificate(self.universe(), &core) {
             return Err("core certificate failed verification; premises unchanged");
         }
-        let before = self.premises.len();
+        let before = self.premises().len();
         for dropped in &core.dropped {
             self.retract_constraint(&dropped.premise);
         }
+        let after = self.premises().len();
         Ok(CoreApplied {
             before,
-            after: self.premises.len(),
-            dropped: before - self.premises.len(),
+            after,
+            dropped: before - after,
         })
-    }
-
-    fn rebuild_fd_index(&mut self) {
-        self.fd_index = self
-            .premises
-            .iter()
-            .map(fd_fragment::to_fd)
-            .collect::<Option<Vec<_>>>();
     }
 
     /// Returns `true` when the interner has outgrown its threshold *and*
@@ -595,7 +478,7 @@ impl Session {
     /// guarantees geometric headroom between compactions, so assert/retract
     /// churn cannot trigger a compaction per mutation.
     fn compaction_due(&self) -> bool {
-        let floor = self.premises.len().saturating_mul(2).saturating_add(16);
+        let floor = self.premise_ids.len().saturating_mul(2).saturating_add(16);
         self.interner.len() >= self.interner_compaction_threshold.max(floor)
     }
 
@@ -605,7 +488,7 @@ impl Session {
     /// constraints, never on ids).
     fn compact_interner(&mut self) {
         let mut fresh = ConstraintInterner::new();
-        for (slot, premise) in self.premises.iter().enumerate() {
+        for (slot, premise) in self.current.premises.iter().enumerate() {
             self.premise_ids[slot] = fresh.intern(premise);
         }
         self.interner = fresh;
@@ -650,30 +533,30 @@ impl Session {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> SessionStats {
+        let current = &self.current;
+        let caches = &current.caches;
         SessionStats {
-            planner: self.planner.stats(),
-            answer_cache: self.caches.answer.stats(),
-            lattice_cache: self.caches.lattice.stats(),
-            prop_cache: self.caches.prop.stats(),
-            bound_cache: self.caches.bound.stats(),
-            cache_shards: self.caches.answer.shard_count(),
-            answer_occupancy: self.caches.answer.occupancy(),
+            planner: current.planner.stats(),
+            answer_cache: lock(&caches.answer).stats(),
+            lattice_cache: lock(&caches.lattice).stats(),
+            prop_cache: lock(&caches.prop).stats(),
+            bound_cache: lock(&caches.bound).stats(),
             route_latency_us: {
                 let mut out = [(0u64, 0u64); 4];
                 for (slot, kind) in diffcon::procedure::ALL_PROCEDURES.iter().enumerate() {
-                    let latency = self.planner.latency(*kind);
+                    let latency = current.planner.latency(*kind);
                     if latency.count() > 0 {
                         out[slot] = (latency.p50() / 1_000, latency.p99() / 1_000);
                     }
                 }
                 out
             },
-            knowns: self.knowns.len(),
-            dataset_baskets: self.dataset.as_deref().map_or(0, Dataset::len),
-            premises: self.premises.len(),
+            knowns: current.knowns.len(),
+            dataset_baskets: current.dataset.as_deref().map_or(0, Dataset::len),
+            premises: current.premises.len(),
             interned: self.interner.len(),
             interner_compactions: self.interner_compactions,
-            epoch: self.epoch,
+            epoch: current.epoch,
         }
     }
 
@@ -682,7 +565,7 @@ impl Session {
     /// session, since the caches are a shared performance layer, never a
     /// source of truth.
     pub fn clear_caches(&self) {
-        self.caches.clear();
+        self.current.caches.clear();
     }
 }
 
@@ -1148,7 +1031,6 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.premises, 2);
         assert_eq!(stats.interned, 2);
-        assert!(stats.cache_shards >= 1);
         assert_eq!(stats.planner.total_queries(), 4);
         assert_eq!(stats.answer_cache.hits, 2);
         s.clear_caches();

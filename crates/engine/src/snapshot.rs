@@ -1,22 +1,24 @@
-//! Immutable session snapshots: the lock-free read path of the engine.
+//! Immutable session snapshots: the read path of the engine.
 //!
-//! A [`Snapshot`] is a frozen, point-in-time view of one session's premise
-//! state — the premise set with its propositional translations and
-//! FD-fragment index, the known point values, both versioning digests, the
-//! dataset handle, and the bound-query side conditions — packaged behind an
-//! `Arc` together with handles to the session's *shared* serving
-//! infrastructure (the sharded caches and the atomic planner accounting).
+//! A [`Snapshot`] is a frozen, point-in-time view of one session's state —
+//! the premise set with its propositional translations and FD-fragment
+//! index, the known point values, both versioning digests, the dataset
+//! handle, and the bound-query side conditions — together with handles to
+//! the session's caches and its planner accounting.  It is the session's
+//! only copy of that state: every field is an `Arc` or `Copy`, and a
+//! [`crate::session::Session`] mutation publishes the next snapshot by
+//! replacing the one component it changed, sharing the rest, and bumping
+//! the [`Snapshot::epoch`].
 //!
 //! The deciders of the paper are pure functions of the premise set, so once
 //! that state is frozen every query is answerable through `&self`:
 //! [`Snapshot::implies`], [`Snapshot::implies_batch`], and
 //! [`Snapshot::bound`] never take a mutable reference, never block a writer,
-//! and may be called from any number of threads concurrently.  A
-//! [`crate::session::Session`] publishes a fresh `Arc<Snapshot>` (bumping
-//! its [`Snapshot::epoch`]) on every mutation; in-flight readers keep
-//! answering against the snapshot they hold — exactly the serial semantics
-//! of the program order in which they captured it — while new readers pick
-//! up the new state.
+//! and may be called from any number of threads concurrently (each cache
+//! probe takes that cache's one lock).  In-flight readers keep answering
+//! against the snapshot they hold — exactly the serial semantics of the
+//! program order in which they captured it — while new readers pick up the
+//! new state.
 //!
 //! Caching across snapshots is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two snapshots with the same
@@ -24,8 +26,10 @@
 //! while any state difference makes the keys disjoint.
 
 use crate::batch::{self, Job, JobResult};
-use crate::cache::{version_salt, ShardedCache, VersionedKey};
+use crate::cache::{lock, version_salt, LruCache, VersionedKey};
+use crate::metrics::{CacheFamily, EngineMetrics};
 use crate::planner::Planner;
+use crate::session::SessionConfig;
 use diffcon::inference::{self, Derivation};
 use diffcon::procedure::ProcedureKind;
 use diffcon::{implication, DiffConstraint};
@@ -42,7 +46,7 @@ use proplogic::implication::ImplicationConstraint;
 use relational::fd::FunctionalDependency;
 use setlat::{AttrSet, Universe};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How one query was answered.
@@ -137,28 +141,47 @@ pub struct AnalyzeOutcome {
     pub elapsed: Duration,
 }
 
-/// The sharded concurrent caches shared by every snapshot of one session:
-/// full query answers and derived bound intervals (digest-versioned), plus
-/// goal lattice decompositions and propositional translations (goal-keyed,
-/// state-independent).
+/// The caches shared by every snapshot of one session, each one
+/// [`LruCache`] behind one lock: full query answers and derived bound
+/// intervals (digest-versioned), plus goal lattice decompositions and
+/// propositional translations (goal-keyed, state-independent).
 /// Keys are fingerprint-addressed ([`VersionedKey`]), so every value
 /// carries the payload it was computed for; reads verify it against the
 /// query before trusting the entry (fingerprint collisions recompute, never
 /// alias).
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
-    pub(crate) answer: ShardedCache<VersionedKey, (DiffConstraint, bool, ProcedureKind)>,
-    pub(crate) lattice: ShardedCache<VersionedKey, (DiffConstraint, Arc<[AttrSet]>)>,
-    pub(crate) prop: ShardedCache<VersionedKey, (DiffConstraint, Arc<ImplicationConstraint>)>,
-    pub(crate) bound: ShardedCache<VersionedKey, (AttrSet, Interval, DeriveRoute)>,
+    pub(crate) answer: Cache<(DiffConstraint, bool, ProcedureKind)>,
+    pub(crate) lattice: Cache<(DiffConstraint, Arc<[AttrSet]>)>,
+    pub(crate) prop: Cache<(DiffConstraint, Arc<ImplicationConstraint>)>,
+    pub(crate) bound: Cache<(AttrSet, Interval, DeriveRoute)>,
 }
 
+/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], behind one
+/// lock.
+type Cache<V> = Mutex<LruCache<VersionedKey, V>>;
+
 impl EngineCaches {
+    /// Empty caches bounded by `config`, each counting into its family's
+    /// process-wide counters.
+    pub(crate) fn new(config: &SessionConfig) -> Self {
+        fn cache<V>(family: CacheFamily, capacity: usize) -> Cache<V> {
+            let counters = EngineMetrics::global().cache(family);
+            Mutex::new(LruCache::with_counters(capacity, counters))
+        }
+        EngineCaches {
+            answer: cache(CacheFamily::Answer, config.answer_cache_capacity),
+            lattice: cache(CacheFamily::Lattice, config.lattice_cache_capacity),
+            prop: cache(CacheFamily::Prop, config.prop_cache_capacity),
+            bound: cache(CacheFamily::Bound, config.bound_cache_capacity),
+        }
+    }
+
     pub(crate) fn clear(&self) {
-        self.answer.clear();
-        self.lattice.clear();
-        self.prop.clear();
-        self.bound.clear();
+        lock(&self.answer).clear();
+        lock(&self.lattice).clear();
+        lock(&self.prop).clear();
+        lock(&self.bound).clear();
     }
 }
 
@@ -167,60 +190,33 @@ impl EngineCaches {
 ///
 /// Obtained from [`crate::session::Session::snapshot`]; cheap to clone via
 /// `Arc`.  All query methods are safe to call from many threads at once.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
-    universe: Arc<Universe>,
-    premises: Arc<[DiffConstraint]>,
-    premise_props: Arc<[ImplicationConstraint]>,
-    fd_index: Option<Arc<[FunctionalDependency]>>,
-    premise_digest: u64,
-    knowns: Arc<[(AttrSet, f64)]>,
-    knowns_digest: u64,
-    bound_side: SideConditions,
-    bounds_config: BoundsConfig,
-    dataset: Option<Arc<Dataset>>,
-    epoch: u64,
-    caches: Arc<EngineCaches>,
-    planner: Arc<Planner>,
-}
-
-/// Everything a session hands over when publishing a snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) struct SnapshotParts {
     pub(crate) universe: Arc<Universe>,
     pub(crate) premises: Arc<[DiffConstraint]>,
+    /// Index-aligned propositional translations of the premises.
     pub(crate) premise_props: Arc<[ImplicationConstraint]>,
+    /// Index-aligned FD translations when every premise is single-member.
     pub(crate) fd_index: Option<Arc<[FunctionalDependency]>>,
+    /// XOR of the premise fingerprints; versions the answer cache.
     pub(crate) premise_digest: u64,
+    /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
     pub(crate) knowns: Arc<[(AttrSet, f64)]>,
+    /// XOR of the known-entry fingerprints; versions the bound cache
+    /// together with the premise digest.
     pub(crate) knowns_digest: u64,
     pub(crate) bound_side: SideConditions,
     pub(crate) bounds_config: BoundsConfig,
+    /// The loaded basket dataset, if any.  No cache digest involves it:
+    /// `adopt` flows back through assertion, which versions as usual.
     pub(crate) dataset: Option<Arc<Dataset>>,
     pub(crate) epoch: u64,
     pub(crate) caches: Arc<EngineCaches>,
+    /// Holds the session's ledger.
     pub(crate) planner: Arc<Planner>,
 }
 
 impl Snapshot {
-    pub(crate) fn from_parts(parts: SnapshotParts) -> Self {
-        Snapshot {
-            universe: parts.universe,
-            premises: parts.premises,
-            premise_props: parts.premise_props,
-            fd_index: parts.fd_index,
-            premise_digest: parts.premise_digest,
-            knowns: parts.knowns,
-            knowns_digest: parts.knowns_digest,
-            bound_side: parts.bound_side,
-            bounds_config: parts.bounds_config,
-            dataset: parts.dataset,
-            epoch: parts.epoch,
-            caches: parts.caches,
-            planner: parts.planner,
-        }
-    }
-
     /// The snapshot's universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
@@ -257,40 +253,6 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Index-aligned propositional translations of the premises.
-    pub(crate) fn premise_props(&self) -> &[ImplicationConstraint] {
-        &self.premise_props
-    }
-
-    /// Index-aligned FD translations when every premise is single-member.
-    pub(crate) fn premise_fds(&self) -> Option<&[FunctionalDependency]> {
-        self.fd_index.as_deref()
-    }
-
-    // Shared handles to this snapshot's frozen components, so a session
-    // republishing after a mutation can reuse every component the mutation
-    // did not touch (an `Arc` clone instead of a deep copy).
-
-    pub(crate) fn premises_shared(&self) -> Arc<[DiffConstraint]> {
-        Arc::clone(&self.premises)
-    }
-
-    pub(crate) fn premise_props_shared(&self) -> Arc<[ImplicationConstraint]> {
-        Arc::clone(&self.premise_props)
-    }
-
-    pub(crate) fn fd_index_shared(&self) -> Option<Arc<[FunctionalDependency]>> {
-        self.fd_index.clone()
-    }
-
-    pub(crate) fn knowns_shared(&self) -> Arc<[(AttrSet, f64)]> {
-        Arc::clone(&self.knowns)
-    }
-
-    pub(crate) fn dataset_shared(&self) -> Option<Arc<Dataset>> {
-        self.dataset.clone()
-    }
-
     /// The state salt versioning implication answers (premises only:
     /// implication is independent of the knowns).
     fn answer_salt(&self) -> u64 {
@@ -323,7 +285,7 @@ impl Snapshot {
         key: &VersionedKey,
         goal: &DiffConstraint,
     ) -> Option<(bool, ProcedureKind)> {
-        self.caches.answer.get_if(key, |(stored, implied, kind)| {
+        lock(&self.caches.answer).get_if(key, |(stored, implied, kind)| {
             (stored == goal).then_some((*implied, *kind))
         })
     }
@@ -504,20 +466,16 @@ impl Snapshot {
             self.fd_index.is_some(),
         );
         let cached_lattice = if kind == ProcedureKind::Lattice {
-            self.caches
-                .lattice
-                .get_if(&Snapshot::derived_key(&goal), |(stored, lattice)| {
-                    (stored == &goal).then(|| Arc::clone(lattice))
-                })
+            lock(&self.caches.lattice).get_if(&Snapshot::derived_key(&goal), |(stored, lattice)| {
+                (stored == &goal).then(|| Arc::clone(lattice))
+            })
         } else {
             None
         };
         let cached_prop = if kind == ProcedureKind::Sat {
-            self.caches
-                .prop
-                .get_if(&Snapshot::derived_key(&goal), |(stored, prop)| {
-                    (stored == &goal).then(|| Arc::clone(prop))
-                })
+            lock(&self.caches.prop).get_if(&Snapshot::derived_key(&goal), |(stored, prop)| {
+                (stored == &goal).then(|| Arc::clone(prop))
+            })
         } else {
             None
         };
@@ -533,20 +491,18 @@ impl Snapshot {
     /// accounting.
     fn absorb_result(&self, key: VersionedKey, goal: &DiffConstraint, result: &JobResult) {
         if let Some(lattice) = &result.computed_lattice {
-            self.caches.lattice.insert(
+            lock(&self.caches.lattice).insert(
                 Snapshot::derived_key(goal),
                 (goal.clone(), Arc::clone(lattice)),
             );
         }
         if let Some(prop) = &result.computed_prop {
-            self.caches.prop.insert(
+            lock(&self.caches.prop).insert(
                 Snapshot::derived_key(goal),
                 (goal.clone(), Arc::clone(prop)),
             );
         }
-        self.caches
-            .answer
-            .insert(key, (goal.clone(), result.implied, result.procedure));
+        lock(&self.caches.answer).insert(key, (goal.clone(), result.implied, result.procedure));
         self.planner
             .record_decided(result.procedure, result.elapsed);
     }
@@ -567,13 +523,10 @@ impl Snapshot {
             "query set lies outside the universe"
         );
         let key = self.bound_key(query);
-        if let Some((interval, route)) = self
-            .caches
-            .bound
-            .get_if(&key, |&(stored, interval, route)| {
-                (stored == query).then_some((interval, route))
-            })
-        {
+        let hit = lock(&self.caches.bound).get_if(&key, |&(stored, interval, route)| {
+            (stored == query).then_some((interval, route))
+        });
+        if let Some((interval, route)) = hit {
             self.planner.record_bound_cache_hit();
             return Ok(BoundOutcome {
                 interval,
@@ -604,9 +557,7 @@ impl Snapshot {
         let elapsed = start.elapsed();
         self.planner.record_bound_decided(route, elapsed);
         let derived = result?;
-        self.caches
-            .bound
-            .insert(key, (query, derived.interval, derived.route));
+        lock(&self.caches.bound).insert(key, (query, derived.interval, derived.route));
         Ok(BoundOutcome {
             interval: derived.interval,
             route: derived.route,
@@ -785,13 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn session_stats_expose_shards_and_state_sizes() {
+    fn session_stats_expose_state_sizes() {
         let u = Universe::of_size(4);
         let mut session = Session::new(u.clone());
         session.assert_constraint(&DiffConstraint::parse("A -> {B}", &u).unwrap());
         session.set_known(u.parse_set("A").unwrap(), 1.0);
         let stats = session.stats();
-        assert!(stats.cache_shards >= 1);
         assert_eq!(stats.premises, 1);
         assert_eq!(stats.knowns, 1);
         assert_eq!(stats.epoch, session.snapshot().epoch());

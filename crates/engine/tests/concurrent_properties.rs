@@ -1,4 +1,4 @@
-//! Serving equivalence: the snapshot/shard architecture must be
+//! Serving equivalence: the snapshot architecture must be
 //! answer-equivalent to serial single-session execution under any
 //! interleaving.
 //!
@@ -31,15 +31,14 @@ use std::sync::{Arc, Mutex};
 
 const UNIVERSE_N: usize = 4;
 
-/// Tiny caches: constant eviction churn, two shards, so the equivalence
-/// holds under recycling and not just in the fully warm steady state.
+/// Tiny caches: constant eviction churn, so the equivalence holds under
+/// recycling and not just in the fully warm steady state.
 fn tiny_config() -> SessionConfig {
     SessionConfig {
         answer_cache_capacity: 4,
         lattice_cache_capacity: 2,
         prop_cache_capacity: 2,
         bound_cache_capacity: 2,
-        cache_shards: 2,
         ..SessionConfig::default()
     }
 }

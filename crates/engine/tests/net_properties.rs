@@ -31,7 +31,6 @@ fn tiny_config() -> SessionConfig {
         lattice_cache_capacity: 2,
         prop_cache_capacity: 2,
         bound_cache_capacity: 2,
-        cache_shards: 2,
         ..SessionConfig::default()
     }
 }

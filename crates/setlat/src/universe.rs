@@ -22,6 +22,8 @@ pub enum UniverseError {
     DuplicateName(String),
     /// An attribute name was not found in the universe.
     UnknownAttribute(String),
+    /// The name is `∅`, which set texts read as the empty set.
+    ReservedName(String),
 }
 
 impl fmt::Display for UniverseError {
@@ -37,6 +39,9 @@ impl fmt::Display for UniverseError {
             }
             UniverseError::UnknownAttribute(name) => {
                 write!(f, "unknown attribute {name:?}")
+            }
+            UniverseError::ReservedName(name) => {
+                write!(f, "{name:?} names the empty set, not an attribute")
             }
         }
     }
@@ -70,8 +75,10 @@ impl Universe {
     ///
     /// # Errors
     /// Returns [`UniverseError::TooLarge`] if more than
-    /// [`crate::MAX_UNIVERSE`] names are given, and
-    /// [`UniverseError::DuplicateName`] if a name appears twice.
+    /// [`crate::MAX_UNIVERSE`] names are given,
+    /// [`UniverseError::DuplicateName`] if a name appears twice, and
+    /// [`UniverseError::ReservedName`] for the name `∅`, which
+    /// [`Universe::parse_set`] reads as the empty set.
     pub fn from_names<I, T>(names: I) -> Result<Self, UniverseError>
     where
         I: IntoIterator<Item = T>,
@@ -86,6 +93,9 @@ impl Universe {
         let mut index = HashMap::with_capacity(names.len());
         let mut ascii = [0u8; 128];
         for (i, name) in names.iter().enumerate() {
+            if name == "∅" {
+                return Err(UniverseError::ReservedName(name.clone()));
+            }
             if index.insert(name.clone(), i).is_some() {
                 return Err(UniverseError::DuplicateName(name.clone()));
             }
@@ -183,7 +193,9 @@ impl Universe {
     }
 
     /// Parses the paper's compact notation for sets of single-character
-    /// attributes: `"ACD"` means `{A, C, D}`, and `""` or `"{}"` means `∅`.
+    /// attributes: `"ACD"` means `{A, C, D}`, and `""`, `"{}"` or `"∅"`
+    /// means `∅` — so every set [`Universe::format_set`] prints parses
+    /// back.
     ///
     /// Whitespace, commas and surrounding braces are ignored, so `"{A, C, D}"`
     /// also parses.  When the universe contains multi-character attribute names
@@ -202,6 +214,8 @@ impl Universe {
             }
             let found = if ch.is_ascii() {
                 self.ascii_index(ch as u8)
+            } else if ch == '∅' {
+                continue;
             } else {
                 self.index.get(ch.encode_utf8(&mut [0; 4]) as &str).copied()
             };
@@ -256,6 +270,11 @@ mod tests {
         assert_eq!(u.index_of("B"), Some(1));
         assert_eq!(u.index_of("Z"), None);
         assert_eq!(u.name(2), "C");
+        // `∅` spells the empty set, so no attribute may take it as a name.
+        assert_eq!(
+            Universe::from_names(["∅", "A"]),
+            Err(UniverseError::ReservedName("∅".into()))
+        );
     }
 
     #[test]
@@ -328,6 +347,7 @@ mod tests {
         assert_eq!(u.format_set_braced(s), "{A, C, D}");
         assert_eq!(u.parse_set("{A, C, D}").unwrap(), s);
         assert_eq!(u.parse_set("").unwrap(), AttrSet::EMPTY);
+        assert_eq!(u.parse_set("∅").unwrap(), AttrSet::EMPTY);
         assert!(u.parse_set("AZ").is_err());
     }
 

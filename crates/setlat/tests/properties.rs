@@ -184,9 +184,10 @@ const NAME_POOL: [&str; 16] = [
 ];
 
 /// Characters set texts are drawn from: every single-character candidate,
-/// characters no universe holds, and the separators `parse_set` skips.
-const TEXT_POOL: [char; 18] = [
-    'A', 'B', 'Z', 'a', 'q', '0', '7', '9', 'é', 'Ω', 'ß', 'L', 'x', 'C', ' ', ',', '{', '}',
+/// characters no universe holds, and the separators `parse_set` skips,
+/// including `∅`, the empty set.
+const TEXT_POOL: [char; 19] = [
+    'A', 'B', 'Z', 'a', 'q', '0', '7', '9', 'é', 'Ω', 'ß', 'L', 'x', 'C', ' ', ',', '{', '}', '∅',
 ];
 
 /// A universe over the pool members picked by `mask`, in pool order rotated
@@ -222,7 +223,7 @@ proptest! {
             .collect();
         let mut want = Ok(AttrSet::EMPTY);
         for ch in text.chars() {
-            if ch.is_whitespace() || matches!(ch, ',' | '{' | '}') {
+            if ch.is_whitespace() || matches!(ch, ',' | '{' | '}' | '∅') {
                 continue;
             }
             match map.get(ch.to_string().as_str()) {

@@ -10,10 +10,15 @@
 //!    takes the whole serving thread down;
 //! 3. the protocol grammar rustdoc in `protocol.rs`, the `help` reply, and
 //!    the canonical verb table stay in sync: every verb the parser accepts
-//!    is documented, and nothing documented is unknown to the parser.
+//!    is documented, and nothing documented is unknown to the parser;
+//! 4. `diffcond`'s long flags stay in sync: every `--flag` that
+//!    `parse_args` in `bin/diffcond.rs` matches appears in `USAGE` (the
+//!    `--help` text) and in the module-doc usage block, and every flag
+//!    those two texts name is one `parse_args` matches.
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -54,6 +59,7 @@ fn lint() -> ExitCode {
     check_forbid_unsafe(&root, &mut failures);
     check_hot_path_panics(&root, &mut failures);
     check_grammar_sync(&root, &mut failures);
+    check_cli_flags(&root, &mut failures);
 
     if failures.is_empty() {
         println!("xtask lint: all checks passed");
@@ -202,4 +208,66 @@ fn check_grammar_sync(root: &Path, failures: &mut Vec<String>) {
             ));
         }
     }
+}
+
+/// Check 4: `diffcond`'s parsed flags ↔ `--help` text ↔ module-doc usage.
+fn check_cli_flags(root: &Path, failures: &mut Vec<String>) {
+    let rel = "crates/engine/src/bin/diffcond.rs";
+    let text = read(&root.join(rel));
+    // The text from `start` up to the next `end` after it.
+    let section = |start: &str, end: &str| -> &str {
+        let Some(from) = text.find(start) else {
+            return "";
+        };
+        let body = &text[from + start.len()..];
+        &body[..body.find(end).unwrap_or(body.len())]
+    };
+    let parsed = long_flags(section("fn parse_args(", "\n}\n"), true);
+    let texts = [
+        (
+            "the --help text",
+            long_flags(section("const USAGE: &str", "\";\n"), false),
+        ),
+        (
+            "the module-doc usage block",
+            long_flags(section("//! ```text", "//! ```"), false),
+        ),
+    ];
+    if parsed.is_empty() {
+        failures.push(format!("{rel}: found no flags matched in `parse_args`"));
+    }
+    for (name, named) in &texts {
+        for flag in parsed.difference(named) {
+            failures.push(format!(
+                "{rel}: `parse_args` matches `{flag}` but {name} does not name it"
+            ));
+        }
+        for flag in named.difference(&parsed) {
+            failures.push(format!(
+                "{rel}: {name} names `{flag}` but `parse_args` does not match it"
+            ));
+        }
+    }
+}
+
+/// The long flags (`--name`) in `text`.  With `quoted`, only whole string
+/// literals count (`"--name"`, as a `match` arm spells them), so error
+/// messages that mention a flag are skipped.
+fn long_flags(text: &str, quoted: bool) -> BTreeSet<String> {
+    let mut flags = BTreeSet::new();
+    for (at, _) in text.match_indices("--") {
+        let name: String = text[at + 2..]
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+            .collect();
+        if !name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            continue;
+        }
+        let after = &text[at + 2 + name.len()..];
+        if quoted && !(text[..at].ends_with('"') && after.starts_with('"')) {
+            continue;
+        }
+        flags.insert(format!("--{name}"));
+    }
+    flags
 }

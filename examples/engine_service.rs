@@ -1,5 +1,5 @@
 //! Serving implication queries with `diffcon-engine`: sessions, snapshot
-//! isolation, concurrent readers over sharded caches, batching, and the
+//! isolation, concurrent readers over shared caches, batching, and the
 //! multi-session `diffcond` wire protocol.
 //!
 //! Run with: `cargo run --example engine_service`
@@ -96,12 +96,11 @@ fn main() {
     assert!(!session.implies(&goal).implied);
     assert!(snapshot.implies(&goal).implied, "snapshots are immutable");
 
-    // Aggregated shard statistics: every reader above fed the same sharded
-    // caches, so the hit ratio reflects the whole fleet.
+    // Shared cache statistics: every reader above fed the same caches, so
+    // the hit ratio reflects the whole fleet.
     let stats = session.stats();
     println!(
-        "shared caches: {} shards, answer cache h{}/m{} (hit ratio {:.2}), {} queries total",
-        stats.cache_shards,
+        "shared caches: answer cache h{}/m{} (hit ratio {:.2}), {} queries total",
         stats.answer_cache.hits,
         stats.answer_cache.misses,
         stats.answer_cache.hit_ratio(),
