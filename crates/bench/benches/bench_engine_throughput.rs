@@ -22,6 +22,7 @@ use diffcon::procedure::ProcedureKind;
 use diffcon_bench::workloads;
 use diffcon_bench::{JsonReport, Table};
 use diffcon_engine::Session;
+use diffcon_obs::profile;
 use std::time::Instant;
 
 const UNIVERSE: usize = 12;
@@ -181,6 +182,15 @@ fn emit_json_report(cache_table: Table) {
             .filter(|o| o.implied)
             .count()
     });
+    // Bytes one serial cold pass allocates per query, read from this
+    // thread's allocation counter (the engine's global allocator counts).
+    cold.clear_caches();
+    let (_, bytes_before) = profile::thread_alloc_counts();
+    for goal in &cold_stream {
+        criterion::black_box(cold.implies(goal));
+    }
+    let (_, bytes_after) = profile::thread_alloc_counts();
+    let cold_alloc_bytes_per_query = (bytes_after - bytes_before) as f64 / cold_stream.len() as f64;
     let mut report = JsonReport::new("engine_throughput");
     report.push_metric("stream_len", stream.len() as f64);
     report.push_metric("cold_oneshot_us", cold_us);
@@ -190,6 +200,7 @@ fn emit_json_report(cache_table: Table) {
     report.push_metric("warm_speedup", cold_us / warm_us.max(1e-9));
     report.push_metric("cold_serial_us", cold_serial_us);
     report.push_metric("cold_batch_us", cold_batch_us);
+    report.push_metric("cold_alloc_bytes_per_query", cold_alloc_bytes_per_query);
     report.push_metric("analyze_minimal_core_us", analyze_us);
     report.push_metric("analyze_premises_full", inflated.len() as f64);
     report.push_metric("analyze_premises_core", core.core.len() as f64);

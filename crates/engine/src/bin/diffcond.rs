@@ -7,9 +7,8 @@
 //! independent sessions in one process.
 //!
 //! ```text
-//! Usage: diffcond [--answer-cache N] [--lattice-cache N] [--prop-cache N]
-//!                 [--bound-cache N] [--intern-limit N] [--lattice-budget N]
-//!                 [--bound-budget N] [--slow-query-us N]
+//! Usage: diffcond [--answer-cache N] [--bound-cache N] [--intern-limit N]
+//!                 [--lattice-budget N] [--bound-budget N] [--slow-query-us N]
 //!                 [--profile] [--profile-hz N] [--help]
 //!        diffcond serve [--addr HOST:PORT] [--max-conns N]
 //!                       [--max-request-bytes N] [--reactors N] [--binary]
@@ -73,8 +72,6 @@ Multiple independent sessions: `session new`, `session use <id>`,
 
 Options:
   --answer-cache N    bound on memoized query answers     (default 65536)
-  --lattice-cache N   bound on memoized goal lattices     (default 4096)
-  --prop-cache N      bound on memoized translations      (default 4096)
   --bound-cache N     bound on memoized bound intervals   (default 4096)
   --intern-limit N    distinct constraints kept before the intern table is
                       compacted                           (default 262144)
@@ -303,8 +300,8 @@ fn parse_args() -> Result<Options, String> {
                 let _ = writeln!(std::io::stdout(), "{USAGE}");
                 std::process::exit(0);
             }
-            "--answer-cache" | "--lattice-cache" | "--prop-cache" | "--bound-cache"
-            | "--intern-limit" | "--lattice-budget" | "--bound-budget" => {
+            "--answer-cache" | "--bound-cache" | "--intern-limit" | "--lattice-budget"
+            | "--bound-budget" => {
                 let value = args
                     .next()
                     .ok_or_else(|| format!("{flag} expects a number"))?;
@@ -317,8 +314,6 @@ fn parse_args() -> Result<Options, String> {
                 };
                 match flag.as_str() {
                     "--answer-cache" => config.answer_cache_capacity = as_capacity(n)?,
-                    "--lattice-cache" => config.lattice_cache_capacity = as_capacity(n)?,
-                    "--prop-cache" => config.prop_cache_capacity = as_capacity(n)?,
                     "--bound-cache" => config.bound_cache_capacity = as_capacity(n)?,
                     "--intern-limit" => config.interner_compaction_threshold = as_capacity(n)?,
                     "--lattice-budget" => config.planner.lattice_budget = n,

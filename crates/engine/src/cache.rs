@@ -1,7 +1,6 @@
 //! A bounded least-recently-used cache with hit/miss/eviction accounting.
 //!
-//! The engine memoizes four kinds of derived data — full query answers,
-//! lattice decompositions, propositional translations, and bound
+//! The engine memoizes two kinds of result — full query answers and bound
 //! intervals — each in one instance of this cache behind one `Mutex` (see
 //! [`lock`]), shared by every snapshot of a session.  It is a classic
 //! slab-backed LRU: a `HashMap` from key to slot index plus an intrusive

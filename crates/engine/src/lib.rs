@@ -1,34 +1,35 @@
 //! # diffcon-engine — a cached, parallel, batch implication-serving engine
 //!
-//! The `diffcon` crate answers one implication query at a time, from scratch:
-//! every call to `implication::implies` re-enumerates lattice decompositions,
-//! and every SAT-backed call re-translates every premise.  This crate is the
-//! serving layer that amortizes that work across query traffic:
+//! The `diffcon` crate answers one implication query at a time, from scratch,
+//! through one decider per procedure (`diffcon::procedure::decide`).  This
+//! crate is the serving layer around those deciders: it routes each query
+//! to one of them and amortizes repeated traffic through cached answers:
 //!
 //! * **Sessions** ([`session::Session`]) hold a universe and a premise set
 //!   with incremental assert/retract.  Each mutation maintains, in `O(|C|)`,
-//!   the premise set's propositional translations, its FD-fragment index,
-//!   and an order-independent 64-bit digest that versions cached answers —
-//!   so retracting a premise invalidates stale answers instantly and
+//!   whether every premise lies in the single-member fragment and an
+//!   order-independent 64-bit digest that versions cached answers — so
+//!   retracting a premise invalidates stale answers instantly and
 //!   re-asserting it revalidates them.
 //! * **Snapshot isolation** ([`snapshot::Snapshot`]) — the session state
-//!   (premises, translations, FD index, knowns, dataset handle, digests)
+//!   (premises, fragment flag, knowns, dataset handle, digests)
 //!   lives in an immutable `Arc<Snapshot>`, its only copy; every mutation
 //!   publishes the next one, sharing every component it did not change,
 //!   under a bumped epoch.  All query methods — `implies`, `implies_batch`,
 //!   `bound`, `witness`, `derive` — decide against a snapshot through
 //!   `&self`: any number of threads query concurrently, writers never wait
 //!   for readers, and in-flight readers keep the exact state they captured.
-//! * **Memoization** ([`cache::LruCache`]) — one LRU cache behind one lock
-//!   each, shared across all snapshots of a session, for full query
-//!   answers, goal lattice decompositions `L(X, 𝒴)`, propositional
-//!   translations, and bound intervals.  Every key is digest-versioned
-//!   through one helper ([`cache::version_salt`] /
-//!   [`cache::VersionedKey`]), so mutation invalidates instantly and state
-//!   restoration revalidates instantly.
+//! * **Memoization** ([`cache::LruCache`]) — two LRU caches, one lock each,
+//!   shared across all snapshots of a session: full query answers and bound
+//!   intervals.  Both keys are digest-versioned through one helper
+//!   ([`cache::version_salt`] / [`cache::VersionedKey`]), so mutation
+//!   invalidates instantly and state restoration revalidates instantly.
+//!   A miss is decided afresh; nothing derived from a goal is kept but its
+//!   answer.
 //! * **Batch evaluation** ([`batch`], [`session::Session::implies_batch`]) —
-//!   many goals against one snapshot, fanned out across the rayon pool;
-//!   workers are pure and the parallel section takes no locks.
+//!   many goals against one snapshot, their cache misses fanned out across
+//!   the rayon pool, each decided by `diffcon::procedure::decide`; workers
+//!   are pure and the parallel section takes no locks.
 //! * **Multi-session serving** ([`server_state::SessionRegistry`],
 //!   [`protocol::Server::respond`]) — the `diffcond` server manages
 //!   numbered session slots (`session new/use/close/list` verbs) and
@@ -66,7 +67,9 @@
 //!   FD fast path when the instance lies in the single-member fragment, the
 //!   Theorem 3.5 lattice check while its `2^{|S|−|X|}` enumeration bound
 //!   fits a budget, and the Section 5 SAT translation past it — recording
-//!   per-procedure query counts, cache hits, and latency.
+//!   per-procedure query counts, cache hits, and latency.  The planner
+//!   picks the route; the route's one decider in `diffcon::procedure`
+//!   decides.
 //! * **Bound queries** ([`session::Session::bound`]) — a second query class
 //!   served by the `diffcon-bounds` interval engine: sessions hold a sparse
 //!   map of known point values `f(X) = v`

@@ -76,36 +76,25 @@ use std::time::{Duration, Instant};
 #[global_allocator]
 static COUNTING_ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Which of a session's four caches an [`crate::cache::LruCache`] is: each
+/// Which of a session's two caches an [`crate::cache::LruCache`] is: each
 /// engine cache counts its hits, misses, evictions and collisions into its
 /// family's process-wide [`CacheCounters`] as they happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheFamily {
     /// Full query answers.
     Answer,
-    /// Goal lattice decompositions.
-    Lattice,
-    /// Propositional translations.
-    Prop,
     /// Bound intervals.
     Bound,
 }
 
 impl CacheFamily {
     /// Every family, in exposition order.
-    pub const ALL: [CacheFamily; 4] = [
-        CacheFamily::Answer,
-        CacheFamily::Lattice,
-        CacheFamily::Prop,
-        CacheFamily::Bound,
-    ];
+    pub const ALL: [CacheFamily; 2] = [CacheFamily::Answer, CacheFamily::Bound];
 
     /// The family's label value in the exposition.
     pub fn name(self) -> &'static str {
         match self {
             CacheFamily::Answer => "answer",
-            CacheFamily::Lattice => "lattice",
-            CacheFamily::Prop => "prop",
             CacheFamily::Bound => "bound",
         }
     }
@@ -113,9 +102,7 @@ impl CacheFamily {
     fn index(self) -> usize {
         match self {
             CacheFamily::Answer => 0,
-            CacheFamily::Lattice => 1,
-            CacheFamily::Prop => 2,
-            CacheFamily::Bound => 3,
+            CacheFamily::Bound => 1,
         }
     }
 }
@@ -474,7 +461,7 @@ pub struct EngineMetrics {
     /// Bound-ladder decision latency: `[propagation, relaxed]`.
     pub bound_ns: [Histogram; 2],
     /// Per-family cache counters, indexed by [`CacheFamily::index`].
-    caches: [CacheCounters; 4],
+    caches: [CacheCounters; 2],
     /// Registered per-session cost series keyed `(connection, slot)`.
     /// Strong references: the series must survive session/connection
     /// teardown so a scrape after disconnect still sees the attribution.

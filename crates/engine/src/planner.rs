@@ -15,6 +15,10 @@
 //!    DPLL, whose cost tracks the refutation search rather than
 //!    `2^{|S|−|X|}`.
 //!
+//! The planner only picks the route: every route has one decider,
+//! [`diffcon::procedure::decide`], which [`crate::batch::decide`] calls
+//! on the snapshot's premises.
+//!
 //! **Bound queries** (`f(Y) ∈ [lo, hi]`, served by the `diffcon-bounds`
 //! crate) are a second query class with their own routing ladder:
 //! cached-exact answers are served by the session before the planner is
@@ -185,17 +189,17 @@ impl Planner {
 
     /// Picks the procedure for `premises ⊨ goal`.
     ///
-    /// `fd_index_ready` tells the planner whether the caller holds a premise
-    /// set entirely inside the FD fragment (the session maintains that index
-    /// incrementally, so the planner does not rescan the premises).
+    /// `premises_in_fragment` tells the planner whether every premise is
+    /// single-member (the session maintains that flag incrementally, so the
+    /// planner does not rescan the premises).
     pub fn choose(
         &self,
         universe: &Universe,
         premises: &[DiffConstraint],
         goal: &DiffConstraint,
-        fd_index_ready: bool,
+        premises_in_fragment: bool,
     ) -> ProcedureKind {
-        if fd_index_ready && goal.is_single_member() {
+        if premises_in_fragment && goal.is_single_member() {
             return ProcedureKind::FdFragment;
         }
         if procedure::lattice_cost_bound(universe, premises, goal) <= self.config.lattice_budget {

@@ -227,9 +227,9 @@
 //!         probe_us=N plan_us=N decide_us=N total_us=N trace=N
 //! ```
 //!
-//! `probe_us` is the answer-cache probe, `plan_us` the route choice plus
-//! derived-data cache attachment, `decide_us` the decision procedure itself
-//! (both zero on a cache hit), and `epoch` the snapshot that answered.
+//! `probe_us` is the answer-cache probe, `plan_us` the planner's route
+//! choice, `decide_us` the decision procedure itself (both zero on a cache
+//! hit), and `epoch` the snapshot that answered.
 //! `trace` is the request's flight-record trace id: `debug trace <id>`
 //! finds the request's record, whose route, cache outcome, decision time,
 //! and epoch match the reply exactly.
@@ -266,8 +266,10 @@
 //!
 //! `stats` additionally reports, per procedure that decided at least one
 //! query, decision-latency percentiles as `<route>_p50us=…`/`<route>_p99us=…`
-//! fields, and cache collision counts (the fourth `/c…` component of each
-//! `…_cache=` field — verified-miss recomputations under digest collisions).
+//! fields, and the four counters of each of the session's two caches as
+//! `answer_cache=h…/m…/e…/c…` and `bound_cache=h…/m…/e…/c…`: hits, misses,
+//! evictions, and collisions (verified-miss recomputations under
+//! fingerprint collisions).
 //!
 //! # Discovery verbs
 //!
@@ -2289,19 +2291,15 @@ fn write_stats(out: &mut String, session: &Session) {
     }
     _ = write!(
         out,
-        " answer_cache=h{}/m{}/e{}/c{} lattice_cache=h{}/m{}/e{}/c{} prop_cache=h{}/m{}/e{}/c{} premises={} interned={}",
+        " answer_cache=h{}/m{}/e{}/c{} bound_cache=h{}/m{}/e{}/c{} premises={} interned={}",
         stats.answer_cache.hits,
         stats.answer_cache.misses,
         stats.answer_cache.evictions,
         stats.answer_cache.collisions,
-        stats.lattice_cache.hits,
-        stats.lattice_cache.misses,
-        stats.lattice_cache.evictions,
-        stats.lattice_cache.collisions,
-        stats.prop_cache.hits,
-        stats.prop_cache.misses,
-        stats.prop_cache.evictions,
-        stats.prop_cache.collisions,
+        stats.bound_cache.hits,
+        stats.bound_cache.misses,
+        stats.bound_cache.evictions,
+        stats.bound_cache.collisions,
         stats.premises,
         stats.interned,
     );
@@ -2738,9 +2736,14 @@ mod tests {
             reply.starts_with("bound lo=40 hi=40 exact=1 route=propagation cached=0"),
             "got: {reply}"
         );
-        // Second ask is served from the bound cache.
+        // Second ask is served from the bound cache, which `stats` reports.
         let reply = s.handle_line("bound AB").text;
         assert!(reply.contains("route=cached cached=1"), "got: {reply}");
+        let stats = s.handle_line("stats").text;
+        assert!(
+            stats.contains(" answer_cache=h0/m0/e0/c0 bound_cache=h1/m1/e0/c0 "),
+            "got: {stats}"
+        );
         // Without the premise the same state only yields the sandwich.
         s.handle_line("retract A -> {B}");
         let reply = s.handle_line("bound AB").text;

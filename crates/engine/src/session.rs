@@ -3,21 +3,22 @@
 //! over the one-shot procedures in `diffcon`.
 //!
 //! A [`Session`] is the unit of engine *write* state.  Its state lives in
-//! the published [`Snapshot`], the only copy: the premise set with its
-//! propositional translations (for the SAT procedure), its FD translation
-//! index (for the polynomial fragment fast path), and an order-independent
-//! 64-bit **premise digest** (XOR of constraint fingerprints) that versions
-//! every cached answer; the known point values `f(X) = v` with their own
-//! digest (versioning bound intervals); the loaded dataset; and handles to
-//! the session's caches (full answers, goal lattices, propositional
-//! translations, bound intervals — one [`crate::cache::LruCache`] behind one
-//! lock each) and its [`Planner`] accounting.  The session itself keeps
-//! only what a snapshot lacks: the [`ConstraintInterner`] assigning dense
-//! ids to asserted premises, and those ids.
+//! the published [`Snapshot`], the only copy: the premise set, held once,
+//! with a flag for whether every premise is single-member (which opens the
+//! polynomial FD fast path), and an order-independent 64-bit **premise
+//! digest** (XOR of constraint fingerprints) that versions every cached
+//! answer; the known point values `f(X) = v` with their own digest
+//! (versioning bound intervals); the loaded dataset; and handles to the
+//! session's two caches (full answers and bound intervals — one
+//! [`crate::cache::LruCache`] behind one lock each) and its [`Planner`]
+//! accounting.  The session itself keeps only what a snapshot lacks: the
+//! [`ConstraintInterner`] assigning dense ids to asserted premises, and
+//! those ids.
 //!
 //! Every mutation publishes the next snapshot built from the current one:
-//! it replaces the one component it changed in `O(|C|)`, shares the rest,
-//! and bumps the epoch.  The query methods — [`Session::implies`],
+//! it replaces the one component it changed in `O(|C|)` (an assert or
+//! retract splices one premise slice), shares the rest, and bumps the
+//! epoch.  The query methods — [`Session::implies`],
 //! [`Session::implies_batch`], [`Session::bound`] — take **`&self`** and
 //! simply delegate to the current snapshot, so a session's own read path is
 //! byte-for-byte the same code any snapshot reader executes.  Writers never
@@ -30,7 +31,7 @@ use crate::metrics::{EngineMetrics, SessionCosts};
 use crate::planner::{Planner, PlannerConfig, PlannerStats};
 use crate::snapshot::{EngineCaches, Snapshot};
 use diffcon::inference::Derivation;
-use diffcon::{fd_fragment, prop_bridge, DiffConstraint};
+use diffcon::{fd_fragment, DiffConstraint};
 use diffcon_bounds::problem::{BoundsConfig, DeriveError};
 use diffcon_bounds::SideConditions;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
@@ -46,10 +47,6 @@ pub use crate::snapshot::{BoundOutcome, QueryOutcome};
 pub struct SessionConfig {
     /// Bound on memoized query answers.
     pub answer_cache_capacity: usize,
-    /// Bound on memoized goal lattice decompositions.
-    pub lattice_cache_capacity: usize,
-    /// Bound on memoized propositional translations.
-    pub prop_cache_capacity: usize,
     /// Bound on memoized bound-query intervals.
     pub bound_cache_capacity: usize,
     /// Side conditions under which `bound` queries interpret the unknown set
@@ -79,8 +76,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             answer_cache_capacity: 1 << 16,
-            lattice_cache_capacity: 1 << 12,
-            prop_cache_capacity: 1 << 12,
             bound_cache_capacity: 1 << 12,
             bound_side: SideConditions::support(),
             bounds: BoundsConfig::default(),
@@ -97,10 +92,6 @@ pub struct SessionStats {
     pub planner: PlannerStats,
     /// Answer-cache counters.
     pub answer_cache: CacheStats,
-    /// Lattice-cache counters.
-    pub lattice_cache: CacheStats,
-    /// Translation-cache counters.
-    pub prop_cache: CacheStats,
     /// Bound-cache counters.
     pub bound_cache: CacheStats,
     /// Per-procedure decision-latency percentiles `(p50, p99)` in
@@ -179,8 +170,7 @@ impl Session {
         let current = Arc::new(Snapshot {
             universe: Arc::new(universe),
             premises: Arc::from([]),
-            premise_props: Arc::from([]),
-            fd_index: Some(Arc::from([])),
+            fd_fragment: true,
             premise_digest: 0,
             knowns: Arc::from([]),
             knowns_digest: 0,
@@ -398,19 +388,11 @@ impl Session {
             return (id, false);
         }
         self.premise_ids.push(id);
-        let prev = &self.current;
-        let end = prev.premises.len();
-        let premises = spliced(&prev.premises, end, 0, Some(constraint.clone()));
-        let props = prop_bridge::to_implication_constraint(constraint);
-        let premise_props = spliced(&prev.premise_props, end, 0, Some(props));
-        let fd_index = prev.fd_index.as_ref().and_then(|index| {
-            let fd = fd_fragment::to_fd(constraint)?;
-            Some(spliced(index, end, 0, Some(fd)))
-        });
+        let prev = &self.current.premises;
+        let premises = spliced(prev, prev.len(), 0, Some(constraint.clone()));
         self.publish(|next| {
             next.premises = premises;
-            next.premise_props = premise_props;
-            next.fd_index = fd_index;
+            next.fd_fragment &= fd_fragment::in_fragment(constraint);
             next.premise_digest ^= constraint.fingerprint();
         });
         (id, true)
@@ -433,17 +415,10 @@ impl Session {
         let prev = &self.current;
         let fingerprint = prev.premises[pos].fingerprint();
         let premises = spliced(&prev.premises, pos, 1, None);
-        let premise_props = spliced(&prev.premise_props, pos, 1, None);
-        let fd_index = match &prev.fd_index {
-            // Still all-fragment: the index is aligned, drop the same slot.
-            Some(index) => Some(spliced(index, pos, 1, None)),
-            // The retraction may have removed the last wide premise; rebuild.
-            None => premises.iter().map(fd_fragment::to_fd).collect(),
-        };
         self.publish(|next| {
+            // The retraction may have removed the last wide premise; rescan.
+            next.fd_fragment = next.fd_fragment || fd_fragment::set_in_fragment(&premises);
             next.premises = premises;
-            next.premise_props = premise_props;
-            next.fd_index = fd_index;
             next.premise_digest ^= fingerprint;
         });
         true
@@ -495,7 +470,7 @@ impl Session {
         self.interner_compactions += 1;
     }
 
-    /// Decides `premises ⊨ goal`, consulting and feeding the shared caches.
+    /// Decides `premises ⊨ goal`, consulting and feeding the answer cache.
     ///
     /// Delegates to the current [`Snapshot`] — the session's serial read
     /// path and a concurrent reader's are the same code.
@@ -538,8 +513,6 @@ impl Session {
         SessionStats {
             planner: current.planner.stats(),
             answer_cache: lock(&caches.answer).stats(),
-            lattice_cache: lock(&caches.lattice).stats(),
-            prop_cache: lock(&caches.prop).stats(),
             bound_cache: lock(&caches.bound).stats(),
             route_latency_us: {
                 let mut out = [(0u64, 0u64); 4];
@@ -560,7 +533,7 @@ impl Session {
         }
     }
 
-    /// Drops all cached answers and derived data from the shared caches
+    /// Drops all cached answers and bound intervals from the shared caches
     /// (premises and knowns are kept).  Affects every snapshot of this
     /// session, since the caches are a shared performance layer, never a
     /// source of truth.
@@ -665,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn fd_index_tracks_fragment_membership() {
+    fn fd_fragment_flag_tracks_premise_membership() {
         let u = Universe::of_size(4);
         let mut s = Session::new(u);
         let narrow = parse(s.universe(), &["A -> {B}"]);
@@ -682,7 +655,7 @@ mod tests {
         s.assert_constraint(&wide[0]);
         let outcome = s.implies(&goal);
         assert_ne!(outcome.procedure, Some(ProcedureKind::FdFragment));
-        // …and retracting it restores the rebuilt index.
+        // …and retracting it restores it.
         assert!(s.retract_constraint(&wide[0]));
         let fd_goal2 = DiffConstraint::parse("AD -> {B}", s.universe()).unwrap();
         assert_eq!(
@@ -742,8 +715,6 @@ mod tests {
         let premises = parse(&u, &["A -> {B}", "B -> {C, DE}"]);
         let config = SessionConfig {
             answer_cache_capacity: 2,
-            lattice_cache_capacity: 1,
-            prop_cache_capacity: 1,
             ..SessionConfig::default()
         };
         let mut s = Session::with_config(u.clone(), config);

@@ -1,14 +1,14 @@
 //! Immutable session snapshots: the read path of the engine.
 //!
 //! A [`Snapshot`] is a frozen, point-in-time view of one session's state —
-//! the premise set with its propositional translations and FD-fragment
-//! index, the known point values, both versioning digests, the dataset
-//! handle, and the bound-query side conditions — together with handles to
-//! the session's caches and its planner accounting.  It is the session's
-//! only copy of that state: every field is an `Arc` or `Copy`, and a
-//! [`crate::session::Session`] mutation publishes the next snapshot by
-//! replacing the one component it changed, sharing the rest, and bumping
-//! the [`Snapshot::epoch`].
+//! the premise set (held once) with a flag for whether it lies in the
+//! single-member fragment, the known point values, both versioning digests,
+//! the dataset handle, and the bound-query side conditions — together with
+//! handles to the session's two caches and its planner accounting.  It is
+//! the session's only copy of that state: every field is an `Arc` or
+//! `Copy`, and a [`crate::session::Session`] mutation publishes the next
+//! snapshot by replacing the one component it changed, sharing the rest,
+//! and bumping the [`Snapshot::epoch`].
 //!
 //! The deciders of the paper are pure functions of the premise set, so once
 //! that state is frozen every query is answerable through `&self`:
@@ -18,14 +18,16 @@
 //! probe takes that cache's one lock).  In-flight readers keep answering
 //! against the snapshot they hold — exactly the serial semantics of the
 //! program order in which they captured it — while new readers pick up the
-//! new state.
+//! new state.  An implication miss is routed by the planner and decided by
+//! [`crate::batch::decide`] through `diffcon::procedure::decide`; only its
+//! answer is memoized.
 //!
 //! Caching across snapshots is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two snapshots with the same
 //! digests share warm entries (retract-then-reassert instantly revalidates),
 //! while any state difference makes the keys disjoint.
 
-use crate::batch::{self, Job, JobResult};
+use crate::batch;
 use crate::cache::{lock, version_salt, LruCache, VersionedKey};
 use crate::metrics::{CacheFamily, EngineMetrics};
 use crate::planner::Planner;
@@ -42,8 +44,6 @@ use diffcon_bounds::{Interval, SideConditions};
 static STAGE_BOUND: diffcon_obs::profile::StageTag =
     diffcon_obs::profile::StageTag::new("planner.bound");
 use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
-use proplogic::implication::ImplicationConstraint;
-use relational::fd::FunctionalDependency;
 use setlat::{AttrSet, Universe};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -109,14 +109,14 @@ impl BoundOutcome {
 pub struct ExplainOutcome {
     /// The decision, exactly as [`Snapshot::implies`] reports it (and with
     /// the same accounting side effects: an explained query hits or feeds
-    /// the caches and counts in the planner like any other query).
+    /// the answer cache and counts in the planner like any other query).
     pub outcome: QueryOutcome,
     /// The epoch of the snapshot that answered.
     pub epoch: u64,
     /// Time probing the answer cache (zero for trivial goals).
     pub probe: Duration,
-    /// Time planning the miss: route choice plus derived-data cache
-    /// attachment (zero for trivial goals and cache hits).
+    /// Time planning the miss: the planner's route choice (zero for
+    /// trivial goals and cache hits).
     pub plan: Duration,
     /// Time inside the decision procedure (zero for trivial goals and cache
     /// hits).
@@ -141,19 +141,15 @@ pub struct AnalyzeOutcome {
     pub elapsed: Duration,
 }
 
-/// The caches shared by every snapshot of one session, each one
+/// The two caches shared by every snapshot of one session, each one
 /// [`LruCache`] behind one lock: full query answers and derived bound
-/// intervals (digest-versioned), plus goal lattice decompositions and
-/// propositional translations (goal-keyed, state-independent).
-/// Keys are fingerprint-addressed ([`VersionedKey`]), so every value
-/// carries the payload it was computed for; reads verify it against the
-/// query before trusting the entry (fingerprint collisions recompute, never
-/// alias).
+/// intervals, both digest-versioned.  Keys are fingerprint-addressed
+/// ([`VersionedKey`]), so every value carries the payload it was computed
+/// for; reads verify it against the query before trusting the entry
+/// (fingerprint collisions recompute, never alias).
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
     pub(crate) answer: Cache<(DiffConstraint, bool, ProcedureKind)>,
-    pub(crate) lattice: Cache<(DiffConstraint, Arc<[AttrSet]>)>,
-    pub(crate) prop: Cache<(DiffConstraint, Arc<ImplicationConstraint>)>,
     pub(crate) bound: Cache<(AttrSet, Interval, DeriveRoute)>,
 }
 
@@ -171,16 +167,12 @@ impl EngineCaches {
         }
         EngineCaches {
             answer: cache(CacheFamily::Answer, config.answer_cache_capacity),
-            lattice: cache(CacheFamily::Lattice, config.lattice_cache_capacity),
-            prop: cache(CacheFamily::Prop, config.prop_cache_capacity),
             bound: cache(CacheFamily::Bound, config.bound_cache_capacity),
         }
     }
 
     pub(crate) fn clear(&self) {
         lock(&self.answer).clear();
-        lock(&self.lattice).clear();
-        lock(&self.prop).clear();
         lock(&self.bound).clear();
     }
 }
@@ -194,10 +186,9 @@ impl EngineCaches {
 pub struct Snapshot {
     pub(crate) universe: Arc<Universe>,
     pub(crate) premises: Arc<[DiffConstraint]>,
-    /// Index-aligned propositional translations of the premises.
-    pub(crate) premise_props: Arc<[ImplicationConstraint]>,
-    /// Index-aligned FD translations when every premise is single-member.
-    pub(crate) fd_index: Option<Arc<[FunctionalDependency]>>,
+    /// Whether every premise is single-member (the FD fragment), so the
+    /// planner may route single-member goals to the FD procedure.
+    pub(crate) fd_fragment: bool,
     /// XOR of the premise fingerprints; versions the answer cache.
     pub(crate) premise_digest: u64,
     /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
@@ -268,117 +259,105 @@ impl Snapshot {
         VersionedKey::new(self.answer_salt(), goal.fingerprint())
     }
 
-    /// Derived-data key: goal lattices and propositional translations depend
-    /// only on the goal, so their salt is constant.
-    fn derived_key(goal: &DiffConstraint) -> VersionedKey {
-        VersionedKey::new(0, goal.fingerprint())
-    }
-
     fn bound_key(&self, query: AttrSet) -> VersionedKey {
         VersionedKey::new(self.bound_salt(), query.fingerprint())
     }
 
+    /// Answers a trivial goal inline, counting it in the planner.
+    fn trivial(&self) -> QueryOutcome {
+        self.planner.record_trivial();
+        QueryOutcome {
+            implied: true,
+            procedure: None,
+            cached: false,
+            elapsed: Duration::ZERO,
+        }
+    }
+
     /// Answer-cache probe: fingerprint-addressed lookup, verified against
-    /// the goal before the entry is trusted.
-    fn probe_answer(
-        &self,
-        key: &VersionedKey,
-        goal: &DiffConstraint,
-    ) -> Option<(bool, ProcedureKind)> {
-        lock(&self.caches.answer).get_if(key, |(stored, implied, kind)| {
-            (stored == goal).then_some((*implied, *kind))
+    /// the goal before the entry is trusted.  A hit is counted in the
+    /// planner under the route that decided it.
+    fn probe_answer(&self, key: &VersionedKey, goal: &DiffConstraint) -> Option<QueryOutcome> {
+        let (implied, kind) = lock(&self.caches.answer)
+            .get_if(key, |(stored, implied, kind)| {
+                (stored == goal).then_some((*implied, *kind))
+            })?;
+        self.planner.record_cache_hit(kind);
+        Some(QueryOutcome {
+            implied,
+            procedure: Some(kind),
+            cached: true,
+            elapsed: Duration::ZERO,
         })
     }
 
-    /// Decides `premises ⊨ goal`, consulting and feeding the shared caches.
+    /// The planner's route for a goal the answer cache missed.
+    fn route(&self, goal: &DiffConstraint) -> ProcedureKind {
+        self.planner
+            .choose(&self.universe, &self.premises, goal, self.fd_fragment)
+    }
+
+    /// Writes a decided miss back: the answer cache keeps the one copy of
+    /// the goal, and the planner counts the decision and its latency.
+    fn absorb(
+        &self,
+        key: VersionedKey,
+        goal: &DiffConstraint,
+        route: ProcedureKind,
+        outcome: QueryOutcome,
+    ) {
+        lock(&self.caches.answer).insert(key, (goal.clone(), outcome.implied, route));
+        self.planner.record_decided(route, outcome.elapsed);
+    }
+
+    /// Decides `premises ⊨ goal`, consulting and feeding the answer cache.
     pub fn implies(&self, goal: &DiffConstraint) -> QueryOutcome {
         if goal.is_trivial() {
-            self.planner.record_trivial();
-            return QueryOutcome {
-                implied: true,
-                procedure: None,
-                cached: false,
-                elapsed: Duration::ZERO,
-            };
+            return self.trivial();
         }
         let key = self.answer_key(goal);
-        if let Some((implied, kind)) = self.probe_answer(&key, goal) {
-            self.planner.record_cache_hit(kind);
-            return QueryOutcome {
-                implied,
-                procedure: Some(kind),
-                cached: true,
-                elapsed: Duration::ZERO,
-            };
+        if let Some(hit) = self.probe_answer(&key, goal) {
+            return hit;
         }
-        let job = self.plan_job(goal.clone());
-        let result = batch::decide_one(self, &job);
-        self.absorb_result(key, &job.goal, &result);
-        QueryOutcome {
-            implied: result.implied,
-            procedure: Some(result.procedure),
-            cached: false,
-            elapsed: result.elapsed,
-        }
+        let route = self.route(goal);
+        let outcome = batch::decide(self, goal, route);
+        self.absorb(key, goal, route, outcome);
+        outcome
     }
 
     /// Decides `premises ⊨ goal` like [`Snapshot::implies`], additionally
     /// reporting the snapshot epoch and a per-stage latency decomposition
-    /// (cache probe → planning → decision).  This *is* the ordinary query
-    /// path with trace marks — same caches, same planner accounting — so an
-    /// explained query observes exactly what serving it would cost.
+    /// (cache probe → route choice → decision).  This *is* the ordinary
+    /// query path with trace marks — same cache, same planner accounting —
+    /// so an explained query observes exactly what serving it would cost.
     pub fn explain(&self, goal: &DiffConstraint) -> ExplainOutcome {
         let start = Instant::now();
+        let undecided = |outcome, probe| ExplainOutcome {
+            outcome,
+            epoch: self.epoch,
+            probe,
+            plan: Duration::ZERO,
+            decide: Duration::ZERO,
+            total: start.elapsed(),
+        };
         if goal.is_trivial() {
-            self.planner.record_trivial();
-            return ExplainOutcome {
-                outcome: QueryOutcome {
-                    implied: true,
-                    procedure: None,
-                    cached: false,
-                    elapsed: Duration::ZERO,
-                },
-                epoch: self.epoch,
-                probe: Duration::ZERO,
-                plan: Duration::ZERO,
-                decide: Duration::ZERO,
-                total: start.elapsed(),
-            };
+            return undecided(self.trivial(), Duration::ZERO);
         }
         let key = self.answer_key(goal);
         let probed = self.probe_answer(&key, goal);
         let probed_at = Instant::now();
-        let probe = probed_at - start;
-        if let Some((implied, kind)) = probed {
-            self.planner.record_cache_hit(kind);
-            return ExplainOutcome {
-                outcome: QueryOutcome {
-                    implied,
-                    procedure: Some(kind),
-                    cached: true,
-                    elapsed: Duration::ZERO,
-                },
-                epoch: self.epoch,
-                probe,
-                plan: Duration::ZERO,
-                decide: Duration::ZERO,
-                total: start.elapsed(),
-            };
+        if let Some(hit) = probed {
+            return undecided(hit, probed_at - start);
         }
-        let job = self.plan_job(goal.clone());
+        let route = self.route(goal);
         let planned_at = Instant::now();
-        let result = batch::decide_one(self, &job);
+        let outcome = batch::decide(self, goal, route);
         let decided_at = Instant::now();
-        self.absorb_result(key, &job.goal, &result);
+        self.absorb(key, goal, route, outcome);
         ExplainOutcome {
-            outcome: QueryOutcome {
-                implied: result.implied,
-                procedure: Some(result.procedure),
-                cached: false,
-                elapsed: result.elapsed,
-            },
+            outcome,
             epoch: self.epoch,
-            probe,
+            probe: probed_at - start,
             plan: planned_at - probed_at,
             decide: decided_at - planned_at,
             total: start.elapsed(),
@@ -393,118 +372,51 @@ impl Snapshot {
     /// answers to calling [`Snapshot::implies`] goal-by-goal.
     pub fn implies_batch(&self, goals: &[DiffConstraint]) -> Vec<QueryOutcome> {
         let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; goals.len()];
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut job_targets: Vec<usize> = Vec::new();
+        let mut misses: Vec<(&DiffConstraint, ProcedureKind)> = Vec::new();
+        let mut miss_targets: Vec<(usize, VersionedKey)> = Vec::new();
         let mut pending: HashMap<&DiffConstraint, usize> = HashMap::new();
         let mut followers: Vec<(usize, usize)> = Vec::new();
-        // Prologue: trivia, answer-cache probes, in-batch dedup, planning.
+        // Prologue: trivia, answer-cache probes, in-batch dedup, routing.
         for (i, goal) in goals.iter().enumerate() {
             if goal.is_trivial() {
-                self.planner.record_trivial();
-                outcomes[i] = Some(QueryOutcome {
-                    implied: true,
-                    procedure: None,
-                    cached: false,
-                    elapsed: Duration::ZERO,
-                });
+                outcomes[i] = Some(self.trivial());
                 continue;
             }
-            if let Some(&job_index) = pending.get(goal) {
-                followers.push((i, job_index));
+            if let Some(&miss) = pending.get(goal) {
+                followers.push((i, miss));
                 continue;
             }
             let key = self.answer_key(goal);
-            if let Some((implied, kind)) = self.probe_answer(&key, goal) {
-                self.planner.record_cache_hit(kind);
-                outcomes[i] = Some(QueryOutcome {
-                    implied,
-                    procedure: Some(kind),
-                    cached: true,
-                    elapsed: Duration::ZERO,
-                });
+            if let Some(hit) = self.probe_answer(&key, goal) {
+                outcomes[i] = Some(hit);
                 continue;
             }
-            pending.insert(goal, jobs.len());
-            jobs.push(self.plan_job(goal.clone()));
-            job_targets.push(i);
+            pending.insert(goal, misses.len());
+            misses.push((goal, self.route(goal)));
+            miss_targets.push((i, key));
         }
         // Parallel fan-out over the misses.
-        let results: Vec<JobResult> = batch::decide_many(self, &jobs);
+        let decided = batch::decide_many(self, &misses);
         // Epilogue: write-back and accounting.
-        for (&i, result) in job_targets.iter().zip(&results) {
-            let key = self.answer_key(&goals[i]);
-            self.absorb_result(key, &goals[i], result);
-            outcomes[i] = Some(QueryOutcome {
-                implied: result.implied,
-                procedure: Some(result.procedure),
-                cached: false,
-                elapsed: result.elapsed,
-            });
+        for ((&(goal, route), &(i, key)), &outcome) in
+            misses.iter().zip(&miss_targets).zip(&decided)
+        {
+            self.absorb(key, goal, route, outcome);
+            outcomes[i] = Some(outcome);
         }
-        for (i, job_index) in followers {
-            let result = &results[job_index];
-            self.planner.record_cache_hit(result.procedure);
+        for (i, miss) in followers {
+            let (_, route) = misses[miss];
+            self.planner.record_cache_hit(route);
             outcomes[i] = Some(QueryOutcome {
-                implied: result.implied,
-                procedure: Some(result.procedure),
                 cached: true,
                 elapsed: Duration::ZERO,
+                ..decided[miss]
             });
         }
         outcomes
             .into_iter()
             .map(|o| o.expect("every goal receives an outcome"))
             .collect()
-    }
-
-    /// Plans one goal: chooses the procedure and attaches cached derived data.
-    fn plan_job(&self, goal: DiffConstraint) -> Job {
-        let kind = self.planner.choose(
-            &self.universe,
-            &self.premises,
-            &goal,
-            self.fd_index.is_some(),
-        );
-        let cached_lattice = if kind == ProcedureKind::Lattice {
-            lock(&self.caches.lattice).get_if(&Snapshot::derived_key(&goal), |(stored, lattice)| {
-                (stored == &goal).then(|| Arc::clone(lattice))
-            })
-        } else {
-            None
-        };
-        let cached_prop = if kind == ProcedureKind::Sat {
-            lock(&self.caches.prop).get_if(&Snapshot::derived_key(&goal), |(stored, prop)| {
-                (stored == &goal).then(|| Arc::clone(prop))
-            })
-        } else {
-            None
-        };
-        Job {
-            goal,
-            procedure: kind,
-            cached_lattice,
-            cached_prop,
-        }
-    }
-
-    /// Writes a decision back into the shared caches and the planner's
-    /// accounting.
-    fn absorb_result(&self, key: VersionedKey, goal: &DiffConstraint, result: &JobResult) {
-        if let Some(lattice) = &result.computed_lattice {
-            lock(&self.caches.lattice).insert(
-                Snapshot::derived_key(goal),
-                (goal.clone(), Arc::clone(lattice)),
-            );
-        }
-        if let Some(prop) = &result.computed_prop {
-            lock(&self.caches.prop).insert(
-                Snapshot::derived_key(goal),
-                (goal.clone(), Arc::clone(prop)),
-            );
-        }
-        lock(&self.caches.answer).insert(key, (goal.clone(), result.implied, result.procedure));
-        self.planner
-            .record_decided(result.procedure, result.elapsed);
     }
 
     /// Derives the tightest provable interval for `f(query)` under the

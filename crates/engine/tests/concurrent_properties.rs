@@ -36,8 +36,6 @@ const UNIVERSE_N: usize = 4;
 fn tiny_config() -> SessionConfig {
     SessionConfig {
         answer_cache_capacity: 4,
-        lattice_cache_capacity: 2,
-        prop_cache_capacity: 2,
         bound_cache_capacity: 2,
         ..SessionConfig::default()
     }

@@ -28,8 +28,6 @@ const DEADLINE: Duration = Duration::from_secs(30);
 fn tiny_config() -> SessionConfig {
     SessionConfig {
         answer_cache_capacity: 4,
-        lattice_cache_capacity: 2,
-        prop_cache_capacity: 2,
         bound_cache_capacity: 2,
         ..SessionConfig::default()
     }

@@ -10,9 +10,10 @@
 //!   sampler through the ordinary request path;
 //! * the warm cached query path performs zero heap allocations, and so does
 //!   a whole warm request through the connection path, text line or mask
-//!   frame in, reply out, and record committed (the counting allocator is
-//!   the engine's global allocator, so this is measured, not asserted by
-//!   inspection);
+//!   frame in, reply out, and record committed, while a cold lattice
+//!   decision allocates once, for the goal copy the answer cache keeps (the
+//!   counting allocator is the engine's global allocator, so this is
+//!   measured, not asserted by inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
@@ -20,6 +21,7 @@ use diffcon_engine::protocol::binary::{self, BinRequest};
 use diffcon_engine::{metrics, Server, SessionConfig};
 use diffcon_obs::profile;
 use proptest::prelude::*;
+use setlat::{AttrSet, Family};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -229,6 +231,54 @@ fn warm_cached_query_path_allocates_nothing() {
         (0, 0),
         "warm cached implies allocated"
     );
+}
+
+#[test]
+fn cold_lattice_decision_allocates_only_the_cached_goal() {
+    // No other test may toggle the profiler mid-measurement (the route's
+    // stage guard registers its thread's beacon on first use).
+    let _guard = lock_profiler();
+    profile::set_thread_class("test");
+    let mut server = Server::new(SessionConfig::default());
+    server.handle_line("universe 12");
+    // Wide right-hand sides keep the premises outside the FD fragment.
+    server.handle_line("assert A->{B,C}");
+    server.handle_line("assert D->{E,FG}");
+    let session = server.session().expect("session exists");
+    let universe = session.universe().clone();
+    let snapshot = session.snapshot();
+    let mut goals = Vec::new();
+    for x in 0..12 {
+        for y in x + 1..12 {
+            for z in (0..12).filter(|&z| z != x && z != y) {
+                goals.push(diffcon::DiffConstraint::new(
+                    AttrSet::from_indices([x, y]),
+                    Family::single(AttrSet::singleton(z)),
+                ));
+            }
+        }
+    }
+    // The first decision pays this thread's one-time costs.
+    let (first, rest) = goals.split_first().expect("goals exist");
+    snapshot.implies(first);
+    for goal in rest {
+        let before = profile::thread_alloc_counts();
+        let outcome = snapshot.implies(goal);
+        let after = profile::thread_alloc_counts();
+        assert_eq!(
+            (outcome.route_name(), outcome.cached),
+            ("lattice", false),
+            "not a cold lattice decision: {}",
+            goal.format(&universe)
+        );
+        assert!(
+            after.0 - before.0 <= 1,
+            "a cold lattice decision of {} made {} allocations; only the \
+             answer cache's copy of the goal is expected",
+            goal.format(&universe),
+            after.0 - before.0
+        );
+    }
 }
 
 /// Answers one request the way a connection does — into a reused reply

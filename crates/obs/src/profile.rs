@@ -281,7 +281,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Names the calling thread's class (`"conn"`, `"main"`, …) — the first
+/// Names the calling thread's class (`"reactor"`, `"main"`, …) — the first
 /// frame of every collapsed stack sampled from it.  Also registers the
 /// thread's beacon immediately (even while disabled), which pre-pays the
 /// one-time registration allocation off the measured path.
