@@ -1,6 +1,7 @@
-//! E4 — Proposition 5.5: the coNP frontier.  Compares the lattice procedure and
-//! the SAT-backed procedure on DNF-tautology-derived instances (worst case) and
-//! contrasts them with the polynomial FD fragment (E9's counterpart).
+//! E4 — Proposition 5.5: the coNP frontier.  Compares the lattice procedure,
+//! the clause-level SAT procedure and the refutation search on
+//! DNF-tautology-derived instances (worst case) and contrasts them with the
+//! polynomial FD fragment (E9's counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffcon::{fd_fragment, implication, prop_bridge};
@@ -21,6 +22,9 @@ fn bench_conp_frontier(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("tautology_sat", n), &n, |b, _| {
             b.iter(|| prop_bridge::implies_sat(&universe, &premises, &goal))
+        });
+        group.bench_with_input(BenchmarkId::new("tautology_search", n), &n, |b, _| {
+            b.iter(|| implication::refutation_search(&universe, &premises, &goal).is_none())
         });
     }
     for &n in &[8usize, 16, 32, 48] {

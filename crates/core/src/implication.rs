@@ -7,7 +7,7 @@
 //! C ⊨ X → 𝒴   ⇔   L(X, 𝒴) ⊆ L(C) = ⋃_{X'→𝒴' ∈ C} L(X', 𝒴').
 //! ```
 //!
-//! Three decision procedures are provided and cross-validated:
+//! Three decision procedures are provided here and cross-validated:
 //!
 //! * [`implies`] / [`implies_lattice`] — the direct Theorem 3.5 check: iterate
 //!   over the supersets of `X`, keep the ones in `L(X, 𝒴)`, and verify each is
@@ -16,15 +16,22 @@
 //! * [`implies_semantic`] — the proof of Theorem 3.5 in executable form: for
 //!   every candidate set `U` build the counterexample function `f^U` and test
 //!   it against the premises and the goal;
-//! * the SAT-backed procedure lives in [`crate::prop_bridge`] (Proposition 5.4).
+//! * [`refutation_search`] — the same counterexample found by search rather
+//!   than enumeration: by Proposition 5.3 a set `U ⊇ X` refutes the goal iff
+//!   it satisfies every premise's formula `⋀X' ⇒ ⋁⋀Y'` and falsifies the
+//!   goal's, so a DPLL over the attributes that propagates each constraint
+//!   whole finds `U` or proves there is none.  It decides the `sat` route
+//!   ([`crate::procedure::ProcedureKind::Sat`]) and supplies
+//!   [`refutation_witness`].
 //!
-//! The implication problem is coNP-complete (Proposition 5.5), so all of these
-//! are worst-case exponential; the lattice procedure is the one whose constants
-//! the benchmarks measure.
+//! The clause-level SAT procedure, which distributes every premise into
+//! `∏|Y'|` CNF clauses, lives in [`crate::prop_bridge`] (Proposition 5.4) as
+//! the paper's reference.  The implication problem is coNP-complete
+//! (Proposition 5.5), so all of these are worst-case exponential.
 
 use crate::constraint::DiffConstraint;
 use crate::semantics;
-use setlat::{powerset, AttrSet, SetFunction, Universe};
+use setlat::{powerset, AttrSet, Family, SetFunction, Universe};
 
 /// Decides `C ⊨ goal` using the lattice characterization of Theorem 3.5.
 ///
@@ -50,15 +57,116 @@ pub fn implies_lattice(
 
 /// Returns a *witness of non-implication* if one exists: a set `U ∈ L(goal)`
 /// not covered by any premise lattice.  `None` means the implication holds.
+///
+/// The witness is [`refutation_search`]'s: callers may rely on its validity,
+/// not on which set it is.
 pub fn refutation_witness(
     universe: &Universe,
     premises: &[DiffConstraint],
     goal: &DiffConstraint,
 ) -> Option<AttrSet> {
-    let n = universe.len();
-    powerset::supersets_within(goal.lhs, n)
-        .filter(|&u| goal.lattice_contains(u))
-        .find(|&u| !premises.iter().any(|p| p.lattice_contains(u)))
+    refutation_search(universe, premises, goal)
+}
+
+/// Searches for a set `U ∈ L(goal)` outside every premise lattice, the
+/// counterexample `f^U` of Theorem 3.5, and returns it; `None` iff
+/// `C ⊨ goal`.
+///
+/// By Proposition 5.3 such a `U` is an assignment of the attributes that
+/// satisfies every premise's formula `⋀X' ⇒ ⋁_{Y'} ⋀Y'` and falsifies the
+/// goal's, so this is Proposition 5.4's satisfiability question, decided by
+/// DPLL over the attributes with each constraint propagated whole instead of
+/// as `∏|Y'|` clauses.  The partial assignment is two sets, `inside ⊇ X`
+/// and `outside`; the rest of `S` is undecided.  The propagators are:
+///
+/// * a goal member `Y`: `Y ⊆ inside` is a conflict; if `Y` misses `outside`
+///   and exactly one of its attributes is not inside, that attribute goes
+///   out;
+/// * a premise `X' → 𝒴'`, unless it is escaped (`X'` meets `outside`, or
+///   some `Y' ⊆ inside`), where a member is *alive* if it misses `outside`:
+///   with `X' ⊆ inside`, no alive member is a conflict and exactly one goes
+///   in whole; with no alive member and one attribute of `X'` undecided,
+///   that attribute goes out.
+///
+/// At the fixpoint `U = inside` (every undecided attribute left out) is a
+/// refutation, unless some premise has `X' ⊆ inside` and no member inside;
+/// the search then branches on the lowest undecided attribute of that
+/// premise's first alive member, inside first.  It allocates nothing and
+/// recurses at most `|S|` deep.  The problem is coNP-complete
+/// (Proposition 5.5), so the number of branches is worst-case exponential.
+pub fn refutation_search(
+    universe: &Universe,
+    premises: &[DiffConstraint],
+    goal: &DiffConstraint,
+) -> Option<AttrSet> {
+    let u_set = refute(premises, &goal.rhs, goal.lhs, AttrSet::EMPTY)?;
+    // `lattice_contains` is Proposition 2.9's test, `X ⊆ U` included.
+    debug_assert!(
+        u_set.is_subset(universe.full_set())
+            && goal.lattice_contains(u_set)
+            && !premises.iter().any(|p| p.lattice_contains(u_set)),
+        "{u_set:?} is not a refutation"
+    );
+    Some(u_set)
+}
+
+/// One node of [`refutation_search`]: propagates `inside`/`outside` to a
+/// fixpoint and returns the refutation there, `None` on a conflict, or the
+/// first refutation below its branch.
+fn refute(
+    premises: &[DiffConstraint],
+    goal: &Family,
+    mut inside: AttrSet,
+    mut outside: AttrSet,
+) -> Option<AttrSet> {
+    loop {
+        let mut changed = false;
+        for y in goal.iter() {
+            if !y.is_disjoint(outside) {
+                continue;
+            }
+            let open = y.difference(inside);
+            match open.len() {
+                0 => return None,
+                1 => {
+                    outside = outside.union(open);
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        // The attribute this node branches on if the pass reaches the
+        // fixpoint: the first unsatisfied premise's, per the rule above.
+        let mut branch = None;
+        for p in premises {
+            if !p.lhs.is_disjoint(outside) || p.rhs.some_member_subset_of(inside) {
+                continue;
+            }
+            let open = p.lhs.difference(inside);
+            let mut alive = p.rhs.iter().filter(|y| y.is_disjoint(outside));
+            match (open.len(), alive.next(), alive.next()) {
+                (0, None, _) => return None,
+                (0, Some(y), None) => {
+                    inside = inside.union(y);
+                    changed = true;
+                }
+                (0, Some(y), Some(_)) => branch = branch.or(y.difference(inside).min_attr()),
+                (1, None, _) => {
+                    outside = outside.union(open);
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if changed {
+            continue;
+        }
+        let Some(attr) = branch else {
+            return Some(inside);
+        };
+        return refute(premises, goal, inside.with(attr), outside)
+            .or_else(|| refute(premises, goal, inside, outside.with(attr)));
+    }
 }
 
 /// Decides `C ⊨ goal` semantically, following the proof of Theorem 3.5: the
@@ -276,6 +384,42 @@ mod tests {
         assert_eq!(uncovered_count(&u, &premises, &implied), 0);
         let not_implied = DiffConstraint::parse("B -> {A}", &u).unwrap();
         assert!(uncovered_count(&u, &premises, &not_implied) > 0);
+    }
+
+    #[test]
+    fn refutation_search_needs_no_clause_expansion() {
+        // Thirteen three-attribute members distribute into 3^13 clauses;
+        // propagated whole, the premise is satisfied at the root by leaving
+        // A out.
+        let u = Universe::of_size(64);
+        let premises = parse(
+            &u,
+            &["A -> {BCD, EFG, HIJ, KLM, NOP, QRS, TUV, WXY, Zab, cde, fgh, ijk, lmn}"],
+        );
+        let goal = DiffConstraint::parse("B -> {C}", &u).unwrap();
+        let witness = refutation_search(&u, &premises, &goal).unwrap();
+        assert!(goal.lattice_contains(witness));
+        assert!(!premises[0].lattice_contains(witness));
+        // The goal is its own premise: enumeration confirms it over all 2^40
+        // sets, propagation at the root.
+        let u = Universe::of_size(40);
+        let premises = parse(&u, &[" -> {A}"]);
+        let goal = DiffConstraint::parse(" -> {A}", &u).unwrap();
+        assert_eq!(refutation_witness(&u, &premises, &goal), None);
+    }
+
+    #[test]
+    fn refutation_search_backtracks_out_of_a_failed_branch() {
+        // Nothing propagates at the root, which branches on B inside first.
+        // B inside needs D or E inside, each of which pulls in the other,
+        // and the goal forbids DE: both branches below B conflict, so the
+        // search backtracks to B outside, which forces C inside.
+        let u = Universe::of_size(5);
+        let premises = parse(&u, &[" -> {B, C}", "B -> {D, E}", "D -> {E}", "E -> {D}"]);
+        let goal = DiffConstraint::parse(" -> {DE}", &u).unwrap();
+        assert!(!implies_lattice(&u, &premises, &goal));
+        let witness = refutation_search(&u, &premises, &goal).unwrap();
+        assert_eq!(witness, u.parse_set("C").unwrap());
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   ([`parser`]);
 //! * both satisfaction semantics — density-based and differential-based —
 //!   together with their relationship ([`semantics`], Remark 3.6);
-//! * the implication problem with three interchangeable decision procedures:
-//!   the lattice-containment characterization of Theorem 3.5, a semantic
-//!   procedure built from the counterexample functions of its proof, and a
-//!   SAT-backed procedure through the propositional translation of Section 5
-//!   ([`implication`], [`prop_bridge`]);
+//! * the implication problem with interchangeable decision procedures: the
+//!   lattice-containment characterization of Theorem 3.5, a semantic
+//!   procedure built from the counterexample functions of its proof, a
+//!   search for such a counterexample that propagates each constraint whole
+//!   ([`implication`]), and the SAT-backed reference procedure through the
+//!   propositional translation of Section 5 ([`prop_bridge`]);
 //! * the sound and complete inference system of Figure 1 with machine-checkable
 //!   proof objects, a proof-producing completeness engine, and the derivable
 //!   rules of Figure 2 as tactics ([`inference`], [`derived_rules`]);

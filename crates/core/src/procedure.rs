@@ -2,12 +2,17 @@
 //!
 //! The crate ships four interchangeable sound-and-complete deciders for
 //! `C ⊨ X → 𝒴` — the polynomial FD-fragment closure check, the Theorem 3.5
-//! lattice containment, the semantic counterexample search, and the SAT-backed
-//! propositional translation.  Each lives in its own module with its own
-//! signature; this module gives them a common, enumerable interface so that a
-//! *planner* (such as the one in the `diffcon-engine` crate) can pick a
-//! procedure per query, decide through it, and account for it, without
-//! special-casing call sites.
+//! lattice containment, the semantic counterexample enumeration, and the
+//! satisfiability search of Proposition 5.4 for a refutation set.  Each lives
+//! in its own module with its own signature; this module gives them a
+//! common, enumerable interface so that a *planner* (such as the one in the
+//! `diffcon-engine` crate) can pick a procedure per query, decide through
+//! it, and account for it, without special-casing call sites.
+//!
+//! The `sat` procedure is [`implication::refutation_search`], a DPLL over the
+//! attributes that propagates each constraint whole.  The clause-level
+//! translation, [`crate::prop_bridge::implies_sat`], is the paper's reference
+//! procedure and a test oracle.
 //!
 //! The FD-fragment procedure is only sound on inputs inside the single-member
 //! fragment; [`ProcedureKind::applicable`] encodes each procedure's
@@ -15,7 +20,7 @@
 //! [`crate::fd_fragment::implies_polynomial`].
 
 use crate::constraint::DiffConstraint;
-use crate::{fd_fragment, implication, prop_bridge};
+use crate::{fd_fragment, implication};
 use setlat::Universe;
 use std::fmt;
 
@@ -31,8 +36,8 @@ pub enum ProcedureKind {
     /// Counterexample-function search following the proof of Theorem 3.5
     /// ([`implication::implies_semantic`]).
     Semantic,
-    /// DPLL refutation through the Section 5 propositional translation
-    /// ([`prop_bridge::implies_sat`]).
+    /// Proposition 5.4's satisfiability search for a refutation set, each
+    /// constraint propagated whole ([`implication::refutation_search`]).
     Sat,
 }
 
@@ -94,7 +99,7 @@ pub fn decide(
         ProcedureKind::FdFragment => fd_fragment::implies_polynomial(premises, goal),
         ProcedureKind::Lattice => implication::implies_lattice(universe, premises, goal),
         ProcedureKind::Semantic => implication::implies_semantic(universe, premises, goal),
-        ProcedureKind::Sat => prop_bridge::implies_sat(universe, premises, goal),
+        ProcedureKind::Sat => implication::refutation_search(universe, premises, goal).is_none(),
     }
 }
 

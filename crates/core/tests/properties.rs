@@ -1,4 +1,5 @@
 //! Property-based tests for the `diffcon` crate proper: implication algebra,
+//! the refutation search against the paper's decision procedures,
 //! decompositions, proof objects, covers and the FD fragment.
 
 use diffcon::random::{ConstraintGenerator, ConstraintShape};
@@ -30,6 +31,76 @@ fn arb_constraint() -> impl Strategy<Value = DiffConstraint> {
 
 fn arb_constraints(max: usize) -> impl Strategy<Value = Vec<DiffConstraint>> {
     proptest::collection::vec(arb_constraint(), 0..=max)
+}
+
+/// A constraint as attribute indices: its left side and its members.
+type RawConstraint = (Vec<usize>, Vec<Vec<usize>>);
+
+/// A constraint as attribute indices in `0..span`: a left side of up to three
+/// attributes, possibly empty, and up to three members of one to three
+/// attributes each, except that one member in eight is `∅`; the family may be
+/// empty.
+fn arb_raw_constraint(span: usize) -> impl Strategy<Value = RawConstraint> {
+    let member = (0u8..8, proptest::collection::vec(0..span, 1..=3)).prop_map(|(pick, indices)| {
+        if pick == 0 {
+            Vec::new()
+        } else {
+            indices
+        }
+    });
+    (
+        proptest::collection::vec(0..span, 0..=3),
+        proptest::collection::vec(member, 0..=3),
+    )
+}
+
+/// Up to `max_premises` raw premises and a raw goal, for [`instance`].
+fn arb_raw_instance(
+    max_premises: usize,
+    span: usize,
+) -> impl Strategy<Value = (Vec<RawConstraint>, RawConstraint)> {
+    (
+        proptest::collection::vec(arb_raw_constraint(span), 0..=max_premises),
+        arb_raw_constraint(span),
+    )
+}
+
+/// Builds a raw instance over `n` attributes, index `i` naming attribute
+/// `(offset + i) mod n`.
+fn instance(
+    n: usize,
+    offset: usize,
+    (premises, goal): (Vec<RawConstraint>, RawConstraint),
+) -> (Universe, Vec<DiffConstraint>, DiffConstraint) {
+    let set =
+        |indices: Vec<usize>| AttrSet::from_indices(indices.into_iter().map(|i| (offset + i) % n));
+    let constraint = |(lhs, members): RawConstraint| {
+        DiffConstraint::new(set(lhs), Family::from_sets(members.into_iter().map(set)))
+    };
+    (
+        Universe::of_size(n),
+        premises.into_iter().map(constraint).collect(),
+        constraint(goal),
+    )
+}
+
+/// What [`implication::refutation_search`] answers, after checking that a
+/// returned `U` is a genuine refutation: it lies in the universe, contains
+/// `X`, lies in `L(goal)` and lies outside every premise lattice
+/// (Proposition 2.9).
+fn checked_search(u: &Universe, premises: &[DiffConstraint], goal: &DiffConstraint) -> bool {
+    match implication::refutation_search(u, premises, goal) {
+        Some(w) => {
+            assert!(w.is_subset(u.full_set()), "{w:?} leaves the universe");
+            assert!(goal.lhs.is_subset(w), "{w:?} misses the goal's left side");
+            assert!(goal.lattice_contains(w), "{w:?} is outside L(goal)");
+            for p in premises {
+                assert!(!p.lattice_contains(w), "{w:?} lies in L({p:?})");
+            }
+            false
+        }
+        None => true,
+    }
 }
 
 proptest! {
@@ -178,5 +249,47 @@ proptest! {
         let printed = c.format(&u);
         let reparsed = DiffConstraint::parse(&printed, &u).unwrap();
         prop_assert_eq!(c, reparsed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The refutation search agrees with the lattice procedure up to 12
+    /// attributes, and every refutation it returns is genuine.
+    #[test]
+    fn refutation_search_agrees_with_lattice(n in 1usize..=12, raw in arb_raw_instance(6, 64)) {
+        let (u, premises, goal) = instance(n, 0, raw);
+        prop_assert_eq!(
+            checked_search(&u, &premises, &goal),
+            implication::implies_lattice(&u, &premises, &goal),
+            "premises {:?}, goal {:?}", premises, goal
+        );
+    }
+
+    /// The refutation search agrees with the semantic counterexample
+    /// enumeration up to 8 attributes.
+    #[test]
+    fn refutation_search_agrees_with_semantic(n in 1usize..=8, raw in arb_raw_instance(4, 64)) {
+        let (u, premises, goal) = instance(n, 0, raw);
+        prop_assert_eq!(
+            checked_search(&u, &premises, &goal),
+            implication::implies_semantic(&u, &premises, &goal),
+            "premises {:?}, goal {:?}", premises, goal
+        );
+    }
+
+    /// At 64 attributes, past any enumeration, the refutation search agrees
+    /// with the clause-level SAT procedure.  Each instance uses a band of 16
+    /// attributes at a random offset, wrapping past attribute 63, so goals
+    /// are implied often enough for the agreement to mean something.
+    #[test]
+    fn refutation_search_agrees_with_sat_at_64(offset in 0usize..64, raw in arb_raw_instance(8, 16)) {
+        let (u, premises, goal) = instance(64, offset, raw);
+        prop_assert_eq!(
+            checked_search(&u, &premises, &goal),
+            prop_bridge::implies_sat(&u, &premises, &goal),
+            "premises {:?}, goal {:?}", premises, goal
+        );
     }
 }

@@ -66,10 +66,11 @@
 //!   to the cheapest sound procedure — trivial goals inline, the polynomial
 //!   FD fast path when the instance lies in the single-member fragment, the
 //!   Theorem 3.5 lattice check while its `2^{|S|−|X|}` enumeration bound
-//!   fits a budget, and the Section 5 SAT translation past it — recording
-//!   per-procedure query counts, cache hits, and latency.  The planner
-//!   picks the route; the route's one decider in `diffcon::procedure`
-//!   decides.
+//!   fits a budget, and past it the `sat` route, Proposition 5.4's
+//!   satisfiability search for a refutation set
+//!   (`diffcon::implication::refutation_search`) — recording per-procedure
+//!   query counts, cache hits, and latency.  The planner picks the route;
+//!   the route's one decider in `diffcon::procedure` decides.
 //! * **Bound queries** ([`session::Session::bound`]) — a second query class
 //!   served by the `diffcon-bounds` interval engine: sessions hold a sparse
 //!   map of known point values `f(X) = v`

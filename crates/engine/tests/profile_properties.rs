@@ -233,17 +233,20 @@ fn warm_cached_query_path_allocates_nothing() {
     );
 }
 
-#[test]
-fn cold_lattice_decision_allocates_only_the_cached_goal() {
+/// Decides every goal `xy → {z}` over the first twelve attributes cold, on
+/// a session of `universe` attributes holding `premises`, and checks that
+/// each takes `route` and allocates at most once: the answer cache's copy of
+/// the goal.
+fn assert_cold_decisions_allocate_once(universe: usize, premises: &[&str], route: &str) {
     // No other test may toggle the profiler mid-measurement (the route's
     // stage guard registers its thread's beacon on first use).
     let _guard = lock_profiler();
     profile::set_thread_class("test");
     let mut server = Server::new(SessionConfig::default());
-    server.handle_line("universe 12");
-    // Wide right-hand sides keep the premises outside the FD fragment.
-    server.handle_line("assert A->{B,C}");
-    server.handle_line("assert D->{E,FG}");
+    server.handle_line(&format!("universe {universe}"));
+    for premise in premises {
+        server.handle_line(&format!("assert {premise}"));
+    }
     let session = server.session().expect("session exists");
     let universe = session.universe().clone();
     let snapshot = session.snapshot();
@@ -267,18 +270,32 @@ fn cold_lattice_decision_allocates_only_the_cached_goal() {
         let after = profile::thread_alloc_counts();
         assert_eq!(
             (outcome.route_name(), outcome.cached),
-            ("lattice", false),
-            "not a cold lattice decision: {}",
+            (route, false),
+            "not a cold {route} decision: {}",
             goal.format(&universe)
         );
         assert!(
             after.0 - before.0 <= 1,
-            "a cold lattice decision of {} made {} allocations; only the \
+            "a cold {route} decision of {} made {} allocations; only the \
              answer cache's copy of the goal is expected",
             goal.format(&universe),
             after.0 - before.0
         );
     }
+}
+
+#[test]
+fn cold_lattice_decision_allocates_only_the_cached_goal() {
+    // Wide right-hand sides keep the premises outside the FD fragment.
+    assert_cold_decisions_allocate_once(12, &["A->{B,C}", "D->{E,FG}"], "lattice");
+}
+
+#[test]
+fn cold_sat_decision_allocates_only_the_cached_goal() {
+    // At 40 attributes a two-attribute left side leaves 2^38 supersets, past
+    // the lattice budget, so every goal routes to the refutation search;
+    // the chain B → {C} → {H} makes some of them implied.
+    assert_cold_decisions_allocate_once(40, &["A->{B,C}", "D->{E,FG}", "B->{C}", "C->{H}"], "sat");
 }
 
 /// Answers one request the way a connection does — into a reused reply
