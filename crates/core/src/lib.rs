@@ -11,7 +11,8 @@
 //! * both satisfaction semantics — density-based and differential-based —
 //!   together with their relationship ([`semantics`], Remark 3.6);
 //! * the implication problem with interchangeable decision procedures: the
-//!   lattice-containment characterization of Theorem 3.5, a semantic
+//!   lattice-containment characterization of Theorem 3.5, checked 64 sets
+//!   per machine word, a semantic
 //!   procedure built from the counterexample functions of its proof, a
 //!   search for such a counterexample that propagates each constraint whole
 //!   ([`implication`]), and the SAT-backed reference procedure through the

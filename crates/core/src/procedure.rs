@@ -30,7 +30,8 @@ pub enum ProcedureKind {
     /// Polynomial attribute-closure check; sound only inside the
     /// single-member (FD) fragment of the paper's conclusion.
     FdFragment,
-    /// Direct Theorem 3.5 lattice-containment check
+    /// Direct Theorem 3.5 lattice-containment check over the supersets of
+    /// the goal's left side, 64 per machine word
     /// ([`implication::implies_lattice`]).
     Lattice,
     /// Counterexample-function search following the proof of Theorem 3.5
@@ -103,15 +104,18 @@ pub fn decide(
     }
 }
 
-/// An upper bound on the bitset operations the lattice procedure performs on
-/// this instance: `2^{|S|−|X|} · (Σ_premise |𝒴'| + |𝒴|)`.
+/// The size of the lattice procedure's enumeration on this instance, in set
+/// tests: `2^{|S|−|X|} · (Σ_premise |𝒴'| + |𝒴|)`.
 ///
-/// The bound is exact in structure (the procedure enumerates the supersets of
-/// the goal's left-hand side and tests each against every premise family) and
-/// pessimistic in constant (early exits prune most instances).  Planners use
-/// it to route between the lattice procedure, whose cost is governed by
-/// `|S| − |X|`, and the SAT procedure, whose cost is governed by the
-/// refutation search instead.
+/// The bound is exact in structure (the procedure covers the supersets of
+/// the goal's left-hand side, testing each against every premise family) and
+/// pessimistic in constant (early exits prune most instances).  It counts
+/// set tests although the procedure makes 64 of them per word operation:
+/// the bound, and the budgets planners compare it with, deliberately stay in
+/// sets, since dividing it by 64 would move which instances route to the
+/// lattice procedure.  Planners use it to route between the lattice
+/// procedure, whose cost is governed by `|S| − |X|`, and the SAT procedure,
+/// whose cost is governed by the refutation search instead.
 pub fn lattice_cost_bound(
     universe: &Universe,
     premises: &[DiffConstraint],

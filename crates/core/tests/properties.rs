@@ -293,3 +293,112 @@ proptest! {
         );
     }
 }
+
+/// `|S − X|` for the lattice kernel tests: none, part of the lanes of a word,
+/// exactly the lanes, part of the words of a block, exactly the words, and
+/// several blocks, each equally often.
+fn arb_free_count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        1usize..=5,
+        Just(6usize),
+        7usize..=11,
+        Just(12usize),
+        13usize..=16
+    ]
+}
+
+/// A raw constraint that, one time in four, also gets a member inside its
+/// left side: a premise whose lattice is then empty, or a trivial goal.
+fn arb_kernel_constraint(span: usize) -> impl Strategy<Value = (RawConstraint, bool)> {
+    (arb_raw_constraint(span), 0u8..4).prop_map(|(raw, pick)| (raw, pick == 0))
+}
+
+type KernelInstance = (Vec<(RawConstraint, bool)>, (RawConstraint, bool));
+
+fn arb_kernel_instance(max_premises: usize, span: usize) -> impl Strategy<Value = KernelInstance> {
+    (
+        proptest::collection::vec(arb_kernel_constraint(span), 0..=max_premises),
+        arb_kernel_constraint(span),
+    )
+}
+
+/// `count` distinct indices in `0..span`, drawn from `seed`.
+fn distinct_indices(span: usize, count: usize, mut seed: u64) -> Vec<usize> {
+    let mut picked = Vec::new();
+    while picked.len() < count {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let i = (seed >> 33) as usize % span;
+        if !picked.contains(&i) {
+            picked.push(i);
+        }
+    }
+    picked
+}
+
+/// Builds a kernel instance over `n` attributes, index `i` naming attribute
+/// `(offset + i) mod n`.  The goal's left side is every attribute except
+/// the indices `free`, and its members' indices pick among those (a goal
+/// member inside `X` would make the goal trivial).  A constraint drawn with
+/// an inner member also gets its left side as a member; for the goal, the
+/// part of its drawn left side inside `X`.
+fn kernel_instance(
+    n: usize,
+    offset: usize,
+    free: &[usize],
+    (premises, goal): KernelInstance,
+) -> (Universe, Vec<DiffConstraint>, DiffConstraint) {
+    let attr = |i: usize| (offset + i) % n;
+    let set = |indices: &[usize]| AttrSet::from_indices(indices.iter().map(|&i| attr(i)));
+    let free_set = |indices: &[usize]| match free.len() {
+        0 => set(indices),
+        len => AttrSet::from_indices(indices.iter().map(|&i| attr(free[i % len]))),
+    };
+    let goal_lhs = AttrSet::full(n).difference(set(free));
+    let premises = premises
+        .iter()
+        .map(|((lhs, members), inner)| {
+            let lhs = set(lhs);
+            let members = members.iter().map(|m| set(m)).chain(inner.then_some(lhs));
+            DiffConstraint::new(lhs, Family::from_sets(members))
+        })
+        .collect();
+    let ((drawn_lhs, members), inner) = &goal;
+    let members = members
+        .iter()
+        .map(|m| free_set(m))
+        .chain(inner.then(|| set(drawn_lhs).intersect(goal_lhs)));
+    let goal = DiffConstraint::new(goal_lhs, Family::from_sets(members));
+    (Universe::of_size(n), premises, goal)
+}
+
+/// The bit-sliced lattice check against the scalar walk over the same sets.
+fn kernel_agrees(u: &Universe, premises: &[DiffConstraint], goal: &DiffConstraint) -> bool {
+    implication::implies_lattice(u, premises, goal)
+        == (implication::uncovered_count(u, premises, goal) == 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The bit-sliced lattice check agrees with `uncovered_count`'s scalar
+    /// walk up to 16 attributes, with `|S − X|` on both sides of every lane,
+    /// word and block boundary.
+    #[test]
+    fn lattice_kernel_agrees_with_scalar_walk(free in arb_free_count(), extra in 0usize..=16, seed in any::<u64>(), raw in arb_kernel_instance(6, 16)) {
+        let n = (free.max(1) + extra).min(16);
+        let (u, premises, goal) = kernel_instance(n, 0, &distinct_indices(n, free, seed), raw);
+        prop_assert!(kernel_agrees(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
+    }
+
+    /// The same at 64 attributes: `X` is all but up to 16 attributes of a
+    /// band at a random offset, wrapping past attribute 63, so lane, word
+    /// and block attributes land anywhere in the word, the top bit included.
+    #[test]
+    fn lattice_kernel_agrees_with_scalar_walk_at_64(free in arb_free_count(), offset in 0usize..64, seed in any::<u64>(), raw in arb_kernel_instance(6, 20)) {
+        let (u, premises, goal) = kernel_instance(64, offset, &distinct_indices(16, free, seed), raw);
+        prop_assert!(kernel_agrees(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
+    }
+}

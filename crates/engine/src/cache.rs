@@ -2,10 +2,17 @@
 //!
 //! The engine memoizes two kinds of result — full query answers and bound
 //! intervals — each in one instance of this cache behind one `Mutex` (see
-//! [`lock`]), shared by every snapshot of a session.  It is a classic
-//! slab-backed LRU: a `HashMap` from key to slot index plus an intrusive
-//! doubly-linked recency list threaded through a slot vector, so `get`,
-//! `insert` and eviction are all `O(1)` expected.
+//! [`lock`]), shared by every snapshot of a session.  It is a slab-backed
+//! LRU: entries live in a slot vector with an intrusive doubly-linked
+//! recency list threaded through it, and an index the cache owns maps keys
+//! to slots, so `get`, `insert` and eviction are all `O(1)` expected.
+//!
+//! The index is an open-addressing table of `u64` buckets, each a 32-bit
+//! hash tag above a slot number, probed linearly.  A removal shifts the rest
+//! of its probe run back instead of leaving a tombstone, so a full cache's
+//! steady evict-and-insert churn never rehashes or grows the table: it
+//! grows only while the cache fills, up to the power of two at or above
+//! twice the capacity, and starts no larger than `2^17` buckets (1 MiB).
 //!
 //! A capacity of `0` disables the cache entirely (every `get` misses, every
 //! `insert` is a no-op), which the engine's tests use to prove answers do not
@@ -25,18 +32,30 @@
 
 use crate::metrics::CacheCounters;
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-const NIL: usize = usize::MAX;
+/// The most entries a cache holds: slots are numbered in 32 bits, by the
+/// index and by the recency list.
+const MAX_CAPACITY: usize = 1 << 31;
+
+/// The end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// The index's first table, at most: `2^17` buckets, twice the default
+/// answer-cache capacity.
+const FIRST_BUCKETS: usize = 1 << 17;
 
 #[derive(Debug)]
 struct Slot<K, V> {
     key: K,
     value: V,
-    prev: usize,
-    next: usize,
+    /// The key's index tag, kept so an eviction finds its bucket without
+    /// hashing the key again.
+    tag: u32,
+    prev: u32,
+    next: u32,
 }
 
 /// Counters describing how a cache has been used.
@@ -76,29 +95,125 @@ enum Event {
     Collision,
 }
 
+/// The key index of an [`LruCache`]: open addressing over `u64` buckets,
+/// each the upper half of its key's hash (the *tag*) above the key's slot
+/// number plus one, with `0` marking an empty bucket.  A key's home bucket
+/// is its tag modulo the table size, so the table can grow and delete by
+/// backward shift without rehashing any key.
+#[derive(Debug)]
+struct Index {
+    buckets: Vec<u64>,
+    /// The table size at which growth stops: the power of two at or above
+    /// twice the cache's capacity, which keeps the load at most one half.
+    max_buckets: usize,
+    hasher: RandomState,
+}
+
+impl Index {
+    fn new(capacity: usize) -> Self {
+        // A disabled cache gets one bucket, which stays empty.
+        let max_buckets = (2 * capacity).next_power_of_two();
+        Index {
+            buckets: vec![0; max_buckets.min(FIRST_BUCKETS)],
+            max_buckets,
+            hasher: RandomState::new(),
+        }
+    }
+
+    fn tag<Q: Hash + ?Sized>(&self, key: &Q) -> u32 {
+        (self.hasher.hash_one(key) >> 32) as u32
+    }
+
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The bucket and slot of the entry with this tag whose slot `is_key`
+    /// accepts.
+    fn find(&self, tag: u32, is_key: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
+        let mask = self.mask();
+        let mut at = tag as usize & mask;
+        loop {
+            let bucket = self.buckets[at];
+            if bucket == 0 {
+                return None;
+            }
+            let slot = (bucket as u32 - 1) as usize;
+            if (bucket >> 32) as u32 == tag && is_key(slot) {
+                return Some((at, slot));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Adds `tag → slot`, first growing the table if its `entries`, this
+    /// one included, would fill more than half of it.
+    fn insert(&mut self, tag: u32, slot: usize, entries: usize) {
+        if 2 * entries > self.buckets.len() && self.buckets.len() < self.max_buckets {
+            let grown = vec![0; 2 * self.buckets.len()];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            for bucket in old.into_iter().filter(|&b| b != 0) {
+                self.place(bucket);
+            }
+        }
+        self.place((u64::from(tag) << 32) | (slot as u64 + 1));
+    }
+
+    /// Puts `bucket` in the first empty bucket from its tag's home.
+    fn place(&mut self, bucket: u64) {
+        let mask = self.mask();
+        let mut at = (bucket >> 32) as usize & mask;
+        while self.buckets[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.buckets[at] = bucket;
+    }
+
+    /// Empties bucket `hole`, moving back each later entry of its probe run
+    /// whose home is not between the hole and the entry, so every entry
+    /// stays reachable from its home without a tombstone.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let bucket = self.buckets[at];
+            if bucket == 0 {
+                break;
+            }
+            let home = (bucket >> 32) as usize & mask;
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.buckets[hole] = bucket;
+                hole = at;
+            }
+        }
+        self.buckets[hole] = 0;
+    }
+}
+
 /// A bounded LRU map from `K` to `V`.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: usize,
-    map: HashMap<K, usize>,
+    index: Index,
     slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     stats: CacheStats,
     /// The process-wide counters every event is also counted into (an
     /// engine cache's family counters); `None` counts locally only.
     counters: Option<&'static CacheCounters>,
 }
 
-impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
+impl<K: Hash + Eq, V> LruCache<K, V> {
+    /// Creates a cache holding at most `capacity` entries (at most `2^31`:
+    /// larger capacities are clamped).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.min(MAX_CAPACITY);
         LruCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            index: Index::new(capacity),
             slots: Vec::with_capacity(capacity.min(1 << 16)),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
@@ -119,12 +234,12 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Returns `true` iff the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// Usage counters so far.
@@ -152,13 +267,24 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         }
     }
 
+    /// The bucket and slot holding `key`.
+    fn find<Q>(&self, key: &Q) -> Option<(usize, usize)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let tag = self.index.tag(key);
+        self.index
+            .find(tag, |slot| self.slots[slot].key.borrow() == key)
+    }
+
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        match self.map.get(key).copied() {
+        match self.find(key).map(|(_, slot)| slot) {
             Some(slot) => {
                 self.count(Event::Hit);
                 self.detach(slot);
@@ -182,7 +308,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        match self.map.get(key).copied() {
+        match self.find(key).map(|(_, slot)| slot) {
             Some(slot) => match f(&self.slots[slot].value) {
                 Some(projected) => {
                     self.count(Event::Hit);
@@ -209,7 +335,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.get(key).map(|&slot| &self.slots[slot].value)
+        self.find(key).map(|(_, slot)| &self.slots[slot].value)
     }
 
     /// Inserts `key → value`, evicting the least-recently-used entry when at
@@ -218,50 +344,46 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&slot) = self.map.get(&key) {
+        let tag = self.index.tag(&key);
+        if let Some((_, slot)) = self.index.find(tag, |slot| self.slots[slot].key == key) {
             self.slots[slot].value = value;
             self.detach(slot);
             self.attach_front(slot);
             return;
         }
-        if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            self.detach(lru);
-            self.map.remove(&self.slots[lru].key);
-            self.free.push(lru);
-            self.count(Event::Eviction);
-        }
-        let slot = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                idx
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
+        let entry = Slot {
+            key,
+            value,
+            tag,
+            prev: NIL,
+            next: NIL,
         };
-        self.map.insert(key, slot);
+        let len = self.slots.len();
+        let slot = if len >= self.capacity {
+            debug_assert_ne!(self.tail, NIL);
+            let lru = self.tail as usize;
+            self.detach(lru);
+            let (bucket, _) = self
+                .index
+                .find(self.slots[lru].tag, |slot| slot == lru)
+                .expect("every cached slot is indexed");
+            self.index.remove_at(bucket);
+            self.count(Event::Eviction);
+            self.slots[lru] = entry;
+            lru
+        } else {
+            self.slots.push(entry);
+            len
+        };
+        self.index.insert(tag, slot, self.slots.len());
         self.attach_front(slot);
     }
 
     /// Drops every entry (counters are kept; they describe the lifetime of
     /// the cache, not its current contents).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.index.buckets.fill(0);
         self.slots.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -269,13 +391,13 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     fn detach(&mut self, slot: usize) {
         let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
         if prev != NIL {
-            self.slots[prev].next = next;
-        } else if self.head == slot {
+            self.slots[prev as usize].next = next;
+        } else if self.head as usize == slot {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
-        } else if self.tail == slot {
+            self.slots[next as usize].prev = prev;
+        } else if self.tail as usize == slot {
             self.tail = prev;
         }
         self.slots[slot].prev = NIL;
@@ -283,14 +405,16 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     fn attach_front(&mut self, slot: usize) {
+        // Below `MAX_CAPACITY`, every slot number fits the list's 32 bits.
+        let id = slot as u32;
         self.slots[slot].prev = NIL;
         self.slots[slot].next = self.head;
         if self.head != NIL {
-            self.slots[self.head].prev = slot;
+            self.slots[self.head as usize].prev = id;
         }
-        self.head = slot;
+        self.head = id;
         if self.tail == NIL {
-            self.tail = slot;
+            self.tail = id;
         }
     }
 }
@@ -454,6 +578,21 @@ mod tests {
             }
             assert!(c.len() <= 16);
         }
+    }
+
+    #[test]
+    fn index_grows_past_its_first_table_and_keeps_every_entry() {
+        // The index starts at 2^17 buckets and must double once this cache
+        // passes 2^16 entries.
+        let capacity = 1usize << 17;
+        let mut c: LruCache<usize, usize> = LruCache::new(capacity);
+        for k in 0..capacity + 8 {
+            c.insert(k, k);
+        }
+        assert_eq!(c.len(), capacity);
+        assert_eq!(c.index.buckets.len(), 2 * capacity);
+        assert!((0..8).all(|k| c.peek(&k).is_none()));
+        assert!((8..capacity + 8).all(|k| c.peek(&k) == Some(&k)));
     }
 
     #[test]

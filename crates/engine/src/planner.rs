@@ -10,7 +10,8 @@
 //!    it ([`ProcedureKind::FdFragment`]).
 //! 3. **Lattice containment** — when the Theorem 3.5 enumeration bound
 //!    ([`diffcon::procedure::lattice_cost_bound`]) fits the configured
-//!    budget, the direct bitset procedure decides.
+//!    budget, the direct containment check decides, testing the supersets
+//!    of the goal's left side 64 per machine word.
 //! 4. **SAT** otherwise — Proposition 5.4's satisfiability search for a
 //!    refutation set ([`diffcon::implication::refutation_search`]): a DPLL
 //!    over the attributes that propagates each constraint whole, allocates
@@ -54,7 +55,8 @@ use std::time::Duration;
 /// Tuning knobs for procedure routing.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
-    /// Maximum lattice-procedure cost bound (in bitset operations, see
+    /// Maximum lattice-procedure cost bound (in set tests, 64 of which
+    /// take one word operation, see
     /// [`diffcon::procedure::lattice_cost_bound`]) before a query is routed
     /// to the SAT procedure instead.
     pub lattice_budget: u128,
@@ -67,13 +69,14 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            // 2^22 word-ops is tens of milliseconds in the worst case.  The
-            // refutation search beats the lattice enumeration on both sides
-            // of this split; the split stays because the serving
-            // benchmark's self-check pins its lattice and sat shares.
+            // 2^22 set tests are about 2^16 word operations, tens of
+            // microseconds in the worst case.  The refutation search still
+            // beats the lattice check on both sides of this split; the
+            // split stays because the serving benchmark's self-check pins
+            // its lattice and sat shares.
             lattice_budget: 1 << 22,
             // The propagation path is O(2^{|S|}) per pass; 2^26 keeps its
-            // worst case in the same tens-of-milliseconds envelope.
+            // worst case at tens of milliseconds.
             bound_budget: 1 << 26,
         }
     }

@@ -11,14 +11,15 @@
 //! * the warm cached query path performs zero heap allocations, and so does
 //!   a whole warm request through the connection path, text line or mask
 //!   frame in, reply out, and record committed, while a cold lattice
-//!   decision allocates once, for the goal copy the answer cache keeps (the
+//!   decision allocates once, for the goal copy the answer cache keeps, and
+//!   a full LRU cache's evict-and-insert churn allocates nothing (the
 //!   counting allocator is the engine's global allocator, so this is
 //!   measured, not asserted by inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
 use diffcon_engine::protocol::binary::{self, BinRequest};
-use diffcon_engine::{metrics, Server, SessionConfig};
+use diffcon_engine::{metrics, LruCache, Server, SessionConfig};
 use diffcon_obs::profile;
 use proptest::prelude::*;
 use setlat::{AttrSet, Family};
@@ -296,6 +297,33 @@ fn cold_sat_decision_allocates_only_the_cached_goal() {
     // the lattice budget, so every goal routes to the refutation search;
     // the chain B → {C} → {H} makes some of them implied.
     assert_cold_decisions_allocate_once(40, &["A->{B,C}", "D->{E,FG}", "B->{C}", "C->{H}"], "sat");
+}
+
+#[test]
+fn full_lru_cache_churns_without_allocating() {
+    // A full cache evicts one entry per insert.  Its index must absorb that
+    // churn in place: a table that leaves a tombstone per removal rehashes,
+    // and at this load doubles, after a few capacities' worth of inserts.
+    const CAPACITY: u64 = 4096;
+    profile::set_thread_class("test");
+    let mut cache: LruCache<u64, u64> = LruCache::new(CAPACITY as usize);
+    for key in 0..=CAPACITY {
+        cache.insert(key, key);
+    }
+    assert_eq!(cache.stats().evictions, 1);
+    let before = profile::thread_alloc_counts();
+    for key in CAPACITY + 1..=17 * CAPACITY {
+        cache.insert(key, key);
+    }
+    let after = profile::thread_alloc_counts();
+    assert_eq!(cache.len(), CAPACITY as usize);
+    assert_eq!(cache.peek(&(17 * CAPACITY)), Some(&(17 * CAPACITY)));
+    assert_eq!(cache.peek(&(16 * CAPACITY)), None);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "a full cache allocated while churning"
+    );
 }
 
 /// Answers one request the way a connection does — into a reused reply
