@@ -1,20 +1,20 @@
 //! E11 — engine serving throughput: what the `diffcon-engine` layer buys over
 //! one-shot `implication::implies` calls on repeated-premise query traffic.
 //!
-//! Three axes are measured on the same serving-style stream (a fixed premise
+//! Two axes are measured on the same serving-style stream (a fixed premise
 //! set, queries drawn with repetition from a goal pool):
 //!
 //! * **cold vs. warm cache** — one-shot `implies` per query versus a session
 //!   whose answer cache has seen the stream once;
-//! * **serial vs. batch** — per-query session calls versus
-//!   `implies_batch`, which deduplicates in-batch repeats and fans cache
-//!   misses out across the rayon pool (cold, on a heavier stream: the
-//!   figure that decides whether the fan-out pays for itself);
 //! * **stream length scaling** — throughput as repetition (and therefore
 //!   cache hit ratio) grows.
 //!
 //! A count table reports the planner's view of the warm run — per-procedure
-//! query counts and the cache hit ratios behind the speedup.
+//! query counts and the cache hit ratios behind the speedup.  The JSON
+//! report adds a cold serving pass on a heavier stream, its allocation
+//! bytes per query, and the static-analysis figures.  `implies_batch` is
+//! not timed separately: it decides its goals one at a time through
+//! `implies`, so it would time the serial loop again.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffcon::implication;
@@ -29,9 +29,8 @@ const UNIVERSE: usize = 12;
 const PREMISES: usize = 8;
 const POOL: usize = 64;
 
-/// A session over the heavier cold-batch workload (16 attributes, 12
-/// premises, a 128-goal pool) and a `len`-query stream over it: per-query
-/// lattice work is what the parallel fan-out amortizes, so each query is
+/// A session over the heavier cold workload (16 attributes, 12 premises, a
+/// 128-goal pool) and a `len`-query stream over it, so each decision is
 /// substantial.  Callers clear the caches before each pass, so every pass
 /// decides the distinct goals again.  Premises with an empty right side are
 /// left out: `X → {}` covers every superset of `X`, so the generator's
@@ -128,12 +127,6 @@ fn emit_json_report(cache_table: Table) {
     }
     let (warm_us, warm_mean_us) =
         time_both_us(&mut || stream.iter().filter(|g| warm.implies(g).implied).count());
-    let batch_us = time_us(&mut || {
-        warm.implies_batch(&stream)
-            .iter()
-            .filter(|o| o.implied)
-            .count()
-    });
     // Static-analysis cost and the core-reduction win (ISSUE 10): inflate
     // the premise family with goals it already implies — redundant by
     // construction — then time `minimal_core` itself and the cold serving
@@ -167,8 +160,8 @@ fn emit_json_report(cache_table: Table) {
             .filter(|g| implication::implies(&base.universe, &core.core, g))
             .count()
     });
-    // Cold fan-out: the 128-query cold stream decided one goal at a time
-    // versus through `implies_batch`, caches cleared before every pass.
+    // Cold serving: the 128-query cold stream decided one goal at a time,
+    // caches cleared before every pass.
     let (cold, cold_stream) = cold_workload(128);
     let cold_implied = cold_stream
         .iter()
@@ -185,13 +178,6 @@ fn emit_json_report(cache_table: Table) {
             .filter(|g| cold.implies(g).implied)
             .count()
     });
-    let cold_batch_us = time_us(&mut || {
-        cold.clear_caches();
-        cold.implies_batch(&cold_stream)
-            .iter()
-            .filter(|o| o.implied)
-            .count()
-    });
     // Bytes one serial cold pass allocates per query, read from this
     // thread's allocation counter (the engine's global allocator counts).
     cold.clear_caches();
@@ -206,10 +192,8 @@ fn emit_json_report(cache_table: Table) {
     report.push_metric("cold_oneshot_us", cold_us);
     report.push_metric("warm_serial_us", warm_us);
     report.push_metric("warm_serial_mean_us", warm_mean_us);
-    report.push_metric("warm_batch_us", batch_us);
     report.push_metric("warm_speedup", cold_us / warm_us.max(1e-9));
     report.push_metric("cold_serial_us", cold_serial_us);
-    report.push_metric("cold_batch_us", cold_batch_us);
     report.push_metric("cold_implied_goals", cold_implied as f64);
     report.push_metric("cold_alloc_bytes_per_query", cold_alloc_bytes_per_query);
     report.push_metric("analyze_minimal_core_us", analyze_us);
@@ -265,51 +249,8 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
         &stream,
         |b, stream| b.iter(|| stream.iter().filter(|g| warm.implies(g).implied).count()),
     );
-
-    // Warm batch: the whole stream in one `implies_batch` call against the
-    // warmed session — the serving configuration the engine is built for.
-    group.bench_with_input(
-        BenchmarkId::new("warm_batch", stream.len()),
-        &stream,
-        |b, stream| {
-            b.iter(|| {
-                warm.implies_batch(stream)
-                    .iter()
-                    .filter(|o| o.implied)
-                    .count()
-            })
-        },
-    );
     group.finish();
 }
 
-fn bench_serial_vs_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E11_serial_vs_batch");
-    group.sample_size(10);
-    // Fresh sessions per measured iteration would conflate setup with
-    // serving; instead clear caches each iteration so every pass decides the
-    // distinct goals again (cold batch vs. cold serial).
-    for &len in &[128usize, 512] {
-        let (session, stream) = cold_workload(len);
-        group.bench_with_input(BenchmarkId::new("serial", len), &stream, |b, stream| {
-            b.iter(|| {
-                session.clear_caches();
-                stream.iter().filter(|g| session.implies(g).implied).count()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("batch", len), &stream, |b, stream| {
-            b.iter(|| {
-                session.clear_caches();
-                session
-                    .implies_batch(stream)
-                    .iter()
-                    .filter(|o| o.implied)
-                    .count()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_cold_vs_warm, bench_serial_vs_batch);
+criterion_group!(benches, bench_cold_vs_warm);
 criterion_main!(benches);

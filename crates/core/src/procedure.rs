@@ -1,13 +1,15 @@
 //! Uniform entry points over the implication decision procedures.
 //!
-//! The crate ships four interchangeable sound-and-complete deciders for
-//! `C ⊨ X → 𝒴` — the polynomial FD-fragment closure check, the Theorem 3.5
-//! lattice containment, the semantic counterexample enumeration, and the
-//! satisfiability search of Proposition 5.4 for a refutation set.  Each lives
-//! in its own module with its own signature; this module gives them a
-//! common, enumerable interface so that a *planner* (such as the one in the
-//! `diffcon-engine` crate) can pick a procedure per query, decide through
-//! it, and account for it, without special-casing call sites.
+//! The crate's deciders for `C ⊨ X → 𝒴` each live in their own module with
+//! their own signature; this module gives the three a planner routes to —
+//! the polynomial FD-fragment closure check, the Theorem 3.5 lattice
+//! containment, and the satisfiability search of Proposition 5.4 for a
+//! refutation set — a common, enumerable interface so that a *planner* (such
+//! as the one in the `diffcon-engine` crate) can pick a procedure per query,
+//! decide through it, and account for it, without special-casing call sites.
+//! The semantic counterexample enumeration,
+//! [`implication::implies_semantic`], is not a route: the lattice check
+//! dominates it, and it remains the oracle the routes are tested against.
 //!
 //! The `sat` procedure is [`implication::refutation_search`], a DPLL over the
 //! attributes that propagates each constraint whole.  The clause-level
@@ -24,7 +26,7 @@ use crate::{fd_fragment, implication};
 use setlat::Universe;
 use std::fmt;
 
-/// The four decision procedures for the implication problem.
+/// The three routable decision procedures for the implication problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProcedureKind {
     /// Polynomial attribute-closure check; sound only inside the
@@ -34,9 +36,6 @@ pub enum ProcedureKind {
     /// the goal's left side, 64 per machine word
     /// ([`implication::implies_lattice`]).
     Lattice,
-    /// Counterexample-function search following the proof of Theorem 3.5
-    /// ([`implication::implies_semantic`]).
-    Semantic,
     /// Proposition 5.4's satisfiability search for a refutation set, each
     /// constraint propagated whole ([`implication::refutation_search`]).
     Sat,
@@ -44,28 +43,32 @@ pub enum ProcedureKind {
 
 /// All procedures, in the order a planner should prefer them (cheapest first
 /// on their applicable domain).
-pub const ALL_PROCEDURES: [ProcedureKind; 4] = [
+pub const ALL_PROCEDURES: [ProcedureKind; 3] = [
     ProcedureKind::FdFragment,
     ProcedureKind::Lattice,
-    ProcedureKind::Semantic,
     ProcedureKind::Sat,
 ];
 
 impl ProcedureKind {
     /// Short stable identifier used in reports and the `diffcond` wire
-    /// protocol (`fd`, `lattice`, `semantic`, `sat`).
+    /// protocol (`fd`, `lattice`, `sat`).
     pub fn name(self) -> &'static str {
         match self {
             ProcedureKind::FdFragment => "fd",
             ProcedureKind::Lattice => "lattice",
-            ProcedureKind::Semantic => "semantic",
             ProcedureKind::Sat => "sat",
         }
     }
 
+    /// The procedure's position in [`ALL_PROCEDURES`] (its declaration
+    /// order), for tables indexed by route.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Returns `true` iff the procedure is sound for this instance.
     ///
-    /// The three general procedures are always applicable; the FD-fragment
+    /// The two general procedures are always applicable; the FD-fragment
     /// check requires every premise and the goal to have single-member
     /// right-hand sides.
     pub fn applicable(self, premises: &[DiffConstraint], goal: &DiffConstraint) -> bool {
@@ -73,7 +76,7 @@ impl ProcedureKind {
             ProcedureKind::FdFragment => {
                 fd_fragment::in_fragment(goal) && fd_fragment::set_in_fragment(premises)
             }
-            ProcedureKind::Lattice | ProcedureKind::Semantic | ProcedureKind::Sat => true,
+            ProcedureKind::Lattice | ProcedureKind::Sat => true,
         }
     }
 }
@@ -99,7 +102,6 @@ pub fn decide(
     match kind {
         ProcedureKind::FdFragment => fd_fragment::implies_polynomial(premises, goal),
         ProcedureKind::Lattice => implication::implies_lattice(universe, premises, goal),
-        ProcedureKind::Semantic => implication::implies_semantic(universe, premises, goal),
         ProcedureKind::Sat => implication::refutation_search(universe, premises, goal).is_none(),
     }
 }
@@ -190,8 +192,15 @@ mod tests {
     #[test]
     fn names_are_stable() {
         let names: Vec<&str> = ALL_PROCEDURES.iter().map(|k| k.name()).collect();
-        assert_eq!(names, vec!["fd", "lattice", "semantic", "sat"]);
+        assert_eq!(names, vec!["fd", "lattice", "sat"]);
         assert_eq!(ProcedureKind::Sat.to_string(), "sat");
+    }
+
+    #[test]
+    fn index_is_the_position_in_all_procedures() {
+        for kind in ALL_PROCEDURES {
+            assert_eq!(ALL_PROCEDURES[kind.index()], kind);
+        }
     }
 
     #[test]

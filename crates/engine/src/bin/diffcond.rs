@@ -78,7 +78,8 @@ Options:
   --lattice-budget N  max lattice-procedure cost before a query is routed
                       to the SAT procedure                (default 4194304)
   --bound-budget N    max bound-derivation cost before a bound query is
-                      routed to the sound relaxation      (default 67108864)
+                      routed to the sound relaxation; also caps `analyze`'s
+                      propagation sweep                   (default 67108864)
   --slow-query-us N   log queries that take at least N µs to answer to
                       stderr, with their request line and flight record
                       (rate limited to 8 lines/s with bursts of 8; drops are
@@ -317,7 +318,7 @@ fn parse_args() -> Result<Options, String> {
                     "--bound-cache" => config.bound_cache_capacity = as_capacity(n)?,
                     "--intern-limit" => config.interner_compaction_threshold = as_capacity(n)?,
                     "--lattice-budget" => config.planner.lattice_budget = n,
-                    _ => config.planner.bound_budget = n,
+                    _ => config.bounds.budget_ops = n,
                 }
             }
             other => return Err(format!("unknown option `{other}` (try --help)")),

@@ -1,4 +1,4 @@
-//! # diffcon-engine — a cached, parallel, batch implication-serving engine
+//! # diffcon-engine — a cached implication-serving engine
 //!
 //! The `diffcon` crate answers one implication query at a time, from scratch,
 //! through one decider per procedure (`diffcon::procedure::decide`).  This
@@ -26,10 +26,10 @@
 //!   invalidates instantly and state restoration revalidates instantly.
 //!   A miss is decided afresh; nothing derived from a goal is kept but its
 //!   answer.
-//! * **Batch evaluation** ([`batch`], [`session::Session::implies_batch`]) —
-//!   many goals against one snapshot, their cache misses fanned out across
-//!   the rayon pool, each decided by `diffcon::procedure::decide`; workers
-//!   are pure and the parallel section takes no locks.
+//! * **Batch evaluation** ([`session::Session::implies_batch`]) — many
+//!   goals against one snapshot, decided in order on the calling thread,
+//!   each exactly as `implies` would decide it: a repeated goal is an
+//!   answer-cache hit.
 //! * **Multi-session serving** ([`server_state::SessionRegistry`],
 //!   [`protocol::Server::respond`]) — the `diffcond` server manages
 //!   numbered session slots (`session new/use/close/list` verbs) and
@@ -127,7 +127,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod intern;

@@ -55,7 +55,7 @@
 //!   without restarting counters.
 
 use crate::protocol::VERBS;
-use diffcon::procedure::{self, ProcedureKind};
+use diffcon::procedure::{ProcedureKind, ALL_PROCEDURES};
 use diffcon_bounds::DeriveRoute;
 use diffcon_obs::profile::{self, CountingAllocator};
 use diffcon_obs::{
@@ -121,20 +121,9 @@ pub struct CacheCounters {
     pub collisions: Counter,
 }
 
-/// Labels for the implication routes, indexed like
-/// [`procedure::ALL_PROCEDURES`].
-const ROUTE_LABELS: [&str; 4] = ["fd", "lattice", "semantic", "sat"];
-
 /// Labels for the request stage histograms, in [`EngineMetrics::stages`]
 /// order.
 const STAGE_LABELS: [&str; 3] = ["frame", "plan", "reply"];
-
-fn proc_index(kind: ProcedureKind) -> usize {
-    procedure::ALL_PROCEDURES
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every ProcedureKind appears in ALL_PROCEDURES")
-}
 
 static CONNECTION_IDS: AtomicU64 = AtomicU64::new(1);
 
@@ -148,12 +137,11 @@ pub fn next_connection_id() -> u64 {
 /// Route names a flight record can carry (the implication ladder, the bound
 /// ladder, and the verb-level routes), indexed by the code stored in the
 /// packed word; index 0 is the no-route sentinel.
-const FLIGHT_ROUTES: [&str; 15] = [
+const FLIGHT_ROUTES: [&str; 14] = [
     "?",
     "trivial",
     "fd",
     "lattice",
-    "semantic",
     "sat",
     "cached",
     "propagation",
@@ -314,12 +302,12 @@ pub struct SessionCosts {
     pub decide_ns: Counter,
     /// Goals answered inline as trivial.
     pub trivial: Counter,
-    /// Implication queries decided per route, indexed like
-    /// [`procedure::ALL_PROCEDURES`].
-    pub routes: [Counter; 4],
+    /// Implication queries decided per route, indexed by
+    /// [`ProcedureKind::index`].
+    pub routes: [Counter; ALL_PROCEDURES.len()],
     /// Answer-cache hits per route the goal was planned for, indexed like
     /// [`SessionCosts::routes`].
-    pub cache_hits: [Counter; 4],
+    pub cache_hits: [Counter; ALL_PROCEDURES.len()],
     /// Bound queries decided per bound route: `[propagation, relaxed]`.
     pub bounds: [Counter; 2],
     /// Bound queries served from the bound cache.
@@ -454,10 +442,9 @@ pub struct EngineMetrics {
     pub analyze_applies: Counter,
     /// Nanoseconds running one premise-core analysis.
     pub analyze_ns: Histogram,
-    /// Per-route decision latency, indexed like
-    /// [`procedure::ALL_PROCEDURES`]; each histogram's count is the route's
-    /// decided-query total.
-    pub route_ns: [Histogram; 4],
+    /// Per-route decision latency, indexed by [`ProcedureKind::index`];
+    /// each histogram's count is the route's decided-query total.
+    pub route_ns: [Histogram; ALL_PROCEDURES.len()],
     /// Bound-ladder decision latency: `[propagation, relaxed]`.
     pub bound_ns: [Histogram; 2],
     /// Per-family cache counters, indexed by [`CacheFamily::index`].
@@ -494,7 +481,7 @@ impl EngineMetrics {
 
     /// The latency histogram of one implication route.
     pub fn route_latency(&self, kind: ProcedureKind) -> &Histogram {
-        &self.route_ns[proc_index(kind)]
+        &self.route_ns[kind.index()]
     }
 
     /// The latency histogram of one bound-ladder route.
@@ -792,11 +779,11 @@ impl EngineMetrics {
             &self.analyze_ns.snapshot(),
             1e3,
         );
-        for (label, histogram) in ROUTE_LABELS.iter().zip(self.route_ns.iter()) {
+        for kind in ALL_PROCEDURES {
             exp.summary(
                 "diffcond_route_latency_us",
-                &[("route", label)],
-                &histogram.snapshot(),
+                &[("route", kind.name())],
+                &self.route_latency(kind).snapshot(),
                 1e3,
             );
         }
@@ -907,11 +894,11 @@ impl EngineMetrics {
             c.cache_hits.iter().map(Counter::get).sum()
         });
         for ((_, costs), (conn, slot)) in sessions.iter().zip(&session_labels) {
-            for (route, counter) in ROUTE_LABELS.iter().zip(costs.routes.iter()) {
+            for kind in ALL_PROCEDURES {
                 exp.counter(
                     "diffcond_session_route_total",
-                    &[("conn", conn), ("slot", slot), ("route", route)],
-                    counter.get(),
+                    &[("conn", conn), ("slot", slot), ("route", kind.name())],
+                    costs.routes[kind.index()].get(),
                 );
             }
         }

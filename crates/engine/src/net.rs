@@ -273,17 +273,19 @@ fn refuse(stream: TcpStream, cap: usize) {
     );
 }
 
-/// One raw frame from a byte stream.  `pub(crate)` because the blocking
-/// [`crate::client`] frames its replies with the same reader (under a
-/// different overflow policy), so a framing fix can never apply to one
-/// side of the wire only.
+/// One raw frame from a byte stream.  `pub(crate)` because only the
+/// blocking [`crate::client`] reads frames this way, for its replies.  The
+/// server frames requests in the reactor's own `parse_text`, so a framing
+/// fix made here does not reach it; net_properties'
+/// `malformed_frames_never_wedge_the_server` and
+/// `framing_violations_answer_err_and_keep_the_connection` test the
+/// server's framing.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Frame {
     /// A complete line (newline stripped) in the caller's buffer.
     Line,
-    /// Data followed by EOF instead of a newline.  The server serves it
-    /// like a line (the last request of a piped script); the client treats
-    /// it as a truncated reply from a dying server.
+    /// Data followed by EOF instead of a newline; the client treats it as
+    /// a truncated reply from a dying server.
     Partial,
     /// A line over the cap, discarded up to its newline; payload is the
     /// discarded length in bytes.  The stream stays framed: the next read

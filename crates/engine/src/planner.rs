@@ -19,16 +19,16 @@
 //!    `2^{|S|−|X|}`.
 //!
 //! The planner only picks the route: every route has one decider,
-//! [`diffcon::procedure::decide`], which [`crate::batch::decide`] calls
-//! on the snapshot's premises.
+//! [`diffcon::procedure::decide`], which the snapshot calls on its premises
+//! on the calling thread.
 //!
 //! **Bound queries** (`f(Y) ∈ [lo, hi]`, served by the `diffcon-bounds`
 //! crate) are a second query class with their own routing ladder:
 //! cached-exact answers are served by the session before the planner is
 //! consulted; otherwise the full propagation path runs while its
-//! [`diffcon_bounds::problem::propagation_cost_bound`] fits
-//! [`PlannerConfig::bound_budget`]; past the budget the sound relaxation
-//! answers.
+//! [`diffcon_bounds::problem::propagation_cost_bound`] fits the session's
+//! [`BoundsConfig::budget_ops`], the same budget `analyze`'s propagation
+//! sweep reads; past the budget the sound relaxation answers.
 //!
 //! Every decision is counted once, in the owning session's ledger
 //! ([`SessionCosts`]: decided queries and answer-cache hits per procedure,
@@ -60,10 +60,6 @@ pub struct PlannerConfig {
     /// [`diffcon::procedure::lattice_cost_bound`]) before a query is routed
     /// to the SAT procedure instead.
     pub lattice_budget: u128,
-    /// Maximum bound-derivation cost bound before a `bound` query is routed
-    /// to the enumeration-free relaxation instead of the full propagation
-    /// path.
-    pub bound_budget: u128,
 }
 
 impl Default for PlannerConfig {
@@ -75,9 +71,6 @@ impl Default for PlannerConfig {
             // split stays because the serving benchmark's self-check pins
             // its lattice and sat shares.
             lattice_budget: 1 << 22,
-            // The propagation path is O(2^{|S|}) per pass; 2^26 keeps its
-            // worst case at tens of milliseconds.
-            bound_budget: 1 << 26,
         }
     }
 }
@@ -117,9 +110,9 @@ impl BoundStats {
 /// A snapshot of every procedure's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlannerStats {
-    /// Indexed in the order of [`procedure::ALL_PROCEDURES`]
-    /// (`fd`, `lattice`, `semantic`, `sat`).
-    pub per_procedure: [ProcedureStats; 4],
+    /// Indexed by [`ProcedureKind::index`], the order of
+    /// [`procedure::ALL_PROCEDURES`] (`fd`, `lattice`, `sat`).
+    pub per_procedure: [ProcedureStats; procedure::ALL_PROCEDURES.len()],
     /// Goals answered inline because they were trivial.
     pub trivial: u64,
     /// Bound-query accounting (a separate query class;
@@ -130,7 +123,7 @@ pub struct PlannerStats {
 impl PlannerStats {
     /// The counters for one procedure.
     pub fn of(&self, kind: ProcedureKind) -> &ProcedureStats {
-        &self.per_procedure[proc_index(kind)]
+        &self.per_procedure[kind.index()]
     }
 
     /// Total queries seen (decided + cached + trivial).
@@ -142,13 +135,6 @@ impl PlannerStats {
                 .map(|p| p.decided + p.cache_hits)
                 .sum::<u64>()
     }
-}
-
-fn proc_index(kind: ProcedureKind) -> usize {
-    procedure::ALL_PROCEDURES
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every ProcedureKind appears in ALL_PROCEDURES")
 }
 
 /// The slot of a bound-ladder route in `[propagation, relaxed]` arrays.
@@ -167,9 +153,9 @@ pub struct Planner {
     /// The owning session's ledger, where every decision, cache hit, and
     /// trivial goal is counted.
     costs: Arc<SessionCosts>,
-    /// Per-route latency distributions (nanoseconds), indexed like
-    /// [`procedure::ALL_PROCEDURES`].
-    latency: [Histogram; 4],
+    /// Per-route latency distributions (nanoseconds), indexed by
+    /// [`ProcedureKind::index`].
+    latency: [Histogram; procedure::ALL_PROCEDURES.len()],
     /// Bound-ladder latency distributions: `[propagation, relaxed]`.
     bound_latency: [Histogram; 2],
 }
@@ -187,11 +173,6 @@ impl Planner {
     /// with the metrics registry).
     pub(crate) fn costs(&self) -> &Arc<SessionCosts> {
         &self.costs
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> PlannerConfig {
-        self.config
     }
 
     /// Picks the procedure for `premises ⊨ goal`.
@@ -219,7 +200,7 @@ impl Planner {
     /// Records a query decided by `kind` — in the session's ledger and
     /// latency histogram and in the process-wide per-route latency.
     pub fn record_decided(&self, kind: ProcedureKind, elapsed: Duration) {
-        let slot = proc_index(kind);
+        let slot = kind.index();
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.costs.routes[slot].inc();
         self.latency[slot].record(nanos);
@@ -228,13 +209,13 @@ impl Planner {
 
     /// Records a query answered from the answer cache (planned for `kind`).
     pub fn record_cache_hit(&self, kind: ProcedureKind) {
-        self.costs.cache_hits[proc_index(kind)].inc();
+        self.costs.cache_hits[kind.index()].inc();
     }
 
     /// Picks the derivation route for a `bound` query: the full propagation
-    /// path while its cost bound fits [`PlannerConfig::bound_budget`], the
-    /// sound relaxation past it.  (Cache hits are served by the session
-    /// before the planner is consulted.)
+    /// path while its cost bound fits `config`'s
+    /// [`BoundsConfig::budget_ops`], the sound relaxation past it.  (Cache
+    /// hits are served by the session before the planner is consulted.)
     pub fn choose_bound(
         &self,
         universe: &Universe,
@@ -244,7 +225,7 @@ impl Planner {
         config: &BoundsConfig,
     ) -> DeriveRoute {
         let cost = propagation_cost_bound(universe, n_constraints, n_knowns, query, config);
-        if fits_budget(cost, self.config.bound_budget) {
+        if fits_budget(cost, config.budget_ops) {
             DeriveRoute::Propagation
         } else {
             DeriveRoute::Relaxed
@@ -276,7 +257,7 @@ impl Planner {
     /// (nanoseconds; the snapshot's count equals the route's decided
     /// total).
     pub fn latency(&self, kind: ProcedureKind) -> HistogramSnapshot {
-        self.latency[proc_index(kind)].snapshot()
+        self.latency[kind.index()].snapshot()
     }
 
     /// The latency distribution of bound queries derived over `route`
@@ -350,7 +331,6 @@ mod tests {
         let u = Universe::of_size(40);
         let planner = Planner::new(PlannerConfig {
             lattice_budget: 1 << 20,
-            ..PlannerConfig::default()
         });
         let premises = vec![DiffConstraint::new(
             AttrSet::singleton(0),
@@ -424,9 +404,9 @@ mod tests {
         planner.record_cache_hit(ProcedureKind::Lattice);
         planner.record_bound_cache_hit();
         let costs = planner.costs();
-        // `fd, lattice, semantic, sat` is the ALL_PROCEDURES order.
+        // `fd, lattice, sat` is the ALL_PROCEDURES order.
         assert_eq!(costs.routes[1].get(), 1);
-        assert_eq!(costs.routes[3].get(), 1);
+        assert_eq!(costs.routes[2].get(), 1);
         assert_eq!(costs.cache_hits[1].get(), 1);
         assert_eq!(costs.bound_cache_hits.get(), 1);
         let stats = planner.stats();
@@ -451,22 +431,22 @@ mod tests {
             DeriveRoute::Relaxed
         );
         // A tiny budget forces the relaxation even on small universes.
-        let strict = Planner::new(PlannerConfig {
-            bound_budget: 1,
-            ..PlannerConfig::default()
-        });
+        let strict = BoundsConfig {
+            budget_ops: 1,
+            ..BoundsConfig::default()
+        };
         assert_eq!(
-            strict.choose_bound(&small, 3, 5, AttrSet::from_indices([0, 1]), &config),
+            planner.choose_bound(&small, 3, 5, AttrSet::from_indices([0, 1]), &strict),
             DeriveRoute::Relaxed
         );
         // …and a maximal budget must not defeat the universe-cap sentinel
         // (the propagation path would panic, not answer).
-        let unbounded = Planner::new(PlannerConfig {
-            bound_budget: u128::MAX,
-            ..PlannerConfig::default()
-        });
+        let unbounded = BoundsConfig {
+            budget_ops: u128::MAX,
+            ..BoundsConfig::default()
+        };
         assert_eq!(
-            unbounded.choose_bound(&huge, 0, 0, AttrSet::singleton(0), &config),
+            planner.choose_bound(&huge, 0, 0, AttrSet::singleton(0), &unbounded),
             DeriveRoute::Relaxed
         );
     }

@@ -16,7 +16,7 @@
 //!              | "retract" constraint            remove a premise
 //!              | "implies" constraint            decide C ⊨ goal
 //!              | "batch" constraint (";" constraint)*
-//!              |                                 decide many goals in parallel
+//!              |                                 decide many goals in order
 //!              | "witness" constraint            refutation witness, if any
 //!              | "derive" constraint             Figure 1 proof, if implied
 //!              | "explain" constraint            decide C ⊨ goal and report
@@ -2264,8 +2264,7 @@ fn write_stats(out: &mut String, session: &Session) {
     );
     for kind in ALL_PROCEDURES {
         let p = stats.planner.of(kind);
-        // Only procedures that served traffic; in particular the semantic
-        // cross-check procedure is never planner-routed.
+        // Only procedures that served traffic.
         if p.decided == 0 && p.cache_hits == 0 {
             continue;
         }
@@ -2793,6 +2792,22 @@ mod tests {
         );
     }
 
+    /// The session's `bounds.budget_ops` is the one bound budget: a query
+    /// whose propagation cost exceeds it is answered by the relaxation.
+    #[test]
+    fn bound_budget_routes_to_the_relaxation() {
+        let mut s = Server::new(SessionConfig {
+            bounds: diffcon_bounds::problem::BoundsConfig {
+                budget_ops: 1,
+                ..Default::default()
+            },
+            ..SessionConfig::default()
+        });
+        s.handle_line("universe 3");
+        let reply = s.handle_line("bound AB").text;
+        assert!(reply.contains(" route=relaxed cached=0"), "got: {reply}");
+    }
+
     #[test]
     fn bound_infeasibility_is_an_error_not_fatal() {
         let mut s = server();
@@ -3037,9 +3052,9 @@ mod tests {
             "results n=3 y y y"
         );
         let stats = s.handle_line("stats").text;
-        // One decided query; the in-batch repeats follow it as cache hits.
+        // One decided query; the in-batch repeats are answer-cache hits.
         assert!(stats.contains("fd=1/2c"), "got: {stats}");
-        assert!(stats.contains("answer_cache=h0/m1/e0"), "got: {stats}");
+        assert!(stats.contains("answer_cache=h2/m1/e0"), "got: {stats}");
     }
 
     #[test]

@@ -496,8 +496,14 @@ impl Conn {
         }
     }
 
-    /// Serves every complete text line in the buffer (the framing semantics
-    /// of [`crate::net`]'s `read_frame`, applied to a slice).
+    /// Serves every complete text line in the buffer.  A line over
+    /// `max_request_bytes` is discarded up to its newline without being
+    /// buffered, and answered with one `err` at its position in the order.
+    /// The client's `read_frame` ([`crate::net`]) applies the same rules to
+    /// replies in separate code; net_properties'
+    /// `malformed_frames_never_wedge_the_server` and
+    /// `framing_violations_answer_err_and_keep_the_connection` test this
+    /// one.
     fn parse_text(&mut self, config: &NetConfig) {
         let max = config.max_request_bytes;
         let mut frame_start = Instant::now();

@@ -54,10 +54,10 @@ pub struct SessionConfig {
     /// nonnegative density — matching the `known <set> = <support>` verbs of
     /// the wire protocol).
     pub bound_side: SideConditions,
-    /// Derivation knobs for the bound engine (propagation rounds, pairwise
-    /// pass); routing between the full path and the relaxation is governed
-    /// by [`PlannerConfig::bound_budget`], not by
-    /// [`BoundsConfig::budget_ops`].
+    /// Derivation knobs for the bound engine: propagation rounds, the
+    /// pairwise pass, and [`BoundsConfig::budget_ops`], the one budget that
+    /// routes `bound` between the full propagation path and the relaxation
+    /// and caps `analyze`'s propagation sweep.
     pub bounds: BoundsConfig,
     /// Distinct-constraint count past which the interner is compacted.
     ///
@@ -95,9 +95,9 @@ pub struct SessionStats {
     /// Bound-cache counters.
     pub bound_cache: CacheStats,
     /// Per-procedure decision-latency percentiles `(p50, p99)` in
-    /// microseconds, in [`diffcon::procedure::ALL_PROCEDURES`] order
+    /// microseconds, indexed by [`diffcon::procedure::ProcedureKind::index`]
     /// (zeros for procedures that never decided).
-    pub route_latency_us: [(u64, u64); 4],
+    pub route_latency_us: [(u64, u64); diffcon::procedure::ALL_PROCEDURES.len()],
     /// Current number of known point values.
     pub knowns: usize,
     /// Baskets in the loaded dataset (0 when none is loaded).
@@ -486,10 +486,10 @@ impl Session {
 
     /// Decides a whole batch of goals against the current premise set.
     ///
-    /// In-batch duplicates are decided once and the cache-missing goals are
-    /// decided in parallel on the rayon pool.  The returned outcomes are
-    /// index-aligned with `goals`, and identical in answers to calling
-    /// [`Session::implies`] goal-by-goal.
+    /// Delegates to the current [`Snapshot`]: the goals are decided in
+    /// order on the calling thread, each exactly as [`Session::implies`]
+    /// decides it, so an in-batch repeat is an answer-cache hit.  The
+    /// returned outcomes are index-aligned with `goals`.
     pub fn implies_batch(&self, goals: &[DiffConstraint]) -> Vec<QueryOutcome> {
         self.current.implies_batch(goals)
     }
@@ -514,16 +514,10 @@ impl Session {
             planner: current.planner.stats(),
             answer_cache: lock(&caches.answer).stats(),
             bound_cache: lock(&caches.bound).stats(),
-            route_latency_us: {
-                let mut out = [(0u64, 0u64); 4];
-                for (slot, kind) in diffcon::procedure::ALL_PROCEDURES.iter().enumerate() {
-                    let latency = current.planner.latency(*kind);
-                    if latency.count() > 0 {
-                        out[slot] = (latency.p50() / 1_000, latency.p99() / 1_000);
-                    }
-                }
-                out
-            },
+            route_latency_us: diffcon::procedure::ALL_PROCEDURES.map(|kind| {
+                let latency = current.planner.latency(kind);
+                (latency.p50() / 1_000, latency.p99() / 1_000)
+            }),
             knowns: current.knowns.len(),
             dataset_baskets: current.dataset.as_deref().map_or(0, Dataset::len),
             premises: current.premises.len(),

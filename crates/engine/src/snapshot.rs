@@ -18,36 +18,49 @@
 //! probe takes that cache's one lock).  In-flight readers keep answering
 //! against the snapshot they hold — exactly the serial semantics of the
 //! program order in which they captured it — while new readers pick up the
-//! new state.  An implication miss is routed by the planner and decided by
-//! [`crate::batch::decide`] through `diffcon::procedure::decide`; only its
-//! answer is memoized.
+//! new state.  An implication miss is routed by the planner and decided
+//! through `diffcon::procedure::decide` on the calling thread; only its
+//! answer is memoized.  A batch is the same path once per goal, in order.
 //!
 //! Caching across snapshots is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two snapshots with the same
 //! digests share warm entries (retract-then-reassert instantly revalidates),
 //! while any state difference makes the keys disjoint.
 
-use crate::batch;
 use crate::cache::{lock, version_salt, LruCache, VersionedKey};
 use crate::metrics::{CacheFamily, EngineMetrics};
 use crate::planner::Planner;
 use crate::session::SessionConfig;
 use diffcon::inference::{self, Derivation};
-use diffcon::procedure::ProcedureKind;
+use diffcon::procedure::{self, ProcedureKind};
 use diffcon::{implication, DiffConstraint};
 use diffcon_bounds::derive::{derive_propagated, derive_relaxed};
 use diffcon_bounds::problem::{BoundsConfig, BoundsProblem, DeriveError, DeriveRoute};
 use diffcon_bounds::{Interval, SideConditions};
+use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
+use diffcon_obs::profile::{self, StageTag};
+use setlat::{AttrSet, Universe};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Profiling tags for the implication decision routes, so a profile
+/// attributes decision time to the procedure actually burning it.
+static STAGE_FD: StageTag = StageTag::new("planner.fd");
+static STAGE_LATTICE: StageTag = StageTag::new("planner.lattice");
+static STAGE_SAT: StageTag = StageTag::new("planner.sat");
 
 /// Profiling tag for bound-ladder derivations (cache misses only; hits
 /// return before any derivation work).
-static STAGE_BOUND: diffcon_obs::profile::StageTag =
-    diffcon_obs::profile::StageTag::new("planner.bound");
-use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
-use setlat::{AttrSet, Universe};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+static STAGE_BOUND: StageTag = StageTag::new("planner.bound");
+
+/// The profiling tag of one decision route.
+fn route_stage_tag(kind: ProcedureKind) -> &'static StageTag {
+    match kind {
+        ProcedureKind::FdFragment => &STAGE_FD,
+        ProcedureKind::Lattice => &STAGE_LATTICE,
+        ProcedureKind::Sat => &STAGE_SAT,
+    }
+}
 
 /// How one query was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +77,8 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Short name of the answering path for reports and the wire protocol.
-    /// The planner emits `trivial`, `fd`, `lattice`, or `sat` (`semantic` is
-    /// reachable only by driving [`crate::batch`] jobs directly; the planner
-    /// never selects it because it is dominated by the lattice procedure).
+    /// Short name of the answering path for reports and the wire protocol:
+    /// `trivial`, `fd`, `lattice`, or `sat`.
     pub fn route_name(&self) -> &'static str {
         match self.procedure {
             None => "trivial",
@@ -297,6 +308,26 @@ impl Snapshot {
             .choose(&self.universe, &self.premises, goal, self.fd_fragment)
     }
 
+    /// Decides one planned miss, `premises ⊨ goal` over `route`, through
+    /// the route's one decider.
+    ///
+    /// # Panics
+    /// Panics if `route` is [`ProcedureKind::FdFragment`] and a premise or
+    /// the goal lies outside the single-member fragment (see
+    /// [`procedure::decide`]); the planner routes there only when both lie
+    /// inside it.
+    fn decide(&self, goal: &DiffConstraint, route: ProcedureKind) -> QueryOutcome {
+        let start = Instant::now();
+        let _stage = profile::stage(route_stage_tag(route));
+        let implied = procedure::decide(route, &self.universe, &self.premises, goal);
+        QueryOutcome {
+            implied,
+            procedure: Some(route),
+            cached: false,
+            elapsed: start.elapsed(),
+        }
+    }
+
     /// Writes a decided miss back: the answer cache keeps the one copy of
     /// the goal, and the planner counts the decision and its latency.
     fn absorb(
@@ -320,7 +351,7 @@ impl Snapshot {
             return hit;
         }
         let route = self.route(goal);
-        let outcome = batch::decide(self, goal, route);
+        let outcome = self.decide(goal, route);
         self.absorb(key, goal, route, outcome);
         outcome
     }
@@ -351,7 +382,7 @@ impl Snapshot {
         }
         let route = self.route(goal);
         let planned_at = Instant::now();
-        let outcome = batch::decide(self, goal, route);
+        let outcome = self.decide(goal, route);
         let decided_at = Instant::now();
         self.absorb(key, goal, route, outcome);
         ExplainOutcome {
@@ -364,59 +395,13 @@ impl Snapshot {
         }
     }
 
-    /// Decides a whole batch of goals against the frozen premise set.
-    ///
-    /// In-batch duplicate goals are decided once (the repeats follow the
-    /// first occurrence), cache misses fan out across the rayon pool, and
-    /// the returned outcomes are index-aligned with `goals` and identical in
-    /// answers to calling [`Snapshot::implies`] goal-by-goal.
+    /// Decides a whole batch of goals against the frozen premise set, in
+    /// order on the calling thread: each goal goes through
+    /// [`Snapshot::implies`], so a repeat of an earlier goal in the batch is
+    /// an answer-cache hit exactly like a repeated query.  The outcomes are
+    /// index-aligned with `goals`.
     pub fn implies_batch(&self, goals: &[DiffConstraint]) -> Vec<QueryOutcome> {
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; goals.len()];
-        let mut misses: Vec<(&DiffConstraint, ProcedureKind)> = Vec::new();
-        let mut miss_targets: Vec<(usize, VersionedKey)> = Vec::new();
-        let mut pending: HashMap<&DiffConstraint, usize> = HashMap::new();
-        let mut followers: Vec<(usize, usize)> = Vec::new();
-        // Prologue: trivia, answer-cache probes, in-batch dedup, routing.
-        for (i, goal) in goals.iter().enumerate() {
-            if goal.is_trivial() {
-                outcomes[i] = Some(self.trivial());
-                continue;
-            }
-            if let Some(&miss) = pending.get(goal) {
-                followers.push((i, miss));
-                continue;
-            }
-            let key = self.answer_key(goal);
-            if let Some(hit) = self.probe_answer(&key, goal) {
-                outcomes[i] = Some(hit);
-                continue;
-            }
-            pending.insert(goal, misses.len());
-            misses.push((goal, self.route(goal)));
-            miss_targets.push((i, key));
-        }
-        // Parallel fan-out over the misses.
-        let decided = batch::decide_many(self, &misses);
-        // Epilogue: write-back and accounting.
-        for ((&(goal, route), &(i, key)), &outcome) in
-            misses.iter().zip(&miss_targets).zip(&decided)
-        {
-            self.absorb(key, goal, route, outcome);
-            outcomes[i] = Some(outcome);
-        }
-        for (i, miss) in followers {
-            let (_, route) = misses[miss];
-            self.planner.record_cache_hit(route);
-            outcomes[i] = Some(QueryOutcome {
-                cached: true,
-                elapsed: Duration::ZERO,
-                ..decided[miss]
-            });
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every goal receives an outcome"))
-            .collect()
+        goals.iter().map(|goal| self.implies(goal)).collect()
     }
 
     /// Derives the tightest provable interval for `f(query)` under the
@@ -461,7 +446,7 @@ impl Snapshot {
             side: self.bound_side,
         };
         let start = Instant::now();
-        let _bound_stage = diffcon_obs::profile::stage(&STAGE_BOUND);
+        let _bound_stage = profile::stage(&STAGE_BOUND);
         let result = match route {
             DeriveRoute::Propagation => derive_propagated(&problem, query, &self.bounds_config),
             DeriveRoute::Relaxed => derive_relaxed(&problem, query),
@@ -540,6 +525,48 @@ mod tests {
             .iter()
             .map(|t| DiffConstraint::parse(t, u).unwrap())
             .collect()
+    }
+
+    /// A snapshot frozen over the given premises.
+    fn snapshot_of(u: &Universe, premises: &[DiffConstraint]) -> Arc<Snapshot> {
+        let mut session = Session::new(u.clone());
+        for p in premises {
+            session.assert_constraint(p);
+        }
+        session.snapshot()
+    }
+
+    #[test]
+    fn every_procedure_agrees_with_the_reference() {
+        let u = Universe::of_size(5);
+        let premises = parse(&u, &["A -> {B}", "B -> {C, DE}", "AC -> {D}"]);
+        let snapshot = snapshot_of(&u, &premises);
+        let goals = parse(
+            &u,
+            &["A -> {C, DE}", "C -> {A}", "AB -> {C, DE}", "E -> {A}"],
+        );
+        for goal in &goals {
+            let expected = implication::implies(&u, &premises, goal);
+            for kind in [ProcedureKind::Lattice, ProcedureKind::Sat] {
+                let r = snapshot.decide(goal, kind);
+                assert_eq!(r.implied, expected, "{kind} wrong on {}", goal.format(&u));
+                assert_eq!(r.procedure, Some(kind));
+                assert!(!r.cached);
+            }
+        }
+    }
+
+    #[test]
+    fn fd_route_decides_inside_the_fragment() {
+        let u = Universe::of_size(5);
+        let premises = parse(&u, &["A -> {B}", "B -> {C}"]);
+        let snapshot = snapshot_of(&u, &premises);
+        assert!(snapshot.fd_fragment);
+        for (text, expected) in [("A -> {C}", true), ("C -> {A}", false)] {
+            let goal = DiffConstraint::parse(text, &u).unwrap();
+            let r = snapshot.decide(&goal, ProcedureKind::FdFragment);
+            assert_eq!(r.implied, expected, "wrong on {text}");
+        }
     }
 
     #[test]

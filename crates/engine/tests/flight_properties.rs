@@ -31,7 +31,6 @@ const ROUTES: &[&str] = &[
     "trivial",
     "fd",
     "lattice",
-    "semantic",
     "sat",
     "cached",
     "propagation",

@@ -11,10 +11,11 @@
 //! * the warm cached query path performs zero heap allocations, and so does
 //!   a whole warm request through the connection path, text line or mask
 //!   frame in, reply out, and record committed, while a cold lattice
-//!   decision allocates once, for the goal copy the answer cache keeps, and
-//!   a full LRU cache's evict-and-insert churn allocates nothing (the
-//!   counting allocator is the engine's global allocator, so this is
-//!   measured, not asserted by inspection);
+//!   decision allocates once, for the goal copy the answer cache keeps, a
+//!   cold batch allocates once per distinct miss plus its result vector,
+//!   all on the calling thread, and a full LRU cache's evict-and-insert
+//!   churn allocates nothing (the counting allocator is the engine's global
+//!   allocator, so this is measured, not asserted by inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
@@ -234,23 +235,15 @@ fn warm_cached_query_path_allocates_nothing() {
     );
 }
 
-/// Decides every goal `xy → {z}` over the first twelve attributes cold, on
-/// a session of `universe` attributes holding `premises`, and checks that
-/// each takes `route` and allocates at most once: the answer cache's copy of
-/// the goal.
-fn assert_cold_decisions_allocate_once(universe: usize, premises: &[&str], route: &str) {
-    // No other test may toggle the profiler mid-measurement (the route's
-    // stage guard registers its thread's beacon on first use).
-    let _guard = lock_profiler();
-    profile::set_thread_class("test");
+/// A server whose session has `universe` attributes and holds `premises`,
+/// and the cold goals `xy → {z}` over the first twelve attributes (none of
+/// them trivial, all distinct).
+fn cold_workload(universe: usize, premises: &[&str]) -> (Server, Vec<diffcon::DiffConstraint>) {
     let mut server = Server::new(SessionConfig::default());
     server.handle_line(&format!("universe {universe}"));
     for premise in premises {
         server.handle_line(&format!("assert {premise}"));
     }
-    let session = server.session().expect("session exists");
-    let universe = session.universe().clone();
-    let snapshot = session.snapshot();
     let mut goals = Vec::new();
     for x in 0..12 {
         for y in x + 1..12 {
@@ -262,6 +255,21 @@ fn assert_cold_decisions_allocate_once(universe: usize, premises: &[&str], route
             }
         }
     }
+    (server, goals)
+}
+
+/// Decides every goal of [`cold_workload`] cold, on a session of `universe`
+/// attributes holding `premises`, and checks that each takes `route` and
+/// allocates at most once: the answer cache's copy of the goal.
+fn assert_cold_decisions_allocate_once(universe: usize, premises: &[&str], route: &str) {
+    // No other test may toggle the profiler mid-measurement (the route's
+    // stage guard registers its thread's beacon on first use).
+    let _guard = lock_profiler();
+    profile::set_thread_class("test");
+    let (server, goals) = cold_workload(universe, premises);
+    let session = server.session().expect("session exists");
+    let universe = session.universe().clone();
+    let snapshot = session.snapshot();
     // The first decision pays this thread's one-time costs.
     let (first, rest) = goals.split_first().expect("goals exist");
     snapshot.implies(first);
@@ -297,6 +305,49 @@ fn cold_sat_decision_allocates_only_the_cached_goal() {
     // the lattice budget, so every goal routes to the refutation search;
     // the chain B → {C} → {H} makes some of them implied.
     assert_cold_decisions_allocate_once(40, &["A->{B,C}", "D->{E,FG}", "B->{C}", "C->{H}"], "sat");
+}
+
+/// A batch is decided in order on the calling thread, goal by goal through
+/// the serial path: 64 distinct cold goals and a repeat of the first cost
+/// one answer-cache copy per miss and the result vector, and the repeat is
+/// an answer-cache hit.
+#[test]
+fn cold_batch_allocates_once_per_distinct_miss() {
+    let _guard = lock_profiler();
+    profile::set_thread_class("test");
+    let (server, goals) = cold_workload(12, &["A->{B,C}", "D->{E,FG}"]);
+    let session = server.session().expect("session exists");
+    let snapshot = session.snapshot();
+    // The first decision pays this thread's one-time costs.
+    session.clear_caches();
+    snapshot.implies(&goals[0]);
+    let mut batch = goals[1..=64].to_vec();
+    batch.push(batch[0].clone());
+    let before = profile::thread_alloc_counts();
+    let outcomes = snapshot.implies_batch(&batch);
+    let after = profile::thread_alloc_counts();
+    assert!(
+        after.0 - before.0 <= 64 + 1,
+        "a cold batch of 64 distinct goals and a repeat made {} allocations \
+         ({} bytes); one answer-cache copy per miss and the result vector are \
+         expected",
+        after.0 - before.0,
+        after.1 - before.1
+    );
+    assert!(
+        outcomes[64].cached,
+        "the repeat must be an answer-cache hit"
+    );
+    session.clear_caches();
+    for (goal, outcome) in batch.iter().zip(&outcomes) {
+        let serial = snapshot.implies(goal);
+        assert_eq!(
+            (outcome.implied, outcome.route_name()),
+            (serial.implied, serial.route_name()),
+            "batch and serial disagree on {}",
+            goal.format(session.universe())
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Equivalence properties of the engine against the one-shot decision
 //! procedure `diffcon::implication::implies`.
 //!
-//! The engine layers interning, three LRU caches, a premise digest, an FD
-//! fast path, a procedure planner, and rayon batch fan-out over the paper's
+//! The engine layers interning, two LRU caches, a premise digest, an FD
+//! fast path, a procedure planner, and batch evaluation over the paper's
 //! procedures — none of which may change a single answer.  These tests pit a
 //! long-lived session against the stateless reference on:
 //!
@@ -159,7 +159,7 @@ fn batches_agree_with_serial_and_reference() {
     let mut live = premises.clone();
     for round in 0..6 {
         let mut goals = gen.constraint_set(40, &shape());
-        // Duplicate a third of the batch to exercise in-batch deduplication.
+        // Duplicate a third of the batch to exercise in-batch cache hits.
         for i in 0..goals.len() / 3 {
             let dup = goals[i].clone();
             goals.push(dup);

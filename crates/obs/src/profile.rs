@@ -24,8 +24,8 @@
 //! Beacons register themselves in a process-wide list on first use and
 //! deregister by dropping: the thread-local owner holds the only strong
 //! reference, the registry holds a [`Weak`], and walkers prune dead entries
-//! as they go — so short-lived worker threads (the rayon shim spawns scoped
-//! workers per parallel batch) cannot leak registry slots.
+//! as they go — so short-lived threads (scoped workers spawned per task)
+//! cannot leak registry slots.
 //!
 //! Allocation accounting rides on the same tags: [`CountingAllocator`] is a
 //! `#[global_allocator]` wrapper over [`std::alloc::System`] that counts
