@@ -33,7 +33,7 @@
 use diffcon::{density, implication, DiffConstraint};
 use diffcon_bounds::derive::check_feasibility;
 use diffcon_bounds::problem::PROPAGATION_UNIVERSE_CAP;
-use diffcon_bounds::{BoundsConfig, BoundsProblem};
+use diffcon_bounds::{BoundsConfig, BoundsProblem, Feasibility};
 use setlat::{AttrSet, Universe};
 
 /// One redundant premise: implied by the rest of the family, with a shrunk
@@ -76,10 +76,16 @@ pub struct Analysis {
     pub premises: usize,
     /// Premises implied by the rest of the family, each with a witness.
     pub redundant: Vec<Redundancy>,
-    /// `Some(minimal conflicting known set)` when the knowns contradict the
-    /// premises under the side conditions *before any query is asked*;
-    /// `None` when the state is feasible (as far as
-    /// [`check_feasibility`] can tell).
+    /// Whether the knowns contradict the premises under the side conditions
+    /// *before any query is asked*, as [`check_feasibility`] decides it:
+    /// [`Feasibility::Feasible`] when every layer ran clean (no `bound`
+    /// query can answer infeasible), [`Feasibility::Infeasible`] when one
+    /// found a contradiction, and [`Feasibility::Unchecked`] when the
+    /// propagation budget or the sweep cap skipped a layer, so a query may
+    /// still find one.
+    pub feasibility: Feasibility,
+    /// A deletion-minimal conflicting known set, `Some` exactly when
+    /// [`Analysis::feasibility`] is [`Feasibility::Infeasible`].
     pub conflict: Option<Vec<(AttrSet, f64)>>,
     /// Density variables zeroed by the constraints yet still carried by some
     /// known's equation — pure dead weight in every bound derivation.
@@ -97,10 +103,13 @@ pub const DEAD_EXAMPLES: usize = 4;
 /// layer can run this against an immutable snapshot.
 pub fn analyze(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Analysis {
     let (dead_vars, dead_examples) = dead_density(problem);
+    let feasibility = check_feasibility(problem, config);
     Analysis {
         premises: problem.constraints.len(),
         redundant: redundant_premises(problem.universe, problem.constraints),
-        conflict: minimal_conflict(problem, config),
+        feasibility,
+        conflict: (feasibility == Feasibility::Infeasible)
+            .then(|| minimal_conflict(problem, config)),
         dead_vars,
         dead_examples,
     }
@@ -198,17 +207,11 @@ pub fn check_certificate(universe: &Universe, result: &MinimalCore) -> bool {
     witnesses_hold && core_irredundant
 }
 
-/// Pre-query infeasibility with a deletion-minimal conflicting known set:
-/// `None` when the knowns are jointly satisfiable, otherwise a subset that
-/// is still infeasible but becomes feasible if any single member is
+/// A deletion-minimal conflicting known set of a problem
+/// [`check_feasibility`] finds infeasible: a subset of its knowns that is
+/// still found infeasible, but no longer is if any single member is
 /// removed.
-pub fn minimal_conflict(
-    problem: &BoundsProblem<'_>,
-    config: &BoundsConfig,
-) -> Option<Vec<(AttrSet, f64)>> {
-    if check_feasibility(problem, config).is_ok() {
-        return None;
-    }
+fn minimal_conflict(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Vec<(AttrSet, f64)> {
     let mut kept: Vec<(AttrSet, f64)> = problem.knowns.to_vec();
     let mut i = 0;
     while i < kept.len() {
@@ -217,12 +220,12 @@ pub fn minimal_conflict(
             knowns: &kept,
             ..*problem
         };
-        if check_feasibility(&trial, config).is_ok() {
+        if check_feasibility(&trial, config) != Feasibility::Infeasible {
             kept.insert(i, candidate);
             i += 1;
         }
     }
-    Some(kept)
+    kept
 }
 
 /// Counts the density variables zeroed by the constraints that still appear
@@ -345,6 +348,7 @@ mod tests {
         let c = parse(&u, &["A -> {B}"]);
         let k = knowns(&u, &[("A", 4.0), ("AB", 4.0)]);
         let analysis = analyze(&problem(&u, &c, &k), &BoundsConfig::default());
+        assert_eq!(analysis.feasibility, Feasibility::Feasible);
         assert_eq!(analysis.conflict, None);
         assert_eq!(analysis.premises, 1);
     }
@@ -356,7 +360,9 @@ mod tests {
         // f(∅) is irrelevant; A → {B} forces f(A) = f(AB), so 5 ≠ 3 is the
         // two-element conflict.
         let k = knowns(&u, &[("", 100.0), ("A", 5.0), ("AB", 3.0)]);
-        let conflict = minimal_conflict(&problem(&u, &c, &k), &BoundsConfig::default()).unwrap();
+        let conflict = analyze(&problem(&u, &c, &k), &BoundsConfig::default())
+            .conflict
+            .unwrap();
         assert_eq!(conflict.len(), 2);
         let sets: Vec<AttrSet> = conflict.iter().map(|&(x, _)| x).collect();
         assert!(sets.contains(&u.parse_set("A").unwrap()));
@@ -365,8 +371,9 @@ mod tests {
         for i in 0..conflict.len() {
             let mut rest = conflict.clone();
             rest.remove(i);
-            assert!(
-                check_feasibility(&problem(&u, &c, &rest), &BoundsConfig::default()).is_ok(),
+            assert_eq!(
+                check_feasibility(&problem(&u, &c, &rest), &BoundsConfig::default()),
+                Feasibility::Feasible,
                 "conflict set is not minimal"
             );
         }

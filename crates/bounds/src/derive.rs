@@ -9,17 +9,23 @@
 //! zeroes `d` on its lattice decomposition (Definition 3.1), leaving a set of
 //! *alive* variables; each known value `f(X) = v` becomes the linear equation
 //! `Σ_{U ⊇ X, U alive} d(U) = v`; nonnegative density (the support-function
-//! interpretation) seeds every variable with `[0, ∞)`.  The passes:
+//! interpretation) seeds every variable with `[0, ∞)`.  Write
+//! `R(X) = Σ_{U ⊇ X} d(U)` for the sum over a row, taken over the variable
+//! intervals.  The passes:
 //!
 //! 1. **Interval propagation** — for each equation and each alive variable in
 //!    it, `d(U) = v − Σ_{W ≠ U} d(W)` tightens `d(U)`'s interval from the
 //!    others'; swept to a budgeted fixpoint.
-//! 2. **Direct evaluation** — `f(Y)` is the sum of its alive variables'
-//!    intervals.  When the constraints kill the whole row, `f(Y) = 0` exactly.
+//! 2. **Direct evaluation** — `f(Y) = R(Y)`, the sum of its alive variables'
+//!    intervals.  When the constraints kill the whole row, `f(Y) = 0`
+//!    exactly.
 //! 3. **Pairwise region split** — for each known `f(X) = v`,
 //!    `f(Y) = v + Σ_{U ⊇ Y, U ⊉ X∪Y} d(U) − Σ_{U ⊇ X, U ⊉ X∪Y} d(U)`,
 //!    an exact identity whose two region sums are bounded by the variable
-//!    intervals (for `X ⊆ Y` this is the monotonicity sandwich).
+//!    intervals (for `X ⊆ Y` this is the monotonicity sandwich).  Each region
+//!    is a row minus the row of `X ∪ Y` inside it: the gained region is
+//!    `R(Y) − R(X∪Y)` and the lost one `R(X) − R(X∪Y)`, so the pass
+//!    enumerates one row, `R(X∪Y)`, per known.
 //! 4. **Deduction** — for each `X ⊆ Y` with every `f(J)`, `X ⊆ J ⊊ Y` known,
 //!    the Möbius identity
 //!    `Σ_{X ⊆ J ⊆ Y} (−1)^{|J∖X|} f(J) = Σ_{U ⊇ X, U∩Y = X} d(U)`
@@ -32,14 +38,38 @@
 //! Every candidate interval is an exact linear identity evaluated over sound
 //! variable intervals, so their intersection is sound; an empty intersection
 //! (or an unsatisfiable equation) witnesses infeasibility.
+//!
+//! # Built once per state, evaluated per query
+//!
+//! Pass 1 reads only the problem — the constraints, the knowns and the side
+//! conditions — never the query.  [`Propagation::new`] runs it once and
+//! keeps what the other passes read: every density variable's interval
+//! (`2 × 8 × 2^{|S|}` bytes: 4 KiB at 8 attributes, 16 MiB at the
+//! [`crate::problem::PROPAGATION_UNIVERSE_CAP`]), each known's row sum
+//! `R(X)`, and a sorted copy of the knowns for the exact-value lookups of
+//! passes 0 and 4.  [`Propagation::evaluate`] runs passes 0 and 2–4 for one
+//! query against that state and allocates nothing.  [`derive_propagated`]
+//! is the one-shot pair of the two; a caller answering many queries over one
+//! frozen problem (the engine's snapshots, the feasibility sweep) builds the
+//! state once.
+//!
+//! # Rounding
+//!
+//! A row difference regroups pass 3's region sums.  With integral knowns
+//! every partial sum is an exact integer (below `2^53`), so each interval is
+//! bit-identical to summing both regions term by term.  With non-integral
+//! knowns an endpoint can differ from the term-by-term sum in its last bits;
+//! the candidate is the same identity over the same sound variable
+//! intervals, and infeasibility keeps its tolerance.
 
 use crate::interval::{Interval, SumAcc};
 use crate::problem::{
     fits_budget, known_point, propagation_cost_bound, BoundsConfig, BoundsProblem, DeriveError,
-    DeriveRoute, DerivedBound,
+    DeriveRoute, DerivedBound, Feasibility, SideConditions,
 };
 use diffcon::density;
 use setlat::{powerset, AttrSet};
+use std::fmt;
 
 /// Comparison tolerance for infeasibility detection (the serving workloads
 /// are integral, so this only absorbs float noise from adversarial inputs).
@@ -67,8 +97,9 @@ pub fn derive(
     }
 }
 
-/// The full propagation path (see the module docs).  Unconditional: callers
-/// that want budget routing should use [`derive()`].
+/// The full propagation path (see the module docs) for one query: builds a
+/// [`Propagation`] and evaluates it once.  Unconditional: callers that want
+/// budget routing should use [`derive()`].
 ///
 /// # Panics
 /// Panics if the universe exceeds
@@ -78,225 +109,314 @@ pub fn derive_propagated(
     query: AttrSet,
     config: &BoundsConfig,
 ) -> Result<DerivedBound, DeriveError> {
-    let state = propagate(problem, config)?;
-    let interval = evaluate(problem, &state, query, config)?;
+    let interval = Propagation::new(problem, config)?.evaluate(query)?;
     Ok(DerivedBound {
         interval,
         route: DeriveRoute::Propagation,
     })
 }
 
-/// Dense per-variable state at the pass-1 fixpoint: the alive classification,
-/// each density variable's interval, and the knowns as a mask-indexed table
-/// (`NaN` = unknown).  Query-independent, so one propagation serves any
-/// number of [`evaluate`] calls.
-struct Propagated {
+/// Both endpoint sums of one row `R(X) = Σ_{U ⊇ X} d(U)` over the variable
+/// intervals.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowSum {
+    lo: SumAcc,
+    hi: SumAcc,
+}
+
+impl RowSum {
+    fn add(&mut self, lo: f64, hi: f64) {
+        self.lo.add(lo);
+        self.hi.add(hi);
+    }
+
+    fn interval(&self) -> Interval {
+        Interval::new(self.lo.total(), self.hi.total())
+    }
+}
+
+/// One known value `f(X) = v` with its row sum `R(X)` at the pass-1
+/// fixpoint.
+#[derive(Debug, Clone, Copy)]
+struct KnownRow {
+    set: AttrSet,
+    value: f64,
+    row: RowSum,
+}
+
+/// The query-independent half of the propagation path: the pass-1 fixpoint
+/// of one problem, which [`Propagation::evaluate`] reads to answer any
+/// number of queries (see the module docs for what it keeps).
+pub struct Propagation {
+    n: usize,
+    side: SideConditions,
+    pairwise: bool,
+    /// Each density variable's interval, mask-indexed.  Dead variables are
+    /// pinned to `[0, 0]`.
     lo: Vec<f64>,
     hi: Vec<f64>,
-    val: Vec<f64>,
+    /// The knowns in the problem's order, each with its row sum (pass 3).
+    knowns: Vec<KnownRow>,
+    /// The knowns sorted by set, for exact-value lookups (passes 0 and 4).
+    sorted: Vec<(AttrSet, f64)>,
 }
 
-/// Pass 1 of the module docs: alive classification and interval propagation
-/// over the known-value equations, to a budgeted fixpoint.
-///
-/// # Panics
-/// Panics if the universe exceeds
-/// [`crate::problem::PROPAGATION_UNIVERSE_CAP`] attributes.
-fn propagate(
-    problem: &BoundsProblem<'_>,
-    config: &BoundsConfig,
-) -> Result<Propagated, DeriveError> {
-    let universe = problem.universe;
-    let n = universe.len();
-    assert!(
-        n <= crate::problem::PROPAGATION_UNIVERSE_CAP,
-        "propagation path supports at most {} attributes (got {n})",
-        crate::problem::PROPAGATION_UNIVERSE_CAP
-    );
-    let size = 1usize << n;
+impl fmt::Debug for Propagation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Propagation")
+            .field("attributes", &self.n)
+            .field("knowns", &self.knowns.len())
+            .finish_non_exhaustive()
+    }
+}
 
-    // Alive classification and per-variable intervals.  Dead variables are
-    // pinned to [0, 0] and never relaxed or tightened.
-    let alive = density::alive_table(universe, problem.constraints);
-    let (init_lo, init_hi) = if problem.side.nonnegative_density {
-        (0.0, f64::INFINITY)
-    } else {
-        (f64::NEG_INFINITY, f64::INFINITY)
-    };
-    let mut lo = vec![0.0f64; size];
-    let mut hi = vec![0.0f64; size];
-    for mask in 0..size {
-        if alive[mask] {
-            lo[mask] = init_lo;
-            hi[mask] = init_hi;
+impl Propagation {
+    /// Pass 1 of the module docs: alive classification and interval
+    /// propagation over the known-value equations, to a budgeted fixpoint,
+    /// then each known's row sum.
+    ///
+    /// # Errors
+    /// [`DeriveError::Infeasible`] when an equation cannot be satisfied by
+    /// the variable intervals.
+    ///
+    /// # Panics
+    /// Panics if the universe exceeds
+    /// [`crate::problem::PROPAGATION_UNIVERSE_CAP`] attributes.
+    pub fn new(
+        problem: &BoundsProblem<'_>,
+        config: &BoundsConfig,
+    ) -> Result<Propagation, DeriveError> {
+        let universe = problem.universe;
+        let n = universe.len();
+        assert!(
+            n <= crate::problem::PROPAGATION_UNIVERSE_CAP,
+            "propagation path supports at most {} attributes (got {n})",
+            crate::problem::PROPAGATION_UNIVERSE_CAP
+        );
+        let size = 1usize << n;
+
+        // Alive classification and per-variable intervals.  Dead variables
+        // are pinned to [0, 0] and never relaxed or tightened.
+        let alive = density::alive_table(universe, problem.constraints);
+        let (init_lo, init_hi) = if problem.side.nonnegative_density {
+            (0.0, f64::INFINITY)
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        let mut lo = vec![0.0f64; size];
+        let mut hi = vec![0.0f64; size];
+        for mask in 0..size {
+            if alive[mask] {
+                lo[mask] = init_lo;
+                hi[mask] = init_hi;
+            }
         }
-    }
 
-    // Known values as a mask-indexed table (NaN = unknown) for the deduction
-    // pass's interval-of-knowns checks.
-    let mut val = vec![f64::NAN; size];
-    for &(x, v) in problem.knowns {
-        val[x.bits() as usize] = v;
-    }
-
-    // Pass 1: interval propagation over the known-value equations.
-    for _ in 0..config.rounds {
-        let mut changed = false;
-        for &(x, v) in problem.knowns {
-            let mut lo_sum = SumAcc::new();
-            let mut hi_sum = SumAcc::new();
-            for u in powerset::supersets_within(x, n) {
-                let m = u.bits() as usize;
-                lo_sum.add(lo[m]);
-                hi_sum.add(hi[m]);
-            }
-            if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
-                return Err(DeriveError::Infeasible);
-            }
-            for u in powerset::supersets_within(x, n) {
-                let m = u.bits() as usize;
-                if !alive[m] {
-                    continue;
+        // Pass 1: interval propagation over the known-value equations.
+        for _ in 0..config.rounds {
+            let mut changed = false;
+            for &(x, v) in problem.knowns {
+                let mut lo_sum = SumAcc::new();
+                let mut hi_sum = SumAcc::new();
+                for u in powerset::supersets_within(x, n) {
+                    let m = u.bits() as usize;
+                    lo_sum.add(lo[m]);
+                    hi_sum.add(hi[m]);
                 }
-                // d(U) = v − Σ_{W ≠ U} d(W): others' lower bounds cap d(U)
-                // above, others' upper bounds support it below.
-                let new_hi = v - lo_sum.total_without(lo[m]);
-                let new_lo = v - hi_sum.total_without(hi[m]);
-                if new_hi < hi[m] {
-                    hi[m] = new_hi;
-                    changed = true;
+                if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
+                    return Err(DeriveError::Infeasible);
                 }
-                if new_lo > lo[m] {
-                    lo[m] = new_lo;
-                    changed = true;
-                }
-                if lo[m] > hi[m] {
-                    if lo[m] > hi[m] + TOL {
-                        return Err(DeriveError::Infeasible);
+                for u in powerset::supersets_within(x, n) {
+                    let m = u.bits() as usize;
+                    if !alive[m] {
+                        continue;
                     }
-                    hi[m] = lo[m];
+                    // d(U) = v − Σ_{W ≠ U} d(W): others' lower bounds cap
+                    // d(U) above, others' upper bounds support it below.
+                    let new_hi = v - lo_sum.total_without(lo[m]);
+                    let new_lo = v - hi_sum.total_without(hi[m]);
+                    if new_hi < hi[m] {
+                        hi[m] = new_hi;
+                        changed = true;
+                    }
+                    if new_lo > lo[m] {
+                        lo[m] = new_lo;
+                        changed = true;
+                    }
+                    if lo[m] > hi[m] {
+                        if lo[m] > hi[m] + TOL {
+                            return Err(DeriveError::Infeasible);
+                        }
+                        hi[m] = lo[m];
+                    }
                 }
             }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    Ok(Propagated { lo, hi, val })
-}
-
-/// Passes 0 and 2–4 of the module docs: intersects every candidate identity
-/// for `f(query)` over the propagated variable intervals.  An empty
-/// intersection witnesses infeasibility.
-fn evaluate(
-    problem: &BoundsProblem<'_>,
-    state: &Propagated,
-    query: AttrSet,
-    config: &BoundsConfig,
-) -> Result<Interval, DeriveError> {
-    let n = problem.universe.len();
-    let (lo, hi, val) = (&state.lo, &state.hi, &state.val);
-
-    let sum_over = |sets: &mut dyn Iterator<Item = AttrSet>| -> Interval {
-        let mut lo_sum = SumAcc::new();
-        let mut hi_sum = SumAcc::new();
-        for u in sets {
-            let m = u.bits() as usize;
-            lo_sum.add(lo[m]);
-            hi_sum.add(hi[m]);
-        }
-        Interval::new(lo_sum.total(), hi_sum.total())
-    };
-
-    let mut acc = Interval::UNBOUNDED;
-    let mut meet = |candidate: Interval| -> Result<(), DeriveError> {
-        acc = acc
-            .intersect(&candidate, TOL)
-            .ok_or(DeriveError::Infeasible)?;
-        Ok(())
-    };
-
-    // Pass 0: an exactly known query value.
-    if let Some(point) = known_point(problem, query) {
-        meet(point)?;
-    }
-
-    // Pass 2: direct evaluation of the query's alive row.
-    meet(sum_over(&mut powerset::supersets_within(query, n)))?;
-
-    // Pass 3: pairwise region split against every known value.
-    for &(x, v) in problem.knowns {
-        if x == query {
-            continue;
-        }
-        if config.pairwise {
-            let join = x.union(query);
-            let gained =
-                sum_over(&mut powerset::supersets_within(query, n).filter(|u| !join.is_subset(*u)));
-            let lost =
-                sum_over(&mut powerset::supersets_within(x, n).filter(|u| !join.is_subset(*u)));
-            meet(Interval::new(
-                v + gained.lo - lost.hi,
-                v + gained.hi - lost.lo,
-            ))?;
-        }
-        if problem.side.antitone {
-            if x.is_proper_subset(query) {
-                meet(Interval::new(f64::NEG_INFINITY, v))?;
-            } else if query.is_proper_subset(x) {
-                meet(Interval::new(v, f64::INFINITY))?;
+            if !changed {
+                break;
             }
         }
+
+        let mut sorted = problem.knowns.to_vec();
+        sorted.sort_by_key(|&(x, _)| x);
+        let mut state = Propagation {
+            n,
+            side: problem.side,
+            pairwise: config.pairwise,
+            lo,
+            hi,
+            knowns: Vec::new(),
+            sorted,
+        };
+        state.knowns = problem
+            .knowns
+            .iter()
+            .map(|&(set, value)| KnownRow {
+                set,
+                value,
+                row: state.row(set),
+            })
+            .collect();
+        Ok(state)
     }
 
-    // Pass 4: generalized inclusion–exclusion deduction.
-    let complement = query.complement_in(n);
-    'rules: for x in powerset::proper_subsets(query) {
-        let missing = query.difference(x).len();
-        // All 2^{|Y∖X|} − 1 proper members of [X, Y] must be known; skip
-        // rules that cannot possibly satisfy that.
-        if (problem.knowns.len() as u128) < (1u128 << missing) - 1 {
-            continue;
+    /// `R(x)`: the variable intervals summed over the supersets of `x`.
+    fn row(&self, x: AttrSet) -> RowSum {
+        let mut row = RowSum::default();
+        for u in powerset::supersets_within(x, self.n) {
+            let m = u.bits() as usize;
+            row.add(self.lo[m], self.hi[m]);
         }
-        let mut signed_knowns = 0.0f64;
-        for j in powerset::interval(x, query) {
-            if j == query {
+        row
+    }
+
+    /// The known value of `f(set)`, if any.
+    fn known(&self, set: AttrSet) -> Option<f64> {
+        self.sorted
+            .binary_search_by(|(x, _)| x.cmp(&set))
+            .ok()
+            .map(|i| self.sorted[i].1)
+    }
+
+    /// Pass 3's candidate for `f(query)` from one known `f(X) = v`, given
+    /// `R(query)`: the gained region `R(query) − R(X∪query)` and the lost
+    /// region `R(X) − R(X∪query)`, with `R(X∪query)` the only row it may
+    /// enumerate.
+    fn region_split(&self, known: &KnownRow, query: AttrSet, query_row: &RowSum) -> Interval {
+        let join = known.set.union(query);
+        let join_row = if join == query {
+            *query_row
+        } else if join == known.set {
+            known.row
+        } else {
+            self.row(join)
+        };
+        let gained_lo = query_row.lo.total_minus(&join_row.lo);
+        let gained_hi = query_row.hi.total_minus(&join_row.hi);
+        let lost_lo = known.row.lo.total_minus(&join_row.lo);
+        let lost_hi = known.row.hi.total_minus(&join_row.hi);
+        let lo = known.value + gained_lo - lost_hi;
+        let hi = known.value + gained_hi - lost_lo;
+        // Exact arithmetic orders the endpoints; rounding a non-integral
+        // row difference can swap them by an ulp.
+        Interval::new(lo.min(hi), lo.max(hi))
+    }
+
+    /// Passes 0 and 2–4 of the module docs: intersects every candidate
+    /// identity for `f(query)` over the propagated variable intervals.  Reads
+    /// the state only; allocates nothing.
+    ///
+    /// # Errors
+    /// [`DeriveError::Infeasible`] when the candidates' intersection is
+    /// empty.
+    pub fn evaluate(&self, query: AttrSet) -> Result<Interval, DeriveError> {
+        let mut acc = Interval::UNBOUNDED;
+        let mut meet = |candidate: Interval| -> Result<(), DeriveError> {
+            acc = acc
+                .intersect(&candidate, TOL)
+                .ok_or(DeriveError::Infeasible)?;
+            Ok(())
+        };
+
+        // Pass 0: an exactly known query value.
+        if let Some(v) = self.known(query) {
+            meet(Interval::point(v))?;
+        }
+
+        // Pass 2: direct evaluation of the query's alive row.
+        let query_row = self.row(query);
+        meet(query_row.interval())?;
+
+        // Pass 3: pairwise region split against every known value.
+        for known in &self.knowns {
+            if known.set == query {
                 continue;
             }
-            let v = val[j.bits() as usize];
-            if v.is_nan() {
-                continue 'rules;
+            if self.pairwise {
+                meet(self.region_split(known, query, &query_row))?;
             }
-            let sign = if j.difference(x).len().is_multiple_of(2) {
-                1.0
-            } else {
-                -1.0
-            };
-            signed_knowns += sign * v;
+            if self.side.antitone {
+                if known.set.is_proper_subset(query) {
+                    meet(Interval::new(f64::NEG_INFINITY, known.value))?;
+                } else if query.is_proper_subset(known.set) {
+                    meet(Interval::new(known.value, f64::INFINITY))?;
+                }
+            }
         }
-        // Σ_{X ⊆ J ⊆ Y} (−1)^{|J∖X|} f(J) = Σ_{U ⊇ X, U∩Y = X} d(U): the
-        // right-hand region is X ∪ V over V ⊆ S∖Y.
-        let region = sum_over(&mut powerset::subsets(complement).map(|v_set| x.union(v_set)));
-        let candidate = if missing.is_multiple_of(2) {
-            // f(Y) = region − signed_knowns.
-            region.shift(-signed_knowns)
-        } else {
-            // f(Y) = signed_knowns − region.
-            region.reflect(signed_knowns)
-        };
-        meet(candidate)?;
-    }
 
-    Ok(acc)
+        // Pass 4: generalized inclusion–exclusion deduction.
+        let complement = query.complement_in(self.n);
+        'rules: for x in powerset::proper_subsets(query) {
+            let missing = query.difference(x).len();
+            // All 2^{|Y∖X|} − 1 proper members of [X, Y] must be known; skip
+            // rules that cannot possibly satisfy that.
+            if (self.sorted.len() as u128) < (1u128 << missing) - 1 {
+                continue;
+            }
+            let mut signed_knowns = 0.0f64;
+            for j in powerset::interval(x, query) {
+                if j == query {
+                    continue;
+                }
+                let Some(v) = self.known(j) else {
+                    continue 'rules;
+                };
+                let sign = if j.difference(x).len().is_multiple_of(2) {
+                    1.0
+                } else {
+                    -1.0
+                };
+                signed_knowns += sign * v;
+            }
+            // Σ_{X ⊆ J ⊆ Y} (−1)^{|J∖X|} f(J) = Σ_{U ⊇ X, U∩Y = X} d(U): the
+            // right-hand region is X ∪ V over V ⊆ S∖Y.
+            let mut region = RowSum::default();
+            for v_set in powerset::subsets(complement) {
+                let m = x.union(v_set).bits() as usize;
+                region.add(self.lo[m], self.hi[m]);
+            }
+            let region = region.interval();
+            let candidate = if missing.is_multiple_of(2) {
+                // f(Y) = region − signed_knowns.
+                region.shift(-signed_knowns)
+            } else {
+                // f(Y) = signed_knowns − region.
+                region.reflect(signed_knowns)
+            };
+            meet(candidate)?;
+        }
+
+        Ok(acc)
+    }
 }
 
 /// Largest universe for which [`check_feasibility`] sweeps every query set.
-/// Below this cap the verdict is *exact* with respect to the propagation
-/// path: the check reports infeasibility iff some [`derive_propagated`]
-/// query on the same problem would (the engine's `bound` verb included).
-/// Past it the check is sound but one-sided — a reported contradiction is
-/// real, but query-time detection may still catch more.
+/// Up to this cap the verdict is *exact* with respect to the propagation
+/// path: the check reports [`Feasibility::Infeasible`] iff some
+/// [`derive_propagated`] query on the same problem would (the engine's
+/// `bound` verb included).  Past it the sweep is skipped: a reported
+/// contradiction is real, but a clean check answers
+/// [`Feasibility::Unchecked`], because query-time detection may still catch
+/// more.
 pub const FEASIBILITY_SWEEP_CAP: usize = 10;
 
 /// Checks the knowns' joint satisfiability under the constraints and side
@@ -308,21 +428,20 @@ pub const FEASIBILITY_SWEEP_CAP: usize = 10;
 ///    constraint-killed rows, antitone pair violations) — exactly the
 ///    contradictions [`derive_relaxed`] would report;
 /// 2. the pass-1 interval-propagation fixpoint over the known-value
-///    equations, when the universe and budget admit the dense tables;
-/// 3. below [`FEASIBILITY_SWEEP_CAP`], a full query sweep evaluating every
-///    subset against the propagated state, making the verdict coincide
-///    exactly with "some `bound` query would report infeasible".
+///    equations ([`Propagation::new`]), when [`propagation_cost_bound`] for
+///    the full set fits `config.budget_ops`;
+/// 3. up to [`FEASIBILITY_SWEEP_CAP`] attributes, a full query sweep
+///    evaluating every subset against that one state, making the verdict
+///    coincide exactly with "some `bound` query would report infeasible".
 ///
-/// # Errors
-/// [`DeriveError::Infeasible`] when no set function consistent with the
-/// problem exists (as far as the layers above can tell).
-pub fn check_feasibility(
-    problem: &BoundsProblem<'_>,
-    config: &BoundsConfig,
-) -> Result<(), DeriveError> {
+/// The verdict is [`Feasibility::Infeasible`] as soon as a layer finds a
+/// contradiction, [`Feasibility::Feasible`] when all three ran clean, and
+/// [`Feasibility::Unchecked`] when the budget or the sweep cap skipped a
+/// layer.
+pub fn check_feasibility(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Feasibility {
     for &(x, v) in problem.knowns {
         if problem.side.nonnegative_density && v < -TOL {
-            return Err(DeriveError::Infeasible);
+            return Feasibility::Infeasible;
         }
         if v.abs() > TOL
             && problem
@@ -330,12 +449,12 @@ pub fn check_feasibility(
                 .iter()
                 .any(|c| c.rhs.is_empty() && c.lhs.is_subset(x))
         {
-            return Err(DeriveError::Infeasible);
+            return Feasibility::Infeasible;
         }
         if problem.side.antitone || problem.side.nonnegative_density {
             for &(y, w) in problem.knowns {
                 if x.is_proper_subset(y) && w > v + TOL {
-                    return Err(DeriveError::Infeasible);
+                    return Feasibility::Infeasible;
                 }
             }
         }
@@ -349,15 +468,19 @@ pub fn check_feasibility(
         config,
     );
     if !fits_budget(cost, config.budget_ops) {
-        return Ok(());
+        return Feasibility::Unchecked;
     }
-    let state = propagate(problem, config)?;
-    if n <= FEASIBILITY_SWEEP_CAP {
-        for mask in 0..(1u64 << n) {
-            evaluate(problem, &state, AttrSet::from_bits(mask), config)?;
-        }
+    let Ok(state) = Propagation::new(problem, config) else {
+        return Feasibility::Infeasible;
+    };
+    if n > FEASIBILITY_SWEEP_CAP {
+        return Feasibility::Unchecked;
     }
-    Ok(())
+    if (0..(1u64 << n)).any(|mask| state.evaluate(AttrSet::from_bits(mask)).is_err()) {
+        Feasibility::Infeasible
+    } else {
+        Feasibility::Feasible
+    }
 }
 
 /// The enumeration-free sound relaxation: exact knowns, containment
@@ -408,8 +531,11 @@ pub fn derive_relaxed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::SideConditions;
+    use diffcon::random::{ConstraintGenerator, ConstraintShape};
     use diffcon::DiffConstraint;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng};
     use setlat::Universe;
 
     fn parse(u: &Universe, texts: &[&str]) -> Vec<DiffConstraint> {
@@ -590,7 +716,7 @@ mod tests {
             knowns: &k,
             side: SideConditions::support(),
         };
-        assert_eq!(check_feasibility(&problem, &config), Ok(()));
+        assert_eq!(check_feasibility(&problem, &config), Feasibility::Feasible);
         // Infeasible without any query: antitone violation.
         let k = knowns(&u, &[("A", 3.0), ("AB", 8.0)]);
         let problem = BoundsProblem {
@@ -601,7 +727,7 @@ mod tests {
         };
         assert_eq!(
             check_feasibility(&problem, &config),
-            Err(DeriveError::Infeasible)
+            Feasibility::Infeasible
         );
         // Constraint-induced contradiction: A → {B} forces σ(A) = σ(AB).
         let c = parse(&u, &["A -> {B}"]);
@@ -614,7 +740,7 @@ mod tests {
         };
         assert_eq!(
             check_feasibility(&problem, &config),
-            Err(DeriveError::Infeasible)
+            Feasibility::Infeasible
         );
     }
 
@@ -633,9 +759,10 @@ mod tests {
         };
         assert_eq!(
             check_feasibility(&problem, &config),
-            Err(DeriveError::Infeasible)
+            Feasibility::Infeasible
         );
-        // …and a consistent sandwich passes.
+        // …and a consistent sandwich is not called feasible, because the
+        // propagation layers never ran.
         let k = knowns(&u, &[("", 100.0), ("ABCD", 30.0)]);
         let problem = BoundsProblem {
             universe: &u,
@@ -643,7 +770,43 @@ mod tests {
             knowns: &k,
             side: SideConditions::support(),
         };
-        assert_eq!(check_feasibility(&problem, &config), Ok(()));
+        assert_eq!(check_feasibility(&problem, &config), Feasibility::Unchecked);
+    }
+
+    /// The knowns `f(∅) = 5, f(A) = f(B) = 3, f(AB) = 0` contradict
+    /// inclusion–exclusion (`f(AB) ≥ f(A) + f(B) − f(∅) = 1`), which only
+    /// the query sweep's deduction pass sees.
+    fn pair_contradiction(u: &Universe) -> Vec<(AttrSet, f64)> {
+        knowns(u, &[("", 5.0), ("A", 3.0), ("B", 3.0), ("AB", 0.0)])
+    }
+
+    #[test]
+    fn feasibility_check_says_when_it_skipped_a_layer() {
+        let config = BoundsConfig::default();
+        let verdict = |n: usize| {
+            let u = Universe::of_size(n);
+            let k = pair_contradiction(&u);
+            let problem = BoundsProblem {
+                universe: &u,
+                constraints: &[],
+                knowns: &k,
+                side: SideConditions::support(),
+            };
+            check_feasibility(&problem, &config)
+        };
+        assert_eq!(verdict(3), Feasibility::Infeasible);
+        assert_eq!(verdict(FEASIBILITY_SWEEP_CAP), Feasibility::Infeasible);
+        // Past the sweep cap the pass-1 state is built but not swept…
+        assert_eq!(verdict(FEASIBILITY_SWEEP_CAP + 1), Feasibility::Unchecked);
+        // …and at 20 attributes the full-set cost is over the budget.
+        assert_eq!(verdict(20), Feasibility::Unchecked);
+        // Either way a query still finds the contradiction.
+        let u = Universe::of_size(20);
+        let k = pair_contradiction(&u);
+        assert_eq!(
+            derive_support(&u, &[], &k, "AB"),
+            Err(DeriveError::Infeasible)
+        );
     }
 
     #[test]
@@ -659,7 +822,7 @@ mod tests {
         };
         assert_eq!(
             check_feasibility(&problem, &BoundsConfig::default()),
-            Err(DeriveError::Infeasible)
+            Feasibility::Infeasible
         );
     }
 
@@ -684,5 +847,139 @@ mod tests {
         .unwrap();
         // No nonnegativity: only the antitone ceiling applies.
         assert_eq!(b.interval, Interval::new(f64::NEG_INFINITY, 4.0));
+    }
+
+    /// Pass 3's candidate with both regions summed term by term, each over
+    /// its row's supersets outside `X ∪ query`: the reference the row
+    /// differences must reproduce.
+    fn region_split_by_enumeration(
+        state: &Propagation,
+        known: &KnownRow,
+        query: AttrSet,
+    ) -> Interval {
+        let join = known.set.union(query);
+        let outside_join = |x: AttrSet| {
+            let mut region = RowSum::default();
+            for u in powerset::supersets_within(x, state.n).filter(|u| !join.is_subset(*u)) {
+                let m = u.bits() as usize;
+                region.add(state.lo[m], state.hi[m]);
+            }
+            region.interval()
+        };
+        let gained = outside_join(query);
+        let lost = outside_join(known.set);
+        Interval::new(
+            known.value + gained.lo - lost.hi,
+            known.value + gained.hi - lost.lo,
+        )
+    }
+
+    /// A random problem over `n` attributes (premises with empty families
+    /// among them, and knowns that are often jointly infeasible), built to
+    /// its pass-1 state, with a query; `None` when pass 1 itself refutes the
+    /// knowns.  `integral` picks whole-number knowns.
+    fn random_state(seed: u64, n: usize, integral: bool) -> Option<(Propagation, AttrSet)> {
+        let universe = Universe::of_size(n);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = ConstraintGenerator::new(rng.gen_range(0..u64::MAX), &universe);
+        let constraints: Vec<DiffConstraint> = (0..rng.gen_range(0..4))
+            .map(|_| gen.constraint(&ConstraintShape::default()))
+            .collect();
+        let mut knowns: Vec<(AttrSet, f64)> = Vec::new();
+        for _ in 0..rng.gen_range(0..7) {
+            let set = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
+            let value = if integral {
+                rng.gen_range(0..40) as f64
+            } else {
+                rng.gen_range(0..40_000) as f64 / 73.0
+            };
+            if knowns.iter().all(|&(x, _)| x != set) {
+                knowns.push((set, value));
+            }
+        }
+        let side = match rng.gen_range(0..3) {
+            0 => SideConditions::none(),
+            1 => SideConditions::support(),
+            _ => SideConditions {
+                nonnegative_density: false,
+                antitone: true,
+            },
+        };
+        let problem = BoundsProblem {
+            universe: &universe,
+            constraints: &constraints,
+            knowns: &knowns,
+            side,
+        };
+        let query = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
+        let state = Propagation::new(&problem, &BoundsConfig::default()).ok()?;
+        Some((state, query))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// With integral knowns every partial sum is an exact integer, so
+        /// the row differences reproduce the term-by-term region sums bit
+        /// for bit.
+        #[test]
+        fn row_difference_split_is_exact_on_integral_knowns(
+            seed in any::<u64>(),
+            n in 1usize..=10,
+        ) {
+            if let Some((state, query)) = random_state(seed, n, true) {
+                let query_row = state.row(query);
+                for known in state.knowns.iter().filter(|k| k.set != query) {
+                    let rows = state.region_split(known, query, &query_row);
+                    let terms = region_split_by_enumeration(&state, known, query);
+                    prop_assert_eq!(
+                        (rows.lo.to_bits(), rows.hi.to_bits()),
+                        (terms.lo.to_bits(), terms.hi.to_bits()),
+                        "{:?} vs {:?} for known {:?} and query {:?}",
+                        rows,
+                        terms,
+                        known.set,
+                        query
+                    );
+                }
+            }
+        }
+
+        /// With non-integral knowns the regrouped sums may round
+        /// differently, within 1e-9 of the magnitudes summed.
+        #[test]
+        fn row_difference_split_rounds_within_tolerance(
+            seed in any::<u64>(),
+            n in 1usize..=10,
+        ) {
+            if let Some((state, query)) = random_state(seed, n, false) {
+                let query_row = state.row(query);
+                for known in state.knowns.iter().filter(|k| k.set != query) {
+                    let rows = state.region_split(known, query, &query_row);
+                    let terms = region_split_by_enumeration(&state, known, query);
+                    let mut scale = 1.0 + known.value.abs();
+                    for x in [query, known.set] {
+                        for u in powerset::supersets_within(x, state.n) {
+                            let m = u.bits() as usize;
+                            for v in [state.lo[m], state.hi[m]] {
+                                if v.is_finite() {
+                                    scale += v.abs();
+                                }
+                            }
+                        }
+                    }
+                    for (a, b) in [(rows.lo, terms.lo), (rows.hi, terms.hi)] {
+                        prop_assert!(
+                            a == b || (a - b).abs() <= 1e-9 * scale,
+                            "{:?} vs {:?} for known {:?} and query {:?}",
+                            rows,
+                            terms,
+                            known.set,
+                            query
+                        );
+                    }
+                }
+            }
+        }
     }
 }

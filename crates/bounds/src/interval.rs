@@ -220,6 +220,19 @@ impl SumAcc {
         }
     }
 
+    /// The total of the terms added to `self` but not to `part`, whose terms
+    /// must be a sub-multiset of `self`'s: infinite contributions cancel by
+    /// count, and the finite parts subtract once (exact when both are
+    /// integral).
+    pub fn total_minus(&self, part: &SumAcc) -> f64 {
+        SumAcc {
+            finite: self.finite - part.finite,
+            pos_inf: self.pos_inf - part.pos_inf,
+            neg_inf: self.neg_inf - part.neg_inf,
+        }
+        .total()
+    }
+
     /// The total with one previously added endpoint `v` removed.
     pub fn total_without(&self, v: f64) -> f64 {
         let (pos, neg, finite) = if v == f64::INFINITY {
@@ -389,5 +402,13 @@ mod tests {
         t.add(2.0);
         assert_eq!(t.total(), 3.0);
         assert_eq!(t.total_without(1.0), 2.0);
+        // A sub-sum's infinities cancel by count.
+        let mut part = SumAcc::new();
+        part.add(f64::INFINITY);
+        assert_eq!(s.total_minus(&part), 5.0);
+        part.add(3.0);
+        assert_eq!(s.total_minus(&part), 2.0);
+        assert_eq!(s.total_minus(&s), 0.0);
+        assert_eq!(s.total_minus(&SumAcc::new()), f64::INFINITY);
     }
 }

@@ -60,5 +60,6 @@ pub mod problem;
 
 pub use interval::Interval;
 pub use problem::{
-    BoundsConfig, BoundsProblem, DeriveError, DeriveRoute, DerivedBound, SideConditions,
+    BoundsConfig, BoundsProblem, DeriveError, DeriveRoute, DerivedBound, Feasibility,
+    SideConditions,
 };

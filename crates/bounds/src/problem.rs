@@ -143,11 +143,31 @@ impl fmt::Display for DeriveError {
 
 impl std::error::Error for DeriveError {}
 
+/// The verdict of [`crate::derive::check_feasibility`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feasibility {
+    /// Every layer ran, the query sweep included, and none found a
+    /// contradiction: no `bound` query on the problem answers infeasible.
+    Feasible,
+    /// A layer found a contradiction: no set function consistent with the
+    /// problem exists.
+    Infeasible,
+    /// The layers that ran found no contradiction, but the budget or the
+    /// sweep cap skipped one, so a query may still find one.
+    Unchecked,
+}
+
 /// An upper bound on the operations the propagation path performs for one
 /// query: alive-table construction (`2^{|S|}·(|C|+1)`), `rounds` propagation
 /// sweeps plus one pairwise pass over the knowns (`(rounds+1)·|K|·2^{|S|}`),
 /// the direct and deduction region enumerations (`≈ 2·2^{|S|}`), and the
 /// deduction pass's interval-of-knowns checks (`≤ 3^{|query|}`, saturating).
+///
+/// The pairwise term still bounds pass 3, which enumerates one row per
+/// known, `R(X ∪ query)`, where it used to filter two (see
+/// [`crate::derive`]), and it covers the known rows `R(X)` that
+/// [`crate::derive::Propagation::new`] sums once.  A query answered from a
+/// prebuilt state costs less than this bound.
 ///
 /// Returns `u128::MAX` past [`PROPAGATION_UNIVERSE_CAP`], where the dense
 /// tables themselves are off-limits.

@@ -166,6 +166,7 @@
 //!            | "witness" ("none" | "set=" SET)
 //!            | "proof" field* | "unprovable"
 //!            | "explain" field*                  instrumented implies
+//!            | "analyze" field* evidence*        premise-core analysis
 //!            | "bound" "lo=" BOUNDVAL "hi=" BOUNDVAL field*
 //!            |                                  interval response form
 //!            | "mined" field* constraint*        discovery results
@@ -179,6 +180,16 @@
 //!            | "bye"
 //!            | "err" message
 //! field    ::= KEY "=" VALUE                     e.g. route=lattice us=12
+//! evidence ::= "redundant[" NUMBER "]=" constraint "<=["
+//!              [constraint ("," constraint)*] "]"
+//!                                                an implied premise and
+//!                                                premises implying it
+//!            | "conflict=" SET "=" VALUE ("," SET "=" VALUE)*
+//!                                                a minimal infeasible known
+//!                                                set (only with
+//!                                                infeasible=1)
+//!            | "dead_eg=" SET ("," SET)*        example dead density
+//!                                                variables
 //! BOUNDVAL ::= NUMBER | "inf" | "-inf"           interval endpoints
 //! slotdesc ::= ID ":" ("-" | "u" NUMBER "p" NUMBER "q" NUMBER)
 //!                                                per-slot: "-" while no
@@ -212,7 +223,13 @@
 //! reports one `<route>=<decided>/<cache hits>c/<total µs>us` field per
 //! procedure that has served at least one query, plus a
 //! `bound=<propagation>p/<relaxed>r/<cache hits>c/<total µs>us` field once
-//! bound queries have been served.
+//! bound queries have been served.  `analyze` responses carry the
+//! `premises`, `redundant` and `dead` counts, `epoch`, `us`, and
+//! `infeasible`: `0` when every feasibility check ran clean (no `bound`
+//! can answer `err infeasible`), `1` with a minimal `conflict=` set when
+//! one found a contradiction, and `unchecked` when the bound budget or the
+//! sweep cap (`diffcon_bounds::derive::FEASIBILITY_SWEEP_CAP` attributes)
+//! skipped a check, so a later `bound` may still answer `err infeasible`.
 //! Constraints in responses are printed in the compact parseable form
 //! `A->{B,CD}`, so a client can feed them straight back into requests.
 //!
@@ -317,7 +334,7 @@ use diffcon::inference::Derivation;
 use diffcon::procedure::ALL_PROCEDURES;
 use diffcon::DiffConstraint;
 use diffcon_bounds::problem::DeriveError;
-use diffcon_bounds::Interval;
+use diffcon_bounds::{Feasibility, Interval};
 use diffcon_discover::{Discovery, MinerConfig};
 use diffcon_obs::profile::{self, StageTag};
 use setlat::{AttrSet, Family, Universe};
@@ -1300,18 +1317,24 @@ fn write_mined(out: &mut String, universe: &Universe, discovery: Option<Discover
     }
 }
 
-/// Writes an `analyze` outcome as its wire reply: the counts first, then
-/// the machine-checkable evidence — each redundant premise with the
-/// subfamily implying it, the minimal conflicting known set when the state
-/// is infeasible, and example dead density variables.
+/// Writes an `analyze` outcome as its wire reply: the counts and the
+/// feasibility verdict first (`infeasible=0`, `1`, or `unchecked` when a
+/// check was skipped), then the machine-checkable evidence — each redundant
+/// premise with the subfamily implying it, the minimal conflicting known set
+/// when the state is infeasible, and example dead density variables.
 fn write_analyze(out: &mut String, universe: &Universe, outcome: &AnalyzeOutcome) {
     let analysis = &outcome.analysis;
+    let infeasible = match analysis.feasibility {
+        Feasibility::Feasible => "0",
+        Feasibility::Infeasible => "1",
+        Feasibility::Unchecked => "unchecked",
+    };
     _ = write!(
         out,
         "analyze premises={} redundant={} infeasible={} dead={} epoch={} us={}",
         analysis.premises,
         analysis.redundant.len(),
-        analysis.conflict.is_some() as u8,
+        infeasible,
         analysis.dead_vars,
         outcome.epoch,
         outcome.elapsed.as_micros()
@@ -3084,6 +3107,39 @@ mod tests {
             s.handle_line("bound AB").text.starts_with("err"),
             "engine disagrees"
         );
+    }
+
+    #[test]
+    fn analyze_says_unchecked_when_a_check_was_skipped() {
+        // f(AB) ≥ f(A) + f(B) − f(∅) = 1 contradicts f(AB) = 0; only the
+        // feasibility sweep's deduction pass sees it.
+        let knowns = ["known {} = 5", "known A = 3", "known B = 3", "known AB = 0"];
+        let mut s = server();
+        s.handle_line("universe 3");
+        for line in knowns {
+            s.handle_line(line);
+        }
+        let reply = s.handle_line("analyze").text;
+        assert!(
+            reply.starts_with("analyze premises=0 redundant=0 infeasible=1 "),
+            "got: {reply}"
+        );
+        assert!(reply.contains(" conflict=∅=5,A=3,B=3,AB=0"), "got: {reply}");
+        // At 20 attributes the sweep is over the bound budget: the verdict
+        // says so instead of calling the state feasible, and a query still
+        // finds the contradiction.
+        s.handle_line("universe 20");
+        for line in knowns {
+            s.handle_line(line);
+        }
+        let reply = s.handle_line("analyze").text;
+        assert!(
+            reply.starts_with("analyze premises=0 redundant=0 infeasible=unchecked "),
+            "got: {reply}"
+        );
+        assert!(!reply.contains("conflict="), "got: {reply}");
+        let bound = s.handle_line("bound AB").text;
+        assert!(bound.starts_with("err infeasible"), "got: {bound}");
     }
 
     #[test]

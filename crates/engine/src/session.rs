@@ -17,8 +17,9 @@
 //!
 //! Every mutation publishes the next snapshot built from the current one:
 //! it replaces the one component it changed in `O(|C|)` (an assert or
-//! retract splices one premise slice), shares the rest, and bumps the
-//! epoch.  The query methods — [`Session::implies`],
+//! retract splices one premise slice), shares the rest, bumps the epoch,
+//! and leaves the current snapshot's bound state behind (the next snapshot
+//! builds its own on its first `bound` miss).  The query methods — [`Session::implies`],
 //! [`Session::implies_batch`], [`Session::bound`] — take **`&self`** and
 //! simply delegate to the current snapshot, so a session's own read path is
 //! byte-for-byte the same code any snapshot reader executes.  Writers never
@@ -37,7 +38,7 @@ use diffcon_bounds::SideConditions;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
 use setlat::{AttrSet, Universe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::cache::CacheStats;
 pub use crate::snapshot::{BoundOutcome, QueryOutcome};
@@ -180,6 +181,7 @@ impl Session {
             epoch: 0,
             caches: Arc::new(EngineCaches::new(&config)),
             planner: Arc::new(Planner::new(config.planner)),
+            bound_state: OnceLock::new(),
         });
         Session {
             interner: ConstraintInterner::new(),
@@ -190,14 +192,14 @@ impl Session {
         }
     }
 
-    /// Publishes the next snapshot: a copy of the current one under the
-    /// next epoch, with `change` applied.  The copy shares every component
-    /// (each is an `Arc` or `Copy`), so a mutation pays only for the
-    /// component it replaces; readers holding the previous snapshot are
-    /// unaffected.
+    /// Publishes the next snapshot: the current one's
+    /// [`Snapshot::successor`], under the next epoch, with `change` applied.
+    /// It shares every component (each is an `Arc` or `Copy`), so a
+    /// mutation pays only for the component it replaces, and starts without
+    /// a bound state, so the previous one's is never copied; readers holding
+    /// the previous snapshot are unaffected.
     fn publish(&mut self, change: impl FnOnce(&mut Snapshot)) {
-        let mut next = Snapshot::clone(&self.current);
-        next.epoch += 1;
+        let mut next = self.current.successor();
         change(&mut next);
         EngineMetrics::global().epoch_publishes.inc();
         self.current = Arc::new(next);

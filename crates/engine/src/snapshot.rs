@@ -26,6 +26,14 @@
 //! through [`crate::cache::version_salt`]: two snapshots with the same
 //! digests share warm entries (retract-then-reassert instantly revalidates),
 //! while any state difference makes the keys disjoint.
+//!
+//! A snapshot also owns its bound state: the query-independent half of the
+//! propagation path ([`Propagation`]: every density variable's interval,
+//! `2 × 8 × 2^{|S|}` bytes, plus each known's row sum and a sorted copy of
+//! the knowns).  The first `bound` miss routed to propagation builds it;
+//! concurrent misses wait for that one build, and every later miss only
+//! evaluates it, allocating nothing.  Publishing never copies it: the next
+//! snapshot starts without a state and builds its own on its first miss.
 
 use crate::cache::{lock, version_salt, LruCache, VersionedKey};
 use crate::metrics::{CacheFamily, EngineMetrics};
@@ -34,13 +42,13 @@ use crate::session::SessionConfig;
 use diffcon::inference::{self, Derivation};
 use diffcon::procedure::{self, ProcedureKind};
 use diffcon::{implication, DiffConstraint};
-use diffcon_bounds::derive::{derive_propagated, derive_relaxed};
+use diffcon_bounds::derive::{derive_relaxed, Propagation};
 use diffcon_bounds::problem::{BoundsConfig, BoundsProblem, DeriveError, DeriveRoute};
 use diffcon_bounds::{Interval, SideConditions};
 use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
 use diffcon_obs::profile::{self, StageTag};
 use setlat::{AttrSet, Universe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Profiling tags for the implication decision routes, so a profile
@@ -191,9 +199,10 @@ impl EngineCaches {
 /// An immutable, shareable view of one session's state, answering
 /// implication and bound queries through `&self`.
 ///
-/// Obtained from [`crate::session::Session::snapshot`]; cheap to clone via
-/// `Arc`.  All query methods are safe to call from many threads at once.
-#[derive(Debug, Clone)]
+/// Obtained from [`crate::session::Session::snapshot`]; shared through its
+/// `Arc`, never copied.  All query methods are safe to call from many
+/// threads at once.
+#[derive(Debug)]
 pub struct Snapshot {
     pub(crate) universe: Arc<Universe>,
     pub(crate) premises: Arc<[DiffConstraint]>,
@@ -216,9 +225,36 @@ pub struct Snapshot {
     pub(crate) caches: Arc<EngineCaches>,
     /// Holds the session's ledger.
     pub(crate) planner: Arc<Planner>,
+    /// The bound state of this snapshot's premises, knowns and side
+    /// conditions, or the infeasibility its pass 1 found: empty until the
+    /// first `bound` miss routed to propagation, then shared by every later
+    /// one.  Boxed, so an empty cell adds 16 bytes to the snapshot.
+    /// [`Snapshot::successor`] leaves it behind.
+    pub(crate) bound_state: OnceLock<Result<Box<Propagation>, DeriveError>>,
 }
 
 impl Snapshot {
+    /// The next snapshot of the same session: every component shared, the
+    /// epoch bumped, and no bound state (neither copied nor carried over:
+    /// the next snapshot builds its own on its first miss).
+    pub(crate) fn successor(&self) -> Snapshot {
+        Snapshot {
+            universe: Arc::clone(&self.universe),
+            premises: Arc::clone(&self.premises),
+            fd_fragment: self.fd_fragment,
+            premise_digest: self.premise_digest,
+            knowns: Arc::clone(&self.knowns),
+            knowns_digest: self.knowns_digest,
+            bound_side: self.bound_side,
+            bounds_config: self.bounds_config,
+            dataset: self.dataset.clone(),
+            epoch: self.epoch + 1,
+            caches: Arc::clone(&self.caches),
+            planner: Arc::clone(&self.planner),
+            bound_state: OnceLock::new(),
+        }
+    }
+
     /// The snapshot's universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
@@ -439,27 +475,45 @@ impl Snapshot {
             query,
             &self.bounds_config,
         );
-        let problem = BoundsProblem {
+        let start = Instant::now();
+        let _bound_stage = profile::stage(&STAGE_BOUND);
+        let result = match route {
+            DeriveRoute::Propagation => self
+                .bound_state()
+                .as_ref()
+                .map_err(|&e| e)
+                .and_then(|state| state.evaluate(query)),
+            DeriveRoute::Relaxed => {
+                derive_relaxed(&self.bounds_problem(), query).map(|derived| derived.interval)
+            }
+        };
+        let elapsed = start.elapsed();
+        self.planner.record_bound_decided(route, elapsed);
+        let interval = result?;
+        lock(&self.caches.bound).insert(key, (query, interval, route));
+        Ok(BoundOutcome {
+            interval,
+            route,
+            cached: false,
+            elapsed,
+        })
+    }
+
+    /// The frozen state as a bound-derivation problem.
+    fn bounds_problem(&self) -> BoundsProblem<'_> {
+        BoundsProblem {
             universe: &self.universe,
             constraints: &self.premises,
             knowns: &self.knowns,
             side: self.bound_side,
-        };
-        let start = Instant::now();
-        let _bound_stage = profile::stage(&STAGE_BOUND);
-        let result = match route {
-            DeriveRoute::Propagation => derive_propagated(&problem, query, &self.bounds_config),
-            DeriveRoute::Relaxed => derive_relaxed(&problem, query),
-        };
-        let elapsed = start.elapsed();
-        self.planner.record_bound_decided(route, elapsed);
-        let derived = result?;
-        lock(&self.caches.bound).insert(key, (query, derived.interval, derived.route));
-        Ok(BoundOutcome {
-            interval: derived.interval,
-            route: derived.route,
-            cached: false,
-            elapsed,
+        }
+    }
+
+    /// This snapshot's bound state, built by the first caller (concurrent
+    /// first callers wait for that one build).
+    fn bound_state(&self) -> &Result<Box<Propagation>, DeriveError> {
+        self.bound_state.get_or_init(|| {
+            Propagation::new(&self.bounds_problem(), &self.bounds_config).map(Box::new)
         })
     }
 
@@ -490,13 +544,7 @@ impl Snapshot {
     /// epoch — and metered under `diffcond_analyze_*`.
     pub fn analyze(&self) -> AnalyzeOutcome {
         let start = Instant::now();
-        let problem = BoundsProblem {
-            universe: &self.universe,
-            constraints: &self.premises,
-            knowns: &self.knowns,
-            side: self.bound_side,
-        };
-        let analysis = diffcon_analyze::analyze(&problem, &self.bounds_config);
+        let analysis = diffcon_analyze::analyze(&self.bounds_problem(), &self.bounds_config);
         let elapsed = start.elapsed();
         let metrics = crate::metrics::EngineMetrics::global();
         metrics.analyze_runs.inc();
@@ -595,6 +643,46 @@ mod tests {
         assert_eq!(frozen.premises().len(), 2);
         assert_eq!(session.premises().len(), 1);
         assert!(session.snapshot().epoch() > frozen.epoch());
+    }
+
+    #[test]
+    fn each_snapshot_answers_bounds_from_its_own_state() {
+        let u = Universe::of_size(4);
+        let set = |text: &str| u.parse_set(text).unwrap();
+        let mut session = Session::new(u.clone());
+        session.assert_constraint(&DiffConstraint::parse("A -> {B}", &u).unwrap());
+        session.set_known(set(""), 100.0);
+        session.set_known(set("A"), 40.0);
+        let frozen = session.snapshot();
+        assert!(frozen.bound_state.get().is_none());
+        assert_eq!(
+            frozen.bound(set("AB")).unwrap().interval,
+            Interval::point(40.0)
+        );
+        assert!(
+            frozen.bound_state.get().is_some(),
+            "the first miss builds the state"
+        );
+        session.set_known(set("A"), 30.0);
+        let next = session.snapshot();
+        assert!(
+            next.bound_state.get().is_none(),
+            "a published snapshot starts without a state"
+        );
+        // The frozen snapshot answers a new miss from its own knowns…
+        let b = frozen.bound(set("B")).unwrap();
+        assert!(!b.cached);
+        assert_eq!(b.interval, Interval::new(40.0, 100.0));
+        // …and the session's next snapshot from the new ones.
+        assert_eq!(
+            next.bound(set("AB")).unwrap().interval,
+            Interval::point(30.0)
+        );
+        assert_eq!(
+            next.bound(set("B")).unwrap().interval,
+            Interval::new(30.0, 100.0)
+        );
+        assert!(next.bound_state.get().is_some());
     }
 
     #[test]

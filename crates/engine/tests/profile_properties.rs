@@ -13,17 +13,19 @@
 //!   frame in, reply out, and record committed, while a cold lattice
 //!   decision allocates once, for the goal copy the answer cache keeps, a
 //!   cold batch allocates once per distinct miss plus its result vector,
-//!   all on the calling thread, and a full LRU cache's evict-and-insert
-//!   churn allocates nothing (the counting allocator is the engine's global
-//!   allocator, so this is measured, not asserted by inspection);
+//!   all on the calling thread, a snapshot's `bound` misses after its first
+//!   allocate nothing and publishing its successor copies none of its bound
+//!   state, and a full LRU cache's evict-and-insert churn allocates nothing
+//!   (the counting allocator is the engine's global allocator, so this is
+//!   measured, not asserted by inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
 use diffcon_engine::protocol::binary::{self, BinRequest};
-use diffcon_engine::{metrics, LruCache, Server, SessionConfig};
+use diffcon_engine::{metrics, LruCache, Server, Session, SessionConfig};
 use diffcon_obs::profile;
 use proptest::prelude::*;
-use setlat::{AttrSet, Family};
+use setlat::{AttrSet, Family, Universe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -346,6 +348,77 @@ fn cold_batch_allocates_once_per_distinct_miss() {
             (serial.implied, serial.route_name()),
             "batch and serial disagree on {}",
             goal.format(session.universe())
+        );
+    }
+}
+
+/// A session of `n` attributes with premises `A -> {B}` and `C -> {D, E}`
+/// and the knowns ∅=100, A=50, B=60, C=30, AB=50.
+fn bound_session(n: usize) -> Session {
+    let universe = Universe::of_size(n);
+    let mut session = Session::new(universe.clone());
+    for premise in ["A -> {B}", "C -> {D, E}"] {
+        session.assert_constraint(&diffcon::DiffConstraint::parse(premise, &universe).unwrap());
+    }
+    for (set, value) in [
+        ("", 100.0),
+        ("A", 50.0),
+        ("B", 60.0),
+        ("C", 30.0),
+        ("AB", 50.0),
+    ] {
+        session.set_known(universe.parse_set(set).unwrap(), value);
+    }
+    session
+}
+
+/// A snapshot builds its bound state on its first `bound` miss; every later
+/// miss only evaluates it, so it allocates nothing.  Publishing the next
+/// snapshot allocates the same bytes whether or not the previous one built
+/// its state: the state is never copied.
+#[test]
+fn bound_misses_share_one_state_and_publishing_copies_none() {
+    let _guard = lock_profiler();
+    profile::set_thread_class("test");
+    let session = bound_session(8);
+    let universe = session.universe().clone();
+    let set = |text: &str| universe.parse_set(text).unwrap();
+    let snapshot = session.snapshot();
+    let first = snapshot.bound(set("D")).expect("feasible");
+    assert_eq!((first.route_name(), first.cached), ("propagation", false));
+    let before = profile::thread_alloc_counts();
+    for text in ["AC", "BC", "ABC", "DE", "AD", "BD", "CD", "F", "AF", "GH"] {
+        let outcome = snapshot.bound(set(text)).expect("feasible");
+        assert_eq!(
+            (outcome.route_name(), outcome.cached),
+            ("propagation", false),
+            "bound {text} was not a miss"
+        );
+    }
+    let after = profile::thread_alloc_counts();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "ten bound misses after the first allocated"
+    );
+
+    let publish_cost = |n: usize, build_state: bool| {
+        let mut session = bound_session(n);
+        let d = session.universe().parse_set("D").unwrap();
+        if build_state {
+            let outcome = session.bound(d).expect("feasible");
+            assert_eq!(outcome.route_name(), "propagation");
+        }
+        let before = profile::thread_alloc_counts();
+        session.set_known(d, 20.0);
+        let after = profile::thread_alloc_counts();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    for n in [8, 16] {
+        assert_eq!(
+            publish_cost(n, true),
+            publish_cost(n, false),
+            "publishing at {n} attributes allocated more after a bound state was built"
         );
     }
 }

@@ -93,6 +93,7 @@ fn arb_request() -> impl Strategy<Value = Request<'static>> {
         arb_constraint_text().prop_map(|c| Request::Witness(leak(c))),
         arb_constraint_text().prop_map(|c| Request::Derive(leak(c))),
         arb_constraint_text().prop_map(|c| Request::Explain(leak(c))),
+        any::<bool>().prop_map(|apply| Request::Analyze { apply }),
         any::<bool>().prop_map(Request::Trace),
         (arb_set_text(), -100.0f64..100.0).prop_map(|(s, v)| Request::Known(leak(s), v)),
         arb_set_text().prop_map(|s| Request::Forget(leak(s))),
@@ -301,6 +302,23 @@ fn validate_reply(universe: Option<&Universe>, line: &str) {
                 }
             }
         }
+        "analyze" => {
+            for key in ["premises", "redundant", "dead", "epoch", "us"] {
+                let v = field_value(rest, key).unwrap_or_else(|| panic!("{key} missing: {line}"));
+                assert!(is_number(v), "{key} not numeric: {line}");
+            }
+            let infeasible = field_value(rest, "infeasible")
+                .unwrap_or_else(|| panic!("infeasible missing: {line}"));
+            assert!(
+                ["0", "1", "unchecked"].contains(&infeasible),
+                "analyze verdict: {line}"
+            );
+            assert_eq!(
+                field_value(rest, "conflict").is_some(),
+                infeasible == "1",
+                "a conflict is listed exactly when infeasible=1: {line}"
+            );
+        }
         "explain" => {
             let verdict =
                 field_value(rest, "verdict").unwrap_or_else(|| panic!("verdict missing: {line}"));
@@ -471,6 +489,11 @@ fn every_response_verb_is_covered() {
         "trace off",
         "known A = 3",
         "bound AB",
+        "analyze",
+        "known AB = 5",
+        "analyze",
+        "analyze apply",
+        "forget AB",
         "knowns",
         "load AB ; ABC ; B",
         "dataset",
