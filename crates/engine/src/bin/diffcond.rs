@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! Usage: diffcond [--answer-cache N] [--bound-cache N] [--intern-limit N]
-//!                 [--lattice-budget N] [--bound-budget N] [--slow-query-us N]
-//!                 [--profile] [--profile-hz N] [--help]
+//!                 [--bound-budget N] [--slow-query-us N] [--profile]
+//!                 [--profile-hz N] [--help]
 //!        diffcond serve [--addr HOST:PORT] [--max-conns N]
 //!                       [--max-request-bytes N] [--reactors N] [--binary]
 //!                       [--metrics-addr HOST:PORT] [same engine flags]
@@ -49,15 +49,14 @@
 //! snapshot with `--once`).
 //!
 //! Every request is answered in order, as soon as it is read: stdin and
-//! each network connection go through the same
-//! `diffcon_engine::Server::respond`, which writes each reply into a reused
-//! buffer, and commit each request's record through the same
-//! `diffcon_engine::Server::commit`.
+//! each network connection go through the same connection driver
+//! (`diffcon_engine::connection::Connection`), which frames each request,
+//! answers it through `diffcon_engine::Server::respond`, frames the reply,
+//! and commits the request's record.
 
-use diffcon_engine::protocol::binary::BinRequest;
+use diffcon_engine::connection::Connection;
 use diffcon_engine::{Server, SessionConfig};
 use std::io::{BufRead, Write};
-use std::time::Instant;
 
 const USAGE: &str = "\
 diffcond — differential-constraint implication server
@@ -75,8 +74,6 @@ Options:
   --bound-cache N     bound on memoized bound intervals   (default 4096)
   --intern-limit N    distinct constraints kept before the intern table is
                       compacted                           (default 262144)
-  --lattice-budget N  max lattice-procedure cost before a query is routed
-                      to the SAT procedure                (default 4194304)
   --bound-budget N    max bound-derivation cost before a bound query is
                       routed to the sound relaxation; also caps `analyze`'s
                       propagation sweep                   (default 67108864)
@@ -301,8 +298,7 @@ fn parse_args() -> Result<Options, String> {
                 let _ = writeln!(std::io::stdout(), "{USAGE}");
                 std::process::exit(0);
             }
-            "--answer-cache" | "--bound-cache" | "--intern-limit" | "--lattice-budget"
-            | "--bound-budget" => {
+            "--answer-cache" | "--bound-cache" | "--intern-limit" | "--bound-budget" => {
                 let value = args
                     .next()
                     .ok_or_else(|| format!("{flag} expects a number"))?;
@@ -317,7 +313,6 @@ fn parse_args() -> Result<Options, String> {
                     "--answer-cache" => config.answer_cache_capacity = as_capacity(n)?,
                     "--bound-cache" => config.bound_cache_capacity = as_capacity(n)?,
                     "--intern-limit" => config.interner_compaction_threshold = as_capacity(n)?,
-                    "--lattice-budget" => config.planner.lattice_budget = n,
                     _ => config.bounds.budget_ops = n,
                 }
             }
@@ -334,34 +329,36 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-/// Stdin serving loop: one request per line, each answered and written out
-/// before the next is read, then committed with its exact byte counts.
+/// Stdin serving loop: each chunk of stdin goes through the same connection
+/// driver as a socket's bytes (text lines, no length cap), and the replies
+/// to everything read so far are written out before the next read blocks.
 fn serve_stdin(config: SessionConfig, slow_query_us: Option<u64>) {
     let mut server = Server::new(config);
     server.set_slow_query_us(slow_query_us);
+    let mut driver = Connection::new(server, usize::MAX, false);
     let mut input = std::io::stdin().lock();
-    let mut out = std::io::stdout().lock();
-    let mut line = Vec::new();
-    let mut reply = String::new();
+    let mut stdout = std::io::stdout().lock();
+    let mut replies = Vec::new();
     loop {
-        line.clear();
-        match input.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let request = line.strip_suffix(b"\n").unwrap_or(&line);
-        reply.clear();
-        let mut answer = server.respond(&BinRequest::Line(request), Instant::now(), &mut reply);
-        answer.record.bytes_in = line.len() as u64;
-        let mut written = true;
-        if !reply.is_empty() {
-            answer.record.bytes_out = reply.len() as u64 + 1;
-            written = writeln!(out, "{reply}").and_then(|_| out.flush()).is_ok();
-        }
-        server.commit(&answer.record);
-        if !written || answer.quit {
+        let closed = match input.fill_buf() {
+            Ok([]) => {
+                driver.finish(&mut replies);
+                true
+            }
+            Ok(chunk) => {
+                let read = chunk.len();
+                let closed = driver.feed(chunk, &mut replies);
+                input.consume(read);
+                closed
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => true,
+        };
+        let written = stdout.write_all(&replies).and_then(|()| stdout.flush());
+        if closed || written.is_err() {
             break;
         }
+        replies.clear();
     }
 }
 

@@ -34,11 +34,11 @@
 //! # Ok::<(), diffcon_engine::client::ClientError>(())
 //! ```
 
-use crate::net;
+use crate::connection::{LineSplitter, Split};
 use crate::protocol;
 use diffcon_bounds::Interval;
 use std::fmt;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -99,6 +99,11 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     binary: bool,
+    /// Splits text replies under [`MAX_REPLY_BYTES`].
+    lines: LineSplitter,
+    /// Text reply bytes read; `[at..]` is the unsplit tail.
+    pending: Vec<u8>,
+    at: usize,
 }
 
 /// `read_exact` with the client's EOF convention: a close where reply
@@ -156,6 +161,9 @@ impl Client {
             reader,
             writer: stream,
             binary: false,
+            lines: LineSplitter::new(MAX_REPLY_BYTES),
+            pending: Vec::new(),
+            at: 0,
         })
     }
 
@@ -173,13 +181,11 @@ impl Client {
         }
         // Not an ACK: a text-only server answered the magic with an `err`
         // line.  Collect the rest of it so the error says what happened.
-        let mut line = ack.to_vec();
-        let mut rest = Vec::new();
-        let _ = net::read_frame(&mut client.reader, &mut rest, MAX_REPLY_BYTES);
-        line.extend_from_slice(&rest);
+        let mut line = String::from_utf8_lossy(&ack).into_owned();
+        line.push_str(&client.recv_text().unwrap_or_default());
         Err(ClientError::Protocol(format!(
             "server did not acknowledge binary framing: `{}`",
-            String::from_utf8_lossy(&line).trim_end()
+            line.trim_end()
         )))
     }
 
@@ -265,26 +271,49 @@ impl Client {
     /// the client buffer an endless line.
     pub fn recv(&mut self) -> Result<String, ClientError> {
         if self.binary {
-            return self.recv_binary();
+            self.recv_binary()
+        } else {
+            self.recv_text()
         }
-        let mut line: Vec<u8> = Vec::new();
-        match net::read_frame(&mut self.reader, &mut line, MAX_REPLY_BYTES)? {
-            // EOF where a reply was expected — including EOF mid-line (the
-            // server died while writing): no reply to return.
-            net::Frame::Eof | net::Frame::Partial => Err(ClientError::Closed),
-            // An over-cap reply was *discarded to its newline*, so the
-            // stream stays framed: the error names this reply only, and the
-            // next `recv` reads the next reply, not this line's tail.
-            net::Frame::Oversized(got) => Err(ClientError::Protocol(format!(
-                "reply line exceeds {MAX_REPLY_BYTES} bytes (got {got}; discarded)"
-            ))),
-            net::Frame::Line => {
-                if line.last() == Some(&b'\r') {
-                    line.pop();
+    }
+
+    /// One reply line, split by the server's own line splitter.
+    fn recv_text(&mut self) -> Result<String, ClientError> {
+        loop {
+            let (split, used) = self.lines.split(&self.pending[self.at..]);
+            self.at += used;
+            match split {
+                Split::Line(line) => {
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    return std::str::from_utf8(line)
+                        .map(str::to_owned)
+                        .map_err(|_| ClientError::Protocol("reply is not valid UTF-8".into()));
                 }
-                String::from_utf8(line)
-                    .map_err(|_| ClientError::Protocol("reply is not valid UTF-8".into()))
+                // An over-cap reply was *discarded to its newline*, so the
+                // stream stays framed: the error names this reply only, and
+                // the next `recv` reads the next reply, not this line's tail.
+                Split::Oversized(got) => {
+                    return Err(ClientError::Protocol(format!(
+                        "reply line exceeds {MAX_REPLY_BYTES} bytes (got {got}; discarded)"
+                    )))
+                }
+                Split::Pending => {}
             }
+            self.pending.drain(..self.at);
+            self.at = 0;
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if chunk.is_empty() {
+                // EOF where a reply was expected — including EOF mid-line
+                // (the server died while writing): no reply to return.
+                return Err(ClientError::Closed);
+            }
+            let read = chunk.len();
+            self.pending.extend_from_slice(chunk);
+            self.reader.consume(read);
         }
     }
 
@@ -476,10 +505,17 @@ mod tests {
 
     /// A fake server: accepts one connection, writes `payload`, closes.
     fn fake_server(payload: Vec<u8>) -> SocketAddr {
+        fake_server_after(0, payload)
+    }
+
+    /// A fake server that first reads `expect` bytes (a handshake), so it
+    /// closes with nothing unread.
+    fn fake_server_after(expect: usize, payload: Vec<u8>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            stream.read_exact(&mut vec![0; expect]).unwrap();
             stream.write_all(&payload).unwrap();
         });
         addr
@@ -501,6 +537,26 @@ mod tests {
         // The oversized line was discarded to its newline, so the stream
         // stays framed: the next recv returns the *next* reply, not the
         // tail of the huge one.
+        assert_eq!(client.recv().unwrap(), "ok next");
+    }
+
+    #[test]
+    fn over_cap_binary_replies_error_without_desyncing_the_stream() {
+        let mut payload = protocol::binary::ACK.to_vec();
+        payload.extend_from_slice(&protocol::binary::line_header(MAX_REPLY_BYTES + 10));
+        payload.resize(payload.len() + MAX_REPLY_BYTES + 10, b'x');
+        protocol::binary::encode_line("ok next", &mut payload);
+        let addr = fake_server_after(protocol::binary::MAGIC.len(), payload);
+        let mut client = Client::connect_binary(addr).unwrap();
+        match client.recv() {
+            Err(ClientError::Protocol(m)) => {
+                assert!(m.contains("exceeds"), "got: {m}");
+                assert!(m.contains(&(MAX_REPLY_BYTES + 10).to_string()), "got: {m}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        // The oversized frame was read off the wire and discarded, so the
+        // next recv returns the next reply frame.
         assert_eq!(client.recv().unwrap(), "ok next");
     }
 

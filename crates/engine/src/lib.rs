@@ -36,19 +36,25 @@
 //!   answers every request in order on the thread that parsed it, writing
 //!   the reply into a reused per-connection buffer: a warm query allocates
 //!   nothing, and the reply stream is the serial one by construction.
+//! * **One connection driver** ([`connection::Connection`]) — everything
+//!   between a transport's bytes and [`protocol::Server::respond`], with no
+//!   IO of its own: binary negotiation, newline and binary framing under an
+//!   admission cap, `quit`, reply framing, and each request's record.  The
+//!   TCP reactor and the stdin loop both drive it, and the client splits
+//!   its text replies with its line splitter.
 //! * **Network serving** ([`net::NetServer`], [`client::Client`]) —
 //!   `diffcond serve --addr HOST:PORT` exposes the same protocol over TCP
 //!   through a readiness-driven reactor core: `--reactors N` event-loop
 //!   threads own nonblocking connections through a vendored epoll shim,
-//!   drain readiness bursts into per-connection frame buffers, answer
-//!   each complete frame as it is parsed, and flush replies through
-//!   coalescing vectored writes with write-readiness backpressure.  Framing is negotiated per connection:
-//!   newline text, or (`--binary`) the length-prefixed binary frames of
-//!   [`protocol::binary`] with fixed-width mask encodings for the hot
-//!   verbs.  Per-connection session namespaces, per-request admission
-//!   limits, error replies (never panics or dropped loops) for malformed
-//!   frames, a connection cap, and a blocking typed client (text or
-//!   binary) for programs, tests, and load generators.
+//!   hand each readiness burst's bytes to the connections' drivers, and
+//!   flush replies through coalescing vectored writes with write-readiness
+//!   backpressure.  Framing is negotiated per connection: newline text, or
+//!   (`--binary`) the length-prefixed binary frames of [`protocol::binary`]
+//!   with fixed-width mask encodings for the hot verbs.  Per-connection
+//!   session namespaces, per-request admission limits, error replies (never
+//!   panics or dropped loops) for malformed frames, a connection cap, and a
+//!   blocking typed client (text or binary) for programs, tests, and load
+//!   generators.
 //! * **Observability** ([`metrics::EngineMetrics`]) — a process-wide
 //!   lock-free registry of counters and stage-latency histograms with a
 //!   Prometheus text exposition, built on one record per request
@@ -129,6 +135,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod connection;
 pub mod intern;
 pub mod metrics;
 pub mod net;
@@ -147,7 +154,7 @@ pub use metrics::{
     SessionCosts,
 };
 pub use net::{NetConfig, NetServer, ShutdownHandle};
-pub use planner::{BoundStats, Planner, PlannerConfig, PlannerStats};
+pub use planner::{BoundStats, Planner, PlannerStats};
 pub use protocol::{Answer, Reply, Request, Server};
 pub use server_state::SessionRegistry;
 pub use session::CoreApplied;

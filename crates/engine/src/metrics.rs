@@ -511,15 +511,22 @@ impl EngineMetrics {
         if record.bytes_out > 0 {
             self.replies.inc();
         }
-        self.bytes_read.add(record.bytes_in);
-        self.bytes_written.add(record.bytes_out);
+        self.bill(conn, record.bytes_in, record.bytes_out);
         conn.requests.inc();
-        conn.bytes_read.add(record.bytes_in);
-        conn.bytes_written.add(record.bytes_out);
         if let (Some(session), Some(_)) = (session, record.route) {
             session.queries.inc();
             session.decide_ns.add(record.decide_ns);
         }
+    }
+
+    /// Adds bytes that crossed a connection's wire to the process and the
+    /// connection byte series: a record's, or a binary handshake's that no
+    /// record carried.
+    pub(crate) fn bill(&self, conn: &ConnCosts, read: u64, written: u64) {
+        self.bytes_read.add(read);
+        self.bytes_written.add(written);
+        conn.bytes_read.add(read);
+        conn.bytes_written.add(written);
     }
 
     /// Snapshots of the request stage histograms, labeled as in the

@@ -1,5 +1,5 @@
-//! The `diffcond serve` TCP front-end: the line protocol of [`crate::protocol`]
-//! served over sockets, turning the in-process engine into a network server.
+//! The `diffcond serve` TCP front-end: the accept loop, admission, and
+//! shutdown that put the line protocol of [`crate::protocol`] on sockets.
 //!
 //! # Execution model
 //!
@@ -12,7 +12,7 @@
 //! through a vendored `epoll` instance, so ten thousand mostly-idle
 //! connections cost ten thousand small buffers, not ten thousand stacks.
 //!
-//! Every connection still gets a private session namespace — its own
+//! Every connection gets a private session namespace — its own
 //! [`crate::server_state::SessionRegistry`] of numbered slots behind a
 //! per-connection [`Server`] — so two clients never see each other's
 //! premises, knowns, or datasets, and all of a connection's slots close when
@@ -20,28 +20,14 @@
 //! including the `session` verbs.  Parallelism comes from the reactor
 //! threads, across connections.
 //!
-//! # Framing and flushing
-//!
-//! Requests are newline-delimited as specified in the *Network framing*
-//! section of the [`crate::protocol`] docs: one request per line, an
-//! optional trailing `\r` stripped, at most
-//! [`protocol::MAX_REQUEST_BYTES`] bytes per line (configurable via
-//! [`NetConfig::max_request_bytes`]).  With [`NetConfig::binary`] enabled a
-//! connection may also negotiate the compact binary framing of
-//! [`protocol::binary`] (see the *Binary framing* protocol docs).  Framing
-//! violations — oversized lines (discarded up to their newline without
-//! unbounded buffering) and invalid UTF-8 — answer `err` at their position
-//! in the request order and the connection keeps serving.
-//!
-//! Each complete frame is answered by [`Server::respond`] the moment it is
-//! parsed, on the reactor thread, and its reply is framed into the
-//! connection's output buffer; the buffer is written out at the end of
-//! every readiness burst (and mid-burst once it grows).  A client that
-//! pipelines k requests gets k replies from one burst; a client that sends
-//! one request and waits gets its reply before the reactor sleeps again.
-//! Reply order is the request order in both cases, so the reply *stream*
-//! is identical to what the in-process [`Server`] produces on the same
-//! script.
+//! Each connection's bytes go through a [`Connection`] driver, the one
+//! `diffcond`'s stdin loop also uses: it frames requests (newline text
+//! under [`NetConfig::max_request_bytes`], or with [`NetConfig::binary`]
+//! the negotiated frames of [`protocol::binary`]), answers each in order,
+//! and frames the replies, so the reply *stream* is identical to what the
+//! in-process [`Server`] produces on the same script.  The *Network
+//! framing* and *Binary framing* sections of the [`crate::protocol`] docs
+//! give the wire rules.
 //!
 //! # Admission and shutdown
 //!
@@ -61,14 +47,14 @@
 //! [`ShutdownHandle::shutdown`] stops the accept loop, which then stops and
 //! joins the reactors.
 //!
+//! [`Connection`]: crate::connection::Connection
 //! [`Server`]: crate::protocol::Server
-//! [`Server::respond`]: crate::protocol::Server::respond
 
 use crate::metrics::EngineMetrics;
 use crate::protocol;
 use crate::reactor::ReactorShared;
 use crate::session::SessionConfig;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -271,169 +257,4 @@ fn refuse(stream: TcpStream, cap: usize) {
         stream,
         "err server at connection capacity ({cap} connections)"
     );
-}
-
-/// One raw frame from a byte stream.  `pub(crate)` because only the
-/// blocking [`crate::client`] reads frames this way, for its replies.  The
-/// server frames requests in the reactor's own `parse_text`, so a framing
-/// fix made here does not reach it; net_properties'
-/// `malformed_frames_never_wedge_the_server` and
-/// `framing_violations_answer_err_and_keep_the_connection` test the
-/// server's framing.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Frame {
-    /// A complete line (newline stripped) in the caller's buffer.
-    Line,
-    /// Data followed by EOF instead of a newline; the client treats it as
-    /// a truncated reply from a dying server.
-    Partial,
-    /// A line over the cap, discarded up to its newline; payload is the
-    /// discarded length in bytes.  The stream stays framed: the next read
-    /// starts at the next line.
-    Oversized(usize),
-    /// Clean end of input.
-    Eof,
-}
-
-/// Reads one newline-delimited frame into `line` (cleared first), enforcing
-/// the byte cap without ever buffering more than the cap plus one internal
-/// read: an over-cap line is *discarded* chunk by chunk until its newline.
-pub(crate) fn read_frame(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<Frame> {
-    line.clear();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(if line.is_empty() {
-                Frame::Eof
-            } else {
-                Frame::Partial
-            });
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if line.len() + pos > max {
-                    let dropped = line.len() + pos;
-                    reader.consume(pos + 1);
-                    return Ok(Frame::Oversized(dropped));
-                }
-                line.extend_from_slice(&buf[..pos]);
-                reader.consume(pos + 1);
-                return Ok(Frame::Line);
-            }
-            None => {
-                let chunk = buf.len();
-                if line.len() + chunk > max {
-                    let swallowed = line.len() + chunk;
-                    reader.consume(chunk);
-                    return discard_frame(reader, swallowed);
-                }
-                line.extend_from_slice(buf);
-                reader.consume(chunk);
-            }
-        }
-    }
-}
-
-/// Discards the rest of an over-cap line (everything up to and including
-/// the next newline) without buffering it, counting the dropped bytes.
-fn discard_frame(reader: &mut impl BufRead, mut dropped: usize) -> io::Result<Frame> {
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            // Oversized garbage then disconnect: nothing left to answer.
-            return Ok(Frame::Eof);
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                dropped += pos;
-                reader.consume(pos + 1);
-                return Ok(Frame::Oversized(dropped));
-            }
-            None => {
-                let chunk = buf.len();
-                dropped += chunk;
-                reader.consume(chunk);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::BufReader;
-
-    fn frame_lines(input: &[u8], max: usize) -> Vec<Result<Vec<u8>, usize>> {
-        let mut reader = BufReader::with_capacity(8, input);
-        let mut line = Vec::new();
-        let mut out = Vec::new();
-        loop {
-            match read_frame(&mut reader, &mut line, max).unwrap() {
-                Frame::Eof => return out,
-                Frame::Line | Frame::Partial => out.push(Ok(line.clone())),
-                Frame::Oversized(got) => out.push(Err(got)),
-            }
-        }
-    }
-
-    #[test]
-    fn frames_split_on_newlines_and_keep_final_unterminated_line() {
-        let frames = frame_lines(b"stats\nquit\nlast", 100);
-        assert_eq!(
-            frames,
-            vec![
-                Ok(b"stats".to_vec()),
-                Ok(b"quit".to_vec()),
-                Ok(b"last".to_vec())
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_lines_are_frames_not_eof() {
-        let frames = frame_lines(b"\n\nok\n", 100);
-        assert_eq!(frames, vec![Ok(vec![]), Ok(vec![]), Ok(b"ok".to_vec())]);
-    }
-
-    #[test]
-    fn oversized_lines_are_discarded_with_exact_accounting() {
-        // 30-byte line against a 10-byte cap, then a small follow-up that
-        // must still arrive intact (the tiny 8-byte BufReader forces the
-        // discard path across many fills).
-        let mut input = vec![b'x'; 30];
-        input.push(b'\n');
-        input.extend_from_slice(b"ok\n");
-        let frames = frame_lines(&input, 10);
-        assert_eq!(frames, vec![Err(30), Ok(b"ok".to_vec())]);
-    }
-
-    #[test]
-    fn oversized_exactly_at_cap_is_served() {
-        let mut input = vec![b'y'; 10];
-        input.push(b'\n');
-        let frames = frame_lines(&input, 10);
-        assert_eq!(frames, vec![Ok(vec![b'y'; 10])]);
-        let mut input = vec![b'y'; 11];
-        input.push(b'\n');
-        let frames = frame_lines(&input, 10);
-        assert_eq!(frames, vec![Err(11)]);
-    }
-
-    #[test]
-    fn oversized_then_eof_just_ends() {
-        let frames = frame_lines(&[b'z'; 64], 10);
-        assert_eq!(frames, vec![]);
-    }
 }

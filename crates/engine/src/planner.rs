@@ -9,9 +9,9 @@
 //!    single-member fragment, the polynomial attribute-closure check decides
 //!    it ([`ProcedureKind::FdFragment`]).
 //! 3. **Lattice containment** — when the Theorem 3.5 enumeration bound
-//!    ([`diffcon::procedure::lattice_cost_bound`]) fits the configured
-//!    budget, the direct containment check decides, testing the supersets
-//!    of the goal's left side 64 per machine word.
+//!    ([`diffcon::procedure::lattice_cost_bound`]) fits [`LATTICE_BUDGET`],
+//!    the direct containment check decides, testing the supersets of the
+//!    goal's left side 64 per machine word.
 //! 4. **SAT** otherwise — Proposition 5.4's satisfiability search for a
 //!    refutation set ([`diffcon::implication::refutation_search`]): a DPLL
 //!    over the attributes that propagates each constraint whole, allocates
@@ -34,8 +34,7 @@
 //! ([`SessionCosts`]: decided queries and answer-cache hits per procedure,
 //! trivial goals, the bound ladder), and timed in a per-route latency
 //! histogram (cumulative time and percentiles), so a long-running
-//! `diffcond` process can report where its time goes and operators can tune
-//! [`PlannerConfig::lattice_budget`].
+//! `diffcond` process can report where its time goes.
 //!
 //! Routing is a pure function of the query and the snapshot; the accounting
 //! is lock-free atomics.  Both therefore work through `&self`, which is what
@@ -52,28 +51,15 @@ use setlat::{AttrSet, Universe};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs for procedure routing.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
-    /// Maximum lattice-procedure cost bound (in set tests, 64 of which
-    /// take one word operation, see
-    /// [`diffcon::procedure::lattice_cost_bound`]) before a query is routed
-    /// to the SAT procedure instead.
-    pub lattice_budget: u128,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            // 2^22 set tests are about 2^16 word operations, tens of
-            // microseconds in the worst case.  The refutation search still
-            // beats the lattice check on both sides of this split; the
-            // split stays because the serving benchmark's self-check pins
-            // its lattice and sat shares.
-            lattice_budget: 1 << 22,
-        }
-    }
-}
+/// Maximum lattice-procedure cost bound (in set tests, 64 of which take
+/// one word operation, see [`diffcon::procedure::lattice_cost_bound`])
+/// before a query is routed to the SAT procedure instead.
+///
+/// 2^22 set tests are about 2^16 word operations, tens of microseconds in
+/// the worst case.  The refutation search still beats the lattice check on
+/// both sides of this split; the split stays because the serving
+/// benchmark's self-check pins its lattice and sat shares.
+pub const LATTICE_BUDGET: u128 = 1 << 22;
 
 /// Accumulated figures for one procedure.
 #[derive(Debug, Clone, Copy, Default)]
@@ -149,7 +135,6 @@ fn bound_slot(route: DeriveRoute) -> usize {
 /// by reference among every concurrent reader of a snapshot.
 #[derive(Debug, Default)]
 pub struct Planner {
-    config: PlannerConfig,
     /// The owning session's ledger, where every decision, cache hit, and
     /// trivial goal is counted.
     costs: Arc<SessionCosts>,
@@ -161,14 +146,6 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Creates a planner with the given configuration.
-    pub fn new(config: PlannerConfig) -> Self {
-        Planner {
-            config,
-            ..Planner::default()
-        }
-    }
-
     /// The ledger this planner counts into (the owning session's, shared
     /// with the metrics registry).
     pub(crate) fn costs(&self) -> &Arc<SessionCosts> {
@@ -190,7 +167,7 @@ impl Planner {
         if premises_in_fragment && goal.is_single_member() {
             return ProcedureKind::FdFragment;
         }
-        if procedure::lattice_cost_bound(universe, premises, goal) <= self.config.lattice_budget {
+        if procedure::lattice_cost_bound(universe, premises, goal) <= LATTICE_BUDGET {
             ProcedureKind::Lattice
         } else {
             ProcedureKind::Sat
@@ -306,7 +283,7 @@ mod tests {
     #[test]
     fn routes_fragment_queries_to_fd() {
         let u = Universe::of_size(6);
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         let premises = fd_constraints(&u, &["A -> {B}", "B -> {C}"]);
         let goal = DiffConstraint::parse("A -> {C}", &u).unwrap();
         assert_eq!(
@@ -329,14 +306,12 @@ mod tests {
     #[test]
     fn routes_to_sat_past_the_lattice_budget() {
         let u = Universe::of_size(40);
-        let planner = Planner::new(PlannerConfig {
-            lattice_budget: 1 << 20,
-        });
+        let planner = Planner::default();
         let premises = vec![DiffConstraint::new(
             AttrSet::singleton(0),
             Family::single(AttrSet::singleton(1)),
         )];
-        // |S| − |X| = 39 free attributes: far beyond a 2^20 budget.
+        // |S| − |X| = 39 free attributes: far beyond a 2^22 budget.
         let hard = DiffConstraint::new(
             AttrSet::singleton(0),
             Family::from_sets([AttrSet::singleton(2), AttrSet::singleton(3)]),
@@ -355,7 +330,7 @@ mod tests {
 
     #[test]
     fn accounting_accumulates() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         planner.record_decided(ProcedureKind::Lattice, Duration::from_micros(10));
         planner.record_decided(ProcedureKind::Lattice, Duration::from_micros(30));
         planner.record_cache_hit(ProcedureKind::Lattice);
@@ -374,7 +349,7 @@ mod tests {
 
     #[test]
     fn latency_histograms_track_decisions() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         for us in [10u64, 20, 40] {
             planner.record_decided(ProcedureKind::Lattice, Duration::from_micros(us));
         }
@@ -398,7 +373,7 @@ mod tests {
     /// what the session's exposition series read are the same counters.
     #[test]
     fn cost_attribution_mirrors_decisions() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         planner.record_decided(ProcedureKind::Lattice, Duration::from_micros(10));
         planner.record_decided(ProcedureKind::Sat, Duration::from_micros(10));
         planner.record_cache_hit(ProcedureKind::Lattice);
@@ -417,7 +392,7 @@ mod tests {
 
     #[test]
     fn bound_routing_respects_the_budget() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         let config = BoundsConfig::default();
         let small = Universe::of_size(8);
         assert_eq!(
@@ -453,7 +428,7 @@ mod tests {
 
     #[test]
     fn bound_accounting_accumulates() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::default();
         planner.record_bound_decided(DeriveRoute::Propagation, Duration::from_micros(40));
         planner.record_bound_decided(DeriveRoute::Relaxed, Duration::from_micros(5));
         planner.record_bound_cache_hit();

@@ -71,7 +71,9 @@
 //! # Network framing
 //!
 //! Over a byte transport (the `diffcond serve` TCP front-end in
-//! [`crate::net`]) the same grammar is framed as newline-delimited lines:
+//! [`crate::net`], and stdin) the same grammar is framed as
+//! newline-delimited lines, by the one connection driver in
+//! [`crate::connection`]:
 //!
 //! ```text
 //! frame   ::= request "\n"                      one request per line; an
@@ -90,8 +92,9 @@
 //! Framing violations answer `err` without closing the connection:
 //!
 //! * a request line longer than [`MAX_REQUEST_BYTES`] bytes (the
-//!   per-request admission limit) is discarded up to its newline and
-//!   answered `err request line exceeds … bytes (got …)` — see
+//!   per-request admission limit of a TCP connection; stdin has none) is
+//!   discarded up to its newline and answered
+//!   `err request line exceeds … bytes (got …)` — see
 //!   [`oversized_request`];
 //! * bytes that are not valid UTF-8 are answered
 //!   `err request is not valid UTF-8 (byte 0x… at position …)` with the
@@ -386,9 +389,9 @@ pub fn oversized_request(got: usize, limit: usize) -> String {
 /// The compact binary wire framing (`serve --binary`), negotiated per
 /// connection by the [`MAGIC`](binary::MAGIC)/[`ACK`](binary::ACK)
 /// handshake.  Grammar in the *Binary framing* section of the
-/// [module docs](crate::protocol); both the server reactor and the
-/// [`crate::client::Client`] use these encoders/decoders, so the two sides
-/// of the wire can never drift apart.
+/// [module docs](crate::protocol); both the server's connection driver
+/// ([`crate::connection`]) and the [`crate::client::Client`] use these
+/// encoders/decoders, so the two sides of the wire can never drift apart.
 pub mod binary {
     /// First bytes a client sends to negotiate binary framing.  Starts with
     /// `0xD1 0xFF`, an invalid UTF-8 sequence, and ends with `\n`, so a
@@ -416,8 +419,8 @@ pub mod binary {
     pub const MAX_MEMBERS: usize = 1024;
 
     /// One decoded request frame, borrowing from the connection's input
-    /// buffer (the hot path allocates nothing).  Text connections and the
-    /// stdin loop present each of their lines as a [`BinRequest::Line`], so
+    /// buffer (the hot path allocates nothing).  The connection driver
+    /// presents each text line as a [`BinRequest::Line`], so
     /// [`Server::respond`](super::Server::respond) serves every framing.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum BinRequest<'a> {
@@ -1612,8 +1615,9 @@ fn evaluate(
 /// verbs manage them and every other verb targets the current slot.
 /// [`Server::respond`] answers one request — a text line or a binary frame
 /// — at its position in the request stream, writing the reply into a
-/// caller-owned buffer and returning the request's flight record; the stdin
-/// loop and every network connection call it, then hand the record to
+/// caller-owned buffer and returning the request's flight record; the
+/// connection driver ([`crate::connection::Connection`]), behind stdin and
+/// every network connection, calls it, then hands the record to
 /// [`Server::commit`].  [`Server::handle_line`] wraps both for callers that
 /// want an owned [`Reply`].
 #[derive(Debug)]
@@ -1781,6 +1785,13 @@ impl Server {
     pub fn commit(&self, record: &FlightRecord) {
         let session = self.registry.session().map(|s| &**s.costs());
         EngineMetrics::global().commit(record, &self.costs, session);
+    }
+
+    /// Bills bytes that crossed this connection's wire outside any request
+    /// (a binary handshake no reply carried) to the process and connection
+    /// byte series, without a record.
+    pub(crate) fn bill(&self, bytes_in: u64, bytes_out: u64) {
+        EngineMetrics::global().bill(&self.costs, bytes_in, bytes_out);
     }
 
     /// Closes the request's `plan` stage and builds its record, leaving the

@@ -1,7 +1,10 @@
 //! The readiness-driven reactor core behind [`crate::net::NetServer`]: a
 //! small number of event-loop threads multiplexing every accepted
 //! connection over nonblocking sockets and a vendored `epoll` instance,
-//! instead of one blocking thread per connection.
+//! instead of one blocking thread per connection.  The reactor owns
+//! sockets, readiness and backpressure; everything between a socket's bytes
+//! and the replies — framing, negotiation, `quit`, records — is the
+//! connection's [`Connection`] driver.
 //!
 //! # Why a reactor
 //!
@@ -9,11 +12,10 @@
 //! blocking reads and paid a full wake/park round trip per request — the
 //! *transport tax* the profiler surfaced as two thirds of connection-thread
 //! time.  The reactor turns that inside out: one thread waits once for the
-//! whole ready set, drains every readable connection into its frame buffer,
-//! answers each complete frame through that connection's
-//! [`Server::respond`] as soon as it is parsed, and only then flushes
-//! replies — so a readiness burst with k pipelined requests costs a handful
-//! of syscalls, not k wakeups.
+//! whole ready set, hands every readable connection's bytes to its driver,
+//! which answers each complete request as soon as it is framed, and only
+//! then flushes replies — so a readiness burst with k pipelined requests
+//! costs a handful of syscalls, not k wakeups.
 //!
 //! # Event-loop shape
 //!
@@ -27,32 +29,28 @@
 //!    `diffcond_reactor_wakeups_total` tick, the batch size recorded in
 //!    `diffcond_reactor_ready_batch`).
 //! 2. For every ready connection: flush its output buffer if writable,
-//!    then drain its socket to `WOULD_BLOCK` and serve every complete
-//!    frame in order (text lines or [`protocol::binary`] frames, negotiated
-//!    by the first bytes), each reply formatted into the connection's
-//!    reused reply buffer and framed straight into its output buffer.
+//!    then drain its socket to `WOULD_BLOCK`, feeding each read to its
+//!    driver ([`Connection::feed`]), which frames its replies straight into
+//!    the connection's output buffer; at end of input, [`Connection::finish`].
 //! 3. Every connection the burst touched has its output written out with
 //!    vectored (`writev`) syscalls before the reactor waits again; a
 //!    `WOULD_BLOCK` arms writable readiness instead of blocking the loop.
 //!    The windowed-stats ring is observed once per burst.
 //!
-//! Stage timing shares one clock reading per boundary: the reading that
-//! closes a request's `reply` stage opens the next request's `frame` stage,
-//! and the reading [`Server::respond`] closes `plan` with opens `reply`.
-//! Every frame — served or refused — ends in one [`Server::commit`] of its
-//! record, with the frame, reply, and byte fields filled in here.
-//!
 //! # Backpressure
 //!
-//! Replies coalesce in a per-connection chunk list ([`OutBuf`]).  Past a
-//! high-water mark the reactor stops *reading* that connection (its
-//! requests stay in the kernel socket buffer, which eventually stalls the
-//! sender) until the backlog drains below a low-water mark — a slow reader
-//! costs bounded memory and never stalls the reactor or its neighbours.
+//! Replies coalesce in a per-connection chunk list ([`OutBuf`]), written
+//! out mid-burst once it grows past a few chunks, so the peer drains
+//! replies while the rest of its burst is answered.  Past a high-water mark
+//! the reactor stops *reading* that connection (its requests stay in the
+//! kernel socket buffer, which eventually stalls the sender) until the
+//! backlog drains below a low-water mark — a slow reader costs bounded
+//! memory and never stalls the reactor or its neighbours.
 
-use crate::metrics::{EngineMetrics, FlightRecord};
+use crate::connection::{Connection, Output, STAGE_NET_WRITE};
+use crate::metrics::EngineMetrics;
 use crate::net::{ActiveGuard, NetConfig};
-use crate::protocol::{self, binary, Server};
+use crate::protocol::Server;
 use diffcon_obs::profile::{self, StageTag};
 use diffcon_obs::Gauge;
 use epoll::{Epoll, Events, Interest};
@@ -62,7 +60,6 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Profiling tag for the blocked heart of the loop: a reactor sampled in
 /// `reactor.wait` is idle in `epoll_wait`, covering every client's
@@ -70,13 +67,11 @@ use std::time::Instant;
 static STAGE_REACTOR_WAIT: StageTag = StageTag::new("reactor.wait");
 /// Profiling tag for socket drains and request parsing.
 static STAGE_NET_READ: StageTag = StageTag::new("net.read");
-/// Profiling tag for reply encoding and vectored flushes.
-static STAGE_NET_WRITE: StageTag = StageTag::new("net.write");
 
 /// Epoll token of the waker's read end; connection tokens are slab indices,
 /// which can never reach this.
 const WAKER_TOKEN: u64 = u64::MAX;
-/// Bytes per nonblocking read into a connection's frame buffer.
+/// Bytes per nonblocking read handed to a connection's driver.
 const READ_CHUNK: usize = 64 * 1024;
 /// Ready events fetched per `epoll_wait`.
 const EVENT_CAPACITY: usize = 1024;
@@ -175,18 +170,6 @@ impl Drop for LoadGuard {
     }
 }
 
-/// Wire framing of one connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Framing {
-    /// First bytes not seen yet (only under `serve --binary`): waiting to
-    /// see whether they are [`binary::MAGIC`].
-    Negotiating,
-    /// Newline-delimited text lines (the default).
-    Text,
-    /// Length-prefixed binary frames ([`protocol::binary`]).
-    Binary,
-}
-
 /// A connection's coalescing output buffer: replies accumulate in a chunk
 /// list and leave through vectored writes, so one flush syscall carries a
 /// whole burst's replies.
@@ -199,7 +182,7 @@ struct OutBuf {
     len: usize,
 }
 
-impl OutBuf {
+impl Output for OutBuf {
     fn append(&mut self, bytes: &[u8]) {
         self.len += bytes.len();
         match self.chunks.back_mut() {
@@ -211,7 +194,9 @@ impl OutBuf {
             }
         }
     }
+}
 
+impl OutBuf {
     /// Writes as much as the socket accepts with vectored syscalls.
     /// `Ok(true)` means drained; `Ok(false)` means the socket would block
     /// (arm writable readiness and come back).
@@ -256,95 +241,12 @@ impl OutBuf {
     }
 }
 
-/// Nanoseconds between two clock readings (zero if they run backwards).
-fn nanos(from: Instant, to: Instant) -> u64 {
-    to.saturating_duration_since(from).as_nanos() as u64
-}
-
-/// The request-serving half of a connection: its protocol server, the
-/// reply buffer every answer is formatted into, and the output backlog the
-/// framed replies join.  Kept apart from the input buffer so a frame
-/// borrowed from that buffer is served without being copied.
-struct Responder {
-    framing: Framing,
-    server: Server,
-    /// Reply text of the request being served, reused across requests.
-    reply: String,
-    out: OutBuf,
-    /// Binary handshake bytes (each way) no record has carried yet: the
-    /// connection's first reply after the handshake bills them.
-    handshake: u64,
-}
-
-impl Responder {
-    /// Serves one complete frame of `bytes_in` wire bytes whose `frame`
-    /// stage opened at `frame_start` — a request, or (`Err`) the message of
-    /// a framing violation the server never sees (an oversized line, a
-    /// corrupt binary header), answered `err` at its position in the
-    /// request order.  Returns whether it was `quit`, and the reading that
-    /// closed its `reply` stage — the next frame's start.
-    fn serve(
-        &mut self,
-        frame: Result<&binary::BinRequest<'_>, &str>,
-        bytes_in: u64,
-        frame_start: Instant,
-    ) -> (bool, Instant) {
-        let framed = Instant::now();
-        self.reply.clear();
-        let answer = match frame {
-            Ok(request) => self.server.respond(request, framed, &mut self.reply),
-            Err(message) => self.server.refuse(message, framed, &mut self.reply),
-        };
-        let mut record = answer.record;
-        record.frame_ns = nanos(frame_start, framed);
-        record.bytes_in = bytes_in;
-        (answer.quit, self.emit(record, answer.done))
-    }
-
-    /// Frames the reply buffer into the output backlog (a silent request
-    /// writes nothing), closes the `reply` stage opened at `done`, and
-    /// commits the request's record.  Returns the reading that closed the
-    /// stage.
-    fn emit(&mut self, mut record: FlightRecord, done: Instant) -> Instant {
-        let end = if self.reply.is_empty() {
-            done
-        } else {
-            let write_stage = profile::stage(&STAGE_NET_WRITE);
-            let text = self.reply.as_bytes();
-            let framed = if self.framing == Framing::Binary {
-                let header = binary::line_header(text.len());
-                self.out.append(&header);
-                self.out.append(text);
-                header.len() + text.len()
-            } else {
-                self.out.append(text);
-                self.out.append(b"\n");
-                text.len() + 1
-            } as u64;
-            // The first reply also carries the binary handshake, so a
-            // silent request still writes 0 bytes.
-            let handshake = std::mem::take(&mut self.handshake);
-            record.bytes_in += handshake;
-            record.bytes_out = framed + handshake;
-            drop(write_stage);
-            Instant::now()
-        };
-        record.reply_ns = nanos(done, end);
-        self.server.commit(&record);
-        end
-    }
-}
-
-/// One multiplexed connection: socket, in-flight frame buffer, and the
-/// serving half (negotiated framing, protocol server, output backlog).
+/// One multiplexed connection: its socket, the driver that frames and
+/// answers what the socket delivers, and the output backlog it replies into.
 struct Conn {
     stream: TcpStream,
-    /// Raw request bytes; `[parse_at..]` is the unparsed tail.
-    inbuf: Vec<u8>,
-    parse_at: usize,
-    /// Mid-discard of an over-cap text line: bytes dropped so far.
-    discarding: Option<usize>,
-    io: Responder,
+    driver: Connection,
+    out: OutBuf,
     read_armed: bool,
     write_armed: bool,
     peer_eof: bool,
@@ -361,14 +263,14 @@ struct Conn {
 impl Conn {
     /// `true` when the slot can be torn down.
     fn reapable(&self) -> bool {
-        self.dead || (self.closing && self.io.out.len == 0)
+        self.dead || (self.closing && self.out.len == 0)
     }
 
     /// Reconciles the socket's epoll interest with the connection state:
     /// read while serving and under the output high-water mark (with
     /// hysteresis), write while a backlog is pending.
     fn sync_interest(&mut self, epoll: &Epoll, token: u64) {
-        let backlog = self.io.out.len;
+        let backlog = self.out.len;
         let backlogged = if self.read_armed {
             backlog >= OUT_HIGH_WATER
         } else {
@@ -399,24 +301,25 @@ impl Conn {
     /// Writes as much of the output backlog as the socket accepts; an IO
     /// failure marks the connection dead.
     fn flush_out(&mut self, metrics: &EngineMetrics) {
-        if self.io.out.len == 0 || self.dead {
+        if self.out.len == 0 || self.dead {
             return;
         }
         let write_stage = profile::stage(&STAGE_NET_WRITE);
-        if self.io.out.flush(&self.stream, metrics).is_err() {
+        if self.out.flush(&self.stream, metrics).is_err() {
             self.dead = true;
         }
         drop(write_stage);
     }
 
     /// Drains the socket to `WOULD_BLOCK` (or the backpressure mark),
-    /// parsing and serving every complete frame as it lands.  `read_buf` is
-    /// the reactor's shared read scratch — bytes land there first and only
-    /// the received prefix is copied into the connection's frame buffer.
-    fn on_readable(&mut self, config: &NetConfig, metrics: &EngineMetrics, read_buf: &mut [u8]) {
+    /// handing each read to the driver, which serves every request it
+    /// completes.  `read_buf` is the reactor's shared read scratch — bytes
+    /// land there first and only the received prefix is copied into the
+    /// driver's input buffer.
+    fn on_readable(&mut self, metrics: &EngineMetrics, read_buf: &mut [u8]) {
         let read_stage = profile::stage(&STAGE_NET_READ);
         loop {
-            if self.io.out.len >= OUT_HIGH_WATER || self.closing || self.dead {
+            if self.out.len >= OUT_HIGH_WATER || self.closing || self.dead {
                 break;
             }
             match (&self.stream).read(read_buf) {
@@ -425,13 +328,12 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&read_buf[..n]);
-                    self.parse(config);
+                    self.closing = self.driver.feed(&read_buf[..n], &mut self.out);
                     // Stream a growing reply backlog out mid-burst: the
                     // peer drains replies concurrently with the decides
                     // still ahead.  `WOULD_BLOCK` here is fine — the
                     // burst-end flush and writable readiness take over.
-                    if self.io.out.len >= OUT_EAGER_FLUSH {
+                    if self.out.len >= OUT_EAGER_FLUSH {
                         self.flush_out(metrics);
                     }
                     if n < read_buf.len() {
@@ -450,166 +352,10 @@ impl Conn {
         }
         drop(read_stage);
         if self.peer_eof && !self.closing && !self.dead {
-            self.on_eof(config);
+            self.driver.finish(&mut self.out);
+            self.closing = true;
         }
     }
-
-    /// Parses every complete frame buffered so far and compacts the buffer.
-    fn parse(&mut self, config: &NetConfig) {
-        if self.io.framing == Framing::Negotiating {
-            self.negotiate();
-        }
-        match self.io.framing {
-            Framing::Negotiating => return,
-            Framing::Text => self.parse_text(config),
-            Framing::Binary => self.parse_binary(config),
-        }
-        if self.parse_at > 0 {
-            self.inbuf.drain(..self.parse_at);
-            self.parse_at = 0;
-        }
-    }
-
-    /// Resolves the framing from the connection's first bytes: exactly
-    /// [`binary::MAGIC`] switches to binary (answering [`binary::ACK`]);
-    /// anything else — including a magic prefix that diverges — is text.
-    fn negotiate(&mut self) {
-        let Some(&first) = self.inbuf.first() else {
-            return;
-        };
-        if first != binary::MAGIC[0] {
-            self.io.framing = Framing::Text;
-            return;
-        }
-        if self.inbuf.len() < binary::MAGIC.len() {
-            return; // Need the rest of the handshake (or EOF resolves it).
-        }
-        if self.inbuf[..binary::MAGIC.len()] == binary::MAGIC {
-            self.parse_at = binary::MAGIC.len();
-            self.io.framing = Framing::Binary;
-            self.io.out.append(&binary::ACK);
-            // MAGIC and ACK are the same length: the handshake's bytes each
-            // way, carried by the next reply's record.
-            self.io.handshake = binary::ACK.len() as u64;
-        } else {
-            self.io.framing = Framing::Text;
-        }
-    }
-
-    /// Serves every complete text line in the buffer.  A line over
-    /// `max_request_bytes` is discarded up to its newline without being
-    /// buffered, and answered with one `err` at its position in the order.
-    /// The client's `read_frame` ([`crate::net`]) applies the same rules to
-    /// replies in separate code; net_properties'
-    /// `malformed_frames_never_wedge_the_server` and
-    /// `framing_violations_answer_err_and_keep_the_connection` test this
-    /// one.
-    fn parse_text(&mut self, config: &NetConfig) {
-        let max = config.max_request_bytes;
-        let mut frame_start = Instant::now();
-        while self.parse_at < self.inbuf.len() && !self.closing && !self.dead {
-            // Finish an in-progress oversized-line discard first.
-            if let Some(dropped) = self.discarding {
-                match find_newline(&self.inbuf[self.parse_at..]) {
-                    Some(pos) => {
-                        self.parse_at += pos + 1;
-                        self.discarding = None;
-                        let got = dropped + pos;
-                        let message = protocol::oversized_request(got, max);
-                        (_, frame_start) =
-                            self.io.serve(Err(&message), got as u64 + 1, frame_start);
-                        continue;
-                    }
-                    None => {
-                        self.discarding = Some(dropped + self.inbuf.len() - self.parse_at);
-                        self.parse_at = self.inbuf.len();
-                        return;
-                    }
-                }
-            }
-            let Some(pos) = find_newline(&self.inbuf[self.parse_at..]) else {
-                let buffered = self.inbuf.len() - self.parse_at;
-                if buffered > max {
-                    // Over the cap with no newline in sight: discard without
-                    // buffering further, counting the dropped bytes.
-                    self.discarding = Some(buffered);
-                    self.parse_at = self.inbuf.len();
-                }
-                return;
-            };
-            let message;
-            let frame = if pos > max {
-                message = protocol::oversized_request(pos, max);
-                Err(message.as_str())
-            } else {
-                Ok(&binary::BinRequest::Line(
-                    &self.inbuf[self.parse_at..self.parse_at + pos],
-                ))
-            };
-            let quit;
-            (quit, frame_start) = self.io.serve(frame, pos as u64 + 1, frame_start);
-            self.parse_at += pos + 1;
-            // Anything pipelined after `quit` is deliberately ignored.
-            self.closing |= quit;
-        }
-    }
-
-    /// Serves every complete binary frame in the buffer.
-    fn parse_binary(&mut self, config: &NetConfig) {
-        let mut frame_start = Instant::now();
-        while self.parse_at < self.inbuf.len() && !self.closing && !self.dead {
-            match binary::decode_request(&self.inbuf[self.parse_at..], config.max_request_bytes) {
-                binary::Decoded::Incomplete => return,
-                binary::Decoded::Fatal(message) => {
-                    // A corrupt length-prefixed stream cannot resync: one
-                    // err at its position in the order, then close.  The
-                    // refusal carries every byte still buffered.
-                    let dropped = (self.inbuf.len() - self.parse_at) as u64;
-                    self.io.serve(Err(&message), dropped, frame_start);
-                    self.parse_at = self.inbuf.len();
-                    self.closing = true;
-                    return;
-                }
-                binary::Decoded::Frame(frame, used) => {
-                    let quit;
-                    (quit, frame_start) = self.io.serve(Ok(&frame), used as u64, frame_start);
-                    self.parse_at += used;
-                    self.closing |= quit;
-                }
-            }
-        }
-    }
-
-    /// Clean end of input: serve a final unterminated text line if one is
-    /// buffered (the last request of a piped script), and close once the
-    /// output drains.  A binary frame truncated by disconnect is not
-    /// salvageable and just ends the connection.
-    fn on_eof(&mut self, config: &NetConfig) {
-        if self.io.framing == Framing::Negotiating {
-            // Disconnect inside the handshake: whatever arrived is a
-            // malformed text fragment; serve it as such.
-            self.io.framing = Framing::Text;
-        }
-        if self.io.framing == Framing::Text && self.discarding.is_none() {
-            self.parse_text(config);
-            if !self.closing && self.parse_at < self.inbuf.len() {
-                let line = &self.inbuf[self.parse_at..];
-                let bytes_in = line.len() as u64;
-                self.io.serve(
-                    Ok(&binary::BinRequest::Line(line)),
-                    bytes_in,
-                    Instant::now(),
-                );
-                self.parse_at = self.inbuf.len();
-            }
-        }
-        self.closing = true;
-    }
-}
-
-/// Finds the next `\n` in `haystack`.
-fn find_newline(haystack: &[u8]) -> Option<usize> {
-    haystack.iter().position(|&b| b == b'\n')
 }
 
 /// Adopts an accepted connection into the slab and registers its socket
@@ -651,20 +397,8 @@ fn register_conn(
     }
     conns[token] = Some(Conn {
         stream,
-        inbuf: Vec::new(),
-        parse_at: 0,
-        discarding: None,
-        io: Responder {
-            framing: if config.binary {
-                Framing::Negotiating
-            } else {
-                Framing::Text
-            },
-            server,
-            reply: String::new(),
-            out: OutBuf::default(),
-            handshake: 0,
-        },
+        driver: Connection::new(server, config.max_request_bytes, config.binary),
+        out: OutBuf::default(),
         read_armed: true,
         write_armed: false,
         peer_eof: false,
@@ -744,7 +478,7 @@ pub(crate) fn run(shared: Arc<ReactorShared>, config: NetConfig) {
                 }
             }
             if event.readable() && !conn.peer_eof && !conn.closing {
-                conn.on_readable(&config, metrics, &mut read_buf);
+                conn.on_readable(metrics, &mut read_buf);
             }
         }
         // Burst end: push every touched connection's output, reconcile

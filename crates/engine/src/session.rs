@@ -29,7 +29,7 @@
 use crate::cache::lock;
 use crate::intern::{ConstraintId, ConstraintInterner};
 use crate::metrics::{EngineMetrics, SessionCosts};
-use crate::planner::{Planner, PlannerConfig, PlannerStats};
+use crate::planner::{Planner, PlannerStats};
 use crate::snapshot::{EngineCaches, Snapshot};
 use diffcon::inference::Derivation;
 use diffcon::{fd_fragment, DiffConstraint};
@@ -69,8 +69,6 @@ pub struct SessionConfig {
     /// compaction only runs when it can actually shrink the table, so the
     /// engine always allows at least `2·|premises| + 16` entries.
     pub interner_compaction_threshold: usize,
-    /// Procedure-routing configuration.
-    pub planner: PlannerConfig,
 }
 
 impl Default for SessionConfig {
@@ -81,7 +79,6 @@ impl Default for SessionConfig {
             bound_side: SideConditions::support(),
             bounds: BoundsConfig::default(),
             interner_compaction_threshold: 1 << 18,
-            planner: PlannerConfig::default(),
         }
     }
 }
@@ -180,7 +177,7 @@ impl Session {
             dataset: None,
             epoch: 0,
             caches: Arc::new(EngineCaches::new(&config)),
-            planner: Arc::new(Planner::new(config.planner)),
+            planner: Arc::new(Planner::default()),
             bound_state: OnceLock::new(),
         });
         Session {

@@ -3,9 +3,15 @@
 //! broken script with `file:line:col: severity:` diagnostics and a nonzero
 //! exit, and every shipped script must also *execute* without a single
 //! `err` reply — lint-clean and run-clean are checked against each other.
+//! Executed through `diffcond`'s stdin loop, each script (and a raw byte
+//! script exercising the framing rules) must also reply exactly what the
+//! serial oracle, `Server::handle_line`, replies, wall-clock fields aside.
 
+use diffcon_engine::protocol::binary::BinRequest;
+use diffcon_engine::{Reply, Server, SessionConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::time::Instant;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -90,30 +96,120 @@ fn check_without_files_exits_2() {
     assert_eq!(output.status.code(), Some(2));
 }
 
+/// Runs `script` through `diffcond`'s stdin loop and returns its stdout.
+fn stdin_replies(script: &[u8]) -> String {
+    use std::io::Write as _;
+    let mut child = diffcond()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("diffcond starts");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(script)
+        .expect("script fits the pipe");
+    let output = child.wait_with_output().expect("diffcond exits");
+    String::from_utf8(output.stdout).expect("replies are UTF-8")
+}
+
+/// The serial oracle's replies to `script`: each line answered by
+/// `Server::handle_line`, one reply line per non-silent request, up to
+/// `quit`.  A line that is not UTF-8 goes through `Server::respond`, the
+/// request path `handle_line` wraps, since `handle_line` takes text.
+fn oracle_replies(script: &[u8]) -> String {
+    let mut server = Server::new(SessionConfig::default());
+    let mut replies = String::new();
+    let body = script.strip_suffix(b"\n").unwrap_or(script);
+    for line in body.split(|&b| b == b'\n') {
+        let reply = match std::str::from_utf8(line) {
+            Ok(line) => server.handle_line(line),
+            Err(_) => {
+                let mut text = String::new();
+                let answer = server.respond(&BinRequest::Line(line), Instant::now(), &mut text);
+                server.commit(&answer.record);
+                Reply {
+                    text,
+                    quit: answer.quit,
+                }
+            }
+        };
+        if !reply.text.is_empty() {
+            replies.push_str(&reply.text);
+            replies.push('\n');
+        }
+        if reply.quit {
+            break;
+        }
+    }
+    replies
+}
+
+/// Masks the wall-clock fields of a reply stream: every `…us=`, `qps=` and
+/// `trace=` value, and the `…us` latency of the `stats` route counters
+/// (`fd=1/1c/0us`).  Everything else is compared byte for byte.
+fn mask_clock(replies: &str) -> String {
+    let token = |token: &str| match token.split_once('=') {
+        Some((key, _)) if key.ends_with("us") || key == "qps" || key == "trace" => {
+            format!("{key}=*")
+        }
+        Some((key, value)) => {
+            let parts: Vec<&str> = value
+                .split('/')
+                .map(|part| if part.ends_with("us") { "*us" } else { part })
+                .collect();
+            format!("{key}={}", parts.join("/"))
+        }
+        None => token.to_string(),
+    };
+    replies
+        .lines()
+        .map(|line| line.split(' ').map(token).collect::<Vec<_>>().join(" ") + "\n")
+        .collect()
+}
+
 #[test]
 fn shipped_scripts_also_execute_without_errors() {
-    use std::io::Write as _;
     for script in shipped_scripts() {
-        let text = std::fs::read_to_string(&script).expect("script is readable");
-        let mut child = diffcond()
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("diffcond starts");
-        child
-            .stdin
-            .take()
-            .expect("stdin piped")
-            .write_all(text.as_bytes())
-            .expect("script fits the pipe");
-        let output = child.wait_with_output().expect("diffcond exits");
-        let stdout = String::from_utf8_lossy(&output.stdout);
+        let text = std::fs::read(&script).expect("script is readable");
+        let stdout = stdin_replies(&text);
         let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("err")).collect();
         assert!(
             errors.is_empty(),
             "{} produced err replies: {errors:?}",
             script.display()
         );
+        assert_eq!(
+            mask_clock(&stdout),
+            mask_clock(&oracle_replies(&text)),
+            "{}: stdin replies differ from the serial oracle's",
+            script.display()
+        );
     }
+}
+
+/// Raw bytes on stdin frame exactly as the oracle splits them: CRLF line
+/// ends, blank, whitespace and `#` lines (no reply), bytes that are not
+/// UTF-8 (an `err` at their position), and a final line with no newline.
+#[test]
+fn stdin_framing_matches_the_oracle_on_raw_bytes() {
+    let script: &[u8] = b"universe 3\r\nassert A -> {B}\r\n\n# a comment\n   \n\
+        implies \xff\xfe\nimplies A -> {B}\r\nknown A = 2\nbound AB\r\nstats\n\
+        implies B -> {A}";
+    let stdout = stdin_replies(script);
+    assert_eq!(stdout.lines().count(), 8, "got:\n{stdout}");
+    assert!(
+        stdout.contains("err request is not valid UTF-8 (byte 0xff at position 9)"),
+        "got:\n{stdout}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .last()
+            .is_some_and(|l| l.starts_with("no route=")),
+        "the final unterminated line was not served:\n{stdout}"
+    );
+    assert_eq!(mask_clock(&stdout), mask_clock(&oracle_replies(script)));
 }

@@ -11,10 +11,11 @@
 //!   frozen state (never a torn or in-between state).
 //! * **Connection path vs. serial server** — randomized multi-session
 //!   protocol scripts (session new/use/close, assert/retract churn,
-//!   implies/batch/bound/witness/derive traffic) are driven the way a
-//!   connection drives them — [`Server::respond`] appending every reply to
-//!   one output stream, reusing its scratch goal across requests — and
-//!   through [`Server::handle_line`] on a second server; the reply streams
+//!   implies/batch/bound/witness/derive traffic) are fed as one byte
+//!   stream through the connection driver every transport uses — each
+//!   request answered by [`Server::respond`] into one output stream,
+//!   reusing its scratch goal across requests — and through
+//!   [`Server::handle_line`] on a second server; the reply streams
 //!   must agree line-for-line up to the non-semantic telemetry fields
 //!   (`us=`, `cached=`, `route=`), including under cache-eviction pressure
 //!   from deliberately tiny cache bounds.
@@ -22,7 +23,8 @@
 //!   closed (or mutated) still answers from its captured state.
 
 use diffcon::{implication, DiffConstraint};
-use diffcon_engine::protocol::binary::BinRequest;
+use diffcon_engine::connection::Connection;
+use diffcon_engine::protocol::MAX_REQUEST_BYTES;
 use diffcon_engine::{Server, Session, SessionConfig};
 use proptest::prelude::*;
 use setlat::{AttrSet, Universe};
@@ -240,9 +242,9 @@ fn normalize(text: &str) -> String {
 }
 
 /// Runs a script through [`Server::handle_line`] and, pipelined, through
-/// the connection path — every reply appended to one output stream, one
-/// line each, as a text connection frames them, and every record
-/// committed; asserts the normalized reply streams agree line-for-line.
+/// the connection driver as one text stream — every reply framed into one
+/// output stream and every record committed; asserts the normalized reply
+/// streams agree line-for-line.
 fn assert_pipeline_matches_serial(lines: &[String]) {
     let mut serial = Server::new(tiny_config());
     let serial_replies: Vec<String> = lines
@@ -250,23 +252,23 @@ fn assert_pipeline_matches_serial(lines: &[String]) {
         .map(|line| normalize(&serial.handle_line(line).text))
         .filter(|text| !text.is_empty())
         .collect();
-    let mut connection = Server::new(tiny_config());
-    let mut stream = String::new();
-    for line in lines {
-        let before = stream.len();
-        let mut answer = connection.respond(
-            &BinRequest::Line(line.as_bytes()),
-            std::time::Instant::now(),
-            &mut stream,
-        );
-        assert!(!answer.quit, "scripts do not contain quit");
-        if stream.len() > before {
-            stream.push('\n');
-        }
-        answer.record.bytes_out = (stream.len() - before) as u64;
-        connection.commit(&answer.record);
-    }
-    let streamed: Vec<String> = stream.lines().map(normalize).collect();
+    let mut connection = Connection::new(Server::new(tiny_config()), MAX_REQUEST_BYTES, false);
+    let script: Vec<u8> = lines
+        .iter()
+        .flat_map(|line| [line.as_bytes(), b"\n"])
+        .flatten()
+        .copied()
+        .collect();
+    let mut stream = Vec::new();
+    assert!(
+        !connection.feed(&script, &mut stream),
+        "scripts do not contain quit"
+    );
+    let streamed: Vec<String> = String::from_utf8(stream)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(normalize)
+        .collect();
     assert_eq!(
         serial_replies, streamed,
         "the connection path diverged from serial execution"

@@ -1,0 +1,334 @@
+//! The connection driver, tested without a socket:
+//!
+//! * one byte stream per framing — text with CRLF, blank and `#` lines,
+//!   bytes that are not UTF-8, an over-cap line, a final unterminated line
+//!   or `quit` followed by more lines; binary with the handshake, every
+//!   frame tag, a silent frame and a corrupt header — gives the same replies
+//!   and the same records (clock fields aside) whether it is fed whole, one
+//!   byte at a time, or in two pieces split at any byte boundary, and its
+//!   records bill every byte it served and every byte it replied;
+//! * a binary handshake that no reply carried is billed when the driver is
+//!   torn down, so the process and connection byte series equal the bytes
+//!   that crossed the wire, while the request, reply and flight-record
+//!   counts move only for requests.
+//!
+//! The flight ring and the metrics registry are process-wide, so every test
+//! here holds one lock: the counter deltas a test reads are its own.
+
+use diffcon_engine::connection::Connection;
+use diffcon_engine::protocol::binary;
+use diffcon_engine::{EngineMetrics, Server, SessionConfig};
+use std::sync::Mutex;
+
+/// Serializes the tests of this binary (see the module docs).
+static METRICS: Mutex<()> = Mutex::new(());
+
+fn lock_metrics() -> std::sync::MutexGuard<'static, ()> {
+    METRICS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The admission cap of every test connection.
+const MAX: usize = 64;
+
+/// A fresh driver and its connection id.
+fn connection(binary: bool) -> (Connection, u64) {
+    let server = Server::new(SessionConfig::default());
+    let id = server.connection_id();
+    (Connection::new(server, MAX, binary), id)
+}
+
+/// Feeds `pieces` in order, then ends the input; returns the output and
+/// the connection's records, oldest first.
+fn drive(pieces: &[&[u8]], binary: bool) -> (Vec<u8>, Vec<String>) {
+    let (mut driver, id) = connection(binary);
+    let mut out = Vec::new();
+    for piece in pieces {
+        if driver.feed(piece, &mut out) {
+            break;
+        }
+    }
+    driver.finish(&mut out);
+    drop(driver);
+    (out, records(id))
+}
+
+/// Extracts `key=value` from a rendered record.
+fn field<'a>(record: &'a str, key: &str) -> &'a str {
+    record
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix(&format!("{key}=")))
+        .unwrap_or_else(|| panic!("field {key} missing in `{record}`"))
+}
+
+/// Connection `id`'s records from the flight ring, oldest first.  A run
+/// leaves at most a dozen, and the tests here run one at a time, so the
+/// newest 64 hold them all.
+fn records(id: u64) -> Vec<String> {
+    let dump = Server::new(SessionConfig::default())
+        .handle_line("debug recent 64")
+        .text;
+    let mut ours: Vec<String> = match dump.find("trace=") {
+        Some(at) => dump[at..]
+            .split(" | ")
+            .filter(|record| field(record, "conn") == id.to_string())
+            .map(str::to_string)
+            .collect(),
+        None => Vec::new(),
+    };
+    ours.reverse();
+    ours
+}
+
+/// A record without its clock fields and its connection id: the trace's
+/// sequence, slot, verb, route, cache outcome, bytes in, whether it
+/// replied, and epoch.  (How many bytes a reply took depends on its `us=`
+/// digits; [`billed`] checks those per run.)
+fn unclocked(record: &str) -> String {
+    let sequence = field(record, "trace").parse::<u64>().expect("trace") & 0xffff_ffff;
+    let kept: Vec<&str> = ["slot", "verb", "route", "cached", "in", "epoch"]
+        .iter()
+        .map(|key| field(record, key))
+        .collect();
+    let replied = field(record, "out") != "0";
+    format!("{sequence} {} replied={replied}", kept.join(" "))
+}
+
+/// A reply with its wall-clock `us=` value masked.
+fn unclocked_reply(reply: &str) -> String {
+    reply
+        .split(' ')
+        .map(|token| match token.split_once('=') {
+            Some((key, _)) if key.ends_with("us") => format!("{key}=*"),
+            _ => token.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Total `in=` and `out=` over a connection's records.
+fn billed(records: &[String]) -> (u64, u64) {
+    let sum = |key| {
+        records
+            .iter()
+            .map(|r| field(r, key).parse::<u64>().expect("numeric"))
+            .sum()
+    };
+    (sum("in"), sum("out"))
+}
+
+/// The text replies of a newline-framed output.
+fn text_replies(out: &[u8]) -> Vec<String> {
+    String::from_utf8(out.to_vec())
+        .expect("replies are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The replies of a binary output, after its handshake.
+fn binary_replies(out: &[u8]) -> Vec<String> {
+    assert_eq!(out[..binary::ACK.len()], binary::ACK, "no ACK first");
+    let mut at = binary::ACK.len();
+    let mut replies = Vec::new();
+    while at < out.len() {
+        match binary::decode_reply(&out[at..], usize::MAX) {
+            binary::DecodedReply::Frame(payload, used) => {
+                replies.push(String::from_utf8(payload.to_vec()).expect("UTF-8 reply"));
+                at += used;
+            }
+            other => panic!("malformed reply stream at {at}: {other:?}"),
+        }
+    }
+    replies
+}
+
+/// The text framing's rules in one stream, ending in an unterminated line.
+fn text_stream() -> Vec<u8> {
+    let mut stream = b"universe 4\r\nassert A -> {B}\n\n# a comment\n  \n".to_vec();
+    stream.extend_from_slice(b"implies \xff\xfe -> {A}\n");
+    stream.extend_from_slice(format!("implies {}\n", "A".repeat(2 * MAX)).as_bytes());
+    stream.extend_from_slice(b"implies A -> {B}\r\nknown A = 3\nbound AB\n");
+    stream.extend_from_slice(b"implies B -> {A}");
+    stream
+}
+
+/// A text stream that quits with more lines after `quit`.
+fn quit_stream() -> Vec<u8> {
+    b"universe 2\nimplies A -> {B}\nquit\nimplies A -> {A}\nstats\nlast".to_vec()
+}
+
+/// Every binary frame tag, a silent frame, and a corrupt header last (bytes
+/// after it would never be read: the connection closes on it).
+fn binary_stream() -> Vec<u8> {
+    let mut stream = binary::MAGIC.to_vec();
+    for line in ["universe 4", "# silent", "known A = 3", ""] {
+        binary::encode_line(line, &mut stream);
+    }
+    binary::encode_assert(0b1, &[0b10], &mut stream);
+    binary::encode_implies(0b1, &[0b10, 0b100], &mut stream);
+    binary::encode_bound(0b11, &mut stream);
+    binary::encode_line("implies \u{0}", &mut stream);
+    stream.push(0x7f);
+    stream
+}
+
+#[test]
+fn replies_and_records_do_not_depend_on_how_the_input_is_chunked() {
+    let _guard = lock_metrics();
+    for (name, stream, binary_framing) in [
+        ("text", text_stream(), false),
+        ("quit", quit_stream(), false),
+        ("binary", binary_stream(), true),
+    ] {
+        let served = match name {
+            "quit" => {
+                stream
+                    .windows(5)
+                    .position(|w| w == b"quit\n")
+                    .expect("quit")
+                    + 5
+            }
+            _ => stream.len(),
+        };
+        // Whole, one byte at a time, and in two pieces split at every byte
+        // boundary.
+        let mut feeds: Vec<Vec<&[u8]>> = vec![vec![&stream[..]], stream.chunks(1).collect()];
+        feeds.extend((1..stream.len()).map(|at| vec![&stream[..at], &stream[at..]]));
+        let mut runs = feeds.iter().map(|pieces| {
+            let (out, records) = drive(pieces, binary_framing);
+            let sizes: Vec<usize> = pieces.iter().map(|piece| piece.len()).collect();
+            assert_eq!(
+                billed(&records),
+                (served as u64, out.len() as u64),
+                "{name}, pieces of {sizes:?}: records do not bill the wire bytes"
+            );
+            let replies = if binary_framing {
+                binary_replies(&out)
+            } else {
+                text_replies(&out)
+            };
+            let replies: Vec<String> = replies.iter().map(|r| unclocked_reply(r)).collect();
+            let records: Vec<String> = records.iter().map(|r| unclocked(r)).collect();
+            (sizes, replies, records)
+        });
+        let (_, replies, whole_records) = runs.next().expect("whole run");
+        for (sizes, split_replies, split_records) in runs {
+            assert_eq!(
+                replies, split_replies,
+                "{name}, pieces of {sizes:?}: replies depend on chunking"
+            );
+            assert_eq!(
+                whole_records, split_records,
+                "{name}, pieces of {sizes:?}: records depend on chunking"
+            );
+        }
+        match name {
+            "text" => {
+                assert_eq!(replies.len(), 8, "{replies:?}");
+                assert!(replies[2].starts_with("err request is not valid UTF-8 (byte 0xff"));
+                assert_eq!(
+                    replies[3],
+                    format!("err request line exceeds {MAX} bytes (got {})", 8 + 2 * MAX)
+                );
+                assert!(replies[7].starts_with("no route="), "{replies:?}");
+                // Eleven lines in, three of them silent: one record each.
+                assert_eq!(whole_records.len(), 11);
+            }
+            "quit" => {
+                assert_eq!(replies.len(), 3, "{replies:?}");
+                assert_eq!(replies[2], "bye");
+            }
+            _ => {
+                assert_eq!(replies.len(), 7, "{replies:?}");
+                assert!(replies[5].starts_with("err "), "{replies:?}");
+                assert_eq!(replies[6], "err unknown binary frame tag 0x7f");
+                // Two silent frames leave records but no replies.
+                assert_eq!(whole_records.len(), 9);
+            }
+        }
+    }
+}
+
+/// One counter of the global exposition (0 when absent).
+fn global(name: &str, labels: &[(&str, &str)]) -> f64 {
+    let exposition = EngineMetrics::global().exposition();
+    let series = diffcon_obs::parse_exposition(&exposition).expect("exposition parses");
+    series
+        .iter()
+        .find(|s| {
+            s.name == name
+                && s.labels.len() == labels.len()
+                && labels
+                    .iter()
+                    .all(|(key, value)| s.labels.iter().any(|(k, v)| k == key && v == value))
+        })
+        .map_or(0.0, |s| s.value)
+}
+
+/// The counts a connection's teardown must reconcile: the process byte,
+/// request, reply and flight-record counters, and connection `id`'s
+/// request and byte series.
+fn counts(id: u64) -> [f64; 8] {
+    let conn = id.to_string();
+    [
+        global("diffcond_bytes_total", &[("direction", "read")]),
+        global("diffcond_bytes_total", &[("direction", "written")]),
+        global("diffcond_requests_total", &[]),
+        global("diffcond_replies_total", &[]),
+        global("diffcond_flight_records_total", &[]),
+        global("diffcond_connection_requests_total", &[("conn", &conn)]),
+        global(
+            "diffcond_connection_bytes_total",
+            &[("conn", &conn), ("direction", "read")],
+        ),
+        global(
+            "diffcond_connection_bytes_total",
+            &[("conn", &conn), ("direction", "written")],
+        ),
+    ]
+}
+
+/// Runs `input` through a binary-allowed driver that is then torn down,
+/// with or without an end of input first, and returns how each count of
+/// [`counts`] moved.
+fn teardown_deltas(input: &[u8], end_of_input: bool) -> [f64; 8] {
+    let (mut driver, id) = connection(true);
+    let before = counts(id);
+    let mut out = Vec::new();
+    driver.feed(input, &mut out);
+    if end_of_input {
+        driver.finish(&mut out);
+    }
+    drop(driver);
+    let after = counts(id);
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+#[test]
+fn a_handshake_without_a_reply_is_billed_at_teardown() {
+    let _guard = lock_metrics();
+    // Handshake, then end of input, or teardown without one (an IO error,
+    // or the server shutting down): 5 bytes each way and no request.
+    for end_of_input in [true, false] {
+        assert_eq!(
+            teardown_deltas(&binary::MAGIC, end_of_input),
+            [5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0],
+            "end of input: {end_of_input}"
+        );
+    }
+}
+
+#[test]
+fn a_handshake_before_a_silent_frame_is_billed_at_teardown() {
+    let _guard = lock_metrics();
+    // A 21-byte silent frame: one request and one record, no reply.
+    let mut input = binary::MAGIC.to_vec();
+    binary::encode_line("# sixteen bytes.", &mut input);
+    assert_eq!(input.len(), 5 + 21);
+    assert_eq!(
+        teardown_deltas(&input, true),
+        [26.0, 5.0, 1.0, 0.0, 1.0, 1.0, 26.0, 5.0]
+    );
+}

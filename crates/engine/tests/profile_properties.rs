@@ -9,25 +9,27 @@
 //! * the `debug profile start|stop|dump` verbs drive the process-wide
 //!   sampler through the ordinary request path;
 //! * the warm cached query path performs zero heap allocations, and so does
-//!   a whole warm request through the connection path, text line or mask
-//!   frame in, reply out, and record committed, while a cold lattice
-//!   decision allocates once, for the goal copy the answer cache keeps, a
-//!   cold batch allocates once per distinct miss plus its result vector,
-//!   all on the calling thread, a snapshot's `bound` misses after its first
-//!   allocate nothing and publishing its successor copies none of its bound
-//!   state, and a full LRU cache's evict-and-insert churn allocates nothing
+//!   a whole warm request through the connection driver, wire bytes in
+//!   (text line or mask frame), framed reply out, and record committed,
+//!   while a cold lattice decision allocates once, for the goal copy the
+//!   answer cache keeps, a cold batch allocates once per distinct miss plus
+//!   its result vector, all on the calling thread, a snapshot's `bound`
+//!   misses after its first allocate nothing and publishing its successor
+//!   copies none of its bound state, and a full LRU cache's
+//!   evict-and-insert churn allocates nothing
 //!   (the counting allocator is the engine's global allocator, so this is
 //!   measured, not asserted by inspection);
 //! * the slow-query stderr log is rate limited and drops are visible in
 //!   `stats`, and a cold `stats recent` answers the explicit warming form.
 
-use diffcon_engine::protocol::binary::{self, BinRequest};
+use diffcon_engine::connection::Connection;
+use diffcon_engine::protocol::binary;
 use diffcon_engine::{metrics, LruCache, Server, Session, SessionConfig};
 use diffcon_obs::profile;
 use proptest::prelude::*;
 use setlat::{AttrSet, Family, Universe};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serializes tests that toggle process-global profiler state (the enabled
 /// flag and the background sampler); the beacons and tag table are
@@ -450,48 +452,63 @@ fn full_lru_cache_churns_without_allocating() {
     );
 }
 
-/// Answers one request the way a connection does — into a reused reply
-/// buffer, committing its record after the "write".
-fn serve(server: &mut Server, reply: &mut String, request: &BinRequest<'_>) {
-    reply.clear();
-    let mut answer = server.respond(request, Instant::now(), reply);
-    answer.record.bytes_out = reply.len() as u64 + 1;
-    server.commit(&answer.record);
-}
-
 #[test]
 fn warm_whole_request_allocates_nothing_in_both_framings() {
     // No other test may toggle the profiler mid-measurement (a live stage
     // guard registers its thread's beacon on first use).
     let _guard = lock_profiler();
     profile::set_thread_class("test");
-    let mut server = Server::new(SessionConfig::default());
-    let mut reply = String::new();
+    let max = diffcon_engine::protocol::MAX_REQUEST_BYTES;
+    let mut text = Vec::new();
+    let mut mask = Vec::new();
+    binary::encode_implies(0b1, &[0b100, 0b11000], &mut mask);
+    let mut prologue = Vec::new();
     for line in ["universe 6", "assert A->{B}", "assert B->{C,DE}"] {
-        serve(&mut server, &mut reply, &BinRequest::Line(line.as_bytes()));
-        assert!(reply.starts_with("ok "), "got: {reply}");
+        text.extend_from_slice(line.as_bytes());
+        text.push(b'\n');
+        binary::encode_line(line, &mut prologue);
     }
-    let text = BinRequest::Line(b"implies A->{C,DE}");
-    let mut encoded = Vec::new();
-    binary::encode_implies(0b1, &[0b100, 0b11000], &mut encoded);
-    let mask = match binary::decode_request(&encoded, diffcon_engine::protocol::MAX_REQUEST_BYTES) {
-        binary::Decoded::Frame(frame, _) => frame,
-        other => panic!("mask frame does not decode: {other:?}"),
-    };
-    // One warm-up pass: the first ask fills the answer cache, and the reply
-    // buffer and scratch goal grow to size.
-    for request in [&text, &mask] {
-        serve(&mut server, &mut reply, request);
-        serve(&mut server, &mut reply, request);
-    }
-    for (framing, request) in [("text line", &text), ("mask frame", &mask)] {
+    // Each framing's connection, its opening bytes, and one warm request's
+    // wire bytes.
+    let mut binary_opening = binary::MAGIC.to_vec();
+    binary_opening.extend_from_slice(&prologue);
+    let mut cases = [
+        (
+            "text line",
+            Connection::new(Server::new(SessionConfig::default()), max, false),
+            text,
+            b"implies A->{C,DE}\n".to_vec(),
+        ),
+        (
+            "mask frame",
+            Connection::new(Server::new(SessionConfig::default()), max, true),
+            binary_opening,
+            mask,
+        ),
+    ];
+    let mut out = Vec::new();
+    for (framing, connection, opening, request) in &mut cases {
+        connection.feed(opening, &mut out);
+        assert_eq!(
+            String::from_utf8_lossy(&out).matches("ok ").count(),
+            3,
+            "{framing} prologue: {out:?}"
+        );
+        // One warm-up pass: the first ask fills the answer cache, and the
+        // input, reply, and output buffers and the scratch goal grow to size.
+        for _ in 0..2 {
+            out.clear();
+            connection.feed(request, &mut out);
+        }
         let before = profile::thread_alloc_counts();
         for _ in 0..1000 {
-            serve(&mut server, &mut reply, request);
+            out.clear();
+            connection.feed(request, &mut out);
         }
         let after = profile::thread_alloc_counts();
+        let reply = String::from_utf8_lossy(&out);
         assert!(
-            reply.starts_with("yes ") && reply.contains(" cached=1 "),
+            reply.contains("yes ") && reply.contains(" cached=1 "),
             "{framing} request was not a warm hit: {reply}"
         );
         assert_eq!(

@@ -5,9 +5,10 @@
 //!
 //! 1. every non-vendor workspace crate's `lib.rs` (or `main.rs` for
 //!    binaries) carries `#![forbid(unsafe_code)]`;
-//! 2. the reactor hot paths (`net.rs`, `reactor.rs`) contain no
-//!    `.unwrap()` / `.expect(` outside their test modules — a panic there
-//!    takes the whole serving thread down;
+//! 2. the serving hot paths (`net.rs`, `reactor.rs`, and the connection
+//!    driver in `connection.rs`) contain no `.unwrap()` / `.expect(`
+//!    outside their test modules — a panic there takes the whole serving
+//!    thread down;
 //! 3. the protocol grammar rustdoc in `protocol.rs`, the `help` reply, and
 //!    the canonical verb table stay in sync: every verb the parser accepts
 //!    is documented, and nothing documented is unknown to the parser;
@@ -146,12 +147,16 @@ fn crate_has_allow_exception(root_file: &Path) -> bool {
         })
 }
 
-/// Check 2: no `.unwrap()` / `.expect(` on the reactor hot paths.
+/// Check 2: no `.unwrap()` / `.expect(` on the serving hot paths.
 ///
 /// Only the pre-test portion of each file is inspected: panicking in a unit
 /// test is how tests fail, panicking on the serving path kills the reactor.
 fn check_hot_path_panics(root: &Path, failures: &mut Vec<String>) {
-    for rel in ["crates/engine/src/net.rs", "crates/engine/src/reactor.rs"] {
+    for rel in [
+        "crates/engine/src/net.rs",
+        "crates/engine/src/reactor.rs",
+        "crates/engine/src/connection.rs",
+    ] {
         let path = root.join(rel);
         let text = read(&path);
         let body = match text.find("#[cfg(test)]") {
