@@ -16,7 +16,8 @@
 //!   without the adopted cover.
 //!
 //! The count tables and self-measured timings are written to
-//! `BENCH_discover.json` at the repository root for trend tracking.
+//! `BENCH_discover.json` at the repository root for trend tracking, by the
+//! `E13_report` step, which a bench filter runs only when it names it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffcon_bench::{JsonReport, Table};
@@ -279,8 +280,10 @@ fn emit_json_report() {
     }
 }
 
-fn bench_report(_c: &mut Criterion) {
-    emit_json_report();
+fn bench_report(c: &mut Criterion) {
+    if c.selects("E13_report") {
+        emit_json_report();
+    }
 }
 
 criterion_group!(

@@ -14,7 +14,9 @@
 //! report adds a cold serving pass on a heavier stream, its allocation
 //! bytes per query, and the static-analysis figures.  `implies_batch` is
 //! not timed separately: it decides its goals one at a time through
-//! `implies`, so it would time the serial loop again.
+//! `implies`, so it would time the serial loop again.  The table and
+//! `BENCH_engine.json` come from the `E11_report` step, which a bench filter
+//! runs only when it names it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffcon::implication;
@@ -214,9 +216,11 @@ fn emit_json_report(cache_table: Table) {
 }
 
 fn bench_cold_vs_warm(c: &mut Criterion) {
-    let cache_table = table_engine_cache_effect(&[64, 256, 1024, 4096]);
-    cache_table.eprint();
-    emit_json_report(cache_table);
+    if c.selects("E11_report") {
+        let cache_table = table_engine_cache_effect(&[64, 256, 1024, 4096]);
+        cache_table.eprint();
+        emit_json_report(cache_table);
+    }
 
     let (base, stream) = workloads::engine_query_stream(42, UNIVERSE, PREMISES, POOL, 512);
     let mut group = c.benchmark_group("E11_cold_vs_warm");

@@ -1,7 +1,8 @@
 //! N1 — network serving: what the `diffcond serve` TCP front-end costs over
 //! the in-process request path, on the same warm repeated-premise query
 //! traffic as `BENCH_server.json` (same generator, same sizes, so the
-//! figures are directly comparable).
+//! figures are directly comparable).  `BENCH_net.json` is written by the
+//! `N1_report` step, which a bench filter runs only when it names it.
 //!
 //! Four axes:
 //!
@@ -490,7 +491,9 @@ fn emit_json_report() {
 }
 
 fn bench_net_serving(c: &mut Criterion) {
-    emit_json_report();
+    if c.selects("N1_report") {
+        emit_json_report();
+    }
 
     // Criterion series: one strict round trip on a warm connection.
     let script = build_script(1);

@@ -1,5 +1,6 @@
 //! S1 — serving throughput: what the snapshot architecture costs on warm
-//! repeated-premise query traffic.
+//! repeated-premise query traffic.  `BENCH_server.json` is written by the
+//! `S1_report` step, which a bench filter runs only when it names it.
 //!
 //! Measured on the bench_engine_throughput workload (same generator, same
 //! sizes, so the serial figures are directly comparable with
@@ -363,7 +364,9 @@ fn emit_json_report() {
 }
 
 fn bench_server_throughput(c: &mut Criterion) {
-    emit_json_report();
+    if c.selects("S1_report") {
+        emit_json_report();
+    }
 
     let (session, stream) = warmed_session();
     let mut group = c.benchmark_group("S1_warm_throughput");

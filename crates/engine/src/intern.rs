@@ -25,11 +25,11 @@ impl ConstraintId {
     }
 }
 
-/// An append-only table of distinct constraints.
+/// An append-only table of distinct constraints, each held once: as its
+/// map key.
 #[derive(Debug, Default)]
 pub struct ConstraintInterner {
     by_constraint: HashMap<DiffConstraint, ConstraintId>,
-    items: Vec<DiffConstraint>,
 }
 
 impl ConstraintInterner {
@@ -44,9 +44,8 @@ impl ConstraintInterner {
             return id;
         }
         let id = ConstraintId(
-            u32::try_from(self.items.len()).expect("more than u32::MAX interned constraints"),
+            u32::try_from(self.len()).expect("more than u32::MAX interned constraints"),
         );
-        self.items.push(constraint.clone());
         self.by_constraint.insert(constraint.clone(), id);
         id
     }
@@ -56,22 +55,14 @@ impl ConstraintInterner {
         self.by_constraint.get(constraint).copied()
     }
 
-    /// The constraint an id denotes.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this interner.
-    pub fn resolve(&self, id: ConstraintId) -> &DiffConstraint {
-        &self.items[id.index()]
-    }
-
     /// Number of distinct constraints seen.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.by_constraint.len()
     }
 
     /// Returns `true` iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.by_constraint.is_empty()
     }
 }
 
@@ -91,8 +82,6 @@ mod tests {
         assert_ne!(ida, idb);
         assert_eq!(interner.intern(&a), ida);
         assert_eq!(interner.len(), 2);
-        assert_eq!(interner.resolve(ida), &a);
-        assert_eq!(interner.resolve(idb), &b);
         assert_eq!(interner.lookup(&a), Some(ida));
         let c = DiffConstraint::parse("C -> {D}", &u).unwrap();
         assert_eq!(interner.lookup(&c), None);

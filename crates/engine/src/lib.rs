@@ -35,7 +35,12 @@
 //!   numbered session slots (`session new/use/close/list` verbs) and
 //!   answers every request in order on the thread that parsed it, writing
 //!   the reply into a reused per-connection buffer: a warm query allocates
-//!   nothing, and the reply stream is the serial one by construction.
+//!   nothing, and the reply stream is the serial one by construction.  One
+//!   dispatch answers every request: a text line and a mask frame reach the
+//!   same arm of one match over the verbs, which fills in the request's
+//!   record where it produces the answer, and the read verbs share one
+//!   helper for the no-session reply, argument resolution, and the traced
+//!   `epoch=` suffix.
 //! * **One connection driver** ([`connection::Connection`]) — everything
 //!   between a transport's bytes and [`protocol::Server::respond`], with no
 //!   IO of its own: binary negotiation, newline and binary framing under an

@@ -182,7 +182,7 @@ fn route_of(code: u64) -> Option<&'static str> {
 /// Packs losslessly into [`FlightWords`] for the [`FlightRecorder`] ring
 /// and renders as the `key=value` line the `debug recent` verb and the
 /// slow-query stderr dump emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Request-scoped trace id (`origin << 32 | sequence`), unique per
     /// process and consecutive per connection.

@@ -144,11 +144,12 @@
 //! over the current session's universe — bit `i` is the universe's `i`-th
 //! attribute, so masks are valid for any universe of at most
 //! [`setlat::MAX_UNIVERSE`] (= 64) attributes — and decode to exactly the
-//! requests `implies`/`bound`/`assert` parse from text (the member family
-//! is built by the same constructor, so answers and replies are
-//! byte-identical up to telemetry fields).  A mask with bits outside the
-//! universe answers `err`, like any other semantic error, without ending
-//! the connection.
+//! requests `implies`/`bound`/`assert` parse from text: [`Server::respond`]
+//! answers a mask frame in the dispatch arm of its text spelling, with its
+//! goal or set given as masks, and builds the member family with the same
+//! constructor, so answers and replies are byte-identical up to telemetry
+//! fields.  A mask with bits outside the universe answers `err`, like any
+//! other semantic error, without ending the connection.
 //!
 //! Framing violations are stricter than in text, because a length-prefixed
 //! stream cannot resynchronize after a corrupt header: an unknown frame
@@ -333,7 +334,6 @@ use crate::metrics::{next_connection_id, ConnCosts, EngineMetrics, FlightRecord}
 use crate::server_state::{SessionRegistry, SlowLogLimiter};
 use crate::session::{Session, SessionConfig};
 use crate::snapshot::{AnalyzeOutcome, BoundOutcome, ExplainOutcome, QueryOutcome, Snapshot};
-use diffcon::inference::Derivation;
 use diffcon::procedure::ALL_PROCEDURES;
 use diffcon::DiffConstraint;
 use diffcon_bounds::problem::DeriveError;
@@ -638,8 +638,13 @@ fn column_of(line: &str, part: &str) -> usize {
 }
 
 /// A parsed request line, borrowing its arguments from the line.
+///
+/// `G` is the type of a constraint argument and `S` of a set argument:
+/// their text, as [`parse_request`] leaves them.  ([`Server::respond`]
+/// reads a mask frame into the variant of its text spelling, with its goal
+/// or set given as masks.)
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request<'a> {
+pub enum Request<'a, G = &'a str, S = &'a str> {
     /// `universe 4` or `universe A B C D`.
     Universe(UniverseSpec<'a>),
     /// `session new`.
@@ -651,20 +656,20 @@ pub enum Request<'a> {
     /// `session list`.
     SessionList,
     /// `assert <constraint>`.
-    Assert(&'a str),
+    Assert(G),
     /// `retract <constraint>`.
-    Retract(&'a str),
+    Retract(G),
     /// `implies <constraint>`.
-    Implies(&'a str),
+    Implies(G),
     /// `batch <c1> ; <c2> ; …`.
     Batch(Vec<&'a str>),
     /// `witness <constraint>`.
-    Witness(&'a str),
+    Witness(G),
     /// `derive <constraint>`.
-    Derive(&'a str),
+    Derive(G),
     /// `explain <constraint>` — `implies` with a per-stage latency and
     /// snapshot-epoch report.
-    Explain(&'a str),
+    Explain(G),
     /// `analyze` or `analyze apply` — premise-core static analysis of the
     /// current session (`apply` additionally retracts the redundant
     /// premises, which is answer-preserving).
@@ -676,11 +681,11 @@ pub enum Request<'a> {
     /// `trace on` / `trace off` — toggle the `epoch=` reply suffix.
     Trace(bool),
     /// `known <set> = <value>` (the `=` is optional).
-    Known(&'a str, f64),
+    Known(S, f64),
     /// `forget <set>`.
-    Forget(&'a str),
+    Forget(S),
     /// `bound <set>`.
-    Bound(&'a str),
+    Bound(S),
     /// `load <b1> ; <b2> ; …`.
     Load(Vec<&'a str>),
     /// `mine` or `mine <max_lhs> <max_rhs>`.
@@ -891,6 +896,14 @@ const fn verb_index(name: &str) -> usize {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
+    parse_args(line)
+}
+
+/// Parses one request line, with its constraint and set arguments as `G`
+/// and `S`.
+fn parse_args<'a, G: From<&'a str>, S: From<&'a str>>(
+    line: &'a str,
+) -> Result<Request<'a, G, S>, String> {
     // Error columns are reported against the line as received (leading
     // whitespace included), so they match what the client actually sent.
     let original = line;
@@ -912,7 +925,7 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     // Verbs that take no argument reject trailing garbage instead of
     // silently ignoring it: `quit now` is a malformed request, not a
     // `quit`, and the error names the offending token and its column.
-    let no_args = |request: Request<'static>| -> Result<Request<'_>, String> {
+    let no_args = |request: Request<'a, G, S>| -> Result<Request<'a, G, S>, String> {
         if rest.is_empty() {
             Ok(request)
         } else {
@@ -951,12 +964,12 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
                 _ => Err("session expects `new`, `use <id>`, `close [<id>]`, or `list`".into()),
             }
         }
-        "assert" => Ok(Request::Assert(need("assert")?)),
-        "retract" => Ok(Request::Retract(need("retract")?)),
-        "implies" => Ok(Request::Implies(need("implies")?)),
-        "witness" => Ok(Request::Witness(need("witness")?)),
-        "derive" => Ok(Request::Derive(need("derive")?)),
-        "explain" => Ok(Request::Explain(need("explain")?)),
+        "assert" => Ok(Request::Assert(need("assert")?.into())),
+        "retract" => Ok(Request::Retract(need("retract")?.into())),
+        "implies" => Ok(Request::Implies(need("implies")?.into())),
+        "witness" => Ok(Request::Witness(need("witness")?.into())),
+        "derive" => Ok(Request::Derive(need("derive")?.into())),
+        "explain" => Ok(Request::Explain(need("explain")?.into())),
         "analyze" => match rest.split_whitespace().collect::<Vec<_>>().as_slice() {
             [] => Ok(Request::Analyze { apply: false }),
             ["apply"] => Ok(Request::Analyze { apply: true }),
@@ -999,10 +1012,10 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
             if !value.is_finite() {
                 return Err("known values must be finite".into());
             }
-            Ok(Request::Known(set, value))
+            Ok(Request::Known(set.into(), value))
         }
-        "forget" => Ok(Request::Forget(need("forget")?)),
-        "bound" => Ok(Request::Bound(need("bound")?)),
+        "forget" => Ok(Request::Forget(need("forget")?.into())),
+        "bound" => Ok(Request::Bound(need("bound")?.into())),
         "load" => {
             // Keep empty segments: the loader skips them but counts them,
             // so error positions match the client's own `;`-separated
@@ -1293,14 +1306,6 @@ fn write_bound(out: &mut String, result: &Result<BoundOutcome, DeriveError>) {
     }
 }
 
-/// Writes a `witness` outcome as its wire reply.
-fn write_witness(out: &mut String, universe: &Universe, witness: Option<AttrSet>) {
-    match witness {
-        None => out.push_str("witness none"),
-        Some(set) => _ = write!(out, "witness set={}", universe.format_set(set)),
-    }
-}
-
 /// Writes a `mine` outcome as its wire reply (the cover in wire form, or
 /// the no-dataset error when the snapshot holds none).
 fn write_mined(out: &mut String, universe: &Universe, discovery: Option<Discovery>) {
@@ -1382,14 +1387,6 @@ fn write_analyze(out: &mut String, universe: &Universe, outcome: &AnalyzeOutcome
     }
 }
 
-/// Writes a `derive` outcome as its wire reply.
-fn write_derive(out: &mut String, proof: Option<Derivation>) {
-    match proof {
-        Some(proof) => _ = write!(out, "proof size={} depth={}", proof.size(), proof.depth()),
-        None => out.push_str("unprovable"),
-    }
-}
-
 /// Validates a bitmask against the session's universe: bits at or above
 /// the attribute count name nothing and answer `err` (the binary framing's
 /// analogue of an unknown attribute name).
@@ -1422,190 +1419,116 @@ fn mask_goal(
     Ok(())
 }
 
-/// The discovery wedge-threshold refusals: mining past the measured limits
-/// would wedge the serving thread for unbounded time, so such requests are
-/// refused up front.  `None` means the request is within limits.
-fn mine_refusal(universe_len: usize, config: &MinerConfig) -> Option<String> {
-    if universe_len > MAX_MINE_UNIVERSE {
-        return Some(format!(
-            "mining is limited to universes of at most {MAX_MINE_UNIVERSE} attributes"
-        ));
+/// A constraint argument: a request line's text, or a mask frame's
+/// bitmasks.
+#[derive(Debug, Clone, Copy)]
+enum GoalArg<'a> {
+    Text(&'a str),
+    Masks(u64, binary::MaskList<'a>),
+}
+
+/// A set argument: a request line's text, or a `02` frame's bitmask.
+#[derive(Debug, Clone, Copy)]
+enum SetArg<'a> {
+    Text(&'a str),
+    Mask(u64),
+}
+
+impl<'a> From<&'a str> for GoalArg<'a> {
+    fn from(text: &'a str) -> Self {
+        GoalArg::Text(text)
     }
-    if config.max_rhs.saturating_mul(universe_len) > MAX_MINE_RHS_WORK {
-        return Some(format!(
-            "mine budget too large: max |𝒴| × universe size must be at most \
-             {MAX_MINE_RHS_WORK}, got {} × {universe_len}",
-            config.max_rhs
-        ));
+}
+
+impl<'a> From<&'a str> for SetArg<'a> {
+    fn from(text: &'a str) -> Self {
+        SetArg::Text(text)
     }
-    None
 }
 
-/// A read-only query verb with its argument still in wire form.
-enum Query<'a> {
-    Implies(&'a str),
-    /// A binary `01` frame: `implies` over attribute bitmasks.
-    ImpliesMasks(u64, binary::MaskList<'a>),
-    Witness(&'a str),
-    Derive(&'a str),
-    Explain(&'a str),
-    Bound(&'a str),
-    /// A binary `02` frame: `bound` over an attribute bitmask.
-    BoundMask(u64),
-    Batch(Vec<&'a str>),
-    Mine(MinerConfig),
-    Analyze,
+/// A request as [`Server::respond`] answers it: a parsed text line, or a
+/// mask frame as the request its text spelling parses to.
+type Served<'a> = Request<'a, GoalArg<'a>, SetArg<'a>>;
+
+/// A request argument, resolved against the session's universe before the
+/// request is answered.
+trait Resolve {
+    /// What the argument resolves to.
+    type To;
+    /// Resolves the argument; a goal is built in `goal`, reusing its
+    /// storage.  The error is the `err` reply's message.
+    fn resolve(self, universe: &Universe, goal: &mut DiffConstraint) -> Result<Self::To, String>;
 }
 
-/// A query with its argument resolved against the session's universe.
-/// The single-goal verbs read their goal from [`Server`]'s scratch goal.
-enum Resolved {
-    Implies,
-    Witness,
-    Derive,
-    Explain,
-    Bound(AttrSet),
-    Batch(Vec<DiffConstraint>),
-    Mine(MinerConfig),
-    Analyze,
-}
-
-impl Query<'_> {
-    /// The verb this query answers, as an index into [`VERBS`].
-    fn verb(&self) -> usize {
+impl Resolve for GoalArg<'_> {
+    type To = ();
+    fn resolve(self, universe: &Universe, goal: &mut DiffConstraint) -> Result<(), String> {
         match self {
-            Query::Implies(_) | Query::ImpliesMasks(..) => const { verb_index("implies") },
-            Query::Witness(_) => const { verb_index("witness") },
-            Query::Derive(_) => const { verb_index("derive") },
-            Query::Explain(_) => const { verb_index("explain") },
-            Query::Bound(_) | Query::BoundMask(_) => const { verb_index("bound") },
-            Query::Batch(_) => const { verb_index("batch") },
-            Query::Mine(_) => const { verb_index("mine") },
-            Query::Analyze => const { verb_index("analyze") },
-        }
-    }
-
-    /// Resolves the argument: single goals are parsed into `goal`, reusing
-    /// its storage.  The error is the `err` reply's message.
-    fn resolve(self, universe: &Universe, goal: &mut DiffConstraint) -> Result<Resolved, String> {
-        let mut parse = |text: &str| goal.parse_into(text, universe).map_err(|e| e.to_string());
-        Ok(match self {
-            Query::Implies(text) => parse(text).map(|()| Resolved::Implies)?,
-            Query::Witness(text) => parse(text).map(|()| Resolved::Witness)?,
-            Query::Derive(text) => parse(text).map(|()| Resolved::Derive)?,
-            Query::Explain(text) => parse(text).map(|()| Resolved::Explain)?,
-            Query::ImpliesMasks(lhs, rhs) => {
-                mask_goal(universe, lhs, rhs, goal)?;
-                Resolved::Implies
-            }
-            Query::Bound(text) => {
-                Resolved::Bound(universe.parse_set(text).map_err(|e| e.to_string())?)
-            }
-            Query::BoundMask(mask) => Resolved::Bound(checked_mask(universe, mask)?),
-            Query::Batch(texts) => Resolved::Batch(
-                texts
-                    .iter()
-                    .map(|text| {
-                        DiffConstraint::parse(text, universe)
-                            .map_err(|e| format!("in `{text}`: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            Query::Mine(config) => match mine_refusal(universe.len(), &config) {
-                Some(refusal) => return Err(refusal),
-                None => Resolved::Mine(config),
-            },
-            Query::Analyze => Resolved::Analyze,
-        })
-    }
-}
-
-/// What a request's flight record says beyond its reply: the verb, and for
-/// an answered query where the planner routed it, whether a cache
-/// answered, and the decision time.
-#[derive(Debug, Clone, Copy, Default)]
-struct Meta {
-    verb: Option<usize>,
-    route: Option<&'static str>,
-    cached: bool,
-    decide_ns: u64,
-}
-
-impl Meta {
-    /// A request that was not an answered query.
-    fn verb(verb: Option<usize>) -> Meta {
-        Meta {
-            verb,
-            ..Meta::default()
-        }
-    }
-
-    /// An answered query (its verb is filled in by the caller).
-    fn answered(route: &'static str, cached: bool, decide: Duration) -> Meta {
-        Meta {
-            verb: None,
-            route: Some(route),
-            cached,
-            decide_ns: decide.as_nanos() as u64,
+            GoalArg::Text(text) => goal.parse_into(text, universe).map_err(|e| e.to_string()),
+            GoalArg::Masks(lhs, rhs) => mask_goal(universe, lhs, rhs, goal),
         }
     }
 }
 
-/// Answers one resolved query against `snapshot`, appending its reply.
-/// Verbs without a planner route of their own are routed as themselves.
-fn evaluate(
-    snapshot: &Snapshot,
-    goal: &DiffConstraint,
-    query: &Resolved,
-    trace: u64,
-    out: &mut String,
-) -> Meta {
-    match query {
-        Resolved::Implies => {
-            let outcome = snapshot.implies(goal);
-            write_implies(out, &outcome);
-            Meta::answered(outcome.route_name(), outcome.cached, outcome.elapsed)
-        }
-        Resolved::Batch(goals) => {
-            let outcomes = snapshot.implies_batch(goals);
-            write_batch(out, &outcomes);
-            Meta::answered("batch", false, outcomes.iter().map(|o| o.elapsed).sum())
-        }
-        Resolved::Bound(set) => {
-            let outcome = snapshot.bound(*set);
-            write_bound(out, &outcome);
-            match outcome {
-                Ok(b) => Meta::answered(b.route_name(), b.cached, b.elapsed),
-                Err(_) => Meta::answered("bound", false, Duration::ZERO),
-            }
-        }
-        Resolved::Witness => {
-            write_witness(out, snapshot.universe(), snapshot.refutation_witness(goal));
-            Meta::answered("witness", false, Duration::ZERO)
-        }
-        Resolved::Derive => {
-            write_derive(out, snapshot.derive(goal));
-            Meta::answered("derive", false, Duration::ZERO)
-        }
-        Resolved::Explain => {
-            let outcome = snapshot.explain(goal);
-            write_explain(out, &outcome, trace);
-            Meta::answered(
-                outcome.outcome.route_name(),
-                outcome.outcome.cached,
-                outcome.decide,
-            )
-        }
-        Resolved::Mine(config) => {
-            write_mined(out, snapshot.universe(), snapshot.mine_dataset(config));
-            Meta::answered("mine", false, Duration::ZERO)
-        }
-        Resolved::Analyze => {
-            let outcome = snapshot.analyze();
-            write_analyze(out, snapshot.universe(), &outcome);
-            Meta::answered("analyze", false, outcome.elapsed)
+impl Resolve for SetArg<'_> {
+    type To = AttrSet;
+    fn resolve(self, universe: &Universe, _: &mut DiffConstraint) -> Result<AttrSet, String> {
+        match self {
+            SetArg::Text(text) => universe.parse_set(text).map_err(|e| e.to_string()),
+            SetArg::Mask(mask) => checked_mask(universe, mask),
         }
     }
+}
+
+/// `batch`'s goals, each parsed on its own.
+impl Resolve for Vec<&str> {
+    type To = Vec<DiffConstraint>;
+    fn resolve(self, universe: &Universe, _: &mut DiffConstraint) -> Result<Self::To, String> {
+        self.iter()
+            .map(|text| {
+                DiffConstraint::parse(text, universe).map_err(|e| format!("in `{text}`: {e}"))
+            })
+            .collect()
+    }
+}
+
+/// `mine`'s and `adopt`'s budgets, refused past the discovery wedge
+/// thresholds: mining past the measured limits would wedge the serving
+/// thread for unbounded time, so such requests are refused up front.
+impl Resolve for MinerConfig {
+    type To = MinerConfig;
+    fn resolve(self, universe: &Universe, _: &mut DiffConstraint) -> Result<Self, String> {
+        let universe_len = universe.len();
+        if universe_len > MAX_MINE_UNIVERSE {
+            return Err(format!(
+                "mining is limited to universes of at most {MAX_MINE_UNIVERSE} attributes"
+            ));
+        }
+        if self.max_rhs.saturating_mul(universe_len) > MAX_MINE_RHS_WORK {
+            return Err(format!(
+                "mine budget too large: max |𝒴| × universe size must be at most \
+                 {MAX_MINE_RHS_WORK}, got {} × {universe_len}",
+                self.max_rhs
+            ));
+        }
+        Ok(self)
+    }
+}
+
+/// No argument (`analyze`).
+impl Resolve for () {
+    type To = ();
+    fn resolve(self, _: &Universe, _: &mut DiffConstraint) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Names in `record` where the planner routed an answer, whether a cache
+/// answered it, and the decision time.
+fn routed(record: &mut FlightRecord, route: &'static str, cached: bool, decide: Duration) {
+    record.route = Some(route);
+    record.cached = cached;
+    record.decide_ns = decide.as_nanos() as u64;
 }
 
 /// A multi-session `diffcond` server: feed it requests, it appends the
@@ -1614,8 +1537,9 @@ fn evaluate(
 /// The server holds a [`SessionRegistry`] of numbered slots; the `session`
 /// verbs manage them and every other verb targets the current slot.
 /// [`Server::respond`] answers one request — a text line or a binary frame
-/// — at its position in the request stream, writing the reply into a
-/// caller-owned buffer and returning the request's flight record; the
+/// — at its position in the request stream, through one match with an arm
+/// per verb, which writes the reply into a caller-owned buffer and fills in
+/// the request's flight record where it produces the answer.  The
 /// connection driver ([`crate::connection::Connection`]), behind stdin and
 /// every network connection, calls it, then hands the record to
 /// [`Server::commit`].  [`Server::handle_line`] wraps both for callers that
@@ -1631,7 +1555,7 @@ pub struct Server {
     origin: u64,
     /// Count of trace ids minted; the lower half of the next trace id.
     trace_seq: u64,
-    /// The goal of the query being answered, parsed (or built from masks)
+    /// The goal of the request being answered, parsed (or built from masks)
     /// in place so a warm query reuses its member storage; a cache miss
     /// clones it into the caches.
     goal: DiffConstraint,
@@ -1642,6 +1566,9 @@ pub struct Server {
     slow_query_us: Option<u64>,
     /// Rate limiter for the slow-query stderr lines.
     slow_log: SlowLogLimiter,
+    /// The last request's description, when it is to be logged as slow
+    /// with its record once the transport commits that.
+    slow_request: Option<String>,
     /// This connection's cost series, registered under `origin`.
     costs: Arc<ConnCosts>,
 }
@@ -1660,14 +1587,15 @@ impl Server {
             scratch: String::new(),
             slow_query_us: None,
             slow_log: SlowLogLimiter::new(),
+            slow_request: None,
             costs: EngineMetrics::global().register_connection(origin),
         }
     }
 
     /// Sets the slow-query threshold: requests whose `plan` stage (parse,
     /// decide, and format) takes at least `threshold` microseconds are
-    /// logged to stderr with their request line and flight record, and
-    /// counted in [`EngineMetrics::slow_queries`].  `None` disables the log.
+    /// logged to stderr with their request and flight record, and counted
+    /// in [`EngineMetrics::slow_queries`].  `None` disables the log.
     pub fn set_slow_query_us(&mut self, threshold: Option<u64>) {
         self.slow_query_us = threshold;
     }
@@ -1678,12 +1606,16 @@ impl Server {
         self.origin
     }
 
-    /// Mints the next request trace id: connection id in the upper 32 bits,
-    /// a per-connection sequence number in the lower — unique across the
-    /// process, monotone within a connection.
-    fn next_trace(&mut self) -> u64 {
+    /// Opens a request's record under the next trace id: connection id in
+    /// the upper 32 bits, a per-connection sequence number in the lower —
+    /// unique across the process, monotone within a connection.
+    fn open_record(&mut self) -> FlightRecord {
         self.trace_seq += 1;
-        (self.origin << 32) | self.trace_seq
+        FlightRecord {
+            trace: (self.origin << 32) | self.trace_seq,
+            conn: self.origin,
+            ..FlightRecord::default()
+        }
     }
 
     /// The current slot's session, if a `universe` request has opened one.
@@ -1725,8 +1657,8 @@ impl Server {
     /// Answers one request at its position in the request stream and
     /// appends the reply text (no terminator; nothing for a silent request)
     /// to `out`.  Text lines arrive as [`binary::BinRequest::Line`] frames,
-    /// UTF-8 not yet validated; the fixed-width mask frames skip the text
-    /// parser and answer exactly what their textual spelling would.
+    /// UTF-8 not yet validated; a fixed-width mask frame skips the text
+    /// parser and is answered in the arm of its textual spelling.
     ///
     /// `start` is the clock reading that opened the request's `plan` stage
     /// (for a transport, the one that closed its `frame` stage).  The
@@ -1735,224 +1667,169 @@ impl Server {
     /// passes it to [`Server::commit`].
     pub fn respond(
         &mut self,
-        request: &binary::BinRequest<'_>,
+        frame: &binary::BinRequest<'_>,
         start: Instant,
         out: &mut String,
     ) -> Answer {
         use binary::BinRequest;
         let serve_stage = profile::stage(&STAGE_SERVE);
-        let trace = self.next_trace();
-        let (quit, meta) = match *request {
+        let mut record = self.open_record();
+        let (line, request) = match *frame {
             BinRequest::Line(bytes) => match decode_request(bytes) {
-                Ok(line) => self.respond_line(line, trace, out),
+                Ok(line) => (
+                    Some(line),
+                    parse_args(line).inspect_err(|_| EngineMetrics::global().parse_errors.inc()),
+                ),
                 Err(message) => {
                     EngineMetrics::global().framing_errors.inc();
-                    write_err(out, message);
-                    (false, Meta::default())
+                    (None, Err(message))
                 }
             },
             BinRequest::Implies { lhs, rhs } => {
-                (false, self.query(Query::ImpliesMasks(lhs, rhs), trace, out))
+                (None, Ok(Request::Implies(GoalArg::Masks(lhs, rhs))))
             }
-            BinRequest::Bound { set } => (false, self.query(Query::BoundMask(set), trace, out)),
+            BinRequest::Bound { set } => (None, Ok(Request::Bound(SetArg::Mask(set)))),
             BinRequest::Assert { lhs, rhs } => {
-                self.assert_masks(lhs, rhs, out);
-                (false, Meta::verb(Some(const { verb_index("assert") })))
+                (None, Ok(Request::Assert(GoalArg::Masks(lhs, rhs))))
             }
         };
+        let quit = match request {
+            Ok(request) => self.dispatch(request, &mut record, out),
+            Err(message) => {
+                write_err(out, message);
+                false
+            }
+        };
+        // A text request whose arm named no verb, a parse error's included,
+        // names its first word if that is a verb (`exit` is not).
+        if record.verb.is_none() {
+            let word = line.and_then(|line| line.split_whitespace().next());
+            record.verb = VERBS.iter().position(|verb| Some(verb.name) == word);
+        }
         drop(serve_stage);
-        let answer = self.answer(quit, trace, meta, start);
-        self.log_if_slow(&answer.record, request);
+        let answer = self.finish(quit, record, start);
+        self.note_if_slow(&answer.record, frame);
         answer
     }
 
-    /// Answers a framing violation the transport caught before a request
-    /// could be decoded (an oversized line, a corrupt binary header) with
-    /// one `err` reply at its position in the request order, and returns
-    /// its record as [`Server::respond`] does.
-    pub(crate) fn refuse(&mut self, message: &str, start: Instant, out: &mut String) -> Answer {
-        EngineMetrics::global().framing_errors.inc();
-        write_err(out, message);
-        let trace = self.next_trace();
-        self.answer(false, trace, Meta::default(), start)
-    }
-
-    /// Commits a request's record once the caller has filled in its frame,
-    /// reply, and byte fields: the one per-request telemetry write, which
-    /// fills the flight ring and the stage, reply, and byte series and
-    /// charges this connection's series and, for an answered query, the
-    /// current session's ledger.
-    pub fn commit(&self, record: &FlightRecord) {
-        let session = self.registry.session().map(|s| &**s.costs());
-        EngineMetrics::global().commit(record, &self.costs, session);
-    }
-
-    /// Bills bytes that crossed this connection's wire outside any request
-    /// (a binary handshake no reply carried) to the process and connection
-    /// byte series, without a record.
-    pub(crate) fn bill(&self, bytes_in: u64, bytes_out: u64) {
-        EngineMetrics::global().bill(&self.costs, bytes_in, bytes_out);
-    }
-
-    /// Closes the request's `plan` stage and builds its record, leaving the
-    /// transport's fields zero.
-    fn answer(&self, quit: bool, trace: u64, meta: Meta, start: Instant) -> Answer {
-        let done = Instant::now();
-        let record = FlightRecord {
-            trace,
-            conn: self.origin,
-            slot: self.registry.current_id(),
-            verb: meta.verb,
-            route: meta.route,
-            cached: meta.cached,
-            bytes_in: 0,
-            bytes_out: 0,
-            frame_ns: 0,
-            plan_ns: done.saturating_duration_since(start).as_nanos() as u64,
-            decide_ns: meta.decide_ns,
-            reply_ns: 0,
-            epoch: self
-                .registry
-                .session()
-                .map_or(0, |session| session.published().epoch()),
-        };
-        Answer { quit, record, done }
-    }
-
-    /// Answers one decoded text line; returns the quit flag and what the
-    /// request's record says beyond the reply.
-    fn respond_line(&mut self, line: &str, trace: u64, out: &mut String) -> (bool, Meta) {
-        // A query's record names its verb through `Query::verb`; any other
-        // request's, a malformed one's included, names its first word if
-        // that is a verb.
-        let named = || {
-            let word = line.split_whitespace().next();
-            VERBS.iter().position(|verb| Some(verb.name) == word)
-        };
-        let request = match parse_request(line) {
-            Ok(request) => request,
-            Err(message) => {
-                EngineMetrics::global().parse_errors.inc();
-                write_err(out, message);
-                return (false, Meta::verb(named()));
-            }
-        };
-        let query = match request {
-            Request::Implies(text) => Query::Implies(text),
-            Request::Witness(text) => Query::Witness(text),
-            Request::Derive(text) => Query::Derive(text),
-            Request::Explain(text) => Query::Explain(text),
-            Request::Bound(text) => Query::Bound(text),
-            Request::Batch(texts) => Query::Batch(texts),
-            Request::Mine(budgets) => Query::Mine(miner_config(budgets)),
-            Request::Analyze { apply: false } => Query::Analyze,
-            other => return (self.execute(other, out), Meta::verb(named())),
-        };
-        (false, self.query(query, trace, out))
-    }
-
-    /// Answers a read-only query against the current slot's published
-    /// snapshot.  The query is answered — its record gets a route — unless
-    /// there is no session or its argument does not resolve.
-    fn query(&mut self, query: Query<'_>, trace: u64, out: &mut String) -> Meta {
-        let verb = Some(query.verb());
-        let unanswered = Meta::verb(verb);
-        let Some(session) = self.registry.session() else {
-            out.push_str(NO_SESSION);
-            return unanswered;
-        };
-        let snapshot = session.published();
-        let resolved = match query.resolve(snapshot.universe(), &mut self.goal) {
-            Ok(resolved) => resolved,
-            Err(message) => {
-                write_err(out, message);
-                return unanswered;
-            }
-        };
-        let meta = evaluate(snapshot, &self.goal, &resolved, trace, out);
-        // `explain` and `analyze` already name their epoch; every other
-        // traced reply gains the suffix.
-        if self.trace && !matches!(resolved, Resolved::Explain | Resolved::Analyze) {
-            _ = write!(out, " epoch={}", snapshot.epoch());
-        }
-        Meta { verb, ..meta }
-    }
-
-    /// Logs a request whose `plan` stage reached the slow-query threshold.
-    fn log_if_slow(&mut self, record: &FlightRecord, request: &binary::BinRequest<'_>) {
-        let Some(threshold) = self.slow_query_us else {
-            return;
-        };
-        let plan_us = record.plan_ns / 1_000;
-        if plan_us < threshold {
-            return;
-        }
-        let metrics = EngineMetrics::global();
-        metrics.slow_queries.inc();
-        if !self.slow_log.allow() {
-            metrics.slow_log_dropped.inc();
-            return;
-        }
-        eprintln!(
-            "diffcond: slow query us={plan_us} request=`{}` {}",
-            self.describe(request),
-            record.render()
-        );
-    }
-
-    /// The request line the slow-query log names: a text line as received,
-    /// a mask frame in its textual spelling.
-    fn describe(&self, request: &binary::BinRequest<'_>) -> String {
-        use binary::BinRequest;
-        let universe = self.registry.session().map(Session::universe);
-        match (*request, universe) {
-            (BinRequest::Line(bytes), _) => String::from_utf8_lossy(bytes).trim().to_string(),
-            (BinRequest::Implies { .. }, Some(u)) => {
-                format!("implies {}", format_wire(&self.goal, u))
-            }
-            (BinRequest::Bound { set }, Some(u)) => {
-                format!("bound {}", u.format_set(AttrSet::from_bits(set)))
-            }
-            (BinRequest::Assert { .. }, Some(u)) => {
-                format!("assert {}", format_wire(&self.goal, u))
-            }
-            _ => String::new(),
-        }
-    }
-
-    /// Executes a binary-framed `assert` over attribute bitmasks (frame tag
-    /// `03`), answering exactly what the textual `assert` answers.
-    fn assert_masks(&mut self, lhs: u64, rhs: binary::MaskList<'_>, out: &mut String) {
-        let Some(session) = self.registry.session_mut() else {
-            out.push_str(NO_SESSION);
-            return;
-        };
-        match mask_goal(session.universe(), lhs, rhs, &mut self.goal) {
-            Ok(()) => write_assert(out, session, &self.goal),
-            Err(message) => write_err(out, message),
-        }
-    }
-
-    /// Executes one request that is not a read-only query; returns `true`
-    /// after `quit`.
-    fn execute(&mut self, request: Request<'_>, out: &mut String) -> bool {
+    /// Answers one request in the arm of its verb and returns `true` after
+    /// `quit`.  The read verbs answer through [`Server::read`], which fills
+    /// in the record's verb, route, cache outcome and decision time where
+    /// the answer is produced; `assert`, which a mask frame also reaches,
+    /// names its verb; any other request names its first word's (see
+    /// [`Server::respond`]).
+    fn dispatch(
+        &mut self,
+        request: Served<'_>,
+        record: &mut FlightRecord,
+        out: &mut String,
+    ) -> bool {
         match request {
-            Request::Implies(_)
-            | Request::Witness(_)
-            | Request::Derive(_)
-            | Request::Explain(_)
-            | Request::Bound(_)
-            | Request::Batch(_)
-            | Request::Mine(_)
-            | Request::Analyze { apply: false } => {
-                unreachable!("query verbs are answered by Server::query")
+            Request::Implies(goal) => self.read(
+                const { verb_index("implies") },
+                goal,
+                record,
+                out,
+                |snapshot, goal, (), record, out| {
+                    let outcome = snapshot.implies(goal);
+                    write_implies(out, &outcome);
+                    routed(
+                        record,
+                        outcome.route_name(),
+                        outcome.cached,
+                        outcome.elapsed,
+                    );
+                },
+            ),
+            Request::Batch(goals) => self.read(
+                const { verb_index("batch") },
+                goals,
+                record,
+                out,
+                |snapshot, _, goals, record, out| {
+                    let outcomes = snapshot.implies_batch(&goals);
+                    write_batch(out, &outcomes);
+                    record.decide_ns = outcomes.iter().map(|o| o.elapsed.as_nanos() as u64).sum();
+                },
+            ),
+            Request::Bound(set) => self.read(
+                const { verb_index("bound") },
+                set,
+                record,
+                out,
+                |snapshot, _, set, record, out| {
+                    let outcome = snapshot.bound(set);
+                    write_bound(out, &outcome);
+                    if let Ok(b) = outcome {
+                        routed(record, b.route_name(), b.cached, b.elapsed);
+                    }
+                },
+            ),
+            Request::Witness(goal) => self.read(
+                const { verb_index("witness") },
+                goal,
+                record,
+                out,
+                |snapshot, goal, (), _, out| {
+                    out.push_str("witness ");
+                    match snapshot.refutation_witness(goal) {
+                        None => out.push_str("none"),
+                        Some(set) => _ = write!(out, "set={}", snapshot.universe().format_set(set)),
+                    }
+                },
+            ),
+            Request::Derive(goal) => self.read(
+                const { verb_index("derive") },
+                goal,
+                record,
+                out,
+                |snapshot, goal, (), _, out| match snapshot.derive(goal) {
+                    Some(proof) => {
+                        _ = write!(out, "proof size={} depth={}", proof.size(), proof.depth())
+                    }
+                    None => out.push_str("unprovable"),
+                },
+            ),
+            Request::Explain(goal) => {
+                let trace = record.trace;
+                self.read(
+                    const { verb_index("explain") },
+                    goal,
+                    record,
+                    out,
+                    |snapshot, goal, (), record, out| {
+                        let explained = snapshot.explain(goal);
+                        write_explain(out, &explained, trace);
+                        let outcome = explained.outcome;
+                        routed(
+                            record,
+                            outcome.route_name(),
+                            outcome.cached,
+                            explained.decide,
+                        );
+                    },
+                )
             }
-            Request::Empty => {}
-            Request::Quit => {
-                out.push_str("bye");
-                return true;
-            }
-            Request::Help => out.push_str(&help_reply()),
+            Request::Mine(budgets) => self.read(
+                const { verb_index("mine") },
+                miner_config(budgets),
+                record,
+                out,
+                |snapshot, _, config, _, out| {
+                    write_mined(out, snapshot.universe(), snapshot.mine_dataset(&config))
+                },
+            ),
+            Request::Analyze { apply: false } => self.read(
+                const { verb_index("analyze") },
+                (),
+                record,
+                out,
+                |snapshot, _, (), record, out| {
+                    let outcome = snapshot.analyze();
+                    write_analyze(out, snapshot.universe(), &outcome);
+                    record.decide_ns = outcome.elapsed.as_nanos() as u64;
+                },
+            ),
             Request::Analyze { apply: true } => {
                 self.with_session(out, |session, out| match session.apply_core() {
                     Ok(applied) => {
@@ -1966,6 +1843,12 @@ impl Server {
                     Err(e) => write_err(out, e),
                 })
             }
+            Request::Empty => {}
+            Request::Quit => {
+                out.push_str("bye");
+                return true;
+            }
+            Request::Help => out.push_str(&help_reply()),
             Request::Trace(enabled) => {
                 self.trace = enabled;
                 _ = write!(out, "ok trace={}", enabled as u8);
@@ -2092,7 +1975,7 @@ impl Server {
                     );
                 }
             }),
-            Request::Known(set_text, value) => self.with_set(set_text, out, |session, set, out| {
+            Request::Known(set, value) => self.with_arg(set, out, |session, _, set, out| {
                 let added = session.set_known(set, value);
                 _ = write!(
                     out,
@@ -2103,7 +1986,7 @@ impl Server {
                     session.knowns().len()
                 );
             }),
-            Request::Forget(set_text) => self.with_set(set_text, out, |session, set, out| {
+            Request::Forget(set) => self.with_arg(set, out, |session, _, set, out| {
                 if session.forget_known(set) {
                     _ = write!(out, "ok forget knowns={}", session.knowns().len());
                 } else {
@@ -2135,27 +2018,23 @@ impl Server {
                 }
                 None => out.push_str("err no dataset (send `load` first)"),
             }),
-            Request::Adopt(budgets) => {
-                let config = miner_config(budgets);
-                self.with_session(out, |session, out| {
-                    if let Some(refusal) = mine_refusal(session.universe().len(), &config) {
-                        return write_err(out, refusal);
+            Request::Adopt(budgets) => self.with_arg(
+                miner_config(budgets),
+                out,
+                |session, _, config, out| match session.adopt_discovered(&config) {
+                    Some(outcome) => {
+                        _ = write!(
+                            out,
+                            "ok adopt minimal={} cover={} added={} premises={}",
+                            outcome.discovery.minimal.len(),
+                            outcome.discovery.cover.len(),
+                            outcome.newly_asserted,
+                            session.premises().len()
+                        )
                     }
-                    match session.adopt_discovered(&config) {
-                        Some(outcome) => {
-                            _ = write!(
-                                out,
-                                "ok adopt minimal={} cover={} added={} premises={}",
-                                outcome.discovery.minimal.len(),
-                                outcome.discovery.cover.len(),
-                                outcome.newly_asserted,
-                                session.premises().len()
-                            )
-                        }
-                        None => out.push_str("err no dataset (send `load` first)"),
-                    }
-                })
-            }
+                    None => out.push_str("err no dataset (send `load` first)"),
+                },
+            ),
             Request::Stats => self.with_session(out, |session, out| write_stats(out, session)),
             Request::StatsRecent => write_stats_recent(out),
             Request::DebugRecent(n) => {
@@ -2209,18 +2088,155 @@ impl Server {
                     }
                 }
             },
-            Request::Assert(text) => self.with_constraint(text, out, write_assert),
-            Request::Retract(text) => {
-                self.with_constraint(text, out, |out, session, constraint| {
-                    if session.retract_constraint(constraint) {
-                        _ = write!(out, "ok retract premises={}", session.premises().len());
-                    } else {
-                        write_err(out, "constraint is not an asserted premise");
-                    }
+            Request::Assert(goal) => {
+                record.verb = Some(const { verb_index("assert") });
+                self.with_arg(goal, out, |session, goal, (), out| {
+                    let (id, added) = session.assert_constraint(goal);
+                    _ = write!(
+                        out,
+                        "ok assert id={} added={} premises={}",
+                        id.index(),
+                        added as u8,
+                        session.premises().len()
+                    );
                 })
             }
+            Request::Retract(goal) => self.with_arg(goal, out, |session, goal, (), out| {
+                if session.retract_constraint(goal) {
+                    _ = write!(out, "ok retract premises={}", session.premises().len());
+                } else {
+                    write_err(out, "constraint is not an asserted premise");
+                }
+            }),
         }
         false
+    }
+
+    /// Answers a read verb against the current slot's published snapshot,
+    /// in the same steps for every read verb: the no-session reply; `arg`
+    /// resolved (a goal into the scratch goal), or its `err`; `answer`'s
+    /// reply and record fields; and under `trace on` the ` epoch=N`
+    /// suffix, which `explain` and `analyze` replies carry already.  The
+    /// record names `verb`, and an answer the planner does not route is
+    /// routed as its verb.
+    fn read<A: Resolve>(
+        &mut self,
+        verb: usize,
+        arg: A,
+        record: &mut FlightRecord,
+        out: &mut String,
+        answer: impl FnOnce(&Snapshot, &DiffConstraint, A::To, &mut FlightRecord, &mut String),
+    ) {
+        record.verb = Some(verb);
+        let Some(session) = self.registry.session() else {
+            return out.push_str(NO_SESSION);
+        };
+        let snapshot = session.published();
+        match arg.resolve(snapshot.universe(), &mut self.goal) {
+            Ok(resolved) => {
+                record.route = Some(VERBS[verb].name);
+                answer(snapshot, &self.goal, resolved, record, out);
+                let names_epoch = [
+                    const { verb_index("explain") },
+                    const { verb_index("analyze") },
+                ];
+                if self.trace && !names_epoch.contains(&verb) {
+                    _ = write!(out, " epoch={}", snapshot.epoch());
+                }
+            }
+            Err(message) => write_err(out, message),
+        }
+    }
+
+    /// Answers a framing violation the transport caught before a request
+    /// could be decoded (an oversized line, a corrupt binary header) with
+    /// one `err` reply at its position in the request order, and returns
+    /// its record as [`Server::respond`] does.
+    pub(crate) fn refuse(&mut self, message: &str, start: Instant, out: &mut String) -> Answer {
+        EngineMetrics::global().framing_errors.inc();
+        write_err(out, message);
+        let record = self.open_record();
+        self.finish(false, record, start)
+    }
+
+    /// Closes the request's `plan` stage and completes its record, leaving
+    /// the transport's fields zero.
+    fn finish(&self, quit: bool, mut record: FlightRecord, start: Instant) -> Answer {
+        let done = Instant::now();
+        record.slot = self.registry.current_id();
+        record.plan_ns = done.saturating_duration_since(start).as_nanos() as u64;
+        record.epoch = self
+            .registry
+            .session()
+            .map_or(0, |session| session.published().epoch());
+        Answer { quit, record, done }
+    }
+
+    /// Commits a request's record once the caller has filled in its frame,
+    /// reply, and byte fields: the one per-request telemetry write, which
+    /// fills the flight ring and the stage, reply, and byte series and
+    /// charges this connection's series and, for an answered query, the
+    /// current session's ledger.  A request noted as slow is logged here,
+    /// with the record as committed.
+    pub fn commit(&mut self, record: &FlightRecord) {
+        if let Some(request) = self.slow_request.take() {
+            eprintln!(
+                "diffcond: slow query us={} request=`{request}` {}",
+                record.plan_ns / 1_000,
+                record.render()
+            );
+        }
+        let session = self.registry.session().map(|s| &**s.costs());
+        EngineMetrics::global().commit(record, &self.costs, session);
+    }
+
+    /// Bills bytes that crossed this connection's wire outside any request
+    /// (a binary handshake no reply carried) to the process and connection
+    /// byte series, without a record.
+    pub(crate) fn bill(&self, bytes_in: u64, bytes_out: u64) {
+        EngineMetrics::global().bill(&self.costs, bytes_in, bytes_out);
+    }
+
+    /// Notes a request whose `plan` stage reached the slow-query threshold:
+    /// it is counted now, and described for [`Server::commit`] to log
+    /// unless the log's rate limit drops it.
+    fn note_if_slow(&mut self, record: &FlightRecord, frame: &binary::BinRequest<'_>) {
+        let Some(threshold) = self.slow_query_us else {
+            return;
+        };
+        self.slow_request = None;
+        if record.plan_ns / 1_000 < threshold {
+            return;
+        }
+        let metrics = EngineMetrics::global();
+        metrics.slow_queries.inc();
+        if self.slow_log.allow() {
+            self.slow_request = Some(self.describe(frame));
+        } else {
+            metrics.slow_log_dropped.inc();
+        }
+    }
+
+    /// The request the slow-query log names: a text line as received, a
+    /// mask frame in its textual spelling, written from its own masks (in
+    /// hexadecimal where a mask has bits outside the universe).
+    fn describe(&self, frame: &binary::BinRequest<'_>) -> String {
+        use binary::BinRequest;
+        let universe = self.registry.session().map(Session::universe);
+        let set = |mask: u64| match universe {
+            Some(u) if checked_mask(u, mask).is_ok() => u.format_set(AttrSet::from_bits(mask)),
+            _ => format!("0x{mask:x}"),
+        };
+        let goal = |lhs: u64, rhs: binary::MaskList<'_>| {
+            let members: Vec<String> = rhs.iter().map(set).collect();
+            format!("{}->{{{}}}", set(lhs), members.join(","))
+        };
+        match *frame {
+            BinRequest::Line(bytes) => String::from_utf8_lossy(bytes).trim().to_string(),
+            BinRequest::Implies { lhs, rhs } => format!("implies {}", goal(lhs, rhs)),
+            BinRequest::Bound { set: mask } => format!("bound {}", set(mask)),
+            BinRequest::Assert { lhs, rhs } => format!("assert {}", goal(lhs, rhs)),
+        }
     }
 
     /// Registers the just-installed current session's cost counters with the
@@ -2243,48 +2259,22 @@ impl Server {
         }
     }
 
-    /// Parses `text` into the scratch goal and hands it to `f`.
-    fn with_constraint(
+    /// Resolves `arg` against the current session (a goal into the scratch
+    /// goal) and hands both to `f`.
+    fn with_arg<A: Resolve>(
         &mut self,
-        text: &str,
+        arg: A,
         out: &mut String,
-        f: impl FnOnce(&mut String, &mut Session, &DiffConstraint),
+        f: impl FnOnce(&mut Session, &DiffConstraint, A::To, &mut String),
     ) {
         let Some(session) = self.registry.session_mut() else {
-            out.push_str(NO_SESSION);
-            return;
+            return out.push_str(NO_SESSION);
         };
-        match self.goal.parse_into(text, session.universe()) {
-            Ok(()) => f(out, session, &self.goal),
-            Err(e) => write_err(out, e),
+        match arg.resolve(session.universe(), &mut self.goal) {
+            Ok(resolved) => f(session, &self.goal, resolved, out),
+            Err(message) => write_err(out, message),
         }
     }
-
-    fn with_set(
-        &mut self,
-        text: &str,
-        out: &mut String,
-        f: impl FnOnce(&mut Session, AttrSet, &mut String),
-    ) {
-        self.with_session(out, |session, out| {
-            match session.universe().parse_set(text) {
-                Ok(set) => f(session, set, out),
-                Err(e) => write_err(out, e),
-            }
-        })
-    }
-}
-
-/// Asserts `constraint` and writes the `assert` reply.
-fn write_assert(out: &mut String, session: &mut Session, constraint: &DiffConstraint) {
-    let (id, added) = session.assert_constraint(constraint);
-    _ = write!(
-        out,
-        "ok assert id={} added={} premises={}",
-        id.index(),
-        added as u8,
-        session.premises().len()
-    );
 }
 
 /// Writes the `stats` reply of `session`.
@@ -2709,6 +2699,54 @@ mod tests {
         let next = s.refuse("too long", Instant::now(), &mut out).record;
         assert_eq!(next.trace, record.trace + 1);
         assert_eq!((next.verb, next.route), (None, None));
+    }
+
+    /// The decoded `01` frame of `lhs -> {rhs…}`, borrowing `bytes`.
+    fn implies_frame<'a>(lhs: u64, rhs: &[u64], bytes: &'a mut Vec<u8>) -> binary::BinRequest<'a> {
+        binary::encode_implies(lhs, rhs, bytes);
+        match binary::decode_request(bytes, MAX_REQUEST_BYTES) {
+            binary::Decoded::Frame(request, _) => request,
+            other => panic!("mask frame does not decode: {other:?}"),
+        }
+    }
+
+    /// With every request slow-logged, a `02` frame whose set lies outside
+    /// the universe is answered `err` like any other, and the server goes
+    /// on serving.
+    #[test]
+    fn slow_log_answers_a_bound_frame_outside_the_universe() {
+        let mut s = server();
+        s.set_slow_query_us(Some(0));
+        s.handle_line("universe 4");
+        let mut out = String::new();
+        let frame = binary::BinRequest::Bound { set: 0x100 };
+        let answer = s.respond(&frame, Instant::now(), &mut out);
+        s.commit(&answer.record);
+        assert_eq!(
+            out,
+            "err attribute mask 0x100 has bits outside the 4-attribute universe"
+        );
+        assert_eq!(s.describe(&frame), "bound 0x100");
+        assert!(s.handle_line("implies A -> {B}").text.starts_with("no"));
+    }
+
+    /// The slow-query log names a refused mask frame by its own masks, not
+    /// by the goal of the request before it.
+    #[test]
+    fn slow_log_describes_a_refused_mask_frame_by_its_own_masks() {
+        let mut s = server();
+        s.handle_line("universe 4");
+        let mut out = String::new();
+        let mut bytes = Vec::new();
+        let previous = implies_frame(0b1, &[0b10], &mut bytes);
+        s.respond(&previous, Instant::now(), &mut out);
+        assert_eq!(s.describe(&previous), "implies A->{B}");
+        out.clear();
+        let mut bytes = Vec::new();
+        let refused = implies_frame(0b100, &[0x100], &mut bytes);
+        s.respond(&refused, Instant::now(), &mut out);
+        assert!(out.starts_with("err attribute mask 0x100"), "got: {out}");
+        assert_eq!(s.describe(&refused), "implies C->{0x100}");
     }
 
     /// Sized universes past 26 attributes are spelled one character per

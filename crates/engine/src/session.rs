@@ -34,7 +34,6 @@ use crate::snapshot::{EngineCaches, Snapshot};
 use diffcon::inference::Derivation;
 use diffcon::{fd_fragment, DiffConstraint};
 use diffcon_bounds::problem::{BoundsConfig, DeriveError};
-use diffcon_bounds::SideConditions;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
 use setlat::{AttrSet, Universe};
@@ -44,17 +43,16 @@ pub use crate::cache::CacheStats;
 pub use crate::snapshot::{BoundOutcome, QueryOutcome};
 
 /// Capacity and planner settings for a session.
+///
+/// `bound` and `analyze` always read the knowns as supports: the unknown
+/// set function has nonnegative density, which is what `known <set> =
+/// <support>` records.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
     /// Bound on memoized query answers.
     pub answer_cache_capacity: usize,
     /// Bound on memoized bound-query intervals.
     pub bound_cache_capacity: usize,
-    /// Side conditions under which `bound` queries interpret the unknown set
-    /// function (the default is the support-function interpretation —
-    /// nonnegative density — matching the `known <set> = <support>` verbs of
-    /// the wire protocol).
-    pub bound_side: SideConditions,
     /// Derivation knobs for the bound engine: propagation rounds, the
     /// pairwise pass, and [`BoundsConfig::budget_ops`], the one budget that
     /// routes `bound` between the full propagation path and the relaxation
@@ -76,7 +74,6 @@ impl Default for SessionConfig {
         SessionConfig {
             answer_cache_capacity: 1 << 16,
             bound_cache_capacity: 1 << 12,
-            bound_side: SideConditions::support(),
             bounds: BoundsConfig::default(),
             interner_compaction_threshold: 1 << 18,
         }
@@ -172,7 +169,6 @@ impl Session {
             premise_digest: 0,
             knowns: Arc::from([]),
             knowns_digest: 0,
-            bound_side: config.bound_side,
             bounds_config: config.bounds,
             dataset: None,
             epoch: 0,

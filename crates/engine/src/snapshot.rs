@@ -3,12 +3,12 @@
 //! A [`Snapshot`] is a frozen, point-in-time view of one session's state —
 //! the premise set (held once) with a flag for whether it lies in the
 //! single-member fragment, the known point values, both versioning digests,
-//! the dataset handle, and the bound-query side conditions — together with
-//! handles to the session's two caches and its planner accounting.  It is
-//! the session's only copy of that state: every field is an `Arc` or
-//! `Copy`, and a [`crate::session::Session`] mutation publishes the next
-//! snapshot by replacing the one component it changed, sharing the rest,
-//! and bumping the [`Snapshot::epoch`].
+//! and the dataset handle — together with handles to the session's two
+//! caches and its planner accounting.  It is the session's only copy of
+//! that state: every field is an `Arc` or `Copy`, and a
+//! [`crate::session::Session`] mutation publishes the next snapshot by
+//! replacing the one component it changed, sharing the rest, and bumping
+//! the [`Snapshot::epoch`].
 //!
 //! The deciders of the paper are pure functions of the premise set, so once
 //! that state is frozen every query is answerable through `&self`:
@@ -20,7 +20,10 @@
 //! program order in which they captured it — while new readers pick up the
 //! new state.  An implication miss is routed by the planner and decided
 //! through `diffcon::procedure::decide` on the calling thread; only its
-//! answer is memoized.  A batch is the same path once per goal, in order.
+//! answer is memoized.  A batch is the same path once per goal, in order,
+//! and [`Snapshot::explain`] is the same path with stage marks: one clock
+//! reading after the cache probe, the route choice and the decision, which
+//! `implies` runs without.
 //!
 //! Caching across snapshots is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two snapshots with the same
@@ -216,7 +219,6 @@ pub struct Snapshot {
     /// XOR of the known-entry fingerprints; versions the bound cache
     /// together with the premise digest.
     pub(crate) knowns_digest: u64,
-    pub(crate) bound_side: SideConditions,
     pub(crate) bounds_config: BoundsConfig,
     /// The loaded basket dataset, if any.  No cache digest involves it:
     /// `adopt` flows back through assertion, which versions as usual.
@@ -225,11 +227,11 @@ pub struct Snapshot {
     pub(crate) caches: Arc<EngineCaches>,
     /// Holds the session's ledger.
     pub(crate) planner: Arc<Planner>,
-    /// The bound state of this snapshot's premises, knowns and side
-    /// conditions, or the infeasibility its pass 1 found: empty until the
-    /// first `bound` miss routed to propagation, then shared by every later
-    /// one.  Boxed, so an empty cell adds 16 bytes to the snapshot.
-    /// [`Snapshot::successor`] leaves it behind.
+    /// The bound state of this snapshot's premises and knowns, or the
+    /// infeasibility its pass 1 found: empty until the first `bound` miss
+    /// routed to propagation, then shared by every later one.  Boxed, so an
+    /// empty cell adds 16 bytes to the snapshot.  [`Snapshot::successor`]
+    /// leaves it behind.
     pub(crate) bound_state: OnceLock<Result<Box<Propagation>, DeriveError>>,
 }
 
@@ -245,7 +247,6 @@ impl Snapshot {
             premise_digest: self.premise_digest,
             knowns: Arc::clone(&self.knowns),
             knowns_digest: self.knowns_digest,
-            bound_side: self.bound_side,
             bounds_config: self.bounds_config,
             dataset: self.dataset.clone(),
             epoch: self.epoch + 1,
@@ -379,54 +380,58 @@ impl Snapshot {
 
     /// Decides `premises ⊨ goal`, consulting and feeding the answer cache.
     pub fn implies(&self, goal: &DiffConstraint) -> QueryOutcome {
+        self.implies_marked(goal, || {})
+    }
+
+    /// The implication path, calling `mark` as it passes each stage: after
+    /// the cache probe, after the route choice, and after the decision.
+    /// [`Snapshot::implies`] marks nothing, so it reads no clock for marks.
+    fn implies_marked(&self, goal: &DiffConstraint, mut mark: impl FnMut()) -> QueryOutcome {
         if goal.is_trivial() {
             return self.trivial();
         }
         let key = self.answer_key(goal);
-        if let Some(hit) = self.probe_answer(&key, goal) {
+        let probed = self.probe_answer(&key, goal);
+        mark();
+        if let Some(hit) = probed {
             return hit;
         }
         let route = self.route(goal);
+        mark();
         let outcome = self.decide(goal, route);
+        mark();
         self.absorb(key, goal, route, outcome);
         outcome
     }
 
     /// Decides `premises ⊨ goal` like [`Snapshot::implies`], additionally
     /// reporting the snapshot epoch and a per-stage latency decomposition
-    /// (cache probe → route choice → decision).  This *is* the ordinary
-    /// query path with trace marks — same cache, same planner accounting —
-    /// so an explained query observes exactly what serving it would cost.
+    /// (cache probe → route choice → decision).  This *is* `implies` with a
+    /// clock reading at each stage mark — same cache, same planner
+    /// accounting — so an explained query observes exactly what serving it
+    /// would cost.
     pub fn explain(&self, goal: &DiffConstraint) -> ExplainOutcome {
         let start = Instant::now();
-        let undecided = |outcome, probe| ExplainOutcome {
-            outcome,
-            epoch: self.epoch,
-            probe,
-            plan: Duration::ZERO,
-            decide: Duration::ZERO,
-            total: start.elapsed(),
+        // The start, then one reading per stage passed.
+        let mut marks = [start; 4];
+        let mut passed = 0;
+        let outcome = self.implies_marked(goal, || {
+            passed += 1;
+            marks[passed] = Instant::now();
+        });
+        let span = |stage: usize| {
+            if stage <= passed {
+                marks[stage] - marks[stage - 1]
+            } else {
+                Duration::ZERO
+            }
         };
-        if goal.is_trivial() {
-            return undecided(self.trivial(), Duration::ZERO);
-        }
-        let key = self.answer_key(goal);
-        let probed = self.probe_answer(&key, goal);
-        let probed_at = Instant::now();
-        if let Some(hit) = probed {
-            return undecided(hit, probed_at - start);
-        }
-        let route = self.route(goal);
-        let planned_at = Instant::now();
-        let outcome = self.decide(goal, route);
-        let decided_at = Instant::now();
-        self.absorb(key, goal, route, outcome);
         ExplainOutcome {
             outcome,
             epoch: self.epoch,
-            probe: probed_at - start,
-            plan: planned_at - probed_at,
-            decide: decided_at - planned_at,
+            probe: span(1),
+            plan: span(2),
+            decide: span(3),
             total: start.elapsed(),
         }
     }
@@ -499,13 +504,15 @@ impl Snapshot {
         })
     }
 
-    /// The frozen state as a bound-derivation problem.
+    /// The frozen state as a bound-derivation problem, under the support
+    /// interpretation of the unknown set function (nonnegative density),
+    /// which is what `known <set> = <support>` records.
     fn bounds_problem(&self) -> BoundsProblem<'_> {
         BoundsProblem {
             universe: &self.universe,
             constraints: &self.premises,
             knowns: &self.knowns,
-            side: self.bound_side,
+            side: SideConditions::support(),
         }
     }
 

@@ -7,6 +7,9 @@
 //! script exercising the framing rules) must also reply exactly what the
 //! serial oracle, `Server::handle_line`, replies, wall-clock fields aside.
 
+mod common;
+
+use common::mask_clock;
 use diffcon_engine::protocol::binary::BinRequest;
 use diffcon_engine::{Reply, Server, SessionConfig};
 use std::path::{Path, PathBuf};
@@ -145,29 +148,6 @@ fn oracle_replies(script: &[u8]) -> String {
         }
     }
     replies
-}
-
-/// Masks the wall-clock fields of a reply stream: every `…us=`, `qps=` and
-/// `trace=` value, and the `…us` latency of the `stats` route counters
-/// (`fd=1/1c/0us`).  Everything else is compared byte for byte.
-fn mask_clock(replies: &str) -> String {
-    let token = |token: &str| match token.split_once('=') {
-        Some((key, _)) if key.ends_with("us") || key == "qps" || key == "trace" => {
-            format!("{key}=*")
-        }
-        Some((key, value)) => {
-            let parts: Vec<&str> = value
-                .split('/')
-                .map(|part| if part.ends_with("us") { "*us" } else { part })
-                .collect();
-            format!("{key}={}", parts.join("/"))
-        }
-        None => token.to_string(),
-    };
-    replies
-        .lines()
-        .map(|line| line.split(' ').map(token).collect::<Vec<_>>().join(" ") + "\n")
-        .collect()
 }
 
 #[test]

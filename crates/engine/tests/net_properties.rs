@@ -656,6 +656,36 @@ fn binary_negotiation_is_per_connection_and_fails_fast() {
     handle.shutdown();
 }
 
+/// With every request slow-logged, a `02` frame whose set lies outside the
+/// universe is answered `err` on its connection, and the one reactor goes
+/// on serving: that connection, and a fresh one.
+#[test]
+fn a_slow_logged_mask_frame_outside_the_universe_leaves_the_reactor_serving() {
+    let (addr, handle) = spawn_server(NetConfig {
+        binary: true,
+        slow_query_us: Some(0),
+        ..NetConfig::default()
+    });
+    let mut binary = Client::connect_binary_timeout(&addr, DEADLINE).expect("binary connect");
+    binary.set_read_timeout(Some(DEADLINE)).unwrap();
+    assert_eq!(
+        binary.request("universe 4").unwrap(),
+        "ok universe n=4 attrs=A,B,C,D"
+    );
+    binary.send_bound_mask(0x100).unwrap();
+    assert_eq!(
+        binary.recv().unwrap(),
+        "err attribute mask 0x100 has bits outside the 4-attribute universe"
+    );
+    assert!(binary
+        .request("implies A -> {B}")
+        .unwrap()
+        .starts_with("no"));
+    binary.quit().unwrap();
+    assert_accept_ready(addr);
+    handle.shutdown();
+}
+
 /// Malformed binary frames: truncated length prefixes, oversize length and
 /// member-count declarations, unknown tags, and mid-frame disconnects.
 /// Fatal violations answer one `err` frame and close; truncation just drops
