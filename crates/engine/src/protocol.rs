@@ -2951,7 +2951,8 @@ mod tests {
         );
         // Loads accumulate.
         assert_eq!(s.handle_line("load {}").text, "ok load added=1 baskets=6");
-        // Parse failures are located and the session survives.
+        // Parse failures are located, and the session keeps its dataset
+        // as it was.
         let reply = s.handle_line("load AB; AZ").text;
         assert!(reply.starts_with("err line 2"), "got: {reply}");
         assert!(reply.contains("`Z`"), "got: {reply}");
@@ -2979,10 +2980,33 @@ mod tests {
         assert!(again.contains("added=0"), "got: {again}");
         // Stats surface the dataset.
         let stats = s.handle_line("stats").text;
-        assert!(stats.contains("dataset_baskets=8"), "got: {stats}");
+        assert!(stats.contains("dataset_baskets=6"), "got: {stats}");
         // Reset drops the dataset with the rest of the state.
         s.handle_line("reset");
         assert!(s.handle_line("dataset").text.starts_with("err no dataset"));
+    }
+
+    #[test]
+    fn a_refused_load_leaves_the_session_as_it_was() {
+        let mut s = server();
+        s.handle_line("universe 4");
+        let epoch = |s: &mut Server| {
+            let stats = s.handle_line("stats").text;
+            let at = stats.find(" epoch=").expect("stats has an epoch");
+            stats[at..].split_whitespace().next().unwrap().to_string()
+        };
+        let before = (s.handle_line("dataset").text, epoch(&mut s));
+        assert_eq!(before.0, "err no dataset (send `load` first)");
+        let reply = s.handle_line("load A; QQ").text;
+        assert!(reply.starts_with("err line 2"), "got: {reply}");
+        assert_eq!((s.handle_line("dataset").text, epoch(&mut s)), before);
+        // Into an existing dataset, too: nothing before the bad record is
+        // appended.
+        s.handle_line("load A; B");
+        let before = (s.handle_line("dataset").text, epoch(&mut s));
+        assert!(before.0.starts_with("dataset baskets=2"), "got: {}", before.0);
+        assert!(s.handle_line("load AB; QQ").text.starts_with("err line 2"));
+        assert_eq!((s.handle_line("dataset").text, epoch(&mut s)), before);
     }
 
     #[test]

@@ -331,8 +331,9 @@ impl Session {
     ///
     /// # Errors
     /// [`BasketParseError`] locating the first bad record (1-based) and its
-    /// offending token.  Records before it are still appended (and
-    /// published).
+    /// offending token.  The session is left as it was: the records are
+    /// appended to the copy, which is published only when every record
+    /// parsed, so a failed first load creates no dataset and no epoch.
     pub fn load_records<I>(&mut self, records: I) -> Result<usize, BasketParseError>
     where
         I: IntoIterator,
@@ -343,9 +344,9 @@ impl Session {
             .dataset
             .clone()
             .unwrap_or_else(|| Arc::new(Dataset::new(self.universe().clone())));
-        let result = Arc::make_mut(&mut dataset).load(records);
+        let added = Arc::make_mut(&mut dataset).load(records)?;
         self.publish(|next| next.dataset = Some(dataset));
-        result
+        Ok(added)
     }
 
     /// Mines the minimal satisfied disjunctive constraints of the loaded
@@ -974,10 +975,15 @@ mod tests {
         let err = s.load_records(["AB", "AZ"]).unwrap_err();
         assert_eq!(err.line, 2);
         assert_eq!(err.token, "Z");
-        // The record before the failure was ingested.
-        assert_eq!(s.dataset().unwrap().len(), 1);
+        // A failed load leaves the session as it was: no dataset, no epoch.
+        assert!(s.dataset().is_none());
+        assert_eq!(s.stats().epoch, 0);
         assert_eq!(s.load_records(["C"]).unwrap(), 1);
-        assert_eq!(s.stats().dataset_baskets, 2);
+        assert_eq!(s.stats().dataset_baskets, 1);
+        // A failed load into an existing dataset keeps its baskets.
+        assert!(s.load_records(["AB", "AZ"]).is_err());
+        assert_eq!(s.stats().dataset_baskets, 1);
+        assert_eq!(s.stats().epoch, 1);
     }
 
     #[test]
