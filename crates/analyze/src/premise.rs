@@ -30,7 +30,8 @@
 //! premise (plus the core's own irredundancy), so any consumer can validate
 //! the reduction independently.
 
-use diffcon::{density, implication, DiffConstraint};
+use diffcon::density::LatticeBitmap;
+use diffcon::{implication, DiffConstraint};
 use diffcon_bounds::derive::check_feasibility;
 use diffcon_bounds::problem::PROPAGATION_UNIVERSE_CAP;
 use diffcon_bounds::{BoundsConfig, BoundsProblem, Feasibility};
@@ -230,21 +231,21 @@ fn minimal_conflict(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Vec<(
 
 /// Counts the density variables zeroed by the constraints that still appear
 /// in some known's superset row, with up to [`DEAD_EXAMPLES`] examples.
-/// Returns `(0, [])` past [`PROPAGATION_UNIVERSE_CAP`] — the dense alive
-/// table is off-limits there, matching the bound engine's own routing.
+/// Returns `(0, [])` past [`PROPAGATION_UNIVERSE_CAP`] — the `L(C)` bitmap
+/// is off-limits there, matching the bound engine's own routing.
 fn dead_density(problem: &BoundsProblem<'_>) -> (usize, Vec<AttrSet>) {
     let n = problem.universe.len();
     if n > PROPAGATION_UNIVERSE_CAP || problem.knowns.is_empty() || problem.constraints.is_empty() {
         return (0, Vec::new());
     }
-    let alive = density::alive_table(problem.universe, problem.constraints);
+    let lattice = LatticeBitmap::new(problem.universe, problem.constraints);
     let mut count = 0;
     let mut examples = Vec::new();
     for mask in 0..(1u64 << n) {
-        if alive[mask as usize] {
+        let set = AttrSet::from_bits(mask);
+        if !lattice.contains(set) {
             continue;
         }
-        let set = AttrSet::from_bits(mask);
         if problem.knowns.iter().any(|&(x, _)| x.is_subset(set)) {
             count += 1;
             if examples.len() < DEAD_EXAMPLES {

@@ -67,7 +67,7 @@ use crate::problem::{
     fits_budget, known_point, propagation_cost_bound, BoundsConfig, BoundsProblem, DeriveError,
     DeriveRoute, DerivedBound, Feasibility, SideConditions,
 };
-use diffcon::density;
+use diffcon::density::LatticeBitmap;
 use setlat::{powerset, AttrSet};
 use std::fmt;
 
@@ -151,6 +151,8 @@ pub struct Propagation {
     n: usize,
     side: SideConditions,
     pairwise: bool,
+    /// `L(C)`: the dead variables, which every sum skips.
+    lattice: LatticeBitmap,
     /// Each density variable's interval, mask-indexed.  Dead variables are
     /// pinned to `[0, 0]`.
     lo: Vec<f64>,
@@ -171,7 +173,7 @@ impl fmt::Debug for Propagation {
 }
 
 impl Propagation {
-    /// Pass 1 of the module docs: alive classification and interval
+    /// Pass 1 of the module docs: the `L(C)` bitmap, then interval
     /// propagation over the known-value equations, to a budgeted fixpoint,
     /// then each known's row sum.
     ///
@@ -195,9 +197,9 @@ impl Propagation {
         );
         let size = 1usize << n;
 
-        // Alive classification and per-variable intervals.  Dead variables
-        // are pinned to [0, 0] and never relaxed or tightened.
-        let alive = density::alive_table(universe, problem.constraints);
+        // Per-variable intervals.  Dead variables are pinned to [0, 0] and
+        // never visited again.
+        let lattice = LatticeBitmap::new(universe, problem.constraints);
         let (init_lo, init_hi) = if problem.side.nonnegative_density {
             (0.0, f64::INFINITY)
         } else {
@@ -205,11 +207,9 @@ impl Propagation {
         };
         let mut lo = vec![0.0f64; size];
         let mut hi = vec![0.0f64; size];
-        for mask in 0..size {
-            if alive[mask] {
-                lo[mask] = init_lo;
-                hi[mask] = init_hi;
-            }
+        for m in lattice.alive(AttrSet::EMPTY, AttrSet::EMPTY) {
+            lo[m] = init_lo;
+            hi[m] = init_hi;
         }
 
         // Pass 1: interval propagation over the known-value equations.
@@ -218,19 +218,14 @@ impl Propagation {
             for &(x, v) in problem.knowns {
                 let mut lo_sum = SumAcc::new();
                 let mut hi_sum = SumAcc::new();
-                for u in powerset::supersets_within(x, n) {
-                    let m = u.bits() as usize;
+                for m in lattice.alive(x, x) {
                     lo_sum.add(lo[m]);
                     hi_sum.add(hi[m]);
                 }
                 if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
                     return Err(DeriveError::Infeasible);
                 }
-                for u in powerset::supersets_within(x, n) {
-                    let m = u.bits() as usize;
-                    if !alive[m] {
-                        continue;
-                    }
+                for m in lattice.alive(x, x) {
                     // d(U) = v − Σ_{W ≠ U} d(W): others' lower bounds cap
                     // d(U) above, others' upper bounds support it below.
                     let new_hi = v - lo_sum.total_without(lo[m]);
@@ -262,6 +257,7 @@ impl Propagation {
             n,
             side: problem.side,
             pairwise: config.pairwise,
+            lattice,
             lo,
             hi,
             knowns: Vec::new(),
@@ -279,11 +275,17 @@ impl Propagation {
         Ok(state)
     }
 
-    /// `R(x)`: the variable intervals summed over the supersets of `x`.
+    /// `R(x)`: the variable intervals summed over the alive supersets of
+    /// `x`.
     fn row(&self, x: AttrSet) -> RowSum {
+        self.sum(x, x)
+    }
+
+    /// The variable intervals summed over the alive sets `U` with
+    /// `U ∩ care = want`, in increasing mask order.
+    fn sum(&self, care: AttrSet, want: AttrSet) -> RowSum {
         let mut row = RowSum::default();
-        for u in powerset::supersets_within(x, self.n) {
-            let m = u.bits() as usize;
+        for m in self.lattice.alive(care, want) {
             row.add(self.lo[m], self.hi[m]);
         }
         row
@@ -364,7 +366,6 @@ impl Propagation {
         }
 
         // Pass 4: generalized inclusion–exclusion deduction.
-        let complement = query.complement_in(self.n);
         'rules: for x in powerset::proper_subsets(query) {
             let missing = query.difference(x).len();
             // All 2^{|Y∖X|} − 1 proper members of [X, Y] must be known; skip
@@ -387,14 +388,8 @@ impl Propagation {
                 };
                 signed_knowns += sign * v;
             }
-            // Σ_{X ⊆ J ⊆ Y} (−1)^{|J∖X|} f(J) = Σ_{U ⊇ X, U∩Y = X} d(U): the
-            // right-hand region is X ∪ V over V ⊆ S∖Y.
-            let mut region = RowSum::default();
-            for v_set in powerset::subsets(complement) {
-                let m = x.union(v_set).bits() as usize;
-                region.add(self.lo[m], self.hi[m]);
-            }
-            let region = region.interval();
+            // Σ_{X ⊆ J ⊆ Y} (−1)^{|J∖X|} f(J) = Σ_{U ⊇ X, U∩Y = X} d(U).
+            let region = self.sum(query, x).interval();
             let candidate = if missing.is_multiple_of(2) {
                 // f(Y) = region − signed_knowns.
                 region.shift(-signed_knowns)
@@ -532,7 +527,7 @@ pub fn derive_relaxed(
 mod tests {
     use super::*;
     use diffcon::random::{ConstraintGenerator, ConstraintShape};
-    use diffcon::DiffConstraint;
+    use diffcon::{density, DiffConstraint};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
@@ -875,49 +870,200 @@ mod tests {
     }
 
     /// A random problem over `n` attributes (premises with empty families
-    /// among them, and knowns that are often jointly infeasible), built to
-    /// its pass-1 state, with a query; `None` when pass 1 itself refutes the
-    /// knowns.  `integral` picks whole-number knowns.
-    fn random_state(seed: u64, n: usize, integral: bool) -> Option<(Propagation, AttrSet)> {
-        let universe = Universe::of_size(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gen = ConstraintGenerator::new(rng.gen_range(0..u64::MAX), &universe);
-        let constraints: Vec<DiffConstraint> = (0..rng.gen_range(0..4))
-            .map(|_| gen.constraint(&ConstraintShape::default()))
-            .collect();
-        let mut knowns: Vec<(AttrSet, f64)> = Vec::new();
-        for _ in 0..rng.gen_range(0..7) {
-            let set = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
-            let value = if integral {
-                rng.gen_range(0..40) as f64
-            } else {
-                rng.gen_range(0..40_000) as f64 / 73.0
+    /// among them, knowns that are often jointly infeasible, and any of the
+    /// three side-condition presets), with a query.  `integral` picks
+    /// whole-number knowns.
+    struct RandomProblem {
+        universe: Universe,
+        constraints: Vec<DiffConstraint>,
+        knowns: Vec<(AttrSet, f64)>,
+        side: SideConditions,
+        query: AttrSet,
+    }
+
+    impl RandomProblem {
+        fn new(seed: u64, n: usize, integral: bool) -> RandomProblem {
+            let universe = Universe::of_size(n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut gen = ConstraintGenerator::new(rng.gen_range(0..u64::MAX), &universe);
+            let constraints: Vec<DiffConstraint> = (0..rng.gen_range(0..4))
+                .map(|_| gen.constraint(&ConstraintShape::default()))
+                .collect();
+            let mut knowns: Vec<(AttrSet, f64)> = Vec::new();
+            for _ in 0..rng.gen_range(0..7) {
+                let set = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
+                let value = if integral {
+                    rng.gen_range(0..40) as f64
+                } else {
+                    rng.gen_range(0..40_000) as f64 / 73.0
+                };
+                if knowns.iter().all(|&(x, _)| x != set) {
+                    knowns.push((set, value));
+                }
+            }
+            let side = match rng.gen_range(0..3) {
+                0 => SideConditions::none(),
+                1 => SideConditions::support(),
+                _ => SideConditions {
+                    nonnegative_density: false,
+                    antitone: true,
+                },
             };
-            if knowns.iter().all(|&(x, _)| x != set) {
-                knowns.push((set, value));
+            let query = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
+            RandomProblem {
+                universe,
+                constraints,
+                knowns,
+                side,
+                query,
             }
         }
-        let side = match rng.gen_range(0..3) {
-            0 => SideConditions::none(),
-            1 => SideConditions::support(),
-            _ => SideConditions {
-                nonnegative_density: false,
-                antitone: true,
-            },
+
+        fn problem(&self) -> BoundsProblem<'_> {
+            BoundsProblem {
+                universe: &self.universe,
+                constraints: &self.constraints,
+                knowns: &self.knowns,
+                side: self.side,
+            }
+        }
+    }
+
+    /// A random problem's pass-1 state, with its query; `None` when pass 1
+    /// itself refutes the knowns.
+    fn random_state(seed: u64, n: usize, integral: bool) -> Option<(Propagation, AttrSet)> {
+        let random = RandomProblem::new(seed, n, integral);
+        let state = Propagation::new(&random.problem(), &BoundsConfig::default()).ok()?;
+        Some((state, random.query))
+    }
+
+    /// The dense pass 1 the bitmap walks replaced, kept as their reference:
+    /// every set is classified by [`density::zeroed_at`], and every sum runs
+    /// over all supersets of its known, a dead variable adding its `+0.0`.
+    /// The state's bitmap kills nothing, so its evaluation sums every set of
+    /// each row and region too.
+    fn dense_state(
+        problem: &BoundsProblem<'_>,
+        config: &BoundsConfig,
+    ) -> Result<Propagation, DeriveError> {
+        let n = problem.universe.len();
+        let size = 1usize << n;
+        let alive: Vec<bool> = (0..size as u64)
+            .map(|m| !density::zeroed_at(problem.constraints, AttrSet::from_bits(m)))
+            .collect();
+        let (init_lo, init_hi) = if problem.side.nonnegative_density {
+            (0.0, f64::INFINITY)
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
         };
-        let problem = BoundsProblem {
-            universe: &universe,
-            constraints: &constraints,
-            knowns: &knowns,
-            side,
+        let mut lo = vec![0.0f64; size];
+        let mut hi = vec![0.0f64; size];
+        for mask in 0..size {
+            if alive[mask] {
+                lo[mask] = init_lo;
+                hi[mask] = init_hi;
+            }
+        }
+        for _ in 0..config.rounds {
+            let mut changed = false;
+            for &(x, v) in problem.knowns {
+                let mut lo_sum = SumAcc::new();
+                let mut hi_sum = SumAcc::new();
+                for u in powerset::supersets_within(x, n) {
+                    let m = u.bits() as usize;
+                    lo_sum.add(lo[m]);
+                    hi_sum.add(hi[m]);
+                }
+                if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
+                    return Err(DeriveError::Infeasible);
+                }
+                for u in powerset::supersets_within(x, n) {
+                    let m = u.bits() as usize;
+                    if !alive[m] {
+                        continue;
+                    }
+                    let new_hi = v - lo_sum.total_without(lo[m]);
+                    let new_lo = v - hi_sum.total_without(hi[m]);
+                    if new_hi < hi[m] {
+                        hi[m] = new_hi;
+                        changed = true;
+                    }
+                    if new_lo > lo[m] {
+                        lo[m] = new_lo;
+                        changed = true;
+                    }
+                    if lo[m] > hi[m] {
+                        if lo[m] > hi[m] + TOL {
+                            return Err(DeriveError::Infeasible);
+                        }
+                        hi[m] = lo[m];
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut sorted = problem.knowns.to_vec();
+        sorted.sort_by_key(|&(x, _)| x);
+        let mut state = Propagation {
+            n,
+            side: problem.side,
+            pairwise: config.pairwise,
+            lattice: LatticeBitmap::new(problem.universe, &[]),
+            lo,
+            hi,
+            knowns: Vec::new(),
+            sorted,
         };
-        let query = AttrSet::from_bits(rng.gen_range(0..(1u64 << n)));
-        let state = Propagation::new(&problem, &BoundsConfig::default()).ok()?;
-        Some((state, query))
+        state.knowns = problem
+            .knowns
+            .iter()
+            .map(|&(set, value)| KnownRow {
+                set,
+                value,
+                row: state.row(set),
+            })
+            .collect();
+        Ok(state)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A dead variable is `[0, 0]`, and no partial sum is `−0.0` (each
+        /// starts at `+0.0`), so leaving its `+0.0` out changes no bit: the
+        /// bitmap walks reproduce the dense state's pass-1 verdict and
+        /// intervals, and its evaluation of every subset, infeasible
+        /// verdicts included.
+        #[test]
+        fn bitmap_walks_match_the_dense_state_bit_for_bit(
+            seed in any::<u64>(),
+            n in 1usize..=10,
+            integral in any::<bool>(),
+        ) {
+            let random = RandomProblem::new(seed, n, integral);
+            let problem = random.problem();
+            let config = BoundsConfig::default();
+            match (Propagation::new(&problem, &config), dense_state(&problem, &config)) {
+                (Ok(sparse), Ok(dense)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&sparse.lo), bits(&dense.lo));
+                    prop_assert_eq!(bits(&sparse.hi), bits(&dense.hi));
+                    for mask in 0..1u64 << n {
+                        let query = AttrSet::from_bits(mask);
+                        let endpoints = |i: Interval| (i.lo.to_bits(), i.hi.to_bits());
+                        prop_assert_eq!(
+                            sparse.evaluate(query).map(endpoints),
+                            dense.evaluate(query).map(endpoints),
+                            "query {:?}",
+                            query
+                        );
+                    }
+                }
+                (sparse, dense) => prop_assert_eq!(sparse.err(), dense.err()),
+            }
+        }
 
         /// With integral knowns every partial sum is an exact integer, so
         /// the row differences reproduce the term-by-term region sums bit

@@ -82,7 +82,7 @@ pub fn implies_lattice(
 /// `SLICE[j]` holds the lanes whose index has bit `j` set: the lanes of the
 /// sets that contain the `j`-th lane attribute (or, as a word mask, the words
 /// of the sets that contain the `j`-th word attribute).
-const SLICE: [u64; 6] = [
+pub(crate) const SLICE: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
@@ -92,27 +92,29 @@ const SLICE: [u64; 6] = [
 ];
 
 /// How [`implies_lattice`] lays the free attributes out over lanes, words
-/// and blocks.
+/// and blocks.  With `X = ∅` the layout is the mask order itself: lane `l`
+/// of word `w` is the set with mask `64·w + l`, which is how
+/// [`crate::density::LatticeBitmap`] stores `L(C)`.
 ///
 /// With fewer than six lane attributes, a lane whose index sets a missing
 /// attribute's bit repeats the lane without that bit, so such lanes need no
 /// masking; words past the last one a block uses are never visited.
-struct Slices {
+pub(crate) struct Slices {
     /// The first six free attributes: bit `j` of the lane index is the
     /// `j`-th of them.
     lanes: u64,
     /// The next six: bit `j` of the word index is the `j`-th of them.
     words: u64,
     /// The remaining free attributes, whose subsets are the blocks.
-    blocks: AttrSet,
+    pub(crate) blocks: AttrSet,
     /// The words each block uses, `2^|words|`.
-    word_count: usize,
+    pub(crate) word_count: usize,
     /// Each lane or word attribute's bit in the lane or word index.
     position: [u8; 64],
 }
 
 impl Slices {
-    fn new(free: AttrSet) -> Self {
+    pub(crate) fn new(free: AttrSet) -> Self {
         let (mut lanes, mut words, mut position) = (0u64, 0u64, [0u8; 64]);
         for (i, attr) in free.iter().take(12).enumerate() {
             position[attr] = (i % 6) as u8;
@@ -167,8 +169,7 @@ impl Slices {
     ) -> bool {
         let n = self.word_count;
         // Lane `l` of word `w` is set in `settled` once that set is known to
-        // contain a goal member or to lie in some premise's lattice, and in
-        // `inside` when it contains a member of the current premise.
+        // contain a goal member or to lie in some premise's lattice.
         let mut settled = [0u64; N];
         for y in goal.rhs.iter() {
             if let Some((words, lanes)) = self.containing(y, fixed) {
@@ -178,6 +179,22 @@ impl Slices {
         if settled[..n].iter().all(|&s| s == !0) {
             return false;
         }
+        self.cover::<N>(fixed, premises, &mut settled[..n]);
+        settled[..n].iter().any(|&s| s != !0)
+    }
+
+    /// ORs into `acc`, one entry per word of the block whose sure members
+    /// are `fixed`, the sets that lie in some premise's lattice, with a
+    /// scratch array of `N` words, at least [`Slices::word_count`].
+    pub(crate) fn cover<const N: usize>(
+        &self,
+        fixed: AttrSet,
+        premises: &[DiffConstraint],
+        acc: &mut [u64],
+    ) {
+        let n = self.word_count;
+        // Lane `l` of word `w` is set in `inside` when that set contains a
+        // member of the current premise.
         let mut inside = [0u64; N];
         for p in premises {
             let Some((x_words, x_lanes)) = self.containing(p.lhs, fixed) else {
@@ -189,11 +206,10 @@ impl Slices {
                     spread(&mut inside[..n], words, lanes);
                 }
             }
-            for (w, (settled, inside)) in settled[..n].iter_mut().zip(&inside[..n]).enumerate() {
-                *settled |= word_bit(x_words, w) & x_lanes & !inside;
+            for (w, (acc, inside)) in acc[..n].iter_mut().zip(&inside[..n]).enumerate() {
+                *acc |= word_bit(x_words, w) & x_lanes & !inside;
             }
         }
-        settled[..n].iter().any(|&s| s != !0)
     }
 }
 
