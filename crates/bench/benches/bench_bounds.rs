@@ -8,7 +8,9 @@
 //!   `2^{|S|}` grows, versus the enumeration-free relaxation past the
 //!   budget, and the same queries answered from one shared [`Propagation`]
 //!   (one pass-1 build, then one evaluation per query: what a snapshot
-//!   does);
+//!   does), on the chain the data satisfies in part (most density variables
+//!   alive) and on the whole chain over suffix-set baskets (`|S| + 1`
+//!   alive);
 //! * **cache effect** — repeated `bound` queries against a warm session
 //!   (the serving configuration) versus fresh derivations;
 //! * **mining savings** — support scans needed to build the NDI
@@ -52,17 +54,46 @@ struct Workload {
     queries: Vec<AttrSet>,
 }
 
-fn workload(n: usize) -> Workload {
-    let universe = Universe::of_size(n);
-    let db = generator::quest_like(
+/// Generated baskets over `n` items.
+fn baskets(n: usize) -> BasketDb {
+    generator::quest_like(
         7,
         &QuestConfig {
             num_items: n,
             num_baskets: 200,
             ..QuestConfig::default()
         },
+    )
+}
+
+fn workload(n: usize) -> Workload {
+    workload_on(&baskets(n))
+}
+
+/// A low-density workload: each generated basket is widened to the suffix
+/// set from its first item on, so the whole chain holds, and only the
+/// `n + 1` suffix sets stay outside `L(C)`.
+fn sparse_workload(n: usize) -> Workload {
+    let full = AttrSet::full(n);
+    let suffix = |b: AttrSet| match b.min_attr() {
+        Some(first) => full.difference(AttrSet::from_bits((1 << first) - 1)),
+        None => AttrSet::EMPTY,
+    };
+    let db = BasketDb::from_baskets(n, baskets(n).baskets().iter().map(|&b| suffix(b)));
+    let w = workload_on(&db);
+    assert_eq!(
+        w.constraints.len(),
+        n - 1,
+        "suffix sets satisfy the whole chain"
     );
-    let constraints = satisfied_chain(&universe, &db);
+    w
+}
+
+/// The chain `db` satisfies, with knowns and queries over its supports.
+fn workload_on(db: &BasketDb) -> Workload {
+    let n = db.universe_size();
+    let universe = Universe::of_size(n);
+    let constraints = satisfied_chain(&universe, db);
     // Knowns: the empty set plus every singleton and a few pairs.
     let mut knowns: Vec<(AttrSet, f64)> = vec![(AttrSet::EMPTY, db.len() as f64)];
     for i in 0..n {
@@ -99,6 +130,13 @@ fn bench_derivation_by_universe(c: &mut Criterion) {
             side: SideConditions::support(),
         };
         let config = BoundsConfig::default();
+        let sparse = sparse_workload(n);
+        let sparse_problem = BoundsProblem {
+            universe: &sparse.universe,
+            constraints: &sparse.constraints,
+            knowns: &sparse.knowns,
+            side: SideConditions::support(),
+        };
         group.bench_with_input(BenchmarkId::new("propagation", n), &w.queries, |b, qs| {
             b.iter(|| {
                 qs.iter()
@@ -117,6 +155,18 @@ fn bench_derivation_by_universe(c: &mut Criterion) {
             |b, qs| {
                 b.iter(|| {
                     let state = Propagation::new(&problem, &config).unwrap();
+                    qs.iter()
+                        .map(|&q| state.evaluate(q).unwrap().width())
+                        .sum::<f64>()
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("propagation_shared_sparse", n),
+            &sparse.queries,
+            |b, qs| {
+                b.iter(|| {
+                    let state = Propagation::new(&sparse_problem, &config).unwrap();
                     qs.iter()
                         .map(|&q| state.evaluate(q).unwrap().width())
                         .sum::<f64>()
@@ -268,6 +318,19 @@ fn emit_json_report() {
             criterion::black_box(state.evaluate(q).unwrap());
         }
     });
+    let sparse = sparse_workload(12);
+    let sparse_problem = BoundsProblem {
+        universe: &sparse.universe,
+        constraints: &sparse.constraints,
+        knowns: &sparse.knowns,
+        side: SideConditions::support(),
+    };
+    let propagation_shared_sparse_us = time_us(&mut || {
+        let state = Propagation::new(&sparse_problem, &config).unwrap();
+        for &q in &sparse.queries {
+            criterion::black_box(state.evaluate(q).unwrap());
+        }
+    });
     let relaxed_us = time_us(&mut || {
         for &q in &w.queries {
             criterion::black_box(derive_relaxed(&problem, q).unwrap());
@@ -290,13 +353,15 @@ fn emit_json_report() {
     });
     eprintln!(
         "E12: {} queries at 12 attributes: {propagation_us:.0} µs derived one by one, \
-         {propagation_shared_us:.0} µs from one shared state",
+         {propagation_shared_us:.0} µs from one shared state, \
+         {propagation_shared_sparse_us:.0} µs from one state where 13 variables are alive",
         w.queries.len()
     );
     report.push_metric("universe", 12.0);
     report.push_metric("queries_per_pass", w.queries.len() as f64);
     report.push_metric("propagation_us", propagation_us);
     report.push_metric("propagation_shared_us", propagation_shared_us);
+    report.push_metric("propagation_shared_sparse_us", propagation_shared_sparse_us);
     report.push_metric("relaxed_us", relaxed_us);
     report.push_metric("cached_us", cached_us);
     report.push_table(table_mining_savings(&[8, 10]));

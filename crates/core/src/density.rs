@@ -93,11 +93,7 @@ impl LatticeBitmap {
         // `64·b .. 64·b + 64`.
         let blocks = powerset::subsets(slices.blocks);
         for (chunk, block) in words.chunks_mut(slices.word_count).zip(blocks) {
-            if slices.word_count == 1 {
-                slices.cover::<1>(block, constraints, chunk);
-            } else {
-                slices.cover::<64>(block, constraints, chunk);
-            }
+            slices.cover(block, constraints, chunk);
         }
         let lanes = if n < 6 { (1u64 << (1 << n)) - 1 } else { !0 };
         words[0] &= lanes;
@@ -126,7 +122,11 @@ impl LatticeBitmap {
         let mut low = care & 63;
         while low != 0 {
             let j = low.trailing_zeros() as usize;
-            lanes &= if want >> j & 1 == 1 { SLICE[j] } else { !SLICE[j] };
+            lanes &= if want >> j & 1 == 1 {
+                SLICE[j]
+            } else {
+                !SLICE[j]
+            };
             low &= low - 1;
         }
         let fits = want & !care == 0 && (want >> 6) & !last_word == 0;

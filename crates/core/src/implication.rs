@@ -114,6 +114,9 @@ pub(crate) struct Slices {
 }
 
 impl Slices {
+    /// Inlined into both callers, so that [`implies_lattice`]'s loops
+    /// compile as they do without the bitmap's use of the layout.
+    #[inline(always)]
     pub(crate) fn new(free: AttrSet) -> Self {
         let (mut lanes, mut words, mut position) = (0u64, 0u64, [0u8; 64]);
         for (i, attr) in free.iter().take(12).enumerate() {
@@ -169,7 +172,8 @@ impl Slices {
     ) -> bool {
         let n = self.word_count;
         // Lane `l` of word `w` is set in `settled` once that set is known to
-        // contain a goal member or to lie in some premise's lattice.
+        // contain a goal member or to lie in some premise's lattice, and in
+        // `inside` when it contains a member of the current premise.
         let mut settled = [0u64; N];
         for y in goal.rhs.iter() {
             if let Some((words, lanes)) = self.containing(y, fixed) {
@@ -179,22 +183,6 @@ impl Slices {
         if settled[..n].iter().all(|&s| s == !0) {
             return false;
         }
-        self.cover::<N>(fixed, premises, &mut settled[..n]);
-        settled[..n].iter().any(|&s| s != !0)
-    }
-
-    /// ORs into `acc`, one entry per word of the block whose sure members
-    /// are `fixed`, the sets that lie in some premise's lattice, with a
-    /// scratch array of `N` words, at least [`Slices::word_count`].
-    pub(crate) fn cover<const N: usize>(
-        &self,
-        fixed: AttrSet,
-        premises: &[DiffConstraint],
-        acc: &mut [u64],
-    ) {
-        let n = self.word_count;
-        // Lane `l` of word `w` is set in `inside` when that set contains a
-        // member of the current premise.
         let mut inside = [0u64; N];
         for p in premises {
             let Some((x_words, x_lanes)) = self.containing(p.lhs, fixed) else {
@@ -206,7 +194,31 @@ impl Slices {
                     spread(&mut inside[..n], words, lanes);
                 }
             }
-            for (w, (acc, inside)) in acc[..n].iter_mut().zip(&inside[..n]).enumerate() {
+            for (w, (settled, inside)) in settled[..n].iter_mut().zip(&inside[..n]).enumerate() {
+                *settled |= word_bit(x_words, w) & x_lanes & !inside;
+            }
+        }
+        settled[..n].iter().any(|&s| s != !0)
+    }
+
+    /// ORs into `acc`, one entry per word of the block whose sure members
+    /// are `fixed`, the sets that lie in some premise's lattice: the premise
+    /// step of [`Slices::refutes`] without a goal.  `acc` holds
+    /// [`Slices::word_count`] words.
+    pub(crate) fn cover(&self, fixed: AttrSet, premises: &[DiffConstraint], acc: &mut [u64]) {
+        let n = acc.len();
+        let mut inside = [0u64; 64];
+        for p in premises {
+            let Some((x_words, x_lanes)) = self.containing(p.lhs, fixed) else {
+                continue;
+            };
+            inside[..n].fill(0);
+            for y in p.rhs.iter() {
+                if let Some((words, lanes)) = self.containing(y, fixed) {
+                    spread(&mut inside[..n], words, lanes);
+                }
+            }
+            for (w, (acc, inside)) in acc.iter_mut().zip(&inside[..n]).enumerate() {
                 *acc |= word_bit(x_words, w) & x_lanes & !inside;
             }
         }

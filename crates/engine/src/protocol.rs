@@ -3004,7 +3004,11 @@ mod tests {
         // appended.
         s.handle_line("load A; B");
         let before = (s.handle_line("dataset").text, epoch(&mut s));
-        assert!(before.0.starts_with("dataset baskets=2"), "got: {}", before.0);
+        assert!(
+            before.0.starts_with("dataset baskets=2"),
+            "got: {}",
+            before.0
+        );
         assert!(s.handle_line("load AB; QQ").text.starts_with("err line 2"));
         assert_eq!((s.handle_line("dataset").text, epoch(&mut s)), before);
     }

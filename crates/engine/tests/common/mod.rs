@@ -8,9 +8,7 @@
 /// compared byte for byte.
 pub fn mask_clock(replies: &str) -> String {
     let token = |token: &str, names_ids: bool| match token.split_once('=') {
-        Some((key, _))
-            if key.ends_with("us") || key == "qps" || (key == "trace" && names_ids) =>
-        {
+        Some((key, _)) if key.ends_with("us") || key == "qps" || (key == "trace" && names_ids) => {
             format!("{key}=*")
         }
         Some((key, value)) => {
