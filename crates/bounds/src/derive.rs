@@ -43,17 +43,36 @@
 //!
 //! Pass 1 reads only the problem — the constraints, the knowns and the side
 //! conditions — never the query.  [`Propagation::new`] runs it once and
-//! keeps what the other passes read: every density variable's interval
-//! (`2 × 8 × 2^{|S|}` bytes: 4 KiB at 8 attributes, 16 MiB at the
-//! [`crate::problem::PROPAGATION_UNIVERSE_CAP`]), each known's row sum
-//! `R(X)`, and a sorted copy of the knowns for the exact-value lookups of
-//! passes 0 and 4.  [`Propagation::evaluate`] runs passes 0 and 2–4 for one
-//! query against that state and allocates nothing.  [`derive_propagated`]
-//! is the one-shot pair of the two; a caller answering many queries over one
-//! frozen problem (the engine's snapshots, the feasibility sweep) builds the
-//! state once.
+//! keeps what the other passes read:
+//!
+//! * `L(C)` as a [`LatticeBitmap`], one bit per set (128 KiB at the
+//!   [`crate::problem::PROPAGATION_UNIVERSE_CAP`]);
+//! * every density variable's interval, mask-indexed, the dead ones pinned
+//!   to `[0, 0]` (`2 × 8 × 2^{|S|}` bytes: 4 KiB at 8 attributes, 16 MiB at
+//!   the cap);
+//! * each known's row sum `R(X)`;
+//! * a sorted copy of the knowns for the exact-value lookups of passes 0
+//!   and 4.
+//!
+//! Every sum walks the bitmap and visits only alive variables: pass 1's
+//! sums and updates, the known rows, pass 2's `R(Y)`, pass 3's `R(X ∪ Y)`,
+//! and pass 4's region `{U ⊇ X : U ∩ Y = X}`.  A walk reads one word per 64
+//! sets whose high attributes fit, and only the alive lanes in it, so a
+//! state where few variables survive costs little more than its bitmap.
+//! [`Propagation::evaluate`] runs passes 0 and 2–4 for one query against
+//! the state and allocates nothing.  [`derive_propagated`] is the one-shot
+//! pair of the two; a caller answering many queries over one frozen problem
+//! (the engine's snapshots, the feasibility sweep) builds the state once.
 //!
 //! # Rounding
+//!
+//! Skipping the dead variables changes no bit.  A dead variable is
+//! `[0, 0]`, so a sum over every set would add `+0.0` in its place.  Each
+//! [`SumAcc`] starts at `+0.0`, and a round-to-nearest sum is `−0.0` only
+//! when both its terms are, so no partial sum is ever `−0.0`, and adding
+//! `+0.0` to any other value returns it unchanged.  The walk also keeps the
+//! increasing mask order of an enumeration of every set, so the alive terms
+//! are added in the same order.
 //!
 //! A row difference regroups pass 3's region sums.  With integral knowns
 //! every partial sum is an exact integer (below `2^53`), so each interval is
@@ -937,95 +956,202 @@ mod tests {
         Some((state, random.query))
     }
 
-    /// The dense pass 1 the bitmap walks replaced, kept as their reference:
-    /// every set is classified by [`density::zeroed_at`], and every sum runs
-    /// over all supersets of its known, a dead variable adding its `+0.0`.
-    /// The state's bitmap kills nothing, so its evaluation sums every set of
-    /// each row and region too.
-    fn dense_state(
-        problem: &BoundsProblem<'_>,
-        config: &BoundsConfig,
-    ) -> Result<Propagation, DeriveError> {
-        let n = problem.universe.len();
-        let size = 1usize << n;
-        let alive: Vec<bool> = (0..size as u64)
-            .map(|m| !density::zeroed_at(problem.constraints, AttrSet::from_bits(m)))
-            .collect();
-        let (init_lo, init_hi) = if problem.side.nonnegative_density {
-            (0.0, f64::INFINITY)
-        } else {
-            (f64::NEG_INFINITY, f64::INFINITY)
-        };
-        let mut lo = vec![0.0f64; size];
-        let mut hi = vec![0.0f64; size];
-        for mask in 0..size {
-            if alive[mask] {
-                lo[mask] = init_lo;
-                hi[mask] = init_hi;
+    /// The dense state the bitmap walks replaced, kept as their reference:
+    /// every set is classified by [`density::zeroed_at`], and pass 1, the
+    /// rows and pass 4's regions sum over every set, a dead variable adding
+    /// its `+0.0`.  Apart from those sums, `new` and `evaluate` are
+    /// [`Propagation`]'s.
+    struct Dense {
+        n: usize,
+        side: SideConditions,
+        pairwise: bool,
+        lo: Vec<f64>,
+        hi: Vec<f64>,
+        knowns: Vec<KnownRow>,
+        sorted: Vec<(AttrSet, f64)>,
+    }
+
+    impl Dense {
+        fn new(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Result<Dense, DeriveError> {
+            let n = problem.universe.len();
+            let size = 1usize << n;
+            let alive: Vec<bool> = (0..size as u64)
+                .map(|m| !density::zeroed_at(problem.constraints, AttrSet::from_bits(m)))
+                .collect();
+            let (init_lo, init_hi) = if problem.side.nonnegative_density {
+                (0.0, f64::INFINITY)
+            } else {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            };
+            let mut lo = vec![0.0f64; size];
+            let mut hi = vec![0.0f64; size];
+            for mask in 0..size {
+                if alive[mask] {
+                    lo[mask] = init_lo;
+                    hi[mask] = init_hi;
+                }
             }
+            for _ in 0..config.rounds {
+                let mut changed = false;
+                for &(x, v) in problem.knowns {
+                    let mut lo_sum = SumAcc::new();
+                    let mut hi_sum = SumAcc::new();
+                    for u in powerset::supersets_within(x, n) {
+                        let m = u.bits() as usize;
+                        lo_sum.add(lo[m]);
+                        hi_sum.add(hi[m]);
+                    }
+                    if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
+                        return Err(DeriveError::Infeasible);
+                    }
+                    for u in powerset::supersets_within(x, n) {
+                        let m = u.bits() as usize;
+                        if !alive[m] {
+                            continue;
+                        }
+                        let new_hi = v - lo_sum.total_without(lo[m]);
+                        let new_lo = v - hi_sum.total_without(hi[m]);
+                        if new_hi < hi[m] {
+                            hi[m] = new_hi;
+                            changed = true;
+                        }
+                        if new_lo > lo[m] {
+                            lo[m] = new_lo;
+                            changed = true;
+                        }
+                        if lo[m] > hi[m] {
+                            if lo[m] > hi[m] + TOL {
+                                return Err(DeriveError::Infeasible);
+                            }
+                            hi[m] = lo[m];
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            let mut sorted = problem.knowns.to_vec();
+            sorted.sort_by_key(|&(x, _)| x);
+            let mut state = Dense {
+                n,
+                side: problem.side,
+                pairwise: config.pairwise,
+                lo,
+                hi,
+                knowns: Vec::new(),
+                sorted,
+            };
+            state.knowns = problem
+                .knowns
+                .iter()
+                .map(|&(set, value)| KnownRow {
+                    set,
+                    value,
+                    row: state.row(set),
+                })
+                .collect();
+            Ok(state)
         }
-        for _ in 0..config.rounds {
-            let mut changed = false;
-            for &(x, v) in problem.knowns {
-                let mut lo_sum = SumAcc::new();
-                let mut hi_sum = SumAcc::new();
-                for u in powerset::supersets_within(x, n) {
-                    let m = u.bits() as usize;
-                    lo_sum.add(lo[m]);
-                    hi_sum.add(hi[m]);
+
+        fn row(&self, x: AttrSet) -> RowSum {
+            let mut row = RowSum::default();
+            for u in powerset::supersets_within(x, self.n) {
+                let m = u.bits() as usize;
+                row.add(self.lo[m], self.hi[m]);
+            }
+            row
+        }
+
+        fn known(&self, set: AttrSet) -> Option<f64> {
+            self.sorted
+                .binary_search_by(|(x, _)| x.cmp(&set))
+                .ok()
+                .map(|i| self.sorted[i].1)
+        }
+
+        fn region_split(&self, known: &KnownRow, query: AttrSet, query_row: &RowSum) -> Interval {
+            let join = known.set.union(query);
+            let join_row = if join == query {
+                *query_row
+            } else if join == known.set {
+                known.row
+            } else {
+                self.row(join)
+            };
+            let gained_lo = query_row.lo.total_minus(&join_row.lo);
+            let gained_hi = query_row.hi.total_minus(&join_row.hi);
+            let lost_lo = known.row.lo.total_minus(&join_row.lo);
+            let lost_hi = known.row.hi.total_minus(&join_row.hi);
+            let lo = known.value + gained_lo - lost_hi;
+            let hi = known.value + gained_hi - lost_lo;
+            Interval::new(lo.min(hi), lo.max(hi))
+        }
+
+        fn evaluate(&self, query: AttrSet) -> Result<Interval, DeriveError> {
+            let mut acc = Interval::UNBOUNDED;
+            let mut meet = |candidate: Interval| -> Result<(), DeriveError> {
+                acc = acc
+                    .intersect(&candidate, TOL)
+                    .ok_or(DeriveError::Infeasible)?;
+                Ok(())
+            };
+            if let Some(v) = self.known(query) {
+                meet(Interval::point(v))?;
+            }
+            let query_row = self.row(query);
+            meet(query_row.interval())?;
+            for known in &self.knowns {
+                if known.set == query {
+                    continue;
                 }
-                if lo_sum.total() > v + TOL || hi_sum.total() < v - TOL {
-                    return Err(DeriveError::Infeasible);
+                if self.pairwise {
+                    meet(self.region_split(known, query, &query_row))?;
                 }
-                for u in powerset::supersets_within(x, n) {
-                    let m = u.bits() as usize;
-                    if !alive[m] {
+                if self.side.antitone {
+                    if known.set.is_proper_subset(query) {
+                        meet(Interval::new(f64::NEG_INFINITY, known.value))?;
+                    } else if query.is_proper_subset(known.set) {
+                        meet(Interval::new(known.value, f64::INFINITY))?;
+                    }
+                }
+            }
+            let complement = query.complement_in(self.n);
+            'rules: for x in powerset::proper_subsets(query) {
+                let missing = query.difference(x).len();
+                if (self.sorted.len() as u128) < (1u128 << missing) - 1 {
+                    continue;
+                }
+                let mut signed_knowns = 0.0f64;
+                for j in powerset::interval(x, query) {
+                    if j == query {
                         continue;
                     }
-                    let new_hi = v - lo_sum.total_without(lo[m]);
-                    let new_lo = v - hi_sum.total_without(hi[m]);
-                    if new_hi < hi[m] {
-                        hi[m] = new_hi;
-                        changed = true;
-                    }
-                    if new_lo > lo[m] {
-                        lo[m] = new_lo;
-                        changed = true;
-                    }
-                    if lo[m] > hi[m] {
-                        if lo[m] > hi[m] + TOL {
-                            return Err(DeriveError::Infeasible);
-                        }
-                        hi[m] = lo[m];
-                    }
+                    let Some(v) = self.known(j) else {
+                        continue 'rules;
+                    };
+                    let sign = if j.difference(x).len().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    signed_knowns += sign * v;
                 }
+                let mut region = RowSum::default();
+                for v_set in powerset::subsets(complement) {
+                    let m = x.union(v_set).bits() as usize;
+                    region.add(self.lo[m], self.hi[m]);
+                }
+                let region = region.interval();
+                let candidate = if missing.is_multiple_of(2) {
+                    region.shift(-signed_knowns)
+                } else {
+                    region.reflect(signed_knowns)
+                };
+                meet(candidate)?;
             }
-            if !changed {
-                break;
-            }
+            Ok(acc)
         }
-        let mut sorted = problem.knowns.to_vec();
-        sorted.sort_by_key(|&(x, _)| x);
-        let mut state = Propagation {
-            n,
-            side: problem.side,
-            pairwise: config.pairwise,
-            lattice: LatticeBitmap::new(problem.universe, &[]),
-            lo,
-            hi,
-            knowns: Vec::new(),
-            sorted,
-        };
-        state.knowns = problem
-            .knowns
-            .iter()
-            .map(|&(set, value)| KnownRow {
-                set,
-                value,
-                row: state.row(set),
-            })
-            .collect();
-        Ok(state)
     }
 
     proptest! {
@@ -1045,7 +1171,7 @@ mod tests {
             let random = RandomProblem::new(seed, n, integral);
             let problem = random.problem();
             let config = BoundsConfig::default();
-            match (Propagation::new(&problem, &config), dense_state(&problem, &config)) {
+            match (Propagation::new(&problem, &config), Dense::new(&problem, &config)) {
                 (Ok(sparse), Ok(dense)) => {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(bits(&sparse.lo), bits(&dense.lo));

@@ -158,16 +158,22 @@ pub enum Feasibility {
 }
 
 /// An upper bound on the operations the propagation path performs for one
-/// query: alive-table construction (`2^{|S|}·(|C|+1)`), `rounds` propagation
-/// sweeps plus one pairwise pass over the knowns (`(rounds+1)·|K|·2^{|S|}`),
-/// the direct and deduction region enumerations (`≈ 2·2^{|S|}`), and the
-/// deduction pass's interval-of-knowns checks (`≤ 3^{|query|}`, saturating).
+/// query: the `L(C)` classification (`2^{|S|}·(|C|+1)`), `rounds`
+/// propagation sweeps plus one pairwise pass over the knowns
+/// (`(rounds+1)·|K|·2^{|S|}`), the direct and deduction region enumerations
+/// (`≈ 2·2^{|S|}`), and the deduction pass's interval-of-knowns checks
+/// (`≤ 3^{|query|}`, saturating).
 ///
 /// The pairwise term still bounds pass 3, which enumerates one row per
 /// known, `R(X ∪ query)`, where it used to filter two (see
 /// [`crate::derive`]), and it covers the known rows `R(X)` that
 /// [`crate::derive::Propagation::new`] sums once.  A query answered from a
 /// prebuilt state costs less than this bound.
+///
+/// The bound counts dense work on purpose.  The sums walk only the alive
+/// variables, so a state where `L(C)` covers most sets costs far less than
+/// this; a bound in the alive count would route more queries to
+/// propagation and so change replies' `route=`.
 ///
 /// Returns `u128::MAX` past [`PROPAGATION_UNIVERSE_CAP`], where the dense
 /// tables themselves are off-limits.

@@ -31,12 +31,14 @@
 //! while any state difference makes the keys disjoint.
 //!
 //! A snapshot also owns its bound state: the query-independent half of the
-//! propagation path ([`Propagation`]: every density variable's interval,
-//! `2 × 8 × 2^{|S|}` bytes, plus each known's row sum and a sorted copy of
-//! the knowns).  The first `bound` miss routed to propagation builds it;
+//! propagation path ([`Propagation`]: the `L(C)` bitmap, every density
+//! variable's interval, `2 × 8 × 2^{|S|}` bytes, plus each known's row sum
+//! and a sorted copy of the knowns).  Its sums visit only the variables
+//! outside `L(C)`.  The first `bound` miss routed to propagation builds it;
 //! concurrent misses wait for that one build, and every later miss only
 //! evaluates it, allocating nothing.  Publishing never copies it: the next
-//! snapshot starts without a state and builds its own on its first miss.
+//! snapshot starts without a state and builds its own on its first miss,
+//! bitmap included, which at 8 attributes is a fraction of a microsecond.
 
 use crate::cache::{lock, version_salt, LruCache, VersionedKey};
 use crate::metrics::{CacheFamily, EngineMetrics};
