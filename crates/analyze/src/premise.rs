@@ -297,7 +297,7 @@ mod tests {
         assert_eq!(redundant[0].index, 2);
         // The witness is the transitivity pair, shrunk to exactly it.
         assert_eq!(redundant[0].witness.len(), 2);
-        assert!(implication::implies(
+        assert!(implication::implies_lattice(
             &u,
             &redundant[0].witness,
             &redundant[0].premise

@@ -18,7 +18,7 @@ fn bench_conp_frontier(c: &mut Criterion) {
         let dnf = workloads::covering_dnf(n);
         let (premises, goal) = prop_bridge::dnf_tautology_to_implication(&dnf);
         group.bench_with_input(BenchmarkId::new("tautology_lattice", n), &n, |b, _| {
-            b.iter(|| implication::implies(&universe, &premises, &goal))
+            b.iter(|| implication::implies_lattice(&universe, &premises, &goal))
         });
         group.bench_with_input(BenchmarkId::new("tautology_sat", n), &n, |b, _| {
             b.iter(|| prop_bridge::implies_sat(&universe, &premises, &goal))

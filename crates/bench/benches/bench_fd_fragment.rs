@@ -15,7 +15,7 @@ fn bench_fd_fragment(c: &mut Criterion) {
             b.iter(|| fd_fragment::implies_polynomial(&w.premises, &w.goals[0]))
         });
         group.bench_with_input(BenchmarkId::new("general_lattice", n), &w, |b, w| {
-            b.iter(|| implication::implies(&w.universe, &w.premises, &w.goals[0]))
+            b.iter(|| implication::implies_lattice(&w.universe, &w.premises, &w.goals[0]))
         });
         group.bench_with_input(BenchmarkId::new("general_sat", n), &w, |b, w| {
             b.iter(|| prop_bridge::implies_sat(&w.universe, &w.premises, &w.goals[0]))

@@ -16,7 +16,7 @@ fn bench_lattice_decision(c: &mut Criterion) {
             b.iter(|| {
                 let mut implied = 0usize;
                 for goal in &w.goals {
-                    if implication::implies(&w.universe, &w.premises, goal) {
+                    if implication::implies_lattice(&w.universe, &w.premises, goal) {
                         implied += 1;
                     }
                 }
@@ -30,7 +30,7 @@ fn bench_lattice_decision(c: &mut Criterion) {
             b.iter(|| {
                 w.goals
                     .iter()
-                    .filter(|g| implication::implies(&w.universe, &w.premises, g))
+                    .filter(|g| implication::implies_lattice(&w.universe, &w.premises, g))
                     .count()
             })
         });

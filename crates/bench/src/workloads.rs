@@ -281,7 +281,7 @@ pub fn table_procedure_agreement(seeds: &[u64], n: usize) -> Table {
         let mut agree_sem = true;
         let mut agree_frag = true;
         for goal in &w.goals {
-            let lattice = implication::implies(&w.universe, &w.premises, goal);
+            let lattice = implication::implies_lattice(&w.universe, &w.premises, goal);
             if lattice {
                 implied += 1;
             }
@@ -341,7 +341,7 @@ mod tests {
         // Even-indexed goals are implied by construction.
         for (i, goal) in w.goals.iter().enumerate() {
             if i % 2 == 0 {
-                assert!(implication::implies(&w.universe, &w.premises, goal));
+                assert!(implication::implies_lattice(&w.universe, &w.premises, goal));
             }
         }
     }
@@ -352,7 +352,11 @@ mod tests {
         assert!(fd_fragment::set_in_fragment(&w.premises));
         assert!(fd_fragment::in_fragment(&w.goals[0]));
         assert!(fd_fragment::implies_polynomial(&w.premises, &w.goals[0]));
-        assert!(implication::implies(&w.universe, &w.premises, &w.goals[0]));
+        assert!(implication::implies_lattice(
+            &w.universe,
+            &w.premises,
+            &w.goals[0]
+        ));
     }
 
     #[test]

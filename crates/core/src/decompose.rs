@@ -77,7 +77,7 @@ pub fn atomic_decomposition_of_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implication::{equivalent_sets, implies};
+    use crate::implication::{equivalent_sets, implies_lattice};
     use crate::inference;
 
     fn u() -> Universe {
@@ -185,7 +185,7 @@ mod tests {
         assert!(equivalent_sets(&u, &constraints, &atoms));
         // And each atom is implied by the original set.
         for a in &atoms {
-            assert!(implies(&u, &constraints, a));
+            assert!(implies_lattice(&u, &constraints, a));
         }
     }
 

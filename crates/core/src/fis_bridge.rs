@@ -193,7 +193,7 @@ mod tests {
         );
         for premises in &premise_sets {
             for goal in &goals {
-                let general = implication::implies(&u, premises, goal);
+                let general = implication::implies_lattice(&u, premises, goal);
                 let over_supports = implies_over_supports(&u, premises, goal);
                 assert_eq!(
                     general,

@@ -9,9 +9,9 @@
 //!
 //! Three decision procedures are provided here and cross-validated:
 //!
-//! * [`implies`] / [`implies_lattice`] — the direct Theorem 3.5 check: over
-//!   the supersets of `X`, 64 to a machine word, verify that every one in
-//!   `L(X, 𝒴)` is covered by some premise's lattice.
+//! * [`implies_lattice`] — the direct Theorem 3.5 check: over the supersets
+//!   of `X`, 64 to a machine word, verify that every one in `L(X, 𝒴)` is
+//!   covered by some premise's lattice.
 //!   `O(2^{|S|−|X|}/64 · (Σ|𝒴'| + |𝒴|))` word operations, no allocation, no
 //!   materialization of `L(C)`;
 //! * [`implies_semantic`] — the proof of Theorem 3.5 in executable form: for
@@ -25,6 +25,13 @@
 //!   ([`crate::procedure::ProcedureKind::Sat`]) and supplies
 //!   [`refutation_witness`].
 //!
+//! [`implies`], the procedure every caller outside the engine's planner
+//! uses (`derive`, `analyze`, the miner), is the search: an implied goal
+//! whose lattice holds `2^{|S|−|X|}` sets is confirmed by propagation,
+//! usually at the root, where [`implies_lattice`] walks every one of them.
+//! [`implies_lattice`] stays as the paper's reference procedure and as the
+//! oracle the test suites compare against.
+//!
 //! The clause-level SAT procedure, which distributes every premise into
 //! `∏|Y'|` CNF clauses, lives in [`crate::prop_bridge`] (Proposition 5.4) as
 //! the paper's reference.  The implication problem is coNP-complete
@@ -34,12 +41,16 @@ use crate::constraint::DiffConstraint;
 use crate::semantics;
 use setlat::{powerset, AttrSet, Family, SetFunction, Universe};
 
-/// Decides `C ⊨ goal` using the lattice characterization of Theorem 3.5.
+/// Decides `C ⊨ goal`: `true` iff [`refutation_search`] finds no set
+/// `U ∈ L(goal)` outside every premise lattice.
 ///
-/// This is the default decision procedure; [`implies_lattice`] is an alias kept
-/// for symmetry with the other engines.
+/// This is the default decision procedure.  Its work grows with the
+/// branches the search takes, not with `2^{|S|−|X|}`; the problem is
+/// coNP-complete (Proposition 5.5), so that is still worst-case
+/// exponential.  [`implies_lattice`] decides the same question by
+/// enumeration.
 pub fn implies(universe: &Universe, premises: &[DiffConstraint], goal: &DiffConstraint) -> bool {
-    implies_lattice(universe, premises, goal)
+    refutation_search(universe, premises, goal).is_none()
 }
 
 /// Decides `C ⊨ goal` by checking `L(X, 𝒴) ⊆ ⋃ L(X', 𝒴')` without materializing
@@ -281,6 +292,10 @@ pub fn refutation_search(
     premises: &[DiffConstraint],
     goal: &DiffConstraint,
 ) -> Option<AttrSet> {
+    // `X ⊄ S` leaves no superset of `X` in the universe to refute the goal.
+    if !goal.lhs.is_subset(universe.full_set()) {
+        return None;
+    }
     let u_set = refute(premises, &goal.rhs, goal.lhs, AttrSet::EMPTY)?;
     // `lattice_contains` is Proposition 2.9's test, `X ⊆ U` included.
     debug_assert!(

@@ -636,7 +636,7 @@ mod tests {
                     .map(AttrSet::singleton)
                     .collect();
                 let goal = DiffConstraint::new(lhs, Family::from_sets(members));
-                let implied = implication::implies(&u, &premises, &goal);
+                let implied = implication::implies_lattice(&u, &premises, &goal);
                 let proof = derive(&u, &premises, &goal);
                 assert_eq!(
                     implied,

@@ -135,7 +135,7 @@ mod tests {
         );
         for premises in &premise_sets {
             for goal in &goals {
-                let lattice = implication::implies(&u, premises, goal);
+                let lattice = implication::implies_lattice(&u, premises, goal);
                 let sat = implies_sat(&u, premises, goal);
                 let exhaustive = implies_prop_exhaustive(&u, premises, goal);
                 assert_eq!(
@@ -214,11 +214,11 @@ mod tests {
         // implied only by constraint sets whose lattices cover all of 2^S.
         let u = Universe::of_size(2);
         let goal = DiffConstraint::new(AttrSet::EMPTY, Family::empty());
-        assert!(!implication::implies(&u, &[], &goal));
+        assert!(!implication::implies_lattice(&u, &[], &goal));
         let covering = parse(&u, &[" -> {A}", " -> {B}", "AB -> {}"]);
         // L(∅,{A}) = {∅, B}; L(∅,{B}) = {∅, A}; L(AB, ∅) = {AB}.  Missing: nothing?
         // 2^S = {∅, A, B, AB} — all covered, so the goal is implied.
-        assert!(implication::implies(&u, &covering, &goal));
+        assert!(implication::implies_lattice(&u, &covering, &goal));
         assert!(implies_sat(&u, &covering, &goal));
     }
 }

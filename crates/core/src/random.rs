@@ -178,7 +178,7 @@ mod tests {
             let premises = gen.constraint_set(4, &shape);
             let goal = gen.implied_goal(&premises);
             assert!(
-                implication::implies(&u, &premises, &goal),
+                implication::implies_lattice(&u, &premises, &goal),
                 "seed {seed}: goal {} not implied",
                 goal.format(&u)
             );
@@ -193,7 +193,7 @@ mod tests {
         let mut not_implied = 0;
         for seed in 0..40u64 {
             let (premises, goal) = random_instance(seed, &u, 4, &shape, 0.5);
-            if implication::implies(&u, &premises, &goal) {
+            if implication::implies_lattice(&u, &premises, &goal) {
                 implied += 1;
             } else {
                 not_implied += 1;

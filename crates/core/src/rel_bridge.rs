@@ -187,7 +187,7 @@ mod tests {
         );
         for premises in &premise_sets {
             for goal in &goals {
-                let general = implication::implies(&u, premises, goal);
+                let general = implication::implies_lattice(&u, premises, goal);
                 assert_eq!(
                     general,
                     implies_over_simpson(&u, premises, goal),

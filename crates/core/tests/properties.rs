@@ -174,11 +174,11 @@ proptest! {
                 for p in &premises {
                     prop_assert!(!p.lattice_contains(w));
                 }
-                prop_assert!(!implication::implies(&u, &premises, &goal));
+                prop_assert!(!implication::implies_lattice(&u, &premises, &goal));
                 prop_assert!(!prop_bridge::implies_sat(&u, &premises, &goal));
             }
             None => {
-                prop_assert!(implication::implies(&u, &premises, &goal));
+                prop_assert!(implication::implies_lattice(&u, &premises, &goal));
                 prop_assert!(prop_bridge::implies_sat(&u, &premises, &goal));
             }
         }
@@ -190,7 +190,7 @@ proptest! {
     fn uncovered_count_consistency(premises in arb_constraints(3), goal in arb_constraint()) {
         let u = universe();
         let count = implication::uncovered_count(&u, &premises, &goal);
-        prop_assert_eq!(count == 0, implication::implies(&u, &premises, &goal));
+        prop_assert_eq!(count == 0, implication::implies_lattice(&u, &premises, &goal));
         prop_assert!(count as i128 <= goal.lattice_size(&u));
     }
 
@@ -238,7 +238,7 @@ proptest! {
         let goal = DiffConstraint::new(goal_lhs, Family::single(goal_rhs));
         prop_assert_eq!(
             fd_fragment::implies_polynomial(&premises, &goal),
-            implication::implies(&u, &premises, &goal)
+            implication::implies_lattice(&u, &premises, &goal)
         );
     }
 

@@ -410,7 +410,7 @@ mod tests {
         let weaker = parse(ds.universe(), "A -> {B, CD}");
         assert!(DisjunctiveConstraint::new(weaker.lhs, weaker.rhs.clone()).satisfied_by(ds.db()));
         assert!(!discovery.minimal.contains(&weaker));
-        assert!(implication::implies(
+        assert!(implication::implies_lattice(
             ds.universe(),
             &discovery.minimal,
             &weaker
@@ -421,7 +421,7 @@ mod tests {
         }
         for c in &discovery.minimal {
             assert!(
-                implication::implies(ds.universe(), &discovery.cover, c),
+                implication::implies_lattice(ds.universe(), &discovery.cover, c),
                 "cover loses {}",
                 c.format(ds.universe())
             );

@@ -49,7 +49,7 @@ fn check_instance(n: usize, db: &BasketDb, config: &MinerConfig) {
         }
         // The non-redundant cover keeps full deductive power.
         prop_assert!(
-            implication::implies(&universe, &discovery.cover, c),
+            implication::implies_lattice(&universe, &discovery.cover, c),
             "cover loses {}",
             c.format(&universe)
         );
@@ -120,7 +120,7 @@ fn minimal_set_implies_every_satisfied_inbudget_constraint() {
     // checking implication from the minimal set for each brute-force find.
     for c in miner::mine_bruteforce(&universe, &db, &config) {
         assert!(
-            implication::implies(&universe, &discovery.minimal, &c),
+            implication::implies_lattice(&universe, &discovery.minimal, &c),
             "minimal set fails to imply {}",
             c.format(&universe)
         );

@@ -564,7 +564,7 @@ mod tests {
             &["A -> {C}", "C -> {A}", "AB -> {B}", "A -> {B, CD}"],
         );
         for goal in &goals {
-            let expected = implication::implies(s.universe(), &premises, goal);
+            let expected = implication::implies_lattice(s.universe(), &premises, goal);
             assert_eq!(s.implies(goal).implied, expected, "wrong on {goal:?}");
         }
     }
@@ -676,7 +676,7 @@ mod tests {
             assert_eq!(outcome.implied, serial_session.implies(goal).implied);
             assert_eq!(
                 outcome.implied,
-                implication::implies(&u, &premises, goal),
+                implication::implies_lattice(&u, &premises, goal),
                 "batch wrong on {}",
                 goal.format(&u)
             );
@@ -718,7 +718,7 @@ mod tests {
         for goal in goals.iter().chain(goals.iter()) {
             assert_eq!(
                 s.implies(goal).implied,
-                implication::implies(&u, &premises, goal),
+                implication::implies_lattice(&u, &premises, goal),
                 "wrong under eviction on {}",
                 goal.format(&u)
             );
@@ -742,7 +742,7 @@ mod tests {
         for goal in &goals {
             assert_eq!(
                 s.implies(goal).implied,
-                implication::implies(&u, &premises, goal),
+                implication::implies_lattice(&u, &premises, goal),
                 "wrong on {}",
                 goal.format(&u)
             );
@@ -794,7 +794,7 @@ mod tests {
         assert_eq!(s.premises().len(), 0);
         let batch = s.implies_batch(&churn[..10]);
         for (goal, outcome) in churn[..10].iter().zip(&batch) {
-            assert_eq!(outcome.implied, implication::implies(&u, &[], goal));
+            assert_eq!(outcome.implied, implication::implies_lattice(&u, &[], goal));
         }
     }
 

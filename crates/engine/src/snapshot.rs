@@ -603,7 +603,7 @@ mod tests {
             &["A -> {C, DE}", "C -> {A}", "AB -> {C, DE}", "E -> {A}"],
         );
         for goal in &goals {
-            let expected = implication::implies(&u, &premises, goal);
+            let expected = implication::implies_lattice(&u, &premises, goal);
             for kind in [ProcedureKind::Lattice, ProcedureKind::Sat] {
                 let r = snapshot.decide(goal, kind);
                 assert_eq!(r.implied, expected, "{kind} wrong on {}", goal.format(&u));
@@ -752,7 +752,7 @@ mod tests {
         let goals = gen.constraint_set(48, &shape);
         let expected: Vec<bool> = goals
             .iter()
-            .map(|g| implication::implies(&u, &premises, g))
+            .map(|g| implication::implies_lattice(&u, &premises, g))
             .collect();
         std::thread::scope(|scope| {
             for _ in 0..4 {

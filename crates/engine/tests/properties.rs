@@ -1,5 +1,5 @@
 //! Equivalence properties of the engine against the one-shot decision
-//! procedure `diffcon::implication::implies`.
+//! procedure `diffcon::implication::implies_lattice`.
 //!
 //! The engine layers interning, two LRU caches, a premise digest, an FD
 //! fast path, a procedure planner, and batch evaluation over the paper's
@@ -30,9 +30,10 @@ fn shape() -> ConstraintShape {
     }
 }
 
-/// The headline acceptance test: engine answers equal `implication::implies`
-/// on over 1000 random instances, spread over universe sizes 3–6 and premise
-/// counts 0–4, with every instance asked twice (cold, then cached).
+/// The headline acceptance test: engine answers equal
+/// `implication::implies_lattice` on over 1000 random instances, spread over
+/// universe sizes 3–6 and premise counts 0–4, with every instance asked
+/// twice (cold, then cached).
 #[test]
 fn engine_matches_one_shot_implies_on_1000_random_instances() {
     let mut checked = 0usize;
@@ -57,7 +58,7 @@ fn engine_matches_one_shot_implies_on_1000_random_instances() {
                     }
                 }
 
-                let expected = implication::implies(&universe, &premises, &goal);
+                let expected = implication::implies_lattice(&universe, &premises, &goal);
                 let cold = session.implies(&goal);
                 assert_eq!(
                     cold.implied,
@@ -99,7 +100,7 @@ fn incremental_mutation_never_desynchronizes() {
         for probe in &probes {
             assert_eq!(
                 session.implies(probe).implied,
-                implication::implies(&universe, &live, probe),
+                implication::implies_lattice(&universe, &live, probe),
                 "desync after mutation: live={live:?} probe={probe:?}"
             );
         }
@@ -129,7 +130,7 @@ fn cache_eviction_and_disabled_caches_do_not_change_answers() {
             for goal in &goals {
                 assert_eq!(
                     session.implies(goal).implied,
-                    implication::implies(&universe, &premises, goal),
+                    implication::implies_lattice(&universe, &premises, goal),
                     "cap={answer_cap} pass={pass} goal={goal:?}"
                 );
             }
@@ -174,7 +175,7 @@ fn batches_agree_with_serial_and_reference() {
             );
             assert_eq!(
                 outcome.implied,
-                implication::implies(&universe, &live, goal),
+                implication::implies_lattice(&universe, &live, goal),
                 "round {round}: batch vs reference on {goal:?}"
             );
         }
@@ -206,7 +207,7 @@ proptest! {
         for p in &premises {
             session.assert_constraint(p);
         }
-        let expected = implication::implies(&universe, &premises, &goal);
+        let expected = implication::implies_lattice(&universe, &premises, &goal);
         prop_assert_eq!(session.implies(&goal).implied, expected);
         let warm = session.implies(&goal);
         // Trivial goals are answered inline and never touch the cache.
@@ -238,7 +239,7 @@ proptest! {
         let outcome = session.implies(&goal);
         prop_assert_eq!(
             outcome.implied,
-            implication::implies(&universe, &premises, &goal)
+            implication::implies_lattice(&universe, &premises, &goal)
         );
         // The generator can emit empty-family constraints (outside the
         // fragment); the fast path applies only to true fragment instances.

@@ -21,7 +21,7 @@ fn describe(u: &Universe, name: &str, dnf: &Dnf) {
         println!("    {}", c.format(u));
     }
     println!("  goal: {}", goal.format(u));
-    let via_lattice = implication::implies(u, &premises, &goal);
+    let via_lattice = implication::implies_lattice(u, &premises, &goal);
     let via_sat = prop_bridge::implies_sat(u, &premises, &goal);
     let direct = tautology::dnf_is_tautology(dnf, u);
     let exhaustive = dnf.is_tautology_exhaustive(u);

@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn implication_procedures_agree(premises in arb_constraint_set(3), goal in arb_constraint()) {
         let u = universe();
-        let lattice = implication::implies(&u, &premises, &goal);
+        let lattice = implication::implies_lattice(&u, &premises, &goal);
         prop_assert_eq!(lattice, implication::implies_semantic(&u, &premises, &goal));
         prop_assert_eq!(lattice, prop_bridge::implies_sat(&u, &premises, &goal));
         match inference::derive(&u, &premises, &goal) {
@@ -96,7 +96,7 @@ proptest! {
         let u = universe();
         let f = SetFunction::from_values(N, values);
         if diffcon::semantics::satisfies_all(&f, &premises)
-            && implication::implies(&u, &premises, &goal)
+            && implication::implies_lattice(&u, &premises, &goal)
         {
             prop_assert!(diffcon::semantics::satisfies(&f, &goal));
         }
@@ -124,7 +124,7 @@ proptest! {
     fn implied_constraints_hold_in_the_data(db in arb_baskets(), premises in arb_constraint_set(2), goal in arb_constraint()) {
         let u = universe();
         let all_premises_hold = premises.iter().all(|p| fis_bridge::support_function_satisfies(&db, p));
-        if all_premises_hold && implication::implies(&u, &premises, &goal) {
+        if all_premises_hold && implication::implies_lattice(&u, &premises, &goal) {
             prop_assert!(fis_bridge::support_function_satisfies(&db, &goal));
         }
     }
@@ -134,7 +134,7 @@ proptest! {
     fn counterexamples_separate(premises in arb_constraint_set(2), goal in arb_constraint()) {
         let u = universe();
         if let Some(ce) = diffcon::counterexample::find(&u, &premises, &goal) {
-            prop_assert!(!implication::implies(&u, &premises, &goal));
+            prop_assert!(!implication::implies_lattice(&u, &premises, &goal));
             prop_assert!(diffcon::semantics::satisfies_all(&ce.function, &premises));
             prop_assert!(!diffcon::semantics::satisfies(&ce.function, &goal));
             for p in &premises {
@@ -153,7 +153,7 @@ proptest! {
                 None => prop_assert!(rel_bridge::vacuous_over_relations(&premises)),
             }
         } else {
-            prop_assert!(implication::implies(&u, &premises, &goal));
+            prop_assert!(implication::implies_lattice(&u, &premises, &goal));
         }
     }
 }

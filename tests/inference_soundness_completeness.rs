@@ -27,7 +27,7 @@ fn derive_iff_implied_on_random_instances() {
             } else {
                 gen.constraint(&shape)
             };
-            let implied = implication::implies(&u, &premises, &goal);
+            let implied = implication::implies_lattice(&u, &premises, &goal);
             match inference::derive(&u, &premises, &goal) {
                 Some(proof) => {
                     assert!(implied, "derived a non-implied goal {}", goal.format(&u));
@@ -75,7 +75,7 @@ fn exhaustive_completeness_small_universe() {
             for j in i..singletons.len() {
                 let fam = Family::from_sets([singletons[i], singletons[j]]);
                 let goal = DiffConstraint::new(lhs, fam);
-                let implied = implication::implies(&u, &premises, &goal);
+                let implied = implication::implies_lattice(&u, &premises, &goal);
                 let proof = inference::derive(&u, &premises, &goal);
                 assert_eq!(implied, proof.is_some(), "mismatch at {}", goal.format(&u));
                 if let Some(p) = proof {

@@ -74,7 +74,7 @@ fn corollary_7_4_on_random_instances() {
         } else {
             gen.constraint(&shape)
         };
-        let general = implication::implies(&u, &premises, &goal);
+        let general = implication::implies_lattice(&u, &premises, &goal);
         let simpson = rel_bridge::implies_over_simpson(&u, &premises, &goal);
         if rel_bridge::vacuous_over_relations(&premises) {
             // Some premise has an empty right-hand side: no Simpson model exists,
@@ -141,7 +141,7 @@ fn fd_special_case_end_to_end() {
             let fd_goal = FunctionalDependency::new(lhs, rhs);
             let constraint_goal = DiffConstraint::new(lhs, Family::single(rhs));
             let via_closure = fd::implies(&planted, &fd_goal);
-            let via_general = implication::implies(&u, &premises, &constraint_goal);
+            let via_general = implication::implies_lattice(&u, &premises, &constraint_goal);
             let via_fragment = fd_fragment::implies_polynomial(&premises, &constraint_goal);
             assert_eq!(
                 via_closure,
