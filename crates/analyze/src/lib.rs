@@ -7,11 +7,10 @@
 //! ever analyzes the *program* itself — a session can accumulate premises
 //! that are implied by the rest of the family, knowns that contradict each
 //! other under the asserted constraints (discovered only when a `bound`
-//! query finally returns infeasible), and protocol scripts that fail at
-//! request N after N−1 requests already mutated state.
+//! query finally returns infeasible), and dead density variables.
 //!
-//! This crate closes that gap with two analyzers, both pure functions with
-//! no engine dependency:
+//! This crate closes that gap with one analyzer, a pure function with no
+//! engine dependency:
 //!
 //! * [`premise`] — per-snapshot analysis of a premise family and its knowns:
 //!   redundancy detection with implying witnesses, pre-query infeasibility
@@ -21,19 +20,20 @@
 //!   Answering from the reduced core is *provably* answer-preserving — the
 //!   module docs carry the argument — which is what lets a serving layer
 //!   swap the core in for the raw family.
-//! * [`script`] — a flow-sensitive linter for `diffcond` protocol scripts:
-//!   it simulates session-registry state line by line *without executing
-//!   anything* and reports use-before-load, never-set forgets, closed-slot
-//!   switches, duplicate and redundant asserts, wedge-threshold mining, and
-//!   dead lines after `quit` as `line:col: warn|error:` diagnostics.
+//!
+//! Protocol scripts are checked by running them: `diffcond check` sends each
+//! line through an in-process server and reports what the run answers, so
+//! there is no second model of the session to keep in step with the server.
+//!
+//! The manifest still lists `diffcon-discover`, which no source here uses
+//! any more: dropping it would rewrite the serving benchmark's lock file,
+//! which changes only together with the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod premise;
-pub mod script;
 
 pub use premise::{
     analyze, check_certificate, minimal_core, Analysis, Dropped, MinimalCore, Redundancy,
 };
-pub use script::{Diagnostic, Linter, ScriptOp, Severity, Span};

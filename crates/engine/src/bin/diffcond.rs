@@ -17,12 +17,15 @@
 //!        diffcond check FILE...
 //! ```
 //!
-//! `diffcond check` lints protocol scripts without executing them: each
-//! file is parsed line by line with the protocol's own parser and run
-//! through the flow-sensitive script linter (`diffcon_analyze::script`),
-//! which simulates session-registry state and reports requests that would
-//! fail or mislead at run time as `file:line:col: warn|error: message`
-//! diagnostics.  Exits nonzero when any file has an error-severity finding.
+//! `diffcond check` runs each protocol script against an in-process server,
+//! one `diffcon_engine::Server` per file, line by line through
+//! `Server::handle_line`, the serial oracle's call.  Each `err` reply is
+//! reported as a `file:line:col: error: message` diagnostic, and three
+//! warnings are read from the live session: an `assert` the premises
+//! already hold or imply, a `bound` with no known values, and lines after
+//! `quit`, which are not run.  The verbs work in memory, so a check does no
+//! network IO and writes no file.  Exits nonzero when any line answers
+//! `err`.
 //!
 //! `diffcond serve` serves the identical protocol over TCP
 //! (`diffcon_engine::net`): one connection = one private session namespace,
@@ -55,7 +58,7 @@
 //! and commits the request's record.
 
 use diffcon_engine::connection::Connection;
-use diffcon_engine::{Server, SessionConfig};
+use diffcon_engine::{Request, Server, SessionConfig};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "\
@@ -120,13 +123,12 @@ Network serving:
 Script linting:
   diffcond check FILE...
 
-  Parses each protocol script with the server's own parser and lints it
-  without executing anything: use of mine/adopt/dataset before load,
-  forget of never-set knowns, session use/close of unknown slots,
-  duplicate and redundant asserts, mining past the wedge thresholds, and
-  dead lines after quit.  Diagnostics print as
-  `file:line:col: warn|error: message`; the exit status is nonzero when
-  any error-severity diagnostic was reported.
+  Runs each protocol script against an in-process server, one server per
+  file, and reports every `err` reply as an error.  It also warns about an
+  assert that is already a premise or already implied, a bound with no
+  known values, and lines after quit, which are not run.  Diagnostics
+  print as `file:line:col: warn|error: message`; the exit status is 1 when
+  any line answers `err`, 2 on a usage or read failure.
 
 Live dashboard:
   diffcond top [--metrics-addr HOST:PORT] [--interval-ms N] [--once]
@@ -606,89 +608,36 @@ fn render_top(addr: &str, series: &[diffcon_obs::Series]) -> String {
     out
 }
 
-/// Source positions of one script line's verb and first-argument tokens.
-fn line_span(line: &str, number: usize) -> diffcon_analyze::Span {
+/// The 1-based columns of a script line's verb and of its first argument
+/// (the verb's when the line has none).
+fn columns(line: &str) -> (usize, usize) {
     let indent = line.len() - line.trim_start().len();
     let verb_col = line[..indent].chars().count() + 1;
     let rest = &line[indent..];
     let verb_len = rest.find(char::is_whitespace).unwrap_or(rest.len());
     let after = &rest[verb_len..];
-    let arg_col = if after.trim_start().is_empty() {
-        verb_col
-    } else {
-        let arg_offset = indent + verb_len + (after.len() - after.trim_start().len());
-        line[..arg_offset].chars().count() + 1
-    };
-    diffcon_analyze::Span {
-        line: number,
-        verb_col,
-        arg_col,
+    if after.trim_start().is_empty() {
+        return (verb_col, verb_col);
     }
+    let arg_offset = indent + verb_len + (after.len() - after.trim_start().len());
+    (verb_col, line[..arg_offset].chars().count() + 1)
 }
 
-/// The `max |𝒴|` budget a `mine`/`adopt` request resolves to (the miner's
-/// crate default when the request names none) — what the linter's wedge
-/// checks must judge.
-fn resolved_max_rhs(budgets: Option<(usize, usize)>) -> usize {
-    budgets
-        .map(|(_, rhs)| rhs)
-        .unwrap_or(diffcon_discover::MinerConfig::default().max_rhs)
+/// The premise id an `ok assert` reply names when the constraint was
+/// already a premise (`added=0`).
+fn already_asserted(reply: &str) -> Option<&str> {
+    let (id, rest) = reply.strip_prefix("ok assert id=")?.split_once(' ')?;
+    rest.starts_with("added=0").then_some(id)
 }
 
-/// Maps a parsed protocol request onto the linter's state-machine alphabet
-/// (`None` for silent lines).  Kept exhaustive on purpose: a new verb fails
-/// to compile until its lint semantics are decided.
-fn script_op(request: diffcon_engine::protocol::Request<'_>) -> Option<diffcon_analyze::ScriptOp> {
-    use diffcon_analyze::ScriptOp;
-    use diffcon_engine::protocol::{Request, UniverseSpec};
-    let owned = |texts: Vec<&str>| texts.into_iter().map(String::from).collect();
-    Some(match request {
-        Request::Empty => return None,
-        Request::Universe(UniverseSpec::Size(n)) => ScriptOp::UniverseSize(n),
-        Request::Universe(UniverseSpec::Names(names)) => ScriptOp::UniverseNames(owned(names)),
-        Request::SessionNew => ScriptOp::SessionNew,
-        Request::SessionUse(id) => ScriptOp::SessionUse(id),
-        Request::SessionClose(id) => ScriptOp::SessionClose(id),
-        Request::SessionList => ScriptOp::Global,
-        Request::Assert(text) => ScriptOp::Assert(text.into()),
-        Request::Retract(text) => ScriptOp::Retract(text.into()),
-        Request::Implies(text)
-        | Request::Witness(text)
-        | Request::Derive(text)
-        | Request::Explain(text) => ScriptOp::Goal(text.into()),
-        Request::Batch(goals) => ScriptOp::Batch(owned(goals)),
-        Request::Trace(_) => ScriptOp::Global,
-        Request::Known(set, value) => ScriptOp::Known(set.into(), value),
-        Request::Forget(set) => ScriptOp::Forget(set.into()),
-        Request::Bound(set) => ScriptOp::Bound(set.into()),
-        Request::Load(records) => ScriptOp::Load(owned(records)),
-        Request::Mine(budgets) => ScriptOp::Mine {
-            max_rhs: resolved_max_rhs(budgets),
-            adopt: false,
-        },
-        Request::Adopt(budgets) => ScriptOp::Mine {
-            max_rhs: resolved_max_rhs(budgets),
-            adopt: true,
-        },
-        Request::Dataset => ScriptOp::Dataset,
-        Request::Premises | Request::Knowns | Request::Stats | Request::Analyze { .. } => {
-            ScriptOp::Inspect
-        }
-        Request::StatsRecent
-        | Request::DebugRecent(_)
-        | Request::DebugTrace(_)
-        | Request::DebugProfile(_)
-        | Request::Help => ScriptOp::Global,
-        Request::Reset => ScriptOp::Reset,
-        Request::Quit => ScriptOp::Quit,
-    })
-}
-
-/// `diffcond check FILE...`: lint protocol scripts without executing them.
-/// Exits 0 when every file is error-free, 1 when any error-severity
-/// diagnostic was reported, 2 on usage or IO failure.
+/// `diffcond check FILE...`: runs each script against an in-process server
+/// and reports what its run answers.  Every `err` reply is an error; a
+/// duplicate or redundant `assert`, a `bound` with no known values, and a
+/// line after `quit` are warnings.  Exits 0 when no line answers `err`, 1
+/// when one does, 2 on usage or IO failure.
 fn run_check(paths: &[String]) -> ! {
-    use diffcon_analyze::{Linter, Severity};
+    use diffcon::DiffConstraint;
+    use diffcon_engine::protocol::{is_silent, parse_request};
     if paths.is_empty() {
         eprintln!("diffcond: check expects one or more script files (try --help)");
         std::process::exit(2);
@@ -704,27 +653,63 @@ fn run_check(paths: &[String]) -> ! {
                 std::process::exit(2);
             }
         };
-        let mut linter = Linter::new();
+        let mut server = Server::new(SessionConfig::default());
+        let mut quit_line = None;
         for (i, line) in text.lines().enumerate() {
-            let number = i + 1;
-            if diffcon_engine::protocol::is_silent(line) {
+            if is_silent(line) {
                 continue;
             }
-            let span = line_span(line, number);
-            match diffcon_engine::protocol::parse_request(line) {
-                // The parser's own messages already carry offending-token
-                // columns; anchor the diagnostic at the verb.
-                Err(message) => linter.report(number, span.verb_col, Severity::Error, message),
-                Ok(request) => {
-                    if let Some(op) = script_op(request) {
-                        linter.check(span, &op);
-                    }
-                }
+            let number = i + 1;
+            let (verb_col, arg_col) = columns(line);
+            let mut report = |col: usize, severity: &str, message: &str| {
+                let _ = writeln!(out, "{path}:{number}:{col}: {severity}: {message}");
+            };
+            if let Some(quit) = quit_line {
+                report(
+                    verb_col,
+                    "warn",
+                    &format!("unreachable: the script quits at line {quit}"),
+                );
+                continue;
             }
-        }
-        any_error |= linter.has_errors();
-        for diagnostic in linter.finish() {
-            let _ = writeln!(out, "{path}:{diagnostic}");
+            let request = parse_request(line);
+            // Probed before the request runs: whether the premises already
+            // imply the asserted constraint, and whether a bound has knowns.
+            let (implied, no_knowns) = match (&request, server.session()) {
+                (Ok(Request::Assert(text)), Some(session)) => (
+                    DiffConstraint::parse(text, session.universe())
+                        .is_ok_and(|goal| session.implies(&goal).implied),
+                    false,
+                ),
+                (Ok(Request::Bound(_)), Some(session)) => (false, session.knowns().is_empty()),
+                _ => (false, false),
+            };
+            let reply = server.handle_line(line);
+            if let Some(message) = reply.text.strip_prefix("err ") {
+                any_error = true;
+                report(arg_col, "error", message);
+            } else if let Some(id) = already_asserted(&reply.text) {
+                report(
+                    arg_col,
+                    "warn",
+                    &format!("duplicate assert: already a premise (id={id})"),
+                );
+            } else if implied {
+                report(
+                    arg_col,
+                    "warn",
+                    "redundant assert: already implied by the premises above",
+                );
+            } else if no_knowns {
+                report(
+                    verb_col,
+                    "warn",
+                    "bound with no known values: the derived interval cannot be finite",
+                );
+            }
+            if reply.quit {
+                quit_line = Some(number);
+            }
         }
     }
     let _ = out.flush();
