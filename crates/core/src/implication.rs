@@ -567,6 +567,7 @@ mod tests {
         let outside = AttrSet::singleton(5);
         let stray_goal = DiffConstraint::new(outside, Family::single(AttrSet::singleton(0)));
         assert!(implies_lattice(&u, &[], &stray_goal));
+        assert!(implies(&u, &[], &stray_goal));
         assert_eq!(uncovered_count(&u, &[], &stray_goal), 0);
         let goal = DiffConstraint::parse("A -> {B}", &u).unwrap();
         let stray_premise = DiffConstraint::new(outside, Family::empty());

@@ -58,7 +58,7 @@
 //! and commits the request's record.
 
 use diffcon_engine::connection::Connection;
-use diffcon_engine::{Request, Server, SessionConfig};
+use diffcon_engine::{Server, SessionConfig};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "\
@@ -637,7 +637,7 @@ fn already_asserted(reply: &str) -> Option<&str> {
 /// when one does, 2 on usage or IO failure.
 fn run_check(paths: &[String]) -> ! {
     use diffcon::DiffConstraint;
-    use diffcon_engine::protocol::{is_silent, parse_request};
+    use diffcon_engine::protocol::{is_silent, parse_request, Request};
     if paths.is_empty() {
         eprintln!("diffcond: check expects one or more script files (try --help)");
         std::process::exit(2);
