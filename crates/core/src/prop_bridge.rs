@@ -25,9 +25,9 @@ pub fn from_implication_constraint(constraint: &ImplicationConstraint) -> DiffCo
 
 /// Decides `C ⊨ goal` through the propositional translation and the DPLL SAT
 /// solver (Proposition 5.4 + refutation).  Agrees with
-/// [`crate::implication::implies`] on every instance; its running time scales
-/// with the difficulty of the underlying SAT refutation rather than with
-/// `2^{|S|−|X|}`, which is what the coNP experiments contrast.
+/// [`crate::implication::implies_lattice`] on every instance; its running
+/// time scales with the difficulty of the underlying SAT refutation rather
+/// than with `2^{|S|−|X|}`, which is what the coNP experiments contrast.
 pub fn implies_sat(
     universe: &Universe,
     premises: &[DiffConstraint],
