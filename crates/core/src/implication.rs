@@ -28,7 +28,7 @@
 //! [`implies`], the procedure every caller outside the engine's planner
 //! uses (`derive`, `analyze`, the miner), is the search: an implied goal
 //! whose lattice holds `2^{|S|−|X|}` sets is confirmed by propagation,
-//! usually at the root, where [`implies_lattice`] walks every one of them.
+//! often at the root, where [`implies_lattice`] walks every one of them.
 //! [`implies_lattice`] stays as the paper's reference procedure and as the
 //! oracle the test suites compare against.
 //!
