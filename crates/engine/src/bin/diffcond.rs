@@ -17,9 +17,9 @@
 //!        diffcond check FILE...
 //! ```
 //!
-//! `diffcond check` runs each protocol script against an in-process server,
-//! one `diffcon_engine::Server` per file, line by line through
-//! `Server::handle_line`, the serial oracle's call.  Each `err` reply is
+//! `diffcond check` runs each protocol script against an in-process server
+//! (`diffcon_engine::script::check`), one `diffcon_engine::Server` per file,
+//! line by line through `Server::handle_line`, the serial oracle's call.  Each `err` reply is
 //! reported as a `file:line:col: error: message` diagnostic, and three
 //! warnings are read from the live session: an `assert` the premises
 //! already hold or imply, a `bound` with no known values, and lines after
@@ -608,36 +608,11 @@ fn render_top(addr: &str, series: &[diffcon_obs::Series]) -> String {
     out
 }
 
-/// The 1-based columns of a script line's verb and of its first argument
-/// (the verb's when the line has none).
-fn columns(line: &str) -> (usize, usize) {
-    let indent = line.len() - line.trim_start().len();
-    let verb_col = line[..indent].chars().count() + 1;
-    let rest = &line[indent..];
-    let verb_len = rest.find(char::is_whitespace).unwrap_or(rest.len());
-    let after = &rest[verb_len..];
-    if after.trim_start().is_empty() {
-        return (verb_col, verb_col);
-    }
-    let arg_offset = indent + verb_len + (after.len() - after.trim_start().len());
-    (verb_col, line[..arg_offset].chars().count() + 1)
-}
-
-/// The premise id an `ok assert` reply names when the constraint was
-/// already a premise (`added=0`).
-fn already_asserted(reply: &str) -> Option<&str> {
-    let (id, rest) = reply.strip_prefix("ok assert id=")?.split_once(' ')?;
-    rest.starts_with("added=0").then_some(id)
-}
-
 /// `diffcond check FILE...`: runs each script against an in-process server
-/// and reports what its run answers.  Every `err` reply is an error; a
-/// duplicate or redundant `assert`, a `bound` with no known values, and a
-/// line after `quit` are warnings.  Exits 0 when no line answers `err`, 1
-/// when one does, 2 on usage or IO failure.
+/// ([`diffcon_engine::script::check`]) and prints its findings as
+/// `file:line:col: severity: message`.  Exits 0 when no line answers `err`,
+/// 1 when one does, 2 on usage or IO failure.
 fn run_check(paths: &[String]) -> ! {
-    use diffcon::DiffConstraint;
-    use diffcon_engine::protocol::{is_silent, parse_request, Request};
     if paths.is_empty() {
         eprintln!("diffcond: check expects one or more script files (try --help)");
         std::process::exit(2);
@@ -653,63 +628,9 @@ fn run_check(paths: &[String]) -> ! {
                 std::process::exit(2);
             }
         };
-        let mut server = Server::new(SessionConfig::default());
-        let mut quit_line = None;
-        for (i, line) in text.lines().enumerate() {
-            if is_silent(line) {
-                continue;
-            }
-            let number = i + 1;
-            let (verb_col, arg_col) = columns(line);
-            let mut report = |col: usize, severity: &str, message: &str| {
-                let _ = writeln!(out, "{path}:{number}:{col}: {severity}: {message}");
-            };
-            if let Some(quit) = quit_line {
-                report(
-                    verb_col,
-                    "warn",
-                    &format!("unreachable: the script quits at line {quit}"),
-                );
-                continue;
-            }
-            let request = parse_request(line);
-            // Probed before the request runs: whether the premises already
-            // imply the asserted constraint, and whether a bound has knowns.
-            let (implied, no_knowns) = match (&request, server.session()) {
-                (Ok(Request::Assert(text)), Some(session)) => (
-                    DiffConstraint::parse(text, session.universe())
-                        .is_ok_and(|goal| session.implies(&goal).implied),
-                    false,
-                ),
-                (Ok(Request::Bound(_)), Some(session)) => (false, session.knowns().is_empty()),
-                _ => (false, false),
-            };
-            let reply = server.handle_line(line);
-            if let Some(message) = reply.text.strip_prefix("err ") {
-                any_error = true;
-                report(arg_col, "error", message);
-            } else if let Some(id) = already_asserted(&reply.text) {
-                report(
-                    arg_col,
-                    "warn",
-                    &format!("duplicate assert: already a premise (id={id})"),
-                );
-            } else if implied {
-                report(
-                    arg_col,
-                    "warn",
-                    "redundant assert: already implied by the premises above",
-                );
-            } else if no_knowns {
-                report(
-                    verb_col,
-                    "warn",
-                    "bound with no known values: the derived interval cannot be finite",
-                );
-            }
-            if reply.quit {
-                quit_line = Some(number);
-            }
+        for diagnostic in diffcon_engine::script::check(&text) {
+            any_error |= diagnostic.error;
+            let _ = writeln!(out, "{path}:{diagnostic}");
         }
     }
     let _ = out.flush();

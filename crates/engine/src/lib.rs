@@ -111,6 +111,10 @@
 //! yes route=fd cached=0 us=…
 //! ```
 //!
+//! [`script::check`], behind `diffcond check`, runs a script through one
+//! in-process [`protocol::Server`] and reports each `err` reply at its line
+//! and column.
+//!
 //! ## Library quick start
 //!
 //! ```
@@ -147,6 +151,7 @@ pub mod net;
 pub mod planner;
 pub mod protocol;
 mod reactor;
+pub mod script;
 pub mod server_state;
 pub mod session;
 pub mod snapshot;
