@@ -526,3 +526,164 @@ fn every_response_verb_is_covered() {
         validate_reply(Some(&universe), &reply.text);
     }
 }
+
+// ── Constraint text ─────────────────────────────────────────────────────
+
+/// Whitespace the constraint parser skips: ASCII and Unicode spaces alike.
+const SPACES: [char; 5] = [' ', '\t', '\u{a0}', '\u{2003}', '\u{3000}'];
+
+/// Single-character attribute names for named universes, most of them
+/// outside ASCII.
+const NAMED: [&str; 14] = [
+    "é", "ß", "λ", "Ω", "中", "ж", "ñ", "ø", "A", "z", "7", "Ж", "日", "+",
+];
+
+/// Respells a constraint's wire text without changing what it denotes:
+/// `→` for `->`, `{}` for `∅`, and a space from [`SPACES`] before the
+/// characters whose pick names one (never inside the `->` arrow).
+fn respell(wire: &str, arrow: bool, braces: bool, picks: &[u8]) -> String {
+    let mut text = if arrow {
+        wire.replacen("->", "→", 1)
+    } else {
+        wire.to_string()
+    };
+    if braces {
+        text = text.replace('∅', "{}");
+    }
+    let mut out = String::new();
+    let mut prev = None;
+    for (i, ch) in text.chars().chain(std::iter::once('\n')).enumerate() {
+        let pick = usize::from(picks.get(i).copied().unwrap_or(u8::MAX));
+        if pick < SPACES.len() && !(prev == Some('-') && ch == '>') {
+            out.push(SPACES[pick]);
+        }
+        if ch != '\n' {
+            out.push(ch);
+        }
+        prev = Some(ch);
+    }
+    out
+}
+
+/// A random constraint over the first `n` attributes of `u`: a left side
+/// and up to four members, each any subset (so `∅` appears on both sides).
+fn constraint_over(n: usize, lhs: u64, members: &[u64]) -> DiffConstraint {
+    let full = setlat::AttrSet::full(n).bits();
+    DiffConstraint::new(
+        setlat::AttrSet::from_bits(lhs & full),
+        members
+            .iter()
+            .map(|&m| setlat::AttrSet::from_bits(m & full))
+            .collect(),
+    )
+}
+
+/// The spelling knobs of [`respell`]: arrow, `{}` for `∅`, space picks.
+fn arb_spelling() -> impl Strategy<Value = (bool, bool, Vec<u8>)> {
+    (
+        any::<bool>(),
+        any::<bool>(),
+        proptest::collection::vec(0u8..12, 0..48),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Every constraint over a sized universe of 1–64 attributes parses
+    /// back from its wire text, however that text is respelled.
+    #[test]
+    fn wire_text_parses_back_over_sized_universes(
+        n in 1usize..=64,
+        lhs in any::<u64>(),
+        members in proptest::collection::vec(any::<u64>(), 0..=4),
+        spelling in arb_spelling(),
+    ) {
+        let u = Universe::of_size(n);
+        let c = constraint_over(n, lhs, &members);
+        let wire = diffcon_engine::protocol::format_wire(&c, &u);
+        prop_assert_eq!(DiffConstraint::parse(&wire, &u), Ok(c.clone()));
+        let (arrow, braces, picks) = spelling;
+        let text = respell(&wire, arrow, braces, &picks);
+        prop_assert_eq!(DiffConstraint::parse(&text, &u), Ok(c), "for {:?}", text);
+    }
+
+    /// The same over a named universe whose single-character names are
+    /// mostly outside ASCII.
+    #[test]
+    fn wire_text_parses_back_over_named_universes(
+        n in 1usize..=NAMED.len(),
+        lhs in any::<u64>(),
+        members in proptest::collection::vec(any::<u64>(), 0..=4),
+        spelling in arb_spelling(),
+    ) {
+        let u = Universe::from_names(NAMED[..n].iter().copied()).unwrap();
+        let c = constraint_over(n, lhs, &members);
+        let wire = diffcon_engine::protocol::format_wire(&c, &u);
+        let (arrow, braces, picks) = spelling;
+        let text = respell(&wire, arrow, braces, &picks);
+        prop_assert_eq!(DiffConstraint::parse(&text, &u), Ok(c), "for {:?}", text);
+    }
+}
+
+/// Malformed constraint texts and the full error each gets: the missing
+/// arrow first, then the left side, then the braces, then the first bad
+/// member.
+#[test]
+fn malformed_constraints_get_their_error_texts() {
+    let sized = Universe::of_size(4);
+    let named = Universe::from_names(["é", "B"]).unwrap();
+    let cases: [(&Universe, &str, &str); 22] = [
+        (&sized, "A {B}", r#"missing '->' in "A {B}""#),
+        (&sized, "", r#"missing '->' in """#),
+        (&sized, "Q {Z}", r#"missing '->' in "Q {Z}""#),
+        (&sized, "A -> B", r#"family must be written in braces, got "B""#),
+        (&sized, "A ->", r#"family must be written in braces, got """#),
+        (&sized, "A -> {B", r#"family must be written in braces, got "{B""#),
+        (&sized, "A -> B}", r#"family must be written in braces, got "B}""#),
+        (&sized, "A -> {B},", r#"family must be written in braces, got "{B},""#),
+        (&sized, "A -> ,{B}", r#"family must be written in braces, got ",{B}""#),
+        (&sized, "A -> {Z} x", r#"family must be written in braces, got "{Z} x""#),
+        (&sized, "QQ -> {B}", r#"bad set "QQ": unknown attribute "Q""#),
+        (&sized, "Q -> Z", r#"bad set "Q": unknown attribute "Q""#),
+        (&sized, "A --> {B}", r#"bad set "A -": unknown attribute "-""#),
+        (&sized, "A → B -> {C}", r#"bad set "A → B": unknown attribute "→""#),
+        (&sized, "ßA -> {B}", r#"bad set "ßA": unknown attribute "ß""#),
+        (&sized, "A -> {B, Z}", r#"bad set "Z": unknown attribute "Z""#),
+        (&sized, "A -> {B, CZ ,D}", r#"bad set "CZ": unknown attribute "Z""#),
+        (&sized, "A -> {B,,Z}", r#"bad set "Z": unknown attribute "Z""#),
+        (&sized, "A -> {B} -> {C}", r#"bad set "B} -> {C": unknown attribute "-""#),
+        (
+            &sized,
+            "\u{3000}A\u{3000}->\u{3000}{B,\u{a0}Q\u{a0}}",
+            r#"bad set "Q": unknown attribute "Q""#,
+        ),
+        (&sized, "A -> {é}", r#"bad set "é": unknown attribute "é""#),
+        (&named, "é → {B, ßé}", r#"bad set "ßé": unknown attribute "ß""#),
+    ];
+    for (u, text, message) in cases {
+        let error = DiffConstraint::parse(text, u).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            format!("constraint parse error: {message}"),
+            "for {text:?}"
+        );
+    }
+}
+
+/// Texts the skipping rules accept that look malformed: commas and braces
+/// on the left side, a trailing comma that adds `∅`, and extra braces.
+#[test]
+fn skipping_rules_accept_stray_commas_and_braces() {
+    let u = Universe::of_size(4);
+    let parse = |text: &str| DiffConstraint::parse(text, &u).unwrap();
+    assert_eq!(parse("{A, B} -> {C}"), parse("AB -> {C}"));
+    assert_eq!(parse(",A,, -> {C}"), parse("A -> {C}"));
+    assert_eq!(parse("A -> {B,}"), parse("A -> {B, ∅}"));
+    assert_eq!(parse("A -> {,}"), parse("A -> {∅}"));
+    assert_eq!(parse("A -> {{B,C}}"), parse("A -> {B, C}"));
+    assert_eq!(parse("A -> {B}}"), parse("A -> {B}"));
+    assert_eq!(parse("A -> { }"), parse("A -> {}"));
+    assert_eq!(parse("A -> {{}}"), parse("A -> {∅}"));
+    assert!(parse("A -> { }").rhs.is_empty());
+}
