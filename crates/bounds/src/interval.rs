@@ -107,17 +107,27 @@ impl Interval {
     /// not distinguish) — the round-trip property the bounds test suite
     /// checks over random endpoints, including the infinite ones.
     pub fn format_endpoint(v: f64) -> String {
+        let mut out = String::new();
+        Interval::write_endpoint(&mut out, v);
+        out
+    }
+
+    /// Appends one endpoint in the wire form of
+    /// [`Interval::format_endpoint`] to `out`, allocating nothing once
+    /// `out` has room.
+    pub fn write_endpoint(out: &mut String, v: f64) {
+        use std::fmt::Write as _;
         if v == f64::INFINITY {
-            "inf".to_string()
+            out.push_str("inf");
         } else if v == f64::NEG_INFINITY {
-            "-inf".to_string()
+            out.push_str("-inf");
         } else if v.fract() == 0.0 && v.abs() < 1e15 {
             // Integral values print without a fractional part; the cast
             // also normalizes `-0.0` to `0`, so the sign of zero never
             // reaches the wire.
-            format!("{}", v as i64)
+            _ = write!(out, "{}", v as i64);
         } else {
-            format!("{v}")
+            _ = write!(out, "{v}");
         }
     }
 

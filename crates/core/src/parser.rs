@@ -15,6 +15,7 @@
 //! starting with `#` are ignored.
 
 use crate::constraint::DiffConstraint;
+use setlat::universe::UniverseError;
 use setlat::{AttrSet, Family, Universe};
 use std::fmt;
 
@@ -48,14 +49,83 @@ pub fn parse_constraint(text: &str, universe: &Universe) -> Result<DiffConstrain
 
 /// Parses a single constraint into `out`, reusing its member storage.  On
 /// error `out` holds an unspecified constraint.
+///
+/// One forward pass over the bytes.  An ASCII character resolves through
+/// the universe's byte table; only a non-ASCII one is decoded and looked up
+/// by name.  The left side runs to the first `->` (in a text without one,
+/// to the first `→`), and the family's members go into `out`'s storage as
+/// their commas close them.  Whitespace, `∅` and braces are skipped inside
+/// a set, and commas on the left side.  Errors rank as the grammar reads:
+/// a missing arrow, then the left side, then the family's braces, then its
+/// first bad member.
 pub fn parse_constraint_into(
     text: &str,
     universe: &Universe,
     out: &mut DiffConstraint,
 ) -> Result<(), ParseError> {
-    let (lhs_text, rhs_text) = split_arrow(text)?;
-    out.lhs = parse_set(lhs_text.trim(), universe)?;
-    parse_family_into(rhs_text.trim(), universe, &mut out.rhs)
+    let bytes = text.as_bytes();
+    let mut reader = Reader {
+        text,
+        universe,
+        at: 0,
+    };
+    let mut lhs = AttrSet::EMPTY;
+    let mut unknown = None;
+    let (arrow, family) = loop {
+        let at = reader.at;
+        match bytes.get(at) {
+            None => return Err(err(format!("missing '->' in {text:?}"))),
+            Some(b'-') if bytes.get(at + 1) == Some(&b'>') => break (at, at + 2),
+            Some(0xE2) if text[at..].starts_with('→') && !text[at..].contains("->") => {
+                break (at, at + '→'.len_utf8())
+            }
+            Some(_) => {}
+        }
+        match reader.next() {
+            Some(Glyph::Attr(i)) => lhs.insert(i),
+            Some(Glyph::Unknown(ch)) => _ = unknown.get_or_insert(ch),
+            _ => {}
+        }
+    };
+    if let Some(ch) = unknown {
+        return Err(bad_set(text[..arrow].trim(), ch));
+    }
+    out.lhs = lhs;
+    let braces = || {
+        let got = text[family..].trim();
+        err(format!("family must be written in braces, got {got:?}"))
+    };
+    reader.at = family;
+    loop {
+        match reader.next() {
+            Some(Glyph::Space) => {}
+            Some(Glyph::Open) => break,
+            _ => return Err(braces()),
+        }
+    }
+    let mut members = Members {
+        part: reader.at,
+        reader,
+        member: AttrSet::EMPTY,
+        glyphs: 0,
+        close: None,
+        ended: false,
+        unknown: None,
+    };
+    out.rhs.refill(&mut members);
+    let Some(close) = members.close else {
+        return Err(braces());
+    };
+    match members.unknown {
+        // The bad member's text runs to its comma or the closing brace.
+        Some((part, ch)) => {
+            let end = text[part..close]
+                .find(',')
+                .map_or(close, |comma| part + comma);
+            Err(bad_set(text[part..end].trim(), ch))
+        }
+        None => Ok(()),
+    }
 }
 
 /// Parses a list of constraints, one per line; `#` starts a comment line.
@@ -76,38 +146,133 @@ pub fn parse_constraint_set(
     Ok(out)
 }
 
-fn split_arrow(text: &str) -> Result<(&str, &str), ParseError> {
-    if let Some(pos) = text.find("->") {
-        Ok((&text[..pos], &text[pos + 2..]))
-    } else if let Some(pos) = text.find('→') {
-        Ok((&text[..pos], &text[pos + '→'.len_utf8()..]))
-    } else {
-        Err(err(format!("missing '->' in {text:?}")))
+/// The error for a set whose text names an unknown character.
+fn bad_set(set: &str, ch: char) -> ParseError {
+    let e = UniverseError::UnknownAttribute(ch.to_string());
+    err(format!("bad set {set:?}: {e}"))
+}
+
+/// One character of a constraint's text, as the parser reads it.
+#[derive(Debug, Clone, Copy)]
+enum Glyph {
+    /// Whitespace, ASCII or Unicode.
+    Space,
+    /// `{`.
+    Open,
+    /// `}`.
+    Close,
+    /// `,`.
+    Comma,
+    /// `∅`.
+    Empty,
+    /// A character naming the attribute of this index.
+    Attr(usize),
+    /// A character naming no attribute.
+    Unknown(char),
+}
+
+/// Reads a constraint's text one character at a time.
+struct Reader<'a> {
+    text: &'a str,
+    universe: &'a Universe,
+    /// Byte offset of the next character.
+    at: usize,
+}
+
+impl Reader<'_> {
+    /// The next character, or `None` at the end of the text.  An ASCII
+    /// character is read inline; any other goes to [`Reader::next_wide`].
+    #[inline]
+    fn next(&mut self) -> Option<Glyph> {
+        let &byte = self.text.as_bytes().get(self.at)?;
+        if !byte.is_ascii() {
+            return Some(self.next_wide());
+        }
+        self.at += 1;
+        Some(match byte {
+            b'{' => Glyph::Open,
+            b'}' => Glyph::Close,
+            b',' => Glyph::Comma,
+            b'\t'..=b'\r' | b' ' => Glyph::Space,
+            _ => self.attribute(char::from(byte)),
+        })
+    }
+
+    /// Reads a non-ASCII character: decoded, and looked up by name.
+    #[cold]
+    #[inline(never)]
+    fn next_wide(&mut self) -> Glyph {
+        let ch = self.text[self.at..]
+            .chars()
+            .next()
+            .expect("a char boundary");
+        self.at += ch.len_utf8();
+        match ch {
+            '∅' => Glyph::Empty,
+            _ if ch.is_whitespace() => Glyph::Space,
+            _ => self.attribute(ch),
+        }
+    }
+
+    /// The attribute `ch` names, or [`Glyph::Unknown`].
+    #[inline]
+    fn attribute(&self, ch: char) -> Glyph {
+        match self.universe.index_of_char(ch) {
+            Some(i) => Glyph::Attr(i),
+            None => Glyph::Unknown(ch),
+        }
     }
 }
 
-fn parse_set(text: &str, universe: &Universe) -> Result<AttrSet, ParseError> {
-    let cleaned = text.trim();
-    universe
-        .parse_set(cleaned)
-        .map_err(|e| err(format!("bad set {cleaned:?}: {e}")))
+/// The members of a family, read from just past its opening brace to the
+/// end of the text: a comma closes a member, and the end of the text closes
+/// the last one unless nothing but the closing brace came after the opening
+/// one.  Reading on past a bad member keeps the first one's position and
+/// character, and whether the last non-space character closed the family.
+struct Members<'a> {
+    reader: Reader<'a>,
+    /// The member being read.
+    member: AttrSet,
+    /// Byte offset where the member's text starts.
+    part: usize,
+    /// Non-space characters read.
+    glyphs: usize,
+    /// Byte offset of the closing brace: the last non-space character
+    /// read, if it was a `}`.
+    close: Option<usize>,
+    /// Whether the end of the text was reached.
+    ended: bool,
+    /// The first bad member's text offset and unknown character.
+    unknown: Option<(usize, char)>,
 }
 
-fn parse_family_into(text: &str, universe: &Universe, out: &mut Family) -> Result<(), ParseError> {
-    let trimmed = text.trim();
-    let inner = trimmed
-        .strip_prefix('{')
-        .and_then(|rest| rest.strip_suffix('}'))
-        .ok_or_else(|| err(format!("family must be written in braces, got {trimmed:?}")))?;
-    let inner = inner.trim();
-    let mut failure = None;
-    let parts = inner.split(',').filter(|_| !inner.is_empty());
-    out.refill(parts.map_while(|part| {
-        parse_set(part, universe)
-            .map_err(|e| failure = Some(e))
-            .ok()
-    }));
-    failure.map_or(Ok(()), Err)
+impl Iterator for Members<'_> {
+    type Item = AttrSet;
+
+    fn next(&mut self) -> Option<AttrSet> {
+        loop {
+            let at = self.reader.at;
+            let Some(glyph) = self.reader.next() else {
+                let last = !self.ended && self.glyphs > 1;
+                self.ended = true;
+                return last.then(|| std::mem::take(&mut self.member));
+            };
+            if matches!(glyph, Glyph::Space) {
+                continue;
+            }
+            self.glyphs += 1;
+            self.close = matches!(glyph, Glyph::Close).then_some(at);
+            match glyph {
+                Glyph::Attr(i) => self.member.insert(i),
+                Glyph::Unknown(ch) => _ = self.unknown.get_or_insert((self.part, ch)),
+                Glyph::Comma => {
+                    self.part = self.reader.at;
+                    return Some(std::mem::take(&mut self.member));
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]

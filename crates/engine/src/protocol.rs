@@ -1164,17 +1164,24 @@ pub fn format_request(request: &Request<'_>) -> String {
 }
 
 /// Formats a constraint in the compact, re-parseable wire form `A->{B,CD}`.
+/// See [`write_wire`].
 pub fn format_wire(constraint: &DiffConstraint, universe: &Universe) -> String {
-    let members: Vec<String> = constraint
-        .rhs
-        .iter()
-        .map(|m| universe.format_set(m))
-        .collect();
-    format!(
-        "{}->{{{}}}",
-        universe.format_set(constraint.lhs),
-        members.join(",")
-    )
+    let mut out = String::new();
+    write_wire(&mut out, constraint, universe);
+    out
+}
+
+/// Appends a constraint in the wire form of [`format_wire`] to `out`.
+pub fn write_wire(out: &mut String, constraint: &DiffConstraint, universe: &Universe) {
+    universe.write_set(out, constraint.lhs);
+    out.push_str("->{");
+    for (i, member) in constraint.rhs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        universe.write_set(out, member);
+    }
+    out.push('}');
 }
 
 /// The miner budgets for a `mine`/`adopt` request (the crate default when
@@ -1218,16 +1225,42 @@ fn write_err(out: &mut String, message: impl std::fmt::Display) {
     _ = write!(out, "err {message}");
 }
 
-/// Writes an `implies` outcome as its wire reply.
+/// Appends `n` in decimal, without the formatting machinery: the numbers
+/// of the hot replies.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends the ` cached=… us=…` tail of an `implies` or `bound` reply.
+fn push_cached_us(out: &mut String, cached: bool, elapsed: Duration) {
+    out.push_str(if cached {
+        " cached=1 us="
+    } else {
+        " cached=0 us="
+    });
+    push_u64(out, elapsed.as_micros() as u64);
+}
+
+/// Writes an `implies` outcome as its wire reply: constant pieces around
+/// the route name and the one number.
 fn write_implies(out: &mut String, outcome: &QueryOutcome) {
-    _ = write!(
-        out,
-        "{} route={} cached={} us={}",
-        if outcome.implied { "yes" } else { "no" },
-        outcome.route_name(),
-        outcome.cached as u8,
-        outcome.elapsed.as_micros()
-    );
+    out.push_str(if outcome.implied {
+        "yes route="
+    } else {
+        "no route="
+    });
+    out.push_str(outcome.route_name());
+    push_cached_us(out, outcome.cached, outcome.elapsed);
 }
 
 /// Writes an `explain` outcome as its wire reply.  The trailing `trace`
@@ -1291,16 +1324,17 @@ fn write_batch(out: &mut String, outcomes: &[QueryOutcome]) {
 fn write_bound(out: &mut String, result: &Result<BoundOutcome, DeriveError>) {
     match result {
         Ok(outcome) => {
-            _ = write!(
-                out,
-                "bound lo={} hi={} exact={} route={} cached={} us={}",
-                Interval::format_endpoint(outcome.interval.lo),
-                Interval::format_endpoint(outcome.interval.hi),
-                outcome.interval.is_exact() as u8,
-                outcome.route_name(),
-                outcome.cached as u8,
-                outcome.elapsed.as_micros()
-            );
+            out.push_str("bound lo=");
+            Interval::write_endpoint(out, outcome.interval.lo);
+            out.push_str(" hi=");
+            Interval::write_endpoint(out, outcome.interval.hi);
+            out.push_str(if outcome.interval.is_exact() {
+                " exact=1 route="
+            } else {
+                " exact=0 route="
+            });
+            out.push_str(outcome.route_name());
+            push_cached_us(out, outcome.cached, outcome.elapsed);
         }
         Err(e) => write_err(out, format_args!("infeasible: {e}")),
     }
@@ -1318,7 +1352,8 @@ fn write_mined(out: &mut String, universe: &Universe, discovery: Option<Discover
                 discovery.cover.len()
             );
             for c in &discovery.cover {
-                _ = write!(out, " {}", format_wire(c, universe));
+                out.push(' ');
+                write_wire(out, c, universe);
             }
         }
         None => out.push_str("err no dataset (send `load` first)"),
@@ -1348,41 +1383,35 @@ fn write_analyze(out: &mut String, universe: &Universe, outcome: &AnalyzeOutcome
         outcome.elapsed.as_micros()
     );
     for r in &analysis.redundant {
-        _ = write!(
-            out,
-            " redundant[{}]={}<=[",
-            r.index,
-            format_wire(&r.premise, universe)
-        );
+        _ = write!(out, " redundant[{}]=", r.index);
+        write_wire(out, &r.premise, universe);
+        out.push_str("<=[");
         for (i, w) in r.witness.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format_wire(w, universe));
+            write_wire(out, w, universe);
         }
         out.push(']');
     }
     if let Some(conflict) = &analysis.conflict {
         out.push_str(" conflict=");
-        for (i, (set, value)) in conflict.iter().enumerate() {
+        for (i, &(set, value)) in conflict.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            _ = write!(
-                out,
-                "{}={}",
-                universe.format_set(*set),
-                Interval::format_endpoint(*value)
-            );
+            universe.write_set(out, set);
+            out.push('=');
+            Interval::write_endpoint(out, value);
         }
     }
     if !analysis.dead_examples.is_empty() {
         out.push_str(" dead_eg=");
-        for (i, set) in analysis.dead_examples.iter().enumerate() {
+        for (i, &set) in analysis.dead_examples.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&universe.format_set(*set));
+            universe.write_set(out, set);
         }
     }
 }
@@ -1770,11 +1799,11 @@ impl Server {
                 goal,
                 record,
                 out,
-                |snapshot, goal, (), _, out| {
-                    out.push_str("witness ");
-                    match snapshot.refutation_witness(goal) {
-                        None => out.push_str("none"),
-                        Some(set) => _ = write!(out, "set={}", snapshot.universe().format_set(set)),
+                |snapshot, goal, (), _, out| match snapshot.refutation_witness(goal) {
+                    None => out.push_str("witness none"),
+                    Some(set) => {
+                        out.push_str("witness set=");
+                        snapshot.universe().write_set(out, set);
                     }
                 },
             ),
@@ -1960,28 +1989,29 @@ impl Server {
                 let universe = session.universe();
                 _ = write!(out, "premises n={}", session.premises().len());
                 for p in session.premises() {
-                    _ = write!(out, " {}", format_wire(p, universe));
+                    out.push(' ');
+                    write_wire(out, p, universe);
                 }
             }),
             Request::Knowns => self.with_session(out, |session, out| {
                 let universe = session.universe();
                 _ = write!(out, "knowns n={}", session.knowns().len());
                 for &(set, value) in session.knowns() {
-                    _ = write!(
-                        out,
-                        " {}={}",
-                        universe.format_set(set),
-                        Interval::format_endpoint(value)
-                    );
+                    out.push(' ');
+                    universe.write_set(out, set);
+                    out.push('=');
+                    Interval::write_endpoint(out, value);
                 }
             }),
             Request::Known(set, value) => self.with_arg(set, out, |session, _, set, out| {
                 let added = session.set_known(set, value);
+                out.push_str("ok known set=");
+                session.universe().write_set(out, set);
+                out.push_str(" value=");
+                Interval::write_endpoint(out, value);
                 _ = write!(
                     out,
-                    "ok known set={} value={} added={} knowns={}",
-                    session.universe().format_set(set),
-                    Interval::format_endpoint(value),
+                    " added={} knowns={}",
                     added as u8,
                     session.knowns().len()
                 );
@@ -2010,11 +2040,11 @@ impl Server {
                 Some(ds) => {
                     _ = write!(
                         out,
-                        "dataset baskets={} items={} occurring={}",
+                        "dataset baskets={} items={} occurring=",
                         ds.len(),
                         ds.universe().len(),
-                        ds.universe().format_set(ds.occurring_items())
-                    )
+                    );
+                    ds.universe().write_set(out, ds.occurring_items());
                 }
                 None => out.push_str("err no dataset (send `load` first)"),
             }),
@@ -2141,7 +2171,8 @@ impl Server {
                     const { verb_index("analyze") },
                 ];
                 if self.trace && !names_epoch.contains(&verb) {
-                    _ = write!(out, " epoch={}", snapshot.epoch());
+                    out.push_str(" epoch=");
+                    push_u64(out, snapshot.epoch());
                 }
             }
             Err(message) => write_err(out, message),

@@ -637,29 +637,93 @@ fn malformed_constraints_get_their_error_texts() {
         (&sized, "A {B}", r#"missing '->' in "A {B}""#),
         (&sized, "", r#"missing '->' in """#),
         (&sized, "Q {Z}", r#"missing '->' in "Q {Z}""#),
-        (&sized, "A -> B", r#"family must be written in braces, got "B""#),
-        (&sized, "A ->", r#"family must be written in braces, got """#),
-        (&sized, "A -> {B", r#"family must be written in braces, got "{B""#),
-        (&sized, "A -> B}", r#"family must be written in braces, got "B}""#),
-        (&sized, "A -> {B},", r#"family must be written in braces, got "{B},""#),
-        (&sized, "A -> ,{B}", r#"family must be written in braces, got ",{B}""#),
-        (&sized, "A -> {Z} x", r#"family must be written in braces, got "{Z} x""#),
-        (&sized, "QQ -> {B}", r#"bad set "QQ": unknown attribute "Q""#),
+        (
+            &sized,
+            "A -> B",
+            r#"family must be written in braces, got "B""#,
+        ),
+        (
+            &sized,
+            "A ->",
+            r#"family must be written in braces, got """#,
+        ),
+        (
+            &sized,
+            "A -> {B",
+            r#"family must be written in braces, got "{B""#,
+        ),
+        (
+            &sized,
+            "A -> B}",
+            r#"family must be written in braces, got "B}""#,
+        ),
+        (
+            &sized,
+            "A -> {B},",
+            r#"family must be written in braces, got "{B},""#,
+        ),
+        (
+            &sized,
+            "A -> ,{B}",
+            r#"family must be written in braces, got ",{B}""#,
+        ),
+        (
+            &sized,
+            "A -> {Z} x",
+            r#"family must be written in braces, got "{Z} x""#,
+        ),
+        (
+            &sized,
+            "QQ -> {B}",
+            r#"bad set "QQ": unknown attribute "Q""#,
+        ),
         (&sized, "Q -> Z", r#"bad set "Q": unknown attribute "Q""#),
-        (&sized, "A --> {B}", r#"bad set "A -": unknown attribute "-""#),
-        (&sized, "A → B -> {C}", r#"bad set "A → B": unknown attribute "→""#),
-        (&sized, "ßA -> {B}", r#"bad set "ßA": unknown attribute "ß""#),
-        (&sized, "A -> {B, Z}", r#"bad set "Z": unknown attribute "Z""#),
-        (&sized, "A -> {B, CZ ,D}", r#"bad set "CZ": unknown attribute "Z""#),
-        (&sized, "A -> {B,,Z}", r#"bad set "Z": unknown attribute "Z""#),
-        (&sized, "A -> {B} -> {C}", r#"bad set "B} -> {C": unknown attribute "-""#),
+        (
+            &sized,
+            "A --> {B}",
+            r#"bad set "A -": unknown attribute "-""#,
+        ),
+        (
+            &sized,
+            "A → B -> {C}",
+            r#"bad set "A → B": unknown attribute "→""#,
+        ),
+        (
+            &sized,
+            "ßA -> {B}",
+            r#"bad set "ßA": unknown attribute "ß""#,
+        ),
+        (
+            &sized,
+            "A -> {B, Z}",
+            r#"bad set "Z": unknown attribute "Z""#,
+        ),
+        (
+            &sized,
+            "A -> {B, CZ ,D}",
+            r#"bad set "CZ": unknown attribute "Z""#,
+        ),
+        (
+            &sized,
+            "A -> {B,,Z}",
+            r#"bad set "Z": unknown attribute "Z""#,
+        ),
+        (
+            &sized,
+            "A -> {B} -> {C}",
+            r#"bad set "B} -> {C": unknown attribute "-""#,
+        ),
         (
             &sized,
             "\u{3000}A\u{3000}->\u{3000}{B,\u{a0}Q\u{a0}}",
             r#"bad set "Q": unknown attribute "Q""#,
         ),
         (&sized, "A -> {é}", r#"bad set "é": unknown attribute "é""#),
-        (&named, "é → {B, ßé}", r#"bad set "ßé": unknown attribute "ß""#),
+        (
+            &named,
+            "é → {B, ßé}",
+            r#"bad set "ßé": unknown attribute "ß""#,
+        ),
     ];
     for (u, text, message) in cases {
         let error = DiffConstraint::parse(text, u).unwrap_err();

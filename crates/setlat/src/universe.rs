@@ -172,6 +172,17 @@ impl Universe {
         }
     }
 
+    /// The index of the attribute named by the one character `ch`: from the
+    /// byte table for an ASCII character, so only a non-ASCII one hashes.
+    #[inline]
+    pub fn index_of_char(&self, ch: char) -> Option<usize> {
+        if ch.is_ascii() {
+            self.ascii_index(ch as u8)
+        } else {
+            self.index.get(ch.encode_utf8(&mut [0; 4]) as &str).copied()
+        }
+    }
+
     /// Builds an [`AttrSet`] from attribute names.
     ///
     /// # Errors
@@ -212,30 +223,34 @@ impl Universe {
             if ch.is_whitespace() || ch == ',' || ch == '{' || ch == '}' {
                 continue;
             }
-            let found = if ch.is_ascii() {
-                self.ascii_index(ch as u8)
-            } else if ch == '∅' {
+            if ch == '∅' {
                 continue;
-            } else {
-                self.index.get(ch.encode_utf8(&mut [0; 4]) as &str).copied()
-            };
-            let i = found.ok_or_else(|| UniverseError::UnknownAttribute(ch.to_string()))?;
+            }
+            let i = self
+                .index_of_char(ch)
+                .ok_or_else(|| UniverseError::UnknownAttribute(ch.to_string()))?;
             s.insert(i);
         }
         Ok(s)
     }
 
     /// Formats a set in the paper's compact notation (`"ACD"`); the empty set is
-    /// rendered as `"∅"`.
+    /// rendered as `"∅"`.  See [`Universe::write_set`].
     pub fn format_set(&self, set: AttrSet) -> String {
-        if set.is_empty() {
-            return "∅".to_string();
-        }
         let mut out = String::new();
+        self.write_set(&mut out, set);
+        out
+    }
+
+    /// Appends a set in the compact notation of [`Universe::format_set`] to
+    /// `out`, allocating nothing once `out` has room.
+    pub fn write_set(&self, out: &mut String, set: AttrSet) {
+        if set.is_empty() {
+            return out.push('∅');
+        }
         for i in set.iter() {
             out.push_str(self.name(i));
         }
-        out
     }
 
     /// Formats a set in explicit brace notation (`"{A, C, D}"`).
