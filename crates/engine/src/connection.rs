@@ -196,6 +196,7 @@ impl Connection {
             self.serve(false, out);
             self.input.drain(..self.at);
             self.at = 0;
+            self.server.publish();
         }
         self.closed
     }
@@ -206,6 +207,7 @@ impl Connection {
         if !self.closed {
             self.serve(true, out);
             self.closed = true;
+            self.server.publish();
         }
     }
 
@@ -277,7 +279,7 @@ impl Connection {
     }
 
     /// Frames the reply buffer into `out` (a silent request writes
-    /// nothing), closes the `reply` stage opened at `done`, and commits the
+    /// nothing), closes the `reply` stage opened at `done`, and stages the
     /// request's record.  Returns the reading that closed the stage.
     fn emit(&mut self, mut record: FlightRecord, done: Instant, out: &mut impl Output) -> Instant {
         let end = if self.reply.is_empty() {
@@ -304,7 +306,7 @@ impl Connection {
             Instant::now()
         };
         record.reply_ns = nanos(done, end);
-        self.server.commit(&record);
+        self.server.stage(&record);
         end
     }
 }

@@ -324,6 +324,42 @@ pub(crate) struct ConnCosts {
     bytes_written: Counter,
 }
 
+/// How many records a connection stages before it publishes them: a
+/// constant, so a connection's staged telemetry is a fixed few KiB
+/// whatever the size of its read bursts.
+pub(crate) const BATCH_RECORDS: usize = 32;
+
+/// A connection's staged records, published together by
+/// [`EngineMetrics::publish`].
+#[derive(Debug)]
+pub(crate) struct RecordBatch {
+    records: [FlightRecord; BATCH_RECORDS],
+    len: usize,
+}
+
+impl RecordBatch {
+    /// An empty batch.
+    pub(crate) fn new() -> RecordBatch {
+        RecordBatch {
+            records: [FlightRecord::default(); BATCH_RECORDS],
+            len: 0,
+        }
+    }
+
+    /// Stages `record`; returns whether the batch is now full.
+    pub(crate) fn push(&mut self, record: &FlightRecord) -> bool {
+        self.records[self.len] = *record;
+        self.len += 1;
+        self.len == BATCH_RECORDS
+    }
+
+    /// The staged records, oldest first, leaving the batch empty.
+    pub(crate) fn take(&mut self) -> &[FlightRecord] {
+        let len = std::mem::take(&mut self.len);
+        &self.records[..len]
+    }
+}
+
 /// How many `(connection, slot)` / connection cost series the registry
 /// retains before evicting the oldest — bounds exposition size under
 /// connection churn.
@@ -492,30 +528,40 @@ impl EngineMetrics {
         }
     }
 
-    /// Commits one finished request — the only per-request telemetry
-    /// write.  The record goes into the flight ring, and every per-request
-    /// series is derived from it: one sample in each stage histogram, the
-    /// reply and byte counts, the connection's `conn` series, and — for an
-    /// answered query — the query and its decision time charged to the
-    /// ledger of the `session` it ran against.
-    pub(crate) fn commit(
+    /// Publishes a connection's staged records, oldest first — the only
+    /// per-request telemetry write.  Every per-request series is derived
+    /// from the records: each goes into the flight ring and adds one sample
+    /// to each stage histogram, and the reply and byte counts, the
+    /// connection's `conn` series, and the answered queries and their
+    /// decision time in the ledger of the `session` that answered them are
+    /// added once for the whole batch.
+    pub(crate) fn publish(
         &self,
-        record: &FlightRecord,
+        records: &[FlightRecord],
         conn: &ConnCosts,
         session: Option<&SessionCosts>,
     ) {
-        self.flight.record(&record.encode());
-        self.frame_ns.record(record.frame_ns);
-        self.plan_ns.record(record.plan_ns);
-        self.reply_ns.record(record.reply_ns);
-        if record.bytes_out > 0 {
-            self.replies.inc();
+        self.flight
+            .record_all(records.iter().map(FlightRecord::encode));
+        self.frame_ns.record_all(records.iter().map(|r| r.frame_ns));
+        self.plan_ns.record_all(records.iter().map(|r| r.plan_ns));
+        self.reply_ns.record_all(records.iter().map(|r| r.reply_ns));
+        let (mut replies, mut read, mut written, mut queries, mut decide_ns) = (0, 0, 0, 0, 0);
+        for record in records {
+            replies += u64::from(record.bytes_out > 0);
+            read += record.bytes_in;
+            written += record.bytes_out;
+            if record.route.is_some() {
+                queries += 1;
+                decide_ns += record.decide_ns;
+            }
         }
-        self.bill(conn, record.bytes_in, record.bytes_out);
-        conn.requests.inc();
-        if let (Some(session), Some(_)) = (session, record.route) {
-            session.queries.inc();
-            session.decide_ns.add(record.decide_ns);
+        self.replies.add(replies);
+        self.bill(conn, read, written);
+        conn.requests.add(records.len() as u64);
+        if let (Some(session), true) = (session, queries > 0) {
+            session.queries.add(queries);
+            session.decide_ns.add(decide_ns);
         }
     }
 
@@ -1033,7 +1079,7 @@ mod tests {
         let metrics = EngineMetrics::default();
         let conn = ConnCosts::default();
         for _ in 0..3 {
-            metrics.commit(&record(1_000, 30, Some("fd")), &conn, None);
+            metrics.publish(&[record(1_000, 30, Some("fd"))], &conn, None);
         }
         let answer = metrics.cache(CacheFamily::Answer);
         answer.hits.add(2);
@@ -1124,7 +1170,7 @@ mod tests {
         assert_eq!(record.verb_name(), "?");
     }
 
-    /// The commit is the one per-request write: every stage histogram gets
+    /// Publishing is the one per-request write: every stage histogram gets
     /// one sample per record, replies count only records that wrote bytes,
     /// and only answered queries charge the session.
     #[test]
@@ -1132,9 +1178,9 @@ mod tests {
         let metrics = EngineMetrics::default();
         let conn = ConnCosts::default();
         let session = SessionCosts::default();
-        metrics.commit(&record(1_000, 30, Some("fd")), &conn, Some(&session));
-        metrics.commit(&record(2_000, 0, None), &conn, Some(&session));
-        metrics.commit(&record(3_000, 12, None), &conn, None);
+        metrics.publish(&[record(1_000, 30, Some("fd"))], &conn, Some(&session));
+        metrics.publish(&[record(2_000, 0, None)], &conn, Some(&session));
+        metrics.publish(&[record(3_000, 12, None)], &conn, None);
         for (stage, snapshot) in metrics.stages() {
             assert_eq!(snapshot.count(), 3, "stage {stage}");
         }
@@ -1152,6 +1198,54 @@ mod tests {
         let newest = metrics.flight_records(1);
         assert_eq!(newest.len(), 1);
         assert_eq!(newest[0].plan_ns, 3_000);
+    }
+
+    /// A batch publishes exactly what its records published one at a time.
+    #[test]
+    fn a_batch_publishes_what_its_records_do_one_at_a_time() {
+        let records: Vec<FlightRecord> = (0..BATCH_RECORDS as u64 + 5)
+            .map(|i| {
+                let route = (i % 3 == 0).then_some("fd");
+                FlightRecord {
+                    trace: i,
+                    ..record(1_000 * i, i % 4 * 10, route)
+                }
+            })
+            .collect();
+        let one = (EngineMetrics::default(), ConnCosts::default());
+        let session_one = SessionCosts::default();
+        for record in &records {
+            one.0
+                .publish(std::slice::from_ref(record), &one.1, Some(&session_one));
+        }
+        let all = (EngineMetrics::default(), ConnCosts::default());
+        let session_all = SessionCosts::default();
+        let mut batch = RecordBatch::new();
+        for record in &records {
+            if batch.push(record) {
+                all.0.publish(batch.take(), &all.1, Some(&session_all));
+            }
+        }
+        all.0.publish(batch.take(), &all.1, Some(&session_all));
+        assert!(batch.take().is_empty());
+        for ((_, a), (_, b)) in one.0.stages().iter().zip(all.0.stages().iter()) {
+            assert_eq!((a.count(), a.sum(), a.max()), (b.count(), b.sum(), b.max()));
+        }
+        let counts = |(m, c): &(EngineMetrics, ConnCosts), s: &SessionCosts| {
+            [
+                m.replies.get(),
+                m.bytes_read.get(),
+                m.bytes_written.get(),
+                c.requests.get(),
+                c.bytes_read.get(),
+                c.bytes_written.get(),
+                s.queries.get(),
+                s.decide_ns.get(),
+                m.flight_written(),
+            ]
+        };
+        assert_eq!(counts(&one, &session_one), counts(&all, &session_all));
+        assert_eq!(one.0.flight_records(64), all.0.flight_records(64));
     }
 
     #[test]
@@ -1233,7 +1327,7 @@ mod tests {
         assert_eq!(first.plan.count(), 0);
         for i in 0..10 {
             let bytes_out = if i == 0 { 0 } else { 30 };
-            metrics.commit(&record(1_000_000, bytes_out, None), &conn, None);
+            metrics.publish(&[record(1_000_000, bytes_out, None)], &conn, None);
         }
         std::thread::sleep(Duration::from_millis(5));
         let second = metrics.recent();

@@ -330,7 +330,7 @@
 //! stream, against the state its slot holds at that point: a query sees
 //! every earlier mutation and no later one.
 
-use crate::metrics::{next_connection_id, ConnCosts, EngineMetrics, FlightRecord};
+use crate::metrics::{next_connection_id, ConnCosts, EngineMetrics, FlightRecord, RecordBatch};
 use crate::server_state::{SessionRegistry, SlowLogLimiter};
 use crate::session::{Session, SessionConfig};
 use crate::snapshot::{AnalyzeOutcome, BoundOutcome, ExplainOutcome, QueryOutcome, Snapshot};
@@ -718,6 +718,28 @@ pub enum Request<'a, G = &'a str, S = &'a str> {
     Quit,
     /// Blank or comment line: no response.
     Empty,
+}
+
+impl<G, S> Request<'_, G, S> {
+    /// Whether answering the request reads the telemetry a connection
+    /// stages (the stage histograms, the flight ring, a session's ledger)
+    /// or changes which session is current, so the staged records must be
+    /// published first (see [`Server::stage`]).
+    fn reads_staged_telemetry(&self) -> bool {
+        matches!(
+            self,
+            Request::Stats
+                | Request::StatsRecent
+                | Request::DebugRecent(_)
+                | Request::DebugTrace(_)
+                | Request::SessionNew
+                | Request::SessionUse(_)
+                | Request::SessionClose(_)
+                | Request::SessionList
+                | Request::Universe(_)
+                | Request::Reset
+        )
+    }
 }
 
 /// The action of a `debug profile` request.
@@ -1600,6 +1622,8 @@ pub struct Server {
     slow_request: Option<String>,
     /// This connection's cost series, registered under `origin`.
     costs: Arc<ConnCosts>,
+    /// Records staged for the next [`Server::publish`].
+    staged: RecordBatch,
 }
 
 impl Server {
@@ -1618,6 +1642,7 @@ impl Server {
             slow_log: SlowLogLimiter::new(),
             slow_request: None,
             costs: EngineMetrics::global().register_connection(origin),
+            staged: RecordBatch::new(),
         }
     }
 
@@ -1723,7 +1748,12 @@ impl Server {
             }
         };
         let quit = match request {
-            Ok(request) => self.dispatch(request, &mut record, out),
+            Ok(request) => {
+                if request.reads_staged_telemetry() {
+                    self.publish();
+                }
+                self.dispatch(request, &mut record, out)
+            }
             Err(message) => {
                 write_err(out, message);
                 false
@@ -2204,12 +2234,23 @@ impl Server {
     }
 
     /// Commits a request's record once the caller has filled in its frame,
-    /// reply, and byte fields: the one per-request telemetry write, which
-    /// fills the flight ring and the stage, reply, and byte series and
-    /// charges this connection's series and, for an answered query, the
-    /// current session's ledger.  A request noted as slow is logged here,
-    /// with the record as committed.
+    /// reply, and byte fields: [`Server::stage`], then [`Server::publish`],
+    /// so the record and every one staged before it are committed when
+    /// this returns.
     pub fn commit(&mut self, record: &FlightRecord) {
+        self.stage(record);
+        self.publish();
+    }
+
+    /// Stages a request's record, its frame, reply, and byte fields filled
+    /// in, for the next [`Server::publish`]: the connection driver's
+    /// commit, which publishes once per read burst.  A full batch
+    /// ([`crate::metrics::BATCH_RECORDS`] records) publishes itself, and
+    /// so does every request whose reply reads the staged telemetry or that
+    /// changes the current session (`stats`, `session`, `universe`,
+    /// `reset`, `debug recent` and `debug trace`), before it is answered.
+    /// A request noted as slow is logged here, with the record as staged.
+    pub fn stage(&mut self, record: &FlightRecord) {
         if let Some(request) = self.slow_request.take() {
             eprintln!(
                 "diffcond: slow query us={} request=`{request}` {}",
@@ -2217,8 +2258,23 @@ impl Server {
                 record.render()
             );
         }
+        if self.staged.push(record) {
+            self.publish();
+        }
+    }
+
+    /// Publishes the staged records: the one per-request telemetry write,
+    /// which fills the flight ring and the stage, reply, and byte series
+    /// and charges this connection's series and, for the answered queries,
+    /// the current session's ledger (every staged record was answered by
+    /// the current session, since a session change publishes first).
+    pub fn publish(&mut self) {
+        let records = self.staged.take();
+        if records.is_empty() {
+            return;
+        }
         let session = self.registry.session().map(|s| &**s.costs());
-        EngineMetrics::global().commit(record, &self.costs, session);
+        EngineMetrics::global().publish(records, &self.costs, session);
     }
 
     /// Bills bytes that crossed this connection's wire outside any request
@@ -2305,6 +2361,13 @@ impl Server {
             Ok(resolved) => f(session, &self.goal, resolved, out),
             Err(message) => write_err(out, message),
         }
+    }
+}
+
+impl Drop for Server {
+    /// Publishes the records still staged.
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 

@@ -176,6 +176,26 @@ impl Histogram {
         }
     }
 
+    /// Records every value of `values`: one bucket increment each, then the
+    /// count, sum and maximum once for all of them.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        for value in values {
+            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+            count += 1;
+            sum = sum.wrapping_add(value);
+            max = max.max(value);
+        }
+        if count == 0 {
+            return;
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        if max > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(max, Ordering::Relaxed);
+        }
+    }
+
     /// Records a duration in nanoseconds (saturating past ~584 years).
     pub fn record_duration(&self, elapsed: Duration) {
         self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
@@ -346,7 +366,8 @@ impl FlightSlot {
 /// [`FlightWords`] records, written lock-free from any number of threads
 /// and dumpable at any moment without stopping writers.
 ///
-/// Writes claim a globally ordered index with one `fetch_add`, then publish
+/// Writes claim a globally ordered index with one `fetch_add` (a batch of
+/// records claims its consecutive indices with one), then publish
 /// through a per-slot seqlock (tag odd while the words are being stored,
 /// even once complete).  Readers accept a slot only when the tag is even
 /// and unchanged across the word reads, so a dump taken under live traffic
@@ -385,6 +406,28 @@ impl FlightRecorder {
     /// Appends one record, overwriting the oldest once the ring is full.
     pub fn record(&self, words: &FlightWords) {
         let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+        self.write(index, words);
+    }
+
+    /// Appends `records` in order under consecutive indices, claimed with
+    /// one `fetch_add` for all of them.
+    pub fn record_all<I>(&self, records: I)
+    where
+        I: IntoIterator<Item = FlightWords>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let records = records.into_iter();
+        let first = self
+            .cursor
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        for (index, words) in (first..).zip(records) {
+            self.write(index, &words);
+        }
+    }
+
+    /// Publishes `words` as the record of write index `index` through its
+    /// slot's seqlock.
+    fn write(&self, index: u64, words: &FlightWords) {
         let slot = &self.slots[(index % self.slots.len() as u64) as usize];
         let claim = 2 * index + 1;
         let mut seen = slot.seq.load(Ordering::Acquire);
@@ -1009,6 +1052,25 @@ mod tests {
     }
 
     #[test]
+    fn record_all_matches_one_record_per_value() {
+        let values = [0u64, 3, 17, 17, 1_000, 65_536, 12];
+        let one = Histogram::new();
+        for &v in &values {
+            one.record(v);
+        }
+        let all = Histogram::new();
+        all.record_all(values);
+        all.record_all([]);
+        let (one, all) = (one.snapshot(), all.snapshot());
+        assert_eq!(all.count(), one.count());
+        assert_eq!(all.sum(), one.sum());
+        assert_eq!(all.max(), one.max());
+        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+            assert_eq!(all.quantile(q), one.quantile(q));
+        }
+    }
+
+    #[test]
     fn empty_histogram_answers_zero() {
         let s = Histogram::new().snapshot();
         assert_eq!(s.p50(), 0);
@@ -1110,6 +1172,21 @@ mod tests {
             assert_eq!(*words, stamped(*index));
         }
         assert_eq!(ring.dump(2).len(), 2, "dump truncates to n");
+    }
+
+    #[test]
+    fn record_all_claims_consecutive_indices_in_order() {
+        let ring = FlightRecorder::with_capacity(4);
+        ring.record(&stamped(0));
+        ring.record_all((1..7u32).map(|i| stamped(u64::from(i))));
+        ring.record_all(std::iter::empty());
+        assert_eq!(ring.written(), 7);
+        let dumped = ring.dump(8);
+        let indices: Vec<u64> = dumped.iter().map(|(i, _)| *i).collect();
+        assert_eq!(indices, [6, 5, 4, 3]);
+        for (index, words) in &dumped {
+            assert_eq!(*words, stamped(*index));
+        }
     }
 
     #[test]
