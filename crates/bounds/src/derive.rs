@@ -451,8 +451,13 @@ pub const FEASIBILITY_SWEEP_CAP: usize = 10;
 /// The verdict is [`Feasibility::Infeasible`] as soon as a layer finds a
 /// contradiction, [`Feasibility::Feasible`] when all three ran clean, and
 /// [`Feasibility::Unchecked`] when the budget or the sweep cap skipped a
-/// layer.
+/// layer.  A problem with no knowns is [`Feasibility::Feasible`] at any
+/// size, before any layer runs: the zero function satisfies every premise
+/// under every side condition.
 pub fn check_feasibility(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> Feasibility {
+    if problem.knowns.is_empty() {
+        return Feasibility::Feasible;
+    }
     for &(x, v) in problem.knowns {
         if problem.side.nonnegative_density && v < -TOL {
             return Feasibility::Infeasible;
@@ -785,6 +790,30 @@ mod tests {
             side: SideConditions::support(),
         };
         assert_eq!(check_feasibility(&problem, &config), Feasibility::Unchecked);
+    }
+
+    /// With no knowns the zero function satisfies every premise, so the
+    /// check answers feasible past the sweep cap and the budget too.
+    #[test]
+    fn feasibility_check_answers_feasible_without_knowns_at_any_size() {
+        let config = BoundsConfig::default();
+        for n in [12, 20, 24] {
+            let u = Universe::of_size(n);
+            let c = parse(&u, &["A -> {B}", "B -> {C}", "AB -> {}", "-> {CD, E}"]);
+            for side in [SideConditions::support(), SideConditions::none()] {
+                let problem = BoundsProblem {
+                    universe: &u,
+                    constraints: &c,
+                    knowns: &[],
+                    side,
+                };
+                assert_eq!(
+                    check_feasibility(&problem, &config),
+                    Feasibility::Feasible,
+                    "at {n} attributes"
+                );
+            }
+        }
     }
 
     /// The knowns `f(∅) = 5, f(A) = f(B) = 3, f(AB) = 0` contradict
