@@ -229,8 +229,8 @@
 //! `bound=<propagation>p/<relaxed>r/<cache hits>c/<total µs>us` field once
 //! bound queries have been served.  `analyze` responses carry the
 //! `premises`, `redundant` and `dead` counts, `epoch`, `us`, and
-//! `infeasible`: `0` when every feasibility check ran clean (no `bound`
-//! can answer `err infeasible`), `1` with a minimal `conflict=` set when
+//! `infeasible`: `0` when every feasibility check ran clean or the session
+//! holds no known values (no `bound` can answer `err infeasible`), `1` with a minimal `conflict=` set when
 //! one found a contradiction, and `unchecked` when the bound budget or the
 //! sweep cap (`diffcon_bounds::derive::FEASIBILITY_SWEEP_CAP` attributes)
 //! skipped a check, so a later `bound` may still answer `err infeasible`.
