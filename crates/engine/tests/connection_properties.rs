@@ -3,10 +3,16 @@
 //! * one byte stream per framing — text with CRLF, blank and `#` lines,
 //!   bytes that are not UTF-8, an over-cap line, a final unterminated line
 //!   or `quit` followed by more lines; binary with the handshake, every
-//!   frame tag, a silent frame and a corrupt header — gives the same replies
-//!   and the same records (clock fields aside) whether it is fed whole, one
-//!   byte at a time, or in two pieces split at any byte boundary, and its
-//!   records bill every byte it served and every byte it replied;
+//!   frame tag, a silent frame and a corrupt header — gives the same replies,
+//!   the same records (clock fields aside), and the same telemetry (the
+//!   process and connection counters, the stage-histogram counts, and the
+//!   session ledger's queries) whether it is fed whole, one byte at a time,
+//!   or in two pieces split at any byte boundary, and its records bill every
+//!   byte it served and every byte it replied;
+//! * a burst whose telemetry reads and session switch sit between queries
+//!   answers as the same requests fed one at a time: the connection stages
+//!   its records, and publishes them before any request that reads them or
+//!   changes the current session;
 //! * a binary handshake that no reply carried is billed when the driver is
 //!   torn down, so the process and connection byte series equal the bytes
 //!   that crossed the wire, while the request, reply and flight-record
@@ -39,10 +45,23 @@ fn connection(binary: bool) -> (Connection, u64) {
     (Connection::new(server, MAX, binary), id)
 }
 
-/// Feeds `pieces` in order, then ends the input; returns the output and
-/// the connection's records, oldest first.
-fn drive(pieces: &[&[u8]], binary: bool) -> (Vec<u8>, Vec<String>) {
+/// What a run moved in the telemetry: the [`counts`] deltas, the written
+/// byte ones less the output's length (reply lengths depend on their `us=`
+/// digits), then the stage-histogram counts and the queries charged to
+/// slot 0's session.
+type Telemetry = Vec<f64>;
+
+/// Feeds `pieces` in order, then ends the input; returns the output, the
+/// connection's records, oldest first, and, when `measure` asks for it
+/// (reading the counters renders the whole exposition), the telemetry the
+/// run moved.
+fn drive(
+    pieces: &[&[u8]],
+    binary: bool,
+    measure: bool,
+) -> (Vec<u8>, Vec<String>, Option<Telemetry>) {
     let (mut driver, id) = connection(binary);
+    let before = measure.then(|| (counts(id), stage_counts()));
     let mut out = Vec::new();
     for piece in pieces {
         if driver.feed(piece, &mut out) {
@@ -51,7 +70,31 @@ fn drive(pieces: &[&[u8]], binary: bool) -> (Vec<u8>, Vec<String>) {
     }
     driver.finish(&mut out);
     drop(driver);
-    (out, records(id))
+    let moved = before.map(|before| {
+        let after = (counts(id), stage_counts());
+        let mut moved: Telemetry = (0..8).map(|i| after.0[i] - before.0[i]).collect();
+        for i in [1, 7] {
+            moved[i] -= out.len() as f64;
+        }
+        moved.extend((0..3).map(|i| (after.1[i] - before.1[i]) as f64));
+        moved.push(ledger_queries(id, 0) as f64);
+        moved
+    });
+    (out, records(id), moved)
+}
+
+/// The counts of the frame, plan and reply stage histograms.
+fn stage_counts() -> [u64; 3] {
+    EngineMetrics::global()
+        .stages()
+        .map(|(_, snapshot)| snapshot.count())
+}
+
+/// The queries charged to the session of connection `id`'s `slot`.
+fn ledger_queries(id: u64, slot: u64) -> u64 {
+    EngineMetrics::global()
+        .session_costs(id, slot)
+        .map_or(0, |costs| costs.queries.get())
 }
 
 /// Extracts `key=value` from a rendered record.
@@ -193,11 +236,13 @@ fn replies_and_records_do_not_depend_on_how_the_input_is_chunked() {
             _ => stream.len(),
         };
         // Whole, one byte at a time, and in two pieces split at every byte
-        // boundary.
+        // boundary; the telemetry is compared on the first two and at every
+        // eighth split.
         let mut feeds: Vec<Vec<&[u8]>> = vec![vec![&stream[..]], stream.chunks(1).collect()];
         feeds.extend((1..stream.len()).map(|at| vec![&stream[..at], &stream[at..]]));
-        let mut runs = feeds.iter().map(|pieces| {
-            let (out, records) = drive(pieces, binary_framing);
+        let mut runs = feeds.iter().enumerate().map(|(i, pieces)| {
+            let measure = i < 2 || (i - 1) % 8 == 0;
+            let (out, records, telemetry) = drive(pieces, binary_framing, measure);
             let sizes: Vec<usize> = pieces.iter().map(|piece| piece.len()).collect();
             assert_eq!(
                 billed(&records),
@@ -211,10 +256,22 @@ fn replies_and_records_do_not_depend_on_how_the_input_is_chunked() {
             };
             let replies: Vec<String> = replies.iter().map(|r| unclocked_reply(r)).collect();
             let records: Vec<String> = records.iter().map(|r| unclocked(r)).collect();
-            (sizes, replies, records)
+            (sizes, replies, records, telemetry)
         });
-        let (_, replies, whole_records) = runs.next().expect("whole run");
-        for (sizes, split_replies, split_records) in runs {
+        let (_, replies, whole_records, whole_telemetry) = runs.next().expect("whole run");
+        let whole_telemetry = whole_telemetry.expect("the whole run is measured");
+        let requests = whole_records.len() as f64;
+        assert_eq!(
+            whole_telemetry[2..6],
+            [requests, whole_telemetry[3], requests, requests],
+            "{name}: one request and one flight record per record"
+        );
+        assert_eq!(
+            whole_telemetry[8..11],
+            [requests; 3],
+            "{name}: stage counts"
+        );
+        for (sizes, split_replies, split_records, split_telemetry) in runs {
             assert_eq!(
                 replies, split_replies,
                 "{name}, pieces of {sizes:?}: replies depend on chunking"
@@ -223,9 +280,18 @@ fn replies_and_records_do_not_depend_on_how_the_input_is_chunked() {
                 whole_records, split_records,
                 "{name}, pieces of {sizes:?}: records depend on chunking"
             );
+            if let Some(split_telemetry) = split_telemetry {
+                assert_eq!(
+                    whole_telemetry, split_telemetry,
+                    "{name}, pieces of {sizes:?}: telemetry depends on chunking"
+                );
+            }
         }
         match name {
             "text" => {
+                // Three answered queries (two `implies`, one `bound`),
+                // charged to the one session.
+                assert_eq!(whole_telemetry[11], 3.0);
                 assert_eq!(replies.len(), 8, "{replies:?}");
                 assert!(replies[2].starts_with("err request is not valid UTF-8 (byte 0xff"));
                 assert_eq!(
@@ -251,10 +317,8 @@ fn replies_and_records_do_not_depend_on_how_the_input_is_chunked() {
     }
 }
 
-/// One counter of the global exposition (0 when absent).
-fn global(name: &str, labels: &[(&str, &str)]) -> f64 {
-    let exposition = EngineMetrics::global().exposition();
-    let series = diffcon_obs::parse_exposition(&exposition).expect("exposition parses");
+/// One counter of a parsed global exposition (0 when absent).
+fn global(series: &[diffcon_obs::Series], name: &str, labels: &[(&str, &str)]) -> f64 {
     series
         .iter()
         .find(|s| {
@@ -272,6 +336,9 @@ fn global(name: &str, labels: &[(&str, &str)]) -> f64 {
 /// request and byte series.
 fn counts(id: u64) -> [f64; 8] {
     let conn = id.to_string();
+    let exposition = EngineMetrics::global().exposition();
+    let series = diffcon_obs::parse_exposition(&exposition).expect("exposition parses");
+    let global = |name, labels: &[(&str, &str)]| global(&series, name, labels);
     [
         global("diffcond_bytes_total", &[("direction", "read")]),
         global("diffcond_bytes_total", &[("direction", "written")]),
@@ -331,4 +398,78 @@ fn a_handshake_before_a_silent_frame_is_billed_at_teardown() {
         teardown_deltas(&input, true),
         [26.0, 5.0, 1.0, 0.0, 1.0, 1.0, 26.0, 5.0]
     );
+}
+
+/// A reply with every clock field, the connection id, record byte counts
+/// and the process's flight-record total masked, and each trace id cut to its per-connection sequence:
+/// what two connections answering the same requests have in common.
+fn comparable_reply(reply: &str) -> String {
+    reply
+        .split(' ')
+        .map(|token| match token.split_once('=') {
+            Some((key, _)) if key.ends_with("us") || ["conn", "out", "written"].contains(&key) => {
+                format!("{key}=*")
+            }
+            Some(("trace", id)) => {
+                let sequence = id.parse::<u64>().expect("trace id") & 0xffff_ffff;
+                format!("trace={sequence}")
+            }
+            // A route's `decided/hits c/total us` stats field.
+            Some((key, value)) if value.ends_with("us") => {
+                let kept = value.rsplit_once('/').map_or(value, |(head, _)| head);
+                format!("{key}={kept}/*")
+            }
+            _ => token.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+#[test]
+fn telemetry_reads_and_session_switches_in_a_burst_see_every_earlier_request() {
+    let _guard = lock_metrics();
+    let prologue = "universe 4\nassert A -> {B}\n";
+    let burst = [
+        "implies A -> {B}",
+        "stats",
+        "session list",
+        "debug recent 3",
+        "universe 4",
+        "implies B -> {A}",
+        "stats",
+    ];
+    let run = |one_piece: bool| {
+        let (mut driver, id) = connection(false);
+        let mut out = Vec::new();
+        driver.feed(prologue.as_bytes(), &mut out);
+        out.clear();
+        if one_piece {
+            let text: String = burst.iter().map(|line| format!("{line}\n")).collect();
+            driver.feed(text.as_bytes(), &mut out);
+        } else {
+            for line in burst {
+                driver.feed(format!("{line}\n").as_bytes(), &mut out);
+            }
+        }
+        drop(driver);
+        let replies: Vec<String> = text_replies(&out)
+            .iter()
+            .map(|reply| comparable_reply(reply))
+            .collect();
+        (replies, ledger_queries(id, 0))
+    };
+    let (one_piece, charged) = run(true);
+    let (one_per_feed, charged_per_feed) = run(false);
+    assert_eq!(one_piece, one_per_feed);
+    // `session list` sees the first query charged to the first session…
+    assert!(one_piece[2].ends_with(" 0:u4p1q1"), "{one_piece:?}");
+    // …`debug recent` sees the records of every earlier request…
+    assert!(
+        one_piece[3].starts_with("flight n=3 ")
+            && one_piece[3].contains("verb=session")
+            && one_piece[3].contains("verb=implies"),
+        "{one_piece:?}"
+    );
+    // …and the second query is charged to the session that answered it.
+    assert_eq!((charged, charged_per_feed), (1, 1));
 }
