@@ -176,16 +176,37 @@ impl Histogram {
         }
     }
 
-    /// Records every value of `values`: one bucket increment each, then the
-    /// count, sum and maximum once for all of them.
+    /// Records every value of `values`, with one atomic add per distinct
+    /// bucket among up to 16 values at a time (a batch of similar values
+    /// lands in a few buckets), then the count, sum and maximum once for
+    /// all of them.
     pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut pending = [(0usize, 0u64); 16];
+        let mut distinct = 0;
+        let flush = |pending: &[(usize, u64)]| {
+            for &(bucket, n) in pending {
+                self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
+            }
+        };
         let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
         for value in values {
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+            let bucket = bucket_index(value);
+            match pending[..distinct].iter_mut().find(|(b, _)| *b == bucket) {
+                Some((_, n)) => *n += 1,
+                None => {
+                    if distinct == pending.len() {
+                        flush(&pending);
+                        distinct = 0;
+                    }
+                    pending[distinct] = (bucket, 1);
+                    distinct += 1;
+                }
+            }
             count += 1;
             sum = sum.wrapping_add(value);
             max = max.max(value);
         }
+        flush(&pending[..distinct]);
         if count == 0 {
             return;
         }
@@ -1053,19 +1074,23 @@ mod tests {
 
     #[test]
     fn record_all_matches_one_record_per_value() {
-        let values = [0u64, 3, 17, 17, 1_000, 65_536, 12];
+        // More distinct buckets than one coalescing run holds, repeated.
+        let values: Vec<u64> = [0u64, 3, 17, 17, 1_000, 65_536, 12]
+            .into_iter()
+            .chain((0..100).map(|i| 1 << (i % 40)))
+            .collect();
         let one = Histogram::new();
         for &v in &values {
             one.record(v);
         }
         let all = Histogram::new();
-        all.record_all(values);
+        all.record_all(values.iter().copied());
         all.record_all([]);
         let (one, all) = (one.snapshot(), all.snapshot());
         assert_eq!(all.count(), one.count());
         assert_eq!(all.sum(), one.sum());
         assert_eq!(all.max(), one.max());
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(all.quantile(q), one.quantile(q));
         }
     }
