@@ -17,6 +17,7 @@
 use crate::constraint::DiffConstraint;
 use setlat::universe::UniverseError;
 use setlat::{AttrSet, Family, Universe};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Errors produced by the constraint parser.
@@ -41,10 +42,19 @@ fn err(message: impl Into<String>) -> ParseError {
 }
 
 /// Parses a single constraint, e.g. `"A -> {B, CD}"` or `"∅ → {B}"` or `" -> {}"`.
+///
+/// The constraint is parsed into a per-thread scratch and cloned, so its
+/// family takes one allocation of exactly its size (none when empty),
+/// however many members the text adds one at a time.
 pub fn parse_constraint(text: &str, universe: &Universe) -> Result<DiffConstraint, ParseError> {
-    let mut constraint = DiffConstraint::new(AttrSet::EMPTY, Family::empty());
-    parse_constraint_into(text, universe, &mut constraint)?;
-    Ok(constraint)
+    thread_local! {
+        static SCRATCH: RefCell<DiffConstraint> =
+            RefCell::new(DiffConstraint::new(AttrSet::EMPTY, Family::empty()));
+    }
+    SCRATCH.with_borrow_mut(|scratch| {
+        parse_constraint_into(text, universe, scratch)?;
+        Ok(scratch.clone())
+    })
 }
 
 /// Parses a single constraint into `out`, reusing its member storage.  On

@@ -6,7 +6,7 @@
 //! ([`Connection::feed`]) and the end of its input
 //! ([`Connection::finish`]); the driver frames every complete request,
 //! answers it at its position in the request order, frames the reply into
-//! the transport's [`Output`], and commits the request's record.  The
+//! the transport's [`Output`], and stages the request's record.  The
 //! reactor's sockets ([`crate::net`]) and `diffcond`'s stdin loop drive it;
 //! the blocking [`crate::client::Client`] splits its text replies with the
 //! same line splitter.
@@ -30,7 +30,14 @@
 //!   closes a request's `reply` stage opens the next request's `frame`
 //!   stage, and the reading [`Server::respond`] closes `plan` with opens
 //!   `reply`), the bytes each request took in and gave out, the binary
-//!   handshake included, and one [`Server::commit`] per request.
+//!   handshake included, and one [`Server::stage`] per request;
+//! * **publication** — the staged records are committed once per read
+//!   burst: when [`Connection::feed`] or [`Connection::finish`] returns
+//!   ([`Server::publish`]), as well as when a batch fills and before a
+//!   request that reads them or changes the current session, which the
+//!   server sees to, and when the driver is dropped.  A transport writes
+//!   the replies a call framed after it returns, so every reply leaves
+//!   with its own record and all earlier ones committed.
 //!
 //! A handshake no reply carried is billed when the driver is dropped, so a
 //! connection's byte series always add up to what crossed the wire.
@@ -187,9 +194,9 @@ impl Connection {
     }
 
     /// Serves every request `bytes` completes, framing the replies into
-    /// `out`.  Returns whether the connection is closed (by `quit` or a
-    /// corrupt binary header): it then ignores further input, and the
-    /// transport closes once `out` is written.
+    /// `out`, and publishes their records.  Returns whether the connection
+    /// is closed (by `quit` or a corrupt binary header): it then ignores
+    /// further input, and the transport closes once `out` is written.
     pub fn feed(&mut self, bytes: &[u8], out: &mut impl Output) -> bool {
         if !self.closed {
             self.input.extend_from_slice(bytes);
@@ -202,7 +209,7 @@ impl Connection {
     }
 
     /// Ends the input: serves a final unterminated text line, unless the
-    /// connection is already closed, and closes it.
+    /// connection is already closed, publishes the records, and closes it.
     pub fn finish(&mut self, out: &mut impl Output) {
         if !self.closed {
             self.serve(true, out);

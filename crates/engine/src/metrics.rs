@@ -16,14 +16,22 @@
 //! Every request — any verb, an error, a silent line, a framing refusal —
 //! ends in exactly one [`FlightRecord`], and committing it is the only
 //! per-request write: the transport fills in the record's frame, reply,
-//! and byte fields and passes it to [`crate::protocol::Server::commit`],
-//! whose one call into this module writes the flight ring and derives
-//! every per-request series from the record — one sample in each of the
-//! `frame`, `plan`, and `reply` stage histograms (whose count is the
-//! request total), the reply and byte counts, the connection's series, and
-//! for an answered query the query and decision time charged to its
-//! session.  Those fields are private to this module, so no other code can
-//! write them.  Route decisions, cache hits, and trivial goals are counted
+//! and byte fields and stages it ([`crate::protocol::Server::stage`]), and
+//! the connection publishes its staged records once per read burst through
+//! one call into this module, `EngineMetrics::publish`.  Publishing
+//! writes each record into the flight ring and derives every per-request
+//! series from the records: one sample per record in each of the `frame`,
+//! `plan`, and `reply` stage histograms (whose count is the request total),
+//! and, added once per batch, the reply and byte counts, the connection's
+//! series, and the answered queries and their decision time charged to the
+//! session that answered them.  A batch holds at most `BATCH_RECORDS` (32)
+//! records, and the connection publishes before any request that reads
+//! this telemetry or changes its current session, so a reply sees every
+//! earlier request of its connection; a reader on another thread may trail
+//! by one burst.  The serial oracle's commit
+//! ([`crate::protocol::Server::commit`]) stages and publishes at once.
+//! Those fields are private to this module, so no other code can write
+//! them.  Route decisions, cache hits, and trivial goals are counted
 //! once, by the planner, in the session's [`SessionCosts`] ledger; rare
 //! events keep their own counters where they happen (parse and framing
 //! errors, slow queries, analyses, epoch publications, connections, the

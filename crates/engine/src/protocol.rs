@@ -2245,7 +2245,7 @@ impl Server {
     /// Stages a request's record, its frame, reply, and byte fields filled
     /// in, for the next [`Server::publish`]: the connection driver's
     /// commit, which publishes once per read burst.  A full batch
-    /// ([`crate::metrics::BATCH_RECORDS`] records) publishes itself, and
+    /// (32 records) publishes itself, and
     /// so does every request whose reply reads the staged telemetry or that
     /// changes the current session (`stats`, `session`, `universe`,
     /// `reset`, `debug recent` and `debug trace`), before it is answered.
