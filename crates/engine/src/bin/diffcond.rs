@@ -55,7 +55,7 @@
 //! each network connection go through the same connection driver
 //! (`diffcon_engine::connection::Connection`), which frames each request,
 //! answers it through `diffcon_engine::Server::respond`, frames the reply,
-//! and commits the request's record.
+//! and stages the request's record, publishing once per read burst.
 
 use diffcon_engine::connection::Connection;
 use diffcon_engine::{Server, SessionConfig};

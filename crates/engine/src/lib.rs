@@ -66,11 +66,11 @@
 //!   ([`metrics::FlightRecord`]): every request — any verb, an error, a
 //!   silent line, a framing refusal — leaves its trace id, connection/slot,
 //!   verb, route, cache outcome, byte counts, and `frame`/`plan`/`reply`
-//!   latency, and one commit ([`protocol::Server::commit`]) writes it into
-//!   a fixed-capacity overwrite-oldest ring (dumped live by the `debug
-//!   recent` / `debug trace` verbs) and derives the stage histograms, the
-//!   request, reply, and byte counts, and the per-connection series from
-//!   it.  Each session keeps one ledger ([`metrics::SessionCosts`]) that
+//!   latency; its connection stages it ([`protocol::Server::stage`]) and
+//!   publishes its records once per read burst into a fixed-capacity
+//!   overwrite-oldest ring (dumped live by the `debug recent` / `debug
+//!   trace` verbs), deriving the stage histograms, the request, reply, and
+//!   byte counts, and the per-connection series from them.  Each session keeps one ledger ([`metrics::SessionCosts`]) that
 //!   its planner, `stats`, `session list`, and the labeled session series
 //!   all read; `stats recent` reports windowed live rates.
 //! * **An adaptive planner** ([`planner::Planner`]) that routes each query

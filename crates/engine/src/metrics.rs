@@ -185,8 +185,8 @@ fn route_of(code: u64) -> Option<&'static str> {
 /// connection, session slot), shape (verb, route, cache outcome, bytes),
 /// and per-stage cost.  Every request leaves exactly one — queries,
 /// mutations, errors, silent lines, and framing refusals alike — and its
-/// commit ([`crate::protocol::Server::commit`]) derives every per-request
-/// series from it.
+/// publication ([`crate::protocol::Server::publish`]) derives every
+/// per-request series from it.
 /// Packs losslessly into [`FlightWords`] for the [`FlightRecorder`] ring
 /// and renders as the `key=value` line the `debug recent` verb and the
 /// slow-query stderr dump emit.
@@ -323,7 +323,7 @@ pub struct SessionCosts {
 }
 
 /// One connection's cost series, rendered as `diffcond_connection_*`.
-/// Its fields are private to this module: only [`EngineMetrics::commit`]
+/// Its fields are private to this module: only `EngineMetrics::publish`
 /// writes them.
 #[derive(Debug, Default)]
 pub(crate) struct ConnCosts {

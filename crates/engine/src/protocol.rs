@@ -259,7 +259,10 @@
 //! writes one fixed-width record into the process-wide flight recorder (a
 //! lock-free overwrite-oldest ring, always on): trace id, connection and
 //! slot, verb, route (`?` unless the request was an answered query), cache
-//! outcome, bytes in/out, and per-stage latency.  `debug recent [n]` dumps
+//! outcome, bytes in/out, and per-stage latency.  A connection publishes
+//! its records once per read burst, and before it answers any `stats`,
+//! `session`, `universe`, `reset` or `debug recent|trace` request, so those
+//! see every earlier request.  `debug recent [n]` dumps
 //! the `n` most recent records (newest first, default 10) and `debug trace
 //! <id>` looks a single request up by trace id; `stats recent` reports
 //! windowed rates and stage-latency percentiles over roughly the last
@@ -1232,7 +1235,7 @@ pub struct Answer {
     pub quit: bool,
     /// The request's flight record, returned by value: the transport fills
     /// in its frame, reply, and byte fields once the reply is written and
-    /// passes it to [`Server::commit`].
+    /// passes it to [`Server::stage`] or [`Server::commit`].
     pub record: FlightRecord,
     /// The clock reading that closed the request's `plan` stage; the
     /// transport's `reply` stage starts from it.
@@ -1593,8 +1596,9 @@ fn routed(record: &mut FlightRecord, route: &'static str, cached: bool, decide: 
 /// the request's flight record where it produces the answer.  The
 /// connection driver ([`crate::connection::Connection`]), behind stdin and
 /// every network connection, calls it, then hands the record to
-/// [`Server::commit`].  [`Server::handle_line`] wraps both for callers that
-/// want an owned [`Reply`].
+/// [`Server::stage`], and publishes the staged records once per read burst.
+/// [`Server::handle_line`] wraps [`Server::respond`] and [`Server::commit`]
+/// for callers that want an owned [`Reply`].
 #[derive(Debug)]
 pub struct Server {
     config: SessionConfig,
@@ -1618,7 +1622,7 @@ pub struct Server {
     /// Rate limiter for the slow-query stderr lines.
     slow_log: SlowLogLimiter,
     /// The last request's description, when it is to be logged as slow
-    /// with its record once the transport commits that.
+    /// with its record once the transport stages that.
     slow_request: Option<String>,
     /// This connection's cost series, registered under `origin`.
     costs: Arc<ConnCosts>,
@@ -1718,7 +1722,7 @@ impl Server {
     /// (for a transport, the one that closed its `frame` stage).  The
     /// returned [`Answer::done`] closes it.  Every request returns its
     /// record; the caller fills in the frame, reply, and byte fields and
-    /// passes it to [`Server::commit`].
+    /// passes it to [`Server::stage`] or [`Server::commit`].
     pub fn respond(
         &mut self,
         frame: &binary::BinRequest<'_>,
@@ -2244,12 +2248,12 @@ impl Server {
 
     /// Stages a request's record, its frame, reply, and byte fields filled
     /// in, for the next [`Server::publish`]: the connection driver's
-    /// commit, which publishes once per read burst.  A full batch
-    /// (32 records) publishes itself, and
-    /// so does every request whose reply reads the staged telemetry or that
-    /// changes the current session (`stats`, `session`, `universe`,
-    /// `reset`, `debug recent` and `debug trace`), before it is answered.
-    /// A request noted as slow is logged here, with the record as staged.
+    /// commit, which publishes once per read burst.  A full batch (32
+    /// records) publishes itself, and so does every request whose reply
+    /// reads the staged telemetry or that changes the current session
+    /// (`stats`, `session`, `universe`, `reset`, `debug recent` and `debug
+    /// trace`), before it is answered.  A request noted as slow is logged
+    /// here, with the record as staged.
     pub fn stage(&mut self, record: &FlightRecord) {
         if let Some(request) = self.slow_request.take() {
             eprintln!(
@@ -2285,7 +2289,7 @@ impl Server {
     }
 
     /// Notes a request whose `plan` stage reached the slow-query threshold:
-    /// it is counted now, and described for [`Server::commit`] to log
+    /// it is counted now, and described for [`Server::stage`] to log
     /// unless the log's rate limit drops it.
     fn note_if_slow(&mut self, record: &FlightRecord, frame: &binary::BinRequest<'_>) {
         let Some(threshold) = self.slow_query_us else {
