@@ -299,39 +299,14 @@ fn emit_json_report() {
     report.push_metric("cache_hit_ns", cache_ns);
     let commit_ns = telemetry_commit_ns();
     let request_ns = warm_request_ns();
-    report.push_metric("telemetry_commit_ns", commit_ns);
-    report.push_metric("warm_request_ns", request_ns);
-    // Every per-request telemetry write rides the one staged commit, so its
-    // cost is the whole telemetry bill of a request; it must stay under half
-    // of the warm cached request that carries it.
-    assert!(
-        commit_ns < request_ns * 0.50,
-        "the telemetry commit costs {commit_ns:.1} ns/request, over half of \
-         the {request_ns:.0} ns warm request cost"
-    );
-
-    // Continuous profiling must be near-free when off and cheap when on:
-    // a disabled guard is one relaxed load, and running the sampler with
-    // every stage guard live costs under 3% of a warm request.
     let guard_ns = disabled_guard_ns();
     let profiler_ns = profiler_overhead_ns();
     let warm_allocs = warm_path_allocs_per_query();
+    report.push_metric("telemetry_commit_ns", commit_ns);
+    report.push_metric("warm_request_ns", request_ns);
     report.push_metric("profiler_disabled_guard_ns", guard_ns);
     report.push_metric("profiler_overhead_ns", profiler_ns);
     report.push_metric("warm_path_allocs_per_query", warm_allocs);
-    assert!(
-        guard_ns < 5.0,
-        "a disabled stage guard costs {guard_ns:.2} ns — not ~0"
-    );
-    assert!(
-        profiler_ns < request_ns * 0.03,
-        "continuous profiling costs {profiler_ns:.1} ns/request, over 3% of \
-         the {request_ns:.0} ns warm request cost"
-    );
-    assert!(
-        warm_allocs == 0.0,
-        "warm cached requests allocate ({warm_allocs} allocs/request)"
-    );
 
     // Histogram-derived decision latency per implication route, windowed to
     // this bench's traffic.  Routes the workload never exercised are
@@ -351,9 +326,54 @@ fn emit_json_report() {
         report.push_metric(format!("route_{name}_p50_us"), window.p50() as f64 / 1e3);
         report.push_metric(format!("route_{name}_p99_us"), window.p99() as f64 / 1e3);
     }
+    eprintln!("{}", report.to_json());
+
+    // The headline gates, checked once every figure above is printed, so
+    // one noisy figure cannot hide the rest.  Every per-request telemetry
+    // write rides the one staged commit, so its cost is the whole telemetry
+    // bill of a request and must stay under half of the warm cached request
+    // that carries it.  Continuous profiling must be near-free when off and
+    // cheap when on: a disabled guard is one relaxed load, and running the
+    // sampler with every stage guard live costs under 3% of a warm request.
+    let gates = [
+        (
+            commit_ns < request_ns * 0.50,
+            format!(
+                "telemetry commit {commit_ns:.1} ns/request, bound < half the \
+                 {request_ns:.0} ns warm request"
+            ),
+        ),
+        (
+            guard_ns < 5.0,
+            format!("disabled stage guard {guard_ns:.2} ns, bound < 5 ns"),
+        ),
+        (
+            profiler_ns < request_ns * 0.03,
+            format!(
+                "continuous profiling {profiler_ns:.1} ns/request, bound < 3% of \
+                 the {request_ns:.0} ns warm request"
+            ),
+        ),
+        (
+            warm_allocs == 0.0,
+            format!("warm cached requests {warm_allocs} allocs/request, bound 0"),
+        ),
+        (
+            decided_total > 0,
+            format!("route decisions over the bench window {decided_total}, bound >= 1"),
+        ),
+    ];
+    let failed: Vec<&str> = gates
+        .iter()
+        .filter(|(pass, _)| !pass)
+        .map(|(_, gate)| gate.as_str())
+        .collect();
     assert!(
-        decided_total > 0,
-        "no route decisions recorded over the bench window"
+        failed.is_empty(),
+        "{} of {} gates failed; BENCH_server.json not written:\n  {}",
+        failed.len(),
+        gates.len(),
+        failed.join("\n  ")
     );
     match report.write_to_repo_root("BENCH_server.json") {
         Ok(path) => eprintln!("wrote {}", path.display()),

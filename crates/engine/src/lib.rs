@@ -26,7 +26,7 @@
 //!   invalidates instantly and state restoration revalidates instantly.
 //!   A miss is decided afresh; nothing derived from a goal is kept but its
 //!   answer.
-//! * **Batch evaluation** ([`session::Session::implies_batch`]) — many
+//! * **Batch evaluation** ([`snapshot::Snapshot::implies_batch`]) — many
 //!   goals against one snapshot, decided in order on the calling thread,
 //!   each exactly as `implies` would decide it: a repeated goal is an
 //!   answer-cache hit.
@@ -82,7 +82,7 @@
 //!   (`diffcon::implication::refutation_search`) — recording per-procedure
 //!   query counts, cache hits, and latency.  The planner picks the route;
 //!   the route's one decider in `diffcon::procedure` decides.
-//! * **Bound queries** ([`session::Session::bound`]) — a second query class
+//! * **Bound queries** ([`snapshot::Snapshot::bound`]) — a second query class
 //!   served by the `diffcon-bounds` interval engine: sessions hold a sparse
 //!   map of known point values `f(X) = v`
 //!   ([`session::Session::set_known`] /
@@ -92,7 +92,7 @@
 //!   `f(Y)` under the asserted constraints, routed cached-exact →
 //!   propagation → budget-relaxed.
 //! * **Constraint discovery** ([`session::Session::load_records`] /
-//!   [`session::Session::mine_dataset`] /
+//!   [`snapshot::Snapshot::mine_dataset`] /
 //!   [`session::Session::adopt_discovered`]) — the `diffcon-discover` data
 //!   plane wired into sessions: ingest basket records into a vertically
 //!   indexed dataset, mine the minimal disjunctive constraints the data

@@ -57,9 +57,10 @@
 //! * [`SessionCosts`] and the per-connection series — cost attribution
 //!   registered under `(connection, slot)` / `connection` keys and rendered
 //!   as labeled `diffcond_session_*` / `diffcond_connection_*` series.
-//! * [`RecentStats`] — windowed live stats: a small ring of periodic
-//!   histogram snapshots differenced with [`HistogramSnapshot::minus`] so
-//!   `stats recent` can answer p50/p99-over-the-last-minute and rates
+//! * [`RecentStats`] — windowed live stats: two rotating snapshots of the
+//!   stage histograms and byte counters, the newer replaced every 30 s and
+//!   none kept past 60 s, differenced with [`HistogramSnapshot::minus`] so
+//!   `stats recent` can answer p50/p99 and rates over the last 30–60 s
 //!   without restarting counters.
 
 use crate::protocol::VERBS;
@@ -70,7 +71,6 @@ use diffcon_obs::{
     Counter, Exposition, FlightRecorder, FlightWords, Gauge, Histogram, HistogramSnapshot,
     HttpResponse,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -373,19 +373,12 @@ impl RecordBatch {
 /// connection churn.
 const COST_SERIES_CAP: usize = 256;
 
-/// Minimum spacing between windowed-stats frames; callers observe once per
-/// readiness burst, the ring keeps at most one frame per interval.
-const RECENT_FRAME_INTERVAL: Duration = Duration::from_millis(250);
-
-/// How far back the windowed stats reach.
+/// How far back the windowed stats reach: no frame older than this is
+/// kept, and the newer frame is replaced once it is half this old.
 const RECENT_WINDOW: Duration = Duration::from_secs(60);
 
-/// Frame-ring bound: the window over the interval, plus slack for the
-/// irregular spacing traffic-driven observation produces.
-const RECENT_FRAME_CAP: usize = 512;
-
-/// One periodic snapshot of the rate-bearing aggregates, the unit the
-/// windowed-stats ring differences.
+/// One snapshot of the rate-bearing aggregates, the unit the windowed
+/// stats difference.
 #[derive(Debug)]
 struct RecentFrame {
     at: Instant,
@@ -397,12 +390,40 @@ struct RecentFrame {
     reply: HistogramSnapshot,
 }
 
-/// Live stats over roughly the last minute: counter deltas and
-/// stage-latency distributions between the oldest retained frame and now.
+/// The windowed-stats state: at most two frames.  `newer` is under half a
+/// window old, and `older`, when present, is the frame `newer` replaced,
+/// so once warm the window `recent` reports spans 30–60 s.
+#[derive(Debug, Default)]
+struct RecentFrames {
+    older: Option<RecentFrame>,
+    newer: Option<RecentFrame>,
+}
+
+impl RecentFrames {
+    /// One rotation step at `now`: drops any frame older than the window,
+    /// then, when there is no newer frame or it is half a window old, makes
+    /// the newer frame the older and `capture()` the newer.  Returns whether
+    /// a frame outlived the drop, that is whether a baseline exists.
+    fn rotate(&mut self, now: Instant, capture: impl FnOnce() -> RecentFrame) -> bool {
+        let age = |frame: &RecentFrame| now.saturating_duration_since(frame.at);
+        self.older.take_if(|frame| age(frame) > RECENT_WINDOW);
+        self.newer.take_if(|frame| age(frame) > RECENT_WINDOW);
+        let warm = self.newer.is_some();
+        let half_old = |frame: &RecentFrame| age(frame) >= RECENT_WINDOW / 2;
+        if self.newer.as_ref().is_none_or(half_old) {
+            self.older = self.newer.replace(capture());
+        }
+        warm
+    }
+}
+
+/// Live stats over the last 30–60 s: counter deltas and stage-latency
+/// distributions between the older of two rotating frames (the newer while
+/// it is the only one) and now.
 /// A zero [`RecentStats::window`] with [`RecentStats::baseline`] false means
-/// no baseline frame exists yet (the first observation after startup); all
-/// deltas are zero in that case and should be reported as "warming up", not
-/// as a stalled server.
+/// no baseline frame exists (the first observation after startup, or one
+/// after every frame aged past a minute); all deltas are zero in that case
+/// and should be reported as "warming up", not as a stalled server.
 #[derive(Debug)]
 pub struct RecentStats {
     /// Whether a baseline frame existed: `false` only on the very first
@@ -502,8 +523,8 @@ pub struct EngineMetrics {
     /// Per-reactor live-connection gauges, keyed by reactor index.  Tiny and
     /// append-only: one entry per reactor thread per server start.
     reactor_connections: Mutex<Vec<(usize, Arc<Gauge>)>>,
-    /// The windowed-stats frame ring.
-    recent_frames: Mutex<VecDeque<RecentFrame>>,
+    /// The windowed-stats frames.
+    recent_frames: Mutex<RecentFrames>,
 }
 
 /// `(connection, slot)` identity a session's cost series is registered
@@ -683,9 +704,9 @@ impl EngineMetrics {
             .map(|(_, costs)| Arc::clone(costs))
     }
 
-    fn capture_frame(&self) -> RecentFrame {
+    fn capture_frame(&self, at: Instant) -> RecentFrame {
         RecentFrame {
-            at: Instant::now(),
+            at,
             replies: self.replies.get(),
             bytes_read: self.bytes_read.get(),
             bytes_written: self.bytes_written.get(),
@@ -695,63 +716,44 @@ impl EngineMetrics {
         }
     }
 
-    /// Traffic-driven tick for the windowed-stats ring: cheap no-op unless
-    /// the frame interval (250 ms) has passed since the newest frame.  Called
-    /// once per readiness burst, never per query.
+    /// Traffic-driven tick for the windowed stats: one rotation step, a
+    /// cheap no-op unless the newer frame is half a window (30 s) old.
+    /// Called once per readiness burst, never per query.
     pub fn observe_recent(&self) {
-        let mut frames = self.recent_frames.lock().expect("recent ring poisoned");
-        if let Some(last) = frames.back() {
-            if last.at.elapsed() < RECENT_FRAME_INTERVAL {
-                return;
-            }
-        }
-        let frame = self.capture_frame();
-        Self::prune_frames(&mut frames, frame.at);
-        frames.push_back(frame);
+        self.observe_recent_at(Instant::now());
     }
 
-    fn prune_frames(frames: &mut VecDeque<RecentFrame>, now: Instant) {
-        while frames.len() >= RECENT_FRAME_CAP
-            || frames
-                .front()
-                .is_some_and(|f| now.duration_since(f.at) > RECENT_WINDOW)
-        {
-            if frames.pop_front().is_none() {
-                break;
-            }
-        }
+    fn observe_recent_at(&self, now: Instant) {
+        let mut frames = self.recent_frames.lock().expect("recent frames poisoned");
+        frames.rotate(now, || self.capture_frame(now));
     }
 
-    /// Live stats over roughly the last minute: deltas between
-    /// the oldest retained frame and now, via [`HistogramSnapshot::minus`].
-    /// The first call after startup (no baseline yet) reports a zero-width
-    /// window with zero deltas; it also seeds the ring, so rates become
-    /// meaningful from the second call on.
+    /// Live stats over the last 30–60 s: after one rotation step, deltas
+    /// between the older frame (the newer while it is the only one) and
+    /// now, via [`HistogramSnapshot::minus`].  The first call after startup,
+    /// or after every frame aged past a minute, has no baseline: it reports
+    /// a zero-width window with zero deltas and seeds the frames, so rates
+    /// become meaningful from the next call on.
     pub fn recent(&self) -> RecentStats {
-        let now = self.capture_frame();
-        let mut frames = self.recent_frames.lock().expect("recent ring poisoned");
-        Self::prune_frames(&mut frames, now.at);
-        let (baseline, base) = match frames.front() {
-            Some(base) => (true, base),
-            None => (false, &now),
-        };
-        let stats = RecentStats {
+        self.recent_at(Instant::now())
+    }
+
+    fn recent_at(&self, now: Instant) -> RecentStats {
+        let mut frames = self.recent_frames.lock().expect("recent frames poisoned");
+        let baseline = frames.rotate(now, || self.capture_frame(now));
+        let current = self.capture_frame(now);
+        let stored = frames.older.as_ref().or(frames.newer.as_ref());
+        let base = stored.filter(|_| baseline).unwrap_or(&current);
+        RecentStats {
             baseline,
-            window: now.at.duration_since(base.at),
-            replies: now.replies.saturating_sub(base.replies),
-            bytes_read: now.bytes_read.saturating_sub(base.bytes_read),
-            bytes_written: now.bytes_written.saturating_sub(base.bytes_written),
-            frame: now.frame.minus(&base.frame),
-            plan: now.plan.minus(&base.plan),
-            reply: now.reply.minus(&base.reply),
-        };
-        let push = frames
-            .back()
-            .is_none_or(|last| now.at.duration_since(last.at) >= RECENT_FRAME_INTERVAL);
-        if push {
-            frames.push_back(now);
+            window: now.saturating_duration_since(base.at),
+            replies: current.replies.saturating_sub(base.replies),
+            bytes_read: current.bytes_read.saturating_sub(base.bytes_read),
+            bytes_written: current.bytes_written.saturating_sub(base.bytes_written),
+            frame: current.frame.minus(&base.frame),
+            plan: current.plan.minus(&base.plan),
+            reply: current.reply.minus(&base.reply),
         }
-        stats
     }
 
     /// Renders the registry as a Prometheus-text (0.0.4) exposition.
@@ -1343,5 +1345,51 @@ mod tests {
         assert_eq!(second.replies, 9);
         assert_eq!(second.plan.count(), 10);
         assert!(second.plan.p50() >= 500_000);
+    }
+
+    /// The rotation against a given clock: ten minutes of 250 ms ticks, one
+    /// request each, hold at most two frames, and once warm `recent` reads
+    /// a 30–60 s window holding exactly the requests inside it.
+    #[test]
+    fn recent_rotates_two_frames_over_a_half_to_whole_window() {
+        let metrics = EngineMetrics::default();
+        let conn = ConnCosts::default();
+        let held = |metrics: &EngineMetrics| {
+            let frames = metrics.recent_frames.lock().unwrap();
+            usize::from(frames.older.is_some()) + usize::from(frames.newer.is_some())
+        };
+        let tick = Duration::from_millis(250);
+        let t0 = Instant::now();
+        let cold = metrics.recent_at(t0);
+        assert!(!cold.baseline, "the first `recent` answers warming");
+        assert_eq!((cold.window, cold.plan.count()), (Duration::ZERO, 0));
+        assert_eq!(held(&metrics), 1, "the first `recent` seeds the frames");
+        metrics.publish(&[record(1_000, 30, None)], &conn, None);
+        let next = metrics.recent_at(t0 + tick);
+        assert!(next.baseline, "the second `recent` has a baseline");
+        assert_eq!((next.window, next.plan.count()), (tick, 1));
+        let ticks = 4 * 600;
+        for i in 2..=ticks {
+            let now = t0 + tick * i;
+            metrics.publish(&[record(1_000, 30, None)], &conn, None);
+            metrics.observe_recent_at(now);
+            assert!(held(&metrics) <= 2, "tick {i} holds {}", held(&metrics));
+            if now - t0 < RECENT_WINDOW / 2 {
+                continue;
+            }
+            let recent = metrics.recent_at(now);
+            assert!(
+                (RECENT_WINDOW / 2..=RECENT_WINDOW).contains(&recent.window),
+                "tick {i}: window {:?}",
+                recent.window
+            );
+            let requests = (recent.window.as_millis() / tick.as_millis()) as u64;
+            assert_eq!((recent.plan.count(), recent.replies), (requests, requests));
+        }
+        let idle = t0 + tick * ticks + RECENT_WINDOW + tick;
+        let cooled = metrics.recent_at(idle);
+        assert!(!cooled.baseline, "a minute without a tick answers warming");
+        assert_eq!(cooled.window, Duration::ZERO);
+        assert!(metrics.recent_at(idle + tick).baseline);
     }
 }

@@ -50,7 +50,7 @@
 //!              | "stats"                         engine statistics
 //!              | "stats" "recent"                windowed live statistics
 //!              |                                 (rates and stage latency
-//!              |                                 over the last minute)
+//!              |                                 over the last 30–60 s)
 //!              | "debug" "recent" [NUMBER]       dump the most recent flight
 //!              |                                 records (default 10)
 //!              | "debug" "trace" NUMBER          dump one flight record by
@@ -265,8 +265,9 @@
 //! see every earlier request.  `debug recent [n]` dumps
 //! the `n` most recent records (newest first, default 10) and `debug trace
 //! <id>` looks a single request up by trace id; `stats recent` reports
-//! windowed rates and stage-latency percentiles over roughly the last
-//! minute of traffic.  Trace ids are unique across the process and
+//! rates and stage-latency percentiles over the last 30–60 s of traffic,
+//! differenced against the older of two snapshots the server rotates
+//! every 30 s.  Trace ids are unique across the process and
 //! consecutive within a connection (connection id in the upper 32 bits, the
 //! request's 1-based position on the connection in the lower).
 //!
@@ -704,7 +705,7 @@ pub enum Request<'a, G = &'a str, S = &'a str> {
     /// `stats`.
     Stats,
     /// `stats recent` — windowed live stats (rates and stage percentiles
-    /// over roughly the last minute).
+    /// over the last 30–60 s).
     StatsRecent,
     /// `debug recent` or `debug recent <n>` — dump the most recent flight
     /// records.
@@ -2195,7 +2196,7 @@ impl Server {
         let Some(session) = self.registry.session() else {
             return out.push_str(NO_SESSION);
         };
-        let snapshot = session.published();
+        let snapshot: &Snapshot = session;
         match arg.resolve(snapshot.universe(), &mut self.goal) {
             Ok(resolved) => {
                 record.route = Some(VERBS[verb].name);
@@ -2230,10 +2231,7 @@ impl Server {
         let done = Instant::now();
         record.slot = self.registry.current_id();
         record.plan_ns = done.saturating_duration_since(start).as_nanos() as u64;
-        record.epoch = self
-            .registry
-            .session()
-            .map_or(0, |session| session.published().epoch());
+        record.epoch = self.registry.session().map_or(0, |session| session.epoch());
         Answer { quit, record, done }
     }
 
@@ -2313,7 +2311,7 @@ impl Server {
     /// hexadecimal where a mask has bits outside the universe).
     fn describe(&self, frame: &binary::BinRequest<'_>) -> String {
         use binary::BinRequest;
-        let universe = self.registry.session().map(Session::universe);
+        let universe = self.registry.session().map(|session| session.universe());
         let set = |mask: u64| match universe {
             Some(u) if checked_mask(u, mask).is_ok() => u.format_set(AttrSet::from_bits(mask)),
             _ => format!("0x{mask:x}"),

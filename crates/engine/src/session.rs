@@ -19,24 +19,24 @@
 //! it replaces the one component it changed in `O(|C|)` (an assert or
 //! retract splices one premise slice), shares the rest, bumps the epoch,
 //! and leaves the current snapshot's bound state behind (the next snapshot
-//! builds its own on its first `bound` miss).  The query methods — [`Session::implies`],
-//! [`Session::implies_batch`], [`Session::bound`] — take **`&self`** and
-//! simply delegate to the current snapshot, so a session's own read path is
-//! byte-for-byte the same code any snapshot reader executes.  Writers never
-//! wait for readers: an in-flight reader keeps its `Arc<Snapshot>` alive and
-//! the writer publishes past it.
+//! builds its own on its first `bound` miss).  A session dereferences to
+//! its current snapshot, so its reads — [`Snapshot::implies`],
+//! [`Snapshot::implies_batch`], [`Snapshot::bound`], the accessors — are
+//! the snapshot's own methods, the same code any snapshot reader executes.
+//! Writers never wait for readers: an in-flight reader keeps its
+//! `Arc<Snapshot>` alive and the writer publishes past it.
 
 use crate::cache::lock;
 use crate::intern::{ConstraintId, ConstraintInterner};
 use crate::metrics::{EngineMetrics, SessionCosts};
 use crate::planner::{Planner, PlannerStats};
 use crate::snapshot::{EngineCaches, Snapshot};
-use diffcon::inference::Derivation;
 use diffcon::{fd_fragment, DiffConstraint};
-use diffcon_bounds::problem::{BoundsConfig, DeriveError};
+use diffcon_bounds::problem::BoundsConfig;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
 use setlat::{AttrSet, Universe};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 pub use crate::cache::CacheStats;
@@ -213,40 +213,9 @@ impl Session {
         Arc::clone(&self.current)
     }
 
-    /// The currently published snapshot, borrowed: what a request answered
-    /// in order evaluates against, without taking a reference count.
-    pub(crate) fn published(&self) -> &Snapshot {
-        &self.current
-    }
-
-    /// The session's universe.
-    pub fn universe(&self) -> &Universe {
-        &self.current.universe
-    }
-
-    /// The current premise set, in assertion order.
-    pub fn premises(&self) -> &[DiffConstraint] {
-        &self.current.premises
-    }
-
-    /// The premise ids aligned with [`Session::premises`].
+    /// The premise ids aligned with [`Snapshot::premises`].
     pub fn premise_ids(&self) -> &[ConstraintId] {
         &self.premise_ids
-    }
-
-    /// The order-independent digest of the current premise set.
-    pub fn premise_digest(&self) -> u64 {
-        self.current.premise_digest
-    }
-
-    /// The known point values `f(X) = v`, sorted by set.
-    pub fn knowns(&self) -> &[(AttrSet, f64)] {
-        &self.current.knowns
-    }
-
-    /// The order-independent digest of the known-value map.
-    pub fn knowns_digest(&self) -> u64 {
-        self.current.knowns_digest
     }
 
     /// Stable fingerprint of one known entry; XORed into the knowns digest.
@@ -295,24 +264,6 @@ impl Session {
         true
     }
 
-    /// Derives the tightest provable interval for `f(query)` under the
-    /// current premises, knowns, and side conditions, consulting and feeding
-    /// the shared bound cache (keyed on both state digests, so premise
-    /// retraction and value forgetting version answers exactly like
-    /// [`Session::implies`]).
-    ///
-    /// # Errors
-    /// [`DeriveError::Infeasible`] when the knowns contradict the premises
-    /// under the side conditions; infeasible outcomes are not cached.
-    pub fn bound(&self, query: AttrSet) -> Result<BoundOutcome, DeriveError> {
-        self.current.bound(query)
-    }
-
-    /// The session's loaded dataset, if any.
-    pub fn dataset(&self) -> Option<&Dataset> {
-        self.current.dataset.as_deref()
-    }
-
     /// Streams textual basket records (compact `"ACD"` / `"{}"` notation)
     /// into the session's dataset, creating it on first use.  Returns the
     /// number of baskets appended.
@@ -347,13 +298,6 @@ impl Session {
         let added = Arc::make_mut(&mut dataset).load(records)?;
         self.publish(|next| next.dataset = Some(dataset));
         Ok(added)
-    }
-
-    /// Mines the minimal satisfied disjunctive constraints of the loaded
-    /// dataset (as differential constraints, Proposition 6.3) within the
-    /// budgets.  `None` when no dataset has been loaded.
-    pub fn mine_dataset(&self, config: &MinerConfig) -> Option<Discovery> {
-        self.current.mine_dataset(config)
     }
 
     /// Mines the dataset and asserts the discovery's non-redundant cover as
@@ -466,42 +410,6 @@ impl Session {
         self.interner_compactions += 1;
     }
 
-    /// Decides `premises ⊨ goal`, consulting and feeding the answer cache.
-    ///
-    /// Delegates to the current [`Snapshot`] — the session's serial read
-    /// path and a concurrent reader's are the same code.
-    pub fn implies(&self, goal: &DiffConstraint) -> QueryOutcome {
-        self.current.implies(goal)
-    }
-
-    /// Decides `premises ⊨ goal` like [`Session::implies`], additionally
-    /// reporting the snapshot epoch and a per-stage latency decomposition.
-    pub fn explain(&self, goal: &DiffConstraint) -> crate::snapshot::ExplainOutcome {
-        self.current.explain(goal)
-    }
-
-    /// Decides a whole batch of goals against the current premise set.
-    ///
-    /// Delegates to the current [`Snapshot`]: the goals are decided in
-    /// order on the calling thread, each exactly as [`Session::implies`]
-    /// decides it, so an in-batch repeat is an answer-cache hit.  The
-    /// returned outcomes are index-aligned with `goals`.
-    pub fn implies_batch(&self, goals: &[DiffConstraint]) -> Vec<QueryOutcome> {
-        self.current.implies_batch(goals)
-    }
-
-    /// A refutation witness for a non-implied goal: a set in `L(goal)` not
-    /// covered by any premise lattice.  `None` means the goal is implied.
-    pub fn refutation_witness(&self, goal: &DiffConstraint) -> Option<AttrSet> {
-        self.current.refutation_witness(goal)
-    }
-
-    /// Produces a machine-checkable Figure 1 derivation of an implied goal
-    /// (`None` when the goal is not implied).
-    pub fn derive(&self, goal: &DiffConstraint) -> Option<Derivation> {
-        self.current.derive(goal)
-    }
-
     /// Point-in-time statistics.
     pub fn stats(&self) -> SessionStats {
         let current = &self.current;
@@ -532,12 +440,23 @@ impl Session {
     }
 }
 
+/// A session reads through its current snapshot: `session.implies(goal)`,
+/// `session.bound(set)`, `session.premises()` and every other [`Snapshot`]
+/// method answer against the state the last mutation published.
+impl Deref for Session {
+    type Target = Snapshot;
+
+    fn deref(&self) -> &Snapshot {
+        &self.current
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use diffcon::implication;
     use diffcon::procedure::ProcedureKind;
-    use diffcon_bounds::problem::DeriveRoute;
+    use diffcon_bounds::problem::{DeriveError, DeriveRoute};
 
     fn parse(u: &Universe, texts: &[&str]) -> Vec<DiffConstraint> {
         texts

@@ -1149,10 +1149,9 @@ mod tests {
 
     #[test]
     fn minus_windows_stay_correct_across_snapshot_ring_reuse() {
-        // The engine's recent-stats ring keeps a bounded deque of
-        // snapshots and differences the newest against the oldest; model
-        // that here: a rolling window over a live histogram must always
-        // contain exactly the observations recorded inside the window.
+        // A ring of snapshots differenced newest against oldest: a rolling
+        // window over a live histogram must always contain exactly the
+        // observations recorded inside the window.
         let h = Histogram::new();
         let mut ring: Vec<HistogramSnapshot> = vec![h.snapshot()];
         const RING: usize = 4;

@@ -553,11 +553,10 @@ pub fn profile_for(window: Duration, hz: u32) -> String {
 // Allocation accounting
 // ---------------------------------------------------------------------------
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static FREE_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Per-tag allocation counts/bytes, indexed by tag id (0 = untagged).
+/// Per-tag allocation counts/bytes, indexed by tag id (0 = untagged); the
+/// process totals are their sums.
 static TAG_ALLOCS: [AtomicU64; MAX_TAGS + 1] = [const { AtomicU64::new(0) }; MAX_TAGS + 1];
 static TAG_ALLOC_BYTES: [AtomicU64; MAX_TAGS + 1] = [const { AtomicU64::new(0) }; MAX_TAGS + 1];
 
@@ -577,10 +576,11 @@ pub struct AllocCounts {
 /// The process-wide allocation totals.  All zero unless the embedding binary
 /// installed [`CountingAllocator`] as its `#[global_allocator]`.
 pub fn alloc_counts() -> AllocCounts {
+    let sum = |slots: &[AtomicU64]| slots.iter().map(|s| s.load(Ordering::Relaxed)).sum();
     AllocCounts {
-        allocs: ALLOCS.load(Ordering::Relaxed),
+        allocs: sum(&TAG_ALLOCS),
         frees: FREES.load(Ordering::Relaxed),
-        alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+        alloc_bytes: sum(&TAG_ALLOC_BYTES),
         free_bytes: FREE_BYTES.load(Ordering::Relaxed),
     }
 }
@@ -622,8 +622,6 @@ pub fn tag_alloc_counts() -> Vec<(&'static str, u64, u64)> {
 }
 
 fn note_alloc(size: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     // `try_with`, not `with`: allocations during TLS teardown (or before
     // first-touch init) must not recurse or abort — they just land untagged.
     let tag = CURRENT_TAG.try_with(Cell::get).unwrap_or(0);
