@@ -1,5 +1,5 @@
-//! S1 — serving throughput: what the snapshot architecture costs on warm
-//! repeated-premise query traffic.  `BENCH_server.json` is written by the
+//! S1 — serving throughput: what a session's warm path costs on repeated
+//! premise-set query traffic.  `BENCH_server.json` is written by the
 //! `S1_report` step, which a bench filter runs only when it names it.
 //!
 //! Measured on the bench_engine_throughput workload (same generator, same
@@ -7,17 +7,18 @@
 //! `BENCH_engine.json`):
 //!
 //! * **warm serial latency** — a single caller driving `Session::implies`
-//!   over a warmed cache, the figure that must not regress versus the
-//!   pre-snapshot engine;
+//!   over a warmed cache, comparable with `BENCH_engine.json`'s
+//!   `warm_serial_us`;
 //! * **cache hit latency** — a plain `LruCache` hit against an engine-cache
-//!   hit (the same LRU behind its lock, counting into its family's
-//!   process-wide counters), the per-op price of the lock and the family
-//!   count on the hot path;
+//!   hit (the same LRU as a session holds it, in a `RefCell` and counting
+//!   into its family's process-wide counters), the per-op price of the
+//!   borrow and the family count on the hot path;
 //! * **observability tax** — the per-request cost of the whole telemetry
 //!   commit as the connection driver pays it (each record staged with
 //!   [`Server::stage`], published once per batch), the continuous
 //!   profiler's per-request cost with the sampler running (A/B against the
-//!   same warm request loop with it stopped), the price of a stage guard
+//!   same warm request loop with it stopped, the two modes alternating
+//!   trial by trial), the price of a stage guard
 //!   while profiling is disabled, and the allocation count of a whole warm
 //!   cached request, text line in, reply out, and record committed (must
 //!   be zero).
@@ -27,9 +28,9 @@ use diffcon::procedure::ALL_PROCEDURES;
 use diffcon_bench::workloads;
 use diffcon_bench::JsonReport;
 use diffcon_engine::protocol::binary::BinRequest;
-use diffcon_engine::{cache, CacheFamily, EngineMetrics, LruCache, Server, Session, SessionConfig};
+use diffcon_engine::{CacheFamily, EngineMetrics, LruCache, Server, Session, SessionConfig};
 use diffcon_obs::{profile, HistogramSnapshot};
-use std::sync::Mutex;
+use std::cell::RefCell;
 use std::time::Instant;
 
 const UNIVERSE: usize = 12;
@@ -66,17 +67,17 @@ fn best_secs(mut f: impl FnMut() -> usize) -> f64 {
 }
 
 /// Per-op nanoseconds for hits against a plain LRU and against an engine
-/// cache: the same LRU behind its lock, counting every hit into the answer
-/// family's process-wide counters.
+/// cache as a session holds it: the same LRU in a `RefCell`, counting every
+/// hit into the answer family's process-wide counters.
 fn cache_hit_latency() -> (f64, f64) {
     const KEYS: u64 = 1024;
     const PASSES: u64 = 200;
     let mut lru: LruCache<u64, u64> = LruCache::new(KEYS as usize * 2);
     let counters = EngineMetrics::global().cache(CacheFamily::Answer);
-    let engine = Mutex::new(LruCache::with_counters(KEYS as usize * 2, counters));
+    let engine = RefCell::new(LruCache::with_counters(KEYS as usize * 2, counters));
     for k in 0..KEYS {
         lru.insert(k, k);
-        cache::lock(&engine).insert(k, k);
+        engine.borrow_mut().insert(k, k);
     }
     let measure = |mut hit: Box<dyn FnMut(u64) -> u64 + '_>| {
         let start = Instant::now();
@@ -91,7 +92,7 @@ fn cache_hit_latency() -> (f64, f64) {
     };
     let lru_ns = measure(Box::new(|k| lru.get(&k).copied().unwrap_or(0)));
     let engine_ns = measure(Box::new(|k| {
-        cache::lock(&engine).get(&k).copied().unwrap_or(0)
+        engine.borrow_mut().get(&k).copied().unwrap_or(0)
     }));
     (lru_ns, engine_ns)
 }
@@ -189,7 +190,8 @@ fn respond_line(server: &mut Server, reply: &mut String, line: &str) {
 /// A/B per-request cost of continuous profiling on the warm request path:
 /// the same warm cached query stream through [`Server::respond`] (whose
 /// serve stage carries a beacon guard) with the sampler running versus
-/// stopped.  Best-of-trials in each mode so scheduler noise cannot
+/// stopped.  The modes alternate trial by trial, so drift over the run
+/// falls on both, and each keeps its best, so scheduler noise cannot
 /// masquerade as profiler cost.
 fn profiler_overhead_ns() -> f64 {
     const PASSES: u64 = 20_000;
@@ -208,20 +210,13 @@ fn profiler_overhead_ns() -> f64 {
         }
         start.elapsed().as_secs_f64() * 1e9 / PASSES as f64
     };
-    let best = |enabled: bool| -> f64 {
-        if enabled {
-            profile::sampler_start(0);
-        } else {
-            profile::sampler_stop();
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..TRIALS {
-            best = best.min(run_once());
-        }
-        best
-    };
-    let baseline_ns = best(false);
-    let profiled_ns = best(true);
+    let (mut baseline_ns, mut profiled_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TRIALS {
+        profile::sampler_stop();
+        baseline_ns = baseline_ns.min(run_once());
+        profile::sampler_start(0);
+        profiled_ns = profiled_ns.min(run_once());
+    }
     profile::sampler_stop();
     profiled_ns - baseline_ns
 }

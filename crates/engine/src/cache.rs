@@ -1,8 +1,8 @@
 //! A bounded least-recently-used cache with hit/miss/eviction accounting.
 //!
 //! The engine memoizes two kinds of result — full query answers and bound
-//! intervals — each in one instance of this cache behind one `Mutex` (see
-//! [`lock`]), shared by every snapshot of a session.  It is a slab-backed
+//! intervals — each in one instance of this cache, owned by its session in
+//! a `RefCell`.  It is a slab-backed
 //! LRU: entries live in a slot vector with an intrusive doubly-linked
 //! recency list threaded through it, and an index the cache owns maps keys
 //! to slots, so `get`, `insert` and eviction are all `O(1)` expected.
@@ -34,7 +34,6 @@ use crate::metrics::CacheCounters;
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The most entries a cache holds: slots are numbered in 32 bits, by the
 /// index and by the recency list.
@@ -419,13 +418,6 @@ impl<K: Hash + Eq, V> LruCache<K, V> {
     }
 }
 
-/// Locks one engine cache.  Poisoning cannot corrupt an LRU (every method
-/// leaves it consistent or panics before mutating), so a poisoned cache is
-/// still served rather than cascading the panic across readers.
-pub fn lock<K, V>(cache: &Mutex<LruCache<K, V>>) -> MutexGuard<'_, LruCache<K, V>> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Combines the session-state digests into the one salt that versions every
 /// cached answer: the premise digest XOR the (rotated) knowns digest.
 ///
@@ -498,6 +490,11 @@ mod tests {
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.len(), 2);
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.get(&1), None);
+        // Counters describe the lifetime, not the contents.
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 2));
     }
 
     #[test]
@@ -596,66 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn locked_cache_inserts_hits_and_counts_its_lifetime() {
-        let c: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(64));
-        for k in 0..32u64 {
-            lock(&c).insert(k, k * 10);
-        }
-        assert_eq!(lock(&c).len(), 32);
-        for k in 0..32u64 {
-            assert_eq!(lock(&c).get(&k), Some(&(k * 10)));
-        }
-        assert_eq!(lock(&c).get(&999), None);
-        let stats = lock(&c).stats();
-        assert_eq!((stats.hits, stats.misses), (32, 1));
-        lock(&c).clear();
-        assert!(lock(&c).is_empty());
-        // Counters describe the lifetime, not the contents.
-        assert_eq!(lock(&c).stats().hits, 32);
-        // A panic under the lock poisons it; the cache is still served.
-        lock(&c).insert(1, 10);
-        let panicked = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = lock(&c);
-                panic!("poisoning the cache lock");
-            })
-            .join()
-        });
-        assert!(panicked.is_err() && c.is_poisoned());
-        assert_eq!(lock(&c).get(&1), Some(&10));
-    }
-
-    #[test]
-    fn locked_cache_is_consistent_under_concurrent_traffic() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let c: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(128));
-        let wrong = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let c = &c;
-                let wrong = &wrong;
-                s.spawn(move || {
-                    for i in 0..2_000u64 {
-                        let k = (t * 2_000 + i) % 300;
-                        lock(c).insert(k, k * 7);
-                        if let Some(&v) = lock(c).get(&k) {
-                            // Values are keyed deterministically: a hit may
-                            // be stale-evicted-reinserted but never wrong.
-                            if v != k * 7 {
-                                wrong.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wrong.load(Ordering::Relaxed), 0);
-        assert!(lock(&c).len() <= 128);
-        let stats = lock(&c).stats();
-        assert_eq!(stats.hits + stats.misses, 4 * 2_000);
-    }
-
-    #[test]
     fn version_salt_separates_premise_and_knowns_space() {
         // The same digest arriving via the premise side and via the knowns
         // side must produce different salts (XOR without rotation would
@@ -684,32 +621,26 @@ mod tests {
     fn get_if_verifies_stored_payloads() {
         // The engine's collision discipline: the payload rides in the value
         // and a hit only counts when it matches the query.
-        let c: Mutex<LruCache<VersionedKey, (&str, u32)>> = Mutex::new(LruCache::new(8));
+        let mut c: LruCache<VersionedKey, (&str, u32)> = LruCache::new(8);
         let key = VersionedKey::new(1, 42);
-        lock(&c).insert(key, ("alpha", 10));
+        c.insert(key, ("alpha", 10));
         assert_eq!(
-            lock(&c).get_if(&key, |&(p, v)| (p == "alpha").then_some(v)),
+            c.get_if(&key, |&(p, v)| (p == "alpha").then_some(v)),
             Some(10)
         );
         // A colliding payload under the same key is rejected, not aliased —
         // and the rejection counts as a miss, matching the recomputation
         // the caller then performs.
-        let before = lock(&c).stats();
-        assert_eq!(
-            lock(&c).get_if(&key, |&(p, v)| (p == "beta").then_some(v)),
-            None
-        );
-        let after = lock(&c).stats();
+        let before = c.stats();
+        assert_eq!(c.get_if(&key, |&(p, v)| (p == "beta").then_some(v)), None);
+        let after = c.stats();
         assert_eq!(after.hits, before.hits);
         assert_eq!(after.misses, before.misses + 1);
         // The rejection is also attributed as a collision…
         assert_eq!(after.collisions, before.collisions + 1);
         // …while an absent key is a plain miss.
-        assert_eq!(
-            lock(&c).get_if(&VersionedKey::new(9, 42), |&(_, v)| Some(v)),
-            None
-        );
-        let absent = lock(&c).stats();
+        assert_eq!(c.get_if(&VersionedKey::new(9, 42), |&(_, v)| Some(v)), None);
+        let absent = c.stats();
         assert_eq!(absent.misses, after.misses + 1);
         assert_eq!(absent.collisions, after.collisions);
     }
@@ -718,23 +649,25 @@ mod tests {
     fn attached_counters_match_the_cache_stats_exactly() {
         // A counter set of its own, so no other test's traffic shows up.
         let counters: &'static CacheCounters = Box::leak(Box::default());
-        let c = Mutex::new(LruCache::with_counters(2, counters));
+        let mut c = LruCache::with_counters(2, counters);
         let (a, b, d) = (
             VersionedKey::new(1, 1),
             VersionedKey::new(1, 2),
             VersionedKey::new(1, 3),
         );
-        lock(&c).insert(a, ("a", 1));
-        lock(&c).insert(b, ("b", 2));
-        let hit = |key, payload| lock(&c).get_if(&key, |&(p, v)| (p == payload).then_some(v));
-        assert_eq!(hit(a, "a"), Some(1));
-        assert_eq!(hit(a, "z"), None, "a rejected collision");
-        assert_eq!(hit(d, "d"), None, "a plain miss");
-        lock(&c).insert(d, ("d", 3)); // evicts b, the least recently used
-        lock(&c).insert(b, ("b", 2)); // evicts a
-        assert_eq!(hit(b, "b"), Some(2));
-        assert_eq!(hit(a, "a"), None);
-        let stats = lock(&c).stats();
+        c.insert(a, ("a", 1));
+        c.insert(b, ("b", 2));
+        let hit = |c: &mut LruCache<_, (&str, i32)>, key, payload| {
+            c.get_if(&key, |&(p, v)| (p == payload).then_some(v))
+        };
+        assert_eq!(hit(&mut c, a, "a"), Some(1));
+        assert_eq!(hit(&mut c, a, "z"), None, "a rejected collision");
+        assert_eq!(hit(&mut c, d, "d"), None, "a plain miss");
+        c.insert(d, ("d", 3)); // evicts b, the least recently used
+        c.insert(b, ("b", 2)); // evicts a
+        assert_eq!(hit(&mut c, b, "b"), Some(2));
+        assert_eq!(hit(&mut c, a, "a"), None);
+        let stats = c.stats();
         assert_eq!(
             stats,
             CacheStats {

@@ -1,15 +1,15 @@
 //! Constraint interning: map each distinct [`DiffConstraint`] to a small
 //! dense id.
 //!
-//! Sessions intern their asserted premises, giving each a stable
-//! [`ConstraintId`] (4 bytes, `Copy`) that the wire protocol reports and
-//! [`crate::session::Session::retract_id`] accepts.  Interning is
-//! append-only: ids stay valid for the lifetime of the interner, even after
-//! the constraint is retracted from the premise set (until the session
-//! compacts the table).  Query traffic never touches the interner — the
-//! concurrent caches are keyed on digest-versioned constraints
-//! ([`crate::cache::VersionedKey`]), not ids, so the read path needs no
-//! access to this mutable table.
+//! Sessions intern their asserted premises, giving each a [`ConstraintId`]
+//! (4 bytes, `Copy`) that the wire protocol reports, and through which
+//! [`crate::session::Session::retract_constraint`] finds a premise's
+//! position.  Interning is append-only: ids stay valid for the lifetime of
+//! the interner, even after the constraint is retracted from the premise
+//! set, until the session compacts the table and renumbers every id.
+//! Query traffic never touches the interner — the caches are keyed on
+//! digest-versioned constraints ([`crate::cache::VersionedKey`]), not ids,
+//! so the read path needs no access to this mutable table.
 
 use diffcon::DiffConstraint;
 use std::collections::HashMap;

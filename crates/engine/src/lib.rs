@@ -6,28 +6,25 @@
 //! to one of them and amortizes repeated traffic through cached answers:
 //!
 //! * **Sessions** ([`session::Session`]) hold a universe and a premise set
-//!   with incremental assert/retract.  Each mutation maintains, in `O(|C|)`,
-//!   whether every premise lies in the single-member fragment and an
-//!   order-independent 64-bit digest that versions cached answers — so
-//!   retracting a premise invalidates stale answers instantly and
-//!   re-asserting it revalidates them.
-//! * **Snapshot isolation** ([`snapshot::Snapshot`]) — the session state
-//!   (premises, fragment flag, knowns, dataset handle, digests)
-//!   lives in an immutable `Arc<Snapshot>`, its only copy; every mutation
-//!   publishes the next one, sharing every component it did not change,
-//!   under a bumped epoch.  All query methods — `implies`, `implies_batch`,
-//!   `bound`, `witness`, `derive` — decide against a snapshot through
-//!   `&self`: any number of threads query concurrently, writers never wait
-//!   for readers, and in-flight readers keep the exact state they captured.
-//! * **Memoization** ([`cache::LruCache`]) — two LRU caches, one lock each,
-//!   shared across all snapshots of a session: full query answers and bound
-//!   intervals.  Both keys are digest-versioned through one helper
-//!   ([`cache::version_salt`] / [`cache::VersionedKey`]), so mutation
-//!   invalidates instantly and state restoration revalidates instantly.
-//!   A miss is decided afresh; nothing derived from a goal is kept but its
-//!   answer.
+//!   with incremental assert/retract.  Each write maintains whether every
+//!   premise lies in the single-member fragment and an order-independent
+//!   64-bit digest that versions cached answers — so retracting a premise
+//!   invalidates stale answers instantly and re-asserting it revalidates
+//!   them.
+//! * **One owner of session state** ([`snapshot::Snapshot`]) — the state
+//!   (premises, fragment flag, knowns, dataset, digests, caches, planner
+//!   accounting) is one value the session owns; every write edits it in
+//!   place, copying nothing it does not change, and bumps its epoch.  All query methods — `implies`, `implies_batch`, `bound`,
+//!   `witness`, `derive` — read it through `&self`, on the one thread that
+//!   answers the session's requests in order, so nothing is locked.
+//! * **Memoization** ([`cache::LruCache`]) — two LRU caches per session:
+//!   full query answers and bound intervals.  Both keys are
+//!   digest-versioned through one helper ([`cache::version_salt`] /
+//!   [`cache::VersionedKey`]), so a write invalidates instantly and state
+//!   restoration revalidates instantly.  A miss is decided afresh; nothing
+//!   derived from a goal is kept but its answer.
 //! * **Batch evaluation** ([`snapshot::Snapshot::implies_batch`]) — many
-//!   goals against one snapshot, decided in order on the calling thread,
+//!   goals against the session's state, decided in order on the calling thread,
 //!   each exactly as `implies` would decide it: a repeated goal is an
 //!   answer-cache hit.
 //! * **Multi-session serving** ([`server_state::SessionRegistry`],

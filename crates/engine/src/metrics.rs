@@ -493,7 +493,7 @@ pub struct EngineMetrics {
     pub reactor_writev_bytes: Histogram,
     /// Reactor event-loop threads serving (set at `serve` startup).
     pub reactor_threads: Gauge,
-    /// Snapshot publications (every session mutation).
+    /// Epoch bumps (every session write).
     pub epoch_publishes: Counter,
     /// Goals answered inline as trivial.
     pub trivial: Counter,

@@ -19,8 +19,8 @@
 //!    `2^{|S|−|X|}`.
 //!
 //! The planner only picks the route: every route has one decider,
-//! [`diffcon::procedure::decide`], which the snapshot calls on its premises
-//! on the calling thread.
+//! [`diffcon::procedure::decide`], which the session's state calls on its
+//! premises on the calling thread.
 //!
 //! **Bound queries** (`f(Y) ∈ [lo, hi]`, served by the `diffcon-bounds`
 //! crate) are a second query class with their own routing ladder:
@@ -36,10 +36,10 @@
 //! histogram (cumulative time and percentiles), so a long-running
 //! `diffcond` process can report where its time goes.
 //!
-//! Routing is a pure function of the query and the snapshot; the accounting
-//! is lock-free atomics.  Both therefore work through `&self`, which is what
-//! lets every reader of a snapshot share one [`Planner`] without
-//! serializing on it.
+//! Routing is a pure function of the query and the session's state, and the
+//! accounting is atomic counters, because the metrics registry reads the
+//! ledger from other threads.  Both work through `&self`, so a query needs
+//! no mutable access to its session.
 
 use crate::metrics::{EngineMetrics, SessionCosts};
 use diffcon::procedure::{self, ProcedureKind};
@@ -131,8 +131,8 @@ fn bound_slot(route: DeriveRoute) -> usize {
     }
 }
 
-/// The planner: stateless routing plus lock-free atomic accounting, shared
-/// by reference among every concurrent reader of a snapshot.
+/// The planner: stateless routing plus atomic accounting, owned by one
+/// session's state.
 #[derive(Debug, Default)]
 pub struct Planner {
     /// The owning session's ledger, where every decision, cache hit, and

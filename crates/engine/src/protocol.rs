@@ -2177,7 +2177,7 @@ impl Server {
         false
     }
 
-    /// Answers a read verb against the current slot's published snapshot,
+    /// Answers a read verb against the current slot's session state,
     /// in the same steps for every read verb: the no-session reply; `arg`
     /// resolved (a goal into the scratch goal), or its `err`; `answer`'s
     /// reply and record fields; and under `trace on` the ` epoch=N`

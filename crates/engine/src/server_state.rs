@@ -14,8 +14,8 @@
 //!
 //! [`crate::protocol::Server::respond`] answers every request at its
 //! position in the request stream, on the thread that parsed it: a query
-//! reads the current slot's published snapshot, and a mutation applies
-//! before the next request is parsed.  The reply stream is therefore the
+//! reads the current slot's session, and a write edits that session in
+//! place before the next request is parsed.  The reply stream is therefore the
 //! serial one by construction, whatever the framing, and replies leave in
 //! request order.
 

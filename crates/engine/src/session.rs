@@ -1,32 +1,29 @@
 //! Sessions: a universe plus an incrementally maintained premise set, with
-//! snapshot publication, shared memoization, and batch evaluation layered
-//! over the one-shot procedures in `diffcon`.
+//! memoization and batch evaluation layered over the one-shot procedures in
+//! `diffcon`.
 //!
-//! A [`Session`] is the unit of engine *write* state.  Its state lives in
-//! the published [`Snapshot`], the only copy: the premise set, held once,
-//! with a flag for whether every premise is single-member (which opens the
-//! polynomial FD fast path), and an order-independent 64-bit **premise
-//! digest** (XOR of constraint fingerprints) that versions every cached
-//! answer; the known point values `f(X) = v` with their own digest
-//! (versioning bound intervals); the loaded dataset; and handles to the
-//! session's two caches (full answers and bound intervals — one
-//! [`crate::cache::LruCache`] behind one lock each) and its [`Planner`]
-//! accounting.  The session itself keeps only what a snapshot lacks: the
-//! [`ConstraintInterner`] assigning dense ids to asserted premises, and
-//! those ids.
+//! A [`Session`] is the unit of engine state.  It owns its state by value,
+//! in one [`Snapshot`]: the premise set, with a flag for whether every
+//! premise is single-member (which opens the polynomial FD fast path), and
+//! an order-independent 64-bit **premise digest** (XOR of constraint
+//! fingerprints) that versions every cached answer; the known point values
+//! `f(X) = v` with their own digest (versioning bound intervals); the
+//! loaded dataset; the session's two caches (full answers and bound
+//! intervals, one [`crate::cache::LruCache`] each); and its [`Planner`]
+//! accounting.  Beside it the session keeps the [`ConstraintInterner`]
+//! assigning dense ids to asserted premises, and those ids.
 //!
-//! Every mutation publishes the next snapshot built from the current one:
-//! it replaces the one component it changed in `O(|C|)` (an assert or
-//! retract splices one premise slice), shares the rest, bumps the epoch,
-//! and leaves the current snapshot's bound state behind (the next snapshot
-//! builds its own on its first `bound` miss).  A session dereferences to
-//! its current snapshot, so its reads — [`Snapshot::implies`],
-//! [`Snapshot::implies_batch`], [`Snapshot::bound`], the accessors — are
-//! the snapshot's own methods, the same code any snapshot reader executes.
-//! Writers never wait for readers: an in-flight reader keeps its
-//! `Arc<Snapshot>` alive and the writer publishes past it.
+//! Every write edits the state in place: an assert pushes one premise, a
+//! retract removes one, a `known` or `forget` inserts, replaces or removes
+//! one entry of the sorted knowns, and each updates its digest and fragment
+//! flag, bumps the epoch, and drops the bound state (the next `bound` miss
+//! builds a fresh one).  A write copies nothing it does not change, so its
+//! allocations do not grow with the premise count.  A session dereferences
+//! to its state, so its reads —
+//! [`Snapshot::implies`], [`Snapshot::implies_batch`], [`Snapshot::bound`],
+//! the accessors — are the state's own methods.  One thread owns a session
+//! and answers its requests in order, so nothing is locked.
 
-use crate::cache::lock;
 use crate::intern::{ConstraintId, ConstraintInterner};
 use crate::metrics::{EngineMetrics, SessionCosts};
 use crate::planner::{Planner, PlannerStats};
@@ -36,8 +33,9 @@ use diffcon_bounds::problem::BoundsConfig;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
 use setlat::{AttrSet, Universe};
+use std::cell::OnceCell;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use crate::cache::CacheStats;
 pub use crate::snapshot::{BoundOutcome, QueryOutcome};
@@ -105,7 +103,7 @@ pub struct SessionStats {
     /// Times the interner has been compacted (see
     /// [`SessionConfig::interner_compaction_threshold`]).
     pub interner_compactions: u64,
-    /// The current snapshot epoch (bumped by every mutation).
+    /// The state's epoch (bumped by every write).
     pub epoch: u64,
 }
 
@@ -134,24 +132,12 @@ pub struct CoreApplied {
 #[derive(Debug)]
 pub struct Session {
     interner: ConstraintInterner,
-    /// The premise ids, aligned with the published premise set.
+    /// The premise ids, aligned with the premise set.
     premise_ids: Vec<ConstraintId>,
-    /// The currently published snapshot (readers clone the `Arc`): the
-    /// session's state.
-    current: Arc<Snapshot>,
+    /// The session's state, which every write edits in place.
+    state: Snapshot,
     interner_compaction_threshold: usize,
     interner_compactions: u64,
-}
-
-/// `items` with the `removed` entries at `at` replaced by `inserted`,
-/// copied once into a fresh `Arc`.
-fn spliced<T: Clone>(items: &[T], at: usize, removed: usize, inserted: Option<T>) -> Arc<[T]> {
-    items[..at]
-        .iter()
-        .cloned()
-        .chain(inserted)
-        .chain(items[at + removed..].iter().cloned())
-        .collect()
 }
 
 impl Session {
@@ -162,60 +148,50 @@ impl Session {
 
     /// Creates an empty session with explicit cache and planner settings.
     pub fn with_config(universe: Universe, config: SessionConfig) -> Self {
-        let current = Arc::new(Snapshot {
-            universe: Arc::new(universe),
-            premises: Arc::from([]),
+        let state = Snapshot {
+            universe,
+            premises: Vec::new(),
             fd_fragment: true,
             premise_digest: 0,
-            knowns: Arc::from([]),
+            knowns: Vec::new(),
             knowns_digest: 0,
             bounds_config: config.bounds,
             dataset: None,
             epoch: 0,
-            caches: Arc::new(EngineCaches::new(&config)),
-            planner: Arc::new(Planner::default()),
-            bound_state: OnceLock::new(),
-        });
+            caches: EngineCaches::new(&config),
+            planner: Planner::default(),
+            bound_state: OnceCell::new(),
+        };
         Session {
             interner: ConstraintInterner::new(),
             premise_ids: Vec::new(),
-            current,
+            state,
             interner_compaction_threshold: config.interner_compaction_threshold.max(1),
             interner_compactions: 0,
         }
     }
 
-    /// Publishes the next snapshot: the current one's
-    /// [`Snapshot::successor`], under the next epoch, with `change` applied.
-    /// It shares every component (each is an `Arc` or `Copy`), so a
-    /// mutation pays only for the component it replaces, and starts without
-    /// a bound state, so the previous one's is never copied; readers holding
-    /// the previous snapshot are unaffected.
-    fn publish(&mut self, change: impl FnOnce(&mut Snapshot)) {
-        let mut next = self.current.successor();
-        change(&mut next);
+    /// The state, opened for one write: the epoch bumped and the bound
+    /// state dropped, since it was built from the state before the write.
+    fn write(&mut self) -> &mut Snapshot {
         EngineMetrics::global().epoch_publishes.inc();
-        self.current = Arc::new(next);
+        let state = &mut self.state;
+        state.epoch += 1;
+        state.bound_state.take();
+        state
     }
 
     /// The session's ledger: every route decision, cache hit, and charged
-    /// query, counted once (held by its planner, shared by every published
-    /// snapshot, and registered with the metrics registry when the session
-    /// is bound to a `(connection, slot)` pair).
+    /// query, counted once (held by its planner, and registered with the
+    /// metrics registry when the session is bound to a `(connection, slot)`
+    /// pair).
     pub fn costs(&self) -> &Arc<SessionCosts> {
-        self.current.planner.costs()
+        self.state.planner.costs()
     }
 
-    /// The currently published snapshot: an immutable view of the session
-    /// state that answers queries from any thread through `&self` and stays
-    /// frozen while the session mutates past it.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current)
-    }
-
-    /// The premise ids aligned with [`Snapshot::premises`].
-    pub fn premise_ids(&self) -> &[ConstraintId] {
-        &self.premise_ids
+    /// The session's state, which answers queries through `&self`.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.state
     }
 
     /// Stable fingerprint of one known entry; XORed into the knowns digest.
@@ -234,33 +210,30 @@ impl Session {
             set.is_subset(self.universe().full_set()),
             "known set lies outside the universe"
         );
-        let knowns = self.knowns();
-        let (pos, old) = match knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
-            Ok(pos) => (pos, Some(knowns[pos].1)),
-            Err(pos) => (pos, None),
-        };
-        let knowns = spliced(knowns, pos, usize::from(old.is_some()), Some((set, value)));
-        let digest_change = old.map_or(0, |old| Session::known_fingerprint(set, old))
-            ^ Session::known_fingerprint(set, value);
-        self.publish(|next| {
-            next.knowns = knowns;
-            next.knowns_digest ^= digest_change;
-        });
-        old.is_none()
+        let state = self.write();
+        let fingerprint = Session::known_fingerprint(set, value);
+        match state.knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
+            Ok(pos) => {
+                let old = std::mem::replace(&mut state.knowns[pos].1, value);
+                state.knowns_digest ^= Session::known_fingerprint(set, old) ^ fingerprint;
+                false
+            }
+            Err(pos) => {
+                state.knowns.insert(pos, (set, value));
+                state.knowns_digest ^= fingerprint;
+                true
+            }
+        }
     }
 
     /// Forgets a known point value.  Returns `false` when it was not known.
     pub fn forget_known(&mut self, set: AttrSet) -> bool {
-        let knowns = self.knowns();
-        let Ok(pos) = knowns.binary_search_by(|(x, _)| x.cmp(&set)) else {
+        let Ok(pos) = self.knowns().binary_search_by(|(x, _)| x.cmp(&set)) else {
             return false;
         };
-        let digest_change = Session::known_fingerprint(set, knowns[pos].1);
-        let knowns = spliced(knowns, pos, 1, None);
-        self.publish(|next| {
-            next.knowns = knowns;
-            next.knowns_digest ^= digest_change;
-        });
+        let state = self.write();
+        let (_, value) = state.knowns.remove(pos);
+        state.knowns_digest ^= Session::known_fingerprint(set, value);
         true
     }
 
@@ -272,31 +245,28 @@ impl Session {
     /// valid; only [`Session::adopt_discovered`] (which asserts premises)
     /// re-versions them.
     ///
-    /// Snapshot isolation makes loading copy-on-write: the published
-    /// snapshot always shares the dataset handle, so each call clones the
-    /// dataset once before appending — `O(dataset)` per call, never per
-    /// record — which is what keeps a reader mid-`mine` on an older
-    /// snapshot safe from concurrent mutation.  Batch records into as few
-    /// calls as the source allows; the per-call copy, not the record
-    /// count, is the incremental cost.
+    /// Each call appends to a copy of the dataset and installs it once
+    /// every record has parsed, which is what keeps a refused load from
+    /// leaving half its records behind.  The copy costs `O(dataset)` per
+    /// call, never per record, so batch records into as few calls as the
+    /// source allows.
     ///
     /// # Errors
     /// [`BasketParseError`] locating the first bad record (1-based) and its
-    /// offending token.  The session is left as it was: the records are
-    /// appended to the copy, which is published only when every record
-    /// parsed, so a failed first load creates no dataset and no epoch.
+    /// offending token.  The session is left as it was, so a failed first
+    /// load creates no dataset and no epoch.
     pub fn load_records<I>(&mut self, records: I) -> Result<usize, BasketParseError>
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
         let mut dataset = self
-            .current
+            .state
             .dataset
             .clone()
-            .unwrap_or_else(|| Arc::new(Dataset::new(self.universe().clone())));
-        let added = Arc::make_mut(&mut dataset).load(records)?;
-        self.publish(|next| next.dataset = Some(dataset));
+            .unwrap_or_else(|| Dataset::new(self.universe().clone()));
+        let added = dataset.load(records)?;
+        self.write().dataset = Some(dataset);
         Ok(added)
     }
 
@@ -328,13 +298,10 @@ impl Session {
             return (id, false);
         }
         self.premise_ids.push(id);
-        let prev = &self.current.premises;
-        let premises = spliced(prev, prev.len(), 0, Some(constraint.clone()));
-        self.publish(|next| {
-            next.premises = premises;
-            next.fd_fragment &= fd_fragment::in_fragment(constraint);
-            next.premise_digest ^= constraint.fingerprint();
-        });
+        let state = self.write();
+        state.premises.push(constraint.clone());
+        state.fd_fragment &= fd_fragment::in_fragment(constraint);
+        state.premise_digest ^= constraint.fingerprint();
         (id, true)
     }
 
@@ -343,24 +310,15 @@ impl Session {
         let Some(id) = self.interner.lookup(constraint) else {
             return false;
         };
-        self.retract_id(id)
-    }
-
-    /// Removes a premise by id.  Returns `false` when it was not asserted.
-    pub fn retract_id(&mut self, id: ConstraintId) -> bool {
         let Some(pos) = self.premise_ids.iter().position(|&p| p == id) else {
             return false;
         };
         self.premise_ids.remove(pos);
-        let prev = &self.current;
-        let fingerprint = prev.premises[pos].fingerprint();
-        let premises = spliced(&prev.premises, pos, 1, None);
-        self.publish(|next| {
-            // The retraction may have removed the last wide premise; rescan.
-            next.fd_fragment = next.fd_fragment || fd_fragment::set_in_fragment(&premises);
-            next.premises = premises;
-            next.premise_digest ^= fingerprint;
-        });
+        let state = self.write();
+        let removed = state.premises.remove(pos);
+        state.premise_digest ^= removed.fingerprint();
+        // The retraction may have removed the last wide premise; rescan.
+        state.fd_fragment = state.fd_fragment || fd_fragment::set_in_fragment(&state.premises);
         true
     }
 
@@ -403,7 +361,7 @@ impl Session {
     /// constraints, never on ids).
     fn compact_interner(&mut self) {
         let mut fresh = ConstraintInterner::new();
-        for (slot, premise) in self.current.premises.iter().enumerate() {
+        for (slot, premise) in self.state.premises.iter().enumerate() {
             self.premise_ids[slot] = fresh.intern(premise);
         }
         self.interner = fresh;
@@ -412,42 +370,41 @@ impl Session {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> SessionStats {
-        let current = &self.current;
-        let caches = &current.caches;
+        let state = &self.state;
+        let caches = &state.caches;
         SessionStats {
-            planner: current.planner.stats(),
-            answer_cache: lock(&caches.answer).stats(),
-            bound_cache: lock(&caches.bound).stats(),
+            planner: state.planner.stats(),
+            answer_cache: caches.answer.borrow().stats(),
+            bound_cache: caches.bound.borrow().stats(),
             route_latency_us: diffcon::procedure::ALL_PROCEDURES.map(|kind| {
-                let latency = current.planner.latency(kind);
+                let latency = state.planner.latency(kind);
                 (latency.p50() / 1_000, latency.p99() / 1_000)
             }),
-            knowns: current.knowns.len(),
-            dataset_baskets: current.dataset.as_deref().map_or(0, Dataset::len),
-            premises: current.premises.len(),
+            knowns: state.knowns.len(),
+            dataset_baskets: state.dataset.as_ref().map_or(0, Dataset::len),
+            premises: state.premises.len(),
             interned: self.interner.len(),
             interner_compactions: self.interner_compactions,
-            epoch: current.epoch,
+            epoch: state.epoch,
         }
     }
 
-    /// Drops all cached answers and bound intervals from the shared caches
-    /// (premises and knowns are kept).  Affects every snapshot of this
-    /// session, since the caches are a shared performance layer, never a
-    /// source of truth.
+    /// Drops all cached answers and bound intervals (premises and knowns
+    /// are kept): the caches are a performance layer, never a source of
+    /// truth.
     pub fn clear_caches(&self) {
-        self.current.caches.clear();
+        self.state.caches.clear();
     }
 }
 
-/// A session reads through its current snapshot: `session.implies(goal)`,
+/// A session reads through its state: `session.implies(goal)`,
 /// `session.bound(set)`, `session.premises()` and every other [`Snapshot`]
-/// method answer against the state the last mutation published.
+/// method answer against the state as the last write left it.
 impl Deref for Session {
     type Target = Snapshot;
 
     fn deref(&self) -> &Snapshot {
-        &self.current
+        &self.state
     }
 }
 

@@ -1,46 +1,39 @@
-//! Immutable session snapshots: the read path of the engine.
+//! A session's state and its read path.
 //!
-//! A [`Snapshot`] is a frozen, point-in-time view of one session's state —
-//! the premise set (held once) with a flag for whether it lies in the
-//! single-member fragment, the known point values, both versioning digests,
-//! and the dataset handle — together with handles to the session's two
-//! caches and its planner accounting.  It is the session's only copy of
-//! that state: every field is an `Arc` or `Copy`, and a
-//! [`crate::session::Session`] mutation publishes the next snapshot by
-//! replacing the one component it changed, sharing the rest, and bumping
-//! the [`Snapshot::epoch`].
+//! A [`Snapshot`] is one session's state — the premise set with a flag for
+//! whether it lies in the single-member fragment, the known point values,
+//! both versioning digests, and the loaded dataset — together with the
+//! session's two caches, its planner accounting, and its bound state.  A
+//! [`crate::session::Session`] owns it by value and applies each write to
+//! it in place, bumping the [`Snapshot::epoch`].
 //!
-//! The deciders of the paper are pure functions of the premise set, so once
-//! that state is frozen every query is answerable through `&self`:
-//! [`Snapshot::implies`], [`Snapshot::implies_batch`], and
-//! [`Snapshot::bound`] never take a mutable reference, never block a writer,
-//! and may be called from any number of threads concurrently (each cache
-//! probe takes that cache's one lock).  In-flight readers keep answering
-//! against the snapshot they hold — exactly the serial semantics of the
-//! program order in which they captured it — while new readers pick up the
-//! new state.  An implication miss is routed by the planner and decided
-//! through `diffcon::procedure::decide` on the calling thread; only its
-//! answer is memoized.  A batch is the same path once per goal, in order,
-//! and [`Snapshot::explain`] is the same path with stage marks: one clock
-//! reading after the cache probe, the route choice and the decision, which
-//! `implies` runs without.
+//! The deciders of the paper are pure functions of the premise set, so
+//! every query is answerable through `&self`: [`Snapshot::implies`],
+//! [`Snapshot::implies_batch`], and [`Snapshot::bound`] never take a
+//! mutable reference.  One thread owns a session and both reads and writes
+//! it, so each cache is a `RefCell` and the bound state a `OnceCell`; no
+//! lock is taken anywhere on the read path.  An implication miss is routed
+//! by the planner and decided through `diffcon::procedure::decide` on the
+//! calling thread; only its answer is memoized.  A batch is the same path
+//! once per goal, in order, and [`Snapshot::explain`] is the same path with
+//! stage marks: one clock reading after the cache probe, the route choice
+//! and the decision, which `implies` runs without.
 //!
-//! Caching across snapshots is sound because every cache key is versioned
-//! through [`crate::cache::version_salt`]: two snapshots with the same
-//! digests share warm entries (retract-then-reassert instantly revalidates),
-//! while any state difference makes the keys disjoint.
+//! Caching across writes is sound because every cache key is versioned
+//! through [`crate::cache::version_salt`]: two states with the same digests
+//! share warm entries (retract-then-reassert instantly revalidates), while
+//! any state difference makes the keys disjoint.
 //!
-//! A snapshot also owns its bound state: the query-independent half of the
+//! The state also holds its bound state: the query-independent half of the
 //! propagation path ([`Propagation`]: the `L(C)` bitmap, every density
 //! variable's interval, `2 × 8 × 2^{|S|}` bytes, plus each known's row sum
 //! and a sorted copy of the knowns).  Its sums visit only the variables
-//! outside `L(C)`.  The first `bound` miss routed to propagation builds it;
-//! concurrent misses wait for that one build, and every later miss only
-//! evaluates it, allocating nothing.  Publishing never copies it: the next
-//! snapshot starts without a state and builds its own on its first miss,
-//! bitmap included, which at 8 attributes is a fraction of a microsecond.
+//! outside `L(C)`.  The first `bound` miss routed to propagation builds it,
+//! and every later miss only evaluates it, allocating nothing.  Each write
+//! drops it, and the next miss builds a fresh one, bitmap included, which
+//! at 8 attributes is a fraction of a microsecond.
 
-use crate::cache::{lock, version_salt, LruCache, VersionedKey};
+use crate::cache::{version_salt, LruCache, VersionedKey};
 use crate::metrics::{CacheFamily, EngineMetrics};
 use crate::planner::Planner;
 use crate::session::SessionConfig;
@@ -53,7 +46,7 @@ use diffcon_bounds::{Interval, SideConditions};
 use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
 use diffcon_obs::profile::{self, StageTag};
 use setlat::{AttrSet, Universe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{OnceCell, RefCell};
 use std::time::{Duration, Instant};
 
 /// Profiling tags for the implication decision routes, so a profile
@@ -127,7 +120,7 @@ impl BoundOutcome {
 }
 
 /// A fully-instrumented single-query decision: what [`Snapshot::implies`]
-/// would answer, plus the snapshot identity and a wall-clock decomposition
+/// would answer, plus the state's epoch and a wall-clock decomposition
 /// of where the time went (the `explain` verb's payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplainOutcome {
@@ -135,7 +128,7 @@ pub struct ExplainOutcome {
     /// the same accounting side effects: an explained query hits or feeds
     /// the answer cache and counts in the planner like any other query).
     pub outcome: QueryOutcome,
-    /// The epoch of the snapshot that answered.
+    /// The epoch of the state that answered.
     pub epoch: u64,
     /// Time probing the answer cache (zero for trivial goals).
     pub probe: Duration,
@@ -151,35 +144,35 @@ pub struct ExplainOutcome {
 }
 
 /// The payload of the `analyze` verb: a premise-core static analysis of the
-/// frozen state (see [`diffcon_analyze::premise`]), plus the snapshot
-/// identity and the analysis wall-clock.
+/// session's state (see [`diffcon_analyze::premise`]), plus the state's
+/// epoch and the analysis wall-clock.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOutcome {
     /// The analysis: redundant premises with witnesses, a minimal
     /// conflicting known set if the knowns are infeasible, and the dead
     /// density variables.
     pub analysis: diffcon_analyze::Analysis,
-    /// The epoch of the snapshot that was analyzed.
+    /// The epoch of the state that was analyzed.
     pub epoch: u64,
     /// Wall-clock time spent analyzing.
     pub elapsed: Duration,
 }
 
-/// The two caches shared by every snapshot of one session, each one
-/// [`LruCache`] behind one lock: full query answers and derived bound
-/// intervals, both digest-versioned.  Keys are fingerprint-addressed
-/// ([`VersionedKey`]), so every value carries the payload it was computed
-/// for; reads verify it against the query before trusting the entry
-/// (fingerprint collisions recompute, never alias).
+/// The two caches of one session, each one [`LruCache`] in a `RefCell`:
+/// full query answers and derived bound intervals, both digest-versioned.
+/// Keys are fingerprint-addressed ([`VersionedKey`]), so every value
+/// carries the payload it was computed for; reads verify it against the
+/// query before trusting the entry (fingerprint collisions recompute,
+/// never alias).
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
     pub(crate) answer: Cache<(DiffConstraint, bool, ProcedureKind)>,
     pub(crate) bound: Cache<(AttrSet, Interval, DeriveRoute)>,
 }
 
-/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], behind one
-/// lock.
-type Cache<V> = Mutex<LruCache<VersionedKey, V>>;
+/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], borrowed
+/// for one probe or one insert at a time.
+type Cache<V> = RefCell<LruCache<VersionedKey, V>>;
 
 impl EngineCaches {
     /// Empty caches bounded by `config`, each counting into its family's
@@ -187,7 +180,7 @@ impl EngineCaches {
     pub(crate) fn new(config: &SessionConfig) -> Self {
         fn cache<V>(family: CacheFamily, capacity: usize) -> Cache<V> {
             let counters = EngineMetrics::global().cache(family);
-            Mutex::new(LruCache::with_counters(capacity, counters))
+            RefCell::new(LruCache::with_counters(capacity, counters))
         }
         EngineCaches {
             answer: cache(CacheFamily::Answer, config.answer_cache_capacity),
@@ -196,100 +189,79 @@ impl EngineCaches {
     }
 
     pub(crate) fn clear(&self) {
-        lock(&self.answer).clear();
-        lock(&self.bound).clear();
+        self.answer.borrow_mut().clear();
+        self.bound.borrow_mut().clear();
     }
 }
 
-/// An immutable, shareable view of one session's state, answering
-/// implication and bound queries through `&self`.
+/// One session's state, answering implication and bound queries through
+/// `&self`.
 ///
-/// Obtained from [`crate::session::Session::snapshot`]; shared through its
-/// `Arc`, never copied.  All query methods are safe to call from many
-/// threads at once.
+/// Owned by its [`crate::session::Session`], which reads through it
+/// ([`crate::session::Session::snapshot`], or by dereference) and writes
+/// it in place.
 #[derive(Debug)]
 pub struct Snapshot {
-    pub(crate) universe: Arc<Universe>,
-    pub(crate) premises: Arc<[DiffConstraint]>,
+    pub(crate) universe: Universe,
+    pub(crate) premises: Vec<DiffConstraint>,
     /// Whether every premise is single-member (the FD fragment), so the
     /// planner may route single-member goals to the FD procedure.
     pub(crate) fd_fragment: bool,
     /// XOR of the premise fingerprints; versions the answer cache.
     pub(crate) premise_digest: u64,
     /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
-    pub(crate) knowns: Arc<[(AttrSet, f64)]>,
+    pub(crate) knowns: Vec<(AttrSet, f64)>,
     /// XOR of the known-entry fingerprints; versions the bound cache
     /// together with the premise digest.
     pub(crate) knowns_digest: u64,
     pub(crate) bounds_config: BoundsConfig,
     /// The loaded basket dataset, if any.  No cache digest involves it:
     /// `adopt` flows back through assertion, which versions as usual.
-    pub(crate) dataset: Option<Arc<Dataset>>,
+    pub(crate) dataset: Option<Dataset>,
     pub(crate) epoch: u64,
-    pub(crate) caches: Arc<EngineCaches>,
+    pub(crate) caches: EngineCaches,
     /// Holds the session's ledger.
-    pub(crate) planner: Arc<Planner>,
-    /// The bound state of this snapshot's premises and knowns, or the
-    /// infeasibility its pass 1 found: empty until the first `bound` miss
-    /// routed to propagation, then shared by every later one.  Boxed, so an
-    /// empty cell adds 16 bytes to the snapshot.  [`Snapshot::successor`]
-    /// leaves it behind.
-    pub(crate) bound_state: OnceLock<Result<Box<Propagation>, DeriveError>>,
+    pub(crate) planner: Planner,
+    /// The bound state of these premises and knowns, or the infeasibility
+    /// its pass 1 found: empty until the first `bound` miss routed to
+    /// propagation, then read by every later one, and dropped by each
+    /// write.  Boxed, so an empty cell adds 16 bytes to the state.
+    pub(crate) bound_state: OnceCell<Result<Box<Propagation>, DeriveError>>,
 }
 
 impl Snapshot {
-    /// The next snapshot of the same session: every component shared, the
-    /// epoch bumped, and no bound state (neither copied nor carried over:
-    /// the next snapshot builds its own on its first miss).
-    pub(crate) fn successor(&self) -> Snapshot {
-        Snapshot {
-            universe: Arc::clone(&self.universe),
-            premises: Arc::clone(&self.premises),
-            fd_fragment: self.fd_fragment,
-            premise_digest: self.premise_digest,
-            knowns: Arc::clone(&self.knowns),
-            knowns_digest: self.knowns_digest,
-            bounds_config: self.bounds_config,
-            dataset: self.dataset.clone(),
-            epoch: self.epoch + 1,
-            caches: Arc::clone(&self.caches),
-            planner: Arc::clone(&self.planner),
-            bound_state: OnceLock::new(),
-        }
-    }
-
     /// The snapshot's universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
     }
 
-    /// The frozen premise set, in assertion order.
+    /// The premise set, in assertion order.
     pub fn premises(&self) -> &[DiffConstraint] {
         &self.premises
     }
 
-    /// The order-independent digest of the frozen premise set.
+    /// The order-independent digest of the premise set.
     pub fn premise_digest(&self) -> u64 {
         self.premise_digest
     }
 
-    /// The frozen known point values `f(X) = v`, sorted by set.
+    /// The known point values `f(X) = v`, sorted by set.
     pub fn knowns(&self) -> &[(AttrSet, f64)] {
         &self.knowns
     }
 
-    /// The order-independent digest of the frozen known-value map.
+    /// The order-independent digest of the known-value map.
     pub fn knowns_digest(&self) -> u64 {
         self.knowns_digest
     }
 
-    /// The dataset handle frozen in this snapshot, if one was loaded.
+    /// The loaded dataset, if any.
     pub fn dataset(&self) -> Option<&Dataset> {
-        self.dataset.as_deref()
+        self.dataset.as_ref()
     }
 
-    /// The publication epoch: strictly increasing across one session's
-    /// mutations, so readers can tell snapshots apart (and order them).
+    /// The state's epoch: strictly increasing across one session's writes,
+    /// so replies can name (and order) the state that answered them.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -328,7 +300,10 @@ impl Snapshot {
     /// the goal before the entry is trusted.  A hit is counted in the
     /// planner under the route that decided it.
     fn probe_answer(&self, key: &VersionedKey, goal: &DiffConstraint) -> Option<QueryOutcome> {
-        let (implied, kind) = lock(&self.caches.answer)
+        let (implied, kind) = self
+            .caches
+            .answer
+            .borrow_mut()
             .get_if(key, |(stored, implied, kind)| {
                 (stored == goal).then_some((*implied, *kind))
             })?;
@@ -376,7 +351,10 @@ impl Snapshot {
         route: ProcedureKind,
         outcome: QueryOutcome,
     ) {
-        lock(&self.caches.answer).insert(key, (goal.clone(), outcome.implied, route));
+        self.caches
+            .answer
+            .borrow_mut()
+            .insert(key, (goal.clone(), outcome.implied, route));
         self.planner.record_decided(route, outcome.elapsed);
     }
 
@@ -407,7 +385,7 @@ impl Snapshot {
     }
 
     /// Decides `premises ⊨ goal` like [`Snapshot::implies`], additionally
-    /// reporting the snapshot epoch and a per-stage latency decomposition
+    /// reporting the state's epoch and a per-stage latency decomposition
     /// (cache probe → route choice → decision).  This *is* `implies` with a
     /// clock reading at each stage mark — same cache, same planner
     /// accounting — so an explained query observes exactly what serving it
@@ -438,7 +416,7 @@ impl Snapshot {
         }
     }
 
-    /// Decides a whole batch of goals against the frozen premise set, in
+    /// Decides a whole batch of goals against the premise set, in
     /// order on the calling thread: each goal goes through
     /// [`Snapshot::implies`], so a repeat of an earlier goal in the batch is
     /// an answer-cache hit exactly like a repeated query.  The outcomes are
@@ -448,8 +426,8 @@ impl Snapshot {
     }
 
     /// Derives the tightest provable interval for `f(query)` under the
-    /// frozen premises, knowns, and side conditions, consulting and feeding
-    /// the shared bound cache.
+    /// premises, knowns, and side conditions, consulting and feeding the
+    /// bound cache.
     ///
     /// # Errors
     /// [`DeriveError::Infeasible`] when the knowns contradict the premises
@@ -463,9 +441,13 @@ impl Snapshot {
             "query set lies outside the universe"
         );
         let key = self.bound_key(query);
-        let hit = lock(&self.caches.bound).get_if(&key, |&(stored, interval, route)| {
-            (stored == query).then_some((interval, route))
-        });
+        let hit = self
+            .caches
+            .bound
+            .borrow_mut()
+            .get_if(&key, |&(stored, interval, route)| {
+                (stored == query).then_some((interval, route))
+            });
         if let Some((interval, route)) = hit {
             self.planner.record_bound_cache_hit();
             return Ok(BoundOutcome {
@@ -497,7 +479,10 @@ impl Snapshot {
         let elapsed = start.elapsed();
         self.planner.record_bound_decided(route, elapsed);
         let interval = result?;
-        lock(&self.caches.bound).insert(key, (query, interval, route));
+        self.caches
+            .bound
+            .borrow_mut()
+            .insert(key, (query, interval, route));
         Ok(BoundOutcome {
             interval,
             route,
@@ -506,7 +491,7 @@ impl Snapshot {
         })
     }
 
-    /// The frozen state as a bound-derivation problem, under the support
+    /// The state as a bound-derivation problem, under the support
     /// interpretation of the unknown set function (nonnegative density),
     /// which is what `known <set> = <support>` records.
     fn bounds_problem(&self) -> BoundsProblem<'_> {
@@ -518,8 +503,7 @@ impl Snapshot {
         }
     }
 
-    /// This snapshot's bound state, built by the first caller (concurrent
-    /// first callers wait for that one build).
+    /// The bound state, built by the first caller since the last write.
     fn bound_state(&self) -> &Result<Box<Propagation>, DeriveError> {
         self.bound_state.get_or_init(|| {
             Propagation::new(&self.bounds_problem(), &self.bounds_config).map(Box::new)
@@ -538,19 +522,17 @@ impl Snapshot {
         inference::derive(&self.universe, &self.premises, goal)
     }
 
-    /// Mines the minimal satisfied disjunctive constraints of the frozen
-    /// dataset within the budgets.  `None` when the snapshot holds no
-    /// dataset.
+    /// Mines the minimal satisfied disjunctive constraints of the loaded
+    /// dataset within the budgets.  `None` when no dataset is loaded.
     pub fn mine_dataset(&self, config: &MinerConfig) -> Option<Discovery> {
-        self.dataset.as_deref().map(|ds| miner::mine(ds, config))
+        self.dataset.as_ref().map(|ds| miner::mine(ds, config))
     }
 
-    /// Runs the premise-core static analysis against this frozen state:
-    /// redundant premises (each with an implying witness subfamily),
-    /// pre-query infeasibility of the knowns (with a minimal conflicting
-    /// known set), and dead density variables.  Pure read — answered from
-    /// the snapshot like `explain`, so it can run on any worker against any
-    /// epoch — and metered under `diffcond_analyze_*`.
+    /// Runs the premise-core static analysis against this state: redundant
+    /// premises (each with an implying witness subfamily), pre-query
+    /// infeasibility of the knowns (with a minimal conflicting known set),
+    /// and dead density variables.  A pure read, like `explain`, metered
+    /// under `diffcond_analyze_*`.
     pub fn analyze(&self) -> AnalyzeOutcome {
         let start = Instant::now();
         let analysis = diffcon_analyze::analyze(&self.bounds_problem(), &self.bounds_config);
@@ -584,20 +566,20 @@ mod tests {
             .collect()
     }
 
-    /// A snapshot frozen over the given premises.
-    fn snapshot_of(u: &Universe, premises: &[DiffConstraint]) -> Arc<Snapshot> {
+    /// A session holding the given premises.
+    fn session_of(u: &Universe, premises: &[DiffConstraint]) -> Session {
         let mut session = Session::new(u.clone());
         for p in premises {
             session.assert_constraint(p);
         }
-        session.snapshot()
+        session
     }
 
     #[test]
     fn every_procedure_agrees_with_the_reference() {
         let u = Universe::of_size(5);
         let premises = parse(&u, &["A -> {B}", "B -> {C, DE}", "AC -> {D}"]);
-        let snapshot = snapshot_of(&u, &premises);
+        let session = session_of(&u, &premises);
         let goals = parse(
             &u,
             &["A -> {C, DE}", "C -> {A}", "AB -> {C, DE}", "E -> {A}"],
@@ -605,7 +587,7 @@ mod tests {
         for goal in &goals {
             let expected = implication::implies_lattice(&u, &premises, goal);
             for kind in [ProcedureKind::Lattice, ProcedureKind::Sat] {
-                let r = snapshot.decide(goal, kind);
+                let r = session.decide(goal, kind);
                 assert_eq!(r.implied, expected, "{kind} wrong on {}", goal.format(&u));
                 assert_eq!(r.procedure, Some(kind));
                 assert!(!r.cached);
@@ -617,41 +599,13 @@ mod tests {
     fn fd_route_decides_inside_the_fragment() {
         let u = Universe::of_size(5);
         let premises = parse(&u, &["A -> {B}", "B -> {C}"]);
-        let snapshot = snapshot_of(&u, &premises);
-        assert!(snapshot.fd_fragment);
+        let session = session_of(&u, &premises);
+        assert!(session.fd_fragment);
         for (text, expected) in [("A -> {C}", true), ("C -> {A}", false)] {
             let goal = DiffConstraint::parse(text, &u).unwrap();
-            let r = snapshot.decide(&goal, ProcedureKind::FdFragment);
+            let r = session.decide(&goal, ProcedureKind::FdFragment);
             assert_eq!(r.implied, expected, "wrong on {text}");
         }
-    }
-
-    #[test]
-    fn snapshots_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Snapshot>();
-        assert_send_sync::<Arc<Snapshot>>();
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_mutations() {
-        let u = Universe::of_size(4);
-        let premises = parse(&u, &["A -> {B}", "B -> {C}"]);
-        let mut session = Session::new(u.clone());
-        for p in &premises {
-            session.assert_constraint(p);
-        }
-        let frozen = session.snapshot();
-        let goal = DiffConstraint::parse("A -> {C}", &u).unwrap();
-        assert!(frozen.implies(&goal).implied);
-        // Retract the transitivity link: the *session* flips, the frozen
-        // snapshot keeps answering from its own premise set.
-        session.retract_constraint(&premises[1]);
-        assert!(!session.implies(&goal).implied);
-        assert!(frozen.implies(&goal).implied, "snapshot must stay frozen");
-        assert_eq!(frozen.premises().len(), 2);
-        assert_eq!(session.premises().len(), 1);
-        assert!(session.snapshot().epoch() > frozen.epoch());
     }
 
     #[test]
@@ -662,36 +616,32 @@ mod tests {
         session.assert_constraint(&DiffConstraint::parse("A -> {B}", &u).unwrap());
         session.set_known(set(""), 100.0);
         session.set_known(set("A"), 40.0);
-        let frozen = session.snapshot();
-        assert!(frozen.bound_state.get().is_none());
+        assert!(session.bound_state.get().is_none());
         assert_eq!(
-            frozen.bound(set("AB")).unwrap().interval,
+            session.bound(set("AB")).unwrap().interval,
             Interval::point(40.0)
         );
         assert!(
-            frozen.bound_state.get().is_some(),
+            session.bound_state.get().is_some(),
             "the first miss builds the state"
         );
         session.set_known(set("A"), 30.0);
-        let next = session.snapshot();
         assert!(
-            next.bound_state.get().is_none(),
-            "a published snapshot starts without a state"
+            session.bound_state.get().is_none(),
+            "a write drops the state"
         );
-        // The frozen snapshot answers a new miss from its own knowns…
-        let b = frozen.bound(set("B")).unwrap();
+        // The next miss rebuilds it from the new knowns.
+        let b = session.bound(set("B")).unwrap();
         assert!(!b.cached);
-        assert_eq!(b.interval, Interval::new(40.0, 100.0));
-        // …and the session's next snapshot from the new ones.
+        assert_eq!(b.interval, Interval::new(30.0, 100.0));
+        assert!(session.bound_state.get().is_some());
         assert_eq!(
-            next.bound(set("AB")).unwrap().interval,
+            session.bound(set("AB")).unwrap().interval,
             Interval::point(30.0)
         );
-        assert_eq!(
-            next.bound(set("B")).unwrap().interval,
-            Interval::new(30.0, 100.0)
-        );
-        assert!(next.bound_state.get().is_some());
+        // A known re-set to its own value is a write all the same.
+        session.set_known(set("A"), 30.0);
+        assert!(session.bound_state.get().is_none());
     }
 
     #[test]
@@ -717,58 +667,6 @@ mod tests {
         bumped(&s, "load");
         s.adopt_discovered(&MinerConfig::default()).unwrap();
         bumped(&s, "adopt");
-    }
-
-    #[test]
-    fn digest_restoration_shares_warm_entries_across_snapshots() {
-        let u = Universe::of_size(4);
-        let premise = DiffConstraint::parse("A -> {B}", &u).unwrap();
-        let goal = DiffConstraint::parse("AC -> {B}", &u).unwrap();
-        let mut session = Session::new(u);
-        session.assert_constraint(&premise);
-        let first = session.snapshot();
-        assert!(!first.implies(&goal).cached);
-        // A different state must not reuse the entry…
-        session.retract_constraint(&premise);
-        assert!(!session.snapshot().implies(&goal).cached);
-        // …but restoring the digest revalidates it, on a *new* snapshot.
-        session.assert_constraint(&premise);
-        let third = session.snapshot();
-        assert!(third.implies(&goal).cached);
-        assert_ne!(first.epoch(), third.epoch());
-    }
-
-    #[test]
-    fn concurrent_readers_agree_with_the_oracle() {
-        let u = Universe::of_size(6);
-        let premises = parse(&u, &["A -> {B}", "BC -> {D, EF}", "D -> {E}"]);
-        let mut session = Session::new(u.clone());
-        for p in &premises {
-            session.assert_constraint(p);
-        }
-        let snapshot = session.snapshot();
-        let mut gen = diffcon::random::ConstraintGenerator::new(17, &u);
-        let shape = diffcon::random::ConstraintShape::default();
-        let goals = gen.constraint_set(48, &shape);
-        let expected: Vec<bool> = goals
-            .iter()
-            .map(|g| implication::implies_lattice(&u, &premises, g))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let snapshot = Arc::clone(&snapshot);
-                let goals = &goals;
-                let expected = &expected;
-                scope.spawn(move || {
-                    for (goal, &want) in goals.iter().zip(expected) {
-                        assert_eq!(snapshot.implies(goal).implied, want);
-                    }
-                });
-            }
-        });
-        let stats = session.stats();
-        assert_eq!(stats.premises, 3);
-        assert!(stats.planner.total_queries() >= 192);
     }
 
     #[test]

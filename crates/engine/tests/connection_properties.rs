@@ -17,13 +17,22 @@
 //!   torn down, so the process and connection byte series equal the bytes
 //!   that crossed the wire, while the request, reply and flight-record
 //!   counts move only for requests.
+//! * randomized multi-session scripts (session new/use/close, assert and
+//!   retract churn, implies/batch/bound/witness/derive traffic) fed as one
+//!   byte stream through the driver answer, line for line, as the same
+//!   lines sent one at a time through [`Server::handle_line`] on a second
+//!   server, up to the telemetry fields (`us=`, `cached=`, `route=`), also
+//!   under constant eviction from tiny caches.
 //!
 //! The flight ring and the metrics registry are process-wide, so every test
 //! here holds one lock: the counter deltas a test reads are its own.
 
+use diffcon::DiffConstraint;
 use diffcon_engine::connection::Connection;
-use diffcon_engine::protocol::binary;
+use diffcon_engine::protocol::{binary, MAX_REQUEST_BYTES};
 use diffcon_engine::{EngineMetrics, Server, SessionConfig};
+use proptest::prelude::*;
+use setlat::{AttrSet, Universe};
 use std::sync::Mutex;
 
 /// Serializes the tests of this binary (see the module docs).
@@ -472,4 +481,190 @@ fn telemetry_reads_and_session_switches_in_a_burst_see_every_earlier_request() {
     );
     // …and the second query is charged to the session that answered it.
     assert_eq!((charged, charged_per_feed), (1, 1));
+}
+
+// ── The driver against the serial server on random multi-session scripts ─
+
+const UNIVERSE_N: usize = 4;
+
+/// Tiny caches: constant eviction churn, so the equivalence holds under
+/// recycling and not just in the fully warm steady state.
+fn tiny_config() -> SessionConfig {
+    SessionConfig {
+        answer_cache_capacity: 4,
+        bound_cache_capacity: 2,
+        ..SessionConfig::default()
+    }
+}
+
+/// A random constraint in trimmed wire form over the 4-attribute universe.
+fn arb_constraint_text() -> impl Strategy<Value = String> {
+    let u = Universe::of_size(UNIVERSE_N);
+    (
+        0u64..(1u64 << UNIVERSE_N),
+        proptest::collection::vec(0u64..(1u64 << UNIVERSE_N), 0..3),
+    )
+        .prop_map(move |(lhs, members)| {
+            let constraint = DiffConstraint::new(
+                AttrSet::from_bits(lhs),
+                members.into_iter().map(AttrSet::from_bits).collect(),
+            );
+            diffcon_engine::protocol::format_wire(&constraint, &u)
+        })
+}
+
+fn arb_set_text() -> impl Strategy<Value = String> {
+    let u = Universe::of_size(UNIVERSE_N);
+    (0u64..(1u64 << UNIVERSE_N)).prop_map(move |mask| {
+        let set = AttrSet::from_bits(mask);
+        if set.is_empty() {
+            "{}".to_string()
+        } else {
+            u.format_set(set)
+        }
+    })
+}
+
+/// One random request line of the multi-session serving vocabulary.
+fn arb_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        // Queries listed several times so they dominate, as in real
+        // serving traffic (the proptest shim's union is unweighted).
+        arb_constraint_text().prop_map(|c| format!("implies {c}")),
+        arb_constraint_text().prop_map(|c| format!("implies {c}")),
+        arb_constraint_text().prop_map(|c| format!("implies {c}")),
+        proptest::collection::vec(arb_constraint_text(), 1..4)
+            .prop_map(|cs| format!("batch {}", cs.join(" ; "))),
+        arb_set_text().prop_map(|s| format!("bound {s}")),
+        arb_set_text().prop_map(|s| format!("bound {s}")),
+        arb_constraint_text().prop_map(|c| format!("witness {c}")),
+        arb_constraint_text().prop_map(|c| format!("derive {c}")),
+        // Mid-stream state churn.
+        arb_constraint_text().prop_map(|c| format!("assert {c}")),
+        arb_constraint_text().prop_map(|c| format!("retract {c}")),
+        (arb_set_text(), 0u32..50).prop_map(|(s, v)| format!("known {s} = {v}")),
+        arb_set_text().prop_map(|s| format!("forget {s}")),
+        // Multi-session control flow.
+        Just("session new".to_string()),
+        (0u64..4).prop_map(|id| format!("session use {id}")),
+        (0u64..2, 0u64..4).prop_map(|(some, id)| if some == 1 {
+            format!("session close {id}")
+        } else {
+            "session close".to_string()
+        }),
+        Just("session list".to_string()),
+        Just("universe 4".to_string()),
+        Just("premises".to_string()),
+        Just("knowns".to_string()),
+        Just("stats".to_string()),
+    ]
+}
+
+/// Strips the non-semantic telemetry fields that legitimately differ
+/// between two servers (latencies, cache-hit flags, and the route names
+/// derived from them).  `stats` lines are reduced to their head for the
+/// same reason.
+fn normalize(text: &str) -> String {
+    if text.starts_with("stats") {
+        return "stats".to_string();
+    }
+    text.split_whitespace()
+        .filter(|t| !t.starts_with("us=") && !t.starts_with("cached=") && !t.starts_with("route="))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Runs a script through [`Server::handle_line`] and, pipelined, through
+/// the connection driver as one text stream — every reply framed into one
+/// output stream and every record committed; asserts the normalized reply
+/// streams agree line-for-line.
+fn assert_pipeline_matches_serial(lines: &[String]) {
+    let mut serial = Server::new(tiny_config());
+    let serial_replies: Vec<String> = lines
+        .iter()
+        .map(|line| normalize(&serial.handle_line(line).text))
+        .filter(|text| !text.is_empty())
+        .collect();
+    let mut connection = Connection::new(Server::new(tiny_config()), MAX_REQUEST_BYTES, false);
+    let script: Vec<u8> = lines
+        .iter()
+        .flat_map(|line| [line.as_bytes(), b"\n"])
+        .flatten()
+        .copied()
+        .collect();
+    let mut stream = Vec::new();
+    assert!(
+        !connection.feed(&script, &mut stream),
+        "scripts do not contain quit"
+    );
+    let streamed: Vec<String> = String::from_utf8(stream)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(normalize)
+        .collect();
+    assert_eq!(
+        serial_replies, streamed,
+        "the connection path diverged from serial execution"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any interleaving of multi-session queries returns exactly the
+    /// answers the serial single-session engine gives, including under
+    /// cache eviction (tiny bounds) and mid-stream assert/retract.
+    #[test]
+    fn pipeline_replies_equal_serial_replies(
+        body in proptest::collection::vec(arb_line(), 1..40),
+    ) {
+        let _guard = lock_metrics();
+        // Open a session in slot 0 so most traffic lands somewhere live;
+        // the random tail still exercises empty slots and error paths.
+        let mut lines = vec!["universe 4".to_string()];
+        lines.extend(body);
+        assert_pipeline_matches_serial(&lines);
+    }
+}
+
+/// A deterministic heavy interleaving across two sessions: both sessions'
+/// goals repeat (cache hits + evictions), writers mutate between rounds,
+/// and the reply streams must still agree.
+#[test]
+fn two_session_interleaved_traffic_matches_serial() {
+    let _guard = lock_metrics();
+    let u = Universe::of_size(UNIVERSE_N);
+    let mut gen = diffcon::random::ConstraintGenerator::new(9, &u);
+    let shape = diffcon::random::ConstraintShape::default();
+    let goals = gen.constraint_set(20, &shape);
+    let mut lines = vec![
+        "universe 4".to_string(),
+        "assert A->{B}".to_string(),
+        "session new".to_string(),
+        "universe 4".to_string(),
+        "assert B->{C}".to_string(),
+        "known A = 7".to_string(),
+    ];
+    for round in 0..6 {
+        for (i, goal) in goals.iter().enumerate() {
+            let slot = (i + round) % 2;
+            lines.push(format!("session use {slot}"));
+            let wire = diffcon_engine::protocol::format_wire(goal, &u);
+            lines.push(format!("implies {wire}"));
+            if i % 5 == 0 {
+                lines.push("bound AB".to_string());
+            }
+        }
+        // Mid-stream churn in both sessions.
+        lines.push("session use 0".to_string());
+        lines.push(if round % 2 == 0 {
+            "retract A->{B}".to_string()
+        } else {
+            "assert A->{B}".to_string()
+        });
+        lines.push("session use 1".to_string());
+        lines.push(format!("known B = {round}"));
+        lines.push("stats".to_string());
+    }
+    assert_pipeline_matches_serial(&lines);
 }

@@ -13,9 +13,10 @@
 //!   (text line or mask frame), framed reply out, and record committed,
 //!   while a cold lattice decision allocates once, for the goal copy the
 //!   answer cache keeps, a cold batch allocates once per distinct miss plus
-//!   its result vector, all on the calling thread, a snapshot's `bound`
-//!   misses after its first allocate nothing and publishing its successor
-//!   copies none of its bound state, and a full LRU cache's
+//!   its result vector, all on the calling thread, a session's `bound`
+//!   misses after its first allocate nothing and a write copies none of its
+//!   bound state, an assert allocates the same at 1,000 premises as at
+//!   16,000 and a retract nothing, and a full LRU cache's
 //!   evict-and-insert churn allocates nothing
 //!   (the counting allocator is the engine's global allocator, so this is
 //!   measured, not asserted by inspection);
@@ -303,6 +304,50 @@ fn cold_lattice_decision_allocates_only_the_cached_goal() {
     assert_cold_decisions_allocate_once(12, &["A->{B,C}", "D->{E,FG}"], "lattice");
 }
 
+/// A write edits the session's state in place, so its cost does not grow
+/// with the premise count: at 1,000 premises and at 16,000, 64 new asserts
+/// allocate at most twice each (the premise and the interner's key) plus a
+/// few times for growing the premise vectors and the interner's map, and
+/// retracting them allocates nothing.
+#[test]
+fn writes_allocate_the_same_at_any_premise_count() {
+    let _guard = lock_profiler();
+    profile::set_thread_class("test");
+    let universe = Universe::of_size(64);
+    let members = Family::from_sets([AttrSet::singleton(60), AttrSet::from_indices([61, 62])]);
+    // Distinct left sides below attribute 60: no premise is trivial or a
+    // duplicate.
+    let premise =
+        |bits: u64| diffcon::DiffConstraint::new(AttrSet::from_bits(bits), members.clone());
+    for count in [1_000, 16_000] {
+        let mut session = Session::new(universe.clone());
+        for bits in 1..=count {
+            session.assert_constraint(&premise(bits));
+        }
+        let fresh: Vec<_> = (count + 1..=count + 64).map(premise).collect();
+        let before = profile::thread_alloc_counts();
+        for constraint in &fresh {
+            assert!(session.assert_constraint(constraint).1);
+        }
+        let asserted = profile::thread_alloc_counts();
+        for constraint in &fresh {
+            assert!(session.retract_constraint(constraint));
+        }
+        let retracted = profile::thread_alloc_counts();
+        assert!(
+            asserted.0 - before.0 <= 2 * 64 + 4,
+            "64 asserts at {count} premises made {} allocations",
+            asserted.0 - before.0
+        );
+        assert_eq!(
+            retracted.0 - asserted.0,
+            0,
+            "64 retracts at {count} premises allocated"
+        );
+        assert_eq!(session.premises().len(), count as usize);
+    }
+}
+
 #[test]
 fn cold_sat_decision_allocates_only_the_cached_goal() {
     // At 40 attributes a two-attribute left side leaves 2^38 supersets, past
@@ -374,10 +419,10 @@ fn bound_session(n: usize) -> Session {
     session
 }
 
-/// A snapshot builds its bound state on its first `bound` miss; every later
-/// miss only evaluates it, so it allocates nothing.  Publishing the next
-/// snapshot allocates the same bytes whether or not the previous one built
-/// its state: the state is never copied.
+/// A session builds its bound state on its first `bound` miss; every later
+/// miss only evaluates it, so it allocates nothing.  A write allocates the
+/// same bytes whether or not a state was built: it drops the state and
+/// never copies it.
 #[test]
 fn bound_misses_share_one_state_and_publishing_copies_none() {
     let _guard = lock_profiler();
@@ -404,7 +449,7 @@ fn bound_misses_share_one_state_and_publishing_copies_none() {
         "ten bound misses after the first allocated"
     );
 
-    let publish_cost = |n: usize, build_state: bool| {
+    let write_cost = |n: usize, build_state: bool| {
         let mut session = bound_session(n);
         let d = session.universe().parse_set("D").unwrap();
         if build_state {
@@ -418,9 +463,9 @@ fn bound_misses_share_one_state_and_publishing_copies_none() {
     };
     for n in [8, 16] {
         assert_eq!(
-            publish_cost(n, true),
-            publish_cost(n, false),
-            "publishing at {n} attributes allocated more after a bound state was built"
+            write_cost(n, true),
+            write_cost(n, false),
+            "a write at {n} attributes allocated more after a bound state was built"
         );
     }
 }

@@ -1,13 +1,12 @@
-//! Serving implication queries with `diffcon-engine`: sessions, snapshot
-//! isolation, concurrent readers over shared caches, batching, and the
-//! multi-session `diffcond` wire protocol.
+//! Serving implication queries with `diffcon-engine`: sessions, the answer
+//! cache and its versioning across writes, batching, and the multi-session
+//! `diffcond` wire protocol.
 //!
 //! Run with: `cargo run --example engine_service`
 
-use diffcon::{implication, DiffConstraint};
+use diffcon::DiffConstraint;
 use diffcon_engine::{Server, Session, SessionConfig};
 use setlat::Universe;
-use std::sync::Arc;
 
 fn main() {
     // ── A session over the paper's 4-attribute examples ─────────────────────
@@ -33,7 +32,7 @@ fn main() {
         );
     }
 
-    // Batch evaluation: many goals at once, decided in parallel, answers
+    // Batch evaluation: many goals at once, decided in order, answers
     // index-aligned.
     let goals: Vec<DiffConstraint> = ["AB -> {C}", "B -> {CD}", "C -> {B}", "AB -> {B}"]
         .iter()
@@ -44,67 +43,34 @@ fn main() {
         println!("batch   {:<12} -> {}", goal.format(&u), outcome.implied);
     }
 
-    // ── Concurrent serving: many threads, one shared snapshot ───────────────
-    // Every mutation published an immutable snapshot; readers clone the Arc
-    // and decide through `&self` — no reader ever blocks the writer, and a
-    // writer can keep mutating the session while these threads run.
-    println!("\n-- concurrent snapshot readers --");
-    let mut gen = diffcon::random::ConstraintGenerator::new(7, &u);
-    let shape = diffcon::random::ConstraintShape::default();
-    let pool = gen.constraint_set(64, &shape);
-    let snapshot = session.snapshot();
-    let expected: Vec<bool> = pool
-        .iter()
-        .map(|g| implication::implies(&u, snapshot.premises(), g))
-        .collect();
-    const READERS: usize = 4;
-    const ROUNDS: usize = 8;
-    std::thread::scope(|scope| {
-        for reader in 0..READERS {
-            let snapshot = Arc::clone(&snapshot);
-            let pool = &pool;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut answered = 0usize;
-                for _ in 0..ROUNDS {
-                    for (goal, &want) in pool.iter().zip(expected) {
-                        assert_eq!(
-                            snapshot.implies(goal).implied,
-                            want,
-                            "reader diverged from the serial oracle"
-                        );
-                        answered += 1;
-                    }
-                }
-                println!(
-                    "reader {reader}: {answered} queries answered against epoch {}",
-                    snapshot.epoch()
-                );
-            });
-        }
-    });
-    // While the readers were running, the writer retracts a premise: the
-    // session flips, already-captured snapshots do not.
+    // A write edits the session in place and re-versions its caches: the
+    // retraction flips the answer, and re-asserting the premise restores
+    // the premise digest, so the earlier answer is a cache hit again.
     let transitivity_link = DiffConstraint::parse("B -> {C}", &u).unwrap();
-    session.retract_constraint(&transitivity_link);
     let goal = DiffConstraint::parse("BD -> {C}", &u).unwrap();
+    assert!(session.implies(&goal).implied);
+    session.retract_constraint(&transitivity_link);
+    let retracted = session.implies(&goal);
+    session.assert_constraint(&transitivity_link);
+    let restored = session.implies(&goal);
     println!(
-        "writer retracted B -> {{C}}: session now says {}, frozen snapshot still says {}",
-        session.implies(&goal).implied,
-        snapshot.implies(&goal).implied
+        "retract B -> {{C}}: BD -> {{C}} now {} (cached: {}); re-assert: {} (cached: {})",
+        retracted.implied, retracted.cached, restored.implied, restored.cached
     );
-    assert!(!session.implies(&goal).implied);
-    assert!(snapshot.implies(&goal).implied, "snapshots are immutable");
+    assert!(!retracted.implied && !retracted.cached);
+    assert!(
+        restored.implied && restored.cached,
+        "the digest revalidates"
+    );
 
-    // Shared cache statistics: every reader above fed the same caches, so
-    // the hit ratio reflects the whole fleet.
     let stats = session.stats();
     println!(
-        "shared caches: answer cache h{}/m{} (hit ratio {:.2}), {} queries total",
+        "answer cache h{}/m{} (hit ratio {:.2}), {} queries total, epoch {}",
         stats.answer_cache.hits,
         stats.answer_cache.misses,
         stats.answer_cache.hit_ratio(),
         stats.planner.total_queries(),
+        stats.epoch,
     );
 
     // ── The same service over the multi-session diffcond wire protocol ──────
