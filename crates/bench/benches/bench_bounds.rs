@@ -7,7 +7,7 @@
 //! * **derivation latency by universe size** — the full propagation path as
 //!   `2^{|S|}` grows, versus the enumeration-free relaxation past the
 //!   budget, and the same queries answered from one shared [`Propagation`]
-//!   (one pass-1 build, then one evaluation per query: what a snapshot
+//!   (one pass-1 build, then one evaluation per query: what a session
 //!   does), on the chain the data satisfies in part (most density variables
 //!   alive) and on the whole chain over suffix-set baskets (`|S| + 1`
 //!   alive);
@@ -202,8 +202,8 @@ fn bench_session_cache(c: &mut Criterion) {
         |b, qs| {
             b.iter(|| {
                 session.clear_caches();
-                // Re-setting a known to its own value publishes a fresh
-                // snapshot with unchanged digests and no bound state, so
+                // Re-setting a known to its own value is a write that
+                // leaves the digests unchanged and drops the bound state, so
                 // every pass pays one state build, as a cold session does.
                 session.set_known(known_set, known_value);
                 qs.iter()

@@ -102,7 +102,7 @@ fn spawn_server() -> (SocketAddr, diffcon_engine::ShutdownHandle) {
     .expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
-    std::thread::spawn(move || server.run().expect("accept loop"));
+    std::thread::spawn(move || server.run().expect("reactors"));
     (addr, handle)
 }
 

@@ -163,17 +163,20 @@ fn warm_request_ns() -> f64 {
 
 /// The cost of one stage guard while profiling is disabled — the price
 /// every tagged call site pays on an unprofiled server.  Must be ~0 (a
-/// single relaxed load).
+/// single relaxed load).  Best of `TRIALS` runs, so a run the scheduler
+/// interrupted does not read as guard cost.
 fn disabled_guard_ns() -> f64 {
     static BENCH_TAG: profile::StageTag = profile::StageTag::new("bench.guard");
     const PASSES: u64 = 20_000_000;
     profile::sampler_stop();
     profile::set_enabled(false);
-    let start = Instant::now();
-    for _ in 0..PASSES {
-        criterion::black_box(profile::stage(&BENCH_TAG));
-    }
-    start.elapsed().as_secs_f64() * 1e9 / PASSES as f64
+    let secs = best_secs(|| {
+        for _ in 0..PASSES {
+            criterion::black_box(profile::stage(&BENCH_TAG));
+        }
+        0
+    });
+    secs * 1e9 / PASSES as f64
 }
 
 /// Answers one warm request line the way a connection does: through

@@ -94,14 +94,13 @@ use std::fmt;
 /// are integral, so this only absorbs float noise from adversarial inputs).
 const TOL: f64 = 1e-9;
 
-/// Derives the tightest interval for `f(query)` the configured budget allows:
-/// the full propagation path when [`propagation_cost_bound`] fits
-/// `config.budget_ops`, the sound relaxation otherwise.
-pub fn derive(
-    problem: &BoundsProblem<'_>,
-    query: AttrSet,
-    config: &BoundsConfig,
-) -> Result<DerivedBound, DeriveError> {
+/// Routes one `bound` query: the full propagation path while
+/// [`propagation_cost_bound`] fits `config.budget_ops`, the sound
+/// relaxation past it.  Every bound router goes through this one rule, so
+/// the cost bound's past-the-cap sentinel is honoured in one place: no
+/// budget, however large, sends a universe past
+/// [`crate::problem::PROPAGATION_UNIVERSE_CAP`] to propagation.
+pub fn route(problem: &BoundsProblem<'_>, query: AttrSet, config: &BoundsConfig) -> DeriveRoute {
     let cost = propagation_cost_bound(
         problem.universe,
         problem.constraints.len(),
@@ -110,9 +109,22 @@ pub fn derive(
         config,
     );
     if fits_budget(cost, config.budget_ops) {
-        derive_propagated(problem, query, config)
+        DeriveRoute::Propagation
     } else {
-        derive_relaxed(problem, query)
+        DeriveRoute::Relaxed
+    }
+}
+
+/// Derives the tightest interval for `f(query)` the configured budget allows,
+/// over the [`route()`] it picks.
+pub fn derive(
+    problem: &BoundsProblem<'_>,
+    query: AttrSet,
+    config: &BoundsConfig,
+) -> Result<DerivedBound, DeriveError> {
+    match route(problem, query, config) {
+        DeriveRoute::Propagation => derive_propagated(problem, query, config),
+        DeriveRoute::Relaxed => derive_relaxed(problem, query),
     }
 }
 
@@ -479,14 +491,7 @@ pub fn check_feasibility(problem: &BoundsProblem<'_>, config: &BoundsConfig) -> 
         }
     }
     let n = problem.universe.len();
-    let cost = propagation_cost_bound(
-        problem.universe,
-        problem.constraints.len(),
-        problem.knowns.len(),
-        problem.universe.full_set(),
-        config,
-    );
-    if !fits_budget(cost, config.budget_ops) {
+    if route(problem, problem.universe.full_set(), config) == DeriveRoute::Relaxed {
         return Feasibility::Unchecked;
     }
     let Ok(state) = Propagation::new(problem, config) else {
@@ -711,6 +716,58 @@ mod tests {
         };
         let b = derive(&problem, u.parse_set("AB").unwrap(), &config).unwrap();
         assert_eq!(b.route, DeriveRoute::Relaxed);
+    }
+
+    #[test]
+    fn bound_routing_respects_the_budget() {
+        let config = BoundsConfig::default();
+        let small = Universe::of_size(8);
+        let constraints = parse(&small, &["A -> {B}", "B -> {C}", "C -> {D}"]);
+        let known = knowns(
+            &small,
+            &[("A", 9.0), ("B", 8.0), ("C", 7.0), ("D", 6.0), ("E", 5.0)],
+        );
+        let small_problem = BoundsProblem {
+            universe: &small,
+            constraints: &constraints,
+            knowns: &known,
+            side: SideConditions::support(),
+        };
+        assert_eq!(
+            route(&small_problem, AttrSet::from_indices([0, 1]), &config),
+            DeriveRoute::Propagation
+        );
+        // Past the propagation universe cap the cost bound saturates.
+        let huge = Universe::of_size(30);
+        let huge_problem = BoundsProblem {
+            universe: &huge,
+            constraints: &[],
+            knowns: &[],
+            side: SideConditions::support(),
+        };
+        assert_eq!(
+            route(&huge_problem, AttrSet::singleton(0), &config),
+            DeriveRoute::Relaxed
+        );
+        // A tiny budget forces the relaxation even on small universes.
+        let strict = BoundsConfig {
+            budget_ops: 1,
+            ..BoundsConfig::default()
+        };
+        assert_eq!(
+            route(&small_problem, AttrSet::from_indices([0, 1]), &strict),
+            DeriveRoute::Relaxed
+        );
+        // …and a maximal budget must not defeat the universe-cap sentinel
+        // (the propagation path would panic, not answer).
+        let unbounded = BoundsConfig {
+            budget_ops: u128::MAX,
+            ..BoundsConfig::default()
+        };
+        assert_eq!(
+            route(&huge_problem, AttrSet::singleton(0), &unbounded),
+            DeriveRoute::Relaxed
+        );
     }
 
     #[test]

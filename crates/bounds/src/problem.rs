@@ -201,10 +201,9 @@ pub fn propagation_cost_bound(
 /// Returns `true` when a derivation cost bound fits a budget.  The
 /// `u128::MAX` past-the-universe-cap sentinel never fits — no budget,
 /// however large, may select the propagation path on a universe its dense
-/// tables cannot represent.  Both [`crate::derive::derive`] and external
-/// planners (the engine's bound-query router) must route through this
-/// predicate so the sentinel semantics stay in one place.
-pub fn fits_budget(cost: u128, budget: u128) -> bool {
+/// tables cannot represent.  [`crate::derive::route`], the one bound
+/// router, reads it.
+pub(crate) fn fits_budget(cost: u128, budget: u128) -> bool {
     cost != u128::MAX && cost <= budget
 }
 

@@ -364,7 +364,7 @@ fn serve_stdin(config: SessionConfig, slow_query_us: Option<u64>) {
     }
 }
 
-/// Network serving loop: bind, announce on stderr, accept until killed.
+/// Network serving loop: bind, announce on stderr, serve until killed.
 /// With `--metrics-addr`, a second listener serves the process-wide engine
 /// metrics as Prometheus text exposition on its own thread.
 fn serve_net(config: SessionConfig, slow_query_us: Option<u64>, options: ServeOptions) {
@@ -414,7 +414,7 @@ fn serve_net(config: SessionConfig, slow_query_us: Option<u64>, options: ServeOp
         }
     );
     if let Err(e) = server.run() {
-        eprintln!("diffcond: accept loop failed: {e}");
+        eprintln!("diffcond: serving failed: {e}");
         std::process::exit(1);
     }
 }
@@ -665,8 +665,9 @@ fn main() {
         let hz = diffcon_obs::profile::sampler_start(0);
         eprintln!("diffcond: profiling at {hz} hz (dump with `debug profile dump` or /profile)");
     }
-    // The stdin loops and the accept loop both run here; tag the thread so
-    // sampled stacks attribute main-thread time to its class.
+    // The stdin loops run here; tag the thread so sampled stacks attribute
+    // main-thread time to its class.  Under `serve` this thread runs
+    // reactor 0, which tags itself `reactor`.
     diffcon_obs::profile::set_thread_class("main");
     if let Some(serve) = options.serve {
         serve_net(options.config, options.slow_query_us, serve);

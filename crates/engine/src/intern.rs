@@ -1,15 +1,17 @@
-//! Constraint interning: map each distinct [`DiffConstraint`] to a small
-//! dense id.
+//! Constraint interning: map each distinct asserted [`DiffConstraint`] to a
+//! small dense id, and record which of them are premises now.
 //!
 //! Sessions intern their asserted premises, giving each a [`ConstraintId`]
-//! (4 bytes, `Copy`) that the wire protocol reports, and through which
-//! [`crate::session::Session::retract_constraint`] finds a premise's
-//! position.  Interning is append-only: ids stay valid for the lifetime of
-//! the interner, even after the constraint is retracted from the premise
-//! set, until the session compacts the table and renumbers every id.
-//! Query traffic never touches the interner — the caches are keyed on
-//! digest-versioned constraints ([`crate::cache::VersionedKey`]), not ids,
-//! so the read path needs no access to this mutable table.
+//! (4 bytes, `Copy`) that the wire protocol reports.  The interner also
+//! answers whether a constraint is a premise, so
+//! [`crate::session::Session::assert_constraint`] and
+//! [`crate::session::Session::retract_constraint`] decide "already
+//! asserted" and "not asserted" with one hash probe.  Interning is
+//! append-only: ids stay valid for the lifetime of the interner, even after
+//! the constraint is retracted from the premise set, until the session
+//! compacts the table, re-interning its premises in order.  Query traffic
+//! never touches the interner — the caches are keyed on digest-versioned
+//! constraints ([`crate::cache::VersionedKey`]), not ids.
 
 use diffcon::DiffConstraint;
 use std::collections::HashMap;
@@ -25,11 +27,11 @@ impl ConstraintId {
     }
 }
 
-/// An append-only table of distinct constraints, each held once: as its
-/// map key.
+/// An append-only table of distinct constraints, each held once, as its
+/// map key, with its id and whether it is a premise now.
 #[derive(Debug, Default)]
 pub struct ConstraintInterner {
-    by_constraint: HashMap<DiffConstraint, ConstraintId>,
+    by_constraint: HashMap<DiffConstraint, (ConstraintId, bool)>,
 }
 
 impl ConstraintInterner {
@@ -38,21 +40,29 @@ impl ConstraintInterner {
         Self::default()
     }
 
-    /// Returns the id for `constraint`, interning it on first sight.
-    pub fn intern(&mut self, constraint: &DiffConstraint) -> ConstraintId {
-        if let Some(&id) = self.by_constraint.get(constraint) {
-            return id;
+    /// Records `constraint` as a premise, interning it on first sight.
+    /// Returns its id, and `true` when it was not a premise already.
+    pub fn assert(&mut self, constraint: &DiffConstraint) -> (ConstraintId, bool) {
+        if let Some((id, premise)) = self.by_constraint.get_mut(constraint) {
+            return (*id, !std::mem::replace(premise, true));
         }
         let id = ConstraintId(
             u32::try_from(self.len()).expect("more than u32::MAX interned constraints"),
         );
-        self.by_constraint.insert(constraint.clone(), id);
-        id
+        self.by_constraint.insert(constraint.clone(), (id, true));
+        (id, true)
+    }
+
+    /// Records that `constraint` is no longer a premise.  Returns its id
+    /// when it was one; it stays interned either way.
+    pub fn retract(&mut self, constraint: &DiffConstraint) -> Option<ConstraintId> {
+        let (id, premise) = self.by_constraint.get_mut(constraint)?;
+        std::mem::replace(premise, false).then_some(*id)
     }
 
     /// Returns the id of an already-interned constraint, if any.
     pub fn lookup(&self, constraint: &DiffConstraint) -> Option<ConstraintId> {
-        self.by_constraint.get(constraint).copied()
+        self.by_constraint.get(constraint).map(|&(id, _)| id)
     }
 
     /// Number of distinct constraints seen.
@@ -77,14 +87,22 @@ mod tests {
         let mut interner = ConstraintInterner::new();
         let a = DiffConstraint::parse("A -> {B, CD}", &u).unwrap();
         let b = DiffConstraint::parse("B -> {C}", &u).unwrap();
-        let ida = interner.intern(&a);
-        let idb = interner.intern(&b);
+        let (ida, added) = interner.assert(&a);
+        assert!(added);
+        let (idb, _) = interner.assert(&b);
         assert_ne!(ida, idb);
-        assert_eq!(interner.intern(&a), ida);
+        assert_eq!(interner.assert(&a), (ida, false), "already a premise");
         assert_eq!(interner.len(), 2);
         assert_eq!(interner.lookup(&a), Some(ida));
         let c = DiffConstraint::parse("C -> {D}", &u).unwrap();
         assert_eq!(interner.lookup(&c), None);
+        assert_eq!(interner.retract(&c), None, "never interned");
+        // A retracted constraint keeps its id and is a premise no more.
+        assert_eq!(interner.retract(&a), Some(ida));
+        assert_eq!(interner.retract(&a), None);
+        assert_eq!(interner.lookup(&a), Some(ida));
+        assert_eq!(interner.assert(&a), (ida, true), "re-asserted, same id");
+        assert_eq!(interner.len(), 2);
     }
 
     #[test]
@@ -94,7 +112,7 @@ mod tests {
         // Families normalize member order, so these are the same constraint.
         let a = DiffConstraint::parse("A -> {B, CD}", &u).unwrap();
         let b = DiffConstraint::parse("A -> {CD, B}", &u).unwrap();
-        assert_eq!(interner.intern(&a), interner.intern(&b));
+        assert_eq!(interner.assert(&a).0, interner.assert(&b).0);
         assert_eq!(interner.len(), 1);
     }
 }

@@ -11,19 +11,20 @@
 //!   64-bit digest that versions cached answers — so retracting a premise
 //!   invalidates stale answers instantly and re-asserting it revalidates
 //!   them.
-//! * **One owner of session state** ([`snapshot::Snapshot`]) — the state
-//!   (premises, fragment flag, knowns, dataset, digests, caches, planner
-//!   accounting) is one value the session owns; every write edits it in
-//!   place, copying nothing it does not change, and bumps its epoch.  All query methods — `implies`, `implies_batch`, `bound`,
-//!   `witness`, `derive` — read it through `&self`, on the one thread that
-//!   answers the session's requests in order, so nothing is locked.
+//! * **One struct of session state** ([`session::Session`]) — the premises,
+//!   fragment flag, knowns, dataset, digests, caches, planner accounting
+//!   and interner are the session's own fields; every write edits them in
+//!   place, copying nothing it does not change, and bumps the epoch.  All
+//!   query methods ([`snapshot`]) — `implies`, `implies_batch`, `bound`,
+//!   `witness`, `derive` — read the session through `&self`, on the one
+//!   thread that answers its requests in order, so nothing is locked.
 //! * **Memoization** ([`cache::LruCache`]) — two LRU caches per session:
 //!   full query answers and bound intervals.  Both keys are
 //!   digest-versioned through one helper ([`cache::version_salt`] /
 //!   [`cache::VersionedKey`]), so a write invalidates instantly and state
 //!   restoration revalidates instantly.  A miss is decided afresh; nothing
 //!   derived from a goal is kept but its answer.
-//! * **Batch evaluation** ([`snapshot::Snapshot::implies_batch`]) — many
+//! * **Batch evaluation** ([`session::Session::implies_batch`]) — many
 //!   goals against the session's state, decided in order on the calling thread,
 //!   each exactly as `implies` would decide it: a repeated goal is an
 //!   answer-cache hit.
@@ -46,11 +47,11 @@
 //!   its text replies with its line splitter.
 //! * **Network serving** ([`net::NetServer`], [`client::Client`]) —
 //!   `diffcond serve --addr HOST:PORT` exposes the same protocol over TCP
-//!   through a readiness-driven reactor core: `--reactors N` event-loop
-//!   threads own nonblocking connections through a vendored epoll shim,
-//!   hand each readiness burst's bytes to the connections' drivers, and
-//!   flush replies through coalescing vectored writes with write-readiness
-//!   backpressure.  Framing is negotiated per connection: newline text, or
+//!   through a readiness-driven reactor core: `--reactors N` event loops
+//!   each accept, admit and own their nonblocking connections through a
+//!   vendored epoll shim, hand each readiness burst's bytes to the
+//!   connections' drivers, and flush replies through coalescing vectored
+//!   writes with write-readiness backpressure.  Framing is negotiated per connection: newline text, or
 //!   (`--binary`) the length-prefixed binary frames of [`protocol::binary`]
 //!   with fixed-width mask encodings for the hot verbs.  Per-connection
 //!   session namespaces, per-request admission limits, error replies (never
@@ -79,7 +80,7 @@
 //!   (`diffcon::implication::refutation_search`) — recording per-procedure
 //!   query counts, cache hits, and latency.  The planner picks the route;
 //!   the route's one decider in `diffcon::procedure` decides.
-//! * **Bound queries** ([`snapshot::Snapshot::bound`]) — a second query class
+//! * **Bound queries** ([`session::Session::bound`]) — a second query class
 //!   served by the `diffcon-bounds` interval engine: sessions hold a sparse
 //!   map of known point values `f(X) = v`
 //!   ([`session::Session::set_known`] /
@@ -89,7 +90,7 @@
 //!   `f(Y)` under the asserted constraints, routed cached-exact →
 //!   propagation → budget-relaxed.
 //! * **Constraint discovery** ([`session::Session::load_records`] /
-//!   [`snapshot::Snapshot::mine_dataset`] /
+//!   [`session::Session::mine_dataset`] /
 //!   [`session::Session::adopt_discovered`]) — the `diffcon-discover` data
 //!   plane wired into sessions: ingest basket records into a vertically
 //!   indexed dataset, mine the minimal disjunctive constraints the data
@@ -166,4 +167,4 @@ pub use protocol::{Answer, Reply, Request, Server};
 pub use server_state::SessionRegistry;
 pub use session::CoreApplied;
 pub use session::{AdoptOutcome, BoundOutcome, QueryOutcome, Session, SessionConfig, SessionStats};
-pub use snapshot::{AnalyzeOutcome, ExplainOutcome, Snapshot};
+pub use snapshot::{AnalyzeOutcome, ExplainOutcome};

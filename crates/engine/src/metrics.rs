@@ -219,7 +219,7 @@ pub struct FlightRecord {
     pub decide_ns: u64,
     /// Nanoseconds writing the reply to the connection's output.
     pub reply_ns: u64,
-    /// Snapshot epoch of the slot's session when the request finished (the
+    /// Epoch of the slot's session when the request finished (the
     /// epoch that answered a query; 0 without a session).
     pub epoch: u64,
 }

@@ -24,11 +24,14 @@
 //!
 //! **Bound queries** (`f(Y) ∈ [lo, hi]`, served by the `diffcon-bounds`
 //! crate) are a second query class with their own routing ladder:
-//! cached-exact answers are served by the session before the planner is
-//! consulted; otherwise the full propagation path runs while its
-//! [`diffcon_bounds::problem::propagation_cost_bound`] fits the session's
+//! cached-exact answers are served by the session; otherwise
+//! [`diffcon_bounds::derive::route`], the bounds crate's one routing rule,
+//! runs the full propagation path while its cost bound fits the session's
 //! [`BoundsConfig::budget_ops`], the same budget `analyze`'s propagation
-//! sweep reads; past the budget the sound relaxation answers.
+//! sweep reads; past the budget the sound relaxation answers.  The planner
+//! counts and times both routes.
+//!
+//! [`BoundsConfig::budget_ops`]: diffcon_bounds::problem::BoundsConfig::budget_ops
 //!
 //! Every decision is counted once, in the owning session's ledger
 //! ([`SessionCosts`]: decided queries and answer-cache hits per procedure,
@@ -44,10 +47,9 @@
 use crate::metrics::{EngineMetrics, SessionCosts};
 use diffcon::procedure::{self, ProcedureKind};
 use diffcon::DiffConstraint;
-use diffcon_bounds::problem::{fits_budget, propagation_cost_bound, BoundsConfig};
 use diffcon_bounds::DeriveRoute;
 use diffcon_obs::{Histogram, HistogramSnapshot};
-use setlat::{AttrSet, Universe};
+use setlat::Universe;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -187,26 +189,6 @@ impl Planner {
     /// Records a query answered from the answer cache (planned for `kind`).
     pub fn record_cache_hit(&self, kind: ProcedureKind) {
         self.costs.cache_hits[kind.index()].inc();
-    }
-
-    /// Picks the derivation route for a `bound` query: the full propagation
-    /// path while its cost bound fits `config`'s
-    /// [`BoundsConfig::budget_ops`], the sound relaxation past it.  (Cache
-    /// hits are served by the session before the planner is consulted.)
-    pub fn choose_bound(
-        &self,
-        universe: &Universe,
-        n_constraints: usize,
-        n_knowns: usize,
-        query: AttrSet,
-        config: &BoundsConfig,
-    ) -> DeriveRoute {
-        let cost = propagation_cost_bound(universe, n_constraints, n_knowns, query, config);
-        if fits_budget(cost, config.budget_ops) {
-            DeriveRoute::Propagation
-        } else {
-            DeriveRoute::Relaxed
-        }
     }
 
     /// Records a bound query decided over `route` (in the session's ledger
@@ -388,42 +370,6 @@ mod tests {
         assert_eq!(stats.of(ProcedureKind::Lattice).decided, 1);
         assert_eq!(stats.of(ProcedureKind::Lattice).cache_hits, 1);
         assert_eq!(stats.bounds.cache_hits, 1);
-    }
-
-    #[test]
-    fn bound_routing_respects_the_budget() {
-        let planner = Planner::default();
-        let config = BoundsConfig::default();
-        let small = Universe::of_size(8);
-        assert_eq!(
-            planner.choose_bound(&small, 3, 5, AttrSet::from_indices([0, 1]), &config),
-            DeriveRoute::Propagation
-        );
-        // Past the propagation universe cap the cost bound saturates.
-        let huge = Universe::of_size(30);
-        assert_eq!(
-            planner.choose_bound(&huge, 0, 0, AttrSet::singleton(0), &config),
-            DeriveRoute::Relaxed
-        );
-        // A tiny budget forces the relaxation even on small universes.
-        let strict = BoundsConfig {
-            budget_ops: 1,
-            ..BoundsConfig::default()
-        };
-        assert_eq!(
-            planner.choose_bound(&small, 3, 5, AttrSet::from_indices([0, 1]), &strict),
-            DeriveRoute::Relaxed
-        );
-        // …and a maximal budget must not defeat the universe-cap sentinel
-        // (the propagation path would panic, not answer).
-        let unbounded = BoundsConfig {
-            budget_ops: u128::MAX,
-            ..BoundsConfig::default()
-        };
-        assert_eq!(
-            planner.choose_bound(&huge, 0, 0, AttrSet::singleton(0), &unbounded),
-            DeriveRoute::Relaxed
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!              | "witness" constraint            refutation witness, if any
 //!              | "derive" constraint             Figure 1 proof, if implied
 //!              | "explain" constraint            decide C ⊨ goal and report
-//!              |                                 the route, snapshot epoch,
+//!              |                                 the route, session epoch,
 //!              |                                 and per-stage latency
 //!              | "analyze" ["apply"]             premise-core static
 //!              |                                 analysis: redundant
@@ -34,7 +34,7 @@
 //!              |                                 preservingly)
 //!              | "trace" ("on" | "off")           toggle reply tracing: query
 //!              |                                 replies gain an `epoch=`
-//!              |                                 field naming the snapshot
+//!              |                                 field naming the state
 //!              |                                 that answered
 //!              | "known" SET ["="] VALUE         record f(SET) = VALUE
 //!              | "forget" SET                    drop a recorded value
@@ -250,7 +250,7 @@
 //!
 //! `probe_us` is the answer-cache probe, `plan_us` the planner's route
 //! choice, `decide_us` the decision procedure itself (both zero on a cache
-//! hit), and `epoch` the snapshot that answered.
+//! hit), and `epoch` the session state that answered.
 //! `trace` is the request's flight-record trace id: `debug trace <id>`
 //! finds the request's record, whose route, cache outcome, decision time,
 //! and epoch match the reply exactly.
@@ -283,9 +283,9 @@
 //!
 //! `trace on` makes every subsequent query reply (`implies`, `batch`,
 //! `bound`, `witness`, `derive`, `mine`) carry a trailing ` epoch=N` field
-//! naming the snapshot it was answered against; `trace off` restores the
-//! plain form.  The epoch is the one the slot had published at the
-//! request's position in the input order, so traced replies are the same
+//! naming the session state it was answered against; `trace off` restores
+//! the plain form.  The epoch is the one the slot's session had reached at
+//! the request's position in the input order, so traced replies are the same
 //! whether a client sends requests one at a time or pipelined.  The reply
 //! is `ok trace=1` / `ok trace=0`.
 //!
@@ -337,7 +337,7 @@
 use crate::metrics::{next_connection_id, ConnCosts, EngineMetrics, FlightRecord, RecordBatch};
 use crate::server_state::{SessionRegistry, SlowLogLimiter};
 use crate::session::{Session, SessionConfig};
-use crate::snapshot::{AnalyzeOutcome, BoundOutcome, ExplainOutcome, QueryOutcome, Snapshot};
+use crate::snapshot::{AnalyzeOutcome, BoundOutcome, ExplainOutcome, QueryOutcome};
 use diffcon::procedure::ALL_PROCEDURES;
 use diffcon::DiffConstraint;
 use diffcon_bounds::problem::DeriveError;
@@ -672,7 +672,7 @@ pub enum Request<'a, G = &'a str, S = &'a str> {
     /// `derive <constraint>`.
     Derive(G),
     /// `explain <constraint>` — `implies` with a per-stage latency and
-    /// snapshot-epoch report.
+    /// epoch report.
     Explain(G),
     /// `analyze` or `analyze apply` — premise-core static analysis of the
     /// current session (`apply` additionally retracts the redundant
@@ -1367,7 +1367,7 @@ fn write_bound(out: &mut String, result: &Result<BoundOutcome, DeriveError>) {
 }
 
 /// Writes a `mine` outcome as its wire reply (the cover in wire form, or
-/// the no-dataset error when the snapshot holds none).
+/// the no-dataset error when the session holds none).
 fn write_mined(out: &mut String, universe: &Universe, discovery: Option<Discovery>) {
     match discovery {
         Some(discovery) => {
@@ -1794,8 +1794,8 @@ impl Server {
                 goal,
                 record,
                 out,
-                |snapshot, goal, (), record, out| {
-                    let outcome = snapshot.implies(goal);
+                |session, goal, (), record, out| {
+                    let outcome = session.implies(goal);
                     write_implies(out, &outcome);
                     routed(
                         record,
@@ -1810,8 +1810,8 @@ impl Server {
                 goals,
                 record,
                 out,
-                |snapshot, _, goals, record, out| {
-                    let outcomes = snapshot.implies_batch(&goals);
+                |session, _, goals, record, out| {
+                    let outcomes = session.implies_batch(&goals);
                     write_batch(out, &outcomes);
                     record.decide_ns = outcomes.iter().map(|o| o.elapsed.as_nanos() as u64).sum();
                 },
@@ -1821,8 +1821,8 @@ impl Server {
                 set,
                 record,
                 out,
-                |snapshot, _, set, record, out| {
-                    let outcome = snapshot.bound(set);
+                |session, _, set, record, out| {
+                    let outcome = session.bound(set);
                     write_bound(out, &outcome);
                     if let Ok(b) = outcome {
                         routed(record, b.route_name(), b.cached, b.elapsed);
@@ -1834,11 +1834,11 @@ impl Server {
                 goal,
                 record,
                 out,
-                |snapshot, goal, (), _, out| match snapshot.refutation_witness(goal) {
+                |session, goal, (), _, out| match session.refutation_witness(goal) {
                     None => out.push_str("witness none"),
                     Some(set) => {
                         out.push_str("witness set=");
-                        snapshot.universe().write_set(out, set);
+                        session.universe().write_set(out, set);
                     }
                 },
             ),
@@ -1847,7 +1847,7 @@ impl Server {
                 goal,
                 record,
                 out,
-                |snapshot, goal, (), _, out| match snapshot.derive(goal) {
+                |session, goal, (), _, out| match session.derive(goal) {
                     Some(proof) => {
                         _ = write!(out, "proof size={} depth={}", proof.size(), proof.depth())
                     }
@@ -1861,8 +1861,8 @@ impl Server {
                     goal,
                     record,
                     out,
-                    |snapshot, goal, (), record, out| {
-                        let explained = snapshot.explain(goal);
+                    |session, goal, (), record, out| {
+                        let explained = session.explain(goal);
                         write_explain(out, &explained, trace);
                         let outcome = explained.outcome;
                         routed(
@@ -1879,8 +1879,8 @@ impl Server {
                 miner_config(budgets),
                 record,
                 out,
-                |snapshot, _, config, _, out| {
-                    write_mined(out, snapshot.universe(), snapshot.mine_dataset(&config))
+                |session, _, config, _, out| {
+                    write_mined(out, session.universe(), session.mine_dataset(&config))
                 },
             ),
             Request::Analyze { apply: false } => self.read(
@@ -1888,9 +1888,9 @@ impl Server {
                 (),
                 record,
                 out,
-                |snapshot, _, (), record, out| {
-                    let outcome = snapshot.analyze();
-                    write_analyze(out, snapshot.universe(), &outcome);
+                |session, _, (), record, out| {
+                    let outcome = session.analyze();
+                    write_analyze(out, session.universe(), &outcome);
                     record.decide_ns = outcome.elapsed.as_nanos() as u64;
                 },
             ),
@@ -2190,24 +2190,23 @@ impl Server {
         arg: A,
         record: &mut FlightRecord,
         out: &mut String,
-        answer: impl FnOnce(&Snapshot, &DiffConstraint, A::To, &mut FlightRecord, &mut String),
+        answer: impl FnOnce(&Session, &DiffConstraint, A::To, &mut FlightRecord, &mut String),
     ) {
         record.verb = Some(verb);
         let Some(session) = self.registry.session() else {
             return out.push_str(NO_SESSION);
         };
-        let snapshot: &Snapshot = session;
-        match arg.resolve(snapshot.universe(), &mut self.goal) {
+        match arg.resolve(session.universe(), &mut self.goal) {
             Ok(resolved) => {
                 record.route = Some(VERBS[verb].name);
-                answer(snapshot, &self.goal, resolved, record, out);
+                answer(session, &self.goal, resolved, record, out);
                 let names_epoch = [
                     const { verb_index("explain") },
                     const { verb_index("analyze") },
                 ];
                 if self.trace && !names_epoch.contains(&verb) {
                     out.push_str(" epoch=");
-                    push_u64(out, snapshot.epoch());
+                    push_u64(out, session.epoch());
                 }
             }
             Err(message) => write_err(out, message),

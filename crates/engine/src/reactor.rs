@@ -1,6 +1,6 @@
 //! The readiness-driven reactor core behind [`crate::net::NetServer`]: a
-//! small number of event-loop threads multiplexing every accepted
-//! connection over nonblocking sockets and a vendored `epoll` instance,
+//! small number of event loops, each accepting and multiplexing its own
+//! connections over nonblocking sockets and a vendored `epoll` instance,
 //! instead of one blocking thread per connection.  The reactor owns
 //! sockets, readiness and backpressure; everything between a socket's bytes
 //! and the replies — framing, negotiation, `quit`, records — is the
@@ -20,22 +20,30 @@
 //! # Event-loop shape
 //!
 //! Each reactor owns an [`Epoll`] instance (level-triggered — correctness
-//! under partial drains and backpressure needs no re-arm bookkeeping), a
-//! connection slab indexed by epoll token, and a [`UnixStream`] waker pair
-//! through which the accept loop injects new connections and the shutdown
-//! path stops the loop.  One iteration:
+//! under partial drains and backpressure needs no re-arm bookkeeping) that
+//! watches the shared listener, the read end of the shared stop signal,
+//! and the reactor's own connections, kept in a slab indexed by epoll
+//! token.  One iteration:
 //!
 //! 1. `epoll_wait` for the ready set (one `reactor.wait` profile stage, one
 //!    `diffcond_reactor_wakeups_total` tick, the batch size recorded in
 //!    `diffcond_reactor_ready_batch`).
-//! 2. For every ready connection: flush its output buffer if writable,
+//! 2. A ready listener is accepted until it would block; each connection
+//!    is admitted under the server's cap and registered in this reactor's
+//!    slab.  Every reactor watches the listener, so whichever is idle in
+//!    its wait takes the next connection, and the others find nothing to
+//!    accept.
+//! 3. For every ready connection: flush its output buffer if writable,
 //!    then drain its socket to `WOULD_BLOCK`, feeding each read to its
 //!    driver ([`Connection::feed`]), which frames its replies straight into
 //!    the connection's output buffer; at end of input, [`Connection::finish`].
-//! 3. Every connection the burst touched has its output written out with
+//! 4. Every connection the burst touched has its output written out with
 //!    vectored (`writev`) syscalls before the reactor waits again; a
 //!    `WOULD_BLOCK` arms writable readiness instead of blocking the loop.
-//!    The windowed-stats ring is observed once per burst.
+//!    The windowed-stats frames are observed once per burst.
+//!
+//! The stop signal is never drained: once shutdown writes it, it wakes
+//! every reactor's wait until the reactor sees the shutdown flag and exits.
 //!
 //! # Backpressure
 //!
@@ -49,17 +57,15 @@
 
 use crate::connection::{Connection, Output, STAGE_NET_WRITE};
 use crate::metrics::EngineMetrics;
-use crate::net::{ActiveGuard, NetConfig};
+use crate::net::{ActiveGuard, NetConfig, NetState};
 use crate::protocol::Server;
 use diffcon_obs::profile::{self, StageTag};
-use diffcon_obs::Gauge;
 use epoll::{Epoll, Events, Interest};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Profiling tag for the blocked heart of the loop: a reactor sampled in
 /// `reactor.wait` is idle in `epoll_wait`, covering every client's
@@ -68,9 +74,11 @@ static STAGE_REACTOR_WAIT: StageTag = StageTag::new("reactor.wait");
 /// Profiling tag for socket drains and request parsing.
 static STAGE_NET_READ: StageTag = StageTag::new("net.read");
 
-/// Epoll token of the waker's read end; connection tokens are slab indices,
-/// which can never reach this.
-const WAKER_TOKEN: u64 = u64::MAX;
+/// Epoll token of the listener; connection tokens are slab indices, which
+/// can never reach this or [`STOP_TOKEN`].
+const LISTENER_TOKEN: u64 = u64::MAX;
+/// Epoll token of the stop signal's read end.
+const STOP_TOKEN: u64 = u64::MAX - 1;
 /// Bytes per nonblocking read handed to a connection's driver.
 const READ_CHUNK: usize = 64 * 1024;
 /// Ready events fetched per `epoll_wait`.
@@ -90,85 +98,6 @@ const OUT_CHUNK: usize = 32 * 1024;
 const OUT_EAGER_FLUSH: usize = 2 * OUT_CHUNK;
 /// Most chunks handed to one vectored write.
 const MAX_IOVECS: usize = 64;
-
-/// The accept-loop-facing half of one reactor: the injection inbox, the
-/// waker that interrupts `epoll_wait`, and the load gauge the least-loaded
-/// dispatch reads.
-pub(crate) struct ReactorShared {
-    index: usize,
-    epoll: Epoll,
-    inbox: Mutex<Vec<(TcpStream, ActiveGuard)>>,
-    waker_tx: UnixStream,
-    waker_rx: UnixStream,
-    stop: AtomicBool,
-    load: AtomicUsize,
-}
-
-impl ReactorShared {
-    /// Builds the epoll instance and waker pair for reactor `index`.
-    pub(crate) fn new(index: usize) -> io::Result<Arc<ReactorShared>> {
-        let epoll = Epoll::new()?;
-        let (waker_tx, waker_rx) = UnixStream::pair()?;
-        waker_tx.set_nonblocking(true)?;
-        waker_rx.set_nonblocking(true)?;
-        epoll.add(waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
-        Ok(Arc::new(ReactorShared {
-            index,
-            epoll,
-            inbox: Mutex::new(Vec::new()),
-            waker_tx,
-            waker_rx,
-            stop: AtomicBool::new(false),
-            load: AtomicUsize::new(0),
-        }))
-    }
-
-    /// Connections this reactor is serving or has queued for adoption.
-    pub(crate) fn load(&self) -> usize {
-        self.load.load(Ordering::Relaxed)
-    }
-
-    /// Hands an accepted connection to this reactor (called from the accept
-    /// loop; the admission guard rides along so teardown is accounted no
-    /// matter where the connection dies).
-    pub(crate) fn inject(&self, stream: TcpStream, guard: ActiveGuard) {
-        self.load.fetch_add(1, Ordering::Relaxed);
-        self.inbox
-            .lock()
-            // A poisoned inbox only means another thread panicked mid-push;
-            // the Vec itself is still structurally sound, so keep serving.
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push((stream, guard));
-        self.wake();
-    }
-
-    /// Flags the event loop to exit and interrupts its `epoll_wait`.
-    pub(crate) fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake();
-    }
-
-    /// Interrupts `epoll_wait`.  A full pipe means a wake is already
-    /// pending, so the error is ignored.
-    fn wake(&self) {
-        let _ = (&self.waker_tx).write(&[1]);
-    }
-
-    /// Drains pending wake bytes so level-triggered readiness stops firing.
-    fn drain_waker(&self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
-    }
-}
-
-/// Decrements the owning reactor's load gauge on connection teardown.
-struct LoadGuard(Arc<ReactorShared>);
-
-impl Drop for LoadGuard {
-    fn drop(&mut self) {
-        self.0.load.fetch_sub(1, Ordering::Relaxed);
-    }
-}
 
 /// A connection's coalescing output buffer: replies accumulate in a chunk
 /// list and leave through vectored writes, so one flush syscall carries a
@@ -257,7 +186,6 @@ struct Conn {
     /// Member of the current burst's touched set.
     touched: bool,
     _active: ActiveGuard,
-    _load: LoadGuard,
 }
 
 impl Conn {
@@ -358,20 +286,28 @@ impl Conn {
     }
 }
 
-/// Adopts an accepted connection into the slab and registers its socket
-/// with the epoll instance.  Failure just drops the connection (the guards
-/// release its admission slot and load count); the return value is whether
-/// the connection is now live.
+/// Creates one reactor's epoll instance, watching the listener and the
+/// stop signal's read end.
+pub(crate) fn watch(listener: &TcpListener, stop: &UnixStream) -> io::Result<Epoll> {
+    let epoll = Epoll::new()?;
+    epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    epoll.add(stop.as_raw_fd(), STOP_TOKEN, Interest::READ)?;
+    Ok(epoll)
+}
+
+/// Adopts an admitted connection into the slab and registers its socket
+/// with the epoll instance.  Failure just drops the connection (its guard
+/// releases the admission slot); the return value is whether the
+/// connection is now live.
 fn register_conn(
     conns: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
-    shared: &Arc<ReactorShared>,
+    epoll: &Epoll,
     stream: TcpStream,
     active: ActiveGuard,
     config: &NetConfig,
     metrics: &EngineMetrics,
 ) -> bool {
-    let load = LoadGuard(Arc::clone(shared));
     // One request/one reply traffic benefits from immediate segments.
     let _ = stream.set_nodelay(true);
     if stream.set_nonblocking(true).is_err() {
@@ -387,8 +323,7 @@ fn register_conn(
             conns.len() - 1
         }
     };
-    if shared
-        .epoll
+    if epoll
         .add(stream.as_raw_fd(), token as u64, Interest::READ)
         .is_err()
     {
@@ -406,26 +341,31 @@ fn register_conn(
         dead: false,
         touched: false,
         _active: active,
-        _load: load,
     });
     true
 }
 
-/// The reactor event loop: runs until [`ReactorShared::request_stop`],
-/// serving every connection injected through [`ReactorShared::inject`].
-pub(crate) fn run(shared: Arc<ReactorShared>, config: NetConfig) {
+/// The reactor event loop: accepts, admits, and serves its own connections
+/// until shutdown is flagged.
+pub(crate) fn run(
+    index: usize,
+    epoll: Epoll,
+    listener: &TcpListener,
+    state: &Arc<NetState>,
+    config: &NetConfig,
+) {
     profile::set_thread_class("reactor");
     let metrics = EngineMetrics::global();
-    let live_gauge: Arc<Gauge> = metrics.register_reactor(shared.index);
+    let live_gauge = metrics.register_reactor(index);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = Events::with_capacity(EVENT_CAPACITY);
     let mut touched: Vec<usize> = Vec::new();
     let mut read_buf = vec![0u8; READ_CHUNK];
     let mut live: u64 = 0;
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !state.stopping() {
         let wait_stage = profile::stage(&STAGE_REACTOR_WAIT);
-        let waited = shared.epoll.wait(&mut events, None);
+        let waited = epoll.wait(&mut events, None);
         drop(wait_stage);
         if waited.is_err() {
             // An unusable epoll instance is unrecoverable for this reactor;
@@ -436,23 +376,29 @@ pub(crate) fn run(shared: Arc<ReactorShared>, config: NetConfig) {
         metrics.reactor_ready_batch.record(events.len() as u64);
         touched.clear();
         for event in events.iter() {
-            if event.token == WAKER_TOKEN {
-                shared.drain_waker();
-                let adopted: Vec<_> = shared
-                    .inbox
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .drain(..)
-                    .collect();
-                for (stream, guard) in adopted {
-                    if register_conn(
-                        &mut conns, &mut free, &shared, stream, guard, &config, metrics,
-                    ) {
-                        live += 1;
+            match event.token {
+                // The loop condition reads the flag the signal announces.
+                STOP_TOKEN => continue,
+                LISTENER_TOKEN => {
+                    // Accept until the listener would block.  Any failed
+                    // accept (another reactor took the connection, an
+                    // aborted handshake, fd pressure) ends the round;
+                    // level-triggered readiness brings this reactor back
+                    // while connections wait.
+                    while let Ok((stream, _)) = listener.accept() {
+                        let Some(active) = state.admit(&stream, config.max_connections) else {
+                            continue;
+                        };
+                        if register_conn(
+                            &mut conns, &mut free, &epoll, stream, active, config, metrics,
+                        ) {
+                            live += 1;
+                        }
                     }
+                    live_gauge.set(live);
+                    continue;
                 }
-                live_gauge.set(live);
-                continue;
+                _ => {}
             }
             let token = event.token as usize;
             let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) else {
@@ -491,14 +437,14 @@ pub(crate) fn run(shared: Arc<ReactorShared>, config: NetConfig) {
                 conn.touched = false;
                 conn.flush_out(metrics);
                 if !conn.reapable() {
-                    conn.sync_interest(&shared.epoll, token as u64);
+                    conn.sync_interest(&epoll, token as u64);
                 }
                 if !conn.reapable() {
                     continue;
                 }
                 conn.stream.as_raw_fd()
             };
-            let _ = shared.epoll.delete(fd);
+            let _ = epoll.delete(fd);
             conns[token] = None;
             free.push(token);
             live = live.saturating_sub(1);

@@ -3,8 +3,8 @@
 //!
 //! # Registry
 //!
-//! A [`SessionRegistry`] holds numbered slots, each optionally containing a
-//! live [`Session`] (a slot is empty until its first `universe` request).
+//! A [`SessionRegistry`] holds numbered slots, each an `Option<Session>`
+//! (a slot is empty until its first `universe` request).
 //! Exactly one slot is *current*; the classic single-session verbs operate
 //! on it.  The registry maintains the invariant that a current slot always
 //! exists — closing the last slot immediately opens a fresh empty one — so
@@ -23,16 +23,10 @@ use crate::session::Session;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// One registry slot: a numbered home for at most one live session.
-#[derive(Debug, Default)]
-struct Slot {
-    session: Option<Session>,
-}
-
 /// Numbered session slots with one current slot.
 #[derive(Debug)]
 pub struct SessionRegistry {
-    slots: BTreeMap<u64, Slot>,
+    slots: BTreeMap<u64, Option<Session>>,
     current: u64,
     next_id: u64,
 }
@@ -47,7 +41,7 @@ impl SessionRegistry {
     /// A registry with one empty slot (id 0), current.
     pub fn new() -> Self {
         let mut slots = BTreeMap::new();
-        slots.insert(0, Slot::default());
+        slots.insert(0, None);
         SessionRegistry {
             slots,
             current: 0,
@@ -72,31 +66,24 @@ impl SessionRegistry {
 
     /// The current slot's session, if a `universe` request has opened one.
     pub fn session(&self) -> Option<&Session> {
-        self.slots
-            .get(&self.current)
-            .and_then(|slot| slot.session.as_ref())
+        self.slots.get(&self.current)?.as_ref()
     }
 
     /// Mutable access to the current slot's session.
     pub fn session_mut(&mut self) -> Option<&mut Session> {
-        self.slots
-            .get_mut(&self.current)
-            .and_then(|slot| slot.session.as_mut())
+        self.slots.get_mut(&self.current)?.as_mut()
     }
 
     /// Installs (or replaces) the current slot's session.
     pub fn install(&mut self, session: Session) {
-        self.slots
-            .get_mut(&self.current)
-            .expect("a current slot always exists")
-            .session = Some(session);
+        self.slots.insert(self.current, Some(session));
     }
 
     /// Opens a fresh empty slot and makes it current; returns its id.
     pub fn open(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.slots.insert(id, Slot::default());
+        self.slots.insert(id, None);
         self.current = id;
         id
     }
@@ -122,7 +109,7 @@ impl SessionRegistry {
         if self.slots.is_empty() {
             let fresh = self.next_id;
             self.next_id += 1;
-            self.slots.insert(fresh, Slot::default());
+            self.slots.insert(fresh, None);
         }
         if !self.slots.contains_key(&self.current) {
             self.current = *self
@@ -138,7 +125,7 @@ impl SessionRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (u64, Option<&Session>)> {
         self.slots
             .iter()
-            .map(|(&id, slot)| (id, slot.session.as_ref()))
+            .map(|(&id, session)| (id, session.as_ref()))
     }
 }
 

@@ -2,39 +2,41 @@
 //! memoization and batch evaluation layered over the one-shot procedures in
 //! `diffcon`.
 //!
-//! A [`Session`] is the unit of engine state.  It owns its state by value,
-//! in one [`Snapshot`]: the premise set, with a flag for whether every
-//! premise is single-member (which opens the polynomial FD fast path), and
-//! an order-independent 64-bit **premise digest** (XOR of constraint
-//! fingerprints) that versions every cached answer; the known point values
-//! `f(X) = v` with their own digest (versioning bound intervals); the
-//! loaded dataset; the session's two caches (full answers and bound
-//! intervals, one [`crate::cache::LruCache`] each); and its [`Planner`]
-//! accounting.  Beside it the session keeps the [`ConstraintInterner`]
-//! assigning dense ids to asserted premises, and those ids.
+//! A [`Session`] is the unit of engine state, and holds it directly: the
+//! premise set, with a flag for whether every premise is single-member
+//! (which opens the polynomial FD fast path), and an order-independent
+//! 64-bit **premise digest** (XOR of constraint fingerprints) that versions
+//! every cached answer; the known point values `f(X) = v` with their own
+//! digest (versioning bound intervals); the loaded dataset; the epoch; the
+//! session's two caches (full answers and bound intervals, one
+//! [`crate::cache::LruCache`] each); its [`Planner`] accounting and bound
+//! state; and the [`ConstraintInterner`], which assigns dense ids to
+//! asserted constraints and records which of them are premises now.
 //!
-//! Every write edits the state in place: an assert pushes one premise, a
+//! Every write edits the session in place: an assert pushes one premise, a
 //! retract removes one, a `known` or `forget` inserts, replaces or removes
 //! one entry of the sorted knowns, and each updates its digest and fragment
 //! flag, bumps the epoch, and drops the bound state (the next `bound` miss
 //! builds a fresh one).  A write copies nothing it does not change, so its
-//! allocations do not grow with the premise count.  A session dereferences
-//! to its state, so its reads —
-//! [`Snapshot::implies`], [`Snapshot::implies_batch`], [`Snapshot::bound`],
-//! the accessors — are the state's own methods.  One thread owns a session
-//! and answers its requests in order, so nothing is locked.
+//! allocations do not grow with the premise count, and an assert decides
+//! "already a premise" with one interner probe.  The reads —
+//! [`Session::implies`], [`Session::implies_batch`], [`Session::bound`],
+//! the accessors — take `&self` and live in [`crate::snapshot`].  One thread
+//! owns a session and answers its requests in order, so nothing is locked.
 
+use crate::cache::{LruCache, VersionedKey};
 use crate::intern::{ConstraintId, ConstraintInterner};
-use crate::metrics::{EngineMetrics, SessionCosts};
+use crate::metrics::{CacheFamily, EngineMetrics, SessionCosts};
 use crate::planner::{Planner, PlannerStats};
-use crate::snapshot::{EngineCaches, Snapshot};
+use diffcon::procedure::ProcedureKind;
 use diffcon::{fd_fragment, DiffConstraint};
-use diffcon_bounds::problem::BoundsConfig;
+use diffcon_bounds::derive::Propagation;
+use diffcon_bounds::problem::{BoundsConfig, DeriveError, DeriveRoute};
+use diffcon_bounds::Interval;
 use diffcon_discover::{Dataset, Discovery, MinerConfig};
 use fis::basket::BasketParseError;
 use setlat::{AttrSet, Universe};
-use std::cell::OnceCell;
-use std::ops::Deref;
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 pub use crate::cache::CacheStats;
@@ -128,14 +130,55 @@ pub struct CoreApplied {
     pub dropped: usize,
 }
 
-/// A stateful query-serving session over one universe.
+/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], borrowed
+/// for one probe or one insert at a time.  Keys are fingerprint-addressed,
+/// so every value carries the payload it was computed for, and reads verify
+/// it against the query before trusting the entry (fingerprint collisions
+/// recompute, never alias).
+type Cache<V> = RefCell<LruCache<VersionedKey, V>>;
+
+/// An empty cache of `capacity` entries, counting into `family`'s
+/// process-wide counters.
+fn cache<V>(family: CacheFamily, capacity: usize) -> Cache<V> {
+    let counters = EngineMetrics::global().cache(family);
+    RefCell::new(LruCache::with_counters(capacity, counters))
+}
+
+/// A stateful query-serving session over one universe, answering
+/// implication and bound queries through `&self` (see [`crate::snapshot`]).
 #[derive(Debug)]
 pub struct Session {
+    pub(crate) universe: Universe,
+    /// The premise set, in assertion order.
+    pub(crate) premises: Vec<DiffConstraint>,
+    /// Whether every premise is single-member (the FD fragment), so the
+    /// planner may route single-member goals to the FD procedure.
+    pub(crate) fd_fragment: bool,
+    /// XOR of the premise fingerprints; versions the answer cache.
+    pub(crate) premise_digest: u64,
+    /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
+    pub(crate) knowns: Vec<(AttrSet, f64)>,
+    /// XOR of the known-entry fingerprints; versions the bound cache
+    /// together with the premise digest.
+    pub(crate) knowns_digest: u64,
+    pub(crate) bounds_config: BoundsConfig,
+    /// The loaded basket dataset, if any.  No cache digest involves it:
+    /// `adopt` flows back through assertion, which versions as usual.
+    pub(crate) dataset: Option<Dataset>,
+    pub(crate) epoch: u64,
+    /// Decided implication answers, each with the goal it answers.
+    pub(crate) answer_cache: Cache<(DiffConstraint, bool, ProcedureKind)>,
+    /// Derived bound intervals, each with the set it bounds.
+    pub(crate) bound_cache: Cache<(AttrSet, Interval, DeriveRoute)>,
+    /// Holds the session's ledger.
+    pub(crate) planner: Planner,
+    /// The bound state of these premises and knowns, or the infeasibility
+    /// its pass 1 found: empty until the first `bound` miss routed to
+    /// propagation, then read by every later one, and dropped by each
+    /// write.  Boxed, so an empty cell adds 16 bytes to the session.
+    pub(crate) bound_state: OnceCell<Result<Box<Propagation>, DeriveError>>,
+    /// Every asserted constraint's id, and which of them are premises now.
     interner: ConstraintInterner,
-    /// The premise ids, aligned with the premise set.
-    premise_ids: Vec<ConstraintId>,
-    /// The session's state, which every write edits in place.
-    state: Snapshot,
     interner_compaction_threshold: usize,
     interner_compactions: u64,
 }
@@ -148,7 +191,7 @@ impl Session {
 
     /// Creates an empty session with explicit cache and planner settings.
     pub fn with_config(universe: Universe, config: SessionConfig) -> Self {
-        let state = Snapshot {
+        Session {
             universe,
             premises: Vec::new(),
             fd_fragment: true,
@@ -158,27 +201,22 @@ impl Session {
             bounds_config: config.bounds,
             dataset: None,
             epoch: 0,
-            caches: EngineCaches::new(&config),
+            answer_cache: cache(CacheFamily::Answer, config.answer_cache_capacity),
+            bound_cache: cache(CacheFamily::Bound, config.bound_cache_capacity),
             planner: Planner::default(),
             bound_state: OnceCell::new(),
-        };
-        Session {
             interner: ConstraintInterner::new(),
-            premise_ids: Vec::new(),
-            state,
             interner_compaction_threshold: config.interner_compaction_threshold.max(1),
             interner_compactions: 0,
         }
     }
 
-    /// The state, opened for one write: the epoch bumped and the bound
-    /// state dropped, since it was built from the state before the write.
-    fn write(&mut self) -> &mut Snapshot {
+    /// Opens the session for one write: bumps the epoch and drops the
+    /// bound state, since it was built from the state before the write.
+    fn write(&mut self) {
         EngineMetrics::global().epoch_publishes.inc();
-        let state = &mut self.state;
-        state.epoch += 1;
-        state.bound_state.take();
-        state
+        self.epoch += 1;
+        self.bound_state.take();
     }
 
     /// The session's ledger: every route decision, cache hit, and charged
@@ -186,12 +224,13 @@ impl Session {
     /// metrics registry when the session is bound to a `(connection, slot)`
     /// pair).
     pub fn costs(&self) -> &Arc<SessionCosts> {
-        self.state.planner.costs()
+        self.planner.costs()
     }
 
-    /// The session's state, which answers queries through `&self`.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.state
+    /// The session itself, as of its last write: every query answers
+    /// through `&self`, so a read view needs nothing captured.
+    pub fn snapshot(&self) -> &Session {
+        self
     }
 
     /// Stable fingerprint of one known entry; XORed into the knowns digest.
@@ -207,20 +246,20 @@ impl Session {
     pub fn set_known(&mut self, set: AttrSet, value: f64) -> bool {
         assert!(value.is_finite(), "known values must be finite");
         assert!(
-            set.is_subset(self.universe().full_set()),
+            set.is_subset(self.universe.full_set()),
             "known set lies outside the universe"
         );
-        let state = self.write();
+        self.write();
         let fingerprint = Session::known_fingerprint(set, value);
-        match state.knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
+        match self.knowns.binary_search_by(|(x, _)| x.cmp(&set)) {
             Ok(pos) => {
-                let old = std::mem::replace(&mut state.knowns[pos].1, value);
-                state.knowns_digest ^= Session::known_fingerprint(set, old) ^ fingerprint;
+                let old = std::mem::replace(&mut self.knowns[pos].1, value);
+                self.knowns_digest ^= Session::known_fingerprint(set, old) ^ fingerprint;
                 false
             }
             Err(pos) => {
-                state.knowns.insert(pos, (set, value));
-                state.knowns_digest ^= fingerprint;
+                self.knowns.insert(pos, (set, value));
+                self.knowns_digest ^= fingerprint;
                 true
             }
         }
@@ -228,12 +267,12 @@ impl Session {
 
     /// Forgets a known point value.  Returns `false` when it was not known.
     pub fn forget_known(&mut self, set: AttrSet) -> bool {
-        let Ok(pos) = self.knowns().binary_search_by(|(x, _)| x.cmp(&set)) else {
+        let Ok(pos) = self.knowns.binary_search_by(|(x, _)| x.cmp(&set)) else {
             return false;
         };
-        let state = self.write();
-        let (_, value) = state.knowns.remove(pos);
-        state.knowns_digest ^= Session::known_fingerprint(set, value);
+        self.write();
+        let (_, value) = self.knowns.remove(pos);
+        self.knowns_digest ^= Session::known_fingerprint(set, value);
         true
     }
 
@@ -261,12 +300,12 @@ impl Session {
         I::Item: AsRef<str>,
     {
         let mut dataset = self
-            .state
             .dataset
             .clone()
-            .unwrap_or_else(|| Dataset::new(self.universe().clone()));
+            .unwrap_or_else(|| Dataset::new(self.universe.clone()));
         let added = dataset.load(records)?;
-        self.write().dataset = Some(dataset);
+        self.write();
+        self.dataset = Some(dataset);
         Ok(added)
     }
 
@@ -293,32 +332,30 @@ impl Session {
         if self.compaction_due() && self.interner.lookup(constraint).is_none() {
             self.compact_interner();
         }
-        let id = self.interner.intern(constraint);
-        if self.premise_ids.contains(&id) {
-            return (id, false);
+        let (id, added) = self.interner.assert(constraint);
+        if added {
+            self.write();
+            self.premises.push(constraint.clone());
+            self.fd_fragment &= fd_fragment::in_fragment(constraint);
+            self.premise_digest ^= constraint.fingerprint();
         }
-        self.premise_ids.push(id);
-        let state = self.write();
-        state.premises.push(constraint.clone());
-        state.fd_fragment &= fd_fragment::in_fragment(constraint);
-        state.premise_digest ^= constraint.fingerprint();
-        (id, true)
+        (id, added)
     }
 
     /// Removes a premise.  Returns `false` when it was not asserted.
     pub fn retract_constraint(&mut self, constraint: &DiffConstraint) -> bool {
-        let Some(id) = self.interner.lookup(constraint) else {
+        if self.interner.retract(constraint).is_none() {
+            return false;
+        }
+        // The interner's premises are the premise set, so this finds it.
+        let Some(pos) = self.premises.iter().position(|p| p == constraint) else {
             return false;
         };
-        let Some(pos) = self.premise_ids.iter().position(|&p| p == id) else {
-            return false;
-        };
-        self.premise_ids.remove(pos);
-        let state = self.write();
-        let removed = state.premises.remove(pos);
-        state.premise_digest ^= removed.fingerprint();
+        self.write();
+        let removed = self.premises.remove(pos);
+        self.premise_digest ^= removed.fingerprint();
         // The retraction may have removed the last wide premise; rescan.
-        state.fd_fragment = state.fd_fragment || fd_fragment::set_in_fragment(&state.premises);
+        self.fd_fragment = self.fd_fragment || fd_fragment::set_in_fragment(&self.premises);
         true
     }
 
@@ -330,15 +367,15 @@ impl Session {
     /// [`diffcon_analyze::premise`] for the argument) — and the core's
     /// certificate is re-verified here before any premise is touched.
     pub fn apply_core(&mut self) -> Result<CoreApplied, &'static str> {
-        let core = diffcon_analyze::minimal_core(self.universe(), self.premises());
-        if !diffcon_analyze::check_certificate(self.universe(), &core) {
+        let core = diffcon_analyze::minimal_core(&self.universe, &self.premises);
+        if !diffcon_analyze::check_certificate(&self.universe, &core) {
             return Err("core certificate failed verification; premises unchanged");
         }
-        let before = self.premises().len();
+        let before = self.premises.len();
         for dropped in &core.dropped {
             self.retract_constraint(&dropped.premise);
         }
-        let after = self.premises().len();
+        let after = self.premises.len();
         Ok(CoreApplied {
             before,
             after,
@@ -351,18 +388,18 @@ impl Session {
     /// guarantees geometric headroom between compactions, so assert/retract
     /// churn cannot trigger a compaction per mutation.
     fn compaction_due(&self) -> bool {
-        let floor = self.premise_ids.len().saturating_mul(2).saturating_add(16);
+        let floor = self.premises.len().saturating_mul(2).saturating_add(16);
         self.interner.len() >= self.interner_compaction_threshold.max(floor)
     }
 
-    /// Rebuilds the interner with only the current premises.  Ids are
-    /// reassigned, so previously returned [`ConstraintId`]s become stale;
-    /// the caches are unaffected (they are keyed on digest-versioned
-    /// constraints, never on ids).
+    /// Rebuilds the interner with only the current premises, re-interned
+    /// in order.  Ids are reassigned, so previously returned
+    /// [`ConstraintId`]s become stale; the caches are unaffected (they are
+    /// keyed on digest-versioned constraints, never on ids).
     fn compact_interner(&mut self) {
         let mut fresh = ConstraintInterner::new();
-        for (slot, premise) in self.state.premises.iter().enumerate() {
-            self.premise_ids[slot] = fresh.intern(premise);
+        for premise in &self.premises {
+            fresh.assert(premise);
         }
         self.interner = fresh;
         self.interner_compactions += 1;
@@ -370,22 +407,20 @@ impl Session {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> SessionStats {
-        let state = &self.state;
-        let caches = &state.caches;
         SessionStats {
-            planner: state.planner.stats(),
-            answer_cache: caches.answer.borrow().stats(),
-            bound_cache: caches.bound.borrow().stats(),
+            planner: self.planner.stats(),
+            answer_cache: self.answer_cache.borrow().stats(),
+            bound_cache: self.bound_cache.borrow().stats(),
             route_latency_us: diffcon::procedure::ALL_PROCEDURES.map(|kind| {
-                let latency = state.planner.latency(kind);
+                let latency = self.planner.latency(kind);
                 (latency.p50() / 1_000, latency.p99() / 1_000)
             }),
-            knowns: state.knowns.len(),
-            dataset_baskets: state.dataset.as_ref().map_or(0, Dataset::len),
-            premises: state.premises.len(),
+            knowns: self.knowns.len(),
+            dataset_baskets: self.dataset.as_ref().map_or(0, Dataset::len),
+            premises: self.premises.len(),
             interned: self.interner.len(),
             interner_compactions: self.interner_compactions,
-            epoch: state.epoch,
+            epoch: self.epoch,
         }
     }
 
@@ -393,18 +428,8 @@ impl Session {
     /// are kept): the caches are a performance layer, never a source of
     /// truth.
     pub fn clear_caches(&self) {
-        self.state.caches.clear();
-    }
-}
-
-/// A session reads through its state: `session.implies(goal)`,
-/// `session.bound(set)`, `session.premises()` and every other [`Snapshot`]
-/// method answer against the state as the last write left it.
-impl Deref for Session {
-    type Target = Snapshot;
-
-    fn deref(&self) -> &Snapshot {
-        &self.state
+        self.answer_cache.borrow_mut().clear();
+        self.bound_cache.borrow_mut().clear();
     }
 }
 

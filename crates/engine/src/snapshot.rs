@@ -1,31 +1,25 @@
-//! A session's state and its read path.
-//!
-//! A [`Snapshot`] is one session's state — the premise set with a flag for
-//! whether it lies in the single-member fragment, the known point values,
-//! both versioning digests, and the loaded dataset — together with the
-//! session's two caches, its planner accounting, and its bound state.  A
-//! [`crate::session::Session`] owns it by value and applies each write to
-//! it in place, bumping the [`Snapshot::epoch`].
+//! A session's read path: the queries a [`Session`] answers through
+//! `&self`, and the outcomes they report.
 //!
 //! The deciders of the paper are pure functions of the premise set, so
-//! every query is answerable through `&self`: [`Snapshot::implies`],
-//! [`Snapshot::implies_batch`], and [`Snapshot::bound`] never take a
-//! mutable reference.  One thread owns a session and both reads and writes
-//! it, so each cache is a `RefCell` and the bound state a `OnceCell`; no
-//! lock is taken anywhere on the read path.  An implication miss is routed
-//! by the planner and decided through `diffcon::procedure::decide` on the
-//! calling thread; only its answer is memoized.  A batch is the same path
-//! once per goal, in order, and [`Snapshot::explain`] is the same path with
-//! stage marks: one clock reading after the cache probe, the route choice
-//! and the decision, which `implies` runs without.
+//! every query is answerable through `&self`: [`Session::implies`],
+//! [`Session::implies_batch`], and [`Session::bound`] never take a mutable
+//! reference.  One thread owns a session and both reads and writes it, so
+//! each cache is a `RefCell` and the bound state a `OnceCell`; no lock is
+//! taken anywhere on the read path.  An implication miss is routed by the
+//! planner and decided through `diffcon::procedure::decide` on the calling
+//! thread; only its answer is memoized.  A batch is the same path once per
+//! goal, in order, and [`Session::explain`] is the same path with stage
+//! marks: one clock reading after the cache probe, the route choice and
+//! the decision, which `implies` runs without.
 //!
 //! Caching across writes is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two states with the same digests
 //! share warm entries (retract-then-reassert instantly revalidates), while
 //! any state difference makes the keys disjoint.
 //!
-//! The state also holds its bound state: the query-independent half of the
-//! propagation path ([`Propagation`]: the `L(C)` bitmap, every density
+//! The session also holds its bound state: the query-independent half of
+//! the propagation path ([`Propagation`]: the `L(C)` bitmap, every density
 //! variable's interval, `2 × 8 × 2^{|S|}` bytes, plus each known's row sum
 //! and a sorted copy of the knowns).  Its sums visit only the variables
 //! outside `L(C)`.  The first `bound` miss routed to propagation builds it,
@@ -33,20 +27,17 @@
 //! drops it, and the next miss builds a fresh one, bitmap included, which
 //! at 8 attributes is a fraction of a microsecond.
 
-use crate::cache::{version_salt, LruCache, VersionedKey};
-use crate::metrics::{CacheFamily, EngineMetrics};
-use crate::planner::Planner;
-use crate::session::SessionConfig;
+use crate::cache::{version_salt, VersionedKey};
+use crate::session::Session;
 use diffcon::inference::{self, Derivation};
 use diffcon::procedure::{self, ProcedureKind};
 use diffcon::{implication, DiffConstraint};
-use diffcon_bounds::derive::{derive_relaxed, Propagation};
-use diffcon_bounds::problem::{BoundsConfig, BoundsProblem, DeriveError, DeriveRoute};
+use diffcon_bounds::derive::{self, derive_relaxed, Propagation};
+use diffcon_bounds::problem::{BoundsProblem, DeriveError, DeriveRoute};
 use diffcon_bounds::{Interval, SideConditions};
 use diffcon_discover::{miner, Dataset, Discovery, MinerConfig};
 use diffcon_obs::profile::{self, StageTag};
 use setlat::{AttrSet, Universe};
-use std::cell::{OnceCell, RefCell};
 use std::time::{Duration, Instant};
 
 /// Profiling tags for the implication decision routes, so a profile
@@ -119,12 +110,12 @@ impl BoundOutcome {
     }
 }
 
-/// A fully-instrumented single-query decision: what [`Snapshot::implies`]
+/// A fully-instrumented single-query decision: what [`Session::implies`]
 /// would answer, plus the state's epoch and a wall-clock decomposition
 /// of where the time went (the `explain` verb's payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplainOutcome {
-    /// The decision, exactly as [`Snapshot::implies`] reports it (and with
+    /// The decision, exactly as [`Session::implies`] reports it (and with
     /// the same accounting side effects: an explained query hits or feeds
     /// the answer cache and counts in the planner like any other query).
     pub outcome: QueryOutcome,
@@ -158,79 +149,8 @@ pub struct AnalyzeOutcome {
     pub elapsed: Duration,
 }
 
-/// The two caches of one session, each one [`LruCache`] in a `RefCell`:
-/// full query answers and derived bound intervals, both digest-versioned.
-/// Keys are fingerprint-addressed ([`VersionedKey`]), so every value
-/// carries the payload it was computed for; reads verify it against the
-/// query before trusting the entry (fingerprint collisions recompute,
-/// never alias).
-#[derive(Debug)]
-pub(crate) struct EngineCaches {
-    pub(crate) answer: Cache<(DiffConstraint, bool, ProcedureKind)>,
-    pub(crate) bound: Cache<(AttrSet, Interval, DeriveRoute)>,
-}
-
-/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], borrowed
-/// for one probe or one insert at a time.
-type Cache<V> = RefCell<LruCache<VersionedKey, V>>;
-
-impl EngineCaches {
-    /// Empty caches bounded by `config`, each counting into its family's
-    /// process-wide counters.
-    pub(crate) fn new(config: &SessionConfig) -> Self {
-        fn cache<V>(family: CacheFamily, capacity: usize) -> Cache<V> {
-            let counters = EngineMetrics::global().cache(family);
-            RefCell::new(LruCache::with_counters(capacity, counters))
-        }
-        EngineCaches {
-            answer: cache(CacheFamily::Answer, config.answer_cache_capacity),
-            bound: cache(CacheFamily::Bound, config.bound_cache_capacity),
-        }
-    }
-
-    pub(crate) fn clear(&self) {
-        self.answer.borrow_mut().clear();
-        self.bound.borrow_mut().clear();
-    }
-}
-
-/// One session's state, answering implication and bound queries through
-/// `&self`.
-///
-/// Owned by its [`crate::session::Session`], which reads through it
-/// ([`crate::session::Session::snapshot`], or by dereference) and writes
-/// it in place.
-#[derive(Debug)]
-pub struct Snapshot {
-    pub(crate) universe: Universe,
-    pub(crate) premises: Vec<DiffConstraint>,
-    /// Whether every premise is single-member (the FD fragment), so the
-    /// planner may route single-member goals to the FD procedure.
-    pub(crate) fd_fragment: bool,
-    /// XOR of the premise fingerprints; versions the answer cache.
-    pub(crate) premise_digest: u64,
-    /// Known point values `f(X) = v`, sorted by set, for `bound` queries.
-    pub(crate) knowns: Vec<(AttrSet, f64)>,
-    /// XOR of the known-entry fingerprints; versions the bound cache
-    /// together with the premise digest.
-    pub(crate) knowns_digest: u64,
-    pub(crate) bounds_config: BoundsConfig,
-    /// The loaded basket dataset, if any.  No cache digest involves it:
-    /// `adopt` flows back through assertion, which versions as usual.
-    pub(crate) dataset: Option<Dataset>,
-    pub(crate) epoch: u64,
-    pub(crate) caches: EngineCaches,
-    /// Holds the session's ledger.
-    pub(crate) planner: Planner,
-    /// The bound state of these premises and knowns, or the infeasibility
-    /// its pass 1 found: empty until the first `bound` miss routed to
-    /// propagation, then read by every later one, and dropped by each
-    /// write.  Boxed, so an empty cell adds 16 bytes to the state.
-    pub(crate) bound_state: OnceCell<Result<Box<Propagation>, DeriveError>>,
-}
-
-impl Snapshot {
-    /// The snapshot's universe.
+impl Session {
+    /// The session's universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
     }
@@ -301,8 +221,7 @@ impl Snapshot {
     /// planner under the route that decided it.
     fn probe_answer(&self, key: &VersionedKey, goal: &DiffConstraint) -> Option<QueryOutcome> {
         let (implied, kind) = self
-            .caches
-            .answer
+            .answer_cache
             .borrow_mut()
             .get_if(key, |(stored, implied, kind)| {
                 (stored == goal).then_some((*implied, *kind))
@@ -351,8 +270,7 @@ impl Snapshot {
         route: ProcedureKind,
         outcome: QueryOutcome,
     ) {
-        self.caches
-            .answer
+        self.answer_cache
             .borrow_mut()
             .insert(key, (goal.clone(), outcome.implied, route));
         self.planner.record_decided(route, outcome.elapsed);
@@ -365,7 +283,7 @@ impl Snapshot {
 
     /// The implication path, calling `mark` as it passes each stage: after
     /// the cache probe, after the route choice, and after the decision.
-    /// [`Snapshot::implies`] marks nothing, so it reads no clock for marks.
+    /// [`Session::implies`] marks nothing, so it reads no clock for marks.
     fn implies_marked(&self, goal: &DiffConstraint, mut mark: impl FnMut()) -> QueryOutcome {
         if goal.is_trivial() {
             return self.trivial();
@@ -384,7 +302,7 @@ impl Snapshot {
         outcome
     }
 
-    /// Decides `premises ⊨ goal` like [`Snapshot::implies`], additionally
+    /// Decides `premises ⊨ goal` like [`Session::implies`], additionally
     /// reporting the state's epoch and a per-stage latency decomposition
     /// (cache probe → route choice → decision).  This *is* `implies` with a
     /// clock reading at each stage mark — same cache, same planner
@@ -418,7 +336,7 @@ impl Snapshot {
 
     /// Decides a whole batch of goals against the premise set, in
     /// order on the calling thread: each goal goes through
-    /// [`Snapshot::implies`], so a repeat of an earlier goal in the batch is
+    /// [`Session::implies`], so a repeat of an earlier goal in the batch is
     /// an answer-cache hit exactly like a repeated query.  The outcomes are
     /// index-aligned with `goals`.
     pub fn implies_batch(&self, goals: &[DiffConstraint]) -> Vec<QueryOutcome> {
@@ -442,8 +360,7 @@ impl Snapshot {
         );
         let key = self.bound_key(query);
         let hit = self
-            .caches
-            .bound
+            .bound_cache
             .borrow_mut()
             .get_if(&key, |&(stored, interval, route)| {
                 (stored == query).then_some((interval, route))
@@ -457,13 +374,7 @@ impl Snapshot {
                 elapsed: Duration::ZERO,
             });
         }
-        let route = self.planner.choose_bound(
-            &self.universe,
-            self.premises.len(),
-            self.knowns.len(),
-            query,
-            &self.bounds_config,
-        );
+        let route = derive::route(&self.bounds_problem(), query, &self.bounds_config);
         let start = Instant::now();
         let _bound_stage = profile::stage(&STAGE_BOUND);
         let result = match route {
@@ -479,8 +390,7 @@ impl Snapshot {
         let elapsed = start.elapsed();
         self.planner.record_bound_decided(route, elapsed);
         let interval = result?;
-        self.caches
-            .bound
+        self.bound_cache
             .borrow_mut()
             .insert(key, (query, interval, route));
         Ok(BoundOutcome {

@@ -147,7 +147,7 @@ fn spawn_server(config: NetConfig) -> (SocketAddr, diffcon_engine::ShutdownHandl
     let server = NetServer::bind("127.0.0.1:0", config).expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
-    std::thread::spawn(move || server.run().expect("accept loop"));
+    std::thread::spawn(move || server.run().expect("reactors"));
     (addr, handle)
 }
 

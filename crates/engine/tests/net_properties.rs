@@ -33,13 +33,13 @@ fn tiny_config() -> SessionConfig {
     }
 }
 
-/// Binds a server on an ephemeral loopback port and runs its accept loop on
+/// Binds a server on an ephemeral loopback port and runs its reactors on
 /// a background thread.  The thread ends when the handle shuts it down.
 fn spawn_server(config: NetConfig) -> (SocketAddr, ShutdownHandle) {
     let server = NetServer::bind("127.0.0.1:0", config).expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
-    std::thread::spawn(move || server.run().expect("accept loop"));
+    std::thread::spawn(move || server.run().expect("reactors"));
     (addr, handle)
 }
 
@@ -191,7 +191,15 @@ fn concurrent_connections_each_match_their_own_oracle() {
         session: tiny_config(),
         ..NetConfig::default()
     });
-    let scripts: Vec<Vec<String>> = (0..4)
+    each_matches_its_own_oracle(addr, 4);
+    handle.shutdown();
+}
+
+/// Runs `connections` scripts concurrently against `addr`, one connection
+/// each, every script its own mix of writes and reads; each reply stream
+/// must equal its in-process oracle.
+fn each_matches_its_own_oracle(addr: SocketAddr, connections: usize) {
+    let scripts: Vec<Vec<String>> = (0..connections)
         .map(|i| {
             let mut lines = vec!["universe 4".to_string()];
             for round in 0..12 {
@@ -216,7 +224,36 @@ fn concurrent_connections_each_match_their_own_oracle() {
             });
         }
     });
+}
+
+/// Two reactors accept from one listener: eight concurrent connections
+/// each match their own oracle, whichever reactor took them, and after
+/// shutdown `run` returns and every admission slot is released.
+#[test]
+fn two_reactors_serve_concurrent_connections_and_stop() {
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            session: tiny_config(),
+            reactors: 2,
+            ..NetConfig::default()
+        },
+    )
+    .expect("loopback bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let (done, ran) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || done.send(server.run()));
+    each_matches_its_own_oracle(addr, 8);
     handle.shutdown();
+    ran.recv_timeout(DEADLINE)
+        .expect("run() did not return after shutdown")
+        .expect("the reactors ran");
+    runner
+        .join()
+        .expect("the server thread")
+        .expect("run()'s result was received");
+    assert_eq!(handle.active_connections(), 0);
 }
 
 /// Sessions die with their connection: premises asserted on one connection

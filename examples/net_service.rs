@@ -82,7 +82,7 @@ fn main() {
             .expect("bind an ephemeral loopback port");
             let addr = server.local_addr().to_string();
             shutdown = Some(server.shutdown_handle());
-            std::thread::spawn(move || server.run().expect("accept loop"));
+            std::thread::spawn(move || server.run().expect("reactors"));
             addr
         }
     };
