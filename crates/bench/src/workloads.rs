@@ -60,6 +60,130 @@ pub fn implication_workload(
     }
 }
 
+/// The premise sets of [`cold_lattice_workload`].
+#[derive(Debug, Clone, Copy)]
+pub enum ColdPremises {
+    /// The serving benchmark's `cold_decide` premise set, drawn as it draws
+    /// it (seed 42); its `X → {}` premises make every goal implied.
+    Served,
+    /// This many distinct premises of the same shape, each with a nonempty
+    /// right side.
+    Nonempty(usize),
+}
+
+/// The serving benchmark's goal generator (splitmix64), mirrored here since
+/// the benchmark is a workspace of its own and cannot be imported.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn new(seed: u64) -> SplitMix {
+        SplitMix(seed ^ 0x6A09_E667_F3BC_C908)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    fn between(&mut self, lo: usize, hi: usize) -> usize {
+        lo + self.below(hi - lo + 1)
+    }
+
+    fn subset_of(&mut self, pool: AttrSet, size: usize) -> AttrSet {
+        let members: Vec<usize> = pool.iter().collect();
+        let mut set = AttrSet::EMPTY;
+        while set.len() < size.min(members.len()) {
+            set.insert(members[self.below(members.len())]);
+        }
+        set
+    }
+}
+
+/// A cold-decision workload over `n` attributes: the serving benchmark's
+/// `cold_decide` premise shape and `num_goals` distinct goals of its goal
+/// shape, with left sides of `lhs.0..=lhs.1` attributes (`9..=12` is the
+/// class it routes to the lattice kernel at 22 attributes).  Half the goals
+/// are a premise augmented, so implied by construction; half are random.
+pub fn cold_lattice_workload(
+    n: usize,
+    premises: ColdPremises,
+    lhs: (usize, usize),
+    num_goals: usize,
+    seed: u64,
+) -> ImplicationWorkload {
+    let universe = Universe::of_size(n);
+    let shape = ConstraintShape {
+        max_lhs: 2,
+        max_members: 3,
+        max_member_size: 3,
+        allow_trivial: false,
+    };
+    let mut gen = ConstraintGenerator::new(42, &universe);
+    let premises = match premises {
+        ColdPremises::Served => loop {
+            let drawn = gen.constraint_set(10, &shape);
+            if drawn.iter().any(|p| p.rhs.len() >= 2) {
+                break drawn;
+            }
+        },
+        ColdPremises::Nonempty(count) => {
+            let mut drawn: Vec<DiffConstraint> = Vec::with_capacity(count);
+            while drawn.len() < count {
+                let c = gen.constraint(&shape);
+                if !c.rhs.is_empty() && !drawn.contains(&c) {
+                    drawn.push(c);
+                }
+            }
+            drawn
+        }
+    };
+    let full = universe.full_set();
+    let mut rng = SplitMix::new(seed);
+    let mut goals: Vec<DiffConstraint> = Vec::with_capacity(num_goals);
+    while goals.len() < num_goals {
+        let size = rng.between(lhs.0, lhs.1);
+        let mut goal = None;
+        if rng.below(2) == 0 {
+            let base = &premises[rng.below(premises.len())];
+            let mut goal_lhs = base.lhs;
+            while goal_lhs.len() < size.max(base.lhs.len()) {
+                goal_lhs.insert(rng.below(n));
+            }
+            let extra_size = rng.between(1, 3);
+            let extra = rng.subset_of(full.difference(goal_lhs), extra_size);
+            goal = Some(DiffConstraint::new(goal_lhs, base.rhs.with_member(extra)))
+                .filter(|g| !g.is_trivial());
+        }
+        let goal = goal.unwrap_or_else(|| {
+            let goal_lhs = rng.subset_of(full, size);
+            let outside = full.difference(goal_lhs);
+            let count = rng.between(1, 3);
+            let members: Vec<AttrSet> = (0..count)
+                .map(|_| {
+                    let size = rng.between(1, 3);
+                    rng.subset_of(outside, size)
+                })
+                .collect();
+            DiffConstraint::new(goal_lhs, Family::from_sets(members))
+        });
+        if !goals.contains(&goal) {
+            goals.push(goal);
+        }
+    }
+    ImplicationWorkload {
+        universe,
+        premises,
+        goals,
+    }
+}
+
 /// One step of the Knuth LCG used by the seed-stretching helpers below; the
 /// call sites pick which high bits of the new state to use.
 fn lcg_step(state: &mut u64) -> u64 {

@@ -61,9 +61,11 @@ pub fn zeroed_at(constraints: &[DiffConstraint], u_set: AttrSet) -> bool {
 /// The layout is [`crate::implication::implies_lattice`]'s at `X = ∅`: the
 /// first six attributes index the lanes of a word, the next six the 64 words
 /// of a block, and the rest the blocks.  Within a block, each premise
-/// settles all 64 words with a few AND/OR operations per member, so the
-/// build costs `O(2^{|S|}/64 · Σ(1 + |𝒴_i|))` word operations; 128 KiB
-/// hold it at 20 attributes.
+/// visits the words that hold sets containing its left side and are not
+/// yet wholly in `L(C)`, with a few AND/OR operations per member, and a
+/// block wholly in `L(C)` meets no further premise, so the build costs at
+/// most `O(2^{|S|}/64 · Σ(1 + |𝒴_i|))` word operations; 128 KiB hold it
+/// at 20 attributes.
 #[derive(Debug, Clone)]
 pub struct LatticeBitmap {
     words: Vec<u64>,
@@ -93,7 +95,7 @@ impl LatticeBitmap {
         // `64·b .. 64·b + 64`.
         let blocks = powerset::subsets(slices.blocks);
         for (chunk, block) in words.chunks_mut(slices.word_count).zip(blocks) {
-            slices.cover(block, constraints, chunk);
+            slices.settle::<64>(block, constraints, chunk);
         }
         let lanes = if n < 6 { (1u64 << (1 << n)) - 1 } else { !0 };
         words[0] &= lanes;
@@ -235,14 +237,20 @@ mod tests {
 
     #[test]
     fn lattice_bitmap_matches_zeroed_at_on_every_set() {
-        let shapes: [&[&str]; 4] = [
+        // The last three shapes put left sides on word attributes (G to L)
+        // and block attributes (M up), so a premise touches only some of a
+        // block's words, and `L -> {}` settles half of them at once.
+        let shapes: [&[&str]; 7] = [
             &["A -> {B}", "BC -> {D}", "E -> {A, B}"],
             &["A -> {}"],
             &["AB -> {B}"],
             &[" -> {A, BC}", "C -> {D, E}"],
+            &["G -> {H}", "HM -> {A, N}", "L -> {}"],
+            &["GK -> {}", "M -> {G, AB}", "N -> {}", " -> {HI, C}"],
+            &["I -> {J}", "J -> {K}", "K -> {I}", "IJK -> {A}"],
         ];
-        for n in [1, 2, 3, 5, 6, 7, 12, 13] {
-            let u = Universe::of_size(n.max(5));
+        let u = Universe::of_size(16);
+        for n in [1, 2, 3, 5, 6, 7, 12, 13, 16] {
             let small = Universe::of_size(n);
             for texts in shapes {
                 let c = parse(&u, texts);

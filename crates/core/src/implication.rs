@@ -11,9 +11,10 @@
 //!
 //! * [`implies_lattice`] — the direct Theorem 3.5 check: over the supersets
 //!   of `X`, 64 to a machine word, verify that every one in `L(X, 𝒴)` is
-//!   covered by some premise's lattice.
-//!   `O(2^{|S|−|X|}/64 · (Σ|𝒴'| + |𝒴|))` word operations, no allocation, no
-//!   materialization of `L(C)`;
+//!   covered by some premise's lattice.  A premise visits only the words
+//!   that still hold an unsettled set, and a block ends once none does.
+//!   `O(2^{|S|−|X|}/64 · (Σ|𝒴'| + |𝒴|))` word operations at worst, no
+//!   allocation, no materialization of `L(C)`;
 //! * [`implies_semantic`] — the proof of Theorem 3.5 in executable form: for
 //!   every candidate set `U` build the counterexample function `f^U` and test
 //!   it against the premises and the goal;
@@ -66,7 +67,10 @@ pub fn implies(universe: &Universe, premises: &[DiffConstraint], goal: &DiffCons
 /// constraint member settles a whole word with a few AND/OR operations: a
 /// set is outside `L(X, 𝒴)` iff it contains a goal member (Proposition 2.9),
 /// and inside `L(X', 𝒴')` iff it contains `X'` and no member of `𝒴'`.  The
-/// goal fails iff some set is neither.  That is
+/// goal fails iff some set is neither.  A word is settled once each of its
+/// sets is one or the other: a premise visits only the unsettled words that
+/// hold sets containing its left side, and a block whose words are all
+/// settled meets no further premise.  That is at most
 /// `O(2^{|S|−|X|}/64 · (Σ_premise |𝒴'| + |𝒴|))` word operations, with no
 /// allocation; [`uncovered_count`] walks the same sets one at a time.
 pub fn implies_lattice(
@@ -110,6 +114,10 @@ pub(crate) const SLICE: [u64; 6] = [
 /// With fewer than six lane attributes, a lane whose index sets a missing
 /// attribute's bit repeats the lane without that bit, so such lanes need no
 /// masking; words past the last one a block uses are never visited.
+///
+/// Both kernels run one premise step, [`Slices::settle`]: it keeps a 64-bit
+/// mask of the block's *open* words, those that still hold an unsettled
+/// set, and visits only those.
 pub(crate) struct Slices {
     /// The first six free attributes: bit `j` of the lane index is the
     /// `j`-th of them.
@@ -149,13 +157,10 @@ impl Slices {
 
     /// The AND of the slice constants of the lane or word attributes in
     /// `attrs`.
-    fn select(&self, mut attrs: u64) -> u64 {
-        let mut mask = !0;
-        while attrs != 0 {
-            mask &= SLICE[usize::from(self.position[attrs.trailing_zeros() as usize])];
-            attrs &= attrs - 1;
-        }
-        mask
+    fn select(&self, attrs: u64) -> u64 {
+        bits(attrs).fold(!0, |mask, attr| {
+            mask & SLICE[usize::from(self.position[attr])]
+        })
     }
 
     /// The sets of the block whose sure members are `fixed` (`X` and the
@@ -181,71 +186,86 @@ impl Slices {
         premises: &[DiffConstraint],
         goal: &DiffConstraint,
     ) -> bool {
-        let n = self.word_count;
-        // Lane `l` of word `w` is set in `settled` once that set is known to
-        // contain a goal member or to lie in some premise's lattice, and in
-        // `inside` when it contains a member of the current premise.
+        let all_words = !0 >> (64 - self.word_count);
+        // A set that contains a goal member lies outside `L(goal)`, so it is
+        // settled before any premise is.
         let mut settled = [0u64; N];
+        let settled = &mut settled[..self.word_count];
         for y in goal.rhs.iter() {
             if let Some((words, lanes)) = self.containing(y, fixed) {
-                spread(&mut settled[..n], words, lanes);
+                for w in bits(words & all_words) {
+                    settled[w] |= lanes;
+                }
             }
         }
-        if settled[..n].iter().all(|&s| s == !0) {
-            return false;
+        self.settle::<N>(fixed, premises, settled) != 0
+    }
+
+    /// The premise step of both kernels: ORs into `settled`, one entry per
+    /// word of the block whose sure members are `fixed`, the sets that lie
+    /// in some premise's lattice, and returns the words that still hold an
+    /// unsettled set, none once the whole block is settled.  `settled` holds
+    /// [`Slices::word_count`] words, at most `N`.
+    ///
+    /// A word is *open* while some lane of it is unsettled.  A premise
+    /// visits only the open words that hold sets containing its left side,
+    /// and the step ends as soon as no word is open, so a block that some
+    /// premises settle never meets the rest.
+    pub(crate) fn settle<const N: usize>(
+        &self,
+        fixed: AttrSet,
+        premises: &[DiffConstraint],
+        settled: &mut [u64],
+    ) -> u64 {
+        let mut open = 0;
+        for (w, &s) in settled.iter().enumerate() {
+            open |= u64::from(s != !0) << w;
         }
+        // Lane `l` of word `w` is set in `inside` when that set contains a
+        // member of the current premise; only the words it touches are
+        // cleared and read.
         let mut inside = [0u64; N];
         for p in premises {
+            if open == 0 {
+                break;
+            }
             let Some((x_words, x_lanes)) = self.containing(p.lhs, fixed) else {
                 continue;
             };
-            inside[..n].fill(0);
-            for y in p.rhs.iter() {
-                if let Some((words, lanes)) = self.containing(y, fixed) {
-                    spread(&mut inside[..n], words, lanes);
-                }
-            }
-            for (w, (settled, inside)) in settled[..n].iter_mut().zip(&inside[..n]).enumerate() {
-                *settled |= word_bit(x_words, w) & x_lanes & !inside;
-            }
-        }
-        settled[..n].iter().any(|&s| s != !0)
-    }
-
-    /// ORs into `acc`, one entry per word of the block whose sure members
-    /// are `fixed`, the sets that lie in some premise's lattice: the premise
-    /// step of [`Slices::refutes`] without a goal.  `acc` holds
-    /// [`Slices::word_count`] words.
-    pub(crate) fn cover(&self, fixed: AttrSet, premises: &[DiffConstraint], acc: &mut [u64]) {
-        let n = acc.len();
-        let mut inside = [0u64; 64];
-        for p in premises {
-            let Some((x_words, x_lanes)) = self.containing(p.lhs, fixed) else {
+            let touch = x_words & open;
+            if touch == 0 {
                 continue;
-            };
-            inside[..n].fill(0);
+            }
+            for w in bits(touch) {
+                inside[w] = 0;
+            }
             for y in p.rhs.iter() {
                 if let Some((words, lanes)) = self.containing(y, fixed) {
-                    spread(&mut inside[..n], words, lanes);
+                    for w in bits(words & touch) {
+                        inside[w] |= lanes;
+                    }
                 }
             }
-            for (w, (acc, inside)) in acc.iter_mut().zip(&inside[..n]).enumerate() {
-                *acc |= word_bit(x_words, w) & x_lanes & !inside;
+            for w in bits(touch) {
+                settled[w] |= x_lanes & !inside[w];
+                if settled[w] == !0 {
+                    open &= !(1 << w);
+                }
             }
         }
+        open
     }
 }
 
-/// All lanes when bit `w` of `words` is set, none otherwise.
-fn word_bit(words: u64, w: usize) -> u64 {
-    0u64.wrapping_sub((words >> w) & 1)
-}
-
-/// ORs `lanes` into the entries of `acc` whose word bit is set in `words`.
-fn spread(acc: &mut [u64], words: u64, lanes: u64) {
-    for (w, entry) in acc.iter_mut().enumerate() {
-        *entry |= word_bit(words, w) & lanes;
-    }
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// Returns a *witness of non-implication* if one exists: a set `U ∈ L(goal)`

@@ -111,13 +111,16 @@ pub fn decide(
 ///
 /// The bound is exact in structure (the procedure covers the supersets of
 /// the goal's left-hand side, testing each against every premise family) and
-/// pessimistic in constant (early exits prune most instances).  It counts
-/// set tests although the procedure makes 64 of them per word operation:
-/// the bound, and the budgets planners compare it with, deliberately stay in
-/// sets, since dividing it by 64 would move which instances route to the
-/// lattice procedure.  Planners use it to route between the lattice
-/// procedure, whose cost is governed by `|S| − |X|`, and the SAT procedure,
-/// whose cost is governed by the refutation search instead.
+/// pessimistic in constant: the procedure stops at the first block that
+/// refutes the goal, a premise visits only the words that still hold an
+/// unsettled set, and a block ends once none does, so most instances cost a
+/// fraction of it.  It counts set tests although the procedure makes 64 of
+/// them per word operation: the bound, and the budgets planners compare it
+/// with, deliberately stay in sets, since dividing it by 64 would move which
+/// instances route to the lattice procedure.  Planners use it to route
+/// between the lattice procedure, whose cost is governed by `|S| − |X|`,
+/// and the SAT procedure, whose cost is governed by the refutation search
+/// instead.
 pub fn lattice_cost_bound(
     universe: &Universe,
     premises: &[DiffConstraint],

@@ -316,21 +316,29 @@ fn arb_kernel_constraint(span: usize) -> impl Strategy<Value = (RawConstraint, b
 
 type KernelInstance = (Vec<(RawConstraint, bool)>, (RawConstraint, bool));
 
-fn arb_kernel_instance(max_premises: usize, span: usize) -> impl Strategy<Value = KernelInstance> {
+fn arb_kernel_instance(
+    premises: std::ops::RangeInclusive<usize>,
+    span: usize,
+) -> impl Strategy<Value = KernelInstance> {
     (
-        proptest::collection::vec(arb_kernel_constraint(span), 0..=max_premises),
+        proptest::collection::vec(arb_kernel_constraint(span), premises),
         arb_kernel_constraint(span),
     )
+}
+
+/// One step of the Knuth LCG the kernel tests draw indices with.
+fn lcg(seed: &mut u64) -> usize {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*seed >> 33) as usize
 }
 
 /// `count` distinct indices in `0..span`, drawn from `seed`.
 fn distinct_indices(span: usize, count: usize, mut seed: u64) -> Vec<usize> {
     let mut picked = Vec::new();
     while picked.len() < count {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let i = (seed >> 33) as usize % span;
+        let i = lcg(&mut seed) % span;
         if !picked.contains(&i) {
             picked.push(i);
         }
@@ -387,9 +395,21 @@ proptest! {
     /// walk up to 16 attributes, with `|S − X|` on both sides of every lane,
     /// word and block boundary.
     #[test]
-    fn lattice_kernel_agrees_with_scalar_walk(free in arb_free_count(), extra in 0usize..=16, seed in any::<u64>(), raw in arb_kernel_instance(6, 16)) {
+    fn lattice_kernel_agrees_with_scalar_walk(free in arb_free_count(), extra in 0usize..=16, seed in any::<u64>(), raw in arb_kernel_instance(0..=6, 16)) {
         let n = (free.max(1) + extra).min(16);
         let (u, premises, goal) = kernel_instance(n, 0, &distinct_indices(n, free, seed), raw);
+        prop_assert!(kernel_agrees(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
+    }
+
+    /// A goal planted among the premises, with premises after it, is
+    /// implied: each block is settled at the planted premise, mid-list, and
+    /// the kernel still agrees with the scalar walk.
+    #[test]
+    fn lattice_kernel_settles_a_planted_cover(free in arb_free_count(), extra in 0usize..=16, seed in any::<u64>(), at in 0usize..6, raw in arb_kernel_instance(1..=6, 16)) {
+        let n = (free.max(1) + extra).min(16);
+        let (u, mut premises, goal) = kernel_instance(n, 0, &distinct_indices(n, free, seed), raw);
+        premises.insert(at % premises.len(), goal.clone());
+        prop_assert!(implication::implies_lattice(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
         prop_assert!(kernel_agrees(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
     }
 
@@ -397,8 +417,91 @@ proptest! {
     /// band at a random offset, wrapping past attribute 63, so lane, word
     /// and block attributes land anywhere in the word, the top bit included.
     #[test]
-    fn lattice_kernel_agrees_with_scalar_walk_at_64(free in arb_free_count(), offset in 0usize..64, seed in any::<u64>(), raw in arb_kernel_instance(6, 20)) {
+    fn lattice_kernel_agrees_with_scalar_walk_at_64(free in arb_free_count(), offset in 0usize..64, seed in any::<u64>(), raw in arb_kernel_instance(0..=6, 20)) {
         let (u, premises, goal) = kernel_instance(64, offset, &distinct_indices(16, free, seed), raw);
         prop_assert!(kernel_agrees(&u, &premises, &goal), "premises {:?}, goal {:?}", premises, goal);
+    }
+}
+
+/// The universe sizes of the one-open-set tests: a word's lanes exactly,
+/// one word attribute, a block's words exactly, one block attribute and
+/// sixteen attributes; 64 stands for a band of 16 at a random offset.
+fn arb_open_set_universe() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(6usize),
+        Just(7),
+        Just(12),
+        Just(13),
+        Just(16),
+        Just(64)
+    ]
+}
+
+/// An instance whose premises leave exactly one set `U ⊇ X` of `X`'s
+/// supersets outside `L(C)`: `X ∪ {a} → {}` for each `a ∉ U`, and
+/// `X → {U − X}` when `U ≠ X`, in an order drawn from `seed`.  `X` is all
+/// but `free` attributes (of a band of 16 at `offset` at 64 attributes),
+/// and `U − X` is the free attributes whose bit is set in `pick`, so over
+/// the cases `U` lands on every lane, word and block.  Returns the
+/// universe, the premises, `X` and `U`.
+fn one_open_set(
+    n: usize,
+    offset: usize,
+    free: usize,
+    pick: u64,
+    mut seed: u64,
+) -> (Universe, Vec<DiffConstraint>, AttrSet, AttrSet) {
+    let span = n.min(16);
+    let free: Vec<usize> = distinct_indices(span, free.min(span), seed)
+        .into_iter()
+        .map(|i| (offset + i) % n)
+        .collect();
+    let free_set = AttrSet::from_indices(free.iter().copied());
+    let x = AttrSet::full(n).difference(free_set);
+    let u = x.union(AttrSet::from_indices(
+        free.iter()
+            .enumerate()
+            .filter(|&(i, _)| pick >> i & 1 == 1)
+            .map(|(_, &a)| a),
+    ));
+    let mut premises: Vec<DiffConstraint> = free_set
+        .difference(u)
+        .iter()
+        .map(|a| DiffConstraint::new(x.with(a), Family::empty()))
+        .collect();
+    if u != x {
+        premises.push(DiffConstraint::new(x, Family::single(u.difference(x))));
+    }
+    for i in (1..premises.len()).rev() {
+        premises.swap(i, lcg(&mut seed) % (i + 1));
+    }
+    (Universe::of_size(n), premises, x, u)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// With exactly one set `U` left open, `X → {}` is refuted by `U` alone
+    /// and every `X → {Y}` with `∅ ≠ Y ⊆ U − X` is implied: the kernel must
+    /// keep the one unsettled lane open through every block and premise.
+    #[test]
+    fn lattice_kernel_finds_the_one_open_set(n in arb_open_set_universe(), offset in 0usize..64, free in 0usize..=16, pick in any::<u64>(), seed in any::<u64>(), y_pick in any::<u64>()) {
+        let (u, premises, x, open) = one_open_set(n, offset, free, pick, seed);
+        let refuted = DiffConstraint::new(x, Family::empty());
+        prop_assert!(!implication::implies_lattice(&u, &premises, &refuted), "premises {:?}, U {:?}", premises, open);
+        prop_assert_eq!(implication::uncovered_count(&u, &premises, &refuted), 1);
+        prop_assert_eq!(implication::refutation_search(&u, &premises, &refuted), Some(open));
+        let rest: Vec<usize> = open.difference(x).iter().collect();
+        if !rest.is_empty() {
+            let y = AttrSet::from_indices(
+                rest.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i == 0 || y_pick >> i & 1 == 1)
+                    .map(|(_, &a)| a),
+            );
+            let implied = DiffConstraint::new(x, Family::single(y));
+            prop_assert!(implication::implies_lattice(&u, &premises, &implied), "premises {:?}, goal {:?}", premises, implied);
+            prop_assert!(kernel_agrees(&u, &premises, &implied));
+        }
     }
 }

@@ -58,9 +58,14 @@ use std::time::Duration;
 /// before a query is routed to the SAT procedure instead.
 ///
 /// 2^22 set tests are about 2^16 word operations, tens of microseconds in
-/// the worst case.  The refutation search still beats the lattice check on
-/// both sides of this split; the split stays because the serving
-/// benchmark's self-check pins its lattice and sat shares.
+/// the worst case.  In practice the kernel ends a block once its sets are
+/// settled: at 22 attributes, goals with left sides of 9–12 attributes
+/// take 0.5–0.9 µs each against the serving benchmark's `cold_decide`
+/// premises, 1.0–1.8 µs against 10 premises with nonempty right sides and
+/// 2.7–5.1 µs against 30 or 100 (`bench_lattice_decision`'s `cold22`
+/// rows, release, 2-core container).  The refutation search still beats the
+/// lattice check on both sides of this split; the split stays because the
+/// serving benchmark's self-check pins its lattice and sat shares.
 pub const LATTICE_BUDGET: u128 = 1 << 22;
 
 /// Accumulated figures for one procedure.

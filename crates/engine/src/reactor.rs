@@ -213,6 +213,7 @@ impl Conn {
             read: want_read,
             write: want_write,
             edge: false,
+            exclusive: false,
         };
         if self.epoll_update(epoll, token, interest).is_err() {
             self.dead = true;
@@ -287,10 +288,16 @@ impl Conn {
 }
 
 /// Creates one reactor's epoll instance, watching the listener and the
-/// stop signal's read end.
+/// stop signal's read end.  The listener is watched exclusively, so a new
+/// connection wakes one idle reactor rather than every one; the stop
+/// signal is shared, so its byte wakes them all.
 pub(crate) fn watch(listener: &TcpListener, stop: &UnixStream) -> io::Result<Epoll> {
     let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    let exclusive = Interest {
+        exclusive: true,
+        ..Interest::READ
+    };
+    epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, exclusive)?;
     epoll.add(stop.as_raw_fd(), STOP_TOKEN, Interest::READ)?;
     Ok(epoll)
 }
