@@ -12,7 +12,13 @@
 //! * **cache hit latency** — a plain `LruCache` hit against an engine-cache
 //!   hit (the same LRU as a session holds it, in a `RefCell` and counting
 //!   into its family's process-wide counters), the per-op price of the
-//!   borrow and the family count on the hot path;
+//!   borrow and the family count on the hot path; both are keyed as the
+//!   answer cache is, by a goal versioned by a salt, and each hit builds
+//!   its goal's `Probe`, fingerprint included, as a query does;
+//! * **cold miss at capacity** — a probe that misses plus the insert that
+//!   evicts, into a full default-capacity (65,536-entry) engine answer
+//!   cache of goals with at most four members: the cache's share of a cold
+//!   decision;
 //! * **observability tax** — the per-request cost of the whole telemetry
 //!   commit as the connection driver pays it (each record staged with
 //!   [`Server::stage`], published once per batch), the continuous
@@ -24,12 +30,17 @@
 //!   be zero).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use diffcon::procedure::ProcedureKind;
 use diffcon::procedure::ALL_PROCEDURES;
+use diffcon::DiffConstraint;
 use diffcon_bench::workloads;
 use diffcon_bench::JsonReport;
 use diffcon_engine::protocol::binary::BinRequest;
-use diffcon_engine::{CacheFamily, EngineMetrics, LruCache, Server, Session, SessionConfig};
+use diffcon_engine::{
+    CacheFamily, EngineMetrics, LruCache, Probe, Server, Session, SessionConfig, VersionedKey,
+};
 use diffcon_obs::{profile, HistogramSnapshot};
+use setlat::{AttrSet, Family};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -66,35 +77,98 @@ fn best_secs(mut f: impl FnMut() -> usize) -> f64 {
     best
 }
 
+/// The state salt of the cache figures' keys.
+const SALT: u64 = 0x5EED;
+
+/// An answer-cache entry: (salt, goal) → (implied, route).
+type AnswerCache = LruCache<VersionedKey<DiffConstraint>, (bool, ProcedureKind)>;
+
+/// The `i`-th of the distinct goals the cache figures use: the bits of `i`
+/// on the left (attributes below 20), three members above them.
+fn cache_goal(i: usize) -> DiffConstraint {
+    let members = [
+        AttrSet::singleton(20),
+        AttrSet::from_indices([21, 22]),
+        AttrSet::singleton(23),
+    ];
+    DiffConstraint::new(AttrSet::from_bits(i as u64), Family::from_sets(members))
+}
+
 /// Per-op nanoseconds for hits against a plain LRU and against an engine
 /// cache as a session holds it: the same LRU in a `RefCell`, counting every
-/// hit into the answer family's process-wide counters.
+/// hit into the answer family's process-wide counters.  Both are keyed like
+/// the answer cache, and each hit probes with a fresh [`Probe`] of its goal.
 fn cache_hit_latency() -> (f64, f64) {
-    const KEYS: u64 = 1024;
+    const KEYS: usize = 1024;
     const PASSES: u64 = 200;
-    let mut lru: LruCache<u64, u64> = LruCache::new(KEYS as usize * 2);
+    let goals: Vec<DiffConstraint> = (0..KEYS).map(cache_goal).collect();
+    let mut lru = AnswerCache::new(KEYS * 2);
     let counters = EngineMetrics::global().cache(CacheFamily::Answer);
-    let engine = RefCell::new(LruCache::with_counters(KEYS as usize * 2, counters));
-    for k in 0..KEYS {
-        lru.insert(k, k);
-        engine.borrow_mut().insert(k, k);
+    let engine = RefCell::new(AnswerCache::with_counters(KEYS * 2, counters));
+    for goal in &goals {
+        let answer = (true, ProcedureKind::Lattice);
+        lru.insert_probed(&Probe::new(SALT, goal), answer);
+        engine
+            .borrow_mut()
+            .insert_probed(&Probe::new(SALT, goal), answer);
     }
-    let measure = |mut hit: Box<dyn FnMut(u64) -> u64 + '_>| {
+    let measure = |mut hit: Box<dyn FnMut(&DiffConstraint) -> bool + '_>| {
         let start = Instant::now();
         let mut acc = 0u64;
         for _ in 0..PASSES {
-            for k in 0..KEYS {
-                acc += hit(k);
+            for goal in &goals {
+                acc += u64::from(hit(goal));
             }
         }
         criterion::black_box(acc);
-        start.elapsed().as_secs_f64() * 1e9 / (PASSES * KEYS) as f64
+        start.elapsed().as_secs_f64() * 1e9 / (PASSES * KEYS as u64) as f64
     };
-    let lru_ns = measure(Box::new(|k| lru.get(&k).copied().unwrap_or(0)));
-    let engine_ns = measure(Box::new(|k| {
-        engine.borrow_mut().get(&k).copied().unwrap_or(0)
+    let lru_ns = measure(Box::new(|goal| {
+        lru.probe(&Probe::new(SALT, goal))
+            .is_some_and(|&(implied, _)| implied)
+    }));
+    let engine_ns = measure(Box::new(|goal| {
+        engine
+            .borrow_mut()
+            .probe(&Probe::new(SALT, goal))
+            .is_some_and(|&(implied, _)| implied)
     }));
     (lru_ns, engine_ns)
+}
+
+/// Per-miss nanoseconds of the answer cache's part in a cold decision: a
+/// probe that misses plus the insert that evicts, into a full
+/// default-capacity engine answer cache of goals with at most four members.
+/// Each trial misses on goals no earlier trial inserted; best of `TRIALS`.
+fn cold_miss_at_capacity_ns() -> f64 {
+    const MISSES: usize = 1 << 15;
+    let capacity = SessionConfig::default().answer_cache_capacity;
+    let goals: Vec<DiffConstraint> = (0..capacity + TRIALS * MISSES).map(cache_goal).collect();
+    let (fill, cold) = goals.split_at(capacity);
+    let counters = EngineMetrics::global().cache(CacheFamily::Answer);
+    let cache = RefCell::new(AnswerCache::with_counters(capacity, counters));
+    for goal in fill {
+        let probe = Probe::new(SALT, goal);
+        cache
+            .borrow_mut()
+            .insert_probed(&probe, (true, ProcedureKind::Lattice));
+    }
+    let mut trials = cold.chunks(MISSES);
+    let secs = best_secs(|| {
+        let misses = trials.next().expect("one chunk of fresh goals per trial");
+        for goal in misses {
+            let probe = Probe::new(SALT, goal);
+            let hit = cache.borrow_mut().probe(&probe).is_some();
+            if !hit {
+                cache
+                    .borrow_mut()
+                    .insert_probed(&probe, (false, ProcedureKind::Sat));
+            }
+        }
+        misses.len()
+    });
+    assert_eq!(cache.borrow().len(), capacity);
+    secs * 1e9 / MISSES as f64
 }
 
 /// Per-request nanoseconds of the whole telemetry commit as the connection
@@ -286,6 +360,7 @@ fn emit_json_report() {
     let serial_qps = total_queries / serial_secs;
 
     let (lru_ns, cache_ns) = cache_hit_latency();
+    let cold_miss_ns = cold_miss_at_capacity_ns();
 
     let mut report = JsonReport::new("server_throughput");
     report.push_metric("stream_len", STREAM as f64);
@@ -295,6 +370,7 @@ fn emit_json_report() {
     report.push_metric("warm_serial_qps", serial_qps);
     report.push_metric("lru_hit_ns", lru_ns);
     report.push_metric("cache_hit_ns", cache_ns);
+    report.push_metric("cold_miss_at_capacity_ns", cold_miss_ns);
     let commit_ns = telemetry_commit_ns();
     let request_ns = warm_request_ns();
     let guard_ns = disabled_guard_ns();

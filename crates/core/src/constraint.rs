@@ -30,8 +30,8 @@ impl DiffConstraint {
     }
 
     /// [`DiffConstraint::parse`] into `self`, reusing its member storage:
-    /// a long-lived scratch constraint parses without allocating once its
-    /// family has grown to the largest goal seen.
+    /// a goal of at most four members parses without allocating, and a
+    /// larger one reuses the scratch's heap list while goals stay that large.
     ///
     /// # Errors
     /// The parse error; `self` then holds an unspecified constraint.
@@ -117,6 +117,12 @@ mod tests {
 
     fn u() -> Universe {
         Universe::of_size(4)
+    }
+
+    #[test]
+    fn a_constraint_with_an_inline_family_is_48_bytes() {
+        // The left side and a family of up to four inline members.
+        assert_eq!(std::mem::size_of::<DiffConstraint>(), 48);
     }
 
     #[test]

@@ -43,9 +43,10 @@ fn err(message: impl Into<String>) -> ParseError {
 
 /// Parses a single constraint, e.g. `"A -> {B, CD}"` or `"∅ → {B}"` or `" -> {}"`.
 ///
-/// The constraint is parsed into a per-thread scratch and cloned, so its
-/// family takes one allocation of exactly its size (none when empty),
-/// however many members the text adds one at a time.
+/// The constraint is parsed into a per-thread scratch and cloned, so a
+/// family of at most four members allocates nothing and a larger one takes
+/// one allocation of exactly its size, however many members the text adds
+/// one at a time.
 pub fn parse_constraint(text: &str, universe: &Universe) -> Result<DiffConstraint, ParseError> {
     thread_local! {
         static SCRATCH: RefCell<DiffConstraint> =

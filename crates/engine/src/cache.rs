@@ -23,17 +23,24 @@
 //! ([`LruCache::with_counters`]), into its family's process-wide
 //! [`CacheCounters`].
 //!
-//! [`VersionedKey`] is the one digest-versioning helper every query-path
-//! cache uses: a key salted with the session-state digests
-//! ([`version_salt`]), whose `Hash` touches only the salt and a precomputed
-//! payload fingerprint (two `u64`s) so hot-path lookups never rehash a
-//! constraint structure, while `Eq` still compares the payload structurally
-//! so fingerprint collisions cannot alias answers.
+//! Both engine caches are keyed on their versioned payload, a
+//! [`VersionedKey`]: the session-state salt ([`version_salt`]) and the
+//! payload itself (a goal constraint, a query set), stored once, in the key.
+//! A query builds one [`Probe`] — the salt, the borrowed payload and its
+//! fingerprint, computed once — and both its lookup ([`LruCache::probe`])
+//! and, on a miss, its insert ([`LruCache::insert_probed`]) hash the one
+//! premixed word of salt and fingerprint, so the payload is never rehashed
+//! and never copied to be looked up.  Key equality is structural, so a
+//! payload whose fingerprint meets a stored one under the same salt is
+//! cached beside it rather than aliased to it; each such meeting is counted
+//! as a collision.
 
 use crate::metrics::CacheCounters;
+use diffcon::DiffConstraint;
+use setlat::AttrSet;
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 
 /// The most entries a cache holds: slots are numbered in 32 bits, by the
 /// index and by the recency list.
@@ -66,10 +73,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by inserts at capacity.
     pub evictions: u64,
-    /// Present-but-rejected entries: a fingerprint-addressed lookup found
-    /// the key but the stored payload failed verification (see
-    /// [`LruCache::get_if`]), forcing a recomputation.  Collisions are a
-    /// subset of `misses`.
+    /// Stored payloads a [`LruCache::probe`] met with its salt and
+    /// fingerprint but a different value: each is cached beside the other
+    /// and hits only itself, and every probe that passes one on its way
+    /// counts one collision, whether it then hits or misses.
     pub collisions: u64,
 }
 
@@ -129,7 +136,7 @@ impl Index {
 
     /// The bucket and slot of the entry with this tag whose slot `is_key`
     /// accepts.
-    fn find(&self, tag: u32, is_key: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
+    fn find(&self, tag: u32, mut is_key: impl FnMut(usize) -> bool) -> Option<(usize, usize)> {
         let mask = self.mask();
         let mut at = tag as usize & mask;
         loop {
@@ -204,7 +211,7 @@ pub struct LruCache<K, V> {
     counters: Option<&'static CacheCounters>,
 }
 
-impl<K: Hash + Eq, V> LruCache<K, V> {
+impl<K, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (at most `2^31`:
     /// larger capacities are clamped).
     pub fn new(capacity: usize) -> Self {
@@ -266,24 +273,10 @@ impl<K: Hash + Eq, V> LruCache<K, V> {
         }
     }
 
-    /// The bucket and slot holding `key`.
-    fn find<Q>(&self, key: &Q) -> Option<(usize, usize)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let tag = self.index.tag(key);
-        self.index
-            .find(tag, |slot| self.slots[slot].key.borrow() == key)
-    }
-
-    /// Looks up `key`, promoting it to most-recently-used on a hit.
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.find(key).map(|(_, slot)| slot) {
+    /// Counts the lookup of a found (`Some`) or missing slot, promoting a
+    /// found one to most-recently-used, and returns its value.
+    fn looked_up(&mut self, found: Option<usize>) -> Option<&V> {
+        match found {
             Some(slot) => {
                 self.count(Event::Hit);
                 self.detach(slot);
@@ -297,61 +290,19 @@ impl<K: Hash + Eq, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key` and projects the value through `f`.  Only a
-    /// *verified* hit (`f` returning `Some`) is counted and promoted; a
-    /// present-but-rejected entry is recorded as a miss and keeps its
-    /// recency, so stats match what the caller actually served and a
-    /// colliding entry earns no recency credit.
-    pub fn get_if<Q, R>(&mut self, key: &Q, f: impl FnOnce(&V) -> Option<R>) -> Option<R>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.find(key).map(|(_, slot)| slot) {
-            Some(slot) => match f(&self.slots[slot].value) {
-                Some(projected) => {
-                    self.count(Event::Hit);
-                    self.detach(slot);
-                    self.attach_front(slot);
-                    Some(projected)
-                }
-                None => {
-                    self.count(Event::Miss);
-                    self.count(Event::Collision);
-                    None
-                }
-            },
-            None => {
-                self.count(Event::Miss);
-                None
-            }
-        }
-    }
-
-    /// Looks up `key` without touching recency or counters.
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.find(key).map(|(_, slot)| &self.slots[slot].value)
-    }
-
-    /// Inserts `key → value`, evicting the least-recently-used entry when at
-    /// capacity.  Replacing an existing key promotes it.
-    pub fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        let tag = self.index.tag(&key);
-        if let Some((_, slot)) = self.index.find(tag, |slot| self.slots[slot].key == key) {
+    /// Stores `value` under the key with index tag `tag`: in `found`, the
+    /// key's slot if it is cached already (promoting it), or else in a new
+    /// entry holding `key()`, evicting the least-recently-used entry when
+    /// at capacity.
+    fn put(&mut self, tag: u32, found: Option<usize>, key: impl FnOnce() -> K, value: V) {
+        if let Some(slot) = found {
             self.slots[slot].value = value;
             self.detach(slot);
             self.attach_front(slot);
             return;
         }
         let entry = Slot {
-            key,
+            key: key(),
             value,
             tag,
             prev: NIL,
@@ -418,6 +369,95 @@ impl<K: Hash + Eq, V> LruCache<K, V> {
     }
 }
 
+impl<K: Hash + Eq, V> LruCache<K, V> {
+    /// The slot holding `key`.
+    fn find<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let tag = self.index.tag(key);
+        self.index
+            .find(tag, |slot| self.slots[slot].key.borrow() == key)
+            .map(|(_, slot)| slot)
+    }
+
+    /// Looks up `key`, promoting it to most-recently-used on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let found = self.find(key);
+        self.looked_up(found)
+    }
+
+    /// Looks up `key` without touching recency or counters.
+    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.find(key).map(|slot| &self.slots[slot].value)
+    }
+
+    /// Inserts `key → value`, evicting the least-recently-used entry when at
+    /// capacity.  Replacing an existing key promotes it.
+    pub fn insert(&mut self, key: K, value: V) {
+        if self.capacity == 0 {
+            return;
+        }
+        let tag = self.index.tag(&key);
+        let found = self
+            .index
+            .find(tag, |slot| self.slots[slot].key == key)
+            .map(|(_, slot)| slot);
+        self.put(tag, found, || key, value);
+    }
+}
+
+impl<P: Payload, V> LruCache<VersionedKey<P>, V> {
+    /// Looks up `probe`'s payload under its salt, promoting it to
+    /// most-recently-used on a hit.  Every other stored payload met on the
+    /// way with the same salt and fingerprint counts one collision.
+    pub fn probe(&mut self, probe: &Probe<'_, P>) -> Option<&V> {
+        let tag = self.index.tag(&probe.word());
+        let mut met = 0;
+        let found = self
+            .index
+            .find(tag, |slot| {
+                let key = &self.slots[slot].key;
+                let hit = probe.addresses(key);
+                met += u64::from(!hit && probe.meets(key));
+                hit
+            })
+            .map(|(_, slot)| slot);
+        for _ in 0..met {
+            self.count(Event::Collision);
+        }
+        self.looked_up(found)
+    }
+
+    /// Inserts `value` for `probe`'s payload under its salt, the key
+    /// holding the payload's one copy, exactly as [`LruCache::insert`]
+    /// does: evicting the least-recently-used entry when at capacity, and
+    /// replacing and promoting an entry already cached.
+    pub fn insert_probed(&mut self, probe: &Probe<'_, P>, value: V)
+    where
+        P: Clone,
+    {
+        if self.capacity == 0 {
+            return;
+        }
+        let tag = self.index.tag(&probe.word());
+        let found = self
+            .index
+            .find(tag, |slot| probe.addresses(&self.slots[slot].key))
+            .map(|(_, slot)| slot);
+        self.put(tag, found, || probe.key(), value);
+    }
+}
+
 /// Combines the session-state digests into the one salt that versions every
 /// cached answer: the premise digest XOR the (rotated) knowns digest.
 ///
@@ -432,47 +472,85 @@ pub fn version_salt(premise_digest: u64, knowns_digest: u64) -> u64 {
     premise_digest ^ knowns_digest.rotate_left(21)
 }
 
-/// A digest-versioned cache key: the state salt ([`version_salt`]) combined
-/// with a stable 64-bit fingerprint of the payload (a goal constraint, a
-/// query set).
+/// A payload an engine cache answers for — a goal constraint, a query
+/// set — with the stable fingerprint its entries are hashed by.
+pub trait Payload: Eq {
+    /// The payload's stable 64-bit fingerprint: equal payloads always
+    /// fingerprint equal.
+    fn fingerprint(&self) -> u64;
+}
+
+impl Payload for DiffConstraint {
+    fn fingerprint(&self) -> u64 {
+        DiffConstraint::fingerprint(self)
+    }
+}
+
+impl Payload for AttrSet {
+    fn fingerprint(&self) -> u64 {
+        AttrSet::fingerprint(*self)
+    }
+}
+
+/// A digest-versioned cache key: the state salt ([`version_salt`]) and the
+/// payload it answers for, held once, here.
 ///
-/// The key is two plain words — `Copy`, allocation-free, hashed as a single
-/// premixed `u64` — so a hot-path lookup never rehashes (or clones) the
-/// payload structure.  Fingerprints are not injective, so a colliding
-/// payload *can* map to the same key; the engine therefore stores the
-/// payload beside the cached value and verifies equality on every hit
-/// (see [`LruCache::get_if`]), which keeps collisions harmless: they
-/// cost a recomputation, never a wrong answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VersionedKey {
+/// Keys are compared structurally, salt and payload, so fingerprint
+/// collisions cost nothing but a longer probe: they can never alias
+/// answers.  A key is hashed only through the [`Probe`] that stored it,
+/// which computed the payload's fingerprint once for the query.
+#[derive(Debug)]
+pub struct VersionedKey<P> {
+    salt: u64,
+    payload: P,
+}
+
+/// One query's address in an engine cache: the state salt, the borrowed
+/// payload and the payload's fingerprint, computed once, shared by the
+/// query's lookup and, on a miss, its insert.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe<'a, P> {
     salt: u64,
     fingerprint: u64,
+    payload: &'a P,
 }
 
-impl VersionedKey {
-    /// Builds a key from the state salt and the payload's stable
-    /// fingerprint.
-    pub fn new(salt: u64, fingerprint: u64) -> Self {
-        VersionedKey { salt, fingerprint }
+impl<'a, P: Payload> Probe<'a, P> {
+    /// The address of `payload` under the state salt `salt`.
+    pub fn new(salt: u64, payload: &'a P) -> Self {
+        Probe {
+            salt,
+            fingerprint: payload.fingerprint(),
+            payload,
+        }
     }
 
-    /// The state salt the key was versioned with.
-    pub fn salt(&self) -> u64 {
-        self.salt
+    /// The one premixed word the cache's index hashes: the rotation keeps
+    /// (salt, fingerprint) and (fingerprint, salt) apart.
+    fn word(&self) -> u64 {
+        self.salt ^ self.fingerprint.rotate_left(32)
     }
 
-    /// The payload fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// Whether `key` is this probe's salt and payload.
+    fn addresses(&self, key: &VersionedKey<P>) -> bool {
+        key.salt == self.salt && key.payload == *self.payload
     }
-}
 
-impl Hash for VersionedKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // One premixed word: the hasher sees 8 bytes, not 16.  `Eq` still
-        // compares both fields, so this only shapes bucket placement; the
-        // rotation keeps (salt, fingerprint) and (fingerprint, salt) apart.
-        state.write_u64(self.salt ^ self.fingerprint.rotate_left(32));
+    /// Whether `key` is another payload with this probe's salt and
+    /// fingerprint (checked only once [`Probe::addresses`] said no).
+    fn meets(&self, key: &VersionedKey<P>) -> bool {
+        key.salt == self.salt && key.payload.fingerprint() == self.fingerprint
+    }
+
+    /// The key holding a copy of the payload.
+    fn key(&self) -> VersionedKey<P>
+    where
+        P: Clone,
+    {
+        VersionedKey {
+            salt: self.salt,
+            payload: self.payload.clone(),
+        }
     }
 }
 
@@ -606,43 +684,79 @@ mod tests {
         assert_eq!(version_salt(d, 7), version_salt(d, 7));
     }
 
-    #[test]
-    fn versioned_keys_separate_salts_and_fingerprints() {
-        // Distinct salts (state versions) and distinct fingerprints both
-        // produce distinct keys; the symmetric swap does too.
-        assert_ne!(VersionedKey::new(1, 42), VersionedKey::new(2, 42));
-        assert_ne!(VersionedKey::new(1, 42), VersionedKey::new(1, 43));
-        assert_ne!(VersionedKey::new(1, 42), VersionedKey::new(42, 1));
-        let k = VersionedKey::new(7, 9);
-        assert_eq!((k.salt(), k.fingerprint()), (7, 9));
+    /// A payload whose fingerprint is constant, so every two of them
+    /// collide.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(&'static str);
+
+    impl Payload for Colliding {
+        fn fingerprint(&self) -> u64 {
+            42
+        }
     }
 
     #[test]
-    fn get_if_verifies_stored_payloads() {
-        // The engine's collision discipline: the payload rides in the value
-        // and a hit only counts when it matches the query.
-        let mut c: LruCache<VersionedKey, (&str, u32)> = LruCache::new(8);
-        let key = VersionedKey::new(1, 42);
-        c.insert(key, ("alpha", 10));
-        assert_eq!(
-            c.get_if(&key, |&(p, v)| (p == "alpha").then_some(v)),
-            Some(10)
-        );
-        // A colliding payload under the same key is rejected, not aliased —
-        // and the rejection counts as a miss, matching the recomputation
-        // the caller then performs.
-        let before = c.stats();
-        assert_eq!(c.get_if(&key, |&(p, v)| (p == "beta").then_some(v)), None);
-        let after = c.stats();
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.misses, before.misses + 1);
-        // The rejection is also attributed as a collision…
-        assert_eq!(after.collisions, before.collisions + 1);
-        // …while an absent key is a plain miss.
-        assert_eq!(c.get_if(&VersionedKey::new(9, 42), |&(_, v)| Some(v)), None);
-        let absent = c.stats();
-        assert_eq!(absent.misses, after.misses + 1);
-        assert_eq!(absent.collisions, after.collisions);
+    fn versioned_keys_separate_salts_and_fingerprints() {
+        // Distinct salts (state versions) and distinct payloads address
+        // distinct entries, and a key holds the salt and the payload.
+        let mut c: LruCache<VersionedKey<AttrSet>, u32> = LruCache::new(8);
+        let (a, b) = (AttrSet::from_bits(1), AttrSet::from_bits(2));
+        c.insert_probed(&Probe::new(1, &a), 10);
+        c.insert_probed(&Probe::new(2, &a), 20);
+        c.insert_probed(&Probe::new(1, &b), 30);
+        assert_eq!(c.probe(&Probe::new(1, &a)), Some(&10));
+        assert_eq!(c.probe(&Probe::new(2, &a)), Some(&20));
+        assert_eq!(c.probe(&Probe::new(1, &b)), Some(&30));
+        assert_eq!(c.probe(&Probe::new(2, &b)), None);
+        let key = Probe::new(7, &b).key();
+        assert_eq!((key.salt, key.payload), (7, b));
+        assert_eq!(c.stats().collisions, 0);
+    }
+
+    #[test]
+    fn colliding_payloads_are_cached_side_by_side() {
+        // Two payloads with one fingerprint under one salt: both are
+        // cached, each hits only itself, and each probe that passes the
+        // other on its way counts one collision.
+        let mut c: LruCache<VersionedKey<Colliding>, u32> = LruCache::new(8);
+        let (alpha, beta, gamma) = (Colliding("alpha"), Colliding("beta"), Colliding("gamma"));
+        c.insert_probed(&Probe::new(1, &alpha), 10);
+        c.insert_probed(&Probe::new(1, &beta), 20);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats().collisions, 0, "inserts count no meetings");
+        assert_eq!(c.probe(&Probe::new(1, &alpha)), Some(&10));
+        assert_eq!(c.probe(&Probe::new(1, &beta)), Some(&20));
+        // One of the two lies first in the probe run, so the two hits met
+        // the other payload once between them.
+        let hits = c.stats();
+        assert_eq!((hits.hits, hits.misses, hits.collisions), (2, 0, 1));
+        // A third payload with the same fingerprint meets both and misses…
+        assert_eq!(c.probe(&Probe::new(1, &gamma)), None);
+        let missed = c.stats();
+        assert_eq!((missed.misses, missed.collisions), (1, 3));
+        // …while the same payloads under another salt meet nothing.
+        assert_eq!(c.probe(&Probe::new(2, &alpha)), None);
+        let elsewhere = c.stats();
+        assert_eq!((elsewhere.misses, elsewhere.collisions), (2, 3));
+        // Re-inserting a cached payload replaces its value, not its twin's.
+        c.insert_probed(&Probe::new(1, &beta), 21);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.probe(&Probe::new(1, &alpha)), Some(&10));
+        assert_eq!(c.probe(&Probe::new(1, &beta)), Some(&21));
+    }
+
+    #[test]
+    fn slots_hold_each_payload_once_inline() {
+        // An answer slot is (salt, goal) → (implied, route) beside the
+        // index tag and the recency links, with no heap block for a goal of
+        // up to four members; a bound slot is (salt, set) → (interval,
+        // route).
+        fn slot_bytes<K, V>(_: &LruCache<K, V>) -> usize {
+            std::mem::size_of::<Slot<K, V>>()
+        }
+        let session = crate::session::Session::new(setlat::Universe::of_size(4));
+        assert_eq!(slot_bytes(&session.answer_cache.borrow()), 72);
+        assert_eq!(slot_bytes(&session.bound_cache.borrow()), 56);
     }
 
     #[test]
@@ -650,23 +764,22 @@ mod tests {
         // A counter set of its own, so no other test's traffic shows up.
         let counters: &'static CacheCounters = Box::leak(Box::default());
         let mut c = LruCache::with_counters(2, counters);
-        let (a, b, d) = (
-            VersionedKey::new(1, 1),
-            VersionedKey::new(1, 2),
-            VersionedKey::new(1, 3),
+        let (a, b, d, z) = (
+            Colliding("a"),
+            Colliding("b"),
+            Colliding("d"),
+            Colliding("z"),
         );
-        c.insert(a, ("a", 1));
-        c.insert(b, ("b", 2));
-        let hit = |c: &mut LruCache<_, (&str, i32)>, key, payload| {
-            c.get_if(&key, |&(p, v)| (p == payload).then_some(v))
-        };
-        assert_eq!(hit(&mut c, a, "a"), Some(1));
-        assert_eq!(hit(&mut c, a, "z"), None, "a rejected collision");
-        assert_eq!(hit(&mut c, d, "d"), None, "a plain miss");
-        c.insert(d, ("d", 3)); // evicts b, the least recently used
-        c.insert(b, ("b", 2)); // evicts a
-        assert_eq!(hit(&mut c, b, "b"), Some(2));
-        assert_eq!(hit(&mut c, a, "a"), None);
+        let probe = |payload| Probe::new(1, payload);
+        c.insert_probed(&probe(&a), 1);
+        c.insert_probed(&Probe::new(2, &b), 2);
+        assert_eq!(c.probe(&probe(&a)), Some(&1));
+        assert_eq!(c.probe(&probe(&z)), None, "a miss that meets a");
+        assert_eq!(c.probe(&probe(&d)), None, "another");
+        c.insert_probed(&probe(&d), 3); // evicts b, the least recently used
+        c.insert_probed(&Probe::new(2, &b), 2); // evicts a
+        assert_eq!(c.probe(&Probe::new(2, &b)), Some(&2));
+        assert_eq!(c.probe(&probe(&a)), None, "evicted; meets d");
         let stats = c.stats();
         assert_eq!(
             stats,
@@ -674,7 +787,7 @@ mod tests {
                 hits: 2,
                 misses: 3,
                 evictions: 2,
-                collisions: 1,
+                collisions: 3,
             }
         );
         let counted = CacheStats {

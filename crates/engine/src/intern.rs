@@ -11,7 +11,9 @@
 //! the constraint is retracted from the premise set, until the session
 //! compacts the table, re-interning its premises in order.  Query traffic
 //! never touches the interner — the caches are keyed on digest-versioned
-//! constraints ([`crate::cache::VersionedKey`]), not ids.
+//! constraints ([`crate::cache::VersionedKey`]), not ids.  A key of at most
+//! four members holds its family inline, so the interner's copy of such a
+//! premise takes no heap block of its own.
 
 use diffcon::DiffConstraint;
 use std::collections::HashMap;

@@ -19,11 +19,12 @@
 //!   `witness`, `derive` — read the session through `&self`, on the one
 //!   thread that answers its requests in order, so nothing is locked.
 //! * **Memoization** ([`cache::LruCache`]) — two LRU caches per session:
-//!   full query answers and bound intervals.  Both keys are
-//!   digest-versioned through one helper ([`cache::version_salt`] /
-//!   [`cache::VersionedKey`]), so a write invalidates instantly and state
-//!   restoration revalidates instantly.  A miss is decided afresh; nothing
-//!   derived from a goal is kept but its answer.
+//!   full query answers and bound intervals.  Both are keyed on their
+//!   payload, the goal or the set, versioned by one salt
+//!   ([`cache::version_salt`] / [`cache::VersionedKey`]), so a write
+//!   invalidates instantly and state restoration revalidates instantly.  A
+//!   miss is decided afresh; nothing derived from a goal is kept but its
+//!   answer.
 //! * **Batch evaluation** ([`session::Session::implies_batch`]) — many
 //!   goals against the session's state, decided in order on the calling thread,
 //!   each exactly as `implies` would decide it: a repeated goal is an
@@ -154,7 +155,7 @@ pub mod server_state;
 pub mod session;
 pub mod snapshot;
 
-pub use cache::{version_salt, CacheStats, LruCache, VersionedKey};
+pub use cache::{version_salt, CacheStats, LruCache, Probe, VersionedKey};
 pub use client::{Client, ClientError};
 pub use intern::{ConstraintId, ConstraintInterner};
 pub use metrics::{

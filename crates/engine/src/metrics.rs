@@ -118,14 +118,14 @@ impl CacheFamily {
 /// Global per-family cache traffic counters.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// Verified cache hits.
+    /// Cache hits.
     pub hits: Counter,
-    /// Misses (including rejected collisions).
+    /// Misses.
     pub misses: Counter,
     /// Entries displaced at capacity.
     pub evictions: Counter,
-    /// Present-but-rejected fingerprint collisions (each one forced a
-    /// recomputation).
+    /// Cached payloads a probe met with its salt and fingerprint but
+    /// another value (see [`crate::cache::CacheStats::collisions`]).
     pub collisions: Counter,
 }
 

@@ -130,16 +130,15 @@ pub struct CoreApplied {
     pub dropped: usize,
 }
 
-/// One engine cache: an [`LruCache`] keyed by [`VersionedKey`], borrowed
-/// for one probe or one insert at a time.  Keys are fingerprint-addressed,
-/// so every value carries the payload it was computed for, and reads verify
-/// it against the query before trusting the entry (fingerprint collisions
-/// recompute, never alias).
-type Cache<V> = RefCell<LruCache<VersionedKey, V>>;
+/// One engine cache: an [`LruCache`] from a payload `P` versioned by the
+/// state salt ([`VersionedKey`]) to its answer `V`, borrowed for one probe
+/// or one insert at a time.  The key holds the payload's one copy and is
+/// compared structurally, so fingerprint collisions never alias answers.
+type Cache<P, V> = RefCell<LruCache<VersionedKey<P>, V>>;
 
 /// An empty cache of `capacity` entries, counting into `family`'s
 /// process-wide counters.
-fn cache<V>(family: CacheFamily, capacity: usize) -> Cache<V> {
+fn cache<P, V>(family: CacheFamily, capacity: usize) -> Cache<P, V> {
     let counters = EngineMetrics::global().cache(family);
     RefCell::new(LruCache::with_counters(capacity, counters))
 }
@@ -166,10 +165,12 @@ pub struct Session {
     /// `adopt` flows back through assertion, which versions as usual.
     pub(crate) dataset: Option<Dataset>,
     pub(crate) epoch: u64,
-    /// Decided implication answers, each with the goal it answers.
-    pub(crate) answer_cache: Cache<(DiffConstraint, bool, ProcedureKind)>,
-    /// Derived bound intervals, each with the set it bounds.
-    pub(crate) bound_cache: Cache<(AttrSet, Interval, DeriveRoute)>,
+    /// Decided implication answers: the verdict and the route, keyed by
+    /// the goal.
+    pub(crate) answer_cache: Cache<DiffConstraint, (bool, ProcedureKind)>,
+    /// Derived bound intervals: the interval and the route, keyed by the
+    /// set it bounds.
+    pub(crate) bound_cache: Cache<AttrSet, (Interval, DeriveRoute)>,
     /// Holds the session's ledger.
     pub(crate) planner: Planner,
     /// The bound state of these premises and knowns, or the infeasibility
@@ -395,7 +396,7 @@ impl Session {
     /// Rebuilds the interner with only the current premises, re-interned
     /// in order.  Ids are reassigned, so previously returned
     /// [`ConstraintId`]s become stale; the caches are unaffected (they are
-    /// keyed on digest-versioned constraints, never on ids).
+    /// keyed on digest-versioned goals and sets, never on ids).
     fn compact_interner(&mut self) {
         let mut fresh = ConstraintInterner::new();
         for premise in &self.premises {

@@ -16,7 +16,12 @@
 //! Caching across writes is sound because every cache key is versioned
 //! through [`crate::cache::version_salt`]: two states with the same digests
 //! share warm entries (retract-then-reassert instantly revalidates), while
-//! any state difference makes the keys disjoint.
+//! any state difference makes the keys disjoint.  Each query builds one
+//! [`Probe`] of its goal or set under the salt, fingerprinting the payload
+//! once: the cache lookup compares stored keys with it structurally, and a
+//! miss inserts through the same probe, which copies the payload into the
+//! key.  A goal of at most four members is copied inline, so a cold
+//! decision allocates nothing.
 //!
 //! The session also holds its bound state: the query-independent half of
 //! the propagation path ([`Propagation`]: the `L(C)` bitmap, every density
@@ -27,7 +32,7 @@
 //! drops it, and the next miss builds a fresh one, bitmap included, which
 //! at 8 attributes is a fraction of a microsecond.
 
-use crate::cache::{version_salt, VersionedKey};
+use crate::cache::{version_salt, Probe};
 use crate::session::Session;
 use diffcon::inference::{self, Derivation};
 use diffcon::procedure::{self, ProcedureKind};
@@ -197,14 +202,6 @@ impl Session {
         version_salt(self.premise_digest, self.knowns_digest)
     }
 
-    fn answer_key(&self, goal: &DiffConstraint) -> VersionedKey {
-        VersionedKey::new(self.answer_salt(), goal.fingerprint())
-    }
-
-    fn bound_key(&self, query: AttrSet) -> VersionedKey {
-        VersionedKey::new(self.bound_salt(), query.fingerprint())
-    }
-
     /// Answers a trivial goal inline, counting it in the planner.
     fn trivial(&self) -> QueryOutcome {
         self.planner.record_trivial();
@@ -216,16 +213,10 @@ impl Session {
         }
     }
 
-    /// Answer-cache probe: fingerprint-addressed lookup, verified against
-    /// the goal before the entry is trusted.  A hit is counted in the
-    /// planner under the route that decided it.
-    fn probe_answer(&self, key: &VersionedKey, goal: &DiffConstraint) -> Option<QueryOutcome> {
-        let (implied, kind) = self
-            .answer_cache
-            .borrow_mut()
-            .get_if(key, |(stored, implied, kind)| {
-                (stored == goal).then_some((*implied, *kind))
-            })?;
+    /// Answer-cache lookup of the goal `probe` addresses.  A hit is counted
+    /// in the planner under the route that decided it.
+    fn probe_answer(&self, probe: &Probe<'_, DiffConstraint>) -> Option<QueryOutcome> {
+        let (implied, kind) = *self.answer_cache.borrow_mut().probe(probe)?;
         self.planner.record_cache_hit(kind);
         Some(QueryOutcome {
             implied,
@@ -261,18 +252,18 @@ impl Session {
         }
     }
 
-    /// Writes a decided miss back: the answer cache keeps the one copy of
-    /// the goal, and the planner counts the decision and its latency.
+    /// Writes a decided miss back: the answer cache's key keeps the one
+    /// copy of the goal, and the planner counts the decision and its
+    /// latency.
     fn absorb(
         &self,
-        key: VersionedKey,
-        goal: &DiffConstraint,
+        probe: &Probe<'_, DiffConstraint>,
         route: ProcedureKind,
         outcome: QueryOutcome,
     ) {
         self.answer_cache
             .borrow_mut()
-            .insert(key, (goal.clone(), outcome.implied, route));
+            .insert_probed(probe, (outcome.implied, route));
         self.planner.record_decided(route, outcome.elapsed);
     }
 
@@ -288,8 +279,8 @@ impl Session {
         if goal.is_trivial() {
             return self.trivial();
         }
-        let key = self.answer_key(goal);
-        let probed = self.probe_answer(&key, goal);
+        let probe = Probe::new(self.answer_salt(), goal);
+        let probed = self.probe_answer(&probe);
         mark();
         if let Some(hit) = probed {
             return hit;
@@ -298,7 +289,7 @@ impl Session {
         mark();
         let outcome = self.decide(goal, route);
         mark();
-        self.absorb(key, goal, route, outcome);
+        self.absorb(&probe, route, outcome);
         outcome
     }
 
@@ -358,13 +349,8 @@ impl Session {
             query.is_subset(self.universe.full_set()),
             "query set lies outside the universe"
         );
-        let key = self.bound_key(query);
-        let hit = self
-            .bound_cache
-            .borrow_mut()
-            .get_if(&key, |&(stored, interval, route)| {
-                (stored == query).then_some((interval, route))
-            });
+        let probe = Probe::new(self.bound_salt(), &query);
+        let hit = self.bound_cache.borrow_mut().probe(&probe).copied();
         if let Some((interval, route)) = hit {
             self.planner.record_bound_cache_hit();
             return Ok(BoundOutcome {
@@ -392,7 +378,7 @@ impl Session {
         let interval = result?;
         self.bound_cache
             .borrow_mut()
-            .insert(key, (query, interval, route));
+            .insert_probed(&probe, (interval, route));
         Ok(BoundOutcome {
             interval,
             route,
