@@ -260,7 +260,9 @@ struct Members<'a> {
 impl Iterator for Members<'_> {
     type Item = AttrSet;
 
-    // Inlined into `Family::refill`'s loop: the parse is ~20% faster.
+    // Inlined into `Family::refill`'s insertion loop: without the hint a
+    // warm_text goal parses in ~81 ns rather than ~73 (best of 7
+    // alternating runs, release, 2-core x86-64 host).
     #[inline]
     fn next(&mut self) -> Option<AttrSet> {
         loop {

@@ -5,7 +5,7 @@
 //! a `RefCell`.  It is a slab-backed
 //! LRU: entries live in a slot vector with an intrusive doubly-linked
 //! recency list threaded through it, and an index the cache owns maps keys
-//! to slots, so `get`, `insert` and eviction are all `O(1)` expected.
+//! to slots, so a lookup, an insert and an eviction are all `O(1)` expected.
 //!
 //! The index is an open-addressing table of `u64` buckets, each a 32-bit
 //! hash tag above a slot number, probed linearly.  A removal shifts the rest
@@ -14,8 +14,8 @@
 //! grows only while the cache fills, up to the power of two at or above
 //! twice the capacity, and starts no larger than `2^17` buckets (1 MiB).
 //!
-//! A capacity of `0` disables the cache entirely (every `get` misses, every
-//! `insert` is a no-op), which the engine's tests use to prove answers do not
+//! A capacity of `0` disables the cache entirely (every lookup misses, every
+//! insert is a no-op), which the engine's tests use to prove answers do not
 //! depend on caching.
 //!
 //! Every hit, miss, eviction and collision is counted once, where it
@@ -30,17 +30,19 @@
 //! fingerprint, computed once — and both its lookup ([`LruCache::probe`])
 //! and, on a miss, its insert ([`LruCache::insert_probed`]) hash the one
 //! premixed word of salt and fingerprint, so the payload is never rehashed
-//! and never copied to be looked up.  Key equality is structural, so a
-//! payload whose fingerprint meets a stored one under the same salt is
-//! cached beside it rather than aliased to it; each such meeting is counted
-//! as a collision.
+//! and never copied to be looked up.  A cache holds at most one entry per
+//! salt and fingerprint, and a lookup compares the stored payload
+//! structurally: a payload whose fingerprint meets another's under the same
+//! salt misses (counted as a collision) and, once decided, replaces it.
+//! Fingerprints can be forged, so this keeps every probe run as short as
+//! honest traffic makes it: colliding goals cost a recomputation, never a
+//! longer walk or a wrong answer.
 
 use crate::metrics::CacheCounters;
 use diffcon::DiffConstraint;
 use setlat::AttrSet;
-use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash};
+use std::hash::BuildHasher;
 
 /// The most entries a cache holds: slots are numbered in 32 bits, by the
 /// index and by the recency list.
@@ -67,16 +69,15 @@ struct Slot<K, V> {
 /// Counters describing how a cache has been used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// `get` calls that found their key.
+    /// Lookups that found their payload.
     pub hits: u64,
-    /// `get` calls that did not.
+    /// Lookups that did not.
     pub misses: u64,
     /// Entries displaced by inserts at capacity.
     pub evictions: u64,
-    /// Stored payloads a [`LruCache::probe`] met with its salt and
-    /// fingerprint but a different value: each is cached beside the other
-    /// and hits only itself, and every probe that passes one on its way
-    /// counts one collision, whether it then hits or misses.
+    /// Lookups that found an entry with their salt and fingerprint but
+    /// another payload ([`LruCache::probe`]), so they missed and forced a
+    /// recomputation.  Collisions are a subset of `misses`.
     pub collisions: u64,
 }
 
@@ -126,30 +127,32 @@ impl Index {
         }
     }
 
-    fn tag<Q: Hash + ?Sized>(&self, key: &Q) -> u32 {
-        (self.hasher.hash_one(key) >> 32) as u32
+    /// The tag of the key whose premixed word is `word`.
+    #[inline]
+    fn tag(&self, word: u64) -> u32 {
+        (self.hasher.hash_one(word) >> 32) as u32
     }
 
     fn mask(&self) -> usize {
         self.buckets.len() - 1
     }
 
-    /// The bucket and slot of the entry with this tag whose slot `is_key`
-    /// accepts.
-    fn find(&self, tag: u32, mut is_key: impl FnMut(usize) -> bool) -> Option<(usize, usize)> {
+    /// The bucket and slot of each entry with this tag, in probe order.
+    #[inline]
+    fn tagged(&self, tag: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
         let mask = self.mask();
         let mut at = tag as usize & mask;
-        loop {
+        std::iter::from_fn(move || loop {
             let bucket = self.buckets[at];
             if bucket == 0 {
                 return None;
             }
-            let slot = (bucket as u32 - 1) as usize;
-            if (bucket >> 32) as u32 == tag && is_key(slot) {
-                return Some((at, slot));
-            }
+            let found = at;
             at = (at + 1) & mask;
-        }
+            if (bucket >> 32) as u32 == tag {
+                return Some((found, (bucket as u32 - 1) as usize));
+            }
+        })
     }
 
     /// Adds `tag → slot`, first growing the table if its `entries`, this
@@ -273,62 +276,6 @@ impl<K, V> LruCache<K, V> {
         }
     }
 
-    /// Counts the lookup of a found (`Some`) or missing slot, promoting a
-    /// found one to most-recently-used, and returns its value.
-    fn looked_up(&mut self, found: Option<usize>) -> Option<&V> {
-        match found {
-            Some(slot) => {
-                self.count(Event::Hit);
-                self.detach(slot);
-                self.attach_front(slot);
-                Some(&self.slots[slot].value)
-            }
-            None => {
-                self.count(Event::Miss);
-                None
-            }
-        }
-    }
-
-    /// Stores `value` under the key with index tag `tag`: in `found`, the
-    /// key's slot if it is cached already (promoting it), or else in a new
-    /// entry holding `key()`, evicting the least-recently-used entry when
-    /// at capacity.
-    fn put(&mut self, tag: u32, found: Option<usize>, key: impl FnOnce() -> K, value: V) {
-        if let Some(slot) = found {
-            self.slots[slot].value = value;
-            self.detach(slot);
-            self.attach_front(slot);
-            return;
-        }
-        let entry = Slot {
-            key: key(),
-            value,
-            tag,
-            prev: NIL,
-            next: NIL,
-        };
-        let len = self.slots.len();
-        let slot = if len >= self.capacity {
-            debug_assert_ne!(self.tail, NIL);
-            let lru = self.tail as usize;
-            self.detach(lru);
-            let (bucket, _) = self
-                .index
-                .find(self.slots[lru].tag, |slot| slot == lru)
-                .expect("every cached slot is indexed");
-            self.index.remove_at(bucket);
-            self.count(Event::Eviction);
-            self.slots[lru] = entry;
-            lru
-        } else {
-            self.slots.push(entry);
-            len
-        };
-        self.index.insert(tag, slot, self.slots.len());
-        self.attach_front(slot);
-    }
-
     /// Drops every entry (counters are kept; they describe the lifetime of
     /// the cache, not its current contents).
     pub fn clear(&mut self) {
@@ -369,79 +316,54 @@ impl<K, V> LruCache<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V> LruCache<K, V> {
-    /// The slot holding `key`.
-    fn find<Q>(&self, key: &Q) -> Option<usize>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let tag = self.index.tag(key);
-        self.index
-            .find(tag, |slot| self.slots[slot].key.borrow() == key)
-            .map(|(_, slot)| slot)
-    }
-
-    /// Looks up `key`, promoting it to most-recently-used on a hit.
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let found = self.find(key);
-        self.looked_up(found)
-    }
-
-    /// Looks up `key` without touching recency or counters.
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.find(key).map(|slot| &self.slots[slot].value)
-    }
-
-    /// Inserts `key → value`, evicting the least-recently-used entry when at
-    /// capacity.  Replacing an existing key promotes it.
-    pub fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        let tag = self.index.tag(&key);
-        let found = self
-            .index
-            .find(tag, |slot| self.slots[slot].key == key)
-            .map(|(_, slot)| slot);
-        self.put(tag, found, || key, value);
-    }
-}
-
 impl<P: Payload, V> LruCache<VersionedKey<P>, V> {
-    /// Looks up `probe`'s payload under its salt, promoting it to
-    /// most-recently-used on a hit.  Every other stored payload met on the
-    /// way with the same salt and fingerprint counts one collision.
-    pub fn probe(&mut self, probe: &Probe<'_, P>) -> Option<&V> {
-        let tag = self.index.tag(&probe.word());
-        let mut met = 0;
-        let found = self
-            .index
-            .find(tag, |slot| {
-                let key = &self.slots[slot].key;
-                let hit = probe.addresses(key);
-                met += u64::from(!hit && probe.meets(key));
-                hit
-            })
-            .map(|(_, slot)| slot);
-        for _ in 0..met {
-            self.count(Event::Collision);
+    /// The slot of the entry with `probe`'s salt and fingerprint, at index
+    /// tag `tag`, and whether it holds the probe's own payload.  Always
+    /// inlined into its two callers: called out of line, it made a hit in
+    /// bench_server's `lru_hit_ns` a few ns slower.
+    #[inline(always)]
+    fn slot_of(&self, tag: u32, probe: &Probe<'_, P>) -> Option<(usize, bool)> {
+        for (_, slot) in self.index.tagged(tag) {
+            let key = &self.slots[slot].key;
+            if probe.addresses(key) {
+                return Some((slot, true));
+            }
+            if probe.meets(key) {
+                return Some((slot, false));
+            }
         }
-        self.looked_up(found)
+        None
+    }
+
+    /// Looks up `probe`'s payload under its salt, promoting it to
+    /// most-recently-used on a hit.  An entry with the probe's salt and
+    /// fingerprint but another payload is a miss and a collision, and keeps
+    /// its recency.
+    pub fn probe(&mut self, probe: &Probe<'_, P>) -> Option<&V> {
+        let tag = self.index.tag(probe.word());
+        match self.slot_of(tag, probe) {
+            Some((slot, true)) => {
+                self.count(Event::Hit);
+                self.detach(slot);
+                self.attach_front(slot);
+                Some(&self.slots[slot].value)
+            }
+            met => {
+                self.count(Event::Miss);
+                if met.is_some() {
+                    self.count(Event::Collision);
+                }
+                None
+            }
+        }
     }
 
     /// Inserts `value` for `probe`'s payload under its salt, the key
-    /// holding the payload's one copy, exactly as [`LruCache::insert`]
-    /// does: evicting the least-recently-used entry when at capacity, and
-    /// replacing and promoting an entry already cached.
+    /// holding the payload's one copy, as the most recently used entry.
+    /// The entry with the probe's salt and fingerprint, if there is one, is
+    /// overwritten, key and value, so colliding payloads share one entry;
+    /// otherwise a new one is made, evicting the least-recently-used entry
+    /// when at capacity.
     pub fn insert_probed(&mut self, probe: &Probe<'_, P>, value: V)
     where
         P: Clone,
@@ -449,12 +371,41 @@ impl<P: Payload, V> LruCache<VersionedKey<P>, V> {
         if self.capacity == 0 {
             return;
         }
-        let tag = self.index.tag(&probe.word());
-        let found = self
-            .index
-            .find(tag, |slot| probe.addresses(&self.slots[slot].key))
-            .map(|(_, slot)| slot);
-        self.put(tag, found, || probe.key(), value);
+        let tag = self.index.tag(probe.word());
+        if let Some((slot, _)) = self.slot_of(tag, probe) {
+            self.slots[slot].key = probe.key();
+            self.slots[slot].value = value;
+            self.detach(slot);
+            self.attach_front(slot);
+            return;
+        }
+        let entry = Slot {
+            key: probe.key(),
+            value,
+            tag,
+            prev: NIL,
+            next: NIL,
+        };
+        let len = self.slots.len();
+        let slot = if len >= self.capacity {
+            debug_assert_ne!(self.tail, NIL);
+            let lru = self.tail as usize;
+            self.detach(lru);
+            let (bucket, _) = self
+                .index
+                .tagged(self.slots[lru].tag)
+                .find(|&(_, slot)| slot == lru)
+                .expect("every cached slot is indexed");
+            self.index.remove_at(bucket);
+            self.count(Event::Eviction);
+            self.slots[lru] = entry;
+            lru
+        } else {
+            self.slots.push(entry);
+            len
+        };
+        self.index.insert(tag, slot, self.slots.len());
+        self.attach_front(slot);
     }
 }
 
@@ -495,10 +446,10 @@ impl Payload for AttrSet {
 /// A digest-versioned cache key: the state salt ([`version_salt`]) and the
 /// payload it answers for, held once, here.
 ///
-/// Keys are compared structurally, salt and payload, so fingerprint
-/// collisions cost nothing but a longer probe: they can never alias
-/// answers.  A key is hashed only through the [`Probe`] that stored it,
-/// which computed the payload's fingerprint once for the query.
+/// Keys are compared structurally, salt and payload, so a fingerprint
+/// collision costs a recomputation, never a wrong answer.  A key is hashed
+/// only through the [`Probe`] that stored it, which computed the payload's
+/// fingerprint once for the query.
 #[derive(Debug)]
 pub struct VersionedKey<P> {
     salt: u64,
@@ -537,7 +488,10 @@ impl<'a, P: Payload> Probe<'a, P> {
     }
 
     /// Whether `key` is another payload with this probe's salt and
-    /// fingerprint (checked only once [`Probe::addresses`] said no).
+    /// fingerprint (checked only once [`Probe::addresses`] said no: on a
+    /// collision or a chance tag match, so it is kept off the lookup's
+    /// inlined loop).
+    #[cold]
     fn meets(&self, key: &VersionedKey<P>) -> bool {
         key.salt == self.salt && key.payload.fingerprint() == self.fingerprint
     }
@@ -558,63 +512,86 @@ impl<'a, P: Payload> Probe<'a, P> {
 mod tests {
     use super::*;
 
+    /// A cache keyed on sets under one salt, as the bound cache is.
+    type SetCache<V> = LruCache<VersionedKey<AttrSet>, V>;
+
+    const SALT: u64 = 0x5A17;
+
+    fn get<V>(c: &mut SetCache<V>, bits: u64) -> Option<&V> {
+        c.probe(&Probe::new(SALT, &AttrSet::from_bits(bits)))
+    }
+
+    fn insert<V>(c: &mut SetCache<V>, bits: u64, value: V) {
+        c.insert_probed(&Probe::new(SALT, &AttrSet::from_bits(bits)), value);
+    }
+
+    /// The value cached for `bits`, without touching recency or counters.
+    fn peek<V>(c: &SetCache<V>, bits: u64) -> Option<&V> {
+        let set = AttrSet::from_bits(bits);
+        let probe = Probe::new(SALT, &set);
+        match c.slot_of(c.index.tag(probe.word()), &probe) {
+            Some((slot, true)) => Some(&c.slots[slot].value),
+            _ => None,
+        }
+    }
+
     #[test]
     fn inserts_and_hits() {
-        let mut c: LruCache<u32, &str> = LruCache::new(2);
-        c.insert(1, "one");
-        c.insert(2, "two");
-        assert_eq!(c.get(&1), Some(&"one"));
-        assert_eq!(c.get(&3), None);
+        let mut c: SetCache<&str> = LruCache::new(2);
+        insert(&mut c, 1, "one");
+        insert(&mut c, 2, "two");
+        assert_eq!(get(&mut c, 1), Some(&"one"));
+        assert_eq!(get(&mut c, 3), None);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.len(), 2);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.get(&1), None);
+        assert_eq!(get(&mut c, 1), None);
         // Counters describe the lifetime, not the contents.
         assert_eq!((c.stats().hits, c.stats().misses), (1, 2));
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        let _ = c.get(&1); // 2 is now LRU
-        c.insert(3, 30);
-        assert_eq!(c.peek(&2), None, "2 should have been evicted");
-        assert_eq!(c.peek(&1), Some(&10));
-        assert_eq!(c.peek(&3), Some(&30));
+        let mut c: SetCache<u32> = LruCache::new(2);
+        insert(&mut c, 1, 10);
+        insert(&mut c, 2, 20);
+        let _ = get(&mut c, 1); // 2 is now LRU
+        insert(&mut c, 3, 30);
+        assert_eq!(peek(&c, 2), None, "2 should have been evicted");
+        assert_eq!(peek(&c, 1), Some(&10));
+        assert_eq!(peek(&c, 3), Some(&30));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinsert_promotes_and_replaces() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(1, 11); // promote 1, replace value
-        c.insert(3, 30); // evicts 2
-        assert_eq!(c.peek(&1), Some(&11));
-        assert_eq!(c.peek(&2), None);
+        let mut c: SetCache<u32> = LruCache::new(2);
+        insert(&mut c, 1, 10);
+        insert(&mut c, 2, 20);
+        insert(&mut c, 1, 11); // promote 1, replace value
+        insert(&mut c, 3, 30); // evicts 2
+        assert_eq!(peek(&c, 1), Some(&11));
+        assert_eq!(peek(&c, 2), None);
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let mut c: LruCache<u32, u32> = LruCache::new(0);
-        c.insert(1, 10);
-        assert_eq!(c.get(&1), None);
+        let mut c: SetCache<u32> = LruCache::new(0);
+        insert(&mut c, 1, 10);
+        assert_eq!(get(&mut c, 1), None);
         assert!(c.is_empty());
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn single_slot_cache_churns_correctly() {
-        let mut c: LruCache<u32, u32> = LruCache::new(1);
+        let mut c: SetCache<u64> = LruCache::new(1);
         for i in 0..100 {
-            c.insert(i, i * 2);
-            assert_eq!(c.get(&i), Some(&(i * 2)));
+            insert(&mut c, i, i * 2);
+            assert_eq!(get(&mut c, i), Some(&(i * 2)));
             assert_eq!(c.len(), 1);
         }
         assert_eq!(c.stats().evictions, 99);
@@ -624,7 +601,7 @@ mod tests {
     fn heavy_mixed_workload_stays_consistent() {
         // Mirror against a reference model: repeatedly insert/get and check
         // the cache never exceeds capacity and hits agree with presence.
-        let mut c: LruCache<u64, u64> = LruCache::new(16);
+        let mut c: SetCache<u64> = LruCache::new(16);
         let mut present: std::collections::VecDeque<u64> = Default::default();
         let mut x: u64 = 0x123456789;
         for _ in 0..10_000 {
@@ -642,9 +619,9 @@ mod tests {
                     present.retain(|&k| k != key);
                 }
                 present.push_front(key);
-                c.insert(key, key);
+                insert(&mut c, key, key);
             } else {
-                let hit = c.get(&key).is_some();
+                let hit = get(&mut c, key).is_some();
                 assert_eq!(hit, present.contains(&key), "divergence at key {key}");
                 if hit {
                     present.retain(|&k| k != key);
@@ -659,15 +636,15 @@ mod tests {
     fn index_grows_past_its_first_table_and_keeps_every_entry() {
         // The index starts at 2^17 buckets and must double once this cache
         // passes 2^16 entries.
-        let capacity = 1usize << 17;
-        let mut c: LruCache<usize, usize> = LruCache::new(capacity);
+        let capacity = 1u64 << 17;
+        let mut c: SetCache<u64> = LruCache::new(capacity as usize);
         for k in 0..capacity + 8 {
-            c.insert(k, k);
+            insert(&mut c, k, k);
         }
-        assert_eq!(c.len(), capacity);
-        assert_eq!(c.index.buckets.len(), 2 * capacity);
-        assert!((0..8).all(|k| c.peek(&k).is_none()));
-        assert!((8..capacity + 8).all(|k| c.peek(&k) == Some(&k)));
+        assert_eq!(c.len(), capacity as usize);
+        assert_eq!(c.index.buckets.len(), 2 * capacity as usize);
+        assert!((0..8).all(|k| peek(&c, k).is_none()));
+        assert!((8..capacity + 8).all(|k| peek(&c, k) == Some(&k)));
     }
 
     #[test]
@@ -699,7 +676,7 @@ mod tests {
     fn versioned_keys_separate_salts_and_fingerprints() {
         // Distinct salts (state versions) and distinct payloads address
         // distinct entries, and a key holds the salt and the payload.
-        let mut c: LruCache<VersionedKey<AttrSet>, u32> = LruCache::new(8);
+        let mut c: SetCache<u32> = LruCache::new(8);
         let (a, b) = (AttrSet::from_bits(1), AttrSet::from_bits(2));
         c.insert_probed(&Probe::new(1, &a), 10);
         c.insert_probed(&Probe::new(2, &a), 20);
@@ -714,35 +691,40 @@ mod tests {
     }
 
     #[test]
-    fn colliding_payloads_are_cached_side_by_side() {
-        // Two payloads with one fingerprint under one salt: both are
-        // cached, each hits only itself, and each probe that passes the
-        // other on its way counts one collision.
-        let mut c: LruCache<VersionedKey<Colliding>, u32> = LruCache::new(8);
-        let (alpha, beta, gamma) = (Colliding("alpha"), Colliding("beta"), Colliding("gamma"));
-        c.insert_probed(&Probe::new(1, &alpha), 10);
-        c.insert_probed(&Probe::new(1, &beta), 20);
+    fn colliding_payloads_share_one_entry() {
+        // Payloads with one fingerprint under one salt: each insert
+        // replaces the one before, so the cache holds one of them at a
+        // time, a lookup hits only the payload stored, and every other
+        // lookup under that salt is a miss and a collision.
+        let mut c: LruCache<VersionedKey<Colliding>, usize> = LruCache::new(8);
+        let payloads = ["alpha", "beta", "gamma", "delta"].map(Colliding);
+        for (stored, payload) in payloads.iter().enumerate() {
+            c.insert_probed(&Probe::new(1, payload), stored);
+            assert_eq!(c.len(), 1, "a colliding insert must replace, not add");
+            for (asked, other) in payloads.iter().enumerate() {
+                let before = c.stats();
+                let hit = c.probe(&Probe::new(1, other)).copied();
+                let after = c.stats();
+                if asked == stored {
+                    assert_eq!(hit, Some(stored));
+                    assert_eq!(after.hits, before.hits + 1);
+                    assert_eq!(after.collisions, before.collisions);
+                } else {
+                    assert_eq!(hit, None, "{other:?} hit {payload:?}'s value");
+                    assert_eq!(after.misses, before.misses + 1);
+                    assert_eq!(after.collisions, before.collisions + 1);
+                }
+            }
+        }
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (4, 12, 12));
+        // Another salt meets nothing, and its entry stands beside the first.
+        assert_eq!(c.probe(&Probe::new(2, &payloads[0])), None);
+        assert_eq!(c.stats().collisions, 12);
+        c.insert_probed(&Probe::new(2, &payloads[0]), 9);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().collisions, 0, "inserts count no meetings");
-        assert_eq!(c.probe(&Probe::new(1, &alpha)), Some(&10));
-        assert_eq!(c.probe(&Probe::new(1, &beta)), Some(&20));
-        // One of the two lies first in the probe run, so the two hits met
-        // the other payload once between them.
-        let hits = c.stats();
-        assert_eq!((hits.hits, hits.misses, hits.collisions), (2, 0, 1));
-        // A third payload with the same fingerprint meets both and misses…
-        assert_eq!(c.probe(&Probe::new(1, &gamma)), None);
-        let missed = c.stats();
-        assert_eq!((missed.misses, missed.collisions), (1, 3));
-        // …while the same payloads under another salt meet nothing.
-        assert_eq!(c.probe(&Probe::new(2, &alpha)), None);
-        let elsewhere = c.stats();
-        assert_eq!((elsewhere.misses, elsewhere.collisions), (2, 3));
-        // Re-inserting a cached payload replaces its value, not its twin's.
-        c.insert_probed(&Probe::new(1, &beta), 21);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.probe(&Probe::new(1, &alpha)), Some(&10));
-        assert_eq!(c.probe(&Probe::new(1, &beta)), Some(&21));
+        assert_eq!(c.probe(&Probe::new(2, &payloads[0])), Some(&9));
+        assert_eq!(c.probe(&Probe::new(1, &payloads[3])), Some(&3));
     }
 
     #[test]
@@ -774,20 +756,21 @@ mod tests {
         c.insert_probed(&probe(&a), 1);
         c.insert_probed(&Probe::new(2, &b), 2);
         assert_eq!(c.probe(&probe(&a)), Some(&1));
-        assert_eq!(c.probe(&probe(&z)), None, "a miss that meets a");
-        assert_eq!(c.probe(&probe(&d)), None, "another");
-        c.insert_probed(&probe(&d), 3); // evicts b, the least recently used
-        c.insert_probed(&Probe::new(2, &b), 2); // evicts a
+        assert_eq!(c.probe(&probe(&z)), None, "meets a");
+        c.insert_probed(&probe(&d), 3); // replaces a
         assert_eq!(c.probe(&Probe::new(2, &b)), Some(&2));
-        assert_eq!(c.probe(&probe(&a)), None, "evicted; meets d");
+        assert_eq!(c.probe(&probe(&a)), None, "replaced; meets d");
+        assert_eq!(c.probe(&Probe::new(3, &a)), None, "a plain miss");
+        c.insert_probed(&Probe::new(3, &a), 4); // evicts d, the least recently used
+        assert_eq!(c.probe(&probe(&d)), None, "evicted");
         let stats = c.stats();
         assert_eq!(
             stats,
             CacheStats {
                 hits: 2,
-                misses: 3,
-                evictions: 2,
-                collisions: 3,
+                misses: 4,
+                evictions: 1,
+                collisions: 2,
             }
         );
         let counted = CacheStats {

@@ -124,8 +124,8 @@ pub struct CacheCounters {
     pub misses: Counter,
     /// Entries displaced at capacity.
     pub evictions: Counter,
-    /// Cached payloads a probe met with its salt and fingerprint but
-    /// another value (see [`crate::cache::CacheStats::collisions`]).
+    /// Misses that found a cached payload with their salt and fingerprint
+    /// but another value (see [`crate::cache::CacheStats::collisions`]).
     pub collisions: Counter,
 }
 

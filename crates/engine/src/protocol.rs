@@ -293,9 +293,9 @@
 //! query, decision-latency percentiles as `<route>_p50us=…`/`<route>_p99us=…`
 //! fields, and the four counters of each of the session's two caches as
 //! `answer_cache=h…/m…/e…/c…` and `bound_cache=h…/m…/e…/c…`: hits, misses,
-//! evictions, and collisions (probes that passed a cached goal or set with
-//! their state salt and fingerprint but another value; the two are cached
-//! side by side).
+//! evictions, and collisions (misses that found a cached goal or set with
+//! their state salt and fingerprint but another value, which the answer
+//! then replaces).
 //!
 //! # Discovery verbs
 //!

@@ -133,7 +133,8 @@ pub struct CoreApplied {
 /// One engine cache: an [`LruCache`] from a payload `P` versioned by the
 /// state salt ([`VersionedKey`]) to its answer `V`, borrowed for one probe
 /// or one insert at a time.  The key holds the payload's one copy and is
-/// compared structurally, so fingerprint collisions never alias answers.
+/// compared structurally, so a fingerprint collision is a miss, never
+/// another payload's answer.
 type Cache<P, V> = RefCell<LruCache<VersionedKey<P>, V>>;
 
 /// An empty cache of `capacity` entries, counting into `family`'s
@@ -440,6 +441,7 @@ mod tests {
     use diffcon::implication;
     use diffcon::procedure::ProcedureKind;
     use diffcon_bounds::problem::{DeriveError, DeriveRoute};
+    use setlat::Family;
 
     fn parse(u: &Universe, texts: &[&str]) -> Vec<DiffConstraint> {
         texts
@@ -482,6 +484,55 @@ mod tests {
         assert_eq!(first.implied, second.implied);
         assert_eq!(first.procedure, second.procedure);
         assert_eq!(s.stats().answer_cache.hits, 1);
+    }
+
+    /// The set whose fingerprint is `fp`: `AttrSet::fingerprint`, the
+    /// SplitMix64 finalizer, inverted step by step.
+    fn set_with_fingerprint(fp: u64) -> AttrSet {
+        let unshift = |z: u64, by: u32| (0..64 / by).fold(z, |x, _| z ^ (x >> by));
+        let z = unshift(fp, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        AttrSet::from_bits(unshift(z, 30).wrapping_sub(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The inverse of an odd word modulo `2^64`, by Newton's iteration.
+    fn inverse(odd: u64) -> u64 {
+        (0..5).fold(odd, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inv)))
+        })
+    }
+
+    #[test]
+    fn forged_fingerprint_collisions_share_one_answer_entry() {
+        // At 64 attributes every mask is a set, so a client can pick, for
+        // any right side, the left side that gives the goal a chosen
+        // fingerprint.  Such goals must neither alias each other's answers
+        // nor pile up in the answer cache.
+        let s = Session::new(Universe::of_size(64));
+        let target = 0x0123_4567_89AB_CDEF_u64;
+        let goals: Vec<DiffConstraint> = (0..64)
+            .map(|i| {
+                let rhs = Family::single(AttrSet::singleton(i));
+                let lhs = (target ^ rhs.fingerprint())
+                    .wrapping_mul(inverse(0x100_0000_01B3))
+                    .rotate_right(32);
+                DiffConstraint::new(set_with_fingerprint(lhs), rhs)
+            })
+            .filter(|goal| !goal.is_trivial())
+            .collect();
+        assert!(goals.len() > 16, "{} nontrivial goals", goals.len());
+        for goal in &goals {
+            assert_eq!(goal.fingerprint(), target);
+            let outcome = s.implies(goal);
+            assert!(!outcome.implied && !outcome.cached);
+            assert_eq!(s.answer_cache.borrow().len(), 1);
+        }
+        let stats = s.stats().answer_cache;
+        let n = goals.len() as u64;
+        assert_eq!((stats.hits, stats.misses, stats.collisions), (0, n, n - 1));
+        // The last goal holds the entry; the first was replaced.
+        assert!(s.implies(&goals[goals.len() - 1]).cached);
+        assert!(!s.implies(&goals[0]).cached);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! [`Probe`] of its goal or set under the salt, fingerprinting the payload
 //! once: the cache lookup compares stored keys with it structurally, and a
 //! miss inserts through the same probe, which copies the payload into the
-//! key.  A goal of at most four members is copied inline, so a cold
-//! decision allocates nothing.
+//! key (replacing a payload whose fingerprint it shares under the salt).
+//! A goal of at most four members is copied inline, so a cold decision
+//! allocates nothing.
 //!
 //! The session also holds its bound state: the query-independent half of
 //! the propagation path ([`Propagation`]: the `L(C)` bitmap, every density

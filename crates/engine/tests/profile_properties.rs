@@ -27,7 +27,9 @@
 
 use diffcon_engine::connection::Connection;
 use diffcon_engine::protocol::binary;
-use diffcon_engine::{metrics, LruCache, QueryOutcome, Server, Session, SessionConfig};
+use diffcon_engine::{
+    metrics, LruCache, Probe, QueryOutcome, Server, Session, SessionConfig, VersionedKey,
+};
 use diffcon_obs::profile;
 use proptest::prelude::*;
 use setlat::{AttrSet, Family, Universe};
@@ -562,24 +564,32 @@ fn full_lru_cache_churns_without_allocating() {
     // and at this load doubles, after a few capacities' worth of inserts.
     const CAPACITY: u64 = 4096;
     profile::set_thread_class("test");
-    let mut cache: LruCache<u64, u64> = LruCache::new(CAPACITY as usize);
+    let mut cache: LruCache<VersionedKey<AttrSet>, u64> = LruCache::new(CAPACITY as usize);
+    let insert = |cache: &mut LruCache<_, _>, key: u64| {
+        cache.insert_probed(&Probe::new(0, &AttrSet::from_bits(key)), key);
+    };
     for key in 0..=CAPACITY {
-        cache.insert(key, key);
+        insert(&mut cache, key);
     }
     assert_eq!(cache.stats().evictions, 1);
     let before = profile::thread_alloc_counts();
     for key in CAPACITY + 1..=17 * CAPACITY {
-        cache.insert(key, key);
+        insert(&mut cache, key);
     }
     let after = profile::thread_alloc_counts();
     assert_eq!(cache.len(), CAPACITY as usize);
-    assert_eq!(cache.peek(&(17 * CAPACITY)), Some(&(17 * CAPACITY)));
-    assert_eq!(cache.peek(&(16 * CAPACITY)), None);
     assert_eq!(
         (after.0 - before.0, after.1 - before.1),
         (0, 0),
         "a full cache allocated while churning"
     );
+    let mut get = |key: u64| {
+        cache
+            .probe(&Probe::new(0, &AttrSet::from_bits(key)))
+            .copied()
+    };
+    assert_eq!(get(17 * CAPACITY), Some(17 * CAPACITY));
+    assert_eq!(get(16 * CAPACITY), None);
 }
 
 #[test]
